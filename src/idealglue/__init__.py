@@ -6,7 +6,7 @@ from .corpus import CORPUS_NAMES, corpus, export_corpus
 from .develop import (DevelopedComplex, IdealPlacement, INFINITY, MobiusMap,
                       develop_across_face, develop_spanning_tree,
                       edge_holonomy_matrix, generator_holonomy, generator_maps,
-                      place_initial, trace)
+                      place_initial)
 from .errors import (BranchCut, DegenerateShape, EdgeCycleNotClosed,
                      IdealGlueError, NotConverged, NotUnitModulus, ParseError,
                      UnknownCorpusEntry, ValidationError)
@@ -16,7 +16,7 @@ from .geometry import (FLAT_TOL, V_TET, VolumeReport, bloch_wigner,
                        solution_volume)
 from .gluing import (ConeTarget, ExponentMatrix, NotUnitModulusReport,
                      ShapeAssignment, all_holonomies, build_exponent_matrix,
-                     derive_shape_triple, edge_holonomy, edge_slot_label,
+                     derive_shape_triple, edge_slot_label,
                      evaluate_residual, jacobian, xi_from_shapes)
 from .report import build_solution_report, verify_report
 from .solver import (Certificate, CoverDegreeReport, REGULAR_SHAPE,

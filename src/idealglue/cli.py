@@ -17,8 +17,9 @@ from .corpus import CORPUS_NAMES, corpus, export_corpus
 from .errors import IdealGlueError
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import solution_volume
-from .gluing import (ConeTarget, LABEL_NAMES, SLOT_LABELS, ShapeAssignment,
-                     all_holonomies, build_exponent_matrix)
+from .gluing import (ConeTarget, LABEL_NAMES, NotUnitModulusReport,
+                     SLOT_LABELS, ShapeAssignment, build_exponent_matrix,
+                     evaluate_residual, xi_from_shapes)
 from .solver import (SolverConfig, cone_locus_sample, essential_edge_certificate,
                      newton_solve, random_starts, regular_solution, sweep_family)
 from .triangulation import (EDGE_SLOTS, compute_edge_classes,
@@ -233,14 +234,13 @@ def _cmd_holonomy(args) -> int:
     t = _load_triangulation(args)
     if args.shapes:
         Z = _parse_initial(args.shapes, t.tetra_count)
-        edges = compute_edge_classes(t)
-        E = build_exponent_matrix(t, edges)
-        xi_vals = all_holonomies(Z, E)
-        try:
-            xi = ConeTarget(tuple(xi_vals))
-        except IdealGlueError:
-            xi = ConeTarget.ones(len(edges))
-        residual = float(np.linalg.norm(xi_vals - np.array(xi.xi)))
+        E = build_exponent_matrix(t, compute_edge_classes(t))
+        xi = xi_from_shapes(Z, E)
+        if isinstance(xi, NotUnitModulusReport):
+            return _fail("the shapes are not a cone point: " + ", ".join(
+                f"e{j} has |h(e)| = {m:.9g}"
+                for j, m in zip(xi.edges, xi.moduli)))
+        residual = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
     else:
         t, xi, cfg, res = _solve_common(args)
         if not res.converged:

@@ -128,12 +128,8 @@ class MobiusMap:
         d2 = np.abs(self.matrix + other.matrix).max()
         return min(d1, d2) < tol
 
-    def multiplier_at(self, w: complex) -> complex:
-        """Derivative at a fixed point w (as a Mobius map of C u {oo})."""
-        v = _lift(w)
-        return self._multiplier_at_lift(v / np.linalg.norm(v))
-
     def _multiplier_at_lift(self, v: np.ndarray) -> complex:
+        """Derivative at the fixed point whose lift is v."""
         image = self.matrix @ v
         i = int(np.argmax(np.abs(v)))
         lam = image[i] / v[i]
@@ -142,11 +138,6 @@ class MobiusMap:
     def __repr__(self):
         a, b, c, d = np.round(self.matrix.ravel(), 6)
         return f"MobiusMap([[{a}, {b}], [{c}, {d}]])"
-
-
-def trace(m: MobiusMap) -> complex:
-    """Trace of a holonomy matrix, defined up to sign."""
-    return m.trace()
 
 
 class IdealPlacement:

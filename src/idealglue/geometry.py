@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BranchCut, DegenerateShape
 from .gluing import ExponentMatrix, ShapeAssignment, derive_shape_triple
 
@@ -149,18 +151,11 @@ def dihedral_angles(z: complex):
     return tuple(out)
 
 
-def edge_cone_angles(Z: ShapeAssignment, E: ExponentMatrix):
+def edge_cone_angles(Z: ShapeAssignment, E: ExponentMatrix) -> np.ndarray:
     """Total angle around each edge: the sum of the slot angles.
 
     This recovers arg h(e) + 2 pi k with the correct winding k, which arg of
     the holonomy product alone cannot provide.
     """
-    angles = []
-    for j in range(E.edge_count):
-        a, ap, app = E.row(j)
-        total = 0.0
-        for i in range(E.tet_count):
-            t0, t1, t2 = dihedral_angles(Z[i])
-            total += a[i] * t0 + ap[i] * t1 + app[i] * t2
-        angles.append(total)
-    return tuple(angles)
+    t0, t1, t2 = np.array([dihedral_angles(z) for z in Z.z]).T
+    return E.a @ t0 + E.a_prime @ t1 + E.a_second @ t2

@@ -74,9 +74,6 @@ class ShapeAssignment:
     def __getitem__(self, i) -> complex:
         return self.z[i]
 
-    def triple(self, i: int):
-        return derive_shape_triple(self.z[i])
-
 
 @dataclass(frozen=True)
 class ConeTarget:
@@ -141,18 +138,12 @@ def build_exponent_matrix(t: Triangulation, edges: list[EdgeClass]) -> ExponentM
     return ExponentMatrix(*mats)
 
 
-def edge_holonomy(Z: ShapeAssignment, E: ExponentMatrix, j: int) -> complex:
-    """h(e_j): the product of the shape parameters at every slot of edge j."""
-    a, ap, app = E.row(j)
-    h = 1.0 + 0.0j
-    for i in range(E.tet_count):
-        z, zp, zpp = Z.triple(i)
-        h *= z ** int(a[i]) * zp ** int(ap[i]) * zpp ** int(app[i])
-    return h
-
-
 def all_holonomies(Z: ShapeAssignment, E: ExponentMatrix) -> np.ndarray:
-    return np.array([edge_holonomy(Z, E, j) for j in range(E.edge_count)])
+    """h(e_j) = prod_i z_i^a z_i'^a' z_i''^a'', the product of the shape
+    parameters at every slot of edge j; the integer powers are exact."""
+    z = np.array(Z.z, dtype=complex)
+    return np.prod(z ** E.a * (1.0 / (1.0 - z)) ** E.a_prime
+                   * ((z - 1.0) / z) ** E.a_second, axis=1)
 
 
 def evaluate_residual(Z: ShapeAssignment, E: ExponentMatrix, xi: ConeTarget) -> np.ndarray:
@@ -167,15 +158,10 @@ def jacobian(Z: ShapeAssignment, E: ExponentMatrix) -> np.ndarray:
     Uses d log z'/dz = 1/(1-z) and d log z''/dz = 1/(z(z-1)), so
     J[j,i] = h(e_j) (a/z + a'/(1-z) + a''/(z(z-1))).
     """
+    z = np.array(Z.z, dtype=complex)
     h = all_holonomies(Z, E)
-    J = np.zeros((E.edge_count, E.tet_count), dtype=complex)
-    for j in range(E.edge_count):
-        a, ap, app = E.row(j)
-        for i in range(E.tet_count):
-            z = Z[i]
-            J[j, i] = h[j] * (a[i] / z + ap[i] / (1.0 - z)
-                              + app[i] / (z * (z - 1.0)))
-    return J
+    return h[:, None] * (E.a / z + E.a_prime / (1.0 - z)
+                         + E.a_second / (z * (z - 1.0)))
 
 
 @dataclass(frozen=True)

@@ -112,9 +112,11 @@ class ReportCheck:
 
 
 def verify_report(report: dict, cfg: SolverConfig = SolverConfig()) -> list:
-    """Re-check a report from its own serialized data: the residual norm, the
-    edge-matrix multiplier contract, determinant normalization, and the
-    product identity over the cone targets.  No solve is re-run."""
+    """Re-check a report from its own serialized data: the residual norm
+    (and that it is within 10 tol when the report claims convergence or a
+    certificate), the edge-matrix multiplier contract, determinant
+    normalization, and the product identity over the cone targets.  No
+    solve is re-run."""
     t = parse_triangulation(report["triangulation"])
     Z = ShapeAssignment(tuple(_uc(p) for p in report["shapes"]))
     xi = ConeTarget(tuple(_uc(p) for p in report["xi"]))
@@ -126,6 +128,9 @@ def verify_report(report: dict, cfg: SolverConfig = SolverConfig()) -> list:
     checks.append(ReportCheck("residual_norm matches",
                               abs(res - report["residual_norm"]) < 1e-12,
                               abs(res - report["residual_norm"]), 1e-12))
+    if report.get("converged") or report.get("certificate"):
+        checks.append(ReportCheck("residual_norm <= 10 tol",
+                                  res <= 10 * cfg.tol, res, 10 * cfg.tol))
 
     prod = 1.0 + 0.0j
     for x in xi.xi:

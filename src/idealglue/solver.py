@@ -2,6 +2,13 @@
 generalisation: damped Gauss-Newton solves at fixed xi, S^1 family sweeps,
 cone-locus sampling, the regular solution, and branched-cover order
 bookkeeping.
+
+Every solve runs the one damped Gauss-Newton loop `_damped_gauss_newton`;
+a solve supplies only its residual, its ordered candidate steps and its
+stopping test.  `newton_solve` tries the complex least-squares step on
+h(z) - xi and then deterministic kicks; `cone_locus_sample` tries the real
+least-squares step on |h(z)| - 1.  Edge classes and the exponent matrix
+are built once per call (once per sweep for `sweep_family`).
 """
 from __future__ import annotations
 
@@ -60,17 +67,46 @@ def _in_guard(z, guard: float) -> bool:
     return any(min(abs(w), abs(w - 1.0)) < guard for w in z)
 
 
-def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
-                 cfg: SolverConfig = SolverConfig()) -> SolveResult:
-    """Damped Gauss-Newton least squares on F(z) = h(z) - xi over the
-    reduced coordinates (one z per tetrahedron).
+def _damped_gauss_newton(residual, directions, done, z, cfg: SolverConfig):
+    """The damped Gauss-Newton loop shared by every solve.
 
-    The m-by-n system is rank-deficient (the product of all edge holonomies
-    is identically 1), so steps are least-squares solutions; each step is
-    halved until the residual decreases and the iterate stays off the
-    degeneracy guard band.
+    Each iteration evaluates `residual` at the current point and stops when
+    `done(F)`; otherwise it tries the steps in the list `directions(z, F)`
+    in order, halving each until the residual norm decreases and the
+    iterate stays off the guard band around {0, 1}.  The first step that
+    does so is taken.  Returns (z, F, iterations, reason) with reason
+    "converged", "max_iterations", or, when no step could be taken,
+    "degenerate_shape" (the full first step enters the guard band) or
+    "stalled".
     """
-    edges, E = _system(t)
+    for it in range(cfg.max_iterations):
+        F = residual(z)
+        if done(F):
+            return z, F, it, "converged"
+        r = np.linalg.norm(F)
+        steps = directions(z, F)
+        for step in steps:
+            lam = 1.0
+            for _ in range(cfg.max_halvings):
+                cand = z + lam * step
+                lam *= 0.5
+                if (not _in_guard(cand, cfg.guard)
+                        and np.linalg.norm(residual(cand)) < r):
+                    break
+            else:
+                continue
+            z = cand
+            break
+        else:
+            near = _in_guard(z + steps[0], cfg.guard)
+            return z, F, it, "degenerate_shape" if near else "stalled"
+    F = residual(z)
+    return (z, F, cfg.max_iterations,
+            "converged" if done(F) else "max_iterations")
+
+
+def _newton(edges, E, xi: ConeTarget, initial: ShapeAssignment,
+            cfg: SolverConfig) -> SolveResult:
     obstructed = degree_one_obstructions(edges, xi, cfg.unit_tol)
     if obstructed:
         names = ", ".join(f"e{j}" for j in obstructed)
@@ -80,52 +116,48 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
                            f"single incident shape parameter would be "
                            f"forbidden, so the system has no solution")
 
-    z = np.array(initial.z, dtype=complex)
-    for it in range(cfg.max_iterations):
-        Z = ShapeAssignment(z, guard=0.0)
-        F = evaluate_residual(Z, E, xi)
-        r = float(np.linalg.norm(F))
-        if r < cfg.tol:
-            return SolveResult(ShapeAssignment(z, guard=0.0), r, it, True)
-        J = jacobian(Z, E)
+    def residual(z):
+        return evaluate_residual(ShapeAssignment(z, guard=0.0), E, xi)
+
+    def directions(z, F):
+        J = jacobian(ShapeAssignment(z, guard=0.0), E)
         step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        candidates = [step]
+        # near a stationary point of |F|^2 away from a solution the step is
+        # tiny or cannot be damped into a decrease: deterministic kicks
+        # break the symmetry, re-entering Gauss-Newton after
+        kick = 0.05 * (1.0 + np.abs(z)) * np.exp(0.7j * (1 + np.arange(len(z))))
+        kicks = [kick, 1j * kick, -kick]
         if np.linalg.norm(step) < 1e-12 * (1.0 + np.linalg.norm(z)):
-            # stationary point of |F|^2 away from a solution: deterministic
-            # kicks to break the symmetry, re-entering Gauss-Newton after
-            scale = 0.05 * (1.0 + np.abs(z))
-            kick = scale * np.exp(0.7j * (1 + np.arange(len(z))))
-            candidates = [kick, 1j * kick, -kick]
-        accepted = False
-        for cand_step in candidates:
-            lam = 1.0
-            for _ in range(cfg.max_halvings):
-                cand = z + lam * cand_step
-                if _in_guard(cand, cfg.guard):
-                    lam *= 0.5
-                    continue
-                Fc = evaluate_residual(ShapeAssignment(cand, guard=0.0), E, xi)
-                if np.linalg.norm(Fc) < r:
-                    z = cand
-                    accepted = True
-                    break
-                lam *= 0.5
-            if accepted:
-                break
-        if not accepted:
-            near = _in_guard(z + step, cfg.guard)
-            reason = "degenerate_shape" if near else "stalled"
-            detail = ("iterates pushed into the guard band around {0, 1} "
-                      "(ideal point)" if near else
-                      "damping could not reduce the residual")
-            return SolveResult(ShapeAssignment(z, guard=0.0), r, it, False,
-                               reason, detail)
-    Z = ShapeAssignment(z, guard=0.0)
-    r = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
-    if r < cfg.tol:
-        return SolveResult(Z, r, cfg.max_iterations, True)
-    return SolveResult(Z, r, cfg.max_iterations, False, "max_iterations",
-                       f"residual {r:.3e} after {cfg.max_iterations} iterations")
+            return kicks
+        return [step] + kicks
+
+    z, F, it, reason = _damped_gauss_newton(
+        residual, directions, lambda F: np.linalg.norm(F) < cfg.tol,
+        np.array(initial.z, dtype=complex), cfg)
+    r = float(np.linalg.norm(F))
+    detail = {
+        "converged": "",
+        "degenerate_shape": "iterates pushed into the guard band around "
+                            "{0, 1} (ideal point)",
+        "stalled": "damping could not reduce the residual",
+        "max_iterations": f"residual {r:.3e} after {it} iterations",
+    }[reason]
+    return SolveResult(ShapeAssignment(z, guard=0.0), r, it,
+                       reason == "converged", reason, detail)
+
+
+def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
+                 cfg: SolverConfig = SolverConfig()) -> SolveResult:
+    """Damped Gauss-Newton least squares on F(z) = h(z) - xi over the
+    reduced coordinates (one z per tetrahedron).
+
+    The m-by-n system is rank-deficient (the product of all edge holonomies
+    is identically 1), so steps are least-squares solutions.  When the step
+    is tiny or cannot be damped into a decrease (a stationary point of
+    |F|^2 away from a solution), three deterministic kicks are tried next.
+    """
+    edges, E = _system(t)
+    return _newton(edges, E, xi, initial, cfg)
 
 
 def regular_solution(t: Triangulation):
@@ -135,10 +167,9 @@ def regular_solution(t: Triangulation):
     deg(e) pi/3, so (Z, xi) lies on the cone-deformation variety, and the
     volume is n times the regular ideal tetrahedron volume.
     """
-    edges, E = _system(t)
     Z = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
     xi = ConeTarget(tuple(cmath.exp(1j * math.pi * e.degree / 3.0)
-                          for e in edges))
+                          for e in compute_edge_classes(t)))
     return Z, xi, t.tetra_count * V_TET
 
 
@@ -158,13 +189,14 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     """
     if initial is None:
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
+    edges, E = _system(t)
     seed = initial
     out = []
     for theta in theta_grid:
         xi = xi_of_theta(theta)
         if not isinstance(xi, ConeTarget):
             xi = ConeTarget(xi)
-        res = newton_solve(t, xi, seed, cfg)
+        res = _newton(edges, E, xi, seed, cfg)
         out.append(SweepPoint(float(theta), res))
         if res.converged:
             seed = res.shapes
@@ -200,39 +232,29 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     Returns (samples, dropped_count) where samples is a list of
     (ShapeAssignment, ConeTarget).
     """
-    edges, E = _system(t)
+    _, E = _system(t)
     n = t.tetra_count
+
+    def residual(z):
+        return np.abs(all_holonomies(ShapeAssignment(z, guard=0.0), E)) - 1.0
+
+    def directions(z, F):
+        Z = ShapeAssignment(z, guard=0.0)
+        h = all_holonomies(Z, E)
+        # d|h| = Re(conj(h)/|h| * h'(z) dz): real m x 2n system
+        W = (np.conj(h) / np.abs(h))[:, None] * jacobian(Z, E)
+        step, *_ = np.linalg.lstsq(np.concatenate([W.real, -W.imag], axis=1),
+                                   -F, rcond=None)
+        return [step[:n] + 1j * step[n:]]
+
+    def done(F):
+        return np.max(np.abs(F)) < cfg.unit_tol
+
     samples, dropped = [], 0
     for start in starts:
-        z = np.array(start.z, dtype=complex)
-        good = False
-        for _ in range(cfg.max_iterations):
-            Z = ShapeAssignment(z, guard=0.0)
-            h = all_holonomies(Z, E)
-            F = np.abs(h) - 1.0
-            if np.max(np.abs(F)) < cfg.unit_tol:
-                good = True
-                break
-            J = jacobian(Z, E)
-            # d|h| = Re(conj(h)/|h| * h'(z) dz): real m x 2n system
-            W = (np.conj(h) / np.abs(h))[:, None] * J
-            Jr = np.concatenate([W.real, -W.imag], axis=1)
-            step, *_ = np.linalg.lstsq(Jr, -F, rcond=None)
-            dz = step[:n] + 1j * step[n:]
-            lam, accepted = 1.0, False
-            for _ in range(cfg.max_halvings):
-                cand = z + lam * dz
-                if _in_guard(cand, cfg.guard):
-                    lam *= 0.5
-                    continue
-                hc = all_holonomies(ShapeAssignment(cand, guard=0.0), E)
-                if np.linalg.norm(np.abs(hc) - 1.0) < np.linalg.norm(F):
-                    z, accepted = cand, True
-                    break
-                lam *= 0.5
-            if not accepted:
-                break
-        if not good:
+        z, _, _, reason = _damped_gauss_newton(
+            residual, directions, done, np.array(start.z, dtype=complex), cfg)
+        if reason != "converged":
             dropped += 1
             continue
         Z = ShapeAssignment(z, guard=0.0)

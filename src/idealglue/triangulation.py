@@ -69,11 +69,6 @@ class VertexPermutation:
         return VertexPermutation(tuple(self.images[other.images[v]] for v in range(4)))
 
 
-def perm_parity(images) -> int:
-    inversions = sum(images[i] > images[j] for i in range(4) for j in range(i + 1, 4))
-    return inversions % 2
-
-
 @dataclass(frozen=True)
 class FaceGluing:
     """Identification of face `source_face` of tetrahedron `source_tet` with
@@ -269,7 +264,7 @@ def _traverse_edge(t: Triangulation, tet: int, tail: int, head: int):
         tt, a, b = cur
         cyc.append((tt, (a, b)))
         c, d = (v for v in range(4) if v not in (a, b))
-        exit_face = c if perm_parity((a, b, c, d)) == 0 else d
+        exit_face = c if VertexPermutation((a, b, c, d)).parity == 0 else d
         g = t.gluing_at(tt, exit_face)
         steps.append(g)
         cur = (g.target_tet, g.perm(a), g.perm(b))
@@ -485,7 +480,7 @@ def canonical_form(t: Triangulation) -> Triangulation:
 def _odd_perms_fixing(f1: int, f2: int):
     out = []
     for p in itertools.permutations(range(4)):
-        if p[f1] == f2 and perm_parity(p) == 1:
+        if p[f1] == f2 and VertexPermutation(p).parity == 1:
             out.append(p)
     return out
 

@@ -6,7 +6,8 @@ import itertools
 import numpy as np
 import pytest
 
-from idealglue import ShapeAssignment
+from idealglue import (ShapeAssignment, build_exponent_matrix,
+                       compute_edge_classes, random_triangulation)
 
 
 def random_shapes(rng, n, margin=0.1, upper_only=False):
@@ -21,6 +22,17 @@ def random_shapes(rng, n, margin=0.1, upper_only=False):
             continue
         out.append(z)
     return ShapeAssignment(tuple(out))
+
+
+def random_systems():
+    """Seeded random triangulations with n = 2..6 tetrahedra, each with its
+    edge classes and exponent matrix."""
+    out = []
+    for n in range(2, 7):
+        t = random_triangulation(n, seed=n)
+        edges = compute_edge_classes(t)
+        out.append((t, edges, build_exponent_matrix(t, edges)))
+    return out
 
 
 def psl2_dist(A, B):

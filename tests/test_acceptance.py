@@ -16,7 +16,7 @@ from idealglue import (ConeTarget, REGULAR_SHAPE, ShapeAssignment, SolverConfig,
                        format_triangulation, generator_maps,
                        jacobian, newton_solve, parse_triangulation,
                        random_starts, random_triangulation, regular_solution,
-                       solution_volume, trace)
+                       solution_volume)
 from idealglue.cli import main as cli_main
 from conftest import conjugate_match, psl2_dist, random_shapes
 
@@ -45,10 +45,10 @@ def test_criterion_1_hopf_family():
         assert abs(res.shapes[0] - cmath.exp(1j * theta)) < 1e-10
         dc = develop_spanning_tree(t, res.shapes)
         for m in generator_maps(dc):
-            assert abs(abs(trace(m)) - abs(2 * math.cos(theta / 2))) < 1e-9
+            assert abs(abs(m.trace()) - abs(2 * math.cos(theta / 2))) < 1e-9
         M, _ = edge_holonomy_matrix(dc, t, res.shapes, j4)
         expect = cmath.exp(1j * theta) + cmath.exp(-1j * theta)
-        assert min(abs(trace(M) - expect), abs(trace(M) + expect)) < 1e-9
+        assert min(abs(M.trace() - expect), abs(M.trace() + expect)) < 1e-9
     _report(1, "hopf family solves to z=e^{i theta} with the expected traces")
 
 
@@ -93,7 +93,7 @@ def test_criterion_3_trefoil_family():
         g3 = G[1 - i_rot].inverse()
         g3i = g3.inverse()
         g2 = g3i @ g3i @ g3i @ ginf @ g3 @ ginf @ g3i @ ginf
-        assert abs(trace(g2)) < 1e-9                      # order two
+        assert abs(g2.trace()) < 1e-9                      # order two
         assert psl2_dist((g2 @ g2).matrix, np.eye(2)) < 1e-9
     _report(3, "trefoil family solves to z=e^{i theta}; the order-two "
                "composite has trace 0 on the whole grid")

@@ -10,7 +10,7 @@ from idealglue import (INFINITY, MobiusMap, ShapeAssignment, all_holonomies,
                        build_exponent_matrix, compute_edge_classes, corpus,
                        develop_across_face, develop_spanning_tree,
                        edge_holonomy_matrix, generator_holonomy,
-                       generator_maps, place_initial, relabel, trace)
+                       generator_maps, place_initial, relabel)
 from idealglue.gluing import DegenerateShape
 from idealglue.triangulation import EDGE_SLOTS, VertexPermutation
 from conftest import conjugate_match, psl2_dist, random_shapes
@@ -158,7 +158,7 @@ def test_mobius_from_triples_and_action():
 
 def test_mobius_trace_up_to_sign():
     m = MobiusMap.identity()
-    assert abs(abs(trace(m)) - 2) < 1e-15
+    assert abs(abs(m.trace()) - 2) < 1e-15
 
 
 # ---------------------------------------------------- reference generators
@@ -193,7 +193,7 @@ def test_hopf_generator_traces_along_family():
     for theta in (math.pi / 3, math.pi / 2, 2 * math.pi / 3, math.pi):
         dc = develop_spanning_tree(t, ShapeAssignment((cmath.exp(1j * theta),)))
         for m in generator_maps(dc):
-            assert abs(abs(trace(m)) - abs(2 * math.cos(theta / 2))) < 1e-9
+            assert abs(abs(m.trace()) - abs(2 * math.cos(theta / 2))) < 1e-9
 
 
 def test_trefoil_generators_match_reference():
@@ -220,11 +220,11 @@ def test_trefoil_modular_limit():
     z = cmath.exp(1e-6j)
     dc = develop_spanning_tree(t, ShapeAssignment((z,)))
     G = generator_maps(dc)
-    trs = sorted(abs(trace(m)) for m in G)
+    trs = sorted(abs(m.trace()) for m in G)
     assert abs(trs[0] - 1) < 1e-5
     assert abs(trs[1] - 2) < 1e-9
-    prod_traces = (abs(trace(G[0] @ G[1])),
-                   abs(trace(G[0] @ G[1].inverse())))
+    prod_traces = (abs((G[0] @ G[1]).trace()),
+                   abs((G[0] @ G[1].inverse()).trace()))
     assert min(prod_traces) < 1e-5
 
 
@@ -249,7 +249,7 @@ def test_trefoil_order_two_composite():
         z = cmath.exp(1j * theta)
         dc = develop_spanning_tree(t, ShapeAssignment((z,)))
         g2 = trefoil_order_two_composite(dc)
-        assert abs(trace(g2)) < 1e-9
+        assert abs(g2.trace()) < 1e-9
         assert psl2_dist((g2 @ g2).matrix, np.eye(2)) < 1e-9
         # projectively conjugate to the closed form (0 z; -1/z 0)
         target = np.array([[0, z], [-1 / z, 0]])
@@ -288,7 +288,7 @@ def test_hopf_edge_multiplier_family():
         dc = develop_spanning_tree(t, Z)
         M, mult = edge_holonomy_matrix(dc, t, Z, j4)
         assert abs(mult - cmath.exp(-2j * theta)) < 1e-11
-        assert abs(abs(trace(M)) - abs(z + 1 / z)) < 1e-11
+        assert abs(abs(M.trace()) - abs(z + 1 / z)) < 1e-11
 
 
 def test_hopf_flat_edge_matrix_is_minus_identity():
@@ -298,7 +298,7 @@ def test_hopf_flat_edge_matrix_is_minus_identity():
     j4 = next(e.index for e in compute_edge_classes(t) if e.degree == 4)
     M, mult = edge_holonomy_matrix(dc, t, Z, j4)
     assert psl2_dist(M.matrix, -np.eye(2)) < 1e-12
-    assert abs(abs(trace(M)) - 2) < 1e-12
+    assert abs(abs(M.trace()) - 2) < 1e-12
 
 
 def test_edge_closure_multiplier_on_random_triangulations(rng):
@@ -367,7 +367,7 @@ def test_trefoil_flat_point_edge_involution():
     j5 = next(e.index for e in compute_edge_classes(t) if e.degree == 5)
     M, mult = edge_holonomy_matrix(dc, t, Z, j5)
     assert abs(mult - (-1)) < 1e-12           # h(e2) = z^{-1} = -1
-    assert abs(trace(M)) < 1e-12
+    assert abs(M.trace()) < 1e-12
     assert psl2_dist((M @ M).matrix, np.eye(2)) < 1e-12
 
 
@@ -389,8 +389,8 @@ def test_generators_conjugate_under_initial_placement_change(rng):
             m2 = generator_holonomy(moved, g)
             conj = C @ m1 @ C.inverse()
             assert m2.same_projective(conj, tol=1e-9)
-            assert min(abs(trace(m2) - trace(m1)),
-                       abs(trace(m2) + trace(m1))) < 1e-10
+            assert min(abs(m2.trace() - m1.trace()),
+                       abs(m2.trace() + m1.trace())) < 1e-10
 
 
 def test_traces_invariant_under_renumbering(rng):
@@ -412,9 +412,9 @@ def test_traces_invariant_under_renumbering(rng):
         Z2 = ShapeAssignment(tuple(z2))
         dc2 = develop_spanning_tree(t2, Z2)
 
-        med1 = sorted(abs(trace(edge_holonomy_matrix(dc, t, Z, e)[0]))
+        med1 = sorted(abs(edge_holonomy_matrix(dc, t, Z, e)[0].trace())
                       for e in compute_edge_classes(t))
-        med2 = sorted(abs(trace(edge_holonomy_matrix(dc2, t2, Z2, e)[0]))
+        med2 = sorted(abs(edge_holonomy_matrix(dc2, t2, Z2, e)[0].trace())
                       for e in compute_edge_classes(t2))
         assert np.allclose(med1, med2, atol=1e-9), name
 
@@ -425,8 +425,8 @@ def test_traces_invariant_under_renumbering(rng):
         tree2 = {frozenset((g.source, g.target)) for g in dc2.tree}
         if tree1_relabeled == tree2:
             # same generating set: traces match up to sign
-            tr1 = sorted(abs(trace(m)) for m in generator_maps(dc))
-            tr2 = sorted(abs(trace(m)) for m in generator_maps(dc2))
+            tr1 = sorted(abs(m.trace()) for m in generator_maps(dc))
+            tr2 = sorted(abs(m.trace()) for m in generator_maps(dc2))
             assert np.allclose(tr1, tr2, atol=1e-9), name
 
 
@@ -436,7 +436,7 @@ def test_traces_invariant_under_vertex_relabeling(rng):
     t = corpus("hopf")
     (z,) = random_shapes(rng, 1).z
     dc = develop_spanning_tree(t, ShapeAssignment((z,)))
-    tr1 = sorted(abs(trace(m)) for m in generator_maps(dc))
+    tr1 = sorted(abs(m.trace()) for m in generator_maps(dc))
 
     # (0,1,2,3) -> (1,2,3,0)-type even relabelings permute the slot labels
     # cyclically; the relabeled triangulation with coordinate z' = 1/(1-z)
@@ -444,5 +444,5 @@ def test_traces_invariant_under_vertex_relabeling(rng):
     perm = VertexPermutation((1, 0, 3, 2))    # Klein element: labels fixed
     t2 = relabel(t, [perm])
     dc2 = develop_spanning_tree(t2, ShapeAssignment((z,)))
-    tr2 = sorted(abs(trace(m)) for m in generator_maps(dc2))
+    tr2 = sorted(abs(m.trace()) for m in generator_maps(dc2))
     assert np.allclose(tr1, tr2, atol=1e-9)

@@ -10,6 +10,8 @@ from idealglue import (BranchCut, DegenerateShape, ShapeAssignment, V_TET,
                        bloch_wigner, build_exponent_matrix,
                        compute_edge_classes, corpus, dihedral_angles, dilog,
                        edge_cone_angles, solution_volume)
+from idealglue.gluing import SLOT_LABELS
+from conftest import random_shapes, random_systems
 
 REGULAR = cmath.exp(1j * math.pi / 3)
 
@@ -167,3 +169,14 @@ def test_edge_cone_angles_recover_winding():
     by_degree = {e.degree: angles[e.index] for e in edges}
     assert abs(by_degree[1] - alpha) < 1e-12
     assert abs(by_degree[5] - (2 * math.pi - alpha)) < 1e-12
+
+
+def test_edge_cone_angles_are_slot_sums_on_random_triangulations(rng):
+    for t, edges, E in random_systems():
+        for _ in range(5):
+            Z = random_shapes(rng, t.tetra_count)
+            angles = edge_cone_angles(Z, E)
+            for e in edges:
+                expect = sum(dihedral_angles(Z[tet])[SLOT_LABELS[slot]]
+                             for tet, slot, _ in e.cycle)
+                assert abs(angles[e.index] - expect) < 1e-12

@@ -8,11 +8,12 @@ import pytest
 from idealglue import (ConeTarget, DegenerateShape, NotUnitModulusReport,
                        ShapeAssignment, all_holonomies, build_exponent_matrix,
                        compute_edge_classes, corpus, derive_shape_triple,
-                       edge_holonomy, edge_slot_label,
+                       edge_slot_label,
                        enumerate_one_tetrahedron_triangulations,
                        evaluate_residual, jacobian, random_triangulation,
                        xi_from_shapes)
-from conftest import random_shapes
+from idealglue.gluing import SLOT_LABELS
+from conftest import random_shapes, random_systems
 
 REGULAR = complex(0.5, math.sqrt(3) / 2)
 
@@ -111,28 +112,41 @@ def test_hopf_holonomy_family(rng):
     t, edges, E = system("hopf")
     for _ in range(5):
         (z,) = random_shapes(rng, 1).z
-        Z = ShapeAssignment((z,))
+        hol = all_holonomies(ShapeAssignment((z,)), E)
         h = {e.degree: [] for e in edges}
         for e in edges:
-            h[e.degree].append(edge_holonomy(Z, E, e.index))
+            h[e.degree].append(hol[e.index])
         assert all(abs(v - z) < 1e-13 * abs(z) for v in h[1])
         assert abs(h[4][0] - z ** -2) < 1e-13
 
 
 def test_fig8_complete_solution_holonomies():
     _, edges, E = system("fig8_complement")
-    Z = ShapeAssignment((cmath.exp(1j * math.pi / 3),) * 2)
+    h = all_holonomies(ShapeAssignment((cmath.exp(1j * math.pi / 3),) * 2), E)
     for e in edges:
-        assert abs(edge_holonomy(Z, E, e.index) - 1) < 1e-14
+        assert abs(h[e.index] - 1) < 1e-14
 
 
 def test_regular_shapes_holonomy_is_degree_times_pi_over_three():
     for name in ("hopf", "trefoil", "fig8_in_s3", "doubled_tetrahedron"):
         t, edges, E = system(name)
-        Z = ShapeAssignment((REGULAR,) * t.tetra_count)
+        h = all_holonomies(ShapeAssignment((REGULAR,) * t.tetra_count), E)
         for e in edges:
             expect = cmath.exp(1j * e.degree * math.pi / 3)
-            assert abs(edge_holonomy(Z, E, e.index) - expect) < 1e-13
+            assert abs(h[e.index] - expect) < 1e-13
+
+
+def test_holonomies_are_slot_products_on_random_triangulations(rng):
+    for t, edges, E in random_systems():
+        for _ in range(5):
+            Z = random_shapes(rng, t.tetra_count)
+            triples = [derive_shape_triple(z) for z in Z.z]
+            h = all_holonomies(Z, E)
+            for e in edges:
+                expect = 1.0 + 0.0j
+                for tet, slot, _ in e.cycle:
+                    expect *= triples[tet][SLOT_LABELS[slot]]
+                assert abs(h[e.index] - expect) <= 1e-12 * abs(expect)
 
 
 def test_product_of_all_holonomies_is_one(rng):
@@ -200,8 +214,9 @@ def central_difference_jacobian(Z, E, step=1e-5):
 
 
 def test_jacobian_matches_finite_differences(rng):
-    for name in ("hopf", "fig8_complement", "fig8_in_s3"):
-        t, edges, E = system(name)
+    systems = [system(name) for name in ("hopf", "fig8_complement",
+                                         "fig8_in_s3")] + random_systems()
+    for t, edges, E in systems:
         for _ in range(8):
             Z = random_shapes(rng, t.tetra_count)
             J = jacobian(Z, E)

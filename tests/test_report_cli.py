@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 
-from idealglue import (ConeTarget, ShapeAssignment, V_TET, corpus,
-                       essential_edge_certificate, newton_solve,
-                       build_solution_report, verify_report)
+from idealglue import (ConeTarget, ShapeAssignment, V_TET,
+                       build_exponent_matrix, build_solution_report,
+                       compute_edge_classes, corpus,
+                       essential_edge_certificate, evaluate_residual,
+                       newton_solve, verify_report)
 from idealglue.cli import main
 from idealglue.report import dumps, loads
 
@@ -52,6 +54,21 @@ def test_report_json_roundtrip_is_bit_exact():
     back = loads(dumps(rep))
     assert back["shapes"] == rep["shapes"]
     assert back["residual_norm"] == rep["residual_norm"]
+
+
+def test_converged_claim_needs_a_small_residual():
+    t = corpus("fig8_complement")
+    xi = ConeTarget.ones(2)
+    Z = ShapeAssignment((0.3 + 0.4j, 0.7 + 0.2j))
+    E = build_exponent_matrix(t, compute_edge_classes(t))
+    res = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
+    checks = {c.name: c for c in verify_report(
+        build_solution_report(t, Z, xi, res, converged=True))}
+    assert checks["residual_norm matches"].ok
+    assert not checks["residual_norm <= 10 tol"].ok
+    unclaimed = verify_report(build_solution_report(t, Z, xi, res,
+                                                    converged=False))
+    assert all(c.ok for c in unclaimed)
 
 
 def test_tampered_report_fails_verification():
@@ -194,6 +211,16 @@ def test_cli_info_equations_print_volume_holonomy(capsys):
     code, out, _ = run_cli(capsys, "holonomy", "--corpus", "hopf",
                            "--shapes", "0,1")
     assert code == 0 and "multiplier" in out
+
+
+def test_cli_holonomy_rejects_shapes_off_the_cone_locus(capsys):
+    code, out, err = run_cli(capsys, "holonomy", "--corpus",
+                             "fig8_complement", "--shapes", "0.3,0.4;0.7,0.2",
+                             "--json")
+    assert code == 2
+    assert out == ""
+    assert "e0 has |h(e)| = 0.455813857" in err
+    assert "e1 has |h(e)| = 2.19387802" in err
 
 
 def test_cli_export_corpus(tmp_path, capsys):

@@ -54,6 +54,18 @@ def test_trefoil_classical_equations_obstructed():
     assert res.reason == "degree_one_edge_obstruction"
 
 
+def test_kicks_follow_a_step_that_cannot_be_damped():
+    # theta = pi on the hopf family {deg 1: theta, deg 4: -2 theta}:
+    # J^H F = 0 at exp(i pi / 3), and just off it the least-squares step
+    # is not tiny but no halving of it lowers the residual
+    t = corpus("hopf")
+    xi = xi_by_degree(t, {1: -1, 4: 1})
+    start = REGULAR_SHAPE * cmath.exp(-1.2e-8j)
+    res = newton_solve(t, xi, ShapeAssignment((start,)))
+    assert res.converged
+    assert abs(res.shapes[0] + 1) < 1e-9
+
+
 def test_converged_result_residual_reproducible():
     t = corpus("fig8_complement")
     edges = compute_edge_classes(t)

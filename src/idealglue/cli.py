@@ -122,8 +122,7 @@ def _cmd_info(args) -> int:
 
 def _cmd_equations(args) -> int:
     t = _load_triangulation(args)
-    edges = compute_edge_classes(t)
-    E = build_exponent_matrix(t, edges)
+    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     lines = []
     for e in edges:
         factors = []
@@ -234,7 +233,7 @@ def _cmd_holonomy(args) -> int:
     t = _load_triangulation(args)
     if args.shapes:
         Z = _parse_initial(args.shapes, t.tetra_count)
-        E = build_exponent_matrix(t, compute_edge_classes(t))
+        E = build_exponent_matrix(t)
         xi = xi_from_shapes(Z, E)
         if isinstance(xi, NotUnitModulusReport):
             return _fail("the shapes are not a cone point: " + ", ".join(

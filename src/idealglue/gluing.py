@@ -14,12 +14,12 @@ and trefoil holonomies).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateShape, NotUnitModulus
-from .triangulation import SLOT_INDEX, EdgeClass, Triangulation
+from .triangulation import SLOT_INDEX, Triangulation, compute_edge_classes
 
 DEGENERACY_GUARD = 1e-8
 
@@ -108,11 +108,36 @@ class ExponentMatrix:
     class j carrying the corresponding label.  Each tetrahedron has two slots
     of each label, so every column of each matrix sums to 2, and row sums
     across the three matrices give the edge degrees.
+
+    The nonzero (edge, tetrahedron) pairs, in row-major order, are also
+    kept as index arrays `rows`, `cols` with their exponents `pair_a`,
+    `pair_a_prime`, `pair_a_second`; `row_starts[j]` is the first pair of
+    edge j.  The arrays are shared and read-only.
     """
 
     a: np.ndarray
     a_prime: np.ndarray
     a_second: np.ndarray
+    rows: np.ndarray = field(init=False)
+    cols: np.ndarray = field(init=False)
+    pair_a: np.ndarray = field(init=False)
+    pair_a_prime: np.ndarray = field(init=False)
+    pair_a_second: np.ndarray = field(init=False)
+    row_starts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        rows, cols = np.nonzero(self.a + self.a_prime + self.a_second)
+        derived = {
+            "rows": rows, "cols": cols,
+            "pair_a": self.a[rows, cols],
+            "pair_a_prime": self.a_prime[rows, cols],
+            "pair_a_second": self.a_second[rows, cols],
+            "row_starts": np.searchsorted(rows, np.arange(self.a.shape[0])),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        for value in (self.a, self.a_prime, self.a_second, *derived.values()):
+            value.setflags(write=False)
 
     @property
     def edge_count(self) -> int:
@@ -129,39 +154,63 @@ class ExponentMatrix:
         return (self.a + self.a_prime + self.a_second).sum(axis=1)
 
 
-def build_exponent_matrix(t: Triangulation, edges: list[EdgeClass]) -> ExponentMatrix:
-    m, n = len(edges), t.tetra_count
-    mats = [np.zeros((m, n), dtype=int) for _ in range(3)]
-    for e in edges:
-        for (tet, slot, _) in e.cycle:
-            mats[SLOT_LABELS[slot]][e.index, tet] += 1
-    return ExponentMatrix(*mats)
+def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
+    """The exponent matrix of t's edge classes, built once per
+    triangulation and memoised on it.  `edges` (t's own edge classes) is
+    accepted from callers that already hold them; it is not needed."""
+    if t._exponent_matrix is None:
+        classes = compute_edge_classes(t)
+        mats = [np.zeros((len(classes), t.tetra_count), dtype=int)
+                for _ in range(3)]
+        for e in classes:
+            for (tet, slot, _) in e.cycle:
+                mats[SLOT_LABELS[slot]][e.index, tet] += 1
+        t._exponent_matrix = ExponentMatrix(*mats)
+    return t._exponent_matrix
 
 
-def all_holonomies(Z: ShapeAssignment, E: ExponentMatrix) -> np.ndarray:
+def _shapes(Z: ShapeAssignment | np.ndarray) -> np.ndarray:
+    return np.asarray(Z.z if isinstance(Z, ShapeAssignment) else Z,
+                      dtype=complex)
+
+
+def all_holonomies(Z: ShapeAssignment | np.ndarray,
+                   E: ExponentMatrix) -> np.ndarray:
     """h(e_j) = prod_i z_i^a z_i'^a' z_i''^a'', the product of the shape
-    parameters at every slot of edge j; the integer powers are exact."""
-    z = np.array(Z.z, dtype=complex)
-    return np.prod(z ** E.a * (1.0 / (1.0 - z)) ** E.a_prime
-                   * ((z - 1.0) / z) ** E.a_second, axis=1)
+    parameters at every slot of edge j; the integer powers are exact.
+
+    Z is a ShapeAssignment or an array of shapes.  Only the nonzero
+    (edge, tetrahedron) pairs are evaluated, each power first and then the
+    product in tetrahedron order, which is the dense product's order.
+    """
+    w = _shapes(Z)[E.cols]
+    return np.multiply.reduceat(w ** E.pair_a * (1.0 / (1.0 - w)) ** E.pair_a_prime
+                                * ((w - 1.0) / w) ** E.pair_a_second,
+                                E.row_starts)
 
 
-def evaluate_residual(Z: ShapeAssignment, E: ExponentMatrix, xi: ConeTarget) -> np.ndarray:
+def evaluate_residual(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
+                      xi: ConeTarget) -> np.ndarray:
     """Component j is h(e_j) - xi_j; identically zero exactly on solutions of
     the xi-hyperbolic gluing equations."""
     return all_holonomies(Z, E) - np.array(xi.xi)
 
 
-def jacobian(Z: ShapeAssignment, E: ExponentMatrix) -> np.ndarray:
+def jacobian(Z: ShapeAssignment | np.ndarray,
+             E: ExponentMatrix) -> np.ndarray:
     """Analytic m-by-n complex Jacobian d h(e_j) / d z_i.
 
     Uses d log z'/dz = 1/(1-z) and d log z''/dz = 1/(z(z-1)), so
-    J[j,i] = h(e_j) (a/z + a'/(1-z) + a''/(z(z-1))).
+    J[j,i] = h(e_j) (a/z + a'/(1-z) + a''/(z(z-1))), evaluated at the
+    nonzero (edge, tetrahedron) pairs; the other entries are 0.
     """
-    z = np.array(Z.z, dtype=complex)
-    h = all_holonomies(Z, E)
-    return h[:, None] * (E.a / z + E.a_prime / (1.0 - z)
-                         + E.a_second / (z * (z - 1.0)))
+    z = _shapes(Z)
+    w = z[E.cols]
+    h = all_holonomies(z, E)
+    J = np.zeros((E.edge_count, E.tet_count), dtype=complex)
+    J[E.rows, E.cols] = h[E.rows] * (E.pair_a / w + E.pair_a_prime / (1.0 - w)
+                                     + E.pair_a_second / (w * (w - 1.0)))
+    return J
 
 
 @dataclass(frozen=True)

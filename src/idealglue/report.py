@@ -37,8 +37,7 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
                           cfg: SolverConfig = SolverConfig(),
                           include_holonomy: bool = True) -> dict:
     """Assemble the full structured report for a solution point."""
-    edges = compute_edge_classes(t)
-    E = build_exponent_matrix(t, edges)
+    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     h = all_holonomies(Z, E)
     cover = branched_cover_report(edges, xi, cfg)
     vol = solution_volume(Z)
@@ -120,8 +119,7 @@ def verify_report(report: dict, cfg: SolverConfig = SolverConfig()) -> list:
     t = parse_triangulation(report["triangulation"])
     Z = ShapeAssignment(tuple(_uc(p) for p in report["shapes"]))
     xi = ConeTarget(tuple(_uc(p) for p in report["xi"]))
-    edges = compute_edge_classes(t)
-    E = build_exponent_matrix(t, edges)
+    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     checks = []
 
     res = float(np.linalg.norm(evaluate_residual(Z, E, xi)))

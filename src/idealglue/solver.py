@@ -7,8 +7,10 @@ Every solve runs the one damped Gauss-Newton loop `_damped_gauss_newton`;
 a solve supplies only its residual, its ordered candidate steps and its
 stopping test.  `newton_solve` tries the complex least-squares step on
 h(z) - xi and then deterministic kicks; `cone_locus_sample` tries the real
-least-squares step on |h(z)| - 1.  Edge classes and the exponent matrix
-are built once per call (once per sweep for `sweep_family`).
+least-squares step on |h(z)| - 1.  Every solve, sweep, sample and
+certificate reads the edge classes and exponent matrix compiled once per
+triangulation (`compute_edge_classes`, `build_exponent_matrix`), and the
+loops evaluate h and J on the raw shape array.
 """
 from __future__ import annotations
 
@@ -49,11 +51,6 @@ class SolveResult:
     reason: str = "converged"       # else: degree_one_edge_obstruction |
                                     # degenerate_shape | max_iterations | stalled
     detail: str = ""
-
-
-def _system(t: Triangulation):
-    edges = compute_edge_classes(t)
-    return edges, build_exponent_matrix(t, edges)
 
 
 def degree_one_obstructions(edges, xi: ConeTarget, tol: float = 1e-8):
@@ -117,10 +114,10 @@ def _newton(edges, E, xi: ConeTarget, initial: ShapeAssignment,
                            f"forbidden, so the system has no solution")
 
     def residual(z):
-        return evaluate_residual(ShapeAssignment(z, guard=0.0), E, xi)
+        return evaluate_residual(z, E, xi)
 
     def directions(z, F):
-        J = jacobian(ShapeAssignment(z, guard=0.0), E)
+        J = jacobian(z, E)
         step, *_ = np.linalg.lstsq(J, -F, rcond=None)
         # near a stationary point of |F|^2 away from a solution the step is
         # tiny or cannot be damped into a decrease: deterministic kicks
@@ -156,8 +153,8 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
     is tiny or cannot be damped into a decrease (a stationary point of
     |F|^2 away from a solution), three deterministic kicks are tried next.
     """
-    edges, E = _system(t)
-    return _newton(edges, E, xi, initial, cfg)
+    return _newton(compute_edge_classes(t), build_exponent_matrix(t), xi,
+                   initial, cfg)
 
 
 def regular_solution(t: Triangulation):
@@ -189,7 +186,7 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     """
     if initial is None:
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
-    edges, E = _system(t)
+    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     seed = initial
     out = []
     for theta in theta_grid:
@@ -232,17 +229,16 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     Returns (samples, dropped_count) where samples is a list of
     (ShapeAssignment, ConeTarget).
     """
-    _, E = _system(t)
+    E = build_exponent_matrix(t)
     n = t.tetra_count
 
     def residual(z):
-        return np.abs(all_holonomies(ShapeAssignment(z, guard=0.0), E)) - 1.0
+        return np.abs(all_holonomies(z, E)) - 1.0
 
     def directions(z, F):
-        Z = ShapeAssignment(z, guard=0.0)
-        h = all_holonomies(Z, E)
+        h = all_holonomies(z, E)
         # d|h| = Re(conj(h)/|h| * h'(z) dz): real m x 2n system
-        W = (np.conj(h) / np.abs(h))[:, None] * jacobian(Z, E)
+        W = (np.conj(h) / np.abs(h))[:, None] * jacobian(z, E)
         step, *_ = np.linalg.lstsq(np.concatenate([W.real, -W.imag], axis=1),
                                    -F, rcond=None)
         return [step[:n] + 1j * step[n:]]
@@ -346,7 +342,7 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
     """
     if not result.converged:
         raise NotConverged(result.reason or "solve did not converge")
-    edges, E = _system(t)
+    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     # verify independently of the solver's bookkeeping
     res = float(np.linalg.norm(evaluate_residual(result.shapes, E, xi)))
     if res >= cfg.tol * 10:

@@ -105,7 +105,9 @@ class Triangulation:
 
     `gluings` holds one FaceGluing per identified face pair, stored from its
     lexicographically smaller (tet, face) side and sorted.  The implied
-    inverse gluings are generated on demand.
+    inverse gluings are generated on demand.  A Triangulation is not
+    modified after construction, so its edge classes and exponent matrix
+    are compiled once and memoised on the instance.
     """
 
     def __init__(self, tetra_count: int, gluings):
@@ -121,6 +123,10 @@ class Triangulation:
         for g in self.gluings:
             self._lookup.setdefault(g.source, g)
             self._lookup.setdefault(g.target, g.reversed())
+        # compiled on first use by compute_edge_classes and
+        # gluing.build_exponent_matrix, then shared by every consumer
+        self._edge_classes = None
+        self._exponent_matrix = None
 
     def gluing_at(self, tet: int, face: int) -> FaceGluing:
         """The gluing departing from (tet, face)."""
@@ -254,48 +260,65 @@ class EdgeClass:
         return len(self.cycle)
 
 
-def _traverse_edge(t: Triangulation, tet: int, tail: int, head: int):
-    """Walk around the edge (tail, head) of tet; yield directed slots and the
-    gluings used."""
-    cyc, steps = [], []
-    t0, a0, b0 = tet, tail, head
-    cur = (tet, tail, head)
-    while True:
-        tt, a, b = cur
-        cyc.append((tt, (a, b)))
+def _edge_walk_table() -> dict:
+    """Directed slot (tail, head) -> (exit face, slot index, forward).
+
+    The walk around an edge leaves the directed slot (tail, head) through
+    the face `exit` making (tail, head, exit, other) an even permutation of
+    (0,1,2,3); the twelve directed slots are tabulated once here so the
+    walk itself takes no parities.
+    """
+    table = {}
+    for a, b in itertools.permutations(range(4), 2):
         c, d = (v for v in range(4) if v not in (a, b))
         exit_face = c if VertexPermutation((a, b, c, d)).parity == 0 else d
-        g = t.gluing_at(tt, exit_face)
-        steps.append(g)
-        cur = (g.target_tet, g.perm(a), g.perm(b))
-        if cur == (t0, a0, b0):
-            break
-        if len(cyc) > 6 * t.tetra_count:
-            raise AssertionError("edge traversal failed to close")
-    return cyc, steps
+        table[(a, b)] = (exit_face, SLOT_INDEX[(min(a, b), max(a, b))], a < b)
+    return table
 
 
-def compute_edge_classes(t: Triangulation) -> list[EdgeClass]:
+_EDGE_WALK = _edge_walk_table()
+
+
+def _walk_edge_classes(t: Triangulation) -> tuple[EdgeClass, ...]:
+    """Walk around every edge once; the classes of `compute_edge_classes`."""
+    lookup = t._lookup
+    limit = 6 * t.tetra_count
+    seen = set()
+    classes = []
+    for tet in range(t.tetra_count):
+        for slot, (tail, head) in enumerate(EDGE_SLOTS):
+            if (tet, slot) in seen:
+                continue
+            cycle, steps, directed = [], [], []
+            tt, a, b = tet, tail, head
+            while True:
+                exit_face, s, forward = _EDGE_WALK[(a, b)]
+                cycle.append((tt, s, forward))
+                directed.append((tt, (a, b)))
+                seen.add((tt, s))
+                g = lookup[(tt, exit_face)]
+                steps.append(g)
+                images = g.perm.images
+                tt, a, b = g.target_tet, images[a], images[b]
+                if tt == tet and a == tail and b == head:
+                    break
+                if len(cycle) > limit:
+                    raise AssertionError("edge traversal failed to close")
+            classes.append(EdgeClass(len(classes), tuple(cycle), tuple(steps),
+                                     tuple(directed)))
+    return tuple(classes)
+
+
+def compute_edge_classes(t: Triangulation) -> tuple[EdgeClass, ...]:
     """Partition the 6n edge slots into identification cycles.
 
     Deterministic: classes appear in order of their lexicographically least
     unvisited slot, each traversed from that slot in (min, max) direction.
+    Walked once per triangulation; later calls return the memoised tuple.
     """
-    seen = set()
-    classes = []
-    for tet in range(t.tetra_count):
-        for (a, b) in EDGE_SLOTS:
-            if (tet, a, b) in seen:
-                continue
-            cyc, steps = _traverse_edge(t, tet, a, b)
-            for (tt, (x, y)) in cyc:
-                seen.add((tt, x, y))
-                seen.add((tt, y, x))
-            cycle = tuple((tt, SLOT_INDEX[(x, y) if x < y else (y, x)], x < y)
-                          for (tt, (x, y)) in cyc)
-            classes.append(EdgeClass(len(classes), cycle, tuple(steps),
-                                     tuple(cyc)))
-    return classes
+    if t._edge_classes is None:
+        t._edge_classes = _walk_edge_classes(t)
+    return t._edge_classes
 
 
 def edge_class_of_slot(edges: list[EdgeClass]) -> dict:

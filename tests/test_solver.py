@@ -66,6 +66,19 @@ def test_kicks_follow_a_step_that_cannot_be_damped():
     assert abs(res.shapes[0] + 1) < 1e-9
 
 
+def test_stationary_start_stalls_honestly():
+    # from a little further off exp(i pi / 3) the kicks land in the basin of
+    # z ~ 0.75488, a local minimum of |F| that is not a solution: the solve
+    # must say so rather than claim convergence
+    t = corpus("hopf")
+    xi = xi_by_degree(t, {1: -1, 4: 1})
+    start = REGULAR_SHAPE * cmath.exp(-5e-8j)
+    res = newton_solve(t, xi, ShapeAssignment((start,)))
+    assert not res.converged
+    assert res.reason == "stalled"
+    assert res.residual_norm > 1
+
+
 def test_converged_result_residual_reproducible():
     t = corpus("fig8_complement")
     edges = compute_edge_classes(t)

@@ -43,44 +43,49 @@ def _load_triangulation(args):
     raise IdealGlueError("one of --corpus or --file is required")
 
 
-def _parse_complex(text: str) -> complex:
+def _pair(text: str) -> complex:
     re_s, im_s = text.split(",")
     return complex(float(re_s), float(im_s))
 
 
+def _parse_list(flag: str, text: str, parse, sep: str = ",") -> list:
+    """`parse` of each non-empty `sep`-separated entry; a malformed or
+    non-finite entry is an input error naming the flag."""
+    try:
+        vals = [parse(p) for p in text.split(sep) if p]
+        if all(cmath.isfinite(v) for v in vals):
+            return vals
+    except ValueError:
+        pass
+    raise IdealGlueError(f"{flag}: malformed or non-finite number in {text!r}")
+
+
 def _parse_xi(text: str, m: int) -> ConeTarget:
-    """'ones', ';'-separated re,im pairs, or comma-separated complex
+    """'ones'; a value containing ';' is a list of re,im pairs (a single
+    pair is written 're,im;'); anything else is a comma list of complex
     literals such as '1j,-1,1j'."""
     if text == "ones":
         return ConeTarget.ones(m)
     if ";" in text:
-        vals = [_parse_complex(p) for p in text.split(";") if p]
+        vals = _parse_list("--xi", text, _pair, ";")
     else:
-        parts = [p for p in text.split(",") if p]
-        try:
-            vals = [complex(p) for p in parts]
-        except ValueError:
-            vals = None
-        if vals is None or (len(vals) != m and len(parts) == 2):
-            vals = [_parse_complex(text)]       # a single re,im pair
+        vals = _parse_list("--xi", text, complex)
     if len(vals) != m:
         raise IdealGlueError(f"expected {m} xi entries, got {len(vals)}")
     return ConeTarget(tuple(vals))
 
 
-def _parse_initial(text: str, n: int) -> ShapeAssignment:
-    parts = [p for p in text.split(";") if p]
-    if len(parts) == 1:
-        return ShapeAssignment((_parse_complex(parts[0]),) * n)
-    if len(parts) != n:
-        raise IdealGlueError(f"expected {n} initial shapes, got {len(parts)}")
-    return ShapeAssignment(tuple(_parse_complex(p) for p in parts))
+def _parse_initial(text: str, n: int, flag: str = "--initial") -> ShapeAssignment:
+    zs = _parse_list(flag, text, _pair, ";")
+    if len(zs) == 1:
+        return ShapeAssignment((zs[0],) * n)
+    if len(zs) != n:
+        raise IdealGlueError(f"expected {n} initial shapes, got {len(zs)}")
+    return ShapeAssignment(tuple(zs))
 
 
 def _config(args) -> SolverConfig:
-    return SolverConfig(tol=args.tol, max_iterations=args.max_iter,
-                        max_halvings=getattr(args, "max_halvings", 30),
-                        seed=args.seed)
+    return SolverConfig(tol=args.tol, max_iterations=args.max_iter)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -166,7 +171,7 @@ def _cmd_solve(args) -> int:
                                     "residual_norm": res.residual_norm}))
         return EXIT_SOLVE_FAILURE
     rep = report_mod.build_solution_report(t, res.shapes, xi,
-                                           res.residual_norm, cfg=cfg)
+                                           res.residual_norm)
     human = ["converged in %d iterations, residual %.3e"
              % (res.iterations, res.residual_norm)]
     for i, z in enumerate(res.shapes.z):
@@ -185,7 +190,7 @@ def _cmd_certify(args) -> int:
     cert = essential_edge_certificate(t, res, xi, cfg)
     rep = report_mod.build_solution_report(t, res.shapes, xi,
                                            res.residual_norm,
-                                           certificate=cert, cfg=cfg)
+                                           certificate=cert)
     _emit(args, rep, f"certificate: {cert.statement}")
     return EXIT_OK
 
@@ -197,8 +202,7 @@ def _cmd_regular(args) -> int:
     for x in xi.xi:
         prod *= x
     rep = report_mod.build_solution_report(
-        t, Z, xi, 0.0, cfg=_config(args),
-        include_holonomy=not args.no_holonomy)
+        t, Z, xi, 0.0, include_holonomy=not args.no_holonomy)
     human = ["regular solution: all shapes (1+i sqrt(3))/2",
              "  xi: " + "; ".join(f"{x:.15g}" for x in xi.xi),
              f"  prod xi = {prod:.15g}",
@@ -210,9 +214,9 @@ def _cmd_regular(args) -> int:
 def _cmd_volume(args) -> int:
     t = _load_triangulation(args)
     if args.shapes:
-        Z = _parse_initial(args.shapes, t.tetra_count)
+        Z = _parse_initial(args.shapes, t.tetra_count, "--shapes")
     else:
-        _, _, cfg, res = _solve_common(args)
+        _, _, _, res = _solve_common(args)
         if not res.converged:
             print(f"solve failed: {res.reason}", file=sys.stderr)
             return EXIT_SOLVE_FAILURE
@@ -232,7 +236,7 @@ def _cmd_volume(args) -> int:
 def _cmd_holonomy(args) -> int:
     t = _load_triangulation(args)
     if args.shapes:
-        Z = _parse_initial(args.shapes, t.tetra_count)
+        Z = _parse_initial(args.shapes, t.tetra_count, "--shapes")
         E = build_exponent_matrix(t)
         xi = xi_from_shapes(Z, E)
         if isinstance(xi, NotUnitModulusReport):
@@ -241,13 +245,12 @@ def _cmd_holonomy(args) -> int:
                 for j, m in zip(xi.edges, xi.moduli)))
         residual = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
     else:
-        t, xi, cfg, res = _solve_common(args)
+        t, xi, _, res = _solve_common(args)
         if not res.converged:
             print(f"solve failed: {res.reason}", file=sys.stderr)
             return EXIT_SOLVE_FAILURE
         Z, residual = res.shapes, res.residual_norm
-    rep = report_mod.build_solution_report(t, Z, xi, residual,
-                                           cfg=SolverConfig(seed=args.seed))
+    rep = report_mod.build_solution_report(t, Z, xi, residual)
     human = []
     for g in rep["generators"]:
         human.append(f"generator {g['gluing']}: trace {complex(*g['trace']):.9g} "
@@ -262,10 +265,12 @@ def _cmd_holonomy(args) -> int:
 def _cmd_sweep(args) -> int:
     t = _load_triangulation(args)
     edges = compute_edge_classes(t)
-    weights = [int(w) for w in args.xi_weights.split(",")]
+    weights = _parse_list("--xi-weights", args.xi_weights, int)
     if len(weights) != len(edges):
         return _fail(f"expected {len(edges)} xi weights")
-    thetas = [float(x) for x in args.theta_grid.split(",")]
+    thetas = _parse_list("--theta-grid", args.theta_grid, float)
+    if not thetas:
+        return _fail("--theta-grid is empty")
 
     def xi_of_theta(theta):
         return ConeTarget(tuple(cmath.exp(1j * w * theta) for w in weights))
@@ -292,7 +297,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_sample(args) -> int:
     t = _load_triangulation(args)
-    cfg = _config(args)
+    cfg = SolverConfig(max_iterations=args.max_iter, seed=args.seed)
     starts = random_starts(t, args.count, cfg)
     samples, dropped = cone_locus_sample(t, starts, cfg)
     payload = {"dropped": dropped, "samples": [{
@@ -327,6 +332,25 @@ def _cmd_print(args) -> int:
     return EXIT_OK
 
 
+# flags shared by several subcommands; each command names those it reads
+_FLAGS = {
+    "--corpus": dict(choices=CORPUS_NAMES, help="built-in triangulation"),
+    "--file": dict(help="triangulation file (tri v1 format)"),
+    "--tol": dict(type=float, default=SolverConfig.tol),
+    "--max-iter": dict(type=int, default=SolverConfig.max_iterations),
+    "--seed": dict(type=int, default=SolverConfig.seed),
+    "--json": dict(action="store_true", help="emit a JSON report on stdout"),
+    "--xi": dict(default="ones",
+                 help="'ones', ';'-separated re,im pairs (one pair: "
+                      "'re,im;'), or comma-separated complex literals (e.g. "
+                      "'1j,-1,1j'), one per edge class"),
+    "--initial": dict(default="0.5,0.8",
+                      help="initial shape 're,im', one value or ';'-list"),
+    "--shapes": dict(default=None,
+                     help="evaluate at these shapes instead of solving"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="idealglue",
@@ -334,83 +358,51 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates for ideal triangulations.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, xi=False, initial=False, shapes=False):
-        p.add_argument("--corpus", choices=CORPUS_NAMES,
-                       help="built-in triangulation")
-        p.add_argument("--file", help="triangulation file (tri v1 format)")
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--max-iter", type=int, default=100)
-        p.add_argument("--max-halvings", type=int, default=30,
-                       help="damping: step halvings per iteration")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON report on stdout")
-        if xi:
-            p.add_argument("--xi", default="ones",
-                           help="'ones', ';'-separated re,im pairs, or "
-                                "comma-separated complex literals (e.g. "
-                                "'1j,-1,1j'), one per edge class")
-        if initial:
-            p.add_argument("--initial", default="0.5,0.8",
-                           help="initial shape 're,im', one value or ';'-list")
-        if shapes:
-            p.add_argument("--shapes", default=None,
-                           help="evaluate at these shapes instead of solving")
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    add_common(sub.add_parser("info", help="validation and combinatorics"))
-    add_common(sub.add_parser("equations", help="gluing equation exponents"))
-    add_common(sub.add_parser("solve", help="Newton solve at fixed xi"),
-               xi=True, initial=True)
-    add_common(sub.add_parser("certify",
-                              help="solve and certify essential edges"),
-               xi=True, initial=True)
-    p = sub.add_parser("regular", help="the all-regular-shapes cone solution")
-    add_common(p)
+    source = ("--corpus", "--file")
+    solve = source + ("--tol", "--max-iter", "--json", "--xi", "--initial")
+    command("info", _cmd_info, "validation and combinatorics",
+            *source, "--json")
+    command("equations", _cmd_equations, "gluing equation exponents",
+            *source, "--json")
+    command("solve", _cmd_solve, "Newton solve at fixed xi", *solve)
+    command("certify", _cmd_certify, "solve and certify essential edges",
+            *solve)
+    p = command("regular", _cmd_regular,
+                "the all-regular-shapes cone solution", *source, "--json")
     p.add_argument("--no-holonomy", action="store_true",
                    help="skip generator/edge matrices in the report")
-    add_common(sub.add_parser("volume", help="Bloch-Wigner volume report"),
-               xi=True, initial=True, shapes=True)
-    add_common(sub.add_parser("holonomy",
-                              help="generator and edge holonomy matrices"),
-               xi=True, initial=True, shapes=True)
-    p = sub.add_parser("sweep", help="continuation along a xi family")
-    add_common(p, initial=True)
+    command("volume", _cmd_volume, "Bloch-Wigner volume report",
+            *solve, "--shapes")
+    command("holonomy", _cmd_holonomy, "generator and edge holonomy matrices",
+            *solve, "--shapes")
+    p = command("sweep", _cmd_sweep, "continuation along a xi family",
+                *source, "--tol", "--max-iter", "--json", "--initial")
     p.add_argument("--xi-weights", required=True,
                    help="integer weights w_e: xi_e(theta) = exp(i w_e theta)")
     p.add_argument("--theta-grid", required=True,
                    help="comma-separated theta values")
-    p = sub.add_parser("sample", help="sample the cone-deformation variety")
-    add_common(p)
+    p = command("sample", _cmd_sample, "sample the cone-deformation variety",
+                *source, "--max-iter", "--seed", "--json")
     p.add_argument("--count", type=int, default=20)
-    p = sub.add_parser("export-corpus", help="write corpus files")
+    p = command("export-corpus", _cmd_export_corpus, "write corpus files")
     p.add_argument("--out", default="corpus")
-    p = sub.add_parser("verify-report", help="re-check a JSON report")
+    p = command("verify-report", _cmd_verify_report, "re-check a JSON report")
     p.add_argument("--report", required=True)
-    add_common(sub.add_parser("print", help="canonical triangulation text"))
-
+    command("print", _cmd_print, "canonical triangulation text", *source)
     return ap
-
-
-_COMMANDS = {
-    "info": _cmd_info,
-    "equations": _cmd_equations,
-    "solve": _cmd_solve,
-    "certify": _cmd_certify,
-    "regular": _cmd_regular,
-    "volume": _cmd_volume,
-    "holonomy": _cmd_holonomy,
-    "sweep": _cmd_sweep,
-    "sample": _cmd_sample,
-    "export-corpus": _cmd_export_corpus,
-    "verify-report": _cmd_verify_report,
-    "print": _cmd_print,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except IdealGlueError as err:
         return _fail(str(err))
     except FileNotFoundError as err:

@@ -157,7 +157,8 @@ class ExponentMatrix:
 def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
     """The exponent matrix of t's edge classes, built once per
     triangulation and memoised on it.  `edges` (t's own edge classes) is
-    accepted from callers that already hold them; it is not needed."""
+    ignored; it stays in the signature because the benchmark harness and
+    the tests pass it."""
     if t._exponent_matrix is None:
         classes = compute_edge_classes(t)
         mats = [np.zeros((len(classes), t.tetra_count), dtype=int)

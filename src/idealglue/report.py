@@ -34,12 +34,11 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
                           xi: ConeTarget, residual_norm: float,
                           converged: bool = True,
                           certificate=None,
-                          cfg: SolverConfig = SolverConfig(),
                           include_holonomy: bool = True) -> dict:
     """Assemble the full structured report for a solution point."""
     edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     h = all_holonomies(Z, E)
-    cover = branched_cover_report(edges, xi, cfg)
+    cover = branched_cover_report(edges, xi)
     vol = solution_volume(Z)
     report = {
         "report_version": REPORT_VERSION,
@@ -110,12 +109,13 @@ class ReportCheck:
         return f"{self.name}: {flag} ({self.value:.3e} vs tol {self.tolerance:.1e})"
 
 
-def verify_report(report: dict, cfg: SolverConfig = SolverConfig()) -> list:
+def verify_report(report: dict) -> list:
     """Re-check a report from its own serialized data: the residual norm
     (and that it is within 10 tol when the report claims convergence or a
-    certificate), the edge-matrix multiplier contract, determinant
-    normalization, and the product identity over the cone targets.  No
-    solve is re-run."""
+    certificate; tol is the default `SolverConfig().tol`, since a report
+    does not record the tol it was solved with), the edge-matrix
+    multiplier contract, determinant normalization, and the product
+    identity over the cone targets.  No solve is re-run."""
     t = parse_triangulation(report["triangulation"])
     Z = ShapeAssignment(tuple(_uc(p) for p in report["shapes"]))
     xi = ConeTarget(tuple(_uc(p) for p in report["xi"]))
@@ -127,8 +127,9 @@ def verify_report(report: dict, cfg: SolverConfig = SolverConfig()) -> list:
                               abs(res - report["residual_norm"]) < 1e-12,
                               abs(res - report["residual_norm"]), 1e-12))
     if report.get("converged") or report.get("certificate"):
-        checks.append(ReportCheck("residual_norm <= 10 tol",
-                                  res <= 10 * cfg.tol, res, 10 * cfg.tol))
+        bound = 10 * SolverConfig().tol
+        checks.append(ReportCheck("residual_norm <= 10 tol", res <= bound,
+                                  res, bound))
 
     prod = 1.0 + 0.0j
     for x in xi.xi:

@@ -7,10 +7,19 @@ Every solve runs the one damped Gauss-Newton loop `_damped_gauss_newton`;
 a solve supplies only its residual, its ordered candidate steps and its
 stopping test.  `newton_solve` tries the complex least-squares step on
 h(z) - xi and then deterministic kicks; `cone_locus_sample` tries the real
-least-squares step on |h(z)| - 1.  Every solve, sweep, sample and
-certificate reads the edge classes and exponent matrix compiled once per
-triangulation (`compute_edge_classes`, `build_exponent_matrix`), and the
-loops evaluate h and J on the raw shape array.
+least-squares step on |h(z)| - 1.  `newton_solve` is the one entry for a
+solve at fixed xi: `sweep_family` calls it once per theta.  Every solve,
+sweep, sample and certificate reads the edge classes and exponent matrix
+compiled once per triangulation (`compute_edge_classes`,
+`build_exponent_matrix`), and the loops evaluate h and J on the raw shape
+array.
+
+`SolverConfig` holds the three values callers set: the convergence
+tolerance, the iteration limit and the seed of `random_starts`.  The rest
+are constants: the guard band around {0, 1} is `gluing.DEGENERACY_GUARD`,
+a step is halved at most `MAX_HALVINGS` times, and the unit-circle and
+root-of-unity tolerances are the defaults of `xi_from_shapes`,
+`degree_one_obstructions` and `order_of_root_of_unity`.
 """
 from __future__ import annotations
 
@@ -22,24 +31,20 @@ import numpy as np
 
 from .errors import NotConverged, NotUnitModulus
 from .geometry import V_TET
-from .gluing import (ConeTarget, ShapeAssignment, all_holonomies,
-                     build_exponent_matrix, evaluate_residual, jacobian,
-                     xi_from_shapes)
+from .gluing import (DEGENERACY_GUARD, ConeTarget, ShapeAssignment,
+                     all_holonomies, build_exponent_matrix, evaluate_residual,
+                     jacobian, xi_from_shapes)
 from .triangulation import Triangulation, compute_edge_classes
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
+MAX_HALVINGS = 30                   # damping: step halvings per iteration
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10              # residual 2-norm for convergence
     max_iterations: int = 100
-    max_halvings: int = 30          # damping: step halvings per iteration
-    guard: float = 1e-8             # keep-out band around {0, 1}
-    unit_tol: float = 1e-8          # |.|=1 test for xi and cone loci
-    root_tol: float = 1e-9          # root-of-unity detection
-    q_max: int = 10_000             # highest order searched
-    seed: int = 0
+    seed: int = 0                   # random_starts
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,8 @@ def degree_one_obstructions(edges, xi: ConeTarget, tol: float = 1e-8):
             if e.degree == 1 and abs(xi[e.index] - 1.0) < tol]
 
 
-def _in_guard(z, guard: float) -> bool:
-    return any(min(abs(w), abs(w - 1.0)) < guard for w in z)
+def _in_guard(z) -> bool:
+    return any(min(abs(w), abs(w - 1.0)) < DEGENERACY_GUARD for w in z)
 
 
 def _damped_gauss_newton(residual, directions, done, z, cfg: SolverConfig):
@@ -84,10 +89,10 @@ def _damped_gauss_newton(residual, directions, done, z, cfg: SolverConfig):
         steps = directions(z, F)
         for step in steps:
             lam = 1.0
-            for _ in range(cfg.max_halvings):
+            for _ in range(MAX_HALVINGS):
                 cand = z + lam * step
                 lam *= 0.5
-                if (not _in_guard(cand, cfg.guard)
+                if (not _in_guard(cand)
                         and np.linalg.norm(residual(cand)) < r):
                     break
             else:
@@ -95,16 +100,24 @@ def _damped_gauss_newton(residual, directions, done, z, cfg: SolverConfig):
             z = cand
             break
         else:
-            near = _in_guard(z + steps[0], cfg.guard)
+            near = _in_guard(z + steps[0])
             return z, F, it, "degenerate_shape" if near else "stalled"
     F = residual(z)
     return (z, F, cfg.max_iterations,
             "converged" if done(F) else "max_iterations")
 
 
-def _newton(edges, E, xi: ConeTarget, initial: ShapeAssignment,
-            cfg: SolverConfig) -> SolveResult:
-    obstructed = degree_one_obstructions(edges, xi, cfg.unit_tol)
+def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
+                 cfg: SolverConfig = SolverConfig()) -> SolveResult:
+    """Damped Gauss-Newton least squares on F(z) = h(z) - xi over the
+    reduced coordinates (one z per tetrahedron).
+
+    The m-by-n system is rank-deficient (the product of all edge holonomies
+    is identically 1), so steps are least-squares solutions.  When the step
+    is tiny or cannot be damped into a decrease (a stationary point of
+    |F|^2 away from a solution), three deterministic kicks are tried next.
+    """
+    obstructed = degree_one_obstructions(compute_edge_classes(t), xi)
     if obstructed:
         names = ", ".join(f"e{j}" for j in obstructed)
         return SolveResult(initial, float("inf"), 0, False,
@@ -112,6 +125,7 @@ def _newton(edges, E, xi: ConeTarget, initial: ShapeAssignment,
                            f"degree-one edge(s) {names} have xi = 1; the "
                            f"single incident shape parameter would be "
                            f"forbidden, so the system has no solution")
+    E = build_exponent_matrix(t)
 
     def residual(z):
         return evaluate_residual(z, E, xi)
@@ -143,20 +157,6 @@ def _newton(edges, E, xi: ConeTarget, initial: ShapeAssignment,
                        reason == "converged", reason, detail)
 
 
-def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
-                 cfg: SolverConfig = SolverConfig()) -> SolveResult:
-    """Damped Gauss-Newton least squares on F(z) = h(z) - xi over the
-    reduced coordinates (one z per tetrahedron).
-
-    The m-by-n system is rank-deficient (the product of all edge holonomies
-    is identically 1), so steps are least-squares solutions.  When the step
-    is tiny or cannot be damped into a decrease (a stationary point of
-    |F|^2 away from a solution), three deterministic kicks are tried next.
-    """
-    return _newton(compute_edge_classes(t), build_exponent_matrix(t), xi,
-                   initial, cfg)
-
-
 def regular_solution(t: Triangulation):
     """Assign every tetrahedron the regular ideal shape (1 + i sqrt 3)/2.
 
@@ -186,14 +186,13 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     """
     if initial is None:
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
-    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     seed = initial
     out = []
     for theta in theta_grid:
         xi = xi_of_theta(theta)
         if not isinstance(xi, ConeTarget):
             xi = ConeTarget(xi)
-        res = _newton(edges, E, xi, seed, cfg)
+        res = newton_solve(t, xi, seed, cfg)
         out.append(SweepPoint(float(theta), res))
         if res.converged:
             seed = res.shapes
@@ -212,7 +211,7 @@ def random_starts(t: Triangulation, count: int, cfg: SolverConfig = SolverConfig
             w = complex(rng.uniform(-2, 2), rng.uniform(0, 2))
             if abs(w) > 2 or w.imag < 1e-3:
                 continue
-            if min(abs(w), abs(w - 1)) < 10 * cfg.guard:
+            if min(abs(w), abs(w - 1)) < 10 * DEGENERACY_GUARD:
                 continue
             z.append(w)
         starts.append(ShapeAssignment(tuple(z)))
@@ -223,7 +222,7 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     """Project random starts onto the cone-deformation variety.
 
     Gauss-Newton on the real residuals |h(e)| - 1 over (Re z, Im z); points
-    whose holonomy moduli all land within unit_tol of 1 are returned with
+    whose holonomy moduli all land within 1e-8 of 1 are returned with
     their cone target, others are dropped.
 
     Returns (samples, dropped_count) where samples is a list of
@@ -243,8 +242,8 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
                                    -F, rcond=None)
         return [step[:n] + 1j * step[n:]]
 
-    def done(F):
-        return np.max(np.abs(F)) < cfg.unit_tol
+    def done(F):        # xi_from_shapes's |h(e)| = 1 test at its default tol
+        return np.max(np.abs(F)) < 1e-8
 
     samples, dropped = [], 0
     for start in starts:
@@ -254,7 +253,7 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
             dropped += 1
             continue
         Z = ShapeAssignment(z, guard=0.0)
-        xi = xi_from_shapes(Z, E, tol=cfg.unit_tol)
+        xi = xi_from_shapes(Z, E)
         if isinstance(xi, ConeTarget):
             samples.append((Z, xi))
         else:
@@ -304,11 +303,10 @@ class CoverDegreeReport:
         return tuple(e.lifted_degree for e in self.entries)
 
 
-def branched_cover_report(edges, xi: ConeTarget,
-                          cfg: SolverConfig = SolverConfig()) -> CoverDegreeReport:
+def branched_cover_report(edges, xi: ConeTarget) -> CoverDegreeReport:
     entries = []
     for e in edges:
-        o = order_of_root_of_unity(xi[e.index], cfg.root_tol, cfg.q_max)
+        o = order_of_root_of_unity(xi[e.index])
         lifted = math.inf if math.isinf(o) else o * e.degree
         entries.append(EdgeCoverEntry(e.index, complex(xi[e.index]), o,
                                       e.degree, lifted))
@@ -347,7 +345,7 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
     res = float(np.linalg.norm(evaluate_residual(result.shapes, E, xi)))
     if res >= cfg.tol * 10:
         raise NotConverged(f"re-evaluated residual {res:.3e} too large")
-    cover = branched_cover_report(edges, xi, cfg)
+    cover = branched_cover_report(edges, xi)
     if cover.trivial_cover:
         kind = "manifold"
         statement = ("solution of the hyperbolic gluing equations found: "

@@ -486,7 +486,7 @@ def _encoding(t: Triangulation) -> tuple:
     return tuple((g.source, g.target, g.perm.images) for g in t.gluings)
 
 
-def canonical_form(t: Triangulation) -> Triangulation:
+def _canonical_form(t: Triangulation) -> Triangulation:
     """Lexicographically least relabeling.  Intended for small n (searches
     all vertex relabelings and tetrahedron renumberings)."""
     best = None
@@ -520,8 +520,8 @@ def enumerate_one_tetrahedron_triangulations() -> list[Triangulation]:
                                                   (0, fc, 0, fd, p2)]))
     reps = {}
     for t in raw:
-        reps.setdefault(_encoding(canonical_form(t)), t)
-    out = [canonical_form(t) for t in reps.values()]
+        reps.setdefault(_encoding(_canonical_form(t)), t)
+    out = [_canonical_form(t) for t in reps.values()]
     out.sort(key=lambda t: (sorted(e.degree for e in compute_edge_classes(t)),
                             _encoding(t)))
     return out

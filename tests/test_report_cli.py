@@ -1,15 +1,18 @@
 """JSON reports, re-validation, and the command-line surface."""
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from idealglue import (ConeTarget, ShapeAssignment, V_TET,
                        build_exponent_matrix, build_solution_report,
                        compute_edge_classes, corpus,
                        essential_edge_certificate, evaluate_residual,
-                       newton_solve, verify_report)
-from idealglue.cli import main
+                       IdealGlueError, newton_solve, verify_report)
+from idealglue.cli import _parse_xi, build_parser, main
 from idealglue.report import dumps, loads
 
 
@@ -130,6 +133,69 @@ def test_cli_input_errors_exit_two(capsys):
     code, out, err = run_cli(capsys, "solve", "--corpus", "hopf",
                              "--xi", "1,0;1,0")
     assert code == 2   # wrong xi arity
+
+
+def test_xi_has_one_syntax():
+    # a ';' makes a list of re,im pairs; without one, complex literals
+    with pytest.raises(IdealGlueError):
+        _parse_xi("0,1", 1)
+    assert _parse_xi("0,1;", 1).xi == (1j,)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--xi", ("solve", "--xi", "foo")),
+    ("--initial", ("solve", "--initial", "foo")),
+    ("--shapes", ("volume", "--shapes", "foo")),
+    ("--shapes", ("holonomy", "--shapes", "1,2,3")),
+    ("--shapes", ("volume", "--shapes", "nan,1")),
+    ("--xi", ("solve", "--xi", "1j,inf,1j")),
+    ("--xi-weights", ("sweep", "--xi-weights", "1,x,1", "--theta-grid", "1")),
+    ("--theta-grid", ("sweep", "--xi-weights", "1,-2,1",
+                      "--theta-grid", "1,pi")),
+])
+def test_cli_malformed_numbers_exit_two(capsys, flag, argv):
+    code, out, err = run_cli(capsys, argv[0], "--corpus", "hopf", *argv[1:])
+    assert code == 2
+    assert err.startswith("error: " + flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ("print", "--corpus", "hopf", "--json"),
+    ("info", "--corpus", "hopf", "--seed", "3"),
+    ("sample", "--corpus", "hopf", "--tol", "1e-6"),
+])
+def test_cli_rejects_flags_a_command_does_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def readme_command_lines():
+    """The `idealglue ...` lines of the README's "Command line" block, with
+    continuations joined, comments and output redirections removed."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    lines = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if ">" in words:
+            words = words[:words.index(">")]
+        if words:
+            lines.append(words)
+    return lines
+
+
+def test_readme_command_lines_parse():
+    # every README example parses, and every subcommand has one
+    parser = build_parser()
+    commands = set()
+    for words in readme_command_lines():
+        assert words[0] == "idealglue"
+        commands.add(parser.parse_args(words[1:]).command)
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    assert commands == set(subparsers.choices)
 
 
 def test_cli_regular_trefoil(capsys):

@@ -13,6 +13,7 @@ from idealglue import (ConeTarget, NotConverged, NotUnitModulus, REGULAR_SHAPE,
                        essential_edge_certificate, evaluate_residual,
                        newton_solve, order_of_root_of_unity, random_starts,
                        regular_solution, sweep_family)
+from idealglue import solver as solver_mod
 
 
 def xi_by_degree(t, mapping):
@@ -173,6 +174,28 @@ def test_sweep_records_ideal_point_failure():
     assert points[0].result.converged
     assert not points[1].result.converged    # theta -> 0 is the ideal point
     assert points[1].result.reason == "degree_one_edge_obstruction"
+
+
+def test_sweep_solves_each_theta_through_newton_solve(monkeypatch):
+    # the benchmark's solver.newton span wraps the public newton_solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "newton_solve", counted)
+    t = corpus("hopf")
+
+    def xi_of(theta):
+        return xi_by_degree(t, {1: cmath.exp(1j * theta),
+                                4: cmath.exp(-2j * theta)})
+
+    thetas = [math.pi / 2, 2 * math.pi / 3, 0.0, math.pi]
+    points = sweep_family(t, xi_of, thetas,
+                          initial=ShapeAssignment((0.2 + 0.9j,)))
+    assert calls == [t] * len(thetas)
+    assert [p.result.converged for p in points] == [True, True, False, True]
 
 
 def test_sweep_agrees_with_from_scratch_solves(rng):

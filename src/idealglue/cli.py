@@ -151,18 +151,18 @@ def _cmd_equations(args) -> int:
     return EXIT_OK
 
 
-def _solve_common(args):
-    t = _load_triangulation(args)
+def _solve_common(args, t):
     edges = compute_edge_classes(t)
     xi = _parse_xi(args.xi, len(edges))
     initial = _parse_initial(args.initial, t.tetra_count)
     cfg = _config(args)
     res = newton_solve(t, xi, initial, cfg)
-    return t, xi, cfg, res
+    return xi, cfg, res
 
 
 def _cmd_solve(args) -> int:
-    t, xi, cfg, res = _solve_common(args)
+    t = _load_triangulation(args)
+    xi, cfg, res = _solve_common(args, t)
     if not res.converged:
         print(f"solve failed: {res.reason}: {res.detail}", file=sys.stderr)
         if args.json:
@@ -182,7 +182,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    t, xi, cfg, res = _solve_common(args)
+    t = _load_triangulation(args)
+    xi, cfg, res = _solve_common(args, t)
     if not res.converged:
         print(f"certification failed: {res.reason}: {res.detail}",
               file=sys.stderr)
@@ -216,7 +217,7 @@ def _cmd_volume(args) -> int:
     if args.shapes:
         Z = _parse_initial(args.shapes, t.tetra_count, "--shapes")
     else:
-        _, _, _, res = _solve_common(args)
+        _, _, res = _solve_common(args, t)
         if not res.converged:
             print(f"solve failed: {res.reason}", file=sys.stderr)
             return EXIT_SOLVE_FAILURE
@@ -245,7 +246,7 @@ def _cmd_holonomy(args) -> int:
                 for j, m in zip(xi.edges, xi.moduli)))
         residual = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
     else:
-        t, xi, _, res = _solve_common(args)
+        xi, _, res = _solve_common(args, t)
         if not res.converged:
             print(f"solve failed: {res.reason}", file=sys.stderr)
             return EXIT_SOLVE_FAILURE

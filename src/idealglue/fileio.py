@@ -7,13 +7,24 @@
 One `glue` line per identified face pair, written from the lexicographically
 smaller (tet, face) side and sorted by it; p0p1p2p3 are the images of the
 vertex permutation.  parse(format(t)) is the identity on canonical files.
+
+The parser maps each permutation token to its shared VertexPermutation with
+one dict lookup over the 24 tokens, which is also the bijection check.
 """
 from __future__ import annotations
 
+import itertools
+
 from .errors import ParseError
-from .triangulation import Triangulation, make_triangulation, require_valid
+from .triangulation import (FaceGluing, Triangulation, VertexPermutation,
+                            require_valid)
 
 HEADER = "tri v1"
+
+# Each of the 24 tokens p0p1p2p3 to its shared VertexPermutation: one lookup
+# converts a token and checks that it is a bijection of {0,1,2,3}.
+_PERMUTATION_OF_TOKEN = {"".join(map(str, p)): VertexPermutation(p)
+                         for p in itertools.permutations(range(4))}
 
 
 def format_triangulation(t: Triangulation) -> str:
@@ -38,29 +49,29 @@ def parse_triangulation_lenient(text: str) -> Triangulation:
     except ValueError:
         raise ParseError(2, f"bad tetrahedron count {head[1]!r}") from None
 
-    raw = []
+    bound = max(n, 1)
+    gluings = []
     for lineno, line in enumerate(lines[2:], start=3):
-        stripped = line.strip()
-        if not stripped:
+        parts = line.split()
+        if not parts:
             continue
-        parts = stripped.split()
         if parts[0] != "glue" or len(parts) != 6:
-            raise ParseError(lineno, f"unrecognized line {stripped!r}")
+            raise ParseError(lineno, f"unrecognized line {line.strip()!r}")
         try:
-            t1, f1, t2, f2 = (int(x) for x in parts[1:5])
+            t1, f1, t2, f2 = map(int, parts[1:5])
         except ValueError:
             raise ParseError(lineno, "indices must be integers") from None
-        perm = parts[5]
-        if len(perm) != 4 or not perm.isdigit():
-            raise ParseError(lineno, f"bad permutation {perm!r}")
-        images = tuple(int(c) for c in perm)
-        if sorted(images) != [0, 1, 2, 3]:
-            raise ParseError(lineno, f"permutation {perm!r} is not a bijection")
+        token = parts[5]
+        perm = _PERMUTATION_OF_TOKEN.get(token)
+        if perm is None:
+            if len(token) != 4 or not (token.isascii() and token.isdigit()):
+                raise ParseError(lineno, f"bad permutation {token!r}")
+            raise ParseError(lineno, f"permutation {token!r} is not a bijection")
         for tet, face in ((t1, f1), (t2, f2)):
-            if not (0 <= tet < max(n, 1)) or not (0 <= face < 4):
+            if not (0 <= tet < bound and 0 <= face < 4):
                 raise ParseError(lineno, f"face ({tet},{face}) out of range")
-        raw.append((t1, f1, t2, f2, images))
-    return make_triangulation(n, raw)
+        gluings.append(FaceGluing(t1, f1, t2, f2, perm))
+    return Triangulation(n, gluings)
 
 
 def parse_triangulation(text: str) -> Triangulation:

@@ -14,6 +14,7 @@ and trefoil holonomies).
 """
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,11 @@ def edge_slot_label(slot) -> str:
 
 
 def check_nondegenerate(z: complex, guard: float = DEGENERACY_GUARD) -> complex:
+    """z as a complex number; raises DegenerateShape when z is not finite or
+    lies within `guard` of {0, 1}."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DegenerateShape(f"shape {z} is not finite")
     if min(abs(z), abs(z - 1)) < guard:
         raise DegenerateShape(f"shape {z} within {guard} of {{0, 1}}")
     return z
@@ -60,7 +65,7 @@ def derive_shape_triple(z: complex):
 
 @dataclass(frozen=True)
 class ShapeAssignment:
-    """One shape parameter per tetrahedron, all away from {0, 1}."""
+    """One shape parameter per tetrahedron, all finite and away from {0, 1}."""
 
     z: tuple
 
@@ -85,7 +90,7 @@ class ConeTarget:
     def __init__(self, xi, tol: float = 1e-8):
         vals = tuple(complex(x) for x in xi)
         for k, x in enumerate(vals):
-            if abs(abs(x) - 1.0) >= tol:
+            if not abs(abs(x) - 1.0) < tol:     # also rejects nan and inf
                 raise NotUnitModulus(f"xi[{k}] = {x} has |xi| = {abs(x)}")
         object.__setattr__(self, "xi", vals)
 

@@ -10,10 +10,14 @@ Conventions used throughout the package:
 * The six edge slots of a tetrahedron are the unordered vertex pairs
   {01, 02, 03, 12, 13, 23}, in that fixed order.
 * A face gluing is orientation-compatible iff its vertex permutation is odd.
+* A vertex permutation is one of 24 shared VertexPermutation instances, one
+  per element of S4, built at import with its parity and inverse, so that
+  building, inverting and validating gluings computes no permutation.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -26,18 +30,30 @@ OPPOSITE_SLOT = {(0, 1): (2, 3), (2, 3): (0, 1), (0, 2): (1, 3),
 
 
 class VertexPermutation:
-    """A bijection of the vertex labels {0,1,2,3}, stored as its image tuple."""
+    """A bijection of the vertex labels {0,1,2,3}, stored as its image tuple,
+    with `parity` 0 for even and 1 for odd.
 
-    __slots__ = ("images",)
+    There are 24 instances, one per element of S4, built once at import with
+    their parity and inverse; the constructor returns the shared instance.
+    """
 
-    def __init__(self, images):
-        images = tuple(int(v) for v in images)
-        if sorted(images) != [0, 1, 2, 3]:
+    __slots__ = ("images", "parity", "_inverse")
+
+    def __new__(cls, images):
+        images = tuple(images)
+        try:
+            return _PERMUTATIONS[images]
+        except KeyError:
+            images = tuple(int(v) for v in images)
+        if images not in _PERMUTATIONS:
             raise ValueError(f"not a bijection of {{0,1,2,3}}: {images}")
-        object.__setattr__(self, "images", images)
+        return _PERMUTATIONS[images]
 
     def __setattr__(self, *a):
         raise AttributeError("VertexPermutation is immutable")
+
+    def __reduce__(self):
+        return (VertexPermutation, (self.images,))
 
     def __call__(self, v: int) -> int:
         return self.images[v]
@@ -51,22 +67,31 @@ class VertexPermutation:
     def __repr__(self):
         return f"VertexPermutation({''.join(map(str, self.images))})"
 
-    @property
-    def parity(self) -> int:
-        """0 for even, 1 for odd."""
-        p = self.images
-        inversions = sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
-        return inversions % 2
-
     def inverse(self) -> "VertexPermutation":
-        inv = [0] * 4
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return VertexPermutation(inv)
+        return self._inverse
 
     def compose(self, other: "VertexPermutation") -> "VertexPermutation":
         """self after other: (self.compose(other))(v) = self(other(v))."""
-        return VertexPermutation(tuple(self.images[other.images[v]] for v in range(4)))
+        s = self.images
+        return _PERMUTATIONS[tuple(s[v] for v in other.images)]
+
+
+def _build_permutations() -> dict:
+    """The 24 shared VertexPermutations keyed by image tuple."""
+    table = {}
+    for images in itertools.permutations(range(4)):
+        p = object.__new__(VertexPermutation)
+        object.__setattr__(p, "images", images)
+        object.__setattr__(p, "parity", sum(
+            a > b for a, b in itertools.combinations(images, 2)) % 2)
+        table[images] = p
+    for images, p in table.items():
+        inverse = tuple(images.index(v) for v in range(4))
+        object.__setattr__(p, "_inverse", table[inverse])
+    return table
+
+
+_PERMUTATIONS = _build_permutations()
 
 
 @dataclass(frozen=True)
@@ -100,6 +125,10 @@ class FaceGluing:
                 f"{self.target_tet} {self.target_face} {p}")
 
 
+_GLUING_ORDER = operator.attrgetter("source_tet", "source_face",
+                                   "target_tet", "target_face")
+
+
 class Triangulation:
     """A closed, face-paired collection of tetrahedra.
 
@@ -112,17 +141,18 @@ class Triangulation:
 
     def __init__(self, tetra_count: int, gluings):
         self.tetra_count = int(tetra_count)
-        canon = []
-        for g in gluings:
-            if g.source > g.target:
-                g = g.reversed()
-            canon.append(g)
-        self.gluings = tuple(sorted(canon, key=lambda g: (g.source, g.target)))
+        canon = [g.reversed()
+                 if (g.source_tet, g.source_face) > (g.target_tet, g.target_face)
+                 else g for g in gluings]
+        self.gluings = tuple(sorted(canon, key=_GLUING_ORDER))
         # face lookup built permissively; validate() reports structural faults
-        self._lookup = {}
+        lookup = {}
         for g in self.gluings:
-            self._lookup.setdefault(g.source, g)
-            self._lookup.setdefault(g.target, g.reversed())
+            lookup.setdefault((g.source_tet, g.source_face), g)
+            target = (g.target_tet, g.target_face)
+            if target not in lookup:
+                lookup[target] = g.reversed()
+        self._lookup = lookup
         # compiled on first use by compute_edge_classes and
         # gluing.build_exponent_matrix, then shared by every consumer
         self._edge_classes = None
@@ -189,29 +219,32 @@ def validate(t: Triangulation) -> ValidationReport:
         issues.append(ValidationIssue("EmptyTriangulation"))
         return ValidationReport(False, False, False, issues)
 
-    seen: dict[tuple, FaceGluing] = {}
+    n = t.tetra_count
+    seen = set()
     coverage_ok = True
     for g in t.gluings:
-        for (tet, face) in (g.source, g.target):
-            if not (0 <= tet < t.tetra_count and 0 <= face < 4):
+        for side in ((g.source_tet, g.source_face), (g.target_tet, g.target_face)):
+            tet, face = side
+            if not (0 <= tet < n and 0 <= face < 4):
                 coverage_ok = False
                 issues.append(ValidationIssue("FaceUnglued", tet, face,
                                               "face reference out of range"))
                 continue
-            if (tet, face) in seen:
+            if side in seen:
                 coverage_ok = False
                 issues.append(ValidationIssue("FaceDoubleGlued", tet, face))
-            seen[(tet, face)] = g
-    for tet in range(t.tetra_count):
-        for face in range(4):
-            if (tet, face) not in seen:
-                issues.append(ValidationIssue("FaceUnglued", tet, face))
-                coverage_ok = False
+            seen.add(side)
+    if len(seen) < 4 * n:       # seen holds in-range faces only
+        for tet in range(n):
+            for face in range(4):
+                if (tet, face) not in seen:
+                    issues.append(ValidationIssue("FaceUnglued", tet, face))
+                    coverage_ok = False
 
     involution_ok = True
     orientation_ok = True
     for g in t.gluings:
-        if g.source == g.target:
+        if g.source_tet == g.target_tet and g.source_face == g.target_face:
             involution_ok = False
             issues.append(ValidationIssue("NonInvolutiveGluing", *g.source,
                                           "face glued to itself"))
@@ -490,7 +523,7 @@ def _canonical_form(t: Triangulation) -> Triangulation:
     """Lexicographically least relabeling.  Intended for small n (searches
     all vertex relabelings and tetrahedron renumberings)."""
     best = None
-    all_perms = [VertexPermutation(p) for p in itertools.permutations(range(4))]
+    all_perms = list(_PERMUTATIONS.values())
     for tet_perm in itertools.permutations(range(t.tetra_count)):
         for combo in itertools.product(all_perms, repeat=t.tetra_count):
             cand = relabel(t, list(combo), list(tet_perm))

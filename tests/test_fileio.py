@@ -120,3 +120,61 @@ def test_fig8_in_s3_system_matches_reference_equations():
 def test_matcher_rejects_other_triangulations():
     assert not system_matches(corpus("fig8_complement"), REFERENCE_FIG8_S3_ROWS)
     assert not system_matches(corpus("hopf"), REFERENCE_FIG8_S3_ROWS)
+
+
+# ------------------------------------------------------------ diagnostics
+# Each malformed input with the exception type, line and message it raises.
+HEAD = "tri v1\ntetrahedra 1\n"
+PARSE_DIAGNOSTICS = [
+    ("nope\n", 1, "expected header 'tri v1'"),
+    ("tri v1\n", 2, "missing 'tetrahedra <n>' line"),
+    ("tri v1\ntetrahedra x\n", 2, "bad tetrahedron count 'x'"),
+    ("tri v1\ntetrahedra 1 2\n", 2, "expected 'tetrahedra <n>'"),
+    (HEAD + "glue 0 a 0 1 1023\n", 3, "indices must be integers"),
+    (HEAD + "glue 0 0 0 1\n", 3, "unrecognized line 'glue 0 0 0 1'"),
+    (HEAD + "glue 0 0 0 1 1023 7\n", 3,
+     "unrecognized line 'glue 0 0 0 1 1023 7'"),
+    (HEAD + "frobnicate\n", 3, "unrecognized line 'frobnicate'"),
+    (HEAD + "glue 0 0 0 1 01a3\n", 3, "bad permutation '01a3'"),
+    (HEAD + "glue 0 0 0 1 012\n", 3, "bad permutation '012'"),
+    (HEAD + "glue 0 0 0 1 0012\n", 3, "permutation '0012' is not a bijection"),
+    (HEAD + "glue 0 0 0 1 0124\n", 3, "permutation '0124' is not a bijection"),
+    (HEAD + "glue 0 a 0 1 0012\n", 3, "indices must be integers"),
+    (HEAD + "glue 0 0 0 1 1023\nglue 0 2 0 4 0132\n", 4,
+     "face (0,4) out of range"),
+    (HEAD + "\nglue 0 0 0 1 1023\n  glue 5 2 0 3 0132\n", 5,
+     "face (5,2) out of range"),
+    (HEAD + "glue 0 0 0 9 0012\n", 3, "permutation '0012' is not a bijection"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", PARSE_DIAGNOSTICS)
+def test_parse_error_diagnostics_are_pinned(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_triangulation(text)
+    assert type(err.value) is ParseError
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+VALIDATION_DIAGNOSTICS = [
+    ("tri v1\ntetrahedra 0\n", "EmptyTriangulation"),
+    (HEAD + "glue 0 0 0 1 1023\nglue 0 0 0 2 2103\nglue 0 2 0 3 0132\n",
+     "FaceDoubleGlued at (0,0), FaceDoubleGlued at (0,2)"),
+    ("tri v1\ntetrahedra 2\nglue 0 0 1 0 0132\n",
+     "FaceUnglued at (0,1), FaceUnglued at (0,2), FaceUnglued at (0,3), "
+     "FaceUnglued at (1,1), FaceUnglued at (1,2), FaceUnglued at (1,3)"),
+    (HEAD + "glue 0 0 0 1 0132\nglue 0 2 0 3 0132\n",
+     "NonInvolutiveGluing at (0,0): permutation does not carry face to face"),
+    (HEAD + "glue 0 0 0 1 1032\nglue 0 2 0 3 0132\n",
+     "OrientationViolation at (0,0): even permutation"),
+]
+
+
+@pytest.mark.parametrize("text, message", VALIDATION_DIAGNOSTICS)
+def test_validation_error_diagnostics_are_pinned(text, message):
+    with pytest.raises(ValidationError) as err:
+        parse_triangulation(text)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == message
+    assert ", ".join(str(i) for i in err.value.report.issues) == message

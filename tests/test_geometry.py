@@ -180,3 +180,12 @@ def test_edge_cone_angles_are_slot_sums_on_random_triangulations(rng):
                 expect = sum(dihedral_angles(Z[tet])[SLOT_LABELS[slot]]
                              for tet, slot, _ in e.cycle)
                 assert abs(angles[e.index] - expect) < 1e-12
+
+
+def test_solution_volume_is_never_nan():
+    # a non-finite shape no longer reaches solution_volume, whose total
+    # would be nan
+    for z in (math.nan, complex(math.inf, 1.0)):
+        with pytest.raises(DegenerateShape):
+            solution_volume(ShapeAssignment((REGULAR, z)))
+    assert math.isfinite(solution_volume(ShapeAssignment((REGULAR,) * 2)).total)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from idealglue import (ConeTarget, DegenerateShape, NotUnitModulusReport,
+from idealglue import (ConeTarget, DegenerateShape, NotUnitModulus,
+                       NotUnitModulusReport,
                        ShapeAssignment, all_holonomies, build_exponent_matrix,
                        compute_edge_classes, corpus, derive_shape_triple,
                        edge_slot_label,
@@ -252,3 +253,19 @@ def test_xi_from_shapes_trefoil_seventh_root():
     vals = {e.degree: xi[e.index] for e in edges}
     assert abs(vals[1] - z) < 1e-13
     assert abs(vals[5] - z.conjugate()) < 1e-13
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(0.5, math.nan),
+                               complex(-math.inf, 1.0)])
+def test_non_finite_shapes_are_rejected(z):
+    with pytest.raises(DegenerateShape, match="not finite"):
+        ShapeAssignment((REGULAR, z))
+    with pytest.raises(DegenerateShape, match="not finite"):
+        ShapeAssignment((z,), guard=0.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, complex(math.nan, 1.0),
+                               complex(1.0, -math.inf)])
+def test_non_finite_cone_targets_are_rejected(x):
+    with pytest.raises(NotUnitModulus):
+        ConeTarget((1.0, x))

@@ -294,3 +294,22 @@ def test_cli_export_corpus(tmp_path, capsys):
                              str(tmp_path / "c"))
     assert code == 0
     assert (tmp_path / "c" / "hopf.tri").exists()
+
+
+@pytest.mark.parametrize("command", ["volume", "holonomy"])
+def test_cli_solving_commands_parse_the_file_once(tmp_path, capsys,
+                                                  monkeypatch, command):
+    import idealglue.cli as cli_mod
+    from idealglue.corpus import CORPUS_TEXT
+    path = tmp_path / "fig8.tri"
+    path.write_text(CORPUS_TEXT["fig8_complement"])
+    parse, calls = cli_mod.parse_triangulation, []
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cli_mod, "parse_triangulation", counted)
+    code, out, _ = run_cli(capsys, command, "--file", str(path))
+    assert code == 0 and out
+    assert len(calls) == 1

@@ -1,7 +1,11 @@
 """Identification combinatorics: validation, edge classes, vertex links,
 abstract neighbourhoods, self-identifications, enumeration."""
+import copy
+import itertools
+import pickle
 import random
 
+import numpy as np
 import pytest
 
 from idealglue import (VertexPermutation,
@@ -239,3 +243,34 @@ def test_one_tet_enumeration_pins_corpus():
     # the S^3 entries are unique up to relabeling
     assert multisets.count((1, 1, 4)) == 1
     assert multisets.count((1, 5)) == 1
+
+
+# ------------------------------------------------------- the 24 permutations
+
+def test_the_24_permutations_are_shared_and_consistent():
+    table = list(itertools.permutations(range(4)))
+    perms = [VertexPermutation(images) for images in table]
+    identity = VertexPermutation((0, 1, 2, 3))
+    assert len({id(p) for p in perms}) == 24
+    for images, p in zip(table, perms):
+        assert p.images == images
+        assert repr(p) == f"VertexPermutation({''.join(map(str, images))})"
+        assert p == VertexPermutation(list(images)) and hash(p) == hash(images)
+        for same in (list(images), np.array(images), "".join(map(str, images)),
+                     (v for v in images)):
+            assert VertexPermutation(same) is p
+        inversions = sum(images[i] > images[j]
+                         for i, j in itertools.combinations(range(4), 2))
+        assert p.parity == inversions % 2
+        assert p.inverse().compose(p) is identity
+        assert p.compose(p.inverse()) is identity
+        for q in perms:
+            assert p.compose(q).images == tuple(p(q(v)) for v in range(4))
+        assert copy.copy(p) is p and copy.deepcopy(p) is p
+        assert pickle.loads(pickle.dumps(p)) is p
+        for attr in ("images", "parity", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(p, attr, (0, 1, 2, 3))
+    for bad in ((0, 1, 2, 4), (0, 1, 2), (3, 2, 1, 0, 0), "0012"):
+        with pytest.raises(ValueError, match="not a bijection"):
+            VertexPermutation(bad)

@@ -7,9 +7,10 @@ from .develop import (DevelopedComplex, IdealPlacement, INFINITY, MobiusMap,
                       develop_across_face, develop_spanning_tree,
                       edge_holonomy_matrix, generator_holonomy, generator_maps,
                       place_initial)
-from .errors import (BranchCut, DegenerateShape, EdgeCycleNotClosed,
-                     IdealGlueError, NotConverged, NotUnitModulus, ParseError,
-                     UnknownCorpusEntry, ValidationError)
+from .errors import (BranchCut, DegenerateShape, DevelopFailure,
+                     EdgeCycleNotClosed, IdealGlueError, NotConverged,
+                     NotUnitModulus, ParseError, UnknownCorpusEntry,
+                     ValidationError)
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import (FLAT_TOL, V_TET, VolumeReport, bloch_wigner,
                        dihedral_angles, dilog, edge_cone_angles,

@@ -320,7 +320,10 @@ def _cmd_export_corpus(args) -> int:
 
 def _cmd_verify_report(args) -> int:
     with open(args.report) as fh:
-        rep = json.load(fh)
+        try:
+            rep = json.load(fh)
+        except ValueError as err:       # not JSON, or not text at all
+            raise IdealGlueError(f"{args.report}: not a JSON report ({err})")
     checks = report_mod.verify_report(rep)
     for c in checks:
         print(str(c))

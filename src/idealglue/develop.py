@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EdgeCycleNotClosed
+from .errors import DevelopFailure, EdgeCycleNotClosed
 from .gluing import ShapeAssignment, check_nondegenerate
 from .triangulation import (EDGE_SLOTS, EdgeClass, FaceGluing, Triangulation,
                             compute_edge_classes)
@@ -63,7 +63,7 @@ def _std_matrix(p, q, r) -> np.ndarray:
     M = np.array([(lq @ r) * lp, (lp @ r) * lq])
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     if abs(det) < 1e-30:
-        raise ValueError("triple contains coincident points")
+        raise DevelopFailure("triple contains coincident points")
     return M / cmath.sqrt(det)
 
 
@@ -87,7 +87,7 @@ class MobiusMap:
         if normalize:
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             if abs(det) < 1e-30:
-                raise ValueError("singular matrix is not a Mobius map")
+                raise DevelopFailure("singular matrix is not a Mobius map")
             m = m / cmath.sqrt(det)
         self.matrix = m
         self.matrix.setflags(write=False)
@@ -247,9 +247,9 @@ def develop_spanning_tree(t: Triangulation, Z: ShapeAssignment) -> DevelopedComp
                 # store from the canonical (lex smaller) side
                 generators.append(g if g.source <= g.target else g.reversed())
     if len(placements) != t.tetra_count:
-        raise ValueError("triangulation is disconnected; cannot develop "
-                         f"({len(placements)} of {t.tetra_count} tetrahedra "
-                         "reachable from tetrahedron 0)")
+        raise DevelopFailure("triangulation is disconnected; cannot develop "
+                             f"({len(placements)} of {t.tetra_count} "
+                             "tetrahedra reachable from tetrahedron 0)")
     return DevelopedComplex(t, [placements[i] for i in range(t.tetra_count)],
                             tuple(tree), tuple(generators))
 

@@ -27,6 +27,12 @@ class EdgeCycleNotClosed(IdealGlueError):
     placement.  Impossible on valid input; indicates a convention fault."""
 
 
+class DevelopFailure(IdealGlueError, ValueError):
+    """The developing map could not be built: coincident ideal points, a
+    singular matrix, or a disconnected triangulation.  Also a ValueError,
+    which these failures raised before they had a type of their own."""
+
+
 class UnknownCorpusEntry(IdealGlueError):
     """Requested corpus name is not one of the built-in triangulations."""
 

@@ -185,37 +185,43 @@ def all_holonomies(Z: ShapeAssignment | np.ndarray,
     """h(e_j) = prod_i z_i^a z_i'^a' z_i''^a'', the product of the shape
     parameters at every slot of edge j; the integer powers are exact.
 
-    Z is a ShapeAssignment or an array of shapes.  Only the nonzero
+    Z is a ShapeAssignment or an array of shapes whose last axis runs over
+    the tetrahedra; leading axes are a batch, and each row's holonomies
+    equal those of the row alone, bit for bit.  Only the nonzero
     (edge, tetrahedron) pairs are evaluated, each power first and then the
     product in tetrahedron order, which is the dense product's order.
     """
-    w = _shapes(Z)[E.cols]
+    w = _shapes(Z).take(E.cols, axis=-1)
     return np.multiply.reduceat(w ** E.pair_a * (1.0 / (1.0 - w)) ** E.pair_a_prime
                                 * ((w - 1.0) / w) ** E.pair_a_second,
-                                E.row_starts)
+                                E.row_starts, axis=-1)
 
 
 def evaluate_residual(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
-                      xi: ConeTarget) -> np.ndarray:
+                      xi: ConeTarget | np.ndarray) -> np.ndarray:
     """Component j is h(e_j) - xi_j; identically zero exactly on solutions of
-    the xi-hyperbolic gluing equations."""
-    return all_holonomies(Z, E) - np.array(xi.xi)
+    the xi-hyperbolic gluing equations.  xi is a ConeTarget or the array of
+    its values; Z may carry batch axes as in `all_holonomies`."""
+    target = np.array(xi.xi) if isinstance(xi, ConeTarget) else xi
+    return all_holonomies(Z, E) - target
 
 
 def jacobian(Z: ShapeAssignment | np.ndarray,
              E: ExponentMatrix) -> np.ndarray:
-    """Analytic m-by-n complex Jacobian d h(e_j) / d z_i.
+    """Analytic m-by-n complex Jacobian d h(e_j) / d z_i, with the leading
+    batch axes of Z (one m-by-n matrix per row, as in `all_holonomies`).
 
     Uses d log z'/dz = 1/(1-z) and d log z''/dz = 1/(z(z-1)), so
     J[j,i] = h(e_j) (a/z + a'/(1-z) + a''/(z(z-1))), evaluated at the
     nonzero (edge, tetrahedron) pairs; the other entries are 0.
     """
     z = _shapes(Z)
-    w = z[E.cols]
+    w = z.take(E.cols, axis=-1)
     h = all_holonomies(z, E)
-    J = np.zeros((E.edge_count, E.tet_count), dtype=complex)
-    J[E.rows, E.cols] = h[E.rows] * (E.pair_a / w + E.pair_a_prime / (1.0 - w)
-                                     + E.pair_a_second / (w * (w - 1.0)))
+    J = np.zeros(z.shape[:-1] + (E.edge_count, E.tet_count), dtype=complex)
+    J[..., E.rows, E.cols] = h.take(E.rows, axis=-1) * (
+        E.pair_a / w + E.pair_a_prime / (1.0 - w)
+        + E.pair_a_second / (w * (w - 1.0)))
     return J
 
 

@@ -3,16 +3,18 @@ generalisation: damped Gauss-Newton solves at fixed xi, S^1 family sweeps,
 cone-locus sampling, the regular solution, and branched-cover order
 bookkeeping.
 
-Every solve runs the one damped Gauss-Newton loop `_damped_gauss_newton`;
-a solve supplies only its residual, its ordered candidate steps and its
-stopping test.  `newton_solve` tries the complex least-squares step on
-h(z) - xi and then deterministic kicks; `cone_locus_sample` tries the real
-least-squares step on |h(z)| - 1.  `newton_solve` is the one entry for a
-solve at fixed xi: `sweep_family` calls it once per theta.  Every solve,
-sweep, sample and certificate reads the edge classes and exponent matrix
+Every solve runs the one damped Gauss-Newton loop `_damped_gauss_newton`
+on a stack of shape vectors, one row per start; a solve supplies only its
+residual, its ordered candidate steps and its stopping test, each acting
+on such a stack.  `newton_solve`, a batch of one, tries the complex
+least-squares step on h(z) - xi and then deterministic kicks;
+`cone_locus_sample` runs all its starts as one batch and takes the real
+min-norm step on |h(z)| - 1.  `newton_solve` is the one entry for a solve
+at fixed xi: `sweep_family` calls it once per theta.  Every solve, sweep,
+sample and certificate reads the edge classes and exponent matrix
 compiled once per triangulation (`compute_edge_classes`,
-`build_exponent_matrix`), and the loops evaluate h and J on the raw shape
-array.
+`build_exponent_matrix`), and the loops evaluate h and J on raw shape
+arrays.
 
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
@@ -24,6 +26,7 @@ root-of-unity tolerances are the defaults of `xi_from_shapes`,
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,52 +68,97 @@ def degree_one_obstructions(edges, xi: ConeTarget, tol: float = 1e-8):
             if e.degree == 1 and abs(xi[e.index] - 1.0) < tol]
 
 
-def _in_guard(z) -> bool:
-    return any(min(abs(w), abs(w - 1.0)) < DEGENERACY_GUARD for w in z)
+def _in_guard(Z) -> np.ndarray:
+    """Per row of Z: does some shape lie in the guard band around {0, 1}?"""
+    return (np.minimum(np.abs(Z), np.abs(Z - 1.0)) < DEGENERACY_GUARD).any(-1)
 
 
-def _damped_gauss_newton(residual, directions, done, z, cfg: SolverConfig):
-    """The damped Gauss-Newton loop shared by every solve.
+def _norms(F) -> np.ndarray:
+    """The 2-norm of each row of F, summed as `np.linalg.norm` sums one
+    row, so a batch of one takes exactly the decisions of a 1-D loop."""
+    return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
 
-    Each iteration evaluates `residual` at the current point and stops when
-    `done(F)`; otherwise it tries the steps in the list `directions(z, F)`
-    in order, halving each until the residual norm decreases and the
-    iterate stays off the guard band around {0, 1}.  The first step that
-    does so is taken.  Returns (z, F, iterations, reason) with reason
+
+def _take_steps(residual, z, steps, r):
+    """Move each row of z, in place, by the first of its rows of `steps`
+    (an iterable, consumed only as far as needed) that, halved at most
+    MAX_HALVINGS times, stays off the guard band around {0, 1} and brings
+    its residual norm below r.  Returns the indices of the rows no step
+    moved and, for each, whether its full first step enters the band."""
+    # rows not moved yet: all, then indices; the truth tests go through
+    # lists, which for a few rows cost less than numpy's any and all
+    todo, first = slice(None), None
+    for step in steps:
+        first = step if first is None else first
+        lam = 1.0
+        for _ in range(MAX_HALVINGS):
+            cand = z[todo] + lam * step[todo]
+            lam *= 0.5
+            ok = ~_in_guard(cand)
+            if all(ok.tolist()):
+                ok = _norms(residual(cand)) < r[todo]
+            elif any(ok.tolist()):
+                ok[ok] = _norms(residual(cand[ok])) < r[todo][ok]
+            if all(ok.tolist()):
+                z[todo] = cand
+                return (), ()
+            todo = np.arange(len(z))[todo]
+            z[todo[ok]] = cand[ok]
+            todo = todo[~ok]
+    todo = np.arange(len(z))[todo]
+    return todo, _in_guard(z[todo] + first[todo])
+
+
+def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
+    """The damped Gauss-Newton loop shared by every solve, on a stack Z of
+    shape vectors, one row per start.
+
+    Each iteration evaluates `residual` on the rows still running, and a
+    row stops when `done(F, r)` holds for its residual F and residual norm
+    r; otherwise it takes one of the steps `directions(Z, F)` yields
+    (`_take_steps`).  Stopped rows drop out, and `residual` and
+    `directions` are never called on an empty stack.
+
+    Returns (Z, F, iterations, reasons), one entry per row, with reason
     "converged", "max_iterations", or, when no step could be taken,
     "degenerate_shape" (the full first step enters the guard band) or
     "stalled".
     """
-    for it in range(cfg.max_iterations):
-        F = residual(z)
-        if done(F):
-            return z, F, it, "converged"
-        r = np.linalg.norm(F)
-        steps = directions(z, F)
-        for step in steps:
-            lam = 1.0
-            for _ in range(MAX_HALVINGS):
-                cand = z + lam * step
-                lam *= 0.5
-                if (not _in_guard(cand)
-                        and np.linalg.norm(residual(cand)) < r):
-                    break
-            else:
-                continue
-            z = cand
+    Z = np.array(Z, dtype=complex)
+    F_out, iterations, reasons = [None] * len(Z), [None] * len(Z), [None] * len(Z)
+    rows, z = np.arange(len(Z)), Z.copy()      # the running rows of Z
+
+    def stop(k, F, it, why):        # k: positions in rows; why: per row
+        for i, zi, f, w in zip(rows[k].tolist(), z[k], F[k], why):
+            Z[i], F_out[i], iterations[i], reasons[i] = zi, f, it, w
+
+    for it in range(cfg.max_iterations + 1):
+        if not rows.size:
             break
-        else:
-            near = _in_guard(z + steps[0])
-            return z, F, it, "degenerate_shape" if near else "stalled"
-    F = residual(z)
-    return (z, F, cfg.max_iterations,
-            "converged" if done(F) else "max_iterations")
+        F = residual(z)
+        r = _norms(F)
+        fin = done(F, r)
+        if it == cfg.max_iterations:
+            stop(slice(None), F, it,
+                 np.where(fin, "converged", "max_iterations").tolist())
+            break
+        if any(fin.tolist()):
+            stop(fin, F, it, itertools.repeat("converged"))
+            rows, z, F, r = rows[~fin], z[~fin], F[~fin], r[~fin]
+            if not rows.size:
+                break
+        stuck, near = _take_steps(residual, z, directions(z, F), r)
+        if len(stuck):
+            stop(stuck, F, it,
+                 np.where(near, "degenerate_shape", "stalled").tolist())
+            rows, z = np.delete(rows, stuck), np.delete(z, stuck, axis=0)
+    return Z, F_out, iterations, reasons
 
 
 def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
                  cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Damped Gauss-Newton least squares on F(z) = h(z) - xi over the
-    reduced coordinates (one z per tetrahedron).
+    reduced coordinates (one z per tetrahedron), as a batch of one.
 
     The m-by-n system is rank-deficient (the product of all edge holonomies
     is identically 1), so steps are least-squares solutions.  When the step
@@ -126,26 +174,28 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
                            f"single incident shape parameter would be "
                            f"forbidden, so the system has no solution")
     E = build_exponent_matrix(t)
+    target = np.array(xi.xi)
+    rotation = np.exp(0.7j * (1 + np.arange(t.tetra_count)))
 
-    def residual(z):
-        return evaluate_residual(z, E, xi)
+    # the batch is one row: the kernels evaluate it as a plain vector
+    def residual(Z):
+        return evaluate_residual(Z[0], E, target)[None]
 
-    def directions(z, F):
-        J = jacobian(z, E)
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+    def directions(Z, F):
+        step, *_ = np.linalg.lstsq(jacobian(Z[0], E), -F[0], rcond=None)
+        if not np.linalg.norm(step) < 1e-12 * (1.0 + np.linalg.norm(Z[0])):
+            yield step[None]
         # near a stationary point of |F|^2 away from a solution the step is
         # tiny or cannot be damped into a decrease: deterministic kicks
         # break the symmetry, re-entering Gauss-Newton after
-        kick = 0.05 * (1.0 + np.abs(z)) * np.exp(0.7j * (1 + np.arange(len(z))))
-        kicks = [kick, 1j * kick, -kick]
-        if np.linalg.norm(step) < 1e-12 * (1.0 + np.linalg.norm(z)):
-            return kicks
-        return [step] + kicks
+        kick = 0.05 * (1.0 + np.abs(Z)) * rotation
+        yield from (kick, 1j * kick, -kick)
 
-    z, F, it, reason = _damped_gauss_newton(
-        residual, directions, lambda F: np.linalg.norm(F) < cfg.tol,
-        np.array(initial.z, dtype=complex), cfg)
-    r = float(np.linalg.norm(F))
+    Z, F, its, reasons = _damped_gauss_newton(
+        residual, directions, lambda F, r: r < cfg.tol,
+        [initial.z], cfg)
+    it, reason = its[0], reasons[0]
+    r = float(np.linalg.norm(F[0]))
     detail = {
         "converged": "",
         "degenerate_shape": "iterates pushed into the guard band around "
@@ -153,7 +203,7 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
         "stalled": "damping could not reduce the residual",
         "max_iterations": f"residual {r:.3e} after {it} iterations",
     }[reason]
-    return SolveResult(ShapeAssignment(z, guard=0.0), r, it,
+    return SolveResult(ShapeAssignment(Z[0], guard=0.0), r, it,
                        reason == "converged", reason, detail)
 
 
@@ -202,28 +252,30 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
 def random_starts(t: Triangulation, count: int, cfg: SolverConfig = SolverConfig()):
     """Random initial shape vectors: uniform on the upper-half disk of
     radius 2, rejecting the guard band around {0, 1} (geometric solutions
-    have positive imaginary parts)."""
+    have positive imaginary parts).
+
+    The (Re, Im) pairs are drawn in bulk but in the stream order of one
+    pair per shape, and kept in that order, so the starts depend on the
+    seed alone."""
+    n = t.tetra_count
+    need = max(count, 0) * n
     rng = np.random.default_rng(cfg.seed)
-    starts = []
-    while len(starts) < count:
-        z = []
-        while len(z) < t.tetra_count:
-            w = complex(rng.uniform(-2, 2), rng.uniform(0, 2))
-            if abs(w) > 2 or w.imag < 1e-3:
-                continue
-            if min(abs(w), abs(w - 1)) < 10 * DEGENERACY_GUARD:
-                continue
-            z.append(w)
-        starts.append(ShapeAssignment(tuple(z)))
-    return starts
+    z = np.empty(0, dtype=complex)
+    while len(z) < need:
+        w = rng.uniform((-2.0, 0.0), (2.0, 2.0), (need + need // 3 + 16, 2))
+        w = w.view(complex)[:, 0]
+        ok = ((np.abs(w) <= 2) & (w.imag >= 1e-3)
+              & (np.minimum(np.abs(w), np.abs(w - 1)) >= 10 * DEGENERACY_GUARD))
+        z = np.concatenate([z, w[ok]])
+    return [ShapeAssignment(row) for row in z[:need].reshape(-1, n)]
 
 
 def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig()):
     """Project random starts onto the cone-deformation variety.
 
-    Gauss-Newton on the real residuals |h(e)| - 1 over (Re z, Im z); points
-    whose holonomy moduli all land within 1e-8 of 1 are returned with
-    their cone target, others are dropped.
+    Gauss-Newton on the real residuals |h(e)| - 1 over (Re z, Im z), all
+    starts in one batch; points whose holonomy moduli all land within 1e-8
+    of 1 are returned with their cone target, others are dropped.
 
     Returns (samples, dropped_count) where samples is a list of
     (ShapeAssignment, ConeTarget).
@@ -231,34 +283,32 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     E = build_exponent_matrix(t)
     n = t.tetra_count
 
-    def residual(z):
-        return np.abs(all_holonomies(z, E)) - 1.0
+    def residual(Z):
+        return np.abs(all_holonomies(Z, E)) - 1.0
 
-    def directions(z, F):
-        h = all_holonomies(z, E)
-        # d|h| = Re(conj(h)/|h| * h'(z) dz): real m x 2n system
-        W = (np.conj(h) / np.abs(h))[:, None] * jacobian(z, E)
-        step, *_ = np.linalg.lstsq(np.concatenate([W.real, -W.imag], axis=1),
-                                   -F, rcond=None)
-        return [step[:n] + 1j * step[n:]]
+    def directions(Z, F):
+        h = all_holonomies(Z, E)
+        # d|h| = Re(conj(h)/|h| * h'(z) dz): a real m x 2n system per row,
+        # solved for its min-norm step with lstsq's singular-value cutoff
+        W = (np.conj(h) / np.abs(h))[..., None] * jacobian(Z, E)
+        A = np.concatenate([W.real, -W.imag], axis=-1)
+        rcond = np.finfo(float).eps * max(A.shape[-2:])
+        step = (np.linalg.pinv(A, rcond=rcond) @ -F[..., None])[..., 0]
+        return [step[:, :n] + 1j * step[:, n:]]
 
-    def done(F):        # xi_from_shapes's |h(e)| = 1 test at its default tol
-        return np.max(np.abs(F)) < 1e-8
+    def done(F, r):     # xi_from_shapes's |h(e)| = 1 test at its default tol
+        return np.max(np.abs(F), axis=-1) < 1e-8
 
-    samples, dropped = [], 0
-    for start in starts:
-        z, _, _, reason = _damped_gauss_newton(
-            residual, directions, done, np.array(start.z, dtype=complex), cfg)
-        if reason != "converged":
-            dropped += 1
-            continue
-        Z = ShapeAssignment(z, guard=0.0)
-        xi = xi_from_shapes(Z, E)
-        if isinstance(xi, ConeTarget):
-            samples.append((Z, xi))
-        else:
-            dropped += 1
-    return samples, dropped
+    Z0 = np.array([start.z for start in starts], dtype=complex).reshape(-1, n)
+    Z, _, _, reasons = _damped_gauss_newton(residual, directions, done, Z0, cfg)
+    samples = []
+    for z, reason in zip(Z, reasons):
+        if reason == "converged":
+            S = ShapeAssignment(z, guard=0.0)
+            xi = xi_from_shapes(S, E)
+            if isinstance(xi, ConeTarget):
+                samples.append((S, xi))
+    return samples, len(Z) - len(samples)
 
 
 def order_of_root_of_unity(xi: complex, tol: float = 1e-9,

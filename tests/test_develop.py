@@ -331,6 +331,18 @@ def test_develop_rejects_disconnected():
         develop_spanning_tree(t, ShapeAssignment((1j,) * 4))
 
 
+def test_develop_failures_are_package_errors():
+    # the CLI reports a package error as exit 2; ValueError keeps the type
+    # these failures had before
+    from idealglue import DevelopFailure, IdealGlueError
+    assert issubclass(DevelopFailure, IdealGlueError)
+    assert issubclass(DevelopFailure, ValueError)
+    with pytest.raises(DevelopFailure, match="singular"):
+        MobiusMap(np.zeros((2, 2)))
+    with pytest.raises(DevelopFailure, match="coincident"):
+        MobiusMap.from_triples((0, 1, 1), (0, INFINITY, 1))
+
+
 def test_edge_closure_multiplier_pointwise(rng):
     """multiplier = h(e) for arbitrary shapes, solutions or not."""
     for name in ("hopf", "trefoil", "fig8_complement", "fig8_in_s3",

@@ -234,6 +234,44 @@ def test_cli_solve_json_report_verifies(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("content", [b"", b"{not json", b"\x89PNG\x00\xff"])
+def test_cli_verify_report_rejects_a_file_that_is_not_json(tmp_path, capsys,
+                                                           content):
+    # e.g. the empty stdout of a certify that failed
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not a JSON report" in err
+
+
+def chain_cover_text(k):
+    """The k-fold cyclic cover of fig8_complement (n = 2k, every edge of
+    degree 6): base gluing g joins tetrahedron (i, s), numbered 2 s + i, to
+    (j, s + phi(g) mod k) with phi = (0, 1, 1, 0)."""
+    base = ((0, 0, 1, 0, "0132", 0), (0, 1, 1, 1, "2103", 1),
+            (0, 2, 1, 2, "0321", 1), (0, 3, 1, 3, "1023", 0))
+    lines = ["tri v1", f"tetrahedra {2 * k}"]
+    for s in range(k):
+        for t1, f1, t2, f2, perm, phi in base:
+            lines.append(f"glue {2 * s + t1} {f1} "
+                         f"{2 * ((s + phi) % k) + t2} {f2} {perm}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_develop_failure_exits_two(tmp_path, capsys):
+    # developing the n = 128 chain cover in one global frame loses every
+    # digit and meets coincident points: an error line and exit 2, no
+    # traceback and no half-written report
+    path = tmp_path / "chain128.tri"
+    path.write_text(chain_cover_text(64))
+    code, out, err = run_cli(capsys, "certify", "--file", str(path), "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_sweep(capsys):
     code, out, err = run_cli(capsys, "sweep", "--corpus", "hopf",
                              "--xi-weights", "1,-2,1",

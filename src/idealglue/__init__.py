@@ -17,7 +17,7 @@ from .geometry import (FLAT_TOL, V_TET, VolumeReport, bloch_wigner,
                        solution_volume)
 from .gluing import (ConeTarget, ExponentMatrix, NotUnitModulusReport,
                      ShapeAssignment, all_holonomies, build_exponent_matrix,
-                     derive_shape_triple, edge_slot_label,
+                     build_relation_matrix, derive_shape_triple, edge_slot_label,
                      evaluate_residual, jacobian, xi_from_shapes)
 from .report import build_solution_report, verify_report
 from .solver import (Certificate, CoverDegreeReport, REGULAR_SHAPE,

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateShape, NotUnitModulus
-from .triangulation import SLOT_INDEX, Triangulation, compute_edge_classes
+from .errors import DegenerateShape, IdealGlueError, NotUnitModulus
+from .triangulation import (SLOT_INDEX, Triangulation, compute_edge_classes,
+                            compute_vertex_classes, edge_end_classes)
 
 DEGENERACY_GUARD = 1e-8
 
@@ -173,6 +174,32 @@ def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
                 mats[SLOT_LABELS[slot]][e.index, tet] += 1
         t._exponent_matrix = ExponentMatrix(*mats)
     return t._exponent_matrix
+
+
+def check_target_length(xi: ConeTarget, E: ExponentMatrix) -> None:
+    """Raise IdealGlueError unless xi has one target per edge class."""
+    if len(xi) != E.edge_count:
+        raise IdealGlueError(f"expected {E.edge_count} xi entries (one per "
+                             f"edge class), got {len(xi)}")
+
+
+def build_relation_matrix(t: Triangulation) -> np.ndarray:
+    """The c-by-m cusp relation matrix W, built once per triangulation and
+    memoised on it (read-only): W[v, e] counts the ends of edge class e at
+    vertex class v.
+
+    Around vertex class v every corner contributes log z + log z' +
+    log z'' = log(-1), so sum_e W[v, e] log h(e) is constant and
+    sum_e (W[v, e] / h(e)) J[e, :] = 0: the rows of W / h lie in the left
+    null space of the Jacobian (Neumann-Zagier).
+    """
+    if t._relation_matrix is None:
+        ends = np.array(edge_end_classes(t), dtype=int).reshape(-1, 2)
+        W = np.zeros((len(compute_vertex_classes(t)), len(ends)), dtype=int)
+        np.add.at(W, (ends.T, np.arange(len(ends))), 1)
+        W.setflags(write=False)
+        t._relation_matrix = W
+    return t._relation_matrix
 
 
 def _shapes(Z: ShapeAssignment | np.ndarray) -> np.ndarray:

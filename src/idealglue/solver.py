@@ -16,6 +16,23 @@ compiled once per triangulation (`compute_edge_classes`,
 `build_exponent_matrix`), and the loops evaluate h and J on raw shape
 arrays.
 
+The step of `newton_solve` is the min-norm least-squares solution of
+J x = -F.  J is rank-deficient, and its left null space is known: around
+each vertex class the product of the edge holonomies, each raised to the
+number of its ends there, is constant (Neumann-Zagier), so the rows of
+W / h annihilate J, where W is the cusp relation matrix
+(`build_relation_matrix`).  With U = W / h, J J^H + U^H U is invertible and
+x = J^H (J J^H + U^H U)^-1 (-F): one dense m-by-m solve, about a sixth of
+the time of lstsq's SVD at n = 128.  The step is taken when
+n > RELATION_STEP_CUTOFF and it meets the least-squares optimality
+condition to 1e-8 (else lstsq's step is).  At or below the cutoff the step
+is lstsq's, bit for bit: below n of about 8 lstsq's fixed cost is lower,
+and the n = 32 chain cover's report passes `verify_report`'s generator
+determinant check only by the last bits of its solution, which a changed
+step would move (ROADMAP item 1).  The normal equations square J's
+condition number; at the near-complete solutions the solver meets, it is
+below 100 and the two steps agree to about 1e-13.
+
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
 are constants: the guard band around {0, 1} is `gluing.DEGENERACY_GUARD`,
@@ -35,12 +52,15 @@ import numpy as np
 from .errors import NotConverged, NotUnitModulus
 from .geometry import V_TET
 from .gluing import (DEGENERACY_GUARD, ConeTarget, ShapeAssignment,
-                     all_holonomies, build_exponent_matrix, evaluate_residual,
-                     jacobian, xi_from_shapes)
+                     all_holonomies, build_exponent_matrix,
+                     build_relation_matrix, check_target_length,
+                     evaluate_residual, jacobian)
 from .triangulation import Triangulation, compute_edge_classes
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
 MAX_HALVINGS = 30                   # damping: step halvings per iteration
+RELATION_STEP_CUTOFF = 32           # newton_solve: n above which the step
+                                    # comes from the cusp relations
 
 
 @dataclass(frozen=True)
@@ -155,16 +175,44 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
     return Z, F_out, iterations, reasons
 
 
+def _least_squares_step(J, b, U=None):
+    """The min-norm least-squares solution x of J x = b.
+
+    U, when given, holds rows u with u J = 0 meant to span the left null
+    space of J (the cusp relations W / h).  Then J J^H + U^H U is
+    invertible, and x = J^H (J J^H + U^H U)^-1 b is one dense m-by-m
+    solve.  That x is returned when it meets the least-squares optimality
+    condition |J^H (J x - b)| <= 1e-8 |J^H b|; otherwise, and without U,
+    x is lstsq's SVD solution.
+    """
+    if U is not None:
+        JH = J.conj().T
+        try:
+            x = JH @ np.linalg.solve(J @ JH + U.conj().T @ U, b)
+        except np.linalg.LinAlgError:       # U misses part of the null space
+            pass
+        else:
+            if (np.linalg.norm(JH @ (J @ x - b))
+                    <= 1e-8 * np.linalg.norm(JH @ b)):
+                return x
+    return np.linalg.lstsq(J, b, rcond=None)[0]
+
+
 def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
                  cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Damped Gauss-Newton least squares on F(z) = h(z) - xi over the
     reduced coordinates (one z per tetrahedron), as a batch of one.
 
-    The m-by-n system is rank-deficient (the product of all edge holonomies
-    is identically 1), so steps are least-squares solutions.  When the step
-    is tiny or cannot be damped into a decrease (a stationary point of
-    |F|^2 away from a solution), three deterministic kicks are tried next.
+    The m-by-n system is rank-deficient (the cusp relations W / h span the
+    left null space of J), so steps are min-norm least-squares solutions:
+    above RELATION_STEP_CUTOFF tetrahedra from the relations, at or below
+    it from lstsq (`_least_squares_step`).  When the step is tiny or
+    cannot be damped into a decrease (a stationary point of |F|^2 away
+    from a solution), three deterministic kicks are tried next.  Raises
+    IdealGlueError unless xi has one target per edge class.
     """
+    E = build_exponent_matrix(t)
+    check_target_length(xi, E)
     obstructed = degree_one_obstructions(compute_edge_classes(t), xi)
     if obstructed:
         names = ", ".join(f"e{j}" for j in obstructed)
@@ -173,7 +221,8 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
                            f"degree-one edge(s) {names} have xi = 1; the "
                            f"single incident shape parameter would be "
                            f"forbidden, so the system has no solution")
-    E = build_exponent_matrix(t)
+    W = (build_relation_matrix(t) if t.tetra_count > RELATION_STEP_CUTOFF
+         else None)
     target = np.array(xi.xi)
     rotation = np.exp(0.7j * (1 + np.arange(t.tetra_count)))
 
@@ -182,7 +231,8 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
         return evaluate_residual(Z[0], E, target)[None]
 
     def directions(Z, F):
-        step, *_ = np.linalg.lstsq(jacobian(Z[0], E), -F[0], rcond=None)
+        U = None if W is None else W / all_holonomies(Z[0], E)
+        step = _least_squares_step(jacobian(Z[0], E), -F[0], U)
         if not np.linalg.norm(step) < 1e-12 * (1.0 + np.linalg.norm(Z[0])):
             yield step[None]
         # near a stationary point of |F|^2 away from a solution the step is
@@ -301,14 +351,13 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
 
     Z0 = np.array([start.z for start in starts], dtype=complex).reshape(-1, n)
     Z, _, _, reasons = _damped_gauss_newton(residual, directions, done, Z0, cfg)
-    samples = []
-    for z, reason in zip(Z, reasons):
-        if reason == "converged":
-            S = ShapeAssignment(z, guard=0.0)
-            xi = xi_from_shapes(S, E)
-            if isinstance(xi, ConeTarget):
-                samples.append((S, xi))
-    return samples, len(Z) - len(samples)
+    Z = Z[[reason == "converged" for reason in reasons]]
+    # `done` passed on these rows' holonomies, which the stacked kernel
+    # gives bit for bit: every |h(e)| is within 1e-8 of 1, so each row is
+    # kept with the target xi_from_shapes would give it
+    samples = [(ShapeAssignment(z, guard=0.0), ConeTarget(h, tol=1e-7))
+               for z, h in zip(Z, all_holonomies(Z, E))]
+    return samples, len(Z0) - len(samples)
 
 
 def order_of_root_of_unity(xi: complex, tol: float = 1e-9,
@@ -386,11 +435,13 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
 
     With xi = (1, ..., 1) the conclusion applies to the triangulation itself;
     otherwise to the branched cover with branch index o(xi_e) at edge e.
-    Raises NotConverged on a failed solve.
+    Raises NotConverged on a failed solve, and IdealGlueError unless xi
+    has one target per edge class.
     """
+    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    check_target_length(xi, E)
     if not result.converged:
         raise NotConverged(result.reason or "solve did not converge")
-    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     # verify independently of the solver's bookkeeping
     res = float(np.linalg.norm(evaluate_residual(result.shapes, E, xi)))
     if res >= cfg.tol * 10:

@@ -135,8 +135,9 @@ class Triangulation:
     `gluings` holds one FaceGluing per identified face pair, stored from its
     lexicographically smaller (tet, face) side and sorted.  The implied
     inverse gluings are generated on demand.  A Triangulation is not
-    modified after construction, so its edge classes and exponent matrix
-    are compiled once and memoised on the instance.
+    modified after construction, so its edge and vertex classes, exponent
+    matrix and cusp relations are compiled once and memoised on the
+    instance.
     """
 
     def __init__(self, tetra_count: int, gluings):
@@ -153,10 +154,13 @@ class Triangulation:
             if target not in lookup:
                 lookup[target] = g.reversed()
         self._lookup = lookup
-        # compiled on first use by compute_edge_classes and
-        # gluing.build_exponent_matrix, then shared by every consumer
+        # compiled on first use by compute_edge_classes,
+        # compute_vertex_classes, gluing.build_exponent_matrix and
+        # gluing.build_relation_matrix, then shared by every consumer
         self._edge_classes = None
         self._exponent_matrix = None
+        self._vertex_classes = None
+        self._relation_matrix = None
 
     def gluing_at(self, tet: int, face: int) -> FaceGluing:
         """The gluing departing from (tet, face)."""
@@ -378,56 +382,73 @@ class VertexClass:
     link_genus: int
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _union_corners(t: Triangulation):
+    """Union the corners (tet, v), numbered 4 tet + v, across every face
+    gluing.  Returns the classes of `compute_vertex_classes` and, for each
+    edge class, the vertex classes of the tail and head of its first
+    directed slot."""
+    parent = list(range(4 * t.tetra_count))
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]       # path halving
+        return x
 
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[rx] = ry
+    for g in t.gluings:
+        s, d, images = 4 * g.source_tet, 4 * g.target_tet, g.perm.images
+        for v in range(4):
+            if v != g.source_face:
+                a, b = find(s + v), find(d + images[v])
+                if a != b:
+                    parent[a] = b
+
+    # classes in order of their least corner, which is met first
+    index = {}
+    corner_class = [index.setdefault(find(c), len(index))
+                    for c in range(len(parent))]
+    members = [[] for _ in index]
+    for c, k in enumerate(corner_class):
+        members[k].append(divmod(c, 4))
+    ends = []
+    for e in compute_edge_classes(t):
+        tet, (a, b) = e.directed[0]
+        ends.append((corner_class[4 * tet + a], corner_class[4 * tet + b]))
+    end_count = [0] * len(members)
+    for a, b in ends:
+        end_count[a] += 1
+        end_count[b] += 1
+    classes = []
+    for k, corners in enumerate(members):
+        chi = end_count[k] - len(corners) // 2
+        classes.append(VertexClass(k, tuple(corners), chi, (2 - chi) // 2))
+    return tuple(classes), tuple(ends)
+
+
+def _compiled_vertices(t: Triangulation):
+    if t._vertex_classes is None:
+        t._vertex_classes = _union_corners(t)
+    return t._vertex_classes
 
 
 def compute_vertex_classes(t: Triangulation) -> list[VertexClass]:
-    """Corner orbits with link surface data.
+    """Corner orbits with link surface data, in order of their least
+    corner.
 
     The link of a vertex class is assembled from one normal triangle per
     member corner, sides matched along face gluings.  Its vertices are the
     edge-class ends incident with the class, so
-    chi = (#edge ends at the class) - (#corners)/2.
+    chi = (#edge ends at the class) - (#corners)/2.  The corner union is
+    taken once per triangulation; later calls return a new list of the
+    memoised classes.
     """
-    corners = [(tet, v) for tet in range(t.tetra_count) for v in range(4)]
-    uf = _UnionFind(corners)
-    for g in t.gluings:
-        for v in range(4):
-            if v != g.source_face:
-                uf.union((g.source_tet, v), (g.target_tet, g.perm(v)))
+    return list(_compiled_vertices(t)[0])
 
-    groups: dict[tuple, list] = {}
-    for c in corners:
-        groups.setdefault(uf.find(c), []).append(c)
 
-    ends: dict[tuple, int] = {root: 0 for root in groups}
-    for e in compute_edge_classes(t):
-        tet, slot, _ = e.cycle[0]
-        a, b = EDGE_SLOTS[slot]
-        ends[uf.find((tet, a))] += 1
-        ends[uf.find((tet, b))] += 1
-
-    out = []
-    for root in sorted(groups, key=lambda r: min(groups[r])):
-        members = tuple(sorted(groups[root]))
-        chi = ends[root] - len(members) // 2
-        out.append(VertexClass(len(out), members, chi, (2 - chi) // 2))
-    return out
+def edge_end_classes(t: Triangulation) -> tuple[tuple[int, int], ...]:
+    """For each edge class, the indices of the vertex classes at its two
+    ends (a loop at one vertex class lists it twice); memoised with the
+    vertex classes."""
+    return _compiled_vertices(t)[1]
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared test helpers: random shape vectors away from the degeneracy
-locus, and PSL(2,C) matching utilities."""
+locus, chain covers of the figure-eight knot complement, and PSL(2,C)
+matching utilities."""
 import cmath
 import itertools
 
@@ -33,6 +34,20 @@ def random_systems():
         edges = compute_edge_classes(t)
         out.append((t, edges, build_exponent_matrix(t, edges)))
     return out
+
+
+def chain_cover_text(k):
+    """The k-fold cyclic cover of fig8_complement (n = 2k, every edge of
+    degree 6): base gluing g joins tetrahedron (i, s), numbered 2 s + i, to
+    (j, s + phi(g) mod k) with phi = (0, 1, 1, 0)."""
+    base = ((0, 0, 1, 0, "0132", 0), (0, 1, 1, 1, "2103", 1),
+            (0, 2, 1, 2, "0321", 1), (0, 3, 1, 3, "1023", 0))
+    lines = ["tri v1", f"tetrahedra {2 * k}"]
+    for s in range(k):
+        for t1, f1, t2, f2, perm, phi in base:
+            lines.append(f"glue {2 * s + t1} {f1} "
+                         f"{2 * ((s + phi) % k) + t2} {f2} {perm}")
+    return "\n".join(lines) + "\n"
 
 
 def psl2_dist(A, B):

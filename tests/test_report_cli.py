@@ -15,6 +15,8 @@ from idealglue import (ConeTarget, ShapeAssignment, V_TET,
 from idealglue.cli import _parse_xi, build_parser, main
 from idealglue.report import dumps, loads
 
+from conftest import chain_cover_text
+
 
 def fig8_report():
     t = corpus("fig8_complement")
@@ -72,6 +74,21 @@ def test_converged_claim_needs_a_small_residual():
     unclaimed = verify_report(build_solution_report(t, Z, xi, res,
                                                     converged=False))
     assert all(c.ok for c in unclaimed)
+
+
+@pytest.mark.parametrize("keep", [1, 3])
+def test_report_with_targets_of_the_wrong_length_is_rejected(keep, tmp_path,
+                                                             capsys):
+    # one target used to be broadcast over both edges and pass every check
+    rep = fig8_report()
+    rep["xi"] = (rep["xi"] * 2)[:keep]
+    with pytest.raises(IdealGlueError, match=f"expected 2 xi entries .* got {keep}"):
+        verify_report(rep)
+    path = tmp_path / "report.json"
+    path.write_text(dumps(rep))
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_tampered_report_fails_verification():
@@ -244,20 +261,6 @@ def test_cli_verify_report_rejects_a_file_that_is_not_json(tmp_path, capsys,
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "not a JSON report" in err
-
-
-def chain_cover_text(k):
-    """The k-fold cyclic cover of fig8_complement (n = 2k, every edge of
-    degree 6): base gluing g joins tetrahedron (i, s), numbered 2 s + i, to
-    (j, s + phi(g) mod k) with phi = (0, 1, 1, 0)."""
-    base = ((0, 0, 1, 0, "0132", 0), (0, 1, 1, 1, "2103", 1),
-            (0, 2, 1, 2, "0321", 1), (0, 3, 1, 3, "1023", 0))
-    lines = ["tri v1", f"tetrahedra {2 * k}"]
-    for s in range(k):
-        for t1, f1, t2, f2, perm, phi in base:
-            lines.append(f"glue {2 * s + t1} {f1} "
-                         f"{2 * ((s + phi) % k) + t2} {f2} {perm}")
-    return "\n".join(lines) + "\n"
 
 
 def test_cli_develop_failure_exits_two(tmp_path, capsys):

@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from idealglue import (ConeTarget, NotConverged, NotUnitModulus, REGULAR_SHAPE,
-                       ShapeAssignment, SolverConfig,
-                       branched_cover_report, build_exponent_matrix,
+from idealglue import (ConeTarget, IdealGlueError, NotConverged,
+                       NotUnitModulus, REGULAR_SHAPE, ShapeAssignment,
+                       SolverConfig, branched_cover_report,
+                       build_exponent_matrix, build_solution_report,
                        compute_edge_classes, cone_locus_sample, corpus,
                        essential_edge_certificate, evaluate_residual,
                        newton_solve, order_of_root_of_unity, random_starts,
-                       regular_solution, sweep_family)
+                       regular_solution, sweep_family, xi_from_shapes)
 from idealglue import solver as solver_mod
 
 
@@ -245,6 +246,40 @@ def test_fig8_in_s3_cone_locus_product_identity():
         assert abs(np.prod(xi.xi) - 1) < 1e-8
 
 
+def test_sampler_targets_are_xi_from_shapes_of_the_converged_rows(monkeypatch):
+    # the kept set and each target are the per-sample xi_from_shapes ones,
+    # built from one stacked holonomy call after the loop
+    rows, calls = [], []
+    core, holonomies = solver_mod._damped_gauss_newton, solver_mod.all_holonomies
+
+    def recorded(*args):
+        rows.append(core(*args))
+        calls.clear()
+        return rows[-1]
+
+    def counted(Z, E):
+        calls.append(np.shape(Z))
+        return holonomies(Z, E)
+
+    monkeypatch.setattr(solver_mod, "_damped_gauss_newton", recorded)
+    monkeypatch.setattr(solver_mod, "all_holonomies", counted)
+    for name in ("hopf", "fig8_in_s3", "doubled_tetrahedron"):
+        t = corpus(name)
+        E = build_exponent_matrix(t)
+        cfg = SolverConfig(seed=4)
+        samples, dropped = cone_locus_sample(t, random_starts(t, 24, cfg), cfg)
+        Z, _, _, reasons = rows.pop()
+        want = []
+        for z, reason in zip(Z, reasons):
+            if reason == "converged":
+                S = ShapeAssignment(z, guard=0.0)
+                xi = xi_from_shapes(S, E)
+                if isinstance(xi, ConeTarget):
+                    want.append((S, xi))
+        assert samples == want and dropped == len(Z) - len(want)
+        assert len(calls) == 1 and calls[0][0] == reasons.count("converged")
+
+
 def test_doubled_tetrahedron_classical_curve():
     # a positive-dimensional classical solution set: distinct samples of
     # (z, 1/z) all solve xi = ones
@@ -350,3 +385,36 @@ def test_certificate_requires_convergence():
     res = newton_solve(t, ConeTarget.ones(3), ShapeAssignment((0.3 + 0.9j,)))
     with pytest.raises(NotConverged):
         essential_edge_certificate(t, res, ConeTarget.ones(3))
+
+
+# ------------------------------------------------- cone targets of the wrong length
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_newton_rejects_a_target_of_the_wrong_length(m):
+    t = corpus("fig8_complement")
+    with pytest.raises(IdealGlueError, match=f"expected 2 xi entries .* got {m}"):
+        newton_solve(t, ConeTarget.ones(m), ShapeAssignment((0.5 + 0.8j,) * 2))
+
+
+def test_sweep_rejects_a_target_of_the_wrong_length():
+    t = corpus("hopf")
+    with pytest.raises(IdealGlueError, match="expected 3 xi entries .* got 2"):
+        sweep_family(t, lambda theta: (cmath.exp(1j * theta),
+                                       cmath.exp(-1j * theta)), [1.0])
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_certificate_rejects_a_target_of_the_wrong_length(m):
+    t = corpus("fig8_complement")
+    res = newton_solve(t, ConeTarget.ones(2), ShapeAssignment((0.5 + 0.8j,) * 2))
+    with pytest.raises(IdealGlueError, match=f"expected 2 xi entries .* got {m}"):
+        essential_edge_certificate(t, res, ConeTarget.ones(m))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_report_rejects_a_target_of_the_wrong_length(m):
+    t = corpus("fig8_complement")
+    res = newton_solve(t, ConeTarget.ones(2), ShapeAssignment((0.5 + 0.8j,) * 2))
+    with pytest.raises(IdealGlueError, match=f"expected 2 xi entries .* got {m}"):
+        build_solution_report(t, res.shapes, ConeTarget.ones(m),
+                              res.residual_norm)

@@ -9,7 +9,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,22 +21,24 @@ FLAT_TOL = 1e-9
 _SERIES_RADIUS = 0.5
 _N_BERNOULLI = 48
 
-
-def _bernoulli_numbers(count: int):
-    """B_0 .. B_{count-1} as floats, by the defining recurrence in exact
-    rational arithmetic."""
-    b = [Fraction(1)]
-    for m in range(1, count):
-        acc = Fraction(0)
-        binom = 1
-        for j in range(m):
-            acc += binom * b[j]
-            binom = binom * (m + 1 - j) // (j + 1)
-        b.append(-acc / (m + 1))
-    return [float(x) for x in b]
-
-
-_BERNOULLI = _bernoulli_numbers(_N_BERNOULLI)
+# B_k by k, as floats: B_0, B_1 and the even B_2 .. B_46 (the odd B_k past
+# B_1 vanish); tests/test_geometry.py checks them against the defining
+# recurrence in exact rational arithmetic
+_BERNOULLI = {
+    0: 1.0, 1: -0.5,
+    2: 0.16666666666666666, 4: -0.03333333333333333,
+    6: 0.023809523809523808, 8: -0.03333333333333333,
+    10: 0.07575757575757576, 12: -0.2531135531135531,
+    14: 1.1666666666666667, 16: -7.092156862745098,
+    18: 54.971177944862156, 20: -529.1242424242424,
+    22: 6192.123188405797, 24: -86580.25311355312,
+    26: 1425517.1666666667, 28: -27298231.067816094,
+    30: 601580873.9006424, 32: -15116315767.092157,
+    34: 429614643061.1667, 36: -13711655205088.332,
+    38: 488332318973593.2, 40: -1.9296579341940068e+16,
+    42: 8.416930475736826e+17, 44: -4.0338071854059454e+19,
+    46: 2.1150748638081993e+21,
+}
 
 
 def _li2_series(z: complex) -> complex:
@@ -65,7 +66,8 @@ def _li2_log_series(z: complex) -> complex:
     factorial = 1.0
     for k in range(_N_BERNOULLI):
         factorial *= k + 1
-        total += _BERNOULLI[k] * upow / factorial
+        if k in _BERNOULLI:
+            total += _BERNOULLI[k] * upow / factorial
         upow *= u
     return total
 

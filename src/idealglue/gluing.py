@@ -183,6 +183,13 @@ def check_target_length(xi: ConeTarget, E: ExponentMatrix) -> None:
                              f"edge class), got {len(xi)}")
 
 
+def check_shape_length(Z, E: ExponentMatrix) -> None:
+    """Raise IdealGlueError unless Z has one shape per tetrahedron."""
+    if len(Z) != E.tet_count:
+        raise IdealGlueError(f"expected {E.tet_count} shapes (one per "
+                             f"tetrahedron), got {len(Z)}")
+
+
 def build_relation_matrix(t: Triangulation) -> np.ndarray:
     """The c-by-m cusp relation matrix W, built once per triangulation and
     memoised on it (read-only): W[v, e] counts the ends of edge class e at

@@ -15,8 +15,8 @@ from .develop import develop_spanning_tree, edge_holonomy_matrix, generator_maps
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import edge_cone_angles, solution_volume
 from .gluing import (ConeTarget, ShapeAssignment, all_holonomies,
-                     build_exponent_matrix, check_target_length,
-                     evaluate_residual)
+                     build_exponent_matrix, check_shape_length,
+                     check_target_length, evaluate_residual)
 from .solver import SolverConfig, branched_cover_report
 from .triangulation import Triangulation, compute_edge_classes
 
@@ -37,8 +37,10 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
                           certificate=None,
                           include_holonomy: bool = True) -> dict:
     """Assemble the full structured report for a solution point.  Raises
-    IdealGlueError unless xi has one target per edge class."""
+    IdealGlueError unless Z has one shape per tetrahedron and xi one target
+    per edge class."""
     edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    check_shape_length(Z, E)
     check_target_length(xi, E)
     h = all_holonomies(Z, E)
     cover = branched_cover_report(edges, xi)
@@ -119,11 +121,13 @@ def verify_report(report: dict) -> list:
     does not record the tol it was solved with), the edge-matrix
     multiplier contract, determinant normalization, and the product
     identity over the cone targets.  No solve is re-run.  Raises
-    IdealGlueError unless the report has one target per edge class."""
+    IdealGlueError unless the report has one shape per tetrahedron and one
+    target per edge class."""
     t = parse_triangulation(report["triangulation"])
     Z = ShapeAssignment(tuple(_uc(p) for p in report["shapes"]))
     xi = ConeTarget(tuple(_uc(p) for p in report["xi"]))
     edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    check_shape_length(Z, E)
     check_target_length(xi, E)
     checks = []
 

@@ -16,6 +16,17 @@ compiled once per triangulation (`compute_edge_classes`,
 `build_exponent_matrix`), and the loops evaluate h and J on raw shape
 arrays.
 
+A sweep is predictor-corrector continuation.  Once two points have
+converged, each solve starts from the Lagrange extrapolation in theta of
+log z through the last three converged points (linear while only two
+have): quadratic, so exact where log z is quadratic in theta, as on the
+families with z = exp(i theta).  The prediction is the start only when
+it is finite, off the guard band and nearer xi(theta) in residual than
+the last converged solution, which is the start otherwise.  Where the
+solution set at fixed xi has positive dimension, the start decides which
+of its points Newton reaches, so a sweep point is one solution of the
+family there, not a canonical one.
+
 The step of `newton_solve` is the min-norm least-squares solution of
 J x = -F.  J is rank-deficient, and its left null space is known: around
 each vertex class the product of the edge holonomies, each raised to the
@@ -53,8 +64,8 @@ from .errors import NotConverged, NotUnitModulus
 from .geometry import V_TET
 from .gluing import (DEGENERACY_GUARD, ConeTarget, ShapeAssignment,
                      all_holonomies, build_exponent_matrix,
-                     build_relation_matrix, check_target_length,
-                     evaluate_residual, jacobian)
+                     build_relation_matrix, check_shape_length,
+                     check_target_length, evaluate_residual, jacobian)
 from .triangulation import Triangulation, compute_edge_classes
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -209,9 +220,11 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
     it from lstsq (`_least_squares_step`).  When the step is tiny or
     cannot be damped into a decrease (a stationary point of |F|^2 away
     from a solution), three deterministic kicks are tried next.  Raises
-    IdealGlueError unless xi has one target per edge class.
+    IdealGlueError unless `initial` has one shape per tetrahedron and xi
+    one target per edge class.
     """
     E = build_exponent_matrix(t)
+    check_shape_length(initial, E)
     check_target_length(xi, E)
     obstructed = degree_one_obstructions(compute_edge_classes(t), xi)
     if obstructed:
@@ -276,26 +289,69 @@ class SweepPoint:
     result: SolveResult
 
 
+def _predicted_start(thetas, Z, theta, seed, E, target):
+    """The start of a sweep's solve at theta: the Lagrange polynomial
+    through the points (thetas[k], log Z[k]), evaluated at theta and
+    mapped back by exp, when it is finite, lies off the guard band around
+    {0, 1} and has a smaller residual |h(z) - target| than `seed`;
+    otherwise `seed`.  The logs are taken relative to the last row, so
+    their branch never jumps between nearby rows."""
+    if len(set(thetas)) < len(thetas):
+        return seed
+    w = [math.prod((theta - tj) / (tk - tj) for tj in thetas if tj != tk)
+         for tk in thetas]
+    last = np.array(Z[-1])
+    with np.errstate(all="ignore"):     # a non-finite start is rejected
+        z = last * np.exp(np.dot(w, np.log(np.array(Z) / last)))
+        if not np.isfinite(z).all() or _in_guard(z):
+            return seed
+        r = _norms(evaluate_residual(np.array([z, seed.z]), E, target))
+    return ShapeAssignment(z, guard=0.0) if r[0] < r[1] else seed
+
+
 def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
                  cfg: SolverConfig = SolverConfig(),
                  initial: ShapeAssignment | None = None) -> list:
-    """Continuation along a parameterized family of cone targets.
+    """Continuation along a parameterized family of cone targets, one
+    `newton_solve` per theta.
 
-    Each solve is seeded from the last converged solution; failures are
-    recorded and the sweep continues from the surviving seed.
+    The first solve starts from `initial`, the next from the first
+    converged solution.  Once two or more points have converged, each
+    solve starts from a prediction: the Lagrange extrapolation in theta
+    of log z through the last three converged points (quadratic; linear
+    while only two have converged), mapped back by exp.  The prediction
+    is taken only when it is finite, lies off the guard band around
+    {0, 1}, and its residual |h(z) - xi(theta)| is smaller than that of
+    the last converged solution, which is the start otherwise.  Failures
+    are recorded and the sweep continues from the converged points before
+    them.
+
+    Where the solution set at fixed xi has positive dimension, the start
+    decides which of its points the solve reaches: a sweep point is one
+    solution of the family there, not a canonical one.  Raises
+    IdealGlueError unless `initial` has one shape per tetrahedron and each
+    target one entry per edge class.
     """
+    E = build_exponent_matrix(t)
     if initial is None:
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
-    seed = initial
+    check_shape_length(initial, E)
+    seed, thetas, past = initial, [], []    # the last converged points
     out = []
     for theta in theta_grid:
         xi = xi_of_theta(theta)
         if not isinstance(xi, ConeTarget):
             xi = ConeTarget(xi)
-        res = newton_solve(t, xi, seed, cfg)
-        out.append(SweepPoint(float(theta), res))
+        check_target_length(xi, E)
+        theta, start = float(theta), seed
+        if len(past) > 1:
+            start = _predicted_start(thetas, past, theta, seed, E,
+                                     np.array(xi.xi))
+        res = newton_solve(t, xi, start, cfg)
+        out.append(SweepPoint(theta, res))
         if res.converged:
             seed = res.shapes
+            thetas, past = thetas[-2:] + [theta], past[-2:] + [seed.z]
     return out
 
 
@@ -328,10 +384,14 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     of 1 are returned with their cone target, others are dropped.
 
     Returns (samples, dropped_count) where samples is a list of
-    (ShapeAssignment, ConeTarget).
+    (ShapeAssignment, ConeTarget).  Raises IdealGlueError unless every
+    start has one shape per tetrahedron.
     """
     E = build_exponent_matrix(t)
     n = t.tetra_count
+    starts = list(starts)
+    for start in starts:
+        check_shape_length(start, E)
 
     def residual(Z):
         return np.abs(all_holonomies(Z, E)) - 1.0
@@ -435,10 +495,11 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
 
     With xi = (1, ..., 1) the conclusion applies to the triangulation itself;
     otherwise to the branched cover with branch index o(xi_e) at edge e.
-    Raises NotConverged on a failed solve, and IdealGlueError unless xi
-    has one target per edge class.
+    Raises NotConverged on a failed solve, and IdealGlueError unless the
+    solve has one shape per tetrahedron and xi one target per edge class.
     """
     edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    check_shape_length(result.shapes, E)
     check_target_length(xi, E)
     if not result.converged:
         raise NotConverged(result.reason or "solve did not converge")

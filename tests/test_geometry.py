@@ -1,6 +1,7 @@
 """Dilogarithm, Bloch-Wigner volume, dihedral angles."""
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from idealglue import (BranchCut, DegenerateShape, ShapeAssignment, V_TET,
                        bloch_wigner, build_exponent_matrix,
                        compute_edge_classes, corpus, dihedral_angles, dilog,
                        edge_cone_angles, solution_volume)
+from idealglue.geometry import _BERNOULLI, _N_BERNOULLI
 from idealglue.gluing import SLOT_LABELS
 from conftest import random_shapes, random_systems
 
@@ -27,6 +29,16 @@ def test_dilog_special_values():
     series_half = sum((0.5 ** k) / k ** 2 for k in range(1, 60))
     assert abs(dilog(0.5) - series_half) < 1e-15
     assert abs(dilog(0.5) - (math.pi ** 2 / 12 - math.log(2) ** 2 / 2)) < 1e-14
+
+
+def test_bernoulli_table_is_the_recurrence():
+    # B_0 .. B_47 from sum_{j <= m} C(m + 1, j) B_j = 0, exactly; the table
+    # holds the nonzero ones as floats, and every odd B_k past B_1 is 0
+    b = [Fraction(1)]
+    for m in range(1, _N_BERNOULLI):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    assert _BERNOULLI == {k: float(x) for k, x in enumerate(b) if x}
+    assert sorted(_BERNOULLI) == [0, 1] + list(range(2, _N_BERNOULLI, 2))
 
 
 def test_dilog_branch_cut():

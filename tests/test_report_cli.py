@@ -91,6 +91,25 @@ def test_report_with_targets_of_the_wrong_length_is_rejected(keep, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("shapes", [
+    lambda z: z + [[0.3, 0.4]],     # used to pass every check, exit 0
+    lambda z: z[:-1],               # used to die with an IndexError, exit 1
+], ids=["extra", "short"])
+def test_report_with_a_wrong_shape_count_is_rejected(shapes, tmp_path, capsys):
+    code, out, err = run_cli(capsys, "certify", "--corpus", "fig8_complement",
+                             "--json")
+    rep = json.loads(out)
+    rep["shapes"] = shapes(rep["shapes"])
+    with pytest.raises(IdealGlueError,
+                       match=f"expected 2 shapes .* got {len(rep['shapes'])}"):
+        verify_report(rep)
+    path = tmp_path / "report.json"
+    path.write_text(dumps(rep))
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: expected 2 shapes") and err.count("\n") == 1
+
+
 def test_tampered_report_fails_verification():
     rep = fig8_report()
     rep["residual_norm"] = rep["residual_norm"] + 1e-6

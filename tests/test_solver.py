@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from idealglue import (ConeTarget, IdealGlueError, NotConverged,
+from idealglue import (CORPUS_NAMES, ConeTarget, IdealGlueError, NotConverged,
                        NotUnitModulus, REGULAR_SHAPE, ShapeAssignment,
                        SolverConfig, branched_cover_report,
                        build_exponent_matrix, build_solution_report,
@@ -15,6 +15,7 @@ from idealglue import (ConeTarget, IdealGlueError, NotConverged,
                        newton_solve, order_of_root_of_unity, random_starts,
                        regular_solution, sweep_family, xi_from_shapes)
 from idealglue import solver as solver_mod
+from conftest import random_systems
 
 
 def xi_by_degree(t, mapping):
@@ -225,6 +226,127 @@ def test_sweep_agrees_with_from_scratch_solves(rng):
                     assert abs(scratch.shapes[0] - p.result.shapes[0]) < 1e-8
 
 
+# ------------------------------------------- predictor-corrector sweeps
+
+# xi_e(theta) = exp(i w_e theta) with w_e by the degree of e: the solution is
+# z = exp(i theta), so z(pi/3) is the regular shape
+CLOSED_FORM = {"hopf": {1: 1, 4: -2}, "trefoil": {1: 1, 5: -1}}
+
+
+def closed_form_family(t, weights):
+    degrees = [e.degree for e in compute_edge_classes(t)]
+    return lambda theta: ConeTarget(tuple(cmath.exp(1j * weights[d] * theta)
+                                          for d in degrees))
+
+
+def regular_family(t):
+    """xi_e(theta) = exp(i (pi d_e / 3 + w_e theta)) with w_e = (-1)^e (0
+    for the last of an odd number of edges): through the regular solution
+    at theta = 0."""
+    degrees = [e.degree for e in compute_edge_classes(t)]
+    weights = [(-1) ** j for j in range(len(degrees))]
+    if len(degrees) % 2:
+        weights[-1] = 0
+    return lambda theta: ConeTarget(tuple(
+        cmath.exp(1j * (math.pi * d / 3 + w * theta))
+        for d, w in zip(degrees, weights)))
+
+
+def plain_continuation(t, xi_of, grid):
+    """The oracle: each solve starts from the last converged shapes."""
+    seed = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
+    out = []
+    for theta in grid:
+        res = newton_solve(t, xi_of(theta), seed)
+        out.append(res)
+        if res.converged:
+            seed = res.shapes
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+def test_predicted_sweep_halves_the_iterations(name):
+    t = corpus(name)
+    xi_of = closed_form_family(t, CLOSED_FORM[name])
+    grid = [math.pi / 3 + 1.2 * j / 63 for j in range(64)]
+    points = sweep_family(t, xi_of, grid)
+    for theta, p in zip(grid, points):
+        assert p.result.converged
+        assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
+    oracle = plain_continuation(t, xi_of, grid)
+    assert (2 * sum(p.result.iterations for p in points)
+            <= sum(res.iterations for res in oracle))
+
+
+def sweep_families():
+    for name in ("hopf", "trefoil"):
+        t = corpus(name)
+        yield name, t, closed_form_family(t, CLOSED_FORM[name]), math.pi / 3
+    for name in sorted(CORPUS_NAMES):
+        t = corpus(name)
+        yield name, t, regular_family(t), 0.0
+    for t, _, _ in random_systems():
+        yield f"random{t.tetra_count}", t, regular_family(t), 0.0
+
+
+@pytest.mark.parametrize("span", [0.6, -0.6])
+def test_predicted_sweep_converges_where_plain_continuation_does(span):
+    # windows as wide as cone_explore's; where a family runs into an ideal
+    # point, the start decides whether Newton converges, and the two
+    # sweeps can then differ either way
+    tol = SolverConfig().tol
+    for name, t, xi_of, theta0 in sweep_families():
+        grid = [theta0 + span * j / 63 for j in range(64)]
+        points = sweep_family(t, xi_of, grid)
+        oracle = plain_continuation(t, xi_of, grid)
+        assert ([p.result.converged for p in points]
+                == [res.converged for res in oracle]), name
+        for p, res in zip(points, oracle):
+            if p.result.converged:
+                assert p.result.residual_norm < tol
+                if name in ("hopf", "trefoil", "fig8_complement",
+                            "fig8_in_s3"):
+                    assert np.abs(np.subtract(p.result.shapes.z,
+                                              res.shapes.z)).max() < 1e-9
+
+
+def test_sweep_starts_from_the_previous_solution_when_the_prediction_is_worse(
+        monkeypatch):
+    starts = []
+
+    def recorded(t, xi, initial, cfg):
+        starts.append(initial)
+        return newton_solve(t, xi, initial, cfg)
+
+    monkeypatch.setattr(solver_mod, "newton_solve", recorded)
+    t = random_systems()[0][0]
+    E = build_exponent_matrix(t)
+    xi_of = regular_family(t)
+    grid = [2.0 * j / 15 for j in range(16)]
+    points = sweep_family(t, xi_of, grid)
+    assert all(p.result.converged for p in points)
+    taken = kept = 0
+    for k in range(3, len(grid)):
+        # the quadratic through log z at the last three thetas, by polyfit
+        Z = np.array([p.result.shapes.z for p in points[k - 3:k]])
+        coeffs = np.polyfit(grid[k - 3:k], np.log(Z / Z[-1]), 2)
+        pred = Z[-1] * np.exp(np.polyval(coeffs, grid[k]))
+        r_pred, r_prev = (
+            np.linalg.norm(evaluate_residual(z, E, xi_of(grid[k])))
+            for z in (pred, Z[-1]))
+        if starts[k] is points[k - 1].result.shapes:
+            assert r_pred >= r_prev * (1 - 1e-9)
+            kept += 1
+        else:
+            assert r_pred < r_prev * (1 + 1e-9)
+            assert np.abs(np.subtract(starts[k].z, pred)).max() < 1e-9
+            taken += 1
+    assert starts[0].z == (REGULAR_SHAPE,) * t.tetra_count
+    assert starts[1] is points[0].result.shapes
+    assert starts[2] is not points[1].result.shapes     # linear prediction
+    assert taken and kept
+
+
 # ------------------------------------------------------------- cone sampling
 
 def test_hopf_cone_locus_is_unit_circle():
@@ -418,3 +540,32 @@ def test_report_rejects_a_target_of_the_wrong_length(m):
     with pytest.raises(IdealGlueError, match=f"expected 2 xi entries .* got {m}"):
         build_solution_report(t, res.shapes, ConeTarget.ones(m),
                               res.residual_norm)
+
+
+# ------------------------------------------------- shape vectors of the wrong length
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_solves_reject_a_start_of_the_wrong_length(n):
+    t = corpus("fig8_complement")
+    Z, xi = ShapeAssignment((0.5 + 0.8j,) * n), ConeTarget.ones(2)
+    match = f"expected 2 shapes .* got {n}"
+    with pytest.raises(IdealGlueError, match=match):
+        newton_solve(t, xi, Z)
+    with pytest.raises(IdealGlueError, match=match):
+        sweep_family(t, lambda theta: xi, [0.0, 0.1], initial=Z)
+    with pytest.raises(IdealGlueError, match=match):
+        cone_locus_sample(t, [ShapeAssignment((0.5 + 0.8j,) * 2), Z])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_certificate_and_report_reject_shapes_of_the_wrong_length(n):
+    t = corpus("fig8_complement")
+    xi = ConeTarget.ones(2)
+    res = newton_solve(t, xi, ShapeAssignment((0.5 + 0.8j,) * 2))
+    Z = ShapeAssignment((res.shapes[0],) * n)
+    match = f"expected 2 shapes .* got {n}"
+    with pytest.raises(IdealGlueError, match=match):
+        essential_edge_certificate(
+            t, solver_mod.SolveResult(Z, 0.0, 0, True), xi)
+    with pytest.raises(IdealGlueError, match=match):
+        build_solution_report(t, Z, xi, 0.0)

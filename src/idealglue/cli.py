@@ -128,10 +128,11 @@ def _cmd_info(args) -> int:
 def _cmd_equations(args) -> int:
     t = _load_triangulation(args)
     edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    dense = E.a, E.a_prime, E.a_second
     lines = []
     for e in edges:
         factors = []
-        a, ap, app = E.row(e.index)
+        a, ap, app = (M[e.index] for M in dense)
         for i in range(t.tetra_count):
             for count, name in ((a[i], "z"), (ap[i], "z'"), (app[i], "z''")):
                 if count:
@@ -141,9 +142,9 @@ def _cmd_equations(args) -> int:
                      + " = xi_" + str(e.index))
     payload = {
         "edge_degrees": [e.degree for e in edges],
-        "a": E.a.tolist(),
-        "a_prime": E.a_prime.tolist(),
-        "a_second": E.a_second.tolist(),
+        "a": dense[0].tolist(),
+        "a_prime": dense[1].tolist(),
+        "a_second": dense[2].tolist(),
         "slot_labels": {str(EDGE_SLOTS[k]): LABEL_NAMES[SLOT_LABELS[k]]
                         for k in range(6)},
     }

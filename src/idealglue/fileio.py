@@ -8,29 +8,27 @@ One `glue` line per identified face pair, written from the lexicographically
 smaller (tet, face) side and sorted by it; p0p1p2p3 are the images of the
 vertex permutation.  parse(format(t)) is the identity on canonical files.
 
-The parser maps each permutation token to its shared VertexPermutation with
-one dict lookup over the 24 tokens, which is also the bijection check.
+The parser turns each line into the integer tuple (t1, f1, t2, f2, p) of
+the triangulation's pair table, p the permutation's index, found with one
+dict lookup over the 24 tokens, which is also the bijection check.
 """
 from __future__ import annotations
 
-import itertools
-
 from .errors import ParseError
-from .triangulation import (FaceGluing, Triangulation, VertexPermutation,
-                            require_valid)
+from .triangulation import PERMUTATIONS, Triangulation, require_valid
 
 HEADER = "tri v1"
 
-# Each of the 24 tokens p0p1p2p3 to its shared VertexPermutation: one lookup
-# converts a token and checks that it is a bijection of {0,1,2,3}.
-_PERMUTATION_OF_TOKEN = {"".join(map(str, p)): VertexPermutation(p)
-                         for p in itertools.permutations(range(4))}
+# p0p1p2p3 by permutation index, and back: one lookup converts a token and
+# checks that it is a bijection of {0,1,2,3}
+_TOKENS = tuple("".join(map(str, p.images)) for p in PERMUTATIONS)
+_INDEX_OF_TOKEN = {token: k for k, token in enumerate(_TOKENS)}
 
 
 def format_triangulation(t: Triangulation) -> str:
+    tokens = _TOKENS
     lines = [HEADER, f"tetrahedra {t.tetra_count}"]
-    for g in t.gluings:
-        lines.append(str(g))
+    lines += [f"glue {a} {b} {c} {d} {tokens[p]}" for a, b, c, d, p in t._pairs]
     return "\n".join(lines) + "\n"
 
 
@@ -50,28 +48,29 @@ def parse_triangulation_lenient(text: str) -> Triangulation:
         raise ParseError(2, f"bad tetrahedron count {head[1]!r}") from None
 
     bound = max(n, 1)
-    gluings = []
+    pairs = []
+    append, index_of = pairs.append, _INDEX_OF_TOKEN.get
     for lineno, line in enumerate(lines[2:], start=3):
         parts = line.split()
-        if not parts:
-            continue
-        if parts[0] != "glue" or len(parts) != 6:
+        if len(parts) != 6 or parts[0] != "glue":
+            if not parts:
+                continue
             raise ParseError(lineno, f"unrecognized line {line.strip()!r}")
+        _, t1, f1, t2, f2, token = parts
         try:
-            t1, f1, t2, f2 = map(int, parts[1:5])
+            t1, f1, t2, f2 = int(t1), int(f1), int(t2), int(f2)
         except ValueError:
             raise ParseError(lineno, "indices must be integers") from None
-        token = parts[5]
-        perm = _PERMUTATION_OF_TOKEN.get(token)
-        if perm is None:
+        p = index_of(token)
+        if p is None:
             if len(token) != 4 or not (token.isascii() and token.isdigit()):
                 raise ParseError(lineno, f"bad permutation {token!r}")
             raise ParseError(lineno, f"permutation {token!r} is not a bijection")
-        for tet, face in ((t1, f1), (t2, f2)):
-            if not (0 <= tet < bound and 0 <= face < 4):
-                raise ParseError(lineno, f"face ({tet},{face}) out of range")
-        gluings.append(FaceGluing(t1, f1, t2, f2, perm))
-    return Triangulation(n, gluings)
+        if not (0 <= t1 < bound and 0 <= f1 < 4 and 0 <= t2 < bound and 0 <= f2 < 4):
+            tet, face = (t2, f2) if 0 <= t1 < bound and 0 <= f1 < 4 else (t1, f1)
+            raise ParseError(lineno, f"face ({tet},{face}) out of range")
+        append((t1, f1, t2, f2, p))
+    return Triangulation(n, pairs)
 
 
 def parse_triangulation(text: str) -> Triangulation:

@@ -3,6 +3,10 @@
 The volume of the ideal tetrahedron of shape z is the Bloch-Wigner function
 D(z) = Im Li2(z) + arg(1-z) log|z|; it is positive for Im z > 0, zero for
 real shapes (flat tetrahedra) and odd under conjugation.
+
+D, the dihedral angles and the cone angles (sums over the exponent
+matrix's nonzero pairs) are array kernels; the scalar `bloch_wigner` and
+`dihedral_angles` are their one-element cases.
 """
 from __future__ import annotations
 
@@ -13,12 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCut, DegenerateShape
-from .gluing import ExponentMatrix, ShapeAssignment, derive_shape_triple
+from .gluing import ExponentMatrix, ShapeAssignment, check_nondegenerate
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
 FLAT_TOL = 1e-9
 
-_SERIES_RADIUS = 0.5
 _N_BERNOULLI = 48
 
 # B_k by k, as floats: B_0, B_1 and the even B_2 .. B_46 (the odd B_k past
@@ -41,45 +44,34 @@ _BERNOULLI = {
 }
 
 
-def _li2_series(z: complex) -> complex:
-    """Direct sum of z^k / k^2; use only for |z| <= 1/2."""
-    total = 0.0 + 0.0j
-    term = complex(z)
-    k = 1
-    while True:
-        add = term / (k * k)
-        total += add
-        if abs(add) <= 1e-18 * max(1.0, abs(total)):
-            return total
-        term *= z
-        k += 1
-        if k > 200:
-            return total
+# B_{2j} / (2j+1)! for j = 23, ..., 1: the Horner coefficients of the
+# Bernoulli series in u^2
+_HORNER = tuple(_BERNOULLI[2 * j] / math.factorial(2 * j + 1)
+                for j in range(_N_BERNOULLI // 2 - 1, 0, -1))
 
 
-def _li2_log_series(z: complex) -> complex:
-    """Li2(z) = sum_k B_k u^{k+1} / (k+1)! with u = -log(1-z); converges for
-    |u| < 2 pi, used in the annulus where neither z nor 1-z is small."""
-    u = -cmath.log(1.0 - z)
-    total = 0.0 + 0.0j
-    upow = u
-    factorial = 1.0
-    for k in range(_N_BERNOULLI):
-        factorial *= k + 1
-        if k in _BERNOULLI:
-            total += _BERNOULLI[k] * upow / factorial
-        upow *= u
-    return total
+def _li2_of_log(u):
+    """Li2(w) from u = -log(1 - w), a complex or an array of them: the
+    Bernoulli series sum_k B_k u^(k+1) / (k+1)!, which converges for
+    |u| < 2 pi, summed to B_46 in Horner form in u^2."""
+    v = u * u
+    acc = _HORNER[0]
+    for c in _HORNER[1:]:
+        acc *= v
+        acc += c
+    return u - 0.25 * v + u * v * acc
 
 
 def dilog(z: complex) -> complex:
     """Principal-branch dilogarithm Li2(z), accurate to ~1e-14 absolute.
 
-    Strategy: direct series inside |z| <= 1/2; the inversion identity
-    Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2/2 for |z| > 1; the reflection
-    Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z) near 1; the Bernoulli
-    log-series elsewhere.  The boundary value Li2(1) = pi^2/6 is returned at
-    exactly 1; real z > 1 lies on the branch cut and raises BranchCut.
+    The inversion identity Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2/2 takes
+    |z| > 1 into the unit disk, and the reflection
+    Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z) takes its part with
+    Re z > 1/2 to Re z < 1/2, where |log(1 - z)| < 1.8 and the Bernoulli
+    series `_li2_of_log` converges fast.  The boundary value
+    Li2(1) = pi^2/6 is returned at exactly 1; real z > 1 lies on the branch
+    cut and raises BranchCut.
     """
     z = complex(z)
     if z.imag == 0.0:
@@ -89,15 +81,39 @@ def dilog(z: complex) -> complex:
             raise BranchCut(f"Li2 evaluated on the cut [1, oo): z = {z.real}")
     if abs(z) > 1.0:
         return -dilog(1.0 / z) - PI2_OVER_6 - 0.5 * cmath.log(-z) ** 2
-    if abs(z) <= _SERIES_RADIUS:
-        return _li2_series(z)
-    if abs(1.0 - z) <= _SERIES_RADIUS:
-        return PI2_OVER_6 - cmath.log(z) * cmath.log(1.0 - z) - _li2_series(1.0 - z)
-    return _li2_log_series(z)
+    if z.real > 0.5:
+        return PI2_OVER_6 - cmath.log(z) * cmath.log(1.0 - z) - dilog(1.0 - z)
+    return _li2_of_log(-cmath.log(1.0 - z))
+
+
+def _triples(z: np.ndarray) -> np.ndarray:
+    """(z, z', z'') per shape, as the columns of an n-by-3 array."""
+    return np.stack([z, 1.0 / (1.0 - z), (z - 1.0) / z], axis=-1)
+
+
+def _bloch_wigner_array(z: np.ndarray) -> np.ndarray:
+    """D(z) for a 1-D array of shapes off {0, 1}; exactly 0 where Im z = 0.
+
+    D takes the same value at the three shapes (z, z', z'') (Zagier, "The
+    Dilogarithm Function", 2007), and at each w of them
+    D(w) = Im Li2(w) - Im(u) log|w| with u = -log(1 - w), the log of the
+    shape that follows w in the cycle z -> z' -> z'' -> z.  There
+    Li2(w) = sum_k B_k u^(k+1) / (k+1)!, a series that converges for
+    |u| < 2 pi (`_li2_of_log`).  The w whose u is least is taken; that |u|
+    is largest, pi/3, at the regular shape, where the three agree.
+    """
+    triple = _triples(z)
+    mod, arg = np.log(np.abs(triple)), np.angle(triple)
+    # u = log of triple[k]: w = triple[k - 1]
+    rows, k = np.arange(len(z)), np.argmin(mod * mod + arg * arg, axis=-1)
+    u = mod[rows, k] + 1j * arg[rows, k]
+    d = _li2_of_log(u).imag - u.imag * mod[rows, k - 1]
+    return np.where(z.imag == 0.0, 0.0, d)
 
 
 def bloch_wigner(z: complex) -> float:
-    """D(z) = Im Li2(z) + arg(1-z) log|z|.
+    """D(z) = Im Li2(z) + arg(1-z) log|z|, evaluated as the one-element
+    `_bloch_wigner_array`.
 
     Exactly zero for real z (flat tetrahedra), by the conjugation
     antisymmetry D(conj z) = -D(z).
@@ -105,13 +121,13 @@ def bloch_wigner(z: complex) -> float:
     z = complex(z)
     if z == 0.0 or z == 1.0:
         raise DegenerateShape(f"D undefined at {z}")
-    if z.imag == 0.0:
-        return 0.0
-    return dilog(z).imag + cmath.phase(1.0 - z) * math.log(abs(z))
+    return float(_bloch_wigner_array(np.array([z]))[0])
 
 
-# volume of the regular ideal tetrahedron, D(e^{i pi/3})
-V_TET = bloch_wigner(cmath.exp(1j * math.pi / 3.0))
+# volume of the regular ideal tetrahedron, D(exp(i pi / 3)) = Cl2(pi / 3);
+# a literal, so that importing the package runs no array kernel
+# (tests/test_geometry.py checks it against bloch_wigner and mpmath)
+V_TET = 1.0149416064096537
 
 
 @dataclass(frozen=True)
@@ -123,17 +139,22 @@ class VolumeReport:
 
 
 def solution_volume(Z: ShapeAssignment) -> VolumeReport:
-    """Per-tetrahedron Bloch-Wigner volumes and their sum."""
-    vols, flats, negs = [], [], []
-    for i, z in enumerate(Z.z):
-        if abs(z.imag) < FLAT_TOL:
-            flats.append(i)
-            vols.append(0.0)
-            continue
-        if z.imag < 0:
-            negs.append(i)
-        vols.append(bloch_wigner(z))
-    return VolumeReport(tuple(vols), float(sum(vols)), tuple(flats), tuple(negs))
+    """Per-tetrahedron Bloch-Wigner volumes, evaluated as one array, and
+    their sum."""
+    z = np.array(Z.z, dtype=complex)
+    flat = np.abs(z.imag) < FLAT_TOL
+    vols = np.where(flat, 0.0, _bloch_wigner_array(z)).tolist()
+    return VolumeReport(tuple(vols), float(sum(vols)),
+                        tuple(np.flatnonzero(flat).tolist()),
+                        tuple(np.flatnonzero(~flat & (z.imag < 0)).tolist()))
+
+
+def _dihedral_array(z: np.ndarray) -> np.ndarray:
+    """(arg z, arg z', arg z'') per shape, as the columns of an n-by-3
+    array, normalized to (-pi, pi]."""
+    angles = np.angle(_triples(z))
+    angles[angles <= -math.pi] = math.pi
+    return angles
 
 
 def dihedral_angles(z: complex):
@@ -143,21 +164,18 @@ def dihedral_angles(z: complex):
     sum pi.  For real z the triple degenerates to a (0, pi, 0) pattern, still
     summing to pi.
     """
-    triple = derive_shape_triple(z)
-    out = []
-    for w in triple:
-        a = cmath.phase(w)
-        if a <= -math.pi:
-            a = math.pi
-        out.append(a)
-    return tuple(out)
+    z = check_nondegenerate(z)
+    return tuple(_dihedral_array(np.array([z]))[0].tolist())
 
 
 def edge_cone_angles(Z: ShapeAssignment, E: ExponentMatrix) -> np.ndarray:
-    """Total angle around each edge: the sum of the slot angles.
+    """Total angle around each edge: the sum of the slot angles, over the
+    nonzero (edge, tetrahedron) pairs.
 
     This recovers arg h(e) + 2 pi k with the correct winding k, which arg of
     the holonomy product alone cannot provide.
     """
-    t0, t1, t2 = np.array([dihedral_angles(z) for z in Z.z]).T
-    return E.a @ t0 + E.a_prime @ t1 + E.a_second @ t2
+    angles = _dihedral_array(np.array(Z.z, dtype=complex))[E.cols]
+    return np.add.reduceat(E.pair_a * angles[:, 0]
+                           + E.pair_a_prime * angles[:, 1]
+                           + E.pair_a_second * angles[:, 2], E.row_starts)

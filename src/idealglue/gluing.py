@@ -11,17 +11,23 @@ module, the consistent assignment is
 that the composed rotation around an edge has multiplier h(e); see the
 developing-module tests, which pin this down against the closed-form Hopf
 and trefoil holonomies).
+
+The equations are read off the triangulation's compiled tables
+(`triangulation.edge_tables`, `vertex_tables`): the exponent matrix is kept
+as its nonzero (edge, tetrahedron) pairs, counted with `np.bincount` from
+the slots on each edge class's orbit, and the cusp relation matrix W from
+the vertex classes at each edge's ends; both are built once per
+triangulation, and h, J and the residual are evaluated over the pairs.
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateShape, IdealGlueError, NotUnitModulus
-from .triangulation import (SLOT_INDEX, Triangulation, compute_edge_classes,
-                            compute_vertex_classes, edge_end_classes)
+from .triangulation import SLOT_INDEX, Triangulation, edge_tables, vertex_tables
 
 DEGENERACY_GUARD = 1e-8
 
@@ -30,6 +36,7 @@ LABEL_NAMES = ("z", "z'", "z''")
 
 # slot index (into EDGE_SLOTS) -> label
 SLOT_LABELS = (LABEL_Z, LABEL_ZPP, LABEL_ZP, LABEL_ZP, LABEL_ZPP, LABEL_Z)
+_SLOT_LABELS = np.array(SLOT_LABELS)
 
 
 def edge_slot_label(slot) -> str:
@@ -106,73 +113,68 @@ class ConeTarget:
         return cls((1.0 + 0.0j,) * m)
 
 
-@dataclass(frozen=True)
 class ExponentMatrix:
-    """Slot-label counts a, a', a'' per (edge class, tetrahedron).
+    """Slot-label counts a, a', a'' per (edge class, tetrahedron), kept as
+    their nonzero pairs.
 
-    Row j of each m-by-n matrix counts the slots of each tetrahedron in edge
-    class j carrying the corresponding label.  Each tetrahedron has two slots
-    of each label, so every column of each matrix sums to 2, and row sums
-    across the three matrices give the edge degrees.
+    a[j, i] counts the slots of tetrahedron i in edge class j that carry
+    the label z, and a', a'' likewise for z', z''.  Each tetrahedron has two
+    slots of each label, so every column of each m-by-n matrix sums to 2,
+    and row sums across the three give the edge degrees.
 
-    The nonzero (edge, tetrahedron) pairs, in row-major order, are also
-    kept as index arrays `rows`, `cols` with their exponents `pair_a`,
+    The nonzero (edge, tetrahedron) pairs, in row-major order, are the
+    index arrays `rows`, `cols` with their exponents `pair_a`,
     `pair_a_prime`, `pair_a_second`; `row_starts[j]` is the first pair of
-    edge j.  The arrays are shared and read-only.
+    edge j.  The arrays are shared and read-only.  The dense matrices `a`,
+    `a_prime`, `a_second` are built when read.
     """
 
-    a: np.ndarray
-    a_prime: np.ndarray
-    a_second: np.ndarray
-    rows: np.ndarray = field(init=False)
-    cols: np.ndarray = field(init=False)
-    pair_a: np.ndarray = field(init=False)
-    pair_a_prime: np.ndarray = field(init=False)
-    pair_a_second: np.ndarray = field(init=False)
-    row_starts: np.ndarray = field(init=False)
+    __slots__ = ("edge_count", "tet_count", "rows", "cols", "pair_a",
+                 "pair_a_prime", "pair_a_second", "row_starts")
 
-    def __post_init__(self):
-        rows, cols = np.nonzero(self.a + self.a_prime + self.a_second)
-        derived = {
-            "rows": rows, "cols": cols,
-            "pair_a": self.a[rows, cols],
-            "pair_a_prime": self.a_prime[rows, cols],
-            "pair_a_second": self.a_second[rows, cols],
-            "row_starts": np.searchsorted(rows, np.arange(self.a.shape[0])),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
-        for value in (self.a, self.a_prime, self.a_second, *derived.values()):
-            value.setflags(write=False)
+    def __init__(self, edge_count: int, tet_count: int, rows, cols, counts):
+        self.edge_count, self.tet_count = edge_count, tet_count
+        self.rows, self.cols = rows, cols
+        self.pair_a, self.pair_a_prime, self.pair_a_second = (
+            np.ascontiguousarray(counts.T))
+        self.row_starts = np.searchsorted(rows, np.arange(edge_count))
+        for name in self.__slots__[2:]:
+            getattr(self, name).setflags(write=False)
 
-    @property
-    def edge_count(self) -> int:
-        return self.a.shape[0]
+    def _dense(self, counts) -> np.ndarray:
+        M = np.zeros((self.edge_count, self.tet_count), dtype=int)
+        M[self.rows, self.cols] = counts
+        M.setflags(write=False)
+        return M
 
-    @property
-    def tet_count(self) -> int:
-        return self.a.shape[1]
-
-    def row(self, j: int):
-        return self.a[j], self.a_prime[j], self.a_second[j]
+    a = property(lambda self: self._dense(self.pair_a))
+    a_prime = property(lambda self: self._dense(self.pair_a_prime))
+    a_second = property(lambda self: self._dense(self.pair_a_second))
 
     def degrees(self):
-        return (self.a + self.a_prime + self.a_second).sum(axis=1)
+        return np.add.reduceat(self.pair_a + self.pair_a_prime
+                               + self.pair_a_second, self.row_starts)
 
 
 def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
     """The exponent matrix of t's edge classes, built once per
     triangulation and memoised on it.  `edges` (t's own edge classes) is
     ignored; it stays in the signature because the benchmark harness and
-    the tests pass it."""
+    the tests pass it.
+
+    Each slot on an edge class's orbit adds one to the count of its label
+    at (class, tetrahedron): the pairs are the distinct keys
+    class * n + tetrahedron, and `np.bincount` counts the labels per key.
+    """
     if t._exponent_matrix is None:
-        classes = compute_edge_classes(t)
-        mats = [np.zeros((len(classes), t.tetra_count), dtype=int)
-                for _ in range(3)]
-        for e in classes:
-            for (tet, slot, _) in e.cycle:
-                mats[SLOT_LABELS[slot]][e.index, tet] += 1
-        t._exponent_matrix = ExponentMatrix(*mats)
+        tables, n = edge_tables(t), t.tetra_count
+        slot = tables.fwd >> 1
+        keys, pair = np.unique(tables.fwd_class * n + slot // 6,
+                               return_inverse=True)
+        counts = np.bincount(3 * pair + _SLOT_LABELS[slot % 6],
+                             minlength=3 * len(keys)).reshape(-1, 3)
+        t._exponent_matrix = ExponentMatrix(len(tables.starts), n,
+                                            keys // n, keys % n, counts)
     return t._exponent_matrix
 
 
@@ -201,8 +203,8 @@ def build_relation_matrix(t: Triangulation) -> np.ndarray:
     null space of the Jacobian (Neumann-Zagier).
     """
     if t._relation_matrix is None:
-        ends = np.array(edge_end_classes(t), dtype=int).reshape(-1, 2)
-        W = np.zeros((len(compute_vertex_classes(t)), len(ends)), dtype=int)
+        _, count, ends = vertex_tables(t)
+        W = np.zeros((count, len(ends)), dtype=int)
         np.add.at(W, (ends.T, np.arange(len(ends))), 1)
         W.setflags(write=False)
         t._relation_matrix = W

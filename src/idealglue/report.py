@@ -31,20 +31,37 @@ def _uc(pair) -> complex:
     return complex(pair[0], pair[1])
 
 
+def _volume_block(vol) -> dict:
+    """The report's volume block: the VolumeReport fields, tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in vars(vol).items()}
+
+
+def _match(name: str, got, want) -> "ReportCheck":
+    """Whether the reported values equal the recomputed ones, entry by
+    entry, to 1e-12 relative to max(1, |value|)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    worst = (math.inf if got.shape != want.shape else float(np.max(
+        np.abs(got - want) / np.maximum(1.0, np.abs(want)), initial=0.0)))
+    return ReportCheck(f"{name} matches", worst <= 1e-12, worst, 1e-12)
+
+
 def build_solution_report(t: Triangulation, Z: ShapeAssignment,
                           xi: ConeTarget, residual_norm: float,
                           converged: bool = True,
                           certificate=None,
                           include_holonomy: bool = True) -> dict:
-    """Assemble the full structured report for a solution point.  Raises
-    IdealGlueError unless Z has one shape per tetrahedron and xi one target
-    per edge class."""
+    """Assemble the full structured report for a solution point.  The cover
+    bookkeeping is the certificate's when it was drawn at the same xi.
+    Raises IdealGlueError unless Z has one shape per tetrahedron and xi one
+    target per edge class."""
     edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     check_shape_length(Z, E)
     check_target_length(xi, E)
-    h = all_holonomies(Z, E)
-    cover = branched_cover_report(edges, xi)
-    vol = solution_volume(Z)
+    h = all_holonomies(Z, E).tolist()
+    cover = (certificate.cover if certificate is not None and certificate.xi == xi
+             else branched_cover_report(edges, xi))
+    angles = edge_cone_angles(Z, E).tolist()
     report = {
         "report_version": REPORT_VERSION,
         "triangulation": format_triangulation(t),
@@ -57,26 +74,17 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
                 "index": e.index,
                 "degree": e.degree,
                 "holonomy": _c(h[e.index]),
-                "order": (None if math.isinf(cover.entries[e.index].order)
-                          else int(cover.entries[e.index].order)),
-                "lifted_degree": (None
-                                  if math.isinf(cover.entries[e.index].lifted_degree)
-                                  else int(cover.entries[e.index].lifted_degree)),
-                "cone_angle": None,
+                "order": None if math.isinf(entry.order) else int(entry.order),
+                "lifted_degree": (None if math.isinf(entry.lifted_degree)
+                                  else int(entry.lifted_degree)),
+                "cone_angle": angles[e.index],
             }
-            for e in edges
+            for e, entry in zip(edges, cover.entries)
         ],
         "all_orders_finite": cover.all_orders_finite,
-        "volume": {
-            "per_tetrahedron": list(vol.per_tetrahedron),
-            "total": vol.total,
-            "flat_tetrahedra": list(vol.flat_tetrahedra),
-            "negatively_oriented": list(vol.negatively_oriented),
-        },
+        "volume": _volume_block(solution_volume(Z)),
         "certificate": certificate.statement if certificate else None,
     }
-    for angle, entry in zip(edge_cone_angles(Z, E), report["edges"]):
-        entry["cone_angle"] = float(angle)
     if include_holonomy:
         dc = develop_spanning_tree(t, Z)
         gens = []
@@ -118,9 +126,12 @@ def verify_report(report: dict) -> list:
     """Re-check a report from its own serialized data: the residual norm
     (and that it is within 10 tol when the report claims convergence or a
     certificate; tol is the default `SolverConfig().tol`, since a report
-    does not record the tol it was solved with), the edge-matrix
-    multiplier contract, determinant normalization, and the product
-    identity over the cone targets.  No solve is re-run.  Raises
+    does not record the tol it was solved with), the product identity over
+    the cone targets, the volume block and each edge's cone angle
+    (recomputed from the shapes, to 1e-12 relative to max(1, |value|), and
+    the flat and negatively oriented lists exactly), the edge-matrix
+    multiplier contract and determinant normalization.  No solve is
+    re-run.  Raises
     IdealGlueError unless the report has one shape per tetrahedron and one
     target per edge class."""
     t = parse_triangulation(report["triangulation"])
@@ -145,6 +156,13 @@ def verify_report(report: dict) -> list:
         prod *= x
     checks.append(ReportCheck("prod xi = 1", abs(prod - 1.0) < 1e-8,
                               abs(prod - 1.0), 1e-8))
+
+    if "volume" in report:
+        for key, value in _volume_block(solution_volume(Z)).items():
+            checks.append(_match(f"volume {key}", report["volume"][key], value))
+    if "edges" in report:
+        checks.append(_match("cone_angle", [e["cone_angle"] for e in report["edges"]],
+                             edge_cone_angles(Z, E)))
 
     h = all_holonomies(Z, E)
     if "edge_matrices" in report:

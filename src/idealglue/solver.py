@@ -463,12 +463,16 @@ class CoverDegreeReport:
 
 
 def branched_cover_report(edges, xi: ConeTarget) -> CoverDegreeReport:
-    entries = []
+    """The order of each edge's target and its lifted degree; the order of
+    each distinct target value is found once."""
+    entries, orders = [], {}
     for e in edges:
-        o = order_of_root_of_unity(xi[e.index])
+        x = complex(xi[e.index])
+        o = orders.get(x)
+        if o is None:
+            o = orders[x] = order_of_root_of_unity(x)
         lifted = math.inf if math.isinf(o) else o * e.degree
-        entries.append(EdgeCoverEntry(e.index, complex(xi[e.index]), o,
-                                      e.degree, lifted))
+        entries.append(EdgeCoverEntry(e.index, x, o, e.degree, lifted))
     finite = all(not math.isinf(en.order) for en in entries)
     trivial = finite and all(en.order == 1 for en in entries)
     return CoverDegreeReport(tuple(entries), finite, trivial)

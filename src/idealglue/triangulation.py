@@ -10,34 +10,47 @@ Conventions used throughout the package:
 * The six edge slots of a tetrahedron are the unordered vertex pairs
   {01, 02, 03, 12, 13, 23}, in that fixed order.
 * A face gluing is orientation-compatible iff its vertex permutation is odd.
-* A vertex permutation is one of 24 shared VertexPermutation instances, one
-  per element of S4, built at import with its parity and inverse, so that
-  building, inverting and validating gluings computes no permutation.
+* A vertex permutation is one of 24 shared VertexPermutation instances,
+  `PERMUTATIONS[index]` in lexicographic order of the images, built at
+  import with its index, parity and inverse.
+
+A valid Triangulation is compiled, once and on first use, into flat integer
+tables: its face pairs (t1, f1, t2, f2, p), p an index into PERMUTATIONS;
+the face table (per face 4 tet + f: glued tetrahedron, face, permutation);
+and the successor table over the 12n directed edge slots 12 tet + 2 s + r
+(slot s of EDGE_SLOTS, reversed when r = 1), the slot that the walk around
+an edge enters next.  Edge classes are the orbits of the successor table
+and vertex classes the components of the corner identifications; `gluing`
+reads the exponent pairs and cusp relations off the same arrays.
+FaceGluings and the `cycle`/`steps`/`directed` views of an EdgeClass are
+built only when read.
 """
 from __future__ import annotations
 
 import itertools
 import operator
 import random
+from collections import namedtuple
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ValidationError
 
 EDGE_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 SLOT_INDEX = {pair: k for k, pair in enumerate(EDGE_SLOTS)}
-OPPOSITE_SLOT = {(0, 1): (2, 3), (2, 3): (0, 1), (0, 2): (1, 3),
-                 (1, 3): (0, 2), (0, 3): (1, 2), (1, 2): (0, 3)}
 
 
 class VertexPermutation:
     """A bijection of the vertex labels {0,1,2,3}, stored as its image tuple,
-    with `parity` 0 for even and 1 for odd.
+    with `parity` 0 for even and 1 for odd and `index` (also its
+    `__index__`) its position in PERMUTATIONS.
 
     There are 24 instances, one per element of S4, built once at import with
     their parity and inverse; the constructor returns the shared instance.
     """
 
-    __slots__ = ("images", "parity", "_inverse")
+    __slots__ = ("images", "parity", "index", "_inverse")
 
     def __new__(cls, images):
         images = tuple(images)
@@ -58,6 +71,9 @@ class VertexPermutation:
     def __call__(self, v: int) -> int:
         return self.images[v]
 
+    def __index__(self) -> int:
+        return self.index
+
     def __eq__(self, other):
         return isinstance(other, VertexPermutation) and self.images == other.images
 
@@ -77,11 +93,13 @@ class VertexPermutation:
 
 
 def _build_permutations() -> dict:
-    """The 24 shared VertexPermutations keyed by image tuple."""
+    """The 24 shared VertexPermutations keyed by image tuple, in
+    lexicographic order."""
     table = {}
-    for images in itertools.permutations(range(4)):
+    for index, images in enumerate(itertools.permutations(range(4))):
         p = object.__new__(VertexPermutation)
         object.__setattr__(p, "images", images)
+        object.__setattr__(p, "index", index)
         object.__setattr__(p, "parity", sum(
             a > b for a, b in itertools.combinations(images, 2)) % 2)
         table[images] = p
@@ -92,19 +110,34 @@ def _build_permutations() -> dict:
 
 
 _PERMUTATIONS = _build_permutations()
+PERMUTATIONS = tuple(_PERMUTATIONS.values())
+
+_IMAGES = np.array([p.images for p in PERMUTATIONS])
+_INVERSE = [p.inverse().index for p in PERMUTATIONS]
+_ODD = np.array([p.parity == 1 for p in PERMUTATIONS])
+
+# a tetrahedron's directed slot k = 2 s + r: slot s, reversed when r = 1
+_DIRECTED = tuple(pair[::-1] if r else pair for pair in EDGE_SLOTS
+                  for r in (0, 1))
+_TAIL = np.array(_DIRECTED)[:, 0]
+# the walk around an edge leaves the directed slot (a, b) through the face
+# c making (a, b, c, d) an even permutation
+_EXIT = np.array([next(c for c in range(4) if c not in (a, b)
+                       and VertexPermutation((a, b, c, 6 - a - b - c)).parity == 0)
+                  for a, b in _DIRECTED])
+# _ENTER[p, k]: the directed slot (P a, P b) entered from k = (a, b) across
+# a gluing with permutation P = PERMUTATIONS[p]
+_ENTER = np.array([[_DIRECTED.index((p.images[a], p.images[b]))
+                    for a, b in _DIRECTED] for p in PERMUTATIONS])
 
 
-@dataclass(frozen=True)
-class FaceGluing:
+class FaceGluing(namedtuple("FaceGluing", "source_tet source_face target_tet "
+                                          "target_face perm")):
     """Identification of face `source_face` of tetrahedron `source_tet` with
     face `target_face` of `target_tet` under `perm` (source vertex labels to
     target vertex labels; perm maps source_face to target_face)."""
 
-    source_tet: int
-    source_face: int
-    target_tet: int
-    target_face: int
-    perm: VertexPermutation
+    __slots__ = ()
 
     @property
     def source(self):
@@ -125,64 +158,87 @@ class FaceGluing:
                 f"{self.target_tet} {self.target_face} {p}")
 
 
-_GLUING_ORDER = operator.attrgetter("source_tet", "source_face",
-                                   "target_tet", "target_face")
-
-
 class Triangulation:
     """A closed, face-paired collection of tetrahedra.
 
-    `gluings` holds one FaceGluing per identified face pair, stored from its
-    lexicographically smaller (tet, face) side and sorted.  The implied
-    inverse gluings are generated on demand.  A Triangulation is not
-    modified after construction, so its edge and vertex classes, exponent
-    matrix and cusp relations are compiled once and memoised on the
-    instance.
+    The face pairs are integer tuples (t1, f1, t2, f2, p), p an index into
+    PERMUTATIONS, each written from its lexicographically smaller
+    (tet, face) side and sorted by the four faces; `gluings` views them as
+    FaceGluings.  A Triangulation is not modified after construction, so
+    its tables (see the module docstring) and what is read off them are
+    compiled once, on first use, and memoised on the instance.
     """
 
     def __init__(self, tetra_count: int, gluings):
+        """`gluings`: FaceGluings, or (t1, f1, t2, f2, p) tuples with p a
+        VertexPermutation or its index."""
+        inverse, index = _INVERSE, operator.index
+        canon = [(c, d, a, b, inverse[p]) if (a, b) > (c, d)
+                 else (a, b, c, d, index(p)) for a, b, c, d, p in gluings]
+        canon.sort(key=operator.itemgetter(0, 1, 2, 3))
         self.tetra_count = int(tetra_count)
-        canon = [g.reversed()
-                 if (g.source_tet, g.source_face) > (g.target_tet, g.target_face)
-                 else g for g in gluings]
-        self.gluings = tuple(sorted(canon, key=_GLUING_ORDER))
-        # face lookup built permissively; validate() reports structural faults
-        lookup = {}
-        for g in self.gluings:
-            lookup.setdefault((g.source_tet, g.source_face), g)
-            target = (g.target_tet, g.target_face)
-            if target not in lookup:
-                lookup[target] = g.reversed()
-        self._lookup = lookup
-        # compiled on first use by compute_edge_classes,
-        # compute_vertex_classes, gluing.build_exponent_matrix and
-        # gluing.build_relation_matrix, then shared by every consumer
-        self._edge_classes = None
-        self._exponent_matrix = None
-        self._vertex_classes = None
+        self._pairs = tuple(canon)
+        self._pair_array = np.fromiter(itertools.chain.from_iterable(canon),
+                                       np.intp, 5 * len(canon)).reshape(-1, 5)
+        # compiled on first use, then shared by every consumer
+        self._face_table = self._edge_tables = self._edge_classes = None
+        self._exponent_matrix = self._vertex_tables = self._vertex_classes = None
         self._relation_matrix = None
+        self._valid = False         # set by validate(): the tables need it
+
+    @property
+    def gluings(self) -> tuple:
+        """The face pairs as FaceGluings, built on each read."""
+        return tuple(FaceGluing(a, b, c, d, PERMUTATIONS[p])
+                     for a, b, c, d, p in self._pairs)
 
     def gluing_at(self, tet: int, face: int) -> FaceGluing:
-        """The gluing departing from (tet, face)."""
-        return self._lookup[(tet, face)]
+        """The gluing departing from (tet, face); KeyError for a face out of
+        range (and ValidationError, from `face_table`, when t is invalid)."""
+        if not (0 <= tet < self.tetra_count and 0 <= face < 4):
+            raise KeyError((tet, face))
+        return _gluing(face_table(self), tet, face)
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)
                 and self.tetra_count == other.tetra_count
-                and self.gluings == other.gluings)
+                and self._pairs == other._pairs)
 
     def __hash__(self):
-        return hash((self.tetra_count, self.gluings))
+        return hash((self.tetra_count, self._pairs))
 
     def __repr__(self):
-        return f"Triangulation(n={self.tetra_count}, pairs={len(self.gluings)})"
+        return f"Triangulation(n={self.tetra_count}, pairs={len(self._pairs)})"
 
 
 def make_triangulation(tetra_count, raw_gluings) -> Triangulation:
     """Build a Triangulation from (t1, f1, t2, f2, images) tuples."""
-    gl = [FaceGluing(t1, f1, t2, f2, VertexPermutation(p))
-          for (t1, f1, t2, f2, p) in raw_gluings]
-    return Triangulation(tetra_count, gl)
+    return Triangulation(tetra_count, [(t1, f1, t2, f2, VertexPermutation(p))
+                                       for (t1, f1, t2, f2, p) in raw_gluings])
+
+
+def face_table(t: Triangulation) -> np.ndarray:
+    """The face table, a read-only 4n-by-3 integer array memoised on t: row
+    4 tet + f holds the tetrahedron and face glued to face f of tet and the
+    permutation index.  Like every table compiled from it, it exists only
+    for a valid triangulation: raises ValidationError otherwise."""
+    if t._face_table is None:
+        if not t._valid:
+            require_valid(t)
+        n, P = t.tetra_count, t._pair_array
+        a, b, c, d, p = P.T
+        table = np.empty((4 * n, 3), dtype=np.intp)
+        table[4 * a + b] = P[:, 2:]
+        table[4 * c + d] = np.column_stack([a, b, np.take(_INVERSE, p)])
+        table.setflags(write=False)
+        t._face_table = table
+    return t._face_table
+
+
+def _gluing(table: np.ndarray, tet: int, face: int) -> FaceGluing:
+    """The FaceGluing departing from (tet, face) in a face table."""
+    tt, tf, p = table[4 * tet + face].tolist()
+    return FaceGluing(tet, face, tt, tf, PERMUTATIONS[p])
 
 
 # --------------------------------------------------------------------------
@@ -217,50 +273,53 @@ class ValidationReport:
 
 def validate(t: Triangulation) -> ValidationReport:
     """Check face coverage, involutivity and the odd-permutation orientation
-    convention.  Pure; returns a report and never raises."""
+    convention.  Returns a report and never raises.
+
+    A valid triangulation passes one array test (every face named once,
+    every permutation odd and carrying face to face) and is marked valid,
+    which its tables need; any other is walked pair by pair to name its
+    faults."""
     issues = []
-    if t.tetra_count < 1:
+    n = t.tetra_count
+    if n < 1:
         issues.append(ValidationIssue("EmptyTriangulation"))
         return ValidationReport(False, False, False, issues)
 
-    n = t.tetra_count
-    seen = set()
-    coverage_ok = True
-    for g in t.gluings:
-        for side in ((g.source_tet, g.source_face), (g.target_tet, g.target_face)):
-            tet, face = side
-            if not (0 <= tet < n and 0 <= face < 4):
-                coverage_ok = False
-                issues.append(ValidationIssue("FaceUnglued", tet, face,
-                                              "face reference out of range"))
-                continue
-            if side in seen:
-                coverage_ok = False
-                issues.append(ValidationIssue("FaceDoubleGlued", tet, face))
-            seen.add(side)
-    if len(seen) < 4 * n:       # seen holds in-range faces only
-        for tet in range(n):
-            for face in range(4):
-                if (tet, face) not in seen:
-                    issues.append(ValidationIssue("FaceUnglued", tet, face))
-                    coverage_ok = False
+    P = t._pair_array
+    sides = P[:, :4].reshape(-1, 2)
+    if (len(P) == 2 * n and ((sides >= 0) & (sides < (n, 4))).all()
+            and (np.bincount(4 * sides[:, 0] + sides[:, 1]) == 1).all()
+            and (_IMAGES[P[:, 4], P[:, 1]] == P[:, 3]).all()
+            and _ODD[P[:, 4]].all()):
+        t._valid = True
+        return ValidationReport(True, True, True, issues)
 
-    involution_ok = True
-    orientation_ok = True
-    for g in t.gluings:
-        if g.source_tet == g.target_tet and g.source_face == g.target_face:
-            involution_ok = False
-            issues.append(ValidationIssue("NonInvolutiveGluing", *g.source,
+    seen = set()
+    for a, b, c, d, _ in t._pairs:
+        for side in ((a, b), (c, d)):
+            if not (0 <= side[0] < n and 0 <= side[1] < 4):
+                issues.append(ValidationIssue("FaceUnglued", *side,
+                                              "face reference out of range"))
+            elif side in seen:
+                issues.append(ValidationIssue("FaceDoubleGlued", *side))
+            seen.add(side)
+    issues += [ValidationIssue("FaceUnglued", tet, face) for tet in range(n)
+               for face in range(4) if (tet, face) not in seen]
+    coverage_ok = not issues
+    for a, b, c, d, p in t._pairs:
+        if a == c and b == d:
+            issues.append(ValidationIssue("NonInvolutiveGluing", a, b,
                                           "face glued to itself"))
             continue
-        if g.perm(g.source_face) != g.target_face:
-            involution_ok = False
-            issues.append(ValidationIssue("NonInvolutiveGluing", *g.source,
+        if PERMUTATIONS[p].images[b] != d:
+            issues.append(ValidationIssue("NonInvolutiveGluing", a, b,
                                           "permutation does not carry face to face"))
-        if g.perm.parity == 0:
-            orientation_ok = False
-            issues.append(ValidationIssue("OrientationViolation", *g.source,
+        if PERMUTATIONS[p].parity == 0:
+            issues.append(ValidationIssue("OrientationViolation", a, b,
                                           "even permutation"))
+    codes = {i.code for i in issues}
+    involution_ok = "NonInvolutiveGluing" not in codes
+    orientation_ok = "OrientationViolation" not in codes
     return ValidationReport(coverage_ok, involution_ok, orientation_ok, issues)
 
 
@@ -275,96 +334,107 @@ def require_valid(t: Triangulation) -> Triangulation:
 # edge classes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# A triangulation's compiled edge data (`edge_tables`), read-only integer
+# arrays: the face table; the successor table; low[d], the least slot on d's
+# orbit; starts[j], edge class j's first directed slot; fwd, the slots on
+# the classes' own orbits, with their classes fwd_class; the degrees.
+EdgeTables = namedtuple("EdgeTables", "face succ low starts fwd fwd_class degree")
+
+
 class EdgeClass:
-    """An identification orbit of edge slots.
+    """An identification orbit of edge slots: an orbit of the successor
+    table, walked from its first directed slot.
 
     `cycle` lists (tet, slot, forward) in traversal order, where slot is the
     unordered pair index into EDGE_SLOTS and forward records whether the
     traversal passes the slot in its (min, max) direction.  `steps[k]` is the
     face gluing identifying cycle[k] with cycle[(k+1) % degree]; the traversal
     leaves cycle[k] through the face making the ordered tuple
-    (tail, head, exit, other) an even permutation of (0,1,2,3).
+    (tail, head, exit, other) an even permutation of (0,1,2,3).  `directed`
+    lists the (tet, (tail, head)) matching cycle.  Each of the three walks
+    the orbit when it is read.
     """
 
-    index: int
-    cycle: tuple          # of (tet, slot_index, forward)
-    steps: tuple          # of FaceGluing
-    directed: tuple       # of (tet, (tail, head)) matching cycle
+    __slots__ = ("index", "degree", "_tables")
+
+    def __init__(self, index: int, degree: int, tables: EdgeTables):
+        self.index, self.degree, self._tables = index, degree, tables
+
+    def _walk(self) -> list:
+        """The directed slots of the orbit in traversal order."""
+        succ, d = self._tables.succ, int(self._tables.starts[self.index])
+        slots = [d]
+        while (d := int(succ[d])) != slots[0]:
+            slots.append(d)
+        return slots
 
     @property
-    def degree(self) -> int:
-        return len(self.cycle)
+    def cycle(self) -> tuple:
+        return tuple((d // 12, d % 12 >> 1, not d & 1) for d in self._walk())
+
+    @property
+    def directed(self) -> tuple:
+        return tuple((d // 12, _DIRECTED[d % 12]) for d in self._walk())
+
+    @property
+    def steps(self) -> tuple:
+        face = self._tables.face
+        return tuple(_gluing(face, d // 12, int(_EXIT[d % 12]))
+                     for d in self._walk())
 
 
-def _edge_walk_table() -> dict:
-    """Directed slot (tail, head) -> (exit face, slot index, forward).
+def _walk_edge_classes(t: Triangulation) -> EdgeTables:
+    """Compile t's successor table and find its edge classes, the orbits.
 
-    The walk around an edge leaves the directed slot (tail, head) through
-    the face `exit` making (tail, head, exit, other) an even permutation of
-    (0,1,2,3); the twelve directed slots are tabulated once here so the
-    walk itself takes no parities.
+    The least slot of every orbit comes from pointer doubling: after round
+    k, low[d] is the least of the 2^k slots from d on, and a round that
+    changes nothing has found it.  The orbit through the (min, max)
+    direction of a class's least slot u is the class's own (least slot
+    2u); the reversed walk is the orbit of 2u + 1.  On a valid
+    triangulation the successor table is a permutation.
     """
-    table = {}
-    for a, b in itertools.permutations(range(4), 2):
-        c, d = (v for v in range(4) if v not in (a, b))
-        exit_face = c if VertexPermutation((a, b, c, d)).parity == 0 else d
-        table[(a, b)] = (exit_face, SLOT_INDEX[(min(a, b), max(a, b))], a < b)
-    return table
-
-
-_EDGE_WALK = _edge_walk_table()
-
-
-def _walk_edge_classes(t: Triangulation) -> tuple[EdgeClass, ...]:
-    """Walk around every edge once; the classes of `compute_edge_classes`."""
-    lookup = t._lookup
-    limit = 6 * t.tetra_count
-    seen = set()
-    classes = []
-    for tet in range(t.tetra_count):
-        for slot, (tail, head) in enumerate(EDGE_SLOTS):
-            if (tet, slot) in seen:
-                continue
-            cycle, steps, directed = [], [], []
-            tt, a, b = tet, tail, head
-            while True:
-                exit_face, s, forward = _EDGE_WALK[(a, b)]
-                cycle.append((tt, s, forward))
-                directed.append((tt, (a, b)))
-                seen.add((tt, s))
-                g = lookup[(tt, exit_face)]
-                steps.append(g)
-                images = g.perm.images
-                tt, a, b = g.target_tet, images[a], images[b]
-                if tt == tet and a == tail and b == head:
-                    break
-                if len(cycle) > limit:
-                    raise AssertionError("edge traversal failed to close")
-            classes.append(EdgeClass(len(classes), tuple(cycle), tuple(steps),
-                                     tuple(directed)))
-    return tuple(classes)
+    n, face = t.tetra_count, face_table(t)
+    exits = face[4 * np.arange(n)[:, None] + _EXIT]         # n x 12 x 3
+    succ = (12 * exits[..., 0] + _ENTER[exits[..., 2], np.arange(12)]).ravel()
+    ids = np.arange(12 * n)
+    low, jump = ids, succ
+    while True:
+        nxt = np.minimum(low, low[jump])
+        if (nxt == low).all():
+            break
+        low, jump = nxt, jump[jump]
+    own = (low & 1) == 0                # on a class's own orbit
+    first = own & (low == ids)
+    fwd = np.flatnonzero(own)
+    fwd_class = (np.cumsum(first) - 1)[low[fwd]]
+    starts = np.flatnonzero(first)
+    tables = EdgeTables(face, succ, low, starts, fwd, fwd_class,
+                        np.bincount(fwd_class, minlength=len(starts)))
+    for value in tables[1:]:
+        value.setflags(write=False)
+    return tables
 
 
 def compute_edge_classes(t: Triangulation) -> tuple[EdgeClass, ...]:
     """Partition the 6n edge slots into identification cycles.
 
     Deterministic: classes appear in order of their lexicographically least
-    unvisited slot, each traversed from that slot in (min, max) direction.
-    Walked once per triangulation; later calls return the memoised tuple.
+    slot, each traversed from that slot in (min, max) direction.  Compiled
+    once per triangulation; later calls return the memoised tuple.
     """
     if t._edge_classes is None:
-        t._edge_classes = _walk_edge_classes(t)
+        tables = _walk_edge_classes(t)
+        t._edge_tables = tables
+        t._edge_classes = tuple(
+            EdgeClass(j, degree, tables)
+            for j, degree in enumerate(tables.degree.tolist()))
     return t._edge_classes
 
 
-def edge_class_of_slot(edges: list[EdgeClass]) -> dict:
-    """Map (tet, slot_index) -> edge class index."""
-    out = {}
-    for e in edges:
-        for (tet, slot, _) in e.cycle:
-            out[(tet, slot)] = e.index
-    return out
+def edge_tables(t: Triangulation) -> EdgeTables:
+    """The compiled edge data of `compute_edge_classes` (see EdgeTables)."""
+    compute_edge_classes(t)
+    return t._edge_tables
 
 
 # --------------------------------------------------------------------------
@@ -382,52 +452,45 @@ class VertexClass:
     link_genus: int
 
 
-def _union_corners(t: Triangulation):
-    """Union the corners (tet, v), numbered 4 tet + v, across every face
-    gluing.  Returns the classes of `compute_vertex_classes` and, for each
-    edge class, the vertex classes of the tail and head of its first
-    directed slot."""
-    parent = list(range(4 * t.tetra_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]       # path halving
-        return x
-
-    for g in t.gluings:
-        s, d, images = 4 * g.source_tet, 4 * g.target_tet, g.perm.images
-        for v in range(4):
-            if v != g.source_face:
-                a, b = find(s + v), find(d + images[v])
-                if a != b:
-                    parent[a] = b
-
-    # classes in order of their least corner, which is met first
-    index = {}
-    corner_class = [index.setdefault(find(c), len(index))
-                    for c in range(len(parent))]
-    members = [[] for _ in index]
-    for c, k in enumerate(corner_class):
-        members[k].append(divmod(c, 4))
-    ends = []
-    for e in compute_edge_classes(t):
-        tet, (a, b) = e.directed[0]
-        ends.append((corner_class[4 * tet + a], corner_class[4 * tet + b]))
-    end_count = [0] * len(members)
-    for a, b in ends:
-        end_count[a] += 1
-        end_count[b] += 1
-    classes = []
-    for k, corners in enumerate(members):
-        chi = end_count[k] - len(corners) // 2
-        classes.append(VertexClass(k, tuple(corners), chi, (2 - chi) // 2))
-    return tuple(classes), tuple(ends)
+def _components(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """The least node of each node's component, in the graph on
+    range(size) with the edges (a[k], b[k]).  Each round hooks the larger
+    root of every edge between two components onto the smaller, then
+    moves every label to its root, until no edge joins two roots."""
+    label = np.arange(size)
+    while True:
+        ra, rb = label[a], label[b]
+        cross = ra != rb
+        if not cross.any():
+            return label
+        ra, rb = ra[cross], rb[cross]
+        np.minimum.at(label, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
 
 
-def _compiled_vertices(t: Triangulation):
-    if t._vertex_classes is None:
-        t._vertex_classes = _union_corners(t)
-    return t._vertex_classes
+def vertex_tables(t: Triangulation):
+    """(corner_class, count, ends), memoised on t: the vertex class of each
+    corner 4 tet + v, the number of classes, in order of their least
+    corner, and for each edge class the classes at the tail and head of its
+    first directed slot (an m-by-2 array).  The classes are the components
+    of the corners joined by the walks around the edges: a directed slot's
+    tail corner and its successor's (the head of slot d is the tail of
+    d ^ 1)."""
+    if t._vertex_tables is None:
+        n, tables = t.tetra_count, edge_tables(t)
+        tail = 4 * (np.arange(12 * n) // 12) + np.tile(_TAIL, n)
+        label = _components(tail, tail[tables.succ], 4 * n)
+        roots = np.flatnonzero(label == np.arange(4 * n))
+        corner = np.searchsorted(roots, label)
+        ends = corner[tail[np.column_stack([tables.starts, tables.starts ^ 1])]]
+        for value in (corner, ends):
+            value.setflags(write=False)
+        t._vertex_tables = (corner, len(roots), ends)
+    return t._vertex_tables
 
 
 def compute_vertex_classes(t: Triangulation) -> list[VertexClass]:
@@ -437,18 +500,19 @@ def compute_vertex_classes(t: Triangulation) -> list[VertexClass]:
     The link of a vertex class is assembled from one normal triangle per
     member corner, sides matched along face gluings.  Its vertices are the
     edge-class ends incident with the class, so
-    chi = (#edge ends at the class) - (#corners)/2.  The corner union is
-    taken once per triangulation; later calls return a new list of the
-    memoised classes.
+    chi = (#edge ends at the class) - (#corners)/2.  The classes are built
+    once per triangulation; later calls return a new list of them.
     """
-    return list(_compiled_vertices(t)[0])
-
-
-def edge_end_classes(t: Triangulation) -> tuple[tuple[int, int], ...]:
-    """For each edge class, the indices of the vertex classes at its two
-    ends (a loop at one vertex class lists it twice); memoised with the
-    vertex classes."""
-    return _compiled_vertices(t)[1]
+    if t._vertex_classes is None:
+        corner, count, ends = vertex_tables(t)
+        members = [[] for _ in range(count)]
+        for c, k in enumerate(corner.tolist()):
+            members[k].append(divmod(c, 4))
+        chi = (np.bincount(ends.ravel(), minlength=count)
+               - np.bincount(corner, minlength=count) // 2).tolist()
+        t._vertex_classes = tuple(VertexClass(k, tuple(c), x, (2 - x) // 2)
+                                  for k, (c, x) in enumerate(zip(members, chi)))
+    return list(t._vertex_classes)
 
 
 # --------------------------------------------------------------------------
@@ -497,19 +561,18 @@ class SelfIdentificationReport:
 
 
 def self_identification_report(t: Triangulation) -> SelfIdentificationReport:
-    vclasses = compute_vertex_classes(t)
-    vmap = {}
-    for vc in vclasses:
-        for c in vc.corners:
-            vmap[c] = vc.index
-    emap = edge_class_of_slot(compute_edge_classes(t))
+    vmap = vertex_tables(t)[0].reshape(-1, 4).tolist()
+    tables = edge_tables(t)
+    least = np.minimum(tables.low[0::2], tables.low[1::2])
+    emap = np.searchsorted(tables.starts, least).reshape(-1, 6).tolist()
 
     per_tet = []
     for tet in range(t.tetra_count):
+        vc, ec = vmap[tet], emap[tet]
         vp = tuple((v, w) for v, w in itertools.combinations(range(4), 2)
-                   if vmap[(tet, v)] == vmap[(tet, w)])
+                   if vc[v] == vc[w])
         ep = tuple((i, j) for i, j in itertools.combinations(range(6), 2)
-                   if emap[(tet, i)] == emap[(tet, j)])
+                   if ec[i] == ec[j])
         per_tet.append(TetSelfIdentifications(tet, vp, ep))
     almost = all(not ti.edge_pairs for ti in per_tet)
     non_singular = almost and all(not ti.vertex_pairs for ti in per_tet)
@@ -523,43 +586,30 @@ def self_identification_report(t: Triangulation) -> SelfIdentificationReport:
 def relabel(t: Triangulation, vertex_perms, tet_perm=None) -> Triangulation:
     """Relabel vertices of each tetrahedron (vertex_perms[i] applied to tet i)
     and optionally renumber tetrahedra."""
-    if tet_perm is None:
-        tet_perm = list(range(t.tetra_count))
+    tet_perm = range(t.tetra_count) if tet_perm is None else tet_perm
     out = []
-    for g in t.gluings:
-        ps = vertex_perms[g.source_tet]
-        pt = vertex_perms[g.target_tet]
-        new_perm = pt.compose(g.perm).compose(ps.inverse())
-        out.append(FaceGluing(tet_perm[g.source_tet], ps(g.source_face),
-                              tet_perm[g.target_tet], pt(g.target_face),
-                              new_perm))
+    for a, b, c, d, p in t.gluings:
+        ps, pt = vertex_perms[a], vertex_perms[c]
+        out.append((tet_perm[a], ps(b), tet_perm[c], pt(d),
+                    pt.compose(p).compose(ps.inverse())))
     return Triangulation(t.tetra_count, out)
-
-
-def _encoding(t: Triangulation) -> tuple:
-    return tuple((g.source, g.target, g.perm.images) for g in t.gluings)
 
 
 def _canonical_form(t: Triangulation) -> Triangulation:
     """Lexicographically least relabeling.  Intended for small n (searches
     all vertex relabelings and tetrahedron renumberings)."""
     best = None
-    all_perms = list(_PERMUTATIONS.values())
     for tet_perm in itertools.permutations(range(t.tetra_count)):
-        for combo in itertools.product(all_perms, repeat=t.tetra_count):
+        for combo in itertools.product(PERMUTATIONS, repeat=t.tetra_count):
             cand = relabel(t, list(combo), list(tet_perm))
-            enc = _encoding(cand)
-            if best is None or enc < best[0]:
-                best = (enc, cand)
-    return best[1]
+            if best is None or cand._pairs < best._pairs:
+                best = cand
+    return best
 
 
 def _odd_perms_fixing(f1: int, f2: int):
-    out = []
-    for p in itertools.permutations(range(4)):
-        if p[f1] == f2 and VertexPermutation(p).parity == 1:
-            out.append(p)
-    return out
+    return [p for p in itertools.permutations(range(4))
+            if p[f1] == f2 and VertexPermutation(p).parity == 1]
 
 
 def enumerate_one_tetrahedron_triangulations() -> list[Triangulation]:
@@ -574,30 +624,19 @@ def enumerate_one_tetrahedron_triangulations() -> list[Triangulation]:
                                                   (0, fc, 0, fd, p2)]))
     reps = {}
     for t in raw:
-        reps.setdefault(_encoding(_canonical_form(t)), t)
+        reps.setdefault(_canonical_form(t)._pairs, t)
     out = [_canonical_form(t) for t in reps.values()]
     out.sort(key=lambda t: (sorted(e.degree for e in compute_edge_classes(t)),
-                            _encoding(t)))
+                            t._pairs))
     return out
 
 
 def is_connected(t: Triangulation) -> bool:
-    """True if the face-pairing graph on tetrahedra is connected."""
-    if t.tetra_count == 0:
-        return False
-    seen = {0}
-    queue = [0]
-    while queue:
-        tet = queue.pop()
-        for face in range(4):
-            try:
-                g = t.gluing_at(tet, face)
-            except KeyError:
-                continue
-            if g.target_tet not in seen:
-                seen.add(g.target_tet)
-                queue.append(g.target_tet)
-    return len(seen) == t.tetra_count
+    """True if the face-pairing graph on tetrahedra (its in-range pairs) is
+    connected."""
+    n, P = t.tetra_count, t._pair_array[:, [0, 2]]
+    P = P[((P >= 0) & (P < n)).all(axis=1)]
+    return n > 0 and not _components(P[:, 0], P[:, 1], n).any()
 
 
 def random_triangulation(n: int, seed=None) -> Triangulation:

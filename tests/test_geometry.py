@@ -11,7 +11,7 @@ from idealglue import (BranchCut, DegenerateShape, ShapeAssignment, V_TET,
                        bloch_wigner, build_exponent_matrix,
                        compute_edge_classes, corpus, dihedral_angles, dilog,
                        edge_cone_angles, solution_volume)
-from idealglue.geometry import _BERNOULLI, _N_BERNOULLI
+from idealglue.geometry import _BERNOULLI, _N_BERNOULLI, _bloch_wigner_array
 from idealglue.gluing import SLOT_LABELS
 from conftest import random_shapes, random_systems
 
@@ -99,12 +99,37 @@ def test_bloch_wigner_sign_pattern(rng):
         assert bloch_wigner(z.conjugate()) < 0
 
 
+def bloch_wigner_oracle(z):
+    z = mpmath.mpc(z)
+    return float(mpmath.im(mpmath.polylog(2, z))
+                 + mpmath.arg(1 - z) * mpmath.log(abs(z)))
+
+
+def test_bloch_wigner_against_oracle_where_the_series_is_hard(rng):
+    # near 0, 1 and oo, on the unit circle, near the real axis (flat), below
+    # it, and at random
+    near = [c + r * cmath.exp(1j * a) for c in (0.0, 1.0)
+            for r in (1e-9, 1e-5, 1e-2, 0.3) for a in np.linspace(-3, 3, 13)]
+    far = [r * cmath.exp(1j * a) for r in (1e3, 1e8) for a in np.linspace(-3, 3, 13)]
+    circle = [cmath.exp(1j * a) for a in np.linspace(-3.1, 3.1, 63) if a]
+    flat = [complex(x, y) for x in (-7.0, -0.5, 0.3, 0.9, 1.2, 40.0)
+            for y in (1e-12, -1e-9, 1e-6)]
+    shapes = near + far + circle + flat + list(
+        rng.uniform(-4, 4, 200) + 1j * rng.uniform(-4, 4, 200))
+    for z in shapes:
+        assert abs(bloch_wigner(z) - bloch_wigner_oracle(z)) < 1e-14, z
+    array = _bloch_wigner_array(np.array(shapes))
+    scalar = np.array([bloch_wigner(z) for z in shapes])
+    assert np.abs(array - scalar).max() <= 1e-15
+
+
 def test_v_tet_value_and_maximality():
     # value from the series oracle
     ref = (mpmath.im(mpmath.polylog(2, mpmath.mpc(REGULAR)))
            + mpmath.arg(1 - mpmath.mpc(REGULAR)) * mpmath.log(abs(mpmath.mpc(REGULAR))))
     assert abs(V_TET - float(ref)) < 1e-12
     assert abs(V_TET - 1.0149416064096536) < 1e-12
+    assert abs(V_TET - bloch_wigner(REGULAR)) <= 4e-16
     # grid + local refinement: the maximum sits at the regular shape
     best = max(bloch_wigner(complex(x, y))
                for x in np.linspace(-1.5, 2.5, 81)

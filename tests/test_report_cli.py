@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idealglue import (ConeTarget, ShapeAssignment, V_TET,
+from idealglue import (ConeTarget, ShapeAssignment, V_TET, all_holonomies,
                        build_exponent_matrix, build_solution_report,
                        compute_edge_classes, corpus,
                        essential_edge_certificate, evaluate_residual,
                        IdealGlueError, newton_solve, verify_report)
+from idealglue import report as report_mod
 from idealglue.cli import _parse_xi, build_parser, main
 from idealglue.report import dumps, loads
 
@@ -115,6 +116,54 @@ def test_tampered_report_fails_verification():
     rep["residual_norm"] = rep["residual_norm"] + 1e-6
     checks = verify_report(rep)
     assert any(not c.ok for c in checks)
+
+
+def cone_report():
+    """A hopf report at the cone target of a negatively oriented shape: its
+    one tetrahedron has a nonzero, negative volume."""
+    t = corpus("hopf")
+    Z = ShapeAssignment((complex(0.3, -0.9),))
+    E = build_exponent_matrix(t)
+    xi = ConeTarget(tuple(h / abs(h) for h in all_holonomies(Z, E)))
+    res = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
+    return build_solution_report(t, Z, xi, res, converged=False)
+
+
+@pytest.mark.parametrize("field, tamper", [
+    ("volume per_tetrahedron", lambda r: r["volume"]["per_tetrahedron"]
+     .__setitem__(0, r["volume"]["per_tetrahedron"][0] * (1 + 1e-9))),
+    ("volume total", lambda r: r["volume"].__setitem__(
+        "total", r["volume"]["total"] + 1e-9)),
+    ("volume flat_tetrahedra", lambda r: r["volume"].__setitem__(
+        "flat_tetrahedra", [0])),
+    ("volume negatively_oriented", lambda r: r["volume"].__setitem__(
+        "negatively_oriented", [])),
+    ("cone_angle", lambda r: r["edges"][-1].__setitem__(
+        "cone_angle", r["edges"][-1]["cone_angle"] + 1e-9)),
+])
+def test_tampered_volume_and_cone_angles_fail_verification(field, tamper):
+    rep = cone_report()
+    assert all(c.ok for c in verify_report(rep))
+    tamper(rep)
+    failed = [c.name for c in verify_report(rep) if not c.ok]
+    assert failed == [f"{field} matches"]
+
+
+def test_report_is_the_same_with_and_without_the_certificate(monkeypatch):
+    t = corpus("fig8_complement")
+    xi = ConeTarget.ones(2)
+    res = newton_solve(t, xi, ShapeAssignment((0.5 + 0.8j, 0.5 + 0.8j)))
+    cert = essential_edge_certificate(t, res, xi)
+    plain = build_solution_report(t, res.shapes, xi, res.residual_norm)
+    calls = []
+    monkeypatch.setattr(report_mod, "branched_cover_report",
+                        lambda *a: calls.append(a))
+    with_cert = build_solution_report(t, res.shapes, xi, res.residual_norm,
+                                      certificate=cert)
+    assert calls == []              # the certificate's cover is reused
+    assert with_cert.pop("certificate") == cert.statement
+    plain.pop("certificate")
+    assert with_cert == plain
 
 
 # ------------------------------------------------------------------- CLI

@@ -3,10 +3,9 @@ on ideal triangulations: combinatorics, solvers, developing maps, holonomy
 representations, volumes and essential-edge certificates."""
 
 from .corpus import CORPUS_NAMES, corpus, export_corpus
-from .develop import (DevelopedComplex, IdealPlacement, INFINITY, MobiusMap,
+from .develop import (DevelopedComplex, INFINITY, MobiusMap,
                       develop_across_face, develop_spanning_tree,
-                      edge_holonomy_matrix, generator_holonomy, generator_maps,
-                      place_initial)
+                      edge_holonomy_matrix, generator_holonomy, generator_maps)
 from .errors import (BranchCut, DegenerateShape, DevelopFailure,
                      EdgeCycleNotClosed, IdealGlueError, NotConverged,
                      NotUnitModulus, ParseError, UnknownCorpusEntry,

@@ -1,43 +1,41 @@
 """Developing a triangulation into hyperbolic 3-space and reading off
-holonomy.
+holonomy, in local frames.
 
-Placements store ideal points as projective CP^1 vectors, which keeps every
-formula polynomial (no special-casing of oo and no loss of accuracy near it);
-the boundary points exposed to callers are elements of C u {oo}, with oo
-represented by complex(inf, 0).
+Each tetrahedron i has its own frame, in which its vertices 0, 1, 2, 3 sit
+at (0, oo, 1, z_i); the shape read back at edge {0,1} is z_i.  A face
+gluing is one SL(2, C) matrix in those frames, its face step: the Mobius
+map carrying the target tetrahedron's frame into the source's, so that it
+sends each shared face vertex perm(v) of the target to vertex v of the
+source.  The reverse gluing's step is its inverse (the adjugate).  This is
+the n = 2 case of Garoufalidis-Goerner-Zickert, "Gluing equations for
+PGL(n, C)-representations of 3-manifolds" (AGT 2015, arXiv:1207.6711).
 
-Conventions, pinned by the closed-form Hopf/trefoil holonomy fixtures:
+A tetrahedron's frame in tetrahedron 0's is the product of the face steps
+along the breadth-first dual spanning tree.  Generators (the non-tree
+gluings) are given in tetrahedron 0's frame; an edge matrix, the product of
+the deg(e) face steps around the edge, in its first tetrahedron's.  No
+cross-ratio is inverted and no two points are compared.
 
-* the initial tetrahedron is placed at (0, oo, 1, z), and the shape read
-  back at edge {0,1} is z;
-* shape read-back at slot {a,b} is the cross-ratio [p_a : p_b : p_c : p_d]
-  (image of p_d under the map sending (p_a, p_b, p_c) to (0, oo, 1)) for the
-  even-permutation representative (a, b, c, d);
-* an edge cycle leaves the slot (tail, head) through the face `exit` making
-  (tail, head, exit, other) an even permutation; the composed rotation around
-  the edge then has derivative h(e) at the developed tail point.
+Conventions, pinned by the closed-form Hopf/trefoil holonomy fixtures: an
+edge cycle leaves the slot (tail, head) through the face `exit` making
+(tail, head, exit, other) an even permutation; the composed rotation around
+the edge then has derivative h(e) at the tail vertex.  Ideal points exposed
+to callers are elements of C u {oo}, with oo represented by complex(inf, 0).
 """
 from __future__ import annotations
 
 import cmath
-import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DevelopFailure, EdgeCycleNotClosed
 from .gluing import ShapeAssignment, check_nondegenerate
-from .triangulation import (EDGE_SLOTS, EdgeClass, FaceGluing, Triangulation,
+from .triangulation import (EdgeClass, FaceGluing, Triangulation,
                             compute_edge_classes)
 
-INFINITY = complex(math.inf, 0.0)
-
-# even-permutation representative (a, b, c, d) per slot {a, b}
-_EVEN_REPS = {
-    (0, 1): (0, 1, 2, 3), (2, 3): (2, 3, 0, 1),
-    (0, 2): (0, 2, 3, 1), (1, 3): (1, 3, 2, 0),
-    (0, 3): (0, 3, 1, 2), (1, 2): (1, 2, 0, 3),
-}
+INFINITY = complex("inf")
 
 
 def _lift(p: complex) -> np.ndarray:
@@ -52,28 +50,20 @@ def _unlift(v: np.ndarray) -> complex:
     return complex(v[0] / v[1])
 
 
-def _lform(p: np.ndarray) -> np.ndarray:
-    """Coefficients of the linear form vanishing at the CP^1 point p."""
-    return np.array([-p[1], p[0]], dtype=complex)
+def _vertices(z: complex) -> tuple:
+    """Lifts of a tetrahedron's vertices (0, oo, 1, z) in its own frame."""
+    return ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (z, 1.0))
 
 
 def _std_matrix(p, q, r) -> np.ndarray:
     """Matrix sending the CP^1 triple (p, q, r) to (0, oo, 1), det 1."""
-    lp, lq = _lform(p), _lform(q)
-    M = np.array([(lq @ r) * lp, (lp @ r) * lq])
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    qr = q[0] * r[1] - q[1] * r[0]
+    pr = p[0] * r[1] - p[1] * r[0]
+    det = qr * pr * (p[0] * q[1] - p[1] * q[0])
     if abs(det) < 1e-30:
         raise DevelopFailure("triple contains coincident points")
-    return M / cmath.sqrt(det)
-
-
-def _cross_ratio(p, q, r, s) -> complex:
-    lp, lq = _lform(p), _lform(q)
-    num = (lq @ r) * (lp @ s)
-    den = (lp @ r) * (lq @ s)
-    if den == 0:
-        return INFINITY
-    return num / den
+    return np.array([[-qr * p[1], qr * p[0]],
+                     [-pr * q[1], pr * q[0]]], dtype=complex) / cmath.sqrt(det)
 
 
 class MobiusMap:
@@ -140,130 +130,74 @@ class MobiusMap:
         return f"MobiusMap([[{a}, {b}], [{c}, {d}]])"
 
 
-class IdealPlacement:
-    """Positions of a tetrahedron's four ideal vertices on the sphere at
-    infinity, stored projectively."""
-
-    __slots__ = ("lifts",)
-
-    def __init__(self, lifts):
-        self.lifts = [np.asarray(v, dtype=complex) for v in lifts]
-
-    @classmethod
-    def from_points(cls, points) -> "IdealPlacement":
-        lifts = []
-        for p in points:
-            v = _lift(complex(p))
-            lifts.append(v / np.linalg.norm(v))
-        return cls(lifts)
-
-    @property
-    def points(self):
-        """The four vertices as elements of C u {oo}."""
-        return tuple(_unlift(v) for v in self.lifts)
-
-    def shape_at(self, slot) -> complex:
-        """Cross-ratio read-back of the dihedral invariant at an edge slot
-        (unordered pair or index into EDGE_SLOTS)."""
-        if isinstance(slot, int):
-            slot = EDGE_SLOTS[slot]
-        a, b, c, d = _EVEN_REPS[tuple(sorted(slot))]
-        return complex(_cross_ratio(self.lifts[a], self.lifts[b],
-                                    self.lifts[c], self.lifts[d]))
-
-    def transformed(self, m: MobiusMap) -> "IdealPlacement":
-        return IdealPlacement([m.matrix @ v for v in self.lifts])
-
-
-def place_initial(z: complex) -> IdealPlacement:
-    """Embed a tetrahedron of shape z at (0, oo, 1, z); the shape read back
-    at edge {0,1} is z."""
-    check_nondegenerate(z)
-    return IdealPlacement.from_points((0.0, INFINITY, 1.0, z))
-
-
-def develop_across_face(p: IdealPlacement, g: FaceGluing,
-                        z_neighbor: complex) -> IdealPlacement:
-    """Place the neighbouring tetrahedron across a glued face.
-
-    The three shared face points are copied (never recomputed); the fourth is
-    the unique point giving the neighbour its assigned shape, obtained by
-    inverting the cross-ratio read-back at the neighbour's {0,1} slot.
-    """
-    check_nondegenerate(z_neighbor)
-    lifts = [None] * 4
-    for v in range(4):
-        if v != g.source_face:
-            lifts[g.perm(v)] = p.lifts[v]
-    u = g.target_face
-    zl = _lift(z_neighbor)
-    # move the unknown to the last slot of the cross-ratio via the Klein
-    # four-group symmetries; the (p,q,s) arrangement inverts the value
-    if u == 0:
-        M = _std_matrix(lifts[3], lifts[2], lifts[1])
-    elif u == 1:
-        M = _std_matrix(lifts[2], lifts[3], lifts[0])
-    elif u == 2:
-        M = _std_matrix(lifts[0], lifts[1], lifts[3])
-        zl = _lift(1.0 / z_neighbor)
-    else:
-        M = _std_matrix(lifts[0], lifts[1], lifts[2])
-    w = np.linalg.solve(M, zl)
-    lifts[u] = w / np.linalg.norm(w)
-    return IdealPlacement(lifts)
+def develop_across_face(g: FaceGluing, Z: ShapeAssignment) -> MobiusMap:
+    """The face step of gluing g: the map from the target tetrahedron's
+    frame to the source's that sends vertex g.perm(v) of the target to
+    vertex v of the source for the three vertices v of the glued face."""
+    src, dst = _vertices(Z[g.source_tet]), _vertices(Z[g.target_tet])
+    face = [v for v in range(4) if v != g.source_face]
+    A = _std_matrix(*(src[v] for v in face))
+    B = _std_matrix(*(dst[g.perm(v)] for v in face))
+    (a, b), (c, d) = A
+    return MobiusMap(np.array([[d, -b], [-c, a]]) @ B, normalize=False)
 
 
 @dataclass
 class DevelopedComplex:
-    """One placement per tetrahedron, developed along a breadth-first dual
-    spanning tree from tetrahedron 0; the non-tree gluings are the holonomy
-    generators."""
+    """A development along a breadth-first dual spanning tree from
+    tetrahedron 0: per tetrahedron its frame in tetrahedron 0's, and per
+    face (index 4 tet + face) the face step of the gluing leaving it; the
+    non-tree gluings are the holonomy generators."""
 
     triangulation: Triangulation
-    placements: list
+    frames: list         # MobiusMap per tetrahedron
+    steps: list          # MobiusMap per face
     tree: tuple          # FaceGluings used to develop
     generators: tuple    # remaining FaceGluings (canonical orientation)
 
 
 def develop_spanning_tree(t: Triangulation, Z: ShapeAssignment) -> DevelopedComplex:
-    placements = {0: place_initial(Z[0])}
-    tree, generators = [], []
-    queue = [0]
-    used = set()
+    """Develop t at the shapes Z.  Raises DegenerateShape for a shape within
+    the guard of {0, 1} and DevelopFailure for a disconnected t."""
+    for z in Z.z:
+        check_nondegenerate(z)
+    steps = [None] * (4 * t.tetra_count)
+    for g in t.gluings:
+        step = develop_across_face(g, Z)
+        steps[4 * g.source_tet + g.source_face] = step
+        steps[4 * g.target_tet + g.target_face] = step.inverse()
+    frames = {0: MobiusMap.identity()}
+    tree, generators, used = [], [], set()
+    queue = deque([0])
     while queue:
-        tet = queue.pop(0)
+        tet = queue.popleft()
         for face in range(4):
             g = t.gluing_at(tet, face)
-            key = frozenset((g.source, g.target))
-            if key in used:
+            if g.source in used:
                 continue
-            used.add(key)
-            if g.target_tet not in placements:
-                placements[g.target_tet] = develop_across_face(
-                    placements[tet], g, Z[g.target_tet])
+            used.update((g.source, g.target))
+            if g.target_tet not in frames:
+                frames[g.target_tet] = frames[tet] @ steps[4 * tet + face]
                 tree.append(g)
                 queue.append(g.target_tet)
             else:
                 # store from the canonical (lex smaller) side
                 generators.append(g if g.source <= g.target else g.reversed())
-    if len(placements) != t.tetra_count:
+    if len(frames) != t.tetra_count:
         raise DevelopFailure("triangulation is disconnected; cannot develop "
-                             f"({len(placements)} of {t.tetra_count} "
+                             f"({len(frames)} of {t.tetra_count} "
                              "tetrahedra reachable from tetrahedron 0)")
-    return DevelopedComplex(t, [placements[i] for i in range(t.tetra_count)],
-                            tuple(tree), tuple(generators))
+    return DevelopedComplex(t, [frames[i] for i in range(t.tetra_count)],
+                            steps, tuple(tree), tuple(generators))
 
 
 def generator_holonomy(dc: DevelopedComplex, g: FaceGluing) -> MobiusMap:
-    """The elementary face pairing of a non-tree gluing: the unique Mobius
-    map carrying the developed source-face triple to the developed
-    target-face triple, matched by the gluing permutation."""
-    src = dc.placements[g.source_tet]
-    dst = dc.placements[g.target_tet]
-    vs = [v for v in range(4) if v != g.source_face]
-    A = _std_matrix(*(src.lifts[v] for v in vs))
-    B = _std_matrix(*(dst.lifts[g.perm(v)] for v in vs))
-    return MobiusMap(np.linalg.inv(B) @ A)
+    """The elementary face pairing of gluing g in tetrahedron 0's frame,
+    frames[target] step(g)^-1 frames[source]^-1: the map carrying the
+    developed source face to the developed target face, matched by the
+    gluing permutation (the identity for a tree gluing)."""
+    return (dc.frames[g.target_tet] @ dc.steps[4 * g.target_tet + g.target_face]
+            @ dc.frames[g.source_tet].inverse())
 
 
 def generator_maps(dc: DevelopedComplex):
@@ -273,31 +207,26 @@ def generator_maps(dc: DevelopedComplex):
 
 def edge_holonomy_matrix(dc: DevelopedComplex, t: Triangulation,
                          Z: ShapeAssignment, j) -> tuple:
-    """Compose the elementary face pairings once around edge j's cycle.
+    """Compose the face steps once around edge j's cycle, in the frame of
+    the cycle's first tetrahedron; dc is the development of t at Z.
 
-    Returns (map, multiplier).  The map fixes the two developed endpoints of
-    the edge; the multiplier is its derivative at the developed tail of the
-    cycle's starting slot and equals h(e_j) for every shape assignment, not
-    only on solutions.
+    Returns (map, multiplier).  The map fixes the edge's tail and head
+    vertices; the multiplier is its derivative at the tail and equals
+    h(e_j) for every shape assignment, not only on solutions.
 
-    Raises EdgeCycleNotClosed if the once-around placement does not match the
-    starting placement projectively (impossible on valid input).
+    Raises EdgeCycleNotClosed if the map moves the tail or the head
+    (impossible on valid input).
     """
-    if isinstance(j, EdgeClass):
-        edge = j
-    else:
-        edge = compute_edge_classes(t)[j]
-    tet0, (tail, head) = edge.directed[0]
-    start = dc.placements[tet0]
-    current = start
+    edge = j if isinstance(j, EdgeClass) else compute_edge_classes(t)[j]
+    tet, (tail, head) = edge.directed[0]
+    M = MobiusMap.identity()
     for g in edge.steps:
-        current = develop_across_face(current, g, Z[g.target_tet])
-    idx = (0, 1, 2)
-    M = MobiusMap(np.linalg.inv(_std_matrix(*(current.lifts[v] for v in idx)))
-                  @ _std_matrix(*(start.lifts[v] for v in idx)))
-    # closure: the fourth vertex must match too
-    v, w = M.matrix @ start.lifts[3], current.lifts[3]
-    mismatch = abs(v[0] * w[1] - v[1] * w[0]) / (np.linalg.norm(v) * np.linalg.norm(w))
-    if mismatch > 1e-6:
-        raise EdgeCycleNotClosed(f"edge {edge.index}: mismatch {mismatch:.3e}")
-    return M, M._multiplier_at_lift(start.lifts[tail])
+        M = M @ dc.steps[4 * g.source_tet + g.source_face]
+    ends = [np.array(_vertices(Z[tet])[v], dtype=complex) for v in (tail, head)]
+    for v in ends:
+        w = M.matrix @ v
+        w, u = w / np.linalg.norm(w), v / np.linalg.norm(v)
+        mismatch = abs(w[0] * u[1] - w[1] * u[0])
+        if mismatch > 1e-6:
+            raise EdgeCycleNotClosed(f"edge {edge.index}: mismatch {mismatch:.3e}")
+    return M, M._multiplier_at_lift(ends[0])

@@ -23,8 +23,8 @@ class NotConverged(IdealGlueError):
 
 
 class EdgeCycleNotClosed(IdealGlueError):
-    """Developing once around an edge cycle did not return to the initial
-    placement.  Impossible on valid input; indicates a convention fault."""
+    """The composed face steps once around an edge cycle do not fix the
+    edge's ends.  Impossible on valid input; indicates a convention fault."""
 
 
 class DevelopFailure(IdealGlueError, ValueError):

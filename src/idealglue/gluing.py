@@ -2,7 +2,7 @@
 equations.
 
 The three labels z, z', z'' are assigned to opposite-edge pairs of each
-tetrahedron; with the initial placement (0, oo, 1, z) used by the developing
+tetrahedron; with the local frame (0, oo, 1, z) used by the developing
 module, the consistent assignment is
 
     {01, 23} -> z        {02, 13} -> z''        {03, 12} -> z'

@@ -46,6 +46,48 @@ def _match(name: str, got, want) -> "ReportCheck":
     return ReportCheck(f"{name} matches", worst <= 1e-12, worst, 1e-12)
 
 
+def _match_complex(name: str, got, want, up_to_sign: bool) -> "ReportCheck":
+    """Whether each reported value (a matrix, a trace or a multiplier, as
+    [re, im] pairs) equals the recomputed one, up to global sign when
+    `up_to_sign`, to 1e-12 relative to max(1, its largest modulus)."""
+    def rows(x):
+        a = np.asarray(x, dtype=float).reshape(len(x), -1, 2)
+        return a[..., 0] + 1j * a[..., 1]
+    got, want = rows(got), rows(want)
+    if got.shape != want.shape:
+        worst = math.inf
+    else:
+        err = np.abs(got - want).max(-1)
+        if up_to_sign:
+            err = np.minimum(err, np.abs(got + want).max(-1))
+        worst = float(np.max(err / np.maximum(1.0, np.abs(want).max(-1)),
+                             initial=0.0))
+    return ReportCheck(f"{name} matches", worst <= 1e-12, worst, 1e-12)
+
+
+def _det_error(matrix) -> float:
+    """|det M - 1| relative to max(1, |M|^2), |M| the largest entry
+    modulus: rounding alone leaves about eps |M|^2."""
+    a, b, c, d = (_uc(p) for p in matrix)
+    return abs(a * d - b * c - 1.0) / max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
+
+
+def _holonomy_block(t: Triangulation, Z: ShapeAssignment, edges) -> tuple:
+    """The report's generators and edge matrices, from one develop."""
+    dc = develop_spanning_tree(t, Z)
+    gens = [{"gluing": str(g), "matrix": [_c(v) for v in m.matrix.ravel()],
+             "up_to_sign": True, "trace": _c(m.trace())}
+            for g, m in zip(dc.generators, generator_maps(dc))]
+    mats = []
+    for e in edges:
+        M, mult = edge_holonomy_matrix(dc, t, Z, e)
+        mats.append({"edge": e.index,
+                     "matrix": [_c(v) for v in M.matrix.ravel()],
+                     "up_to_sign": True, "multiplier": _c(mult),
+                     "trace": _c(M.trace())})
+    return gens, mats
+
+
 def build_solution_report(t: Triangulation, Z: ShapeAssignment,
                           xi: ConeTarget, residual_norm: float,
                           converged: bool = True,
@@ -86,27 +128,7 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
         "certificate": certificate.statement if certificate else None,
     }
     if include_holonomy:
-        dc = develop_spanning_tree(t, Z)
-        gens = []
-        for g, m in zip(dc.generators, generator_maps(dc)):
-            gens.append({
-                "gluing": str(g),
-                "matrix": [_c(v) for v in m.matrix.ravel()],
-                "up_to_sign": True,
-                "trace": _c(m.trace()),
-            })
-        report["generators"] = gens
-        mats = []
-        for e in edges:
-            M, mult = edge_holonomy_matrix(dc, t, Z, e)
-            mats.append({
-                "edge": e.index,
-                "matrix": [_c(v) for v in M.matrix.ravel()],
-                "up_to_sign": True,
-                "multiplier": _c(mult),
-                "trace": _c(M.trace()),
-            })
-        report["edge_matrices"] = mats
+        report["generators"], report["edge_matrices"] = _holonomy_block(t, Z, edges)
     return report
 
 
@@ -129,11 +151,14 @@ def verify_report(report: dict) -> list:
     does not record the tol it was solved with), the product identity over
     the cone targets, the volume block and each edge's cone angle
     (recomputed from the shapes, to 1e-12 relative to max(1, |value|), and
-    the flat and negatively oriented lists exactly), the edge-matrix
-    multiplier contract and determinant normalization.  No solve is
-    re-run.  Raises
-    IdealGlueError unless the report has one shape per tetrahedron and one
-    target per edge class."""
+    the flat and negatively oriented lists exactly), and the holonomy
+    block: the generators and edge matrices are rebuilt from the shapes by
+    one develop and compared with the reported gluings, edge indices,
+    matrices and traces (up to sign) and multipliers, to 1e-12 relative to
+    max(1, |M|); the rebuilt multipliers must equal h(e), and each reported
+    matrix must have |det M - 1| <= 1e-10 max(1, |M|^2), |M| its largest
+    entry modulus.  No solve is re-run.  Raises IdealGlueError unless the
+    report has one shape per tetrahedron and one target per edge class."""
     t = parse_triangulation(report["triangulation"])
     Z = ShapeAssignment(tuple(_uc(p) for p in report["shapes"]))
     xi = ConeTarget(tuple(_uc(p) for p in report["xi"]))
@@ -164,28 +189,31 @@ def verify_report(report: dict) -> list:
         checks.append(_match("cone_angle", [e["cone_angle"] for e in report["edges"]],
                              edge_cone_angles(Z, E)))
 
-    h = all_holonomies(Z, E)
-    if "edge_matrices" in report:
-        dc = develop_spanning_tree(t, Z)
-        worst_mult, worst_det = 0.0, 0.0
-        for entry in report["edge_matrices"]:
-            j = entry["edge"]
-            M, mult = edge_holonomy_matrix(dc, t, Z, edges[j])
-            worst_mult = max(worst_mult,
-                             abs(mult - h[j]) / max(1.0, abs(h[j])))
-            m = np.array([_uc(p) for p in entry["matrix"]]).reshape(2, 2)
-            worst_det = max(worst_det, abs(np.linalg.det(m) - 1.0))
-        checks.append(ReportCheck("multiplier = h(e)", worst_mult < 1e-9,
-                                  worst_mult, 1e-9))
-        checks.append(ReportCheck("edge matrix det = 1", worst_det < 1e-10,
-                                  worst_det, 1e-10))
-    if "generators" in report:
-        worst = 0.0
-        for entry in report["generators"]:
-            m = np.array([_uc(p) for p in entry["matrix"]]).reshape(2, 2)
-            worst = max(worst, abs(np.linalg.det(m) - 1.0))
-        checks.append(ReportCheck("generator det = 1", worst < 1e-10,
-                                  worst, 1e-10))
+    if "generators" in report or "edge_matrices" in report:
+        gens, mats = _holonomy_block(t, Z, edges)
+        got_g = report.get("generators", [])
+        got_m = report.get("edge_matrices", [])
+        labels = [g["gluing"] for g in gens] + [m["edge"] for m in mats]
+        got_labels = [g["gluing"] for g in got_g] + [m["edge"] for m in got_m]
+        checks.append(ReportCheck("holonomy labels match", got_labels == labels,
+                                  float(got_labels != labels), 0.0))
+        for name, got, want, key in (
+                ("generator matrix", got_g, gens, "matrix"),
+                ("generator trace", got_g, gens, "trace"),
+                ("edge matrix", got_m, mats, "matrix"),
+                ("edge trace", got_m, mats, "trace"),
+                ("multiplier", got_m, mats, "multiplier")):
+            checks.append(_match_complex(name, [e[key] for e in got],
+                                         [e[key] for e in want],
+                                         up_to_sign=key != "multiplier"))
+        h = all_holonomies(Z, E)
+        mult = np.array([_uc(m["multiplier"]) for m in mats])
+        worst = float(np.max(np.abs(mult - h) / np.maximum(1.0, np.abs(h))))
+        checks.append(ReportCheck("multiplier = h(e)", worst < 1e-9, worst, 1e-9))
+        for name, got in (("edge matrix det = 1", got_m),
+                          ("generator det = 1", got_g)):
+            worst = max((_det_error(e["matrix"]) for e in got), default=0.0)
+            checks.append(ReportCheck(name, worst <= 1e-10, worst, 1e-10))
     return checks
 
 

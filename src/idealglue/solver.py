@@ -38,9 +38,8 @@ the time of lstsq's SVD at n = 128.  The step is taken when
 n > RELATION_STEP_CUTOFF and it meets the least-squares optimality
 condition to 1e-8 (else lstsq's step is).  At or below the cutoff the step
 is lstsq's, bit for bit: below n of about 8 lstsq's fixed cost is lower,
-and the n = 32 chain cover's report passes `verify_report`'s generator
-determinant check only by the last bits of its solution, which a changed
-step would move (ROADMAP item 1).  The normal equations square J's
+and lowering the cutoff from 32 toward 8 waits on a change that shows
+which answers it moves.  The normal equations square J's
 condition number; at the near-complete solutions the solver meets, it is
 below 100 and the two steps agree to about 1e-13.
 
@@ -140,9 +139,12 @@ def _take_steps(residual, z, steps, r):
     return todo, _in_guard(z[todo] + first[todo])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
     """The damped Gauss-Newton loop shared by every solve, on a stack Z of
-    shape vectors, one row per start.
+    shape vectors, one row per start.  Iterates running toward an ideal
+    point overflow; NumPy's warnings for that are silenced here, since a
+    trial step with a non-finite residual is rejected (`_take_steps`).
 
     Each iteration evaluates `residual` on the rows still running, and a
     row stops when `done(F, r)` holds for its residual F and residual norm

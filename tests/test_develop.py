@@ -10,7 +10,7 @@ from idealglue import (INFINITY, MobiusMap, ShapeAssignment, all_holonomies,
                        build_exponent_matrix, compute_edge_classes, corpus,
                        develop_across_face, develop_spanning_tree,
                        edge_holonomy_matrix, generator_holonomy,
-                       generator_maps, place_initial, relabel)
+                       generator_maps, relabel)
 from idealglue.gluing import DegenerateShape
 from idealglue.triangulation import EDGE_SLOTS, VertexPermutation
 from conftest import conjugate_match, psl2_dist, random_shapes
@@ -38,78 +38,142 @@ def trefoil_family_matrices(z):
     return g3, ginf
 
 
-# ---------------------------------------------------------------- placement
+# ------------------------------------------------- developed points (oracle)
 
-def test_place_initial_points():
-    p = place_initial(1j)
-    assert p.points == (0, INFINITY, 1, 1j)
+# even-permutation representative (a, b, c, d) per slot {a, b}
+EVEN_REPS = {
+    (0, 1): (0, 1, 2, 3), (2, 3): (2, 3, 0, 1),
+    (0, 2): (0, 2, 3, 1), (1, 3): (1, 3, 2, 0),
+    (0, 3): (0, 3, 1, 2), (1, 2): (1, 2, 0, 3),
+}
 
 
-def test_place_initial_shape_readback(rng):
-    for _ in range(100):
-        (z,) = random_shapes(rng, 1).z
-        p = place_initial(z)
-        assert abs(p.shape_at((0, 1)) - z) < 1e-13 * max(1, abs(z))
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def same_point(u, v):
+    """Projective distance of two CP^1 lifts."""
+    return abs(_det(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
+
+
+def developed_points(dc, Z, tet):
+    """Tetrahedron tet's vertices (0, oo, 1, z) in its own frame, carried
+    into tetrahedron 0's frame, as CP^1 lifts."""
+    F = dc.frames[tet].matrix
+    return [F @ np.array(v, dtype=complex)
+            for v in ((0, 1), (1, 0), (1, 1), (Z[tet], 1))]
+
+
+def shape_at(points, slot):
+    """Cross-ratio read-back at slot {a, b}: the image of p_d under the map
+    sending (p_a, p_b, p_c) to (0, oo, 1), for the even representative
+    (a, b, c, d)."""
+    p, q, r, s = (points[v] for v in EVEN_REPS[tuple(sorted(slot))])
+    return _det(q, r) * _det(p, s) / (_det(p, r) * _det(q, s))
+
+
+def test_initial_tetrahedron_develops_to_0_oo_1_z():
+    dc = develop_spanning_tree(corpus("hopf"), ShapeAssignment((1j,)))
+    assert tuple(dc.frames[0](p) for p in (0, INFINITY, 1, 1j)) == \
+        (0, INFINITY, 1, 1j)
+
+
+def test_developed_shape_readback(rng):
+    from idealglue import random_triangulation
+    for seed in range(12):
+        t = random_triangulation(1 + seed % 6, seed=seed)
+        Z = random_shapes(rng, t.tetra_count)
+        dc = develop_spanning_tree(t, Z)
+        for tet, z in enumerate(Z.z):
+            got = shape_at(developed_points(dc, Z, tet), (0, 1))
+            assert abs(got - z) < 1e-9 * max(1, abs(z))
 
 
 def test_place_initial_regular_all_slots():
-    p = place_initial(REGULAR)
-    for slot in EDGE_SLOTS:
-        assert abs(p.shape_at(slot) - REGULAR) < 1e-14
+    # the regular shape reads back as itself at every slot of every
+    # developed tetrahedron
+    for name in ("hopf", "fig8_in_s3"):
+        t = corpus(name)
+        Z = ShapeAssignment((REGULAR,) * t.tetra_count)
+        dc = develop_spanning_tree(t, Z)
+        for tet in range(t.tetra_count):
+            pts = developed_points(dc, Z, tet)
+            for slot in EDGE_SLOTS:
+                assert abs(shape_at(pts, slot) - REGULAR) < 1e-12
 
 
 def test_placement_slot_invariants(rng):
-    # opposite slots read the same value; the triple is the derived one
-    for _ in range(20):
-        (z,) = random_shapes(rng, 1).z
-        p = place_initial(z)
-        zp = 1 / (1 - z)
-        zpp = (z - 1) / z
-        assert abs(p.shape_at((2, 3)) - z) < 1e-12
-        assert abs(p.shape_at((0, 3)) - zp) < 1e-12
-        assert abs(p.shape_at((1, 2)) - zp) < 1e-12
-        assert abs(p.shape_at((0, 2)) - zpp) < 1e-12
-        assert abs(p.shape_at((1, 3)) - zpp) < 1e-12
+    # every developed tetrahedron reads z at its opposite slots {01, 23},
+    # z' at {03, 12} and z'' at {02, 13}
+    t = corpus("fig8_in_s3")
+    for Z in [ShapeAssignment((REGULAR,) * 3)] + [
+            random_shapes(rng, 3) for _ in range(10)]:
+        dc = develop_spanning_tree(t, Z)
+        for tet, z in enumerate(Z.z):
+            pts = developed_points(dc, Z, tet)
+            for slots, want in ((((0, 1), (2, 3)), z),
+                                (((0, 3), (1, 2)), 1 / (1 - z)),
+                                (((0, 2), (1, 3)), (z - 1) / z)):
+                for slot in slots:
+                    assert abs(shape_at(pts, slot) - want) < 1e-10
 
 
-def test_place_initial_rejects_degenerate():
+def test_develop_rejects_degenerate_shape():
     with pytest.raises(DegenerateShape):
-        place_initial(1 + 1e-12j)
+        develop_spanning_tree(corpus("hopf"), ShapeAssignment((1 + 1e-12j,),
+                                                              guard=0.0))
+    with pytest.raises(DegenerateShape):
+        develop_spanning_tree(corpus("fig8_complement"),
+                              ShapeAssignment((REGULAR, 1e-9j), guard=0.0))
 
 
-# ---------------------------------------------------------- develop across
+# ---------------------------------------------------------------- face steps
 
 def test_develop_across_shares_face_points_exactly(rng):
+    # the face step sends each shared vertex of the target's frame onto the
+    # source's, and the fourth vertex where the target's shape puts it
     t = corpus("fig8_complement")
-    g = t.gluings[0]
-    for _ in range(10):
-        za, zb = random_shapes(rng, 2).z
-        p = place_initial(za)
-        q = develop_across_face(p, g, zb)
-        for v in range(4):
-            if v != g.source_face:
-                assert q.lifts[g.perm(v)] is p.lifts[v]
-        assert abs(q.shape_at((0, 1)) - zb) < 1e-11
+    for g in t.gluings:
+        for _ in range(10):
+            Z = random_shapes(rng, 2)
+            S = develop_across_face(g, Z).matrix
+            assert abs(np.linalg.det(S) - 1) < 1e-14
+            src = developed_points(develop_spanning_tree(t, Z), Z, 0)
+            frame = [np.array(v, dtype=complex)
+                     for v in ((0, 1), (1, 0), (1, 1), (Z[g.target_tet], 1))]
+            moved = [S @ frame[g.perm(v)] for v in range(4)]
+            for v in range(4):
+                if v != g.source_face:
+                    assert same_point(moved[v], src[v]) < 1e-15
+            pts = [None] * 4
+            for v in range(4):
+                pts[g.perm(v)] = moved[v] if v != g.source_face else \
+                    S @ frame[g.target_face]
+            assert abs(shape_at(pts, (0, 1)) - Z[g.target_tet]) < 1e-11
 
 
 def test_develop_out_and_back_restores_placement(rng):
+    # the reverse gluing's step is the inverse, and the development caches
+    # exactly that
     t = corpus("fig8_complement")
-    g = t.gluings[1]
-    za, zb = random_shapes(rng, 2).z
-    p = place_initial(za)
-    q = develop_across_face(p, g, zb)
-    p2 = develop_across_face(q, g.reversed(), za)
-    for v in range(4):
-        w1, w2 = p.lifts[v], p2.lifts[v]
-        assert abs(w1[0] * w2[1] - w1[1] * w2[0]) < 1e-12
+    Z = random_shapes(rng, 2)
+    dc = develop_spanning_tree(t, Z)
+    for g in t.gluings:
+        there, back = develop_across_face(g, Z), develop_across_face(g.reversed(), Z)
+        assert (there @ back).same_projective(MobiusMap.identity(), tol=1e-13)
+        assert np.array_equal(dc.steps[4 * g.source_tet + g.source_face].matrix,
+                              there.matrix)
+        assert np.array_equal(dc.steps[4 * g.target_tet + g.target_face].matrix,
+                              there.inverse().matrix)
 
 
 def test_develop_fig8_neighbor_has_regular_triple():
     t = corpus("fig8_complement")
-    dc = develop_spanning_tree(t, ShapeAssignment((REGULAR, REGULAR)))
-    q = dc.placements[1]
+    Z = ShapeAssignment((REGULAR, REGULAR))
+    pts = developed_points(develop_spanning_tree(t, Z), Z, 1)
     for slot in EDGE_SLOTS:
-        v = q.shape_at(slot)
+        v = shape_at(pts, slot)
         assert min(abs(v - REGULAR), abs(v - 1 / (1 - REGULAR)),
                    abs(v - (REGULAR - 1) / REGULAR)) < 1e-13
 
@@ -137,11 +201,11 @@ def test_tree_gluings_share_developed_faces():
     Z = ShapeAssignment((0.3 + 1.1j, -0.4 + 0.8j, 1.2 + 0.7j))
     dc = develop_spanning_tree(t, Z)
     for g in dc.tree:
-        src = dc.placements[g.source_tet]
-        dst = dc.placements[g.target_tet]
+        src = developed_points(dc, Z, g.source_tet)
+        dst = developed_points(dc, Z, g.target_tet)
         for v in range(4):
             if v != g.source_face:
-                assert src.lifts[v] is dst.lifts[g.perm(v)]
+                assert same_point(src[v], dst[g.perm(v)]) < 1e-14
 
 
 # ----------------------------------------------------------- Mobius algebra
@@ -384,8 +448,8 @@ def test_trefoil_flat_point_edge_involution():
 
 
 def test_generators_conjugate_under_initial_placement_change(rng):
-    """Re-choosing the initial placement moves the whole development by one
-    Mobius map, so every generator conjugates simultaneously and traces are
+    """Re-choosing tetrahedron 0's frame moves every frame by one Mobius
+    map, so every generator conjugates simultaneously and traces are
     unchanged."""
     from idealglue.develop import DevelopedComplex
     C = MobiusMap.from_triples((0, 1, INFINITY), (1j, 2 - 1j, 0.3 + 0.4j))
@@ -394,7 +458,7 @@ def test_generators_conjugate_under_initial_placement_change(rng):
         t = corpus(name)
         Z = random_shapes(rng, t.tetra_count)
         dc = develop_spanning_tree(t, Z)
-        moved = DevelopedComplex(t, [p.transformed(C) for p in dc.placements],
+        moved = DevelopedComplex(t, [C @ f for f in dc.frames], dc.steps,
                                  dc.tree, dc.generators)
         for g in dc.generators:
             m1 = generator_holonomy(dc, g)

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idealglue import (ConeTarget, ShapeAssignment, V_TET, all_holonomies,
+from idealglue import (ConeTarget, DevelopFailure, ShapeAssignment, V_TET,
+                       all_holonomies,
                        build_exponent_matrix, build_solution_report,
                        compute_edge_classes, corpus,
                        essential_edge_certificate, evaluate_residual,
@@ -147,6 +148,44 @@ def test_tampered_volume_and_cone_angles_fail_verification(field, tamper):
     tamper(rep)
     failed = [c.name for c in verify_report(rep) if not c.ok]
     assert failed == [f"{field} matches"]
+
+
+def _scale_entry(r):
+    r["generators"][1]["matrix"][2][0] *= 1 + 1e-9
+
+
+def _set_traces(r):
+    for g in r["generators"]:
+        g["trace"] = [123.0, 0.0]
+
+
+@pytest.mark.parametrize("check, tamper", [
+    ("generator trace matches", _set_traces),
+    ("generator matrix matches", _scale_entry),
+    ("edge trace matches", lambda r: r["edge_matrices"][0]["trace"]
+     .__setitem__(1, r["edge_matrices"][0]["trace"][1] + 1e-9)),
+    ("multiplier matches", lambda r: r["edge_matrices"][1]["multiplier"]
+     .__setitem__(0, r["edge_matrices"][1]["multiplier"][0] + 1e-9)),
+    ("holonomy labels match", lambda r: r["generators"].pop()),
+])
+def test_tampered_holonomy_block_fails_verification(check, tamper):
+    rep = fig8_report()
+    assert all(c.ok for c in verify_report(rep))
+    tamper(rep)
+    failed = [c.name for c in verify_report(rep) if not c.ok]
+    assert check in failed
+    assert set(failed) <= {check, "generator matrix matches",
+                           "generator trace matches", "generator det = 1"}
+
+
+def test_det_bound_is_relative_to_the_matrix_size():
+    # |det - 1| = 1e-3 is rounding-sized next to |M|^2 = 1e12, not next to 1
+    def pairs(*entries):
+        return [[x, 0.0] for x in entries]
+    assert report_mod._det_error(pairs(1e6, 1.0, 1.0, 2.001e-6)) == \
+        pytest.approx(1e-15, rel=1e-6)
+    assert report_mod._det_error(pairs(1.0, 1e-3, -1.0, 1.0)) == \
+        pytest.approx(1e-3)
 
 
 def test_report_is_the_same_with_and_without_the_certificate(monkeypatch):
@@ -331,16 +370,46 @@ def test_cli_verify_report_rejects_a_file_that_is_not_json(tmp_path, capsys,
     assert err.startswith("error: ") and "not a JSON report" in err
 
 
-def test_cli_develop_failure_exits_two(tmp_path, capsys):
-    # developing the n = 128 chain cover in one global frame loses every
-    # digit and meets coincident points: an error line and exit 2, no
-    # traceback and no half-written report
-    path = tmp_path / "chain128.tri"
-    path.write_text(chain_cover_text(64))
-    code, out, err = run_cli(capsys, "certify", "--file", str(path), "--json")
+def test_cli_develop_failure_exits_two(tmp_path, capsys, monkeypatch):
+    # a develop failure is an error line and exit 2, with no traceback and
+    # no half-written report
+    def fail(*args):
+        raise DevelopFailure("triangulation is disconnected; cannot develop")
+
+    monkeypatch.setattr(report_mod, "develop_spanning_tree", fail)
+    code, out, err = run_cli(capsys, "certify", "--corpus", "fig8_complement",
+                             "--json")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def certify_and_verify(capsys, tmp_path, k, *argv):
+    """Exit codes and failed checks of `certify --json` and `verify-report`
+    on the k-fold chain cover (n = 2k)."""
+    tri, path = tmp_path / "chain.tri", tmp_path / "report.json"
+    tri.write_text(chain_cover_text(k))
+    code, out, err = run_cli(capsys, "certify", "--file", str(tri), "--json",
+                             *argv)
+    path.write_text(out)
+    vcode, vout, _ = run_cli(capsys, "verify-report", "--report", str(path))
+    return code, vcode, [line for line in vout.splitlines() if "FAIL" in line]
+
+
+@pytest.mark.parametrize("k", [64, 128])
+def test_cli_chain_cover_reports_verify_at_large_n(tmp_path, capsys, k):
+    # the generators are long loxodromics (entries about 1e12 at n = 128):
+    # developing in one global frame met coincident points here
+    assert certify_and_verify(capsys, tmp_path, k) == (0, 0, [])
+
+
+@pytest.mark.parametrize("start", ["0.5,0.85", "0.5,0.866", "0.51,0.86",
+                                   "0.49,0.87"])
+def test_cli_chain_cover_32_reports_verify_from_every_start(tmp_path, capsys,
+                                                            start):
+    # these starts failed the absolute generator det bound by 1e-10 to 2e-10
+    assert certify_and_verify(capsys, tmp_path, 16, "--initial", start) == \
+        (0, 0, [])
 
 
 def test_cli_sweep(capsys):

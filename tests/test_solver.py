@@ -82,6 +82,30 @@ def test_stationary_start_stalls_honestly():
     assert res.residual_norm > 1
 
 
+def test_solve_toward_an_ideal_point_stalls_without_warnings():
+    # the continuation of random_triangulation(6, seed=6) along
+    # xi_e = exp(i (pi d_e / 3 + w_e theta)), w = (-2, 2), in theta steps of
+    # -0.001 from the regular shape: the last converged point (theta =
+    # -0.514) as the start at theta = -0.524, where the iterates overflow
+    import warnings
+    from idealglue import random_triangulation
+    t = random_triangulation(6, seed=6)
+    theta = -0.524
+    xi = ConeTarget(tuple(cmath.exp(1j * (math.pi * e.degree / 3 + w * theta))
+                          for e, w in zip(compute_edge_classes(t), (-2, 2))))
+    start = ShapeAssignment((9624657.857266355 + 1172.47443361382j,
+                             0.5000000020261662 + 0.8660254155319148j,
+                             0.4999998402423818 + 52.088377125373334j,
+                             0.4999999887678344 + 0.8660254077778086j,
+                             0.4999999888365664 + 0.8660253996027767j,
+                             0.49999999415563556 + 0.8660253933944457j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = newton_solve(t, xi, start)
+    assert not res.converged
+    assert res.reason == "stalled"
+
+
 def test_converged_result_residual_reproducible():
     t = corpus("fig8_complement")
     edges = compute_edge_classes(t)

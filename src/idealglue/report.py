@@ -67,9 +67,13 @@ def _match_complex(name: str, got, want, up_to_sign: bool) -> "ReportCheck":
 
 def _det_error(matrix) -> float:
     """|det M - 1| relative to max(1, |M|^2), |M| the largest entry
-    modulus: rounding alone leaves about eps |M|^2."""
+    modulus: rounding alone leaves about eps |M|^2.  Computed as
+    |det(M/s) - 1/s^2| with s = max(1, |M|), so no entry is squared
+    before it is scaled (|M| reaches 1e187 at n = 2000)."""
     a, b, c, d = (_uc(p) for p in matrix)
-    return abs(a * d - b * c - 1.0) / max(1.0, abs(a), abs(b), abs(c), abs(d)) ** 2
+    s = max(1.0, abs(a), abs(b), abs(c), abs(d))
+    a, b, c, d = a / s, b / s, c / s, d / s
+    return abs(a * d - b * c - 1.0 / s / s)
 
 
 def _holonomy_block(t: Triangulation, Z: ShapeAssignment, edges) -> tuple:

@@ -27,21 +27,17 @@ solution set at fixed xi has positive dimension, the start decides which
 of its points Newton reaches, so a sweep point is one solution of the
 family there, not a canonical one.
 
-The step of `newton_solve` is the min-norm least-squares solution of
-J x = -F.  J is rank-deficient, and its left null space is known: around
-each vertex class the product of the edge holonomies, each raised to the
-number of its ends there, is constant (Neumann-Zagier), so the rows of
-W / h annihilate J, where W is the cusp relation matrix
-(`build_relation_matrix`).  With U = W / h, J J^H + U^H U is invertible and
-x = J^H (J J^H + U^H U)^-1 (-F): one dense m-by-m solve, about a sixth of
-the time of lstsq's SVD at n = 128.  The step is taken when
-n > RELATION_STEP_CUTOFF and it meets the least-squares optimality
-condition to 1e-8 (else lstsq's step is).  At or below the cutoff the step
-is lstsq's, bit for bit: below n of about 8 lstsq's fixed cost is lower,
-and lowering the cutoff from 32 toward 8 waits on a change that shows
-which answers it moves.  The normal equations square J's
-condition number; at the near-complete solutions the solver meets, it is
-below 100 and the two steps agree to about 1e-13.
+Both solves take one step, the min-norm least-squares solution of
+A x = b for each row of a stack (`_least_squares_step`): A = J and
+U = W / h for `newton_solve`, and for the sampler's real system |h| - 1
+its real m-by-2n Jacobian and U = W / |h|.  W is the cusp relation
+matrix (`build_relation_matrix`): around each vertex class the product of
+the edge holonomies, each raised to the number of its ends there, is
+constant (Neumann-Zagier), so the rows of U span the left null space of
+A, and x = A^H (A A^H + U^H U)^-1 b is one dense m-by-m solve with no
+singular-value cutoff for rounding noise to pass.  The normal equations
+square A's condition number; at the near-complete solutions the solver
+meets, it is below 100 and the step agrees with lstsq's to about 1e-13.
 
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
@@ -69,8 +65,6 @@ from .triangulation import Triangulation, compute_edge_classes
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
 MAX_HALVINGS = 30                   # damping: step halvings per iteration
-RELATION_STEP_CUTOFF = 32           # newton_solve: n above which the step
-                                    # comes from the cusp relations
 
 
 @dataclass(frozen=True)
@@ -188,27 +182,27 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
     return Z, F_out, iterations, reasons
 
 
-def _least_squares_step(J, b, U=None):
-    """The min-norm least-squares solution x of J x = b.
-
-    U, when given, holds rows u with u J = 0 meant to span the left null
-    space of J (the cusp relations W / h).  Then J J^H + U^H U is
-    invertible, and x = J^H (J J^H + U^H U)^-1 b is one dense m-by-m
-    solve.  That x is returned when it meets the least-squares optimality
-    condition |J^H (J x - b)| <= 1e-8 |J^H b|; otherwise, and without U,
-    x is lstsq's SVD solution.
-    """
-    if U is not None:
-        JH = J.conj().T
-        try:
-            x = JH @ np.linalg.solve(J @ JH + U.conj().T @ U, b)
-        except np.linalg.LinAlgError:       # U misses part of the null space
-            pass
-        else:
-            if (np.linalg.norm(JH @ (J @ x - b))
-                    <= 1e-8 * np.linalg.norm(JH @ b)):
-                return x
-    return np.linalg.lstsq(J, b, rcond=None)[0]
+def _least_squares_step(A, b, U):
+    """The min-norm least-squares solution x[k] of A[k] x = b[k] for each
+    row k of a stack, where the rows of U[k] span the left null space of
+    A[k]: x = A^H (A A^H + U^H U)^-1 b, one dense m-by-m solve per row.  A
+    row whose x misses the optimality condition |A^H (A x - b)| <=
+    1e-8 |A^H b|, or whose matrix is singular, takes lstsq's step; each
+    row's step is that of the row alone, bit for bit."""
+    AH, b = A.mT.conj(), b[..., None]
+    try:
+        x = AH @ np.linalg.solve(A @ AH + U.mT.conj() @ U, b)
+    except np.linalg.LinAlgError:       # U misses part of the null space
+        if len(A) > 1:                  # of some row: solve the rows apart
+            rows = zip(A[:, None], b[:, None, :, 0], U[:, None])
+            return np.concatenate([_least_squares_step(*row) for row in rows])
+        x = np.full_like(AH[..., :1], np.nan)
+    g = AH @ np.concatenate([A @ x - b, b], axis=-1)
+    g = np.vecdot(g, g, axis=-2).real   # |A^H (A x - b)|^2, |A^H b|^2
+    x = x[..., 0]
+    for k in np.flatnonzero(~(g[:, 0] <= 1e-16 * g[:, 1])):
+        x[k] = np.linalg.lstsq(A[k], b[k, :, 0], rcond=None)[0]
+    return x
 
 
 def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
@@ -217,11 +211,10 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
     reduced coordinates (one z per tetrahedron), as a batch of one.
 
     The m-by-n system is rank-deficient (the cusp relations W / h span the
-    left null space of J), so steps are min-norm least-squares solutions:
-    above RELATION_STEP_CUTOFF tetrahedra from the relations, at or below
-    it from lstsq (`_least_squares_step`).  When the step is tiny or
-    cannot be damped into a decrease (a stationary point of |F|^2 away
-    from a solution), three deterministic kicks are tried next.  Raises
+    left null space of J), so steps are min-norm least-squares solutions
+    taken from the relations (`_least_squares_step`).  When the step is
+    tiny or cannot be damped into a decrease (a stationary point of |F|^2
+    away from a solution), three deterministic kicks are tried next.  Raises
     IdealGlueError unless `initial` has one shape per tetrahedron and xi
     one target per edge class.
     """
@@ -236,8 +229,7 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
                            f"degree-one edge(s) {names} have xi = 1; the "
                            f"single incident shape parameter would be "
                            f"forbidden, so the system has no solution")
-    W = (build_relation_matrix(t) if t.tetra_count > RELATION_STEP_CUTOFF
-         else None)
+    W = build_relation_matrix(t)
     target = np.array(xi.xi)
     rotation = np.exp(0.7j * (1 + np.arange(t.tetra_count)))
 
@@ -246,10 +238,10 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
         return evaluate_residual(Z[0], E, target)[None]
 
     def directions(Z, F):
-        U = None if W is None else W / all_holonomies(Z[0], E)
-        step = _least_squares_step(jacobian(Z[0], E), -F[0], U)
-        if not np.linalg.norm(step) < 1e-12 * (1.0 + np.linalg.norm(Z[0])):
-            yield step[None]
+        U = W / all_holonomies(Z, E)[:, None]
+        step = _least_squares_step(jacobian(Z, E), -F, U)
+        if not np.linalg.norm(step[0]) < 1e-12 * (1.0 + np.linalg.norm(Z[0])):
+            yield step
         # near a stationary point of |F|^2 away from a solution the step is
         # tiny or cannot be damped into a decrease: deterministic kicks
         # break the symmetry, re-entering Gauss-Newton after
@@ -389,7 +381,7 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     (ShapeAssignment, ConeTarget).  Raises IdealGlueError unless every
     start has one shape per tetrahedron.
     """
-    E = build_exponent_matrix(t)
+    E, W = build_exponent_matrix(t), build_relation_matrix(t)
     n = t.tetra_count
     starts = list(starts)
     for start in starts:
@@ -400,12 +392,12 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
 
     def directions(Z, F):
         h = all_holonomies(Z, E)
+        a = np.abs(h)
         # d|h| = Re(conj(h)/|h| * h'(z) dz): a real m x 2n system per row,
-        # solved for its min-norm step with lstsq's singular-value cutoff
-        W = (np.conj(h) / np.abs(h))[..., None] * jacobian(Z, E)
-        A = np.concatenate([W.real, -W.imag], axis=-1)
-        rcond = np.finfo(float).eps * max(A.shape[-2:])
-        step = (np.linalg.pinv(A, rcond=rcond) @ -F[..., None])[..., 0]
+        # whose left null space the rows of W / |h| span
+        D = (np.conj(h) / a)[..., None] * jacobian(Z, E)
+        A = np.concatenate([D.real, -D.imag], axis=-1)
+        step = _least_squares_step(A, -F, W / a[:, None])
         return [step[:, :n] + 1j * step[:, n:]]
 
     def done(F, r):     # xi_from_shapes's |h(e)| = 1 test at its default tol

@@ -2,9 +2,10 @@
 
 Row v of the relation matrix W counts the ends of each edge class at
 vertex class v; the rows of W / h annihilate the Jacobian, so they span
-its left null space and make J J^H + U^H U invertible.  Above
-RELATION_STEP_CUTOFF tetrahedra `newton_solve` takes its step from that
-matrix; the per-start lstsq loop of test_batched_solver is the oracle.
+its left null space and make J J^H + U^H U invertible.  Every solve takes
+its step from that matrix; lstsq with the rank the relations leave is the
+oracle for the step, and the per-start lstsq loop of test_batched_solver
+for `newton_solve` on the chain covers.
 """
 import cmath
 import math
@@ -19,12 +20,11 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        build_relation_matrix, compute_edge_classes,
                        compute_vertex_classes, corpus, jacobian, newton_solve,
                        parse_triangulation, random_triangulation)
-from idealglue import solver as solver_mod
-from idealglue.solver import RELATION_STEP_CUTOFF, _least_squares_step
+from idealglue.solver import _least_squares_step
 from idealglue.triangulation import EDGE_SLOTS
 
 from conftest import chain_cover_text, random_shapes
-from test_batched_solver import scalar_newton
+from test_batched_solver import lstsq_step, scalar_newton
 
 EPS = np.finfo(float).eps
 
@@ -167,41 +167,56 @@ def rank_fixed_lstsq(J, b, r):
     return np.linalg.lstsq(J, b, rcond=rcond)[0], s[0] / s[r - 1]
 
 
+def stacked_system(rng, name, t, count):
+    """A stack of `count` Jacobians at sample points, with random right-hand
+    sides and the relation rows W / h of each point."""
+    E, W = build_exponent_matrix(t), build_relation_matrix(t)
+    Z = np.array([sample_point(rng, name, t) for _ in range(count)])
+    J = jacobian(Z, E)
+    b = rng.normal(size=J.shape[:-1]) + 1j * rng.normal(size=J.shape[:-1])
+    return J, b, W / all_holonomies(Z, E)[:, None]
+
+
 @pytest.mark.parametrize("name", STEP_SYSTEMS)
 def test_step_matches_lstsq(name, rng, lstsq_calls):
-    # The normal equations square the condition number: the step's error is
+    # Each row's step is the row's alone, bit for bit.  The normal
+    # equations square the condition number: the step's error is
     # O(eps cond^2) where the SVD's is O(eps cond).  At cond <= 6, and so
     # on hopf and trefoil (m > n, cond 1), that is within 1e-12.
     t = SYSTEMS[name]
-    E, W, r = build_exponent_matrix(t), build_relation_matrix(t), relation_rank(t)
-    for _ in range(20):
-        z = sample_point(rng, name, t)
-        J = jacobian(z, E)
-        b = rng.normal(size=len(J)) + 1j * rng.normal(size=len(J))
-        x = _least_squares_step(J, b, W / all_holonomies(z, E))
-        assert lstsq_calls == []                    # no fallback
-        want, cond = rank_fixed_lstsq(J, b, r)
-        lstsq_calls.clear()
+    J, b, U = stacked_system(rng, name, t, 20)
+    x = _least_squares_step(J, b, U)
+    assert lstsq_calls == []                        # no fallback
+    assert x.shape == b.shape[:-1] + J.shape[-1:]
+    for Jk, bk, Uk, xk in zip(J, b, U, x):
+        assert np.array_equal(xk, _least_squares_step(Jk[None], bk[None],
+                                                      Uk[None])[0])
+        want, cond = rank_fixed_lstsq(Jk, bk, relation_rank(t))
         bound = max(1e-12, 256 * EPS * cond ** 2)
-        assert np.linalg.norm(x - want) <= bound * np.linalg.norm(want)
+        assert np.linalg.norm(xk - want) <= bound * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("name", STEP_SYSTEMS)
-def test_incomplete_relations_fall_back_to_lstsq(name, rng):
+def test_incomplete_relations_fall_back_to_lstsq(name, rng, lstsq_calls):
+    # the odd rows lose one relation each: only those rows fall back, each
+    # to lstsq's step on its own matrix (on chain2 the cut rows' matrices
+    # are singular, so the stack's solve fails and its rows are solved apart)
     t = SYSTEMS[name]
-    E, W = build_exponent_matrix(t), build_relation_matrix(t)
-    for _ in range(5):
-        z = sample_point(rng, name, t)
-        J, h = jacobian(z, E), all_holonomies(z, E)
-        b = rng.normal(size=len(J)) + 1j * rng.normal(size=len(J))
-        want = np.linalg.lstsq(J, b, rcond=None)[0]
-        assert np.array_equal(_least_squares_step(J, b), want)
-        for v in range(len(W)):
-            U = np.delete(W, v, axis=0) / h
-            assert np.array_equal(_least_squares_step(J, b, U), want)
+    J, b, U = stacked_system(rng, name, t, 6)
+    full = _least_squares_step(J, b, U)
+    for v in range(U.shape[1]):
+        lstsq_calls.clear()
+        cut = U.copy()
+        cut[1::2, v] = 0.0
+        x = _least_squares_step(J, b, cut)
+        assert len(lstsq_calls) == 3
+        for k in range(len(J)):
+            want = (np.linalg.lstsq(J[k], b[k], rcond=None)[0] if k % 2
+                    else full[k])
+            assert np.array_equal(x[k], want)
 
 
-# ------------------------------------------------- newton_solve above n = 32
+# ----------------------------------------------- newton_solve on chain covers
 
 def chain_starts(n, count, seed):
     """Per radius about exp(i pi/3), a constant start as the benchmark
@@ -219,39 +234,18 @@ def chain_starts(n, count, seed):
     return out
 
 
-@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
 def test_newton_above_the_cutoff_matches_the_lstsq_loop(n, lstsq_calls):
+    # named for the size cutoff the relation step once had; every n takes it
     t = parse_triangulation(chain_cover_text(n // 2))
     xi = ConeTarget.ones(n)
     cfg = SolverConfig()
     for initial in chain_starts(n, 3, seed=n):
         res = newton_solve(t, xi, initial, cfg)
         assert lstsq_calls == []                    # no fallback
-        z, r, it, reason = scalar_newton(t, xi, initial, cfg)
+        z, r, it, reason = scalar_newton(t, xi, initial, cfg, lstsq_step)
         lstsq_calls.clear()
         assert (res.iterations, res.reason) == (it, reason)
         assert res.converged
         assert np.abs(np.array(res.shapes.z) - z).max() <= 1e-12
         assert abs(res.residual_norm - r) <= 1e-12
-
-
-def test_newton_at_the_cutoff_keeps_lstsq(monkeypatch):
-    # n = 32 keeps lstsq bit for bit: its CLI report passes verify-report
-    # only by the last bits of the solution (ROADMAP item 1)
-    assert RELATION_STEP_CUTOFF == 32
-    built = []
-    relations = solver_mod.build_relation_matrix
-
-    def counted(t):
-        built.append(t.tetra_count)
-        return relations(t)
-
-    monkeypatch.setattr(solver_mod, "build_relation_matrix", counted)
-    t = parse_triangulation(chain_cover_text(16))
-    xi = ConeTarget.ones(32)
-    for initial in chain_starts(32, 2, seed=32):
-        res = newton_solve(t, xi, initial)
-        z, r, it, reason = scalar_newton(t, xi, initial, SolverConfig())
-        assert res.shapes.z == z
-        assert (res.residual_norm, res.iterations, res.reason) == (r, it, reason)
-    assert built == []

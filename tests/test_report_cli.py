@@ -12,7 +12,8 @@ from idealglue import (ConeTarget, DevelopFailure, ShapeAssignment, V_TET,
                        build_exponent_matrix, build_solution_report,
                        compute_edge_classes, corpus,
                        essential_edge_certificate, evaluate_residual,
-                       IdealGlueError, newton_solve, verify_report)
+                       IdealGlueError, newton_solve, parse_triangulation,
+                       regular_solution, verify_report)
 from idealglue import report as report_mod
 from idealglue.cli import _parse_xi, build_parser, main
 from idealglue.report import dumps, loads
@@ -186,6 +187,17 @@ def test_det_bound_is_relative_to_the_matrix_size():
         pytest.approx(1e-15, rel=1e-6)
     assert report_mod._det_error(pairs(1.0, 1e-3, -1.0, 1.0)) == \
         pytest.approx(1e-3)
+
+
+def test_regular_report_round_trips_at_n_2000():
+    # the generators' entries reach about 1e187: squaring one overflowed
+    t = parse_triangulation(chain_cover_text(1000))
+    Z, xi, _ = regular_solution(t)
+    r = float(np.linalg.norm(evaluate_residual(Z, build_exponent_matrix(t), xi)))
+    rep = build_solution_report(t, Z, xi, r)
+    checks = verify_report(loads(dumps(rep)))
+    assert checks and all(c.ok for c in checks), [str(c) for c in checks
+                                                  if not c.ok]
 
 
 def test_report_is_the_same_with_and_without_the_certificate(monkeypatch):

@@ -82,6 +82,41 @@ def test_stationary_start_stalls_honestly():
     assert res.residual_norm > 1
 
 
+def test_min_norm_step_converges_where_lstsq_stalled():
+    # starts on random_triangulation(4, seed=4) from which lstsq's step,
+    # with a rounding-noise singular value above its cutoff, had norm about
+    # 1e14, no halving made it a decrease, and the solve stalled
+    from idealglue import random_triangulation
+    t = random_triangulation(4, seed=4)
+    xi = ConeTarget((cmath.exp(-2j), cmath.exp(2j)))
+    starts = [
+        (-0.9878586182575732 - 1.4166238485958496j,
+         -1.1940481311323556 + 0.45648058090629573j,
+         1.3343679435807585 - 0.1680171862033828j,
+         0.3093916141774884 - 0.11028092591184468j),
+        (0.5131776583451308 + 0.08253917596444649j,
+         1.1619471137146709 - 0.8554639740166345j,
+         -0.33370657281033633 + 0.317688493363254j,
+         -1.400006905912847 - 0.4235575897578603j),
+        (0.7399239280299368 + 0.7190371061750038j,
+         1.2435144776689258 + 0.6013279342078068j,
+         -1.1639805374666208 + 0.35599192645415845j,
+         0.909292388825002 + 0.08894273617066006j),
+        (1.0922510454704912 + 0.7542187346733378j,
+         1.4973739992401607 + 0.5245375481572847j,
+         1.1781461790794834 + 0.11127860036322668j,
+         0.3410300514671427 + 0.2840369075314093j),
+        (0.7283196042737614 + 0.16217139628814592j,
+         -1.0185132356899382 - 0.4601752671575452j,
+         0.504231423667129 - 0.3175342960321639j,
+         1.212261263399202 + 1.254245011421238j),
+    ]
+    for z in starts:
+        res = newton_solve(t, xi, ShapeAssignment(z))
+        assert res.converged, res.reason
+        assert res.residual_norm < SolverConfig().tol
+
+
 def test_solve_toward_an_ideal_point_stalls_without_warnings():
     # the continuation of random_triangulation(6, seed=6) along
     # xi_e = exp(i (pi d_e / 3 + w_e theta)), w = (-2, 2), in theta steps of
@@ -390,6 +425,36 @@ def test_fig8_in_s3_cone_locus_product_identity():
     assert len(samples) >= 6
     for Z, xi in samples:
         assert abs(np.prod(xi.xi) - 1) < 1e-8
+
+
+def test_sample_does_not_depend_on_the_last_bits_of_its_start():
+    # trefoil, seed 11, start 7 and its neighbours 1 and 2 ulps apart in
+    # Re z: the real Jacobian's noise-level singular value once sat just
+    # above lstsq's cutoff there, and three of the five were dropped
+    t = corpus("trefoil")
+    cfg = SolverConfig(seed=11)
+    z = random_starts(t, 32, cfg)[7].z[0]
+    points = []
+    for k in (-2, -1, 0, 1, 2):
+        start = ShapeAssignment((complex(z.real + k * np.spacing(z.real),
+                                         z.imag),))
+        samples, dropped = cone_locus_sample(t, [start], cfg)
+        assert dropped == 0
+        points.append(samples[0][0][0])
+    assert max(abs(p - points[2]) for p in points) <= 1e-12
+
+
+def test_sampler_keeps_the_corpus_starts():
+    kept = total = 0
+    for name in CORPUS_NAMES:
+        t = corpus(name)
+        for seed in range(20):
+            cfg = SolverConfig(seed=seed)
+            samples, dropped = cone_locus_sample(t, random_starts(t, 32, cfg),
+                                                 cfg)
+            kept, total = kept + len(samples), total + len(samples) + dropped
+    assert total == 3200
+    assert kept >= 3129         # lstsq's min-norm step kept 3,129
 
 
 def test_sampler_targets_are_xi_from_shapes_of_the_converged_rows(monkeypatch):

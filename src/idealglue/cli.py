@@ -1,13 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 solve failure, 2 input error.  Diagnostics go to
-stderr; results to stdout (JSON with --json).
+Exit codes: 0 success, 1 solve failure (for verify-report, a failed
+check), 2 input error, including a file that cannot be read or a
+malformed report.  Diagnostics go to stderr; results to stdout (JSON with
+--json).
 """
 from __future__ import annotations
 
 import argparse
 import cmath
 import json
+import math
 import sys
 
 import numpy as np
@@ -82,6 +85,11 @@ def _parse_initial(text: str, n: int, flag: str = "--initial") -> ShapeAssignmen
     if len(zs) != n:
         raise IdealGlueError(f"expected {n} initial shapes, got {len(zs)}")
     return ShapeAssignment(tuple(zs))
+
+
+def _finite(x: float):
+    """x, or None (JSON null) when it is not finite: JSON has no inf."""
+    return x if math.isfinite(x) else None
 
 
 def _config(args) -> SolverConfig:
@@ -169,7 +177,7 @@ def _cmd_solve(args) -> int:
         if args.json:
             print(report_mod.dumps({"converged": False, "reason": res.reason,
                                     "detail": res.detail,
-                                    "residual_norm": res.residual_norm}))
+                                    "residual_norm": _finite(res.residual_norm)}))
         return EXIT_SOLVE_FAILURE
     rep = report_mod.build_solution_report(t, res.shapes, xi,
                                            res.residual_norm)
@@ -283,7 +291,7 @@ def _cmd_sweep(args) -> int:
         "theta": p.theta,
         "converged": p.result.converged,
         "reason": p.result.reason,
-        "residual_norm": p.result.residual_norm,
+        "residual_norm": _finite(p.result.residual_norm),
         "shapes": [[z.real, z.imag] for z in p.result.shapes.z],
     } for p in points]}
     human = []
@@ -408,9 +416,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except IdealGlueError as err:
-        return _fail(str(err))
-    except FileNotFoundError as err:
+    except (IdealGlueError, OSError, UnicodeDecodeError) as err:
         return _fail(str(err))
 
 

@@ -242,10 +242,12 @@ def evaluate_residual(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
     return all_holonomies(Z, E) - target
 
 
-def jacobian(Z: ShapeAssignment | np.ndarray,
-             E: ExponentMatrix) -> np.ndarray:
+def jacobian(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
+             h: np.ndarray | None = None) -> np.ndarray:
     """Analytic m-by-n complex Jacobian d h(e_j) / d z_i, with the leading
     batch axes of Z (one m-by-n matrix per row, as in `all_holonomies`).
+    `h`, when given, is `all_holonomies(Z, E)`, which a caller that has
+    computed it need not have computed twice.
 
     Uses d log z'/dz = 1/(1-z) and d log z''/dz = 1/(z(z-1)), so
     J[j,i] = h(e_j) (a/z + a'/(1-z) + a''/(z(z-1))), evaluated at the
@@ -253,7 +255,8 @@ def jacobian(Z: ShapeAssignment | np.ndarray,
     """
     z = _shapes(Z)
     w = z.take(E.cols, axis=-1)
-    h = all_holonomies(z, E)
+    if h is None:
+        h = all_holonomies(z, E)
     J = np.zeros(z.shape[:-1] + (E.edge_count, E.tet_count), dtype=complex)
     J[..., E.rows, E.cols] = h.take(E.rows, axis=-1) * (
         E.pair_a / w + E.pair_a_prime / (1.0 - w)

@@ -1,10 +1,12 @@
 """Self-contained JSON solution reports and their re-validation.
 
 Complex numbers serialize as [re, im] pairs; json round-trips doubles
-bit-exactly, so a report can be re-checked without re-running the solve.
+bit-exactly, so `verify_report` can rebuild a report from its own inputs
+with `build_solution_report`, without a solve, and compare every field.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -12,84 +14,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .develop import develop_spanning_tree, edge_holonomy_matrix, generator_maps
+from .errors import IdealGlueError
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import edge_cone_angles, solution_volume
 from .gluing import (ConeTarget, ShapeAssignment, all_holonomies,
                      build_exponent_matrix, check_shape_length,
                      check_target_length, evaluate_residual)
-from .solver import SolverConfig, branched_cover_report
+from .solver import SolverConfig, branched_cover_report, certificate_statement
 from .triangulation import Triangulation, compute_edge_classes
 
 REPORT_VERSION = 1
 
 
-def _c(z: complex):
-    return [float(z.real), float(z.imag)]
-
-
-def _uc(pair) -> complex:
-    return complex(pair[0], pair[1])
-
-
-def _volume_block(vol) -> dict:
-    """The report's volume block: the VolumeReport fields, tuples as lists."""
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in vars(vol).items()}
-
-
-def _match(name: str, got, want) -> "ReportCheck":
-    """Whether the reported values equal the recomputed ones, entry by
-    entry, to 1e-12 relative to max(1, |value|)."""
-    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-    worst = (math.inf if got.shape != want.shape else float(np.max(
-        np.abs(got - want) / np.maximum(1.0, np.abs(want)), initial=0.0)))
-    return ReportCheck(f"{name} matches", worst <= 1e-12, worst, 1e-12)
-
-
-def _match_complex(name: str, got, want, up_to_sign: bool) -> "ReportCheck":
-    """Whether each reported value (a matrix, a trace or a multiplier, as
-    [re, im] pairs) equals the recomputed one, up to global sign when
-    `up_to_sign`, to 1e-12 relative to max(1, its largest modulus)."""
-    def rows(x):
-        a = np.asarray(x, dtype=float).reshape(len(x), -1, 2)
-        return a[..., 0] + 1j * a[..., 1]
-    got, want = rows(got), rows(want)
-    if got.shape != want.shape:
-        worst = math.inf
-    else:
-        err = np.abs(got - want).max(-1)
-        if up_to_sign:
-            err = np.minimum(err, np.abs(got + want).max(-1))
-        worst = float(np.max(err / np.maximum(1.0, np.abs(want).max(-1)),
-                             initial=0.0))
-    return ReportCheck(f"{name} matches", worst <= 1e-12, worst, 1e-12)
+def _pairs(values) -> list:
+    """Complex values, in C order, as a list of [re, im] pairs."""
+    a = np.asarray(values, dtype=complex).ravel()     # contiguous
+    return a.view(float).reshape(-1, 2).tolist()
 
 
 def _det_error(matrix) -> float:
-    """|det M - 1| relative to max(1, |M|^2), |M| the largest entry
-    modulus: rounding alone leaves about eps |M|^2.  Computed as
-    |det(M/s) - 1/s^2| with s = max(1, |M|), so no entry is squared
-    before it is scaled (|M| reaches 1e187 at n = 2000)."""
-    a, b, c, d = (_uc(p) for p in matrix)
+    """|det M - 1| relative to max(1, |M|^2), |M| the largest entry modulus
+    (rounding alone leaves about eps |M|^2), as |det(M/s) - 1/s^2| with
+    s = max(1, |M|): no entry is squared unscaled (|M| is 1e187 at n = 2000)."""
+    a, b, c, d = (complex(*p) for p in matrix)
     s = max(1.0, abs(a), abs(b), abs(c), abs(d))
     a, b, c, d = a / s, b / s, c / s, d / s
     return abs(a * d - b * c - 1.0 / s / s)
-
-
-def _holonomy_block(t: Triangulation, Z: ShapeAssignment, edges) -> tuple:
-    """The report's generators and edge matrices, from one develop."""
-    dc = develop_spanning_tree(t, Z)
-    gens = [{"gluing": str(g), "matrix": [_c(v) for v in m.matrix.ravel()],
-             "up_to_sign": True, "trace": _c(m.trace())}
-            for g, m in zip(dc.generators, generator_maps(dc))]
-    mats = []
-    for e in edges:
-        M, mult = edge_holonomy_matrix(dc, t, Z, e)
-        mats.append({"edge": e.index,
-                     "matrix": [_c(v) for v in M.matrix.ravel()],
-                     "up_to_sign": True, "multiplier": _c(mult),
-                     "trace": _c(M.trace())})
-    return gens, mats
 
 
 def build_solution_report(t: Triangulation, Z: ShapeAssignment,
@@ -104,35 +54,39 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
     edges, E = compute_edge_classes(t), build_exponent_matrix(t)
     check_shape_length(Z, E)
     check_target_length(xi, E)
-    h = all_holonomies(Z, E).tolist()
     cover = (certificate.cover if certificate is not None and certificate.xi == xi
              else branched_cover_report(edges, xi))
-    angles = edge_cone_angles(Z, E).tolist()
+    rows = zip(cover.entries, _pairs(all_holonomies(Z, E)),
+               edge_cone_angles(Z, E).tolist())
     report = {
         "report_version": REPORT_VERSION,
         "triangulation": format_triangulation(t),
         "converged": bool(converged),
-        "shapes": [_c(z) for z in Z.z],
-        "xi": [_c(x) for x in xi.xi],
+        "shapes": _pairs(Z.z),
+        "xi": _pairs(xi.xi),
         "residual_norm": float(residual_norm),
-        "edges": [
-            {
-                "index": e.index,
-                "degree": e.degree,
-                "holonomy": _c(h[e.index]),
-                "order": None if math.isinf(entry.order) else int(entry.order),
-                "lifted_degree": (None if math.isinf(entry.lifted_degree)
-                                  else int(entry.lifted_degree)),
-                "cone_angle": angles[e.index],
-            }
-            for e, entry in zip(edges, cover.entries)
-        ],
+        "edges": [{"index": c.edge_index, "degree": c.degree, "holonomy": h,
+                   "order": None if math.isinf(c.order) else int(c.order),
+                   "lifted_degree": (None if math.isinf(c.lifted_degree)
+                                     else int(c.lifted_degree)),
+                   "cone_angle": angle}
+                  for c, h, angle in rows],
         "all_orders_finite": cover.all_orders_finite,
-        "volume": _volume_block(solution_volume(Z)),
+        "volume": {k: list(v) if isinstance(v, tuple) else v
+                   for k, v in vars(solution_volume(Z)).items()},
         "certificate": certificate.statement if certificate else None,
     }
-    if include_holonomy:
-        report["generators"], report["edge_matrices"] = _holonomy_block(t, Z, edges)
+    if include_holonomy:            # one develop for the whole block
+        dc = develop_spanning_tree(t, Z)
+        report["generators"] = [
+            {"gluing": str(g), "matrix": _pairs(m.matrix), "up_to_sign": True,
+             "trace": _pairs(m.trace())[0]}
+            for g, m in zip(dc.generators, generator_maps(dc))]
+        mats = [(e.index, *edge_holonomy_matrix(dc, t, Z, e)) for e in edges]
+        report["edge_matrices"] = [
+            {"edge": j, "matrix": _pairs(M.matrix), "up_to_sign": True,
+             "multiplier": _pairs(mult)[0], "trace": _pairs(M.trace())[0]}
+            for j, M, mult in mats]
     return report
 
 
@@ -148,81 +102,126 @@ class ReportCheck:
         return f"{self.name}: {flag} ({self.value:.3e} vs tol {self.tolerance:.1e})"
 
 
+def _is_pairs(value) -> bool:
+    return (type(value) is list and {type(p) for p in value} <= {list}
+            and {len(p) for p in value} <= {2}
+            and {type(x) for p in value for x in p} <= {int, float})
+
+
+# the fields a report is rebuilt from, each with the test it must pass
+_INPUTS = {"triangulation": lambda v: isinstance(v, str),
+           "shapes": _is_pairs, "xi": _is_pairs,
+           "residual_norm": lambda v: type(v) in (int, float)}
+# row blocks, by the prefix of their fields' check names
+_ROWS = {"edges": "", "generators": "generator ", "edge_matrices": "edge "}
+_RENAMED = {"edge multiplier": "multiplier", **dict.fromkeys((
+    "generator gluing", "generator up_to_sign", "edge edge", "edge up_to_sign"),
+    "holonomy labels")}
+
+
+def _fields(report: dict) -> dict:
+    """A report's claims by check name: a top-level field but the inputs, a
+    volume entry as "volume <key>", a row field as its list over the rows."""
+    fields = {}
+    for key in sorted(report.keys() - _INPUTS.keys()):
+        value = report[key]
+        if key == "volume" and isinstance(value, dict):
+            fields.update((f"volume {k}", v) for k, v in value.items())
+        elif key in _ROWS and isinstance(value, list) and all(
+                isinstance(row, dict) for row in value):
+            for k in dict.fromkeys(itertools.chain.from_iterable(value)):
+                name = f"{_ROWS[key]}{k}"
+                fields.setdefault(_RENAMED.get(name, name), []).extend(
+                    [row[k] for row in value if k in row])
+        else:
+            fields[key] = value
+    return fields
+
+
+def _match(name: str, got, want) -> ReportCheck:
+    """Whether a reported field equals the rebuilt one: ints, None, bools,
+    strings and labels exactly; numbers to 1e-12 relative to max(1, |value|),
+    one value being a number, a [re, im] pair or a matrix of pairs, |value|
+    its largest entry; matrices and traces up to sign."""
+    numeric = isinstance(want, float) or (
+        isinstance(want, list) and bool(want) and isinstance(want[0], (float, list)))
+    worst = 0.0 if got == want else math.inf
+    if worst and numeric:
+        try:
+            g, w = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        except (TypeError, ValueError):     # not numbers: worst stays inf
+            g = w = np.empty(0)
+        if g.shape == w.shape and w.size:   # one row per value
+            g, w = (a.reshape(a.shape[:1] + (-1,)) for a in (g, w))
+            err = np.abs(g - w).max(-1)
+            if name.endswith(("matrix", "trace")):
+                err = np.minimum(err, np.abs(g + w).max(-1))
+            worst = float(np.max(err / np.maximum(1.0, np.abs(w).max(-1))))
+    label = "match" if name.endswith("labels") else "matches"
+    tol = 1e-12 if numeric else 0.0
+    return ReportCheck(f"{name} {label}", worst <= tol, worst, tol)
+
+
 def verify_report(report: dict) -> list:
-    """Re-check a report from its own serialized data: the residual norm
-    (and that it is within 10 tol when the report claims convergence or a
-    certificate; tol is the default `SolverConfig().tol`, since a report
-    does not record the tol it was solved with), the product identity over
-    the cone targets, the volume block and each edge's cone angle
-    (recomputed from the shapes, to 1e-12 relative to max(1, |value|), and
-    the flat and negatively oriented lists exactly), and the holonomy
-    block: the generators and edge matrices are rebuilt from the shapes by
-    one develop and compared with the reported gluings, edge indices,
-    matrices and traces (up to sign) and multipliers, to 1e-12 relative to
-    max(1, |M|); the rebuilt multipliers must equal h(e), and each reported
-    matrix must have |det M - 1| <= 1e-10 max(1, |M|^2), |M| its largest
-    entry modulus.  No solve is re-run.  Raises IdealGlueError unless the
-    report has one shape per tetrahedron and one target per edge class."""
+    """Re-check every claim of a report by rebuilding it, without a solve.
+
+    The inputs `triangulation`, `shapes` and `xi` go to
+    `build_solution_report` with the report's `converged` flag,
+    `certificate_statement` when a certificate is stated, and the holonomy
+    block when the report has one.  `residual_norm` and every other field
+    must equal the re-evaluated or rebuilt one (`_match`); a missing or
+    extra field fails "report fields match".  Invariants: residual <= 10
+    `SolverConfig().tol` when convergence or a certificate is claimed,
+    prod xi = 1, multiplier = h(e), |det M - 1| <= 1e-10 max(1, |M|^2).
+    Raises IdealGlueError, naming the field, unless the report is an
+    object with well-typed inputs and `residual_norm`, one shape per
+    tetrahedron and one target per edge class."""
+    if not isinstance(report, dict):
+        raise IdealGlueError(f"a report is a JSON object, not {type(report).__name__}")
+    for key, ok in _INPUTS.items():
+        if not ok(report.get(key)):
+            raise IdealGlueError(f"report field {key!r} is missing or malformed")
     t = parse_triangulation(report["triangulation"])
-    Z = ShapeAssignment(tuple(_uc(p) for p in report["shapes"]))
-    xi = ConeTarget(tuple(_uc(p) for p in report["xi"]))
-    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
-    check_shape_length(Z, E)
-    check_target_length(xi, E)
-    checks = []
+    Z = ShapeAssignment(tuple(complex(*p) for p in report["shapes"]))
+    xi = ConeTarget(tuple(complex(*p) for p in report["xi"]))
+    claimed = report.get("certificate") is not None
+    rebuilt = build_solution_report(
+        t, Z, xi, report["residual_norm"], report.get("converged") is True,
+        include_holonomy="generators" in report or "edge_matrices" in report)
+    res = float(np.linalg.norm(evaluate_residual(Z, build_exponent_matrix(t), xi)))
+    if claimed:
+        rebuilt["certificate"] = certificate_statement(
+            branched_cover_report(compute_edge_classes(t), xi))
 
-    res = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
-    checks.append(ReportCheck("residual_norm matches",
-                              abs(res - report["residual_norm"]) < 1e-12,
-                              abs(res - report["residual_norm"]), 1e-12))
-    if report.get("converged") or report.get("certificate"):
-        bound = 10 * SolverConfig().tol
-        checks.append(ReportCheck("residual_norm <= 10 tol", res <= bound,
-                                  res, bound))
-
-    prod = 1.0 + 0.0j
-    for x in xi.xi:
-        prod *= x
-    checks.append(ReportCheck("prod xi = 1", abs(prod - 1.0) < 1e-8,
-                              abs(prod - 1.0), 1e-8))
-
-    if "volume" in report:
-        for key, value in _volume_block(solution_volume(Z)).items():
-            checks.append(_match(f"volume {key}", report["volume"][key], value))
-    if "edges" in report:
-        checks.append(_match("cone_angle", [e["cone_angle"] for e in report["edges"]],
-                             edge_cone_angles(Z, E)))
-
-    if "generators" in report or "edge_matrices" in report:
-        gens, mats = _holonomy_block(t, Z, edges)
-        got_g = report.get("generators", [])
-        got_m = report.get("edge_matrices", [])
-        labels = [g["gluing"] for g in gens] + [m["edge"] for m in mats]
-        got_labels = [g["gluing"] for g in got_g] + [m["edge"] for m in got_m]
-        checks.append(ReportCheck("holonomy labels match", got_labels == labels,
-                                  float(got_labels != labels), 0.0))
-        for name, got, want, key in (
-                ("generator matrix", got_g, gens, "matrix"),
-                ("generator trace", got_g, gens, "trace"),
-                ("edge matrix", got_m, mats, "matrix"),
-                ("edge trace", got_m, mats, "trace"),
-                ("multiplier", got_m, mats, "multiplier")):
-            checks.append(_match_complex(name, [e[key] for e in got],
-                                         [e[key] for e in want],
-                                         up_to_sign=key != "multiplier"))
-        h = all_holonomies(Z, E)
-        mult = np.array([_uc(m["multiplier"]) for m in mats])
+    got, want = _fields(report), _fields(rebuilt)
+    odd = len(got.keys() ^ want.keys())
+    checks = [ReportCheck("report fields match", not odd, float(odd), 0.0),
+              _match("residual_norm", report["residual_norm"], res)]
+    checks += [_match(name, got.get(name), value) for name, value in want.items()]
+    bound = 10 * SolverConfig().tol
+    if rebuilt["converged"] or claimed:
+        checks.append(ReportCheck("residual_norm <= 10 tol", res <= bound, res, bound))
+    prod = abs(math.prod(xi.xi) - 1.0)
+    checks.append(ReportCheck("prod xi = 1", prod < 1e-8, prod, 1e-8))
+    if "edge_matrices" in rebuilt:
+        h = np.array([complex(*e["holonomy"]) for e in rebuilt["edges"]])
+        mult = np.array([complex(*m["multiplier"]) for m in rebuilt["edge_matrices"]])
         worst = float(np.max(np.abs(mult - h) / np.maximum(1.0, np.abs(h))))
         checks.append(ReportCheck("multiplier = h(e)", worst < 1e-9, worst, 1e-9))
-        for name, got in (("edge matrix det = 1", got_m),
-                          ("generator det = 1", got_g)):
-            worst = max((_det_error(e["matrix"]) for e in got), default=0.0)
+        for name, key in (("edge matrix det = 1", "edge_matrices"),
+                          ("generator det = 1", "generators")):
+            worst = max((_det_error(e["matrix"]) for e in rebuilt[key]),
+                        default=0.0)
             checks.append(ReportCheck(name, worst <= 1e-10, worst, 1e-10))
     return checks
 
 
 def dumps(report: dict) -> str:
-    return json.dumps(report, indent=2)
+    """RFC 8259 JSON; raises IdealGlueError for a value it cannot hold."""
+    try:
+        return json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as err:
+        raise IdealGlueError(f"cannot write the report: {err}") from err
 
 
 def loads(text: str) -> dict:

@@ -52,10 +52,11 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotConverged, NotUnitModulus
+from .errors import IdealGlueError, NotConverged, NotUnitModulus
 from .geometry import V_TET
 from .gluing import (DEGENERACY_GUARD, ConeTarget, ShapeAssignment,
                      all_holonomies, build_exponent_matrix,
@@ -72,6 +73,14 @@ class SolverConfig:
     tol: float = 1e-10              # residual 2-norm for convergence
     max_iterations: int = 100
     seed: int = 0                   # random_starts
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise IdealGlueError(f"tol must be finite and positive, got "
+                                 f"{self.tol}")
+        if self.max_iterations < 0:
+            raise IdealGlueError(f"max_iterations must be >= 0, got "
+                                 f"{self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -238,8 +247,8 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
         return evaluate_residual(Z[0], E, target)[None]
 
     def directions(Z, F):
-        U = W / all_holonomies(Z, E)[:, None]
-        step = _least_squares_step(jacobian(Z, E), -F, U)
+        h = all_holonomies(Z, E)
+        step = _least_squares_step(jacobian(Z, E, h), -F, W / h[:, None])
         if not np.linalg.norm(step[0]) < 1e-12 * (1.0 + np.linalg.norm(Z[0])):
             yield step
         # near a stationary point of |F|^2 away from a solution the step is
@@ -395,7 +404,7 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
         a = np.abs(h)
         # d|h| = Re(conj(h)/|h| * h'(z) dz): a real m x 2n system per row,
         # whose left null space the rows of W / |h| span
-        D = (np.conj(h) / a)[..., None] * jacobian(Z, E)
+        D = (np.conj(h) / a)[..., None] * jacobian(Z, E, h)
         A = np.concatenate([D.real, -D.imag], axis=-1)
         step = _least_squares_step(A, -F, W / a[:, None])
         return [step[:, :n] + 1j * step[:, n:]]
@@ -431,8 +440,11 @@ def order_of_root_of_unity(xi: complex, tol: float = 1e-9,
     return math.inf
 
 
-@dataclass(frozen=True)
-class EdgeCoverEntry:
+class EdgeCoverEntry(NamedTuple):
+    """One edge's cover bookkeeping.  A tuple, several times cheaper to
+    build than a frozen dataclass: every report and every re-check of one
+    builds one per edge."""
+
     edge_index: int
     xi: complex
     order: float            # int-valued or math.inf
@@ -485,6 +497,23 @@ class Certificate:
     cover: CoverDegreeReport
 
 
+def certificate_statement(cover: CoverDegreeReport) -> str:
+    """The essential-edges conclusion drawn from a solution at targets
+    whose branched-cover bookkeeping is `cover`: about the triangulation
+    itself when every order is 1, else about the branched cover."""
+    if cover.trivial_cover:
+        return ("solution of the hyperbolic gluing equations found: "
+                "all edges of the triangulation are essential")
+    orders = ", ".join(f"e{e.edge_index}:o={e.order}" for e in cover.entries)
+    statement = ("solution of the xi-hyperbolic gluing equations found: "
+                 "all edges of the induced ideal triangulation of the "
+                 f"branched cover are essential (branch orders {orders})")
+    if not cover.all_orders_finite:
+        statement += ("; edges of infinite order lift to non-manifold "
+                      "points of the cover")
+    return statement
+
+
 def essential_edge_certificate(t: Triangulation, result: SolveResult,
                                xi: ConeTarget,
                                cfg: SolverConfig = SolverConfig()) -> Certificate:
@@ -506,17 +535,6 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
     if res >= cfg.tol * 10:
         raise NotConverged(f"re-evaluated residual {res:.3e} too large")
     cover = branched_cover_report(edges, xi)
-    if cover.trivial_cover:
-        kind = "manifold"
-        statement = ("solution of the hyperbolic gluing equations found: "
-                     "all edges of the triangulation are essential")
-    else:
-        kind = "branched_cover"
-        orders = ", ".join(f"e{e.edge_index}:o={e.order}" for e in cover.entries)
-        statement = ("solution of the xi-hyperbolic gluing equations found: "
-                     "all edges of the induced ideal triangulation of the "
-                     f"branched cover are essential (branch orders {orders})")
-        if not cover.all_orders_finite:
-            statement += ("; edges of infinite order lift to non-manifold "
-                          "points of the cover")
-    return Certificate(kind, statement, res, result.shapes, xi, cover)
+    kind = "manifold" if cover.trivial_cover else "branched_cover"
+    return Certificate(kind, certificate_statement(cover), res, result.shapes,
+                       xi, cover)

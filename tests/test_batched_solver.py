@@ -228,9 +228,9 @@ def test_sampler_batches_its_kernel_calls(monkeypatch):
     calls = []
     jac = solver_mod.jacobian
 
-    def counted(Z, E):
+    def counted(Z, E, *h):
         calls.append(np.shape(Z))
-        return jac(Z, E)
+        return jac(Z, E, *h)
 
     monkeypatch.setattr(solver_mod, "jacobian", counted)
     t = corpus("fig8_in_s3")
@@ -238,6 +238,25 @@ def test_sampler_batches_its_kernel_calls(monkeypatch):
     samples, _ = cone_locus_sample(t, random_starts(t, 32, cfg), cfg)
     assert samples
     assert len(calls) <= cfg.max_iterations + 1
+
+
+def test_solves_hand_their_holonomies_to_the_jacobian(monkeypatch):
+    # each step evaluated h twice at the same point: for U = W / h and
+    # again inside the Jacobian
+    calls = []
+    jac = solver_mod.jacobian
+
+    def recorded(Z, E, h=None):
+        calls.append(h is not None and np.array_equal(h, all_holonomies(Z, E)))
+        return jac(Z, E, h)
+
+    monkeypatch.setattr(solver_mod, "jacobian", recorded)
+    cfg = SolverConfig(seed=5)
+    t = corpus("fig8_in_s3")
+    cone_locus_sample(t, random_starts(t, 8, cfg), cfg)
+    newton_solve(corpus("fig8_complement"), ConeTarget.ones(2),
+                 ShapeAssignment((0.5 + 0.8j, 0.5 + 0.8j)))
+    assert calls and all(calls)
 
 
 # ---------------------------------------------------------- the core itself

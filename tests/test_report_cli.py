@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idealglue import (ConeTarget, DevelopFailure, ShapeAssignment, V_TET,
-                       all_holonomies,
+from idealglue import (CORPUS_NAMES, ConeTarget, DevelopFailure,
+                       ShapeAssignment, V_TET, all_holonomies,
                        build_exponent_matrix, build_solution_report,
                        compute_edge_classes, corpus,
                        essential_edge_certificate, evaluate_residual,
@@ -179,6 +179,103 @@ def test_tampered_holonomy_block_fails_verification(check, tamper):
                            "generator trace matches", "generator det = 1"}
 
 
+def _set_edges(key, value):
+    def tamper(r):
+        for e in r["edges"]:
+            e[key] = value
+    return tamper
+
+
+@pytest.mark.parametrize("field, tamper", [
+    ("degree", _set_edges("degree", 99)),
+    ("holonomy", _set_edges("holonomy", [5.0, 5.0])),
+    ("order", _set_edges("order", 7)),
+    ("lifted_degree", _set_edges("lifted_degree", 42)),
+    ("all_orders_finite", lambda r: r.__setitem__("all_orders_finite", False)),
+    ("certificate", lambda r: r.__setitem__("certificate", "anything")),
+])
+def test_tampered_claims_fail_verification(field, tamper):
+    # each used to pass every check: only the volume, cone angles and
+    # holonomy block were recomputed
+    rep = fig8_report()
+    tamper(rep)
+    failed = [c.name for c in verify_report(rep) if not c.ok]
+    assert failed == [f"{field} matches"]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda r: r.pop("volume"),
+    lambda r: r.pop("edges"),
+    lambda r: r.__setitem__("comment", "an extra claim"),
+    lambda r: r["edges"][0].__setitem__("essential", True),
+], ids=["no volume", "no edges", "extra key", "extra edge key"])
+def test_missing_or_extra_report_fields_fail_verification(tamper):
+    # a report without its volume or edges block used to verify clean
+    rep = fig8_report()
+    tamper(rep)
+    failed = [c.name for c in verify_report(rep) if not c.ok]
+    assert "report fields match" in failed
+
+
+def test_verify_rebuilds_the_report_once(monkeypatch):
+    # one code path writes and re-checks: the volume, angles and develop
+    # run only inside the one rebuild
+    rep = fig8_report()
+    calls = []
+    for name in ("build_solution_report", "solution_volume",
+                 "edge_cone_angles", "develop_spanning_tree"):
+        original = getattr(report_mod, name)
+        monkeypatch.setattr(report_mod, name, lambda *a, _f=original, _n=name,
+                            **k: calls.append(_n) or _f(*a, **k))
+    assert all(c.ok for c in verify_report(rep))
+    assert sorted(calls) == ["build_solution_report", "develop_spanning_tree",
+                             "edge_cone_angles", "solution_volume"]
+
+
+@pytest.mark.parametrize("report, field", [
+    ([], "a report is a JSON object"),
+    ({}, "'triangulation'"),
+    ({"converged": False, "reason": "degree_one_edge_obstruction",
+      "detail": "", "residual_norm": None}, "'triangulation'"),
+    (lambda r: r["shapes"].__setitem__(0, [0.5, "x"]), "'shapes'"),
+    (lambda r: r["xi"].__setitem__(1, [1.0]), "'xi'"),
+    (lambda r: r.pop("residual_norm"), "'residual_norm'"),
+    (lambda r: r.__setitem__("residual_norm", "0"), "'residual_norm'"),
+    (lambda r: r.__setitem__("triangulation", None), "'triangulation'"),
+], ids=["array", "empty", "solve failure", "shape pair", "xi pair",
+        "no residual", "string residual", "null triangulation"])
+def test_malformed_reports_exit_two(report, field, tmp_path, capsys):
+    # each used to end in a KeyError or TypeError traceback, exit 1
+    if callable(report):
+        rep = fig8_report()
+        report(rep)
+        report = rep
+    with pytest.raises(IdealGlueError, match=field):
+        verify_report(report)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and field in err and err.count("\n") == 1
+
+
+def test_reports_hold_no_non_finite_number(capsys):
+    # the failure payload wrote "residual_norm": Infinity, which is not JSON
+    code, out, err = run_cli(capsys, "solve", "--corpus", "hopf", "--xi",
+                             "ones", "--json")
+    assert code == 1
+    rep = json.loads(out, parse_constant=lambda c: pytest.fail(c))
+    assert rep["residual_norm"] is None
+    code, out, err = run_cli(capsys, "sweep", "--corpus", "hopf",
+                             "--xi-weights", "1,-2,1", "--theta-grid", "0,1",
+                             "--initial", "0.2,0.9", "--json")
+    assert code == 0
+    points = json.loads(out, parse_constant=lambda c: pytest.fail(c))["points"]
+    assert points[0]["residual_norm"] is None and points[1]["converged"]
+    with pytest.raises(IdealGlueError, match="cannot write the report"):
+        dumps({"total": math.inf})
+
+
 def test_det_bound_is_relative_to_the_matrix_size():
     # |det - 1| = 1e-3 is rounding-sized next to |M|^2 = 1e12, not next to 1
     def pairs(*entries):
@@ -269,6 +366,27 @@ def test_cli_input_errors_exit_two(capsys):
     code, out, err = run_cli(capsys, "solve", "--corpus", "hopf",
                              "--xi", "1,0;1,0")
     assert code == 2   # wrong xi arity
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("certify", "--corpus", "fig8_complement", "--max-iter", "-1"),
+     "max_iterations"),
+    (("certify", "--corpus", "fig8_complement", "--tol", "nan"), "tol"),
+    (("solve", "--corpus", "fig8_complement", "--tol", "0"), "tol"),
+    (("info", "--file", "{dir}"), "Is a directory"),
+    (("info", "--file", "{binary}"), ""),   # the decoder's message
+    (("verify-report", "--report", "{dir}"), "Is a directory"),
+])
+def test_bad_options_and_unreadable_files_exit_two(argv, message, tmp_path,
+                                                   capsys):
+    # each used to end in a traceback (or, for --tol nan, run to
+    # max_iterations) with exit 1
+    binary = tmp_path / "binary.tri"
+    binary.write_bytes(b"tri v1\n\xd0\xff\x00")
+    argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_xi_has_one_syntax():
@@ -368,6 +486,34 @@ def test_cli_solve_json_report_verifies(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+# hopf, trefoil and fig8_in_s3 have degree-one edges: no solution at xi = 1
+WRITERS = [(command, name) for command in ("solve", "certify", "holonomy")
+           for name in ("fig8_complement", "doubled_tetrahedron")]
+WRITERS += [("regular", name) for name in CORPUS_NAMES]
+WRITERS += [(command, "hopf", "--xi", "1j,-1,1j", "--initial", "0.1,0.9")
+            for command in ("solve", "certify", "holonomy")]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=" ".join)
+def test_every_writers_report_verifies_and_every_claim_is_checked(
+        argv, tmp_path, capsys):
+    command, name, *rest = argv
+    code, out, err = run_cli(capsys, command, "--corpus", name, "--json", *rest)
+    assert code == 0, err
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    checks = verify_report(loads(out))
+    assert checks and all(c.ok for c in checks), [str(c) for c in checks
+                                                  if not c.ok]
+    names = {c.name for c in checks}
+    claims = set(json.loads(out)) - {"triangulation", "shapes", "xi", "edges",
+                                     "volume", "generators", "edge_matrices"}
+    assert {f"{k} matches" for k in claims} | {"report fields match"} <= names
+    assert {f"{k} matches" for k in json.loads(out)["edges"][0]} <= names
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    assert code == 0 and "FAIL" not in out
 
 
 @pytest.mark.parametrize("content", [b"", b"{not json", b"\x89PNG\x00\xff"])

@@ -658,3 +658,14 @@ def test_certificate_and_report_reject_shapes_of_the_wrong_length(n):
             t, solver_mod.SolveResult(Z, 0.0, 0, True), xi)
     with pytest.raises(IdealGlueError, match=match):
         build_solution_report(t, Z, xi, 0.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iterations": -1}, {"tol": math.nan}, {"tol": math.inf},
+    {"tol": 0.0}, {"tol": -1e-10},
+])
+def test_solver_config_rejects_values_no_solve_can_use(kwargs):
+    # max_iterations = -1 ended in a TypeError from norm(None), and a nan
+    # tol ran every solve to max_iterations
+    with pytest.raises(IdealGlueError, match=next(iter(kwargs))):
+        SolverConfig(**kwargs)

@@ -3,9 +3,8 @@ on ideal triangulations: combinatorics, solvers, developing maps, holonomy
 representations, volumes and essential-edge certificates."""
 
 from .corpus import CORPUS_NAMES, corpus, export_corpus
-from .develop import (DevelopedComplex, INFINITY, MobiusMap,
-                      develop_across_face, develop_spanning_tree,
-                      edge_holonomy_matrix, generator_holonomy, generator_maps)
+from .develop import (DevelopedComplex, develop_across_face,
+                      develop_spanning_tree, edge_holonomy_matrix)
 from .errors import (BranchCut, DegenerateShape, DevelopFailure,
                      EdgeCycleNotClosed, IdealGlueError, NotConverged,
                      NotUnitModulus, ParseError, UnknownCorpusEntry,
@@ -24,13 +23,10 @@ from .solver import (Certificate, CoverDegreeReport, REGULAR_SHAPE,
                      cone_locus_sample, essential_edge_certificate,
                      newton_solve, order_of_root_of_unity, random_starts,
                      regular_solution, sweep_family)
-from .triangulation import (AbstractNeighbourhood, EDGE_SLOTS, EdgeClass,
-                            FaceGluing, Triangulation, ValidationReport,
-                            VertexClass, VertexPermutation,
-                            abstract_edge_neighbourhood, compute_edge_classes,
-                            compute_vertex_classes,
-                            enumerate_one_tetrahedron_triangulations,
-                            make_triangulation, random_triangulation, relabel,
+from .triangulation import (EDGE_SLOTS, EdgeClass, FaceGluing, Triangulation,
+                            ValidationReport, VertexClass, VertexPermutation,
+                            compute_edge_classes, compute_vertex_classes,
+                            make_triangulation, random_triangulation,
                             self_identification_report, validate)
 
 __version__ = "0.1.0"

@@ -42,7 +42,11 @@ def _load_triangulation(args):
         return corpus(args.corpus)
     if args.file:
         with open(args.file) as fh:
-            return parse_triangulation(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as err:
+                raise IdealGlueError(f"{args.file}: not a text file ({err})") from err
+        return parse_triangulation(text)
     raise IdealGlueError("one of --corpus or --file is required")
 
 
@@ -416,7 +420,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IdealGlueError, OSError, UnicodeDecodeError) as err:
+    except (IdealGlueError, OSError) as err:
         return _fail(str(err))
 
 

@@ -1,232 +1,160 @@
 """Developing a triangulation into hyperbolic 3-space and reading off
-holonomy, in local frames.
+holonomy, in local frames, on the compiled tables of `triangulation`.
 
 Each tetrahedron i has its own frame, in which its vertices 0, 1, 2, 3 sit
-at (0, oo, 1, z_i); the shape read back at edge {0,1} is z_i.  A face
-gluing is one SL(2, C) matrix in those frames, its face step: the Mobius
-map carrying the target tetrahedron's frame into the source's, so that it
-sends each shared face vertex perm(v) of the target to vertex v of the
-source.  The reverse gluing's step is its inverse (the adjugate).  This is
-the n = 2 case of Garoufalidis-Goerner-Zickert, "Gluing equations for
-PGL(n, C)-representations of 3-manifolds" (AGT 2015, arXiv:1207.6711).
-
-A tetrahedron's frame in tetrahedron 0's is the product of the face steps
-along the breadth-first dual spanning tree.  Generators (the non-tree
-gluings) are given in tetrahedron 0's frame; an edge matrix, the product of
-the deg(e) face steps around the edge, in its first tetrahedron's.  No
-cross-ratio is inverted and no two points are compared.
+at (0, oo, 1, z_i).  A face gluing's step is the SL(2, C) matrix carrying
+the target tetrahedron's frame into the source's, so that it sends each
+shared face vertex perm(v) of the target to vertex v of the source; the
+reverse side's step is its adjugate.  This is the n = 2 case of
+Garoufalidis-Goerner-Zickert, "Gluing equations for PGL(n, C)-
+representations of 3-manifolds" (AGT 2015, arXiv:1207.6711).  A frame is
+the product of the steps along the breadth-first dual spanning tree; a
+generator (a non-tree gluing) is given in tetrahedron 0's frame, and an
+edge matrix, the product of the deg(e) steps around the edge, in its first
+tetrahedron's.  Each kind is one stacked (k, 2, 2) complex array, det 1,
+meant up to sign; no cross-ratio is inverted, no two points are compared.
 
 Conventions, pinned by the closed-form Hopf/trefoil holonomy fixtures: an
 edge cycle leaves the slot (tail, head) through the face `exit` making
 (tail, head, exit, other) an even permutation; the composed rotation around
-the edge then has derivative h(e) at the tail vertex.  Ideal points exposed
-to callers are elements of C u {oo}, with oo represented by complex(inf, 0).
+the edge then has derivative h(e) at the tail vertex.
 """
 from __future__ import annotations
 
-import cmath
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DevelopFailure, EdgeCycleNotClosed
-from .gluing import ShapeAssignment, check_nondegenerate
-from .triangulation import (EdgeClass, FaceGluing, Triangulation,
-                            compute_edge_classes)
+from .gluing import DEGENERACY_GUARD, ShapeAssignment, check_nondegenerate
+from .triangulation import (DIRECTED_SLOTS, EXIT_FACE, IMAGES, Triangulation,
+                            edge_tables, face_table)
 
-INFINITY = complex("inf")
-
-
-def _lift(p: complex) -> np.ndarray:
-    if cmath.isinf(p):
-        return np.array([1.0, 0.0], dtype=complex)
-    return np.array([p, 1.0], dtype=complex)
+_FACE = np.array([[v for v in range(4) if v != f] for f in range(4)])
+_ENDS = np.array(DIRECTED_SLOTS)          # (tail, head) per directed slot
+# vertex v of a tetrahedron lifts to (_X[v], _Y[v]), but vertex 3 to (z, 1)
+_X, _Y = np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0, 1.0])
 
 
-def _unlift(v: np.ndarray) -> complex:
-    if abs(v[1]) <= 1e-15 * abs(v[0]):
-        return INFINITY
-    return complex(v[0] / v[1])
+def _adjugate(M: np.ndarray) -> np.ndarray:
+    """The adjugate of each matrix of a (k, 2, 2) stack."""
+    return np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]],
+                    1).reshape(-1, 2, 2)
 
 
-def _vertices(z: complex) -> tuple:
-    """Lifts of a tetrahedron's vertices (0, oo, 1, z) in its own frame."""
-    return ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (z, 1.0))
+def _std_matrices(z: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Per row, the matrix sending the lifts of the vertex triple verts =
+    (p, q, r) of a tetrahedron of shape z to (0, oo, 1), det 1.  The rows go
+    in groups by the place of vertex 3, whose lift (z, 1) is the only
+    complex one, so that products of real coordinates stay real floats."""
+    out = np.empty((len(z), 2, 2), dtype=complex)
+    place = np.where((verts == 3).any(1), (verts == 3).argmax(1), 3)
+    for at in range(4):
+        rows = np.flatnonzero(place == at)
+        p, q, r = ((z[rows] if i == at else _X[v], _Y[v])
+                   for i, v in enumerate(verts[rows].T))
+        qr = q[0] * r[1] - q[1] * r[0]
+        pr = p[0] * r[1] - p[1] * r[0]
+        det = qr * pr * (p[0] * q[1] - p[1] * q[0])
+        M = np.stack([-qr * p[1], qr * p[0], -pr * q[1], pr * q[0]], 1)
+        out[rows] = (M / np.sqrt(det.astype(complex))[:, None]).reshape(-1, 2, 2)
+    return out
 
 
-def _std_matrix(p, q, r) -> np.ndarray:
-    """Matrix sending the CP^1 triple (p, q, r) to (0, oo, 1), det 1."""
-    qr = q[0] * r[1] - q[1] * r[0]
-    pr = p[0] * r[1] - p[1] * r[0]
-    det = qr * pr * (p[0] * q[1] - p[1] * q[0])
-    if abs(det) < 1e-30:
-        raise DevelopFailure("triple contains coincident points")
-    return np.array([[-qr * p[1], qr * p[0]],
-                     [-pr * q[1], pr * q[0]]], dtype=complex) / cmath.sqrt(det)
-
-
-class MobiusMap:
-    """An element of PSL(2, C): a 2x2 complex matrix of determinant 1,
-    compared up to global sign."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix, normalize: bool = True):
-        m = np.asarray(matrix, dtype=complex).reshape(2, 2)
-        if normalize:
-            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-            if abs(det) < 1e-30:
-                raise DevelopFailure("singular matrix is not a Mobius map")
-            m = m / cmath.sqrt(det)
-        self.matrix = m
-        self.matrix.setflags(write=False)
-
-    @classmethod
-    def identity(cls) -> "MobiusMap":
-        return cls(np.eye(2, dtype=complex), normalize=False)
-
-    @classmethod
-    def from_triples(cls, src, dst) -> "MobiusMap":
-        """The unique map carrying the source point triple to the target
-        triple (points in C u {oo})."""
-        A = _std_matrix(*(_lift(p) for p in src))
-        B = _std_matrix(*(_lift(p) for p in dst))
-        return cls(np.linalg.inv(B) @ A)
-
-    def det(self) -> complex:
-        m = self.matrix
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-    def inverse(self) -> "MobiusMap":
-        a, b, c, d = self.matrix.ravel()
-        return MobiusMap(np.array([[d, -b], [-c, a]]), normalize=False)
-
-    def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap(self.matrix @ other.matrix, normalize=False)
-
-    def __call__(self, w: complex) -> complex:
-        return _unlift(self.matrix @ _lift(w))
-
-    def trace(self) -> complex:
-        """a + d; well defined only up to sign in PSL(2, C)."""
-        return complex(self.matrix[0, 0] + self.matrix[1, 1])
-
-    def same_projective(self, other: "MobiusMap", tol: float = 1e-9) -> bool:
-        """Equality up to global sign."""
-        d1 = np.abs(self.matrix - other.matrix).max()
-        d2 = np.abs(self.matrix + other.matrix).max()
-        return min(d1, d2) < tol
-
-    def _multiplier_at_lift(self, v: np.ndarray) -> complex:
-        """Derivative at the fixed point whose lift is v."""
-        image = self.matrix @ v
-        i = int(np.argmax(np.abs(v)))
-        lam = image[i] / v[i]
-        return complex(1.0 / (lam * lam))
-
-    def __repr__(self):
-        a, b, c, d = np.round(self.matrix.ravel(), 6)
-        return f"MobiusMap([[{a}, {b}], [{c}, {d}]])"
-
-
-def develop_across_face(g: FaceGluing, Z: ShapeAssignment) -> MobiusMap:
-    """The face step of gluing g: the map from the target tetrahedron's
-    frame to the source's that sends vertex g.perm(v) of the target to
-    vertex v of the source for the three vertices v of the glued face."""
-    src, dst = _vertices(Z[g.source_tet]), _vertices(Z[g.target_tet])
-    face = [v for v in range(4) if v != g.source_face]
-    A = _std_matrix(*(src[v] for v in face))
-    B = _std_matrix(*(dst[g.perm(v)] for v in face))
-    (a, b), (c, d) = A
-    return MobiusMap(np.array([[d, -b], [-c, a]]) @ B, normalize=False)
+def develop_across_face(t: Triangulation, Z: ShapeAssignment) -> np.ndarray:
+    """All 4n face steps, a (4n, 2, 2) array: row 4 tet + f is the step of
+    the gluing leaving face f of tet, sending vertex perm(v) of the target
+    to vertex v of tet for the three vertices v of the face.  A pair's step
+    is computed from its lexicographically smaller side, and the other
+    side's is its adjugate."""
+    table, z = face_table(t), np.asarray(Z.z)
+    back = 4 * table[:, 0] + table[:, 1]
+    src = np.flatnonzero(np.arange(len(table)) < back)
+    verts = _FACE[src % 4]
+    A = _std_matrices(z[src // 4], verts)
+    B = _std_matrices(z[table[src, 0]], IMAGES[table[src, 2:], verts])
+    steps = np.empty((len(table), 2, 2), dtype=complex)
+    steps[src] = np.matmul(_adjugate(A), B)
+    steps[back[src]] = _adjugate(steps[src])
+    return steps
 
 
 @dataclass
 class DevelopedComplex:
     """A development along a breadth-first dual spanning tree from
-    tetrahedron 0: per tetrahedron its frame in tetrahedron 0's, and per
-    face (index 4 tet + face) the face step of the gluing leaving it; the
-    non-tree gluings are the holonomy generators."""
+    tetrahedron 0; the non-tree gluings are the holonomy generators."""
 
     triangulation: Triangulation
-    frames: list         # MobiusMap per tetrahedron
-    steps: list          # MobiusMap per face
-    tree: tuple          # FaceGluings used to develop
-    generators: tuple    # remaining FaceGluings (canonical orientation)
+    frames: np.ndarray              # (n, 2, 2): each frame in tetrahedron 0's
+    steps: np.ndarray               # (4n, 2, 2): the step leaving face 4 tet + f
+    tree: tuple                     # FaceGluings used to develop, in BFS order
+    generators: tuple               # the other FaceGluings (canonical side)
+    generator_matrices: np.ndarray  # per generator, in tetrahedron 0's frame
+    edge_matrices: np.ndarray       # per edge class (`edge_holonomy_matrix`)
+    multipliers: np.ndarray         # per edge class, h(e)
 
 
 def develop_spanning_tree(t: Triangulation, Z: ShapeAssignment) -> DevelopedComplex:
     """Develop t at the shapes Z.  Raises DegenerateShape for a shape within
-    the guard of {0, 1} and DevelopFailure for a disconnected t."""
-    for z in Z.z:
-        check_nondegenerate(z)
-    steps = [None] * (4 * t.tetra_count)
-    for g in t.gluings:
-        step = develop_across_face(g, Z)
-        steps[4 * g.source_tet + g.source_face] = step
-        steps[4 * g.target_tet + g.target_face] = step.inverse()
-    frames = {0: MobiusMap.identity()}
-    tree, generators, used = [], [], set()
-    queue = deque([0])
-    while queue:
-        tet = queue.popleft()
-        for face in range(4):
-            g = t.gluing_at(tet, face)
-            if g.source in used:
+    the guard of {0, 1} and DevelopFailure for a disconnected t.  A
+    generator's matrix is frames[target] step^-1 frames[source]^-1, its
+    elementary face pairing (the identity for a tree gluing)."""
+    z = np.asarray(Z.z)
+    for w in z[np.minimum(abs(z), abs(z - 1)) < DEGENERACY_GUARD][:1]:
+        check_nondegenerate(w)      # raises, naming the shape
+    table, n = face_table(t), t.tetra_count
+    steps, face = develop_across_face(t, Z), table.tolist()
+    used, reached = [False] * (4 * n), [True] + [False] * (n - 1)
+    order, tree, gens = [0], [], []
+    frames = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2)).copy()
+    for tet in order:               # breadth first: order grows as we go
+        for k in range(4 * tet, 4 * tet + 4):
+            tt, tf, _ = face[k]
+            if used[k]:
                 continue
-            used.update((g.source, g.target))
-            if g.target_tet not in frames:
-                frames[g.target_tet] = frames[tet] @ steps[4 * tet + face]
-                tree.append(g)
-                queue.append(g.target_tet)
+            used[k] = used[4 * tt + tf] = True
+            if reached[tt]:
+                gens.append(min(k, 4 * tt + tf))
             else:
-                # store from the canonical (lex smaller) side
-                generators.append(g if g.source <= g.target else g.reversed())
-    if len(frames) != t.tetra_count:
+                reached[tt] = True
+                order.append(tt)
+                tree.append(k)
+                frames[tt] = frames[tet] @ steps[k]
+    if len(order) != n:
         raise DevelopFailure("triangulation is disconnected; cannot develop "
-                             f"({len(frames)} of {t.tetra_count} "
-                             "tetrahedra reachable from tetrahedron 0)")
-    return DevelopedComplex(t, [frames[i] for i in range(t.tetra_count)],
-                            steps, tuple(tree), tuple(generators))
+                             f"({len(order)} of {n} tetrahedra reachable "
+                             "from tetrahedron 0)")
+    g = np.array(gens, dtype=np.intp)
+    tt, back = table[g, 0], 4 * table[g, 0] + table[g, 1]
+    G = np.matmul(np.matmul(frames[tt], steps[back]), _adjugate(frames[g // 4]))
+    tree, gens = (tuple(t.gluing_at(*divmod(k, 4)) for k in ks) for ks in (tree, gens))
+    return DevelopedComplex(t, frames, steps, tree, gens, G,
+                            *edge_holonomy_matrix(t, Z, steps))
 
 
-def generator_holonomy(dc: DevelopedComplex, g: FaceGluing) -> MobiusMap:
-    """The elementary face pairing of gluing g in tetrahedron 0's frame,
-    frames[target] step(g)^-1 frames[source]^-1: the map carrying the
-    developed source face to the developed target face, matched by the
-    gluing permutation (the identity for a tree gluing)."""
-    return (dc.frames[g.target_tet] @ dc.steps[4 * g.target_tet + g.target_face]
-            @ dc.frames[g.source_tet].inverse())
-
-
-def generator_maps(dc: DevelopedComplex):
-    """All generator holonomies, in dc.generators order."""
-    return [generator_holonomy(dc, g) for g in dc.generators]
-
-
-def edge_holonomy_matrix(dc: DevelopedComplex, t: Triangulation,
-                         Z: ShapeAssignment, j) -> tuple:
-    """Compose the face steps once around edge j's cycle, in the frame of
-    the cycle's first tetrahedron; dc is the development of t at Z.
-
-    Returns (map, multiplier).  The map fixes the edge's tail and head
-    vertices; the multiplier is its derivative at the tail and equals
-    h(e_j) for every shape assignment, not only on solutions.
-
-    Raises EdgeCycleNotClosed if the map moves the tail or the head
-    (impossible on valid input).
-    """
-    edge = j if isinstance(j, EdgeClass) else compute_edge_classes(t)[j]
-    tet, (tail, head) = edge.directed[0]
-    M = MobiusMap.identity()
-    for g in edge.steps:
-        M = M @ dc.steps[4 * g.source_tet + g.source_face]
-    ends = [np.array(_vertices(Z[tet])[v], dtype=complex) for v in (tail, head)]
-    for v in ends:
-        w = M.matrix @ v
-        w, u = w / np.linalg.norm(w), v / np.linalg.norm(v)
-        mismatch = abs(w[0] * u[1] - w[1] * u[0])
-        if mismatch > 1e-6:
-            raise EdgeCycleNotClosed(f"edge {edge.index}: mismatch {mismatch:.3e}")
-    return M, M._multiplier_at_lift(ends[0])
+def edge_holonomy_matrix(t: Triangulation, Z: ShapeAssignment,
+                         steps: np.ndarray) -> tuple:
+    """(matrices, multipliers), an (m, 2, 2) and an (m,) array: the face
+    steps composed around each edge class's cycle, walked on the successor
+    table from its first directed slot, in that slot's tetrahedron's frame;
+    steps is `develop_across_face(t, Z)`.  Each matrix fixes its edge's
+    tail and head; its multiplier, the derivative at the tail, is h(e_j)
+    for every shape assignment.  Raises EdgeCycleNotClosed if a matrix
+    moves its tail or head (impossible on valid input)."""
+    tables = edge_tables(t)
+    first, d = tables.starts, tables.starts
+    M = np.broadcast_to(np.eye(2, dtype=complex), (len(first), 2, 2)).copy()
+    for k in range(int(tables.degree.max())):   # every edge's k-th step at once
+        live = tables.degree > k
+        M[live] = M[live] @ steps[4 * (d[live] // 12) + EXIT_FACE[d[live] % 12]]
+        d = tables.succ[d]
+    v, z = _ENDS[first % 12], np.asarray(Z.z)[first // 12, None]
+    ends = np.stack([np.where(v == 3, z, _X[v]), _Y[v]], -1)    # (m, 2, 2)
+    images = np.matmul(M[:, None], ends[..., None])[..., 0]
+    mismatch = (abs(images[..., 0] * ends[..., 1] - images[..., 1] * ends[..., 0])
+                / (np.linalg.norm(images, axis=-1) * np.linalg.norm(ends, axis=-1)))
+    for j in np.flatnonzero((mismatch > 1e-6).any(axis=1))[:1]:
+        raise EdgeCycleNotClosed(f"edge {j}: mismatch {mismatch[j].max():.3e}")
+    i = np.argmax(abs(ends[:, 0]), axis=1)[:, None]     # the tail's larger entry
+    lam = np.take_along_axis(images[:, 0], i, 1) / np.take_along_axis(ends[:, 0], i, 1)
+    return M, 1.0 / (lam[:, 0] * lam[:, 0])

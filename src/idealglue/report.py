@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .develop import develop_spanning_tree, edge_holonomy_matrix, generator_maps
+from .develop import develop_spanning_tree
 from .errors import IdealGlueError
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import edge_cone_angles, solution_volume
@@ -27,9 +27,11 @@ REPORT_VERSION = 1
 
 
 def _pairs(values) -> list:
-    """Complex values, in C order, as a list of [re, im] pairs."""
-    a = np.asarray(values, dtype=complex).ravel()     # contiguous
-    return a.view(float).reshape(-1, 2).tolist()
+    """Complex values as [re, im] pairs: a vector as a list of pairs, a
+    stack of matrices as one list of pairs per matrix, in C order."""
+    a = np.ascontiguousarray(values, dtype=complex)
+    rows = a.shape[:1] if a.ndim > 1 else ()
+    return a.view(float).reshape(rows + (-1, 2)).tolist()
 
 
 def _det_error(matrix) -> float:
@@ -78,15 +80,16 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
     }
     if include_holonomy:            # one develop for the whole block
         dc = develop_spanning_tree(t, Z)
+        G, M = dc.generator_matrices, dc.edge_matrices
         report["generators"] = [
-            {"gluing": str(g), "matrix": _pairs(m.matrix), "up_to_sign": True,
-             "trace": _pairs(m.trace())[0]}
-            for g, m in zip(dc.generators, generator_maps(dc))]
-        mats = [(e.index, *edge_holonomy_matrix(dc, t, Z, e)) for e in edges]
+            {"gluing": str(g), "matrix": m, "up_to_sign": True, "trace": tr}
+            for g, m, tr in zip(dc.generators, _pairs(G),
+                                _pairs(G[:, 0, 0] + G[:, 1, 1]))]
         report["edge_matrices"] = [
-            {"edge": j, "matrix": _pairs(M.matrix), "up_to_sign": True,
-             "multiplier": _pairs(mult)[0], "trace": _pairs(M.trace())[0]}
-            for j, M, mult in mats]
+            {"edge": j, "matrix": m, "up_to_sign": True, "multiplier": mult,
+             "trace": tr}
+            for j, (m, mult, tr) in enumerate(zip(_pairs(M), _pairs(dc.multipliers),
+                                                  _pairs(M[:, 0, 0] + M[:, 1, 1])))]
     return report
 
 
@@ -162,6 +165,7 @@ def _match(name: str, got, want) -> ReportCheck:
     return ReportCheck(f"{name} {label}", worst <= tol, worst, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_report(report: dict) -> list:
     """Re-check every claim of a report by rebuilding it, without a solve.
 
@@ -173,9 +177,11 @@ def verify_report(report: dict) -> list:
     extra field fails "report fields match".  Invariants: residual <= 10
     `SolverConfig().tol` when convergence or a certificate is claimed,
     prod xi = 1, multiplier = h(e), |det M - 1| <= 1e-10 max(1, |M|^2).
-    Raises IdealGlueError, naming the field, unless the report is an
-    object with well-typed inputs and `residual_norm`, one shape per
-    tetrahedron and one target per edge class."""
+    A value that overflows in the rebuild is not finite and fails its
+    check, without a NumPy warning.  Raises IdealGlueError, naming the
+    field, unless the report is an object with well-typed inputs and
+    `residual_norm`, one shape per tetrahedron and one target per edge
+    class."""
     if not isinstance(report, dict):
         raise IdealGlueError(f"a report is a JSON object, not {type(report).__name__}")
     for key, ok in _INPUTS.items():
@@ -210,8 +216,8 @@ def verify_report(report: dict) -> list:
         checks.append(ReportCheck("multiplier = h(e)", worst < 1e-9, worst, 1e-9))
         for name, key in (("edge matrix det = 1", "edge_matrices"),
                           ("generator det = 1", "generators")):
-            worst = max((_det_error(e["matrix"]) for e in rebuilt[key]),
-                        default=0.0)
+            worst = float(np.max([_det_error(e["matrix"]) for e in rebuilt[key]],
+                                 initial=0.0))     # a nan propagates
             checks.append(ReportCheck(name, worst <= 1e-10, worst, 1e-10))
     return checks
 

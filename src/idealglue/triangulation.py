@@ -1,6 +1,5 @@
 """Ideal triangulations as face-paired tetrahedra, and their identification
-combinatorics: edge classes, vertex links, abstract edge neighbourhoods and
-self-identification reports.
+combinatorics: edge classes, vertex links and self-identification reports.
 
 Conventions used throughout the package:
 
@@ -112,23 +111,24 @@ def _build_permutations() -> dict:
 _PERMUTATIONS = _build_permutations()
 PERMUTATIONS = tuple(_PERMUTATIONS.values())
 
-_IMAGES = np.array([p.images for p in PERMUTATIONS])
+IMAGES = np.array([p.images for p in PERMUTATIONS])     # IMAGES[p, v] = P(v)
 _INVERSE = [p.inverse().index for p in PERMUTATIONS]
 _ODD = np.array([p.parity == 1 for p in PERMUTATIONS])
 
 # a tetrahedron's directed slot k = 2 s + r: slot s, reversed when r = 1
-_DIRECTED = tuple(pair[::-1] if r else pair for pair in EDGE_SLOTS
-                  for r in (0, 1))
-_TAIL = np.array(_DIRECTED)[:, 0]
+DIRECTED_SLOTS = tuple(pair[::-1] if r else pair for pair in EDGE_SLOTS
+                       for r in (0, 1))
+_TAIL = np.array(DIRECTED_SLOTS)[:, 0]
 # the walk around an edge leaves the directed slot (a, b) through the face
 # c making (a, b, c, d) an even permutation
-_EXIT = np.array([next(c for c in range(4) if c not in (a, b)
-                       and VertexPermutation((a, b, c, 6 - a - b - c)).parity == 0)
-                  for a, b in _DIRECTED])
+EXIT_FACE = np.array([
+    next(c for c in range(4) if c not in (a, b)
+         and VertexPermutation((a, b, c, 6 - a - b - c)).parity == 0)
+    for a, b in DIRECTED_SLOTS])
 # _ENTER[p, k]: the directed slot (P a, P b) entered from k = (a, b) across
 # a gluing with permutation P = PERMUTATIONS[p]
-_ENTER = np.array([[_DIRECTED.index((p.images[a], p.images[b]))
-                    for a, b in _DIRECTED] for p in PERMUTATIONS])
+_ENTER = np.array([[DIRECTED_SLOTS.index((p.images[a], p.images[b]))
+                    for a, b in DIRECTED_SLOTS] for p in PERMUTATIONS])
 
 
 class FaceGluing(namedtuple("FaceGluing", "source_tet source_face target_tet "
@@ -289,7 +289,7 @@ def validate(t: Triangulation) -> ValidationReport:
     sides = P[:, :4].reshape(-1, 2)
     if (len(P) == 2 * n and ((sides >= 0) & (sides < (n, 4))).all()
             and (np.bincount(4 * sides[:, 0] + sides[:, 1]) == 1).all()
-            and (_IMAGES[P[:, 4], P[:, 1]] == P[:, 3]).all()
+            and (IMAGES[P[:, 4], P[:, 1]] == P[:, 3]).all()
             and _ODD[P[:, 4]].all()):
         t._valid = True
         return ValidationReport(True, True, True, issues)
@@ -374,12 +374,12 @@ class EdgeClass:
 
     @property
     def directed(self) -> tuple:
-        return tuple((d // 12, _DIRECTED[d % 12]) for d in self._walk())
+        return tuple((d // 12, DIRECTED_SLOTS[d % 12]) for d in self._walk())
 
     @property
     def steps(self) -> tuple:
         face = self._tables.face
-        return tuple(_gluing(face, d // 12, int(_EXIT[d % 12]))
+        return tuple(_gluing(face, d // 12, int(EXIT_FACE[d % 12]))
                      for d in self._walk())
 
 
@@ -394,7 +394,7 @@ def _walk_edge_classes(t: Triangulation) -> EdgeTables:
     triangulation the successor table is a permutation.
     """
     n, face = t.tetra_count, face_table(t)
-    exits = face[4 * np.arange(n)[:, None] + _EXIT]         # n x 12 x 3
+    exits = face[4 * np.arange(n)[:, None] + EXIT_FACE]     # n x 12 x 3
     succ = (12 * exits[..., 0] + _ENTER[exits[..., 2], np.arange(12)]).ravel()
     ids = np.arange(12 * n)
     low, jump = ids, succ
@@ -516,35 +516,8 @@ def compute_vertex_classes(t: Triangulation) -> list[VertexClass]:
 
 
 # --------------------------------------------------------------------------
-# abstract edge neighbourhood and self-identifications
+# self-identifications
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AbstractNeighbourhood:
-    """The ball B(e) of deg(e) tetrahedron copies around an interior edge.
-
-    `copies[k]` is the (tet, (tail, head)) visited at step k; a tetrahedron
-    appears once per pre-image of the edge.  `gluings[k]` identifies the face
-    of copy k with the face of copy (k+1) % degree through which the
-    traversal passes.
-    """
-
-    edge_index: int
-    copies: tuple
-    gluings: tuple
-
-    @property
-    def degree(self) -> int:
-        return len(self.copies)
-
-
-def abstract_edge_neighbourhood(t: Triangulation, j: int) -> AbstractNeighbourhood:
-    edges = compute_edge_classes(t)
-    if not 0 <= j < len(edges):
-        raise IndexError(f"edge index {j} out of range (m={len(edges)})")
-    e = edges[j]
-    return AbstractNeighbourhood(j, e.directed, e.steps)
-
 
 @dataclass(frozen=True)
 class TetSelfIdentifications:
@@ -580,55 +553,12 @@ def self_identification_report(t: Triangulation) -> SelfIdentificationReport:
 
 
 # --------------------------------------------------------------------------
-# relabeling, canonical forms, enumeration, random generation
+# random generation
 # --------------------------------------------------------------------------
-
-def relabel(t: Triangulation, vertex_perms, tet_perm=None) -> Triangulation:
-    """Relabel vertices of each tetrahedron (vertex_perms[i] applied to tet i)
-    and optionally renumber tetrahedra."""
-    tet_perm = range(t.tetra_count) if tet_perm is None else tet_perm
-    out = []
-    for a, b, c, d, p in t.gluings:
-        ps, pt = vertex_perms[a], vertex_perms[c]
-        out.append((tet_perm[a], ps(b), tet_perm[c], pt(d),
-                    pt.compose(p).compose(ps.inverse())))
-    return Triangulation(t.tetra_count, out)
-
-
-def _canonical_form(t: Triangulation) -> Triangulation:
-    """Lexicographically least relabeling.  Intended for small n (searches
-    all vertex relabelings and tetrahedron renumberings)."""
-    best = None
-    for tet_perm in itertools.permutations(range(t.tetra_count)):
-        for combo in itertools.product(PERMUTATIONS, repeat=t.tetra_count):
-            cand = relabel(t, list(combo), list(tet_perm))
-            if best is None or cand._pairs < best._pairs:
-                best = cand
-    return best
-
 
 def _odd_perms_fixing(f1: int, f2: int):
     return [p for p in itertools.permutations(range(4))
             if p[f1] == f2 and VertexPermutation(p).parity == 1]
-
-
-def enumerate_one_tetrahedron_triangulations() -> list[Triangulation]:
-    """All closed orientable one-tetrahedron triangulations up to relabeling,
-    sorted by edge-degree multiset.  Serves as the pinning oracle for the
-    hopf and trefoil corpus entries."""
-    raw = []
-    for (fa, fb), (fc, fd) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
-        for p1 in _odd_perms_fixing(fa, fb):
-            for p2 in _odd_perms_fixing(fc, fd):
-                raw.append(make_triangulation(1, [(0, fa, 0, fb, p1),
-                                                  (0, fc, 0, fd, p2)]))
-    reps = {}
-    for t in raw:
-        reps.setdefault(_canonical_form(t)._pairs, t)
-    out = [_canonical_form(t) for t in reps.values()]
-    out.sort(key=lambda t: (sorted(e.degree for e in compute_edge_classes(t)),
-                            t._pairs))
-    return out
 
 
 def is_connected(t: Triangulation) -> bool:

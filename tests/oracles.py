@@ -1,0 +1,79 @@
+"""Combinatorial oracles that only the tests read: the abstract edge
+neighbourhood, relabelling, canonical forms and the enumeration of the
+one-tetrahedron triangulations."""
+import itertools
+from dataclasses import dataclass
+
+from idealglue import (Triangulation, compute_edge_classes,
+                       make_triangulation)
+from idealglue.triangulation import PERMUTATIONS, _odd_perms_fixing
+
+
+@dataclass(frozen=True)
+class AbstractNeighbourhood:
+    """The ball B(e) of deg(e) tetrahedron copies around an interior edge.
+
+    `copies[k]` is the (tet, (tail, head)) visited at step k; a tetrahedron
+    appears once per pre-image of the edge.  `gluings[k]` identifies the face
+    of copy k with the face of copy (k+1) % degree through which the
+    traversal passes.
+    """
+
+    edge_index: int
+    copies: tuple
+    gluings: tuple
+
+    @property
+    def degree(self) -> int:
+        return len(self.copies)
+
+
+def abstract_edge_neighbourhood(t: Triangulation, j: int) -> AbstractNeighbourhood:
+    edges = compute_edge_classes(t)
+    if not 0 <= j < len(edges):
+        raise IndexError(f"edge index {j} out of range (m={len(edges)})")
+    e = edges[j]
+    return AbstractNeighbourhood(j, e.directed, e.steps)
+
+
+def relabel(t: Triangulation, vertex_perms, tet_perm=None) -> Triangulation:
+    """Relabel vertices of each tetrahedron (vertex_perms[i] applied to tet i)
+    and optionally renumber tetrahedra."""
+    tet_perm = range(t.tetra_count) if tet_perm is None else tet_perm
+    out = []
+    for a, b, c, d, p in t.gluings:
+        ps, pt = vertex_perms[a], vertex_perms[c]
+        out.append((tet_perm[a], ps(b), tet_perm[c], pt(d),
+                    pt.compose(p).compose(ps.inverse())))
+    return Triangulation(t.tetra_count, out)
+
+
+def canonical_form(t: Triangulation) -> Triangulation:
+    """Lexicographically least relabeling.  Intended for small n (searches
+    all vertex relabelings and tetrahedron renumberings)."""
+    best = None
+    for tet_perm in itertools.permutations(range(t.tetra_count)):
+        for combo in itertools.product(PERMUTATIONS, repeat=t.tetra_count):
+            cand = relabel(t, list(combo), list(tet_perm))
+            if best is None or cand._pairs < best._pairs:
+                best = cand
+    return best
+
+
+def enumerate_one_tetrahedron_triangulations() -> list:
+    """All closed orientable one-tetrahedron triangulations up to relabeling,
+    sorted by edge-degree multiset.  Serves as the pinning oracle for the
+    hopf and trefoil corpus entries."""
+    raw = []
+    for (fa, fb), (fc, fd) in [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]:
+        for p1 in _odd_perms_fixing(fa, fb):
+            for p2 in _odd_perms_fixing(fc, fd):
+                raw.append(make_triangulation(1, [(0, fa, 0, fb, p1),
+                                                  (0, fc, 0, fd, p2)]))
+    reps = {}
+    for t in raw:
+        reps.setdefault(canonical_form(t)._pairs, t)
+    out = [canonical_form(t) for t in reps.values()]
+    out.sort(key=lambda t: (sorted(e.degree for e in compute_edge_classes(t)),
+                            t._pairs))
+    return out

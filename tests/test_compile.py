@@ -92,9 +92,7 @@ def test_pipeline_walks_the_edges_once(monkeypatch):
                           certificate=cert, include_holonomy=True)
     compute_vertex_classes(t)
     self_identification_report(t)
-    dc = develop_spanning_tree(t, res.shapes)
-    for j in range(len(compute_edge_classes(t))):
-        edge_holonomy_matrix(dc, t, res.shapes, j)
+    edge_holonomy_matrix(t, res.shapes, develop_spanning_tree(t, res.shapes).steps)
     assert len(walks) == 1
     assert build_exponent_matrix(t) is build_exponent_matrix(
         t, compute_edge_classes(t))

@@ -9,12 +9,11 @@ from idealglue import (ConeTarget, DegenerateShape, NotUnitModulus,
                        NotUnitModulusReport,
                        ShapeAssignment, all_holonomies, build_exponent_matrix,
                        compute_edge_classes, corpus, derive_shape_triple,
-                       edge_slot_label,
-                       enumerate_one_tetrahedron_triangulations,
-                       evaluate_residual, jacobian, random_triangulation,
-                       xi_from_shapes)
+                       edge_slot_label, evaluate_residual, jacobian,
+                       random_triangulation, xi_from_shapes)
 from idealglue.gluing import SLOT_LABELS
 from conftest import random_shapes, random_systems
+from oracles import enumerate_one_tetrahedron_triangulations
 
 REGULAR = complex(0.5, math.sqrt(3) / 2)
 

@@ -14,7 +14,7 @@ from idealglue import (CORPUS_NAMES, ConeTarget, DevelopFailure,
                        essential_edge_certificate, evaluate_residual,
                        IdealGlueError, newton_solve, parse_triangulation,
                        regular_solution, verify_report)
-from idealglue import report as report_mod
+from idealglue import develop as develop_mod, report as report_mod
 from idealglue.cli import _parse_xi, build_parser, main
 from idealglue.report import dumps, loads
 
@@ -232,6 +232,46 @@ def test_verify_rebuilds_the_report_once(monkeypatch):
                              "edge_cone_angles", "solution_volume"]
 
 
+def test_a_holonomy_report_develops_once(monkeypatch):
+    # one array pass makes every face step and one every edge matrix
+    calls = []
+    for name in ("develop_across_face", "edge_holonomy_matrix"):
+        original = getattr(develop_mod, name)
+        monkeypatch.setattr(develop_mod, name, lambda *a, _f=original, _n=name:
+                            calls.append(_n) or _f(*a))
+    t = corpus("fig8_in_s3")
+    Z, xi, _ = regular_solution(t)
+    rep = build_solution_report(t, Z, xi, 0.0)
+    assert len(rep["generators"]) == 4 and len(rep["edge_matrices"]) == 4
+    assert sorted(calls) == ["develop_across_face", "edge_holonomy_matrix"]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.json")))
+def test_committed_reports_still_verify(name):
+    # reports written before the develop moved onto the face table: the
+    # fig8_complement certify, the README's hopf holonomy target and the
+    # fig8_in_s3 regular solution
+    checks = verify_report(loads((DATA / name).read_text()))
+    assert checks and all(c.ok for c in checks), [str(c) for c in checks
+                                                  if not c.ok]
+
+
+def test_an_overflowing_shape_fails_its_checks_without_a_warning(
+        tmp_path, capsys):
+    # numpy printed "overflow encountered in power" RuntimeWarnings from the
+    # rebuild to stderr; pytest turns any such warning into an error
+    rep = fig8_report()
+    rep["shapes"][0] = [1e308, 0.0]
+    path = tmp_path / "report.json"
+    path.write_text(dumps(rep))
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    assert code == 1 and err == ""
+    assert "FAIL" in out and "residual_norm matches: FAIL" in out
+
+
 @pytest.mark.parametrize("report, field", [
     ([], "a report is a JSON object"),
     ({}, "'triangulation'"),
@@ -374,19 +414,22 @@ def test_cli_input_errors_exit_two(capsys):
     (("certify", "--corpus", "fig8_complement", "--tol", "nan"), "tol"),
     (("solve", "--corpus", "fig8_complement", "--tol", "0"), "tol"),
     (("info", "--file", "{dir}"), "Is a directory"),
-    (("info", "--file", "{binary}"), ""),   # the decoder's message
+    pytest.param(("info", "--file", "{binary}"), "{binary}: not a text file",
+                 id="argv4-"),
     (("verify-report", "--report", "{dir}"), "Is a directory"),
+    (("verify-report", "--report", "{binary}"), "{binary}: not a JSON report"),
 ])
 def test_bad_options_and_unreadable_files_exit_two(argv, message, tmp_path,
                                                    capsys):
     # each used to end in a traceback (or, for --tol nan, run to
-    # max_iterations) with exit 1
+    # max_iterations) with exit 1; a file that is not text is named
     binary = tmp_path / "binary.tri"
     binary.write_bytes(b"tri v1\n\xd0\xff\x00")
     argv = [a.format(dir=tmp_path, binary=binary) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ")
+    assert message.format(dir=tmp_path, binary=binary) in err
 
 
 def test_xi_has_one_syntax():

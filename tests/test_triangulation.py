@@ -8,13 +8,13 @@ import random
 import numpy as np
 import pytest
 
-from idealglue import (VertexPermutation,
-                       abstract_edge_neighbourhood, compute_edge_classes,
-                       compute_vertex_classes, corpus,
-                       enumerate_one_tetrahedron_triangulations,
-                       make_triangulation, random_triangulation, relabel,
-                       self_identification_report, validate)
+from idealglue import (VertexPermutation, compute_edge_classes,
+                       compute_vertex_classes, corpus, make_triangulation,
+                       random_triangulation, self_identification_report,
+                       validate)
 from idealglue.triangulation import Triangulation
+from oracles import (abstract_edge_neighbourhood,
+                     enumerate_one_tetrahedron_triangulations, relabel)
 
 
 def degrees(t):

@@ -24,7 +24,13 @@ class NotConverged(IdealGlueError):
 
 class EdgeCycleNotClosed(IdealGlueError):
     """The composed face steps once around an edge cycle do not fix the
-    edge's ends.  Impossible on valid input; indicates a convention fault."""
+    edge's ends to within `tolerance`: a convention fault, or the rounding
+    of the face steps at a shape of large modulus (about 1e5 and more).
+    Carries the relative `mismatch`."""
+
+    def __init__(self, edge: int, mismatch: float, tolerance: float):
+        super().__init__(f"edge {edge}: mismatch {mismatch:.3e}")
+        self.mismatch, self.tolerance = mismatch, tolerance
 
 
 class DevelopFailure(IdealGlueError, ValueError):

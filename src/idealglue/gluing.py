@@ -18,6 +18,10 @@ as its nonzero (edge, tetrahedron) pairs, counted with `np.bincount` from
 the slots on each edge class's orbit, and the cusp relation matrix W from
 the vertex classes at each edge's ends; both are built once per
 triangulation, and h, J and the residual are evaluated over the pairs.
+So is the m-by-m matrix J J^H + U^H U of a Gauss-Newton step
+(`normal_matrix`): entry (j, k) of J J^H sums over the tetrahedra that
+edges j and k share, which a pair-pair index, built on the first solve
+and memoised on the exponent matrix, lists in tetrahedron order.
 """
 from __future__ import annotations
 
@@ -126,11 +130,13 @@ class ExponentMatrix:
     index arrays `rows`, `cols` with their exponents `pair_a`,
     `pair_a_prime`, `pair_a_second`; `row_starts[j]` is the first pair of
     edge j.  The arrays are shared and read-only.  The dense matrices `a`,
-    `a_prime`, `a_second` are built when read.
+    `a_prime`, `a_second` are built when read, and the pair-pair index of
+    `normal_matrix` on the first solve.
     """
 
     __slots__ = ("edge_count", "tet_count", "rows", "cols", "pair_a",
-                 "pair_a_prime", "pair_a_second", "row_starts")
+                 "pair_a_prime", "pair_a_second", "row_starts",
+                 "_pair_products")
 
     def __init__(self, edge_count: int, tet_count: int, rows, cols, counts):
         self.edge_count, self.tet_count = edge_count, tet_count
@@ -138,8 +144,9 @@ class ExponentMatrix:
         self.pair_a, self.pair_a_prime, self.pair_a_second = (
             np.ascontiguousarray(counts.T))
         self.row_starts = np.searchsorted(rows, np.arange(edge_count))
-        for name in self.__slots__[2:]:
+        for name in self.__slots__[2:-1]:
             getattr(self, name).setflags(write=False)
+        self._pair_products = None
 
     def _dense(self, counts) -> np.ndarray:
         M = np.zeros((self.edge_count, self.tet_count), dtype=int)
@@ -262,6 +269,52 @@ def jacobian(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
         E.pair_a / w + E.pair_a_prime / (1.0 - w)
         + E.pair_a_second / (w * (w - 1.0)))
     return J
+
+
+def _pair_products(E: ExponentMatrix) -> tuple:
+    """The pair-pair index of `normal_matrix`, built on the first solve
+    and memoised on E: for every two edges j, k at one tetrahedron i, in
+    tetrahedron order, the pairs p = (j, i) and q = (k, i) as their flat
+    indices j n + i and k n + i into an m-by-n matrix (all the p, then
+    all the q), and the flat index j m + k of the entry of an m-by-m
+    matrix that their product adds to."""
+    if E._pair_products is None:
+        m, n = E.edge_count, E.tet_count
+        by_tet = np.argsort(E.cols, kind="stable")
+        tets = E.cols[by_tet]
+        at = np.full((n, 6), -1)        # a tetrahedron has at most 6 edges
+        at[tets, np.arange(len(tets)) - np.searchsorted(tets, tets)] = by_tet
+        p, q = np.repeat(at, 6, axis=1), np.tile(at, 6)     # (n, 36)
+        keep = (p >= 0) & (q >= 0)
+        p, q = p[keep], q[keep]
+        E._pair_products = ((E.rows * n + E.cols)[np.concatenate([p, q])],
+                            E.rows[p] * m + E.rows[q])
+    return E._pair_products
+
+
+def normal_matrix(D: np.ndarray, E: ExponentMatrix,
+                  U: np.ndarray) -> np.ndarray:
+    """D D^H + U^H U, for an m-by-n matrix D with its nonzeros on E's
+    pairs (a Jacobian, its rows rescaled or not) and a c-by-m matrix U,
+    or for each row of stacks of them, (k, m, n) and (k, c, m).  With a
+    real U it is Re(D D^H) + U^T U, which is A A^T for the real m-by-2n
+    matrix A = [Re D, -Im D].
+
+    M starts as U^H U.  Entry (j, k) then gets the product v_p conj(v_q)
+    of D's values at the pairs p = (j, i), q = (k, i) for each tetrahedron
+    i that edges j and k share: at most 36 n products, where the dense
+    product costs O(m^2 n).  One unbuffered `np.add.at` adds them in
+    place in the index's order, so each entry is summed in tetrahedron
+    order, as a sum of per-tetrahedron outer products sums it."""
+    cells, entry = _pair_products(E)
+    v = D.reshape(D.shape[:-2] + (-1,)).take(cells, axis=-1)
+    prod = v[..., :len(entry)] * v[..., len(entry):].conj()
+    if not np.iscomplexobj(U):
+        prod = prod.real
+    M = U.mT.conj() @ U
+    start = np.arange(0, M.size, M.shape[-1] ** 2)[:, None]   # of each M
+    np.add.at(M.reshape(-1), (start + entry).ravel(), prod.ravel())
+    return M
 
 
 @dataclass(frozen=True)

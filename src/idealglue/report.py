@@ -6,6 +6,7 @@ with `build_solution_report`, without a solve, and compare every field.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -14,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .develop import develop_spanning_tree
-from .errors import IdealGlueError
+from .errors import EdgeCycleNotClosed, IdealGlueError
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import edge_cone_angles, solution_volume
 from .gluing import (ConeTarget, ShapeAssignment, all_holonomies,
                      build_exponent_matrix, check_shape_length,
                      check_target_length, evaluate_residual)
-from .solver import SolverConfig, branched_cover_report, certificate_statement
+from .solver import SolverConfig, branched_cover_report, cover_certificate
 from .triangulation import Triangulation, compute_edge_classes
 
 REPORT_VERSION = 1
@@ -117,6 +118,7 @@ _INPUTS = {"triangulation": lambda v: isinstance(v, str),
            "residual_norm": lambda v: type(v) in (int, float)}
 # row blocks, by the prefix of their fields' check names
 _ROWS = {"edges": "", "generators": "generator ", "edge_matrices": "edge "}
+_HOLONOMY = {"generators", "edge_matrices"}
 _RENAMED = {"edge multiplier": "multiplier", **dict.fromkeys((
     "generator gluing", "generator up_to_sign", "edge edge", "edge up_to_sign"),
     "holonomy labels")}
@@ -170,18 +172,22 @@ def verify_report(report: dict) -> list:
     """Re-check every claim of a report by rebuilding it, without a solve.
 
     The inputs `triangulation`, `shapes` and `xi` go to
-    `build_solution_report` with the report's `converged` flag,
-    `certificate_statement` when a certificate is stated, and the holonomy
-    block when the report has one.  `residual_norm` and every other field
-    must equal the re-evaluated or rebuilt one (`_match`); a missing or
-    extra field fails "report fields match".  Invariants: residual <= 10
-    `SolverConfig().tol` when convergence or a certificate is claimed,
-    prod xi = 1, multiplier = h(e), |det M - 1| <= 1e-10 max(1, |M|^2).
-    A value that overflows in the rebuild is not finite and fails its
-    check, without a NumPy warning.  Raises IdealGlueError, naming the
-    field, unless the report is an object with well-typed inputs and
-    `residual_norm`, one shape per tetrahedron and one target per edge
-    class."""
+    `build_solution_report` with the report's `converged` flag, the
+    holonomy block when the report has one, and, when a certificate is
+    stated, the certificate `cover_certificate` draws from the cover
+    bookkeeping, which the rebuilt rows then share.  `residual_norm` and
+    every other field must equal the re-evaluated or rebuilt one
+    (`_match`); a missing or extra field fails "report fields match".
+    Invariants: residual <= 10 `SolverConfig().tol` when convergence or a
+    certificate is claimed, prod xi = 1, multiplier = h(e),
+    |det M - 1| <= 1e-10 max(1, |M|^2).  When the shapes do not develop
+    (`EdgeCycleNotClosed`: an edge matrix misses its ends, as rounding
+    makes it at shapes of modulus 1e5 and more), "holonomy develops" fails
+    and the holonomy block goes unchecked.  A value that overflows in the
+    rebuild is not finite and fails its check, without a NumPy warning.
+    Raises IdealGlueError, naming the field, unless the report is an
+    object with well-typed inputs and `residual_norm`, one shape per
+    tetrahedron and one target per edge class."""
     if not isinstance(report, dict):
         raise IdealGlueError(f"a report is a JSON object, not {type(report).__name__}")
     for key, ok in _INPUTS.items():
@@ -190,19 +196,29 @@ def verify_report(report: dict) -> list:
     t = parse_triangulation(report["triangulation"])
     Z = ShapeAssignment(tuple(complex(*p) for p in report["shapes"]))
     xi = ConeTarget(tuple(complex(*p) for p in report["xi"]))
+    E = build_exponent_matrix(t)
+    check_shape_length(Z, E)
+    check_target_length(xi, E)
+    res = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
     claimed = report.get("certificate") is not None
-    rebuilt = build_solution_report(
-        t, Z, xi, report["residual_norm"], report.get("converged") is True,
-        include_holonomy="generators" in report or "edge_matrices" in report)
-    res = float(np.linalg.norm(evaluate_residual(Z, build_exponent_matrix(t), xi)))
-    if claimed:
-        rebuilt["certificate"] = certificate_statement(
-            branched_cover_report(compute_edge_classes(t), xi))
+    certificate = (cover_certificate(branched_cover_report(
+        compute_edge_classes(t), xi), res, Z, xi) if claimed else None)
+    rebuild = functools.partial(build_solution_report, t, Z, xi,
+                                report["residual_norm"],
+                                report.get("converged") is True, certificate)
+    holonomy, checks = _HOLONOMY & report.keys(), []
+    try:
+        rebuilt = rebuild(include_holonomy=bool(holonomy))
+    except EdgeCycleNotClosed as err:
+        checks.append(ReportCheck("holonomy develops", False, err.mismatch,
+                                  err.tolerance))
+        report = {k: v for k, v in report.items() if k not in holonomy}
+        rebuilt = rebuild(include_holonomy=False)
 
     got, want = _fields(report), _fields(rebuilt)
     odd = len(got.keys() ^ want.keys())
-    checks = [ReportCheck("report fields match", not odd, float(odd), 0.0),
-              _match("residual_norm", report["residual_norm"], res)]
+    checks += [ReportCheck("report fields match", not odd, float(odd), 0.0),
+               _match("residual_norm", report["residual_norm"], res)]
     checks += [_match(name, got.get(name), value) for name, value in want.items()]
     bound = 10 * SolverConfig().tol
     if rebuilt["converged"] or claimed:

@@ -38,6 +38,12 @@ A, and x = A^H (A A^H + U^H U)^-1 b is one dense m-by-m solve with no
 singular-value cutoff for rounding noise to pass.  The normal equations
 square A's condition number; at the near-complete solutions the solver
 meets, it is below 100 and the step agrees with lstsq's to about 1e-13.
+The matrix A A^H + U^H U comes from the exponent pairs
+(`gluing.normal_matrix`), at most 36 n products where the dense product
+costs O(m^2 n): for `newton_solve` it is J J^H + U^H U, and for the
+sampler, whose A = [Re D, -Im D] with D = (conj(h) / |h|) J, it is
+Re(D D^H) + U^T U, since A A^T = Re(D D^H).  The dense A serves only
+for A^H y and the optimality check.
 
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
@@ -61,7 +67,8 @@ from .geometry import V_TET
 from .gluing import (DEGENERACY_GUARD, ConeTarget, ShapeAssignment,
                      all_holonomies, build_exponent_matrix,
                      build_relation_matrix, check_shape_length,
-                     check_target_length, evaluate_residual, jacobian)
+                     check_target_length, evaluate_residual, jacobian,
+                     normal_matrix)
 from .triangulation import Triangulation, compute_edge_classes
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -191,26 +198,29 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
     return Z, F_out, iterations, reasons
 
 
-def _least_squares_step(A, b, U):
+def _least_squares_step(A, b, M):
     """The min-norm least-squares solution x[k] of A[k] x = b[k] for each
-    row k of a stack, where the rows of U[k] span the left null space of
-    A[k]: x = A^H (A A^H + U^H U)^-1 b, one dense m-by-m solve per row.  A
-    row whose x misses the optimality condition |A^H (A x - b)| <=
-    1e-8 |A^H b|, or whose matrix is singular, takes lstsq's step; each
-    row's step is that of the row alone, bit for bit."""
-    AH, b = A.mT.conj(), b[..., None]
+    row k of a stack, given M[k] = A[k] A[k]^H + U[k]^H U[k] where the
+    rows of U[k] span the left null space of A[k] (`gluing.normal_matrix`):
+    x = A^H M^-1 b, one dense m-by-m solve per row.  A row whose x misses
+    the optimality condition |A^H (A x - b)| <= 1e-8 |A^H b|, or whose M
+    is singular, takes lstsq's step; each row's step is that of the row
+    alone, bit for bit.  A^H y is taken as conj(A^T conj(y)), which the
+    BLAS computes without a conjugated copy of A."""
+    b = b[..., None]
     try:
-        x = AH @ np.linalg.solve(A @ AH + U.mT.conj() @ U, b)
+        x = (A.mT @ np.linalg.solve(M, b).conj()).conj()
     except np.linalg.LinAlgError:       # U misses part of the null space
         if len(A) > 1:                  # of some row: solve the rows apart
-            rows = zip(A[:, None], b[:, None, :, 0], U[:, None])
+            rows = zip(A[:, None], b[:, None, :, 0], M[:, None])
             return np.concatenate([_least_squares_step(*row) for row in rows])
-        x = np.full_like(AH[..., :1], np.nan)
-    g = AH @ np.concatenate([A @ x - b, b], axis=-1)
+        x = np.full(A.shape[:-2] + (A.shape[-1], 1), np.nan, dtype=A.dtype)
+    g = A.mT @ np.concatenate([A @ x - b, b], axis=-1).conj()
     g = np.vecdot(g, g, axis=-2).real   # |A^H (A x - b)|^2, |A^H b|^2
     x = x[..., 0]
-    for k in np.flatnonzero(~(g[:, 0] <= 1e-16 * g[:, 1])):
-        x[k] = np.linalg.lstsq(A[k], b[k, :, 0], rcond=None)[0]
+    for k, ok in enumerate((g[:, 0] <= 1e-16 * g[:, 1]).tolist()):
+        if not ok:                      # also when g is nan
+            x[k] = np.linalg.lstsq(A[k], b[k, :, 0], rcond=None)[0]
     return x
 
 
@@ -247,8 +257,9 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
         return evaluate_residual(Z[0], E, target)[None]
 
     def directions(Z, F):
-        h = all_holonomies(Z, E)
-        step = _least_squares_step(jacobian(Z, E, h), -F, W / h[:, None])
+        h = all_holonomies(Z[0], E)
+        J = jacobian(Z[0], E, h)
+        step = _least_squares_step(J[None], -F, normal_matrix(J, E, W / h)[None])
         if not np.linalg.norm(step[0]) < 1e-12 * (1.0 + np.linalg.norm(Z[0])):
             yield step
         # near a stationary point of |F|^2 away from a solution the step is
@@ -404,9 +415,11 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
         a = np.abs(h)
         # d|h| = Re(conj(h)/|h| * h'(z) dz): a real m x 2n system per row,
         # whose left null space the rows of W / |h| span
-        D = (np.conj(h) / a)[..., None] * jacobian(Z, E, h)
-        A = np.concatenate([D.real, -D.imag], axis=-1)
-        step = _least_squares_step(A, -F, W / a[:, None])
+        D = jacobian(Z, E, h)
+        np.multiply((np.conj(h) / a)[..., None], D, out=D)
+        A = np.concatenate([D.real, D.imag], axis=-1)
+        A[..., n:] *= -1.0              # in place: no m x n temporary
+        step = _least_squares_step(A, -F, normal_matrix(D, E, W / a[:, None]))
         return [step[:, :n] + 1j * step[:, n:]]
 
     def done(F, r):     # xi_from_shapes's |h(e)| = 1 test at its default tol
@@ -497,13 +510,16 @@ class Certificate:
     cover: CoverDegreeReport
 
 
-def certificate_statement(cover: CoverDegreeReport) -> str:
-    """The essential-edges conclusion drawn from a solution at targets
-    whose branched-cover bookkeeping is `cover`: about the triangulation
-    itself when every order is 1, else about the branched cover."""
+def cover_certificate(cover: CoverDegreeReport, residual_norm: float,
+                      shapes: ShapeAssignment, xi: ConeTarget) -> Certificate:
+    """The certificate drawn from a solution at targets xi whose
+    branched-cover bookkeeping is `cover`: its statement is about the
+    triangulation itself when every order is 1, else about the branched
+    cover."""
     if cover.trivial_cover:
-        return ("solution of the hyperbolic gluing equations found: "
-                "all edges of the triangulation are essential")
+        return Certificate("manifold", "solution of the hyperbolic gluing "
+                           "equations found: all edges of the triangulation "
+                           "are essential", residual_norm, shapes, xi, cover)
     orders = ", ".join(f"e{e.edge_index}:o={e.order}" for e in cover.entries)
     statement = ("solution of the xi-hyperbolic gluing equations found: "
                  "all edges of the induced ideal triangulation of the "
@@ -511,7 +527,8 @@ def certificate_statement(cover: CoverDegreeReport) -> str:
     if not cover.all_orders_finite:
         statement += ("; edges of infinite order lift to non-manifold "
                       "points of the cover")
-    return statement
+    return Certificate("branched_cover", statement, residual_norm, shapes, xi,
+                       cover)
 
 
 def essential_edge_certificate(t: Triangulation, result: SolveResult,
@@ -534,7 +551,5 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
     res = float(np.linalg.norm(evaluate_residual(result.shapes, E, xi)))
     if res >= cfg.tol * 10:
         raise NotConverged(f"re-evaluated residual {res:.3e} too large")
-    cover = branched_cover_report(edges, xi)
-    kind = "manifold" if cover.trivial_cover else "branched_cover"
-    return Certificate(kind, certificate_statement(cover), res, result.shapes,
-                       xi, cover)
+    return cover_certificate(branched_cover_report(edges, xi), res,
+                             result.shapes, xi)

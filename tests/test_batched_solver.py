@@ -26,13 +26,24 @@ def scalar_in_guard(z):
     return any(min(abs(w), abs(w - 1.0)) < DEGENERACY_GUARD for w in z)
 
 
-def relation_step(A, b, U):
-    """The min-norm least-squares solution of A x = b for one matrix A:
-    A^H (A A^H + U^H U)^-1 b when it meets the optimality condition
-    |A^H (A x - b)| <= 1e-8 |A^H b|, else lstsq's."""
+def outer_product_normal_matrix(D, U):
+    """D D^H + U^H U for one m-by-n matrix D, summed as U^H U plus one
+    outer product of D's columns per tetrahedron, in tetrahedron order; the
+    real part of each outer product when U is real."""
+    M = U.conj().T @ U
+    for column in D.T:
+        layer = np.outer(column, column.conj())
+        M += layer if np.iscomplexobj(M) else layer.real
+    return M
+
+
+def relation_step(A, b, M):
+    """The min-norm least-squares solution of A x = b for one matrix A,
+    given M = A A^H + U^H U: A^H M^-1 b when it meets the optimality
+    condition |A^H (A x - b)| <= 1e-8 |A^H b|, else lstsq's."""
     AH = A.conj().T
     try:
-        x = AH @ np.linalg.solve(A @ AH + U.conj().T @ U, b)
+        x = AH @ np.linalg.solve(M, b)
         if np.linalg.norm(AH @ (A @ x - b)) <= 1e-8 * np.linalg.norm(AH @ b):
             return x
     except np.linalg.LinAlgError:
@@ -67,8 +78,8 @@ def scalar_gauss_newton(residual, directions, done, z, cfg):
             "converged" if done(F) else "max_iterations")
 
 
-def lstsq_step(A, b, U):
-    """lstsq's min-norm step, which ignores the relations U."""
+def lstsq_step(A, b, M):
+    """lstsq's min-norm step, which ignores the relations in M."""
     return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
@@ -78,7 +89,9 @@ def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
     E, W = build_exponent_matrix(t), build_relation_matrix(t)
 
     def directions(z, F):
-        step = least_squares(jacobian(z, E), -F, W / all_holonomies(z, E))
+        J = jacobian(z, E)
+        step = least_squares(J, -F, outer_product_normal_matrix(
+            J, W / all_holonomies(z, E)))
         kick = 0.05 * (1.0 + np.abs(z)) * np.exp(0.7j * (1 + np.arange(len(z))))
         kicks = [kick, 1j * kick, -kick]
         if np.linalg.norm(step) < 1e-12 * (1.0 + np.linalg.norm(z)):
@@ -104,7 +117,7 @@ def scalar_sample(t, start, cfg):
         h = all_holonomies(z, E)
         D = (np.conj(h) / np.abs(h))[:, None] * jacobian(z, E)
         step = relation_step(np.concatenate([D.real, -D.imag], axis=1), -F,
-                             W / np.abs(h))
+                             outer_product_normal_matrix(D, W / np.abs(h)))
         return [step[:n] + 1j * step[n:]]
 
     z, _, _, reason = scalar_gauss_newton(

@@ -8,10 +8,11 @@ import pytest
 
 from idealglue import (ShapeAssignment, all_holonomies, build_exponent_matrix,
                        compute_edge_classes, corpus, develop_across_face,
-                       develop_spanning_tree)
+                       develop_spanning_tree, parse_triangulation)
 from idealglue.gluing import DegenerateShape
 from idealglue.triangulation import EDGE_SLOTS, VertexPermutation
-from conftest import conjugate_match, psl2_dist, random_shapes
+from conftest import (chain_cover_text, conjugate_match, psl2_dist,
+                      random_shapes)
 from oracles import relabel
 
 REGULAR = cmath.exp(1j * math.pi / 3)
@@ -536,3 +537,19 @@ def test_traces_invariant_under_vertex_relabeling(rng):
     dc2 = develop_spanning_tree(t2, ShapeAssignment((z,)))
     tr2 = sorted(abs(np.trace(m)) for m in dc2.generator_matrices)
     assert np.allclose(tr1, tr2, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["hopf", "trefoil", "fig8_complement",
+                                  "fig8_in_s3", "doubled_tetrahedron",
+                                  "chain2", "chain8", "chain128"])
+def test_develop_labels_are_the_gluings_of_their_faces(name, rng):
+    # the tree and generator labels come from the face table; each is the
+    # gluing `gluing_at` gives for its source face, down to its text
+    t = (parse_triangulation(chain_cover_text(int(name[5:]) // 2))
+         if name.startswith("chain") else corpus(name))
+    dc = develop_spanning_tree(t, random_shapes(rng, t.tetra_count))
+    assert len(dc.tree) == t.tetra_count - 1
+    assert len(dc.tree) + len(dc.generators) == 2 * t.tetra_count
+    for g in dc.tree + dc.generators:
+        want = t.gluing_at(g.source_tet, g.source_face)
+        assert type(g) is type(want) and g == want and str(g) == str(want)

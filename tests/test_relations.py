@@ -14,12 +14,14 @@ import random
 import numpy as np
 import pytest
 
-from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
+from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, V_TET, ConeTarget,
                        ShapeAssignment, SolverConfig, VertexClass,
                        all_holonomies, build_exponent_matrix,
                        build_relation_matrix, compute_edge_classes,
                        compute_vertex_classes, corpus, jacobian, newton_solve,
-                       parse_triangulation, random_triangulation)
+                       parse_triangulation, random_triangulation,
+                       solution_volume)
+from idealglue.gluing import normal_matrix
 from idealglue.solver import _least_squares_step
 from idealglue.triangulation import EDGE_SLOTS
 
@@ -157,6 +159,46 @@ def test_only_a_vanishing_jacobian_is_left_out():
     assert set(SYSTEMS) - set(STEP_SYSTEMS) == {"random6_seed3"}
 
 
+# ------------------------------------------------------ the normal matrix
+
+def normal_systems():
+    """The corpus, random triangulations with n = 2..6, and chain covers up
+    to n = 128, by name."""
+    out = {name: corpus(name) for name in CORPUS_NAMES}
+    out.update({f"random{n}": random_triangulation(n, seed=n)
+                for n in range(2, 7)})
+    out.update({f"chain{2 * k}": parse_triangulation(chain_cover_text(k))
+                for k in (1, 2, 4, 16, 32, 64)})
+    return out
+
+
+NORMAL_SYSTEMS = normal_systems()
+
+
+@pytest.mark.parametrize("name", NORMAL_SYSTEMS)
+def test_pair_assembled_normal_matrix_is_the_dense_product(name, rng):
+    # J J^H + U^H U from the exponent pairs, against the dense products,
+    # for a stack of points and for each point alone; the real form is
+    # A A^T + U^T U for the sampler's real system A = [Re D, -Im D]
+    t = NORMAL_SYSTEMS[name]
+    E, W = build_exponent_matrix(t), build_relation_matrix(t)
+    Z = np.array([sample_point(rng, name, t) for _ in range(5)])
+    h = all_holonomies(Z, E)
+    J, a = jacobian(Z, E, h), np.abs(h)
+    D = (np.conj(h) / a)[..., None] * J
+    A = np.concatenate([D.real, -D.imag], axis=-1)
+    cases = ((J, W / h[:, None], J @ J.mT.conj()),
+             (D, W / a[:, None], A @ A.mT))
+    for X, U, product in cases:
+        want = product + U.mT.conj() @ U
+        got = normal_matrix(X, E, U)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        scale = np.abs(want).max(axis=(-2, -1))
+        assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale).all()
+        for Xk, Uk, Mk in zip(X, U, got):
+            assert np.array_equal(normal_matrix(Xk, E, Uk), Mk)
+
+
 def rank_fixed_lstsq(J, b, r):
     """lstsq keeping exactly the r largest singular values.  The default
     cutoff eps max(m, n) s_max lets a rounding-noise singular value through
@@ -185,12 +227,13 @@ def test_step_matches_lstsq(name, rng, lstsq_calls):
     # on hopf and trefoil (m > n, cond 1), that is within 1e-12.
     t = SYSTEMS[name]
     J, b, U = stacked_system(rng, name, t, 20)
-    x = _least_squares_step(J, b, U)
+    M = normal_matrix(J, build_exponent_matrix(t), U)
+    x = _least_squares_step(J, b, M)
     assert lstsq_calls == []                        # no fallback
     assert x.shape == b.shape[:-1] + J.shape[-1:]
-    for Jk, bk, Uk, xk in zip(J, b, U, x):
+    for Jk, bk, Mk, xk in zip(J, b, M, x):
         assert np.array_equal(xk, _least_squares_step(Jk[None], bk[None],
-                                                      Uk[None])[0])
+                                                      Mk[None])[0])
         want, cond = rank_fixed_lstsq(Jk, bk, relation_rank(t))
         bound = max(1e-12, 256 * EPS * cond ** 2)
         assert np.linalg.norm(xk - want) <= bound * np.linalg.norm(want)
@@ -203,12 +246,13 @@ def test_incomplete_relations_fall_back_to_lstsq(name, rng, lstsq_calls):
     # are singular, so the stack's solve fails and its rows are solved apart)
     t = SYSTEMS[name]
     J, b, U = stacked_system(rng, name, t, 6)
-    full = _least_squares_step(J, b, U)
+    E = build_exponent_matrix(t)
+    full = _least_squares_step(J, b, normal_matrix(J, E, U))
     for v in range(U.shape[1]):
         lstsq_calls.clear()
         cut = U.copy()
         cut[1::2, v] = 0.0
-        x = _least_squares_step(J, b, cut)
+        x = _least_squares_step(J, b, normal_matrix(J, E, cut))
         assert len(lstsq_calls) == 3
         for k in range(len(J)):
             want = (np.linalg.lstsq(J[k], b[k], rcond=None)[0] if k % 2
@@ -249,3 +293,17 @@ def test_newton_above_the_cutoff_matches_the_lstsq_loop(n, lstsq_calls):
         assert res.converged
         assert np.abs(np.array(res.shapes.z) - z).max() <= 1e-12
         assert abs(res.residual_norm - r) <= 1e-12
+
+
+def test_newton_converges_on_the_n_1000_chain_cover():
+    # the scale the pair-assembled normal matrix is for: each step's
+    # m-by-m matrix costs O(n) products, not a dense O(n^3) product
+    n = 1000
+    t = parse_triangulation(chain_cover_text(n // 2))
+    start = chain_starts(n, 1, seed=3)[0]
+    assert max(abs(z - REGULAR_SHAPE) for z in start.z) <= 0.02
+    res = newton_solve(t, ConeTarget.ones(n), start)
+    assert res.converged
+    assert max(abs(z - REGULAR_SHAPE) for z in res.shapes.z) <= 1e-9 * n
+    volume = solution_volume(res.shapes).total
+    assert abs(volume - (n // 2) * 2 * V_TET) <= 1e-9 * n

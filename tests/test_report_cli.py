@@ -232,6 +232,20 @@ def test_verify_rebuilds_the_report_once(monkeypatch):
                              "edge_cone_angles", "solution_volume"]
 
 
+@pytest.mark.parametrize("claimed", [True, False], ids=["certified", "plain"])
+def test_verify_builds_the_cover_once(claimed, monkeypatch):
+    # a certified report's rows and certificate statement share one cover
+    rep = fig8_report()
+    if not claimed:
+        rep["certificate"] = None
+    calls = []
+    original = report_mod.branched_cover_report
+    monkeypatch.setattr(report_mod, "branched_cover_report",
+                        lambda *a: calls.append(a) or original(*a))
+    assert all(c.ok for c in verify_report(rep))
+    assert len(calls) == 1
+
+
 def test_a_holonomy_report_develops_once(monkeypatch):
     # one array pass makes every face step and one every edge matrix
     calls = []
@@ -583,6 +597,26 @@ def test_cli_develop_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("modulus", [1e20, 1e5])
+def test_verify_exits_one_when_the_shapes_do_not_develop(modulus, tmp_path,
+                                                          capsys):
+    # at a shape of modulus 1e5 rounding already moves an edge matrix's
+    # ends past the develop's closure bound: the report's holonomy block
+    # cannot be re-checked, which is a failed check (exit 1), not an
+    # unreadable report (exit 2)
+    _, out, _ = run_cli(capsys, "certify", "--corpus", "fig8_complement",
+                        "--json")
+    rep = json.loads(out)
+    rep["shapes"][0] = [modulus, modulus]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(rep))
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    assert (code, err) == (1, "")
+    failed = [line.split(":")[0] for line in out.splitlines() if "FAIL" in line]
+    assert "holonomy develops" in failed
+    assert "report fields match" not in failed
 
 
 def certify_and_verify(capsys, tmp_path, k, *argv):

@@ -6,26 +6,32 @@ bookkeeping.
 Every solve runs the one damped Gauss-Newton loop `_damped_gauss_newton`
 on a stack of shape vectors, one row per start; a solve supplies only its
 residual, its ordered candidate steps and its stopping test, each acting
-on such a stack.  `newton_solve`, a batch of one, tries the complex
-least-squares step on h(z) - xi and then deterministic kicks;
+on such a stack and told the batch indices of the rows it acts on, so
+each row can have its own target.  `_newton_rows` solves h(z) = xi_k
+from each row's start, trying the complex least-squares step on
+h(z) - xi_k and then deterministic kicks, every row bit for bit as it
+would be solved alone; `newton_solve` is a batch of one of it, and
+`sweep_family` corrects blocks of grid points as one stack.
 `cone_locus_sample` runs all its starts as one batch and takes the real
-min-norm step on |h(z)| - 1.  `newton_solve` is the one entry for a solve
-at fixed xi: `sweep_family` calls it once per theta.  Every solve, sweep,
-sample and certificate reads the edge classes and exponent matrix
-compiled once per triangulation (`compute_edge_classes`,
-`build_exponent_matrix`), and the loops evaluate h and J on raw shape
-arrays.
+min-norm step on |h(z)| - 1.  Every solve, sweep, sample and certificate
+reads the edge classes and exponent matrix compiled once per
+triangulation (`compute_edge_classes`, `build_exponent_matrix`), and the
+loops evaluate h and J on raw shape arrays.
 
-A sweep is predictor-corrector continuation.  Once two points have
-converged, each solve starts from the Lagrange extrapolation in theta of
-log z through the last three converged points (linear while only two
-have): quadratic, so exact where log z is quadratic in theta, as on the
-families with z = exp(i theta).  The prediction is the start only when
-it is finite, off the guard band and nearer xi(theta) in residual than
-the last converged solution, which is the start otherwise.  Where the
-solution set at fixed xi has positive dimension, the start decides which
-of its points Newton reaches, so a sweep point is one solution of the
-family there, not a canonical one.
+A sweep is block predictor-corrector continuation (Allgower-Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003).  Once two
+points have converged, the next `BLOCK_ROWS` grid points (fewer where
+their stacked matrices would pass about 4 MB) are predicted at once by
+the Lagrange extrapolation in theta of log z through the last three
+converged points (linear while only two have): quadratic, so exact where
+log z is quadratic in theta, as on the families with z = exp(i theta).
+A prediction is the start only when it is finite, off the guard band and
+nearer xi(theta) in residual than the last converged solution, which is
+the start otherwise.  The block is then corrected as one stack, and its
+converged points join the history in grid order.  Where the solution set
+at fixed xi has positive dimension, the start decides which of its
+points Newton reaches, so a sweep point is one solution of the family
+there, not a canonical one.
 
 Both solves take one step, the min-norm least-squares solution of
 A x = b for each row of a stack (`_least_squares_step`): A = J and
@@ -73,6 +79,7 @@ from .triangulation import Triangulation, compute_edge_classes
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
 MAX_HALVINGS = 30                   # damping: step halvings per iteration
+BLOCK_ROWS = 8                      # sweep: grid points per stacked solve
 
 
 @dataclass(frozen=True)
@@ -115,19 +122,27 @@ def _in_guard(Z) -> np.ndarray:
 
 def _norms(F) -> np.ndarray:
     """The 2-norm of each row of F, summed as `np.linalg.norm` sums one
-    row, so a batch of one takes exactly the decisions of a 1-D loop."""
+    row, so a batch of one takes exactly the decisions of a 1-D loop.
+    `np.vecdot` and `np.dot` both sum with BLAS's dot; a single row takes
+    `np.dot`, whose fixed cost is about half of `np.vecdot`'s."""
+    if len(F) == 1:
+        f = F[0]
+        return np.array([math.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag))])
     return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
 
 
-def _take_steps(residual, z, steps, r):
+def _take_steps(residual, z, steps, r, rows):
     """Move each row of z, in place, by the first of its rows of `steps`
     (an iterable, consumed only as far as needed) that, halved at most
     MAX_HALVINGS times, stays off the guard band around {0, 1} and brings
-    its residual norm below r.  Returns the indices of the rows no step
-    moved and, for each, whether its full first step enters the band."""
-    # rows not moved yet: all, then indices; the truth tests go through
-    # lists, which for a few rows cost less than numpy's any and all
-    todo, first = slice(None), None
+    its residual norm below r.  `residual` is given the batch indices, out
+    of `rows`, of the rows it evaluates.  Returns the indices of the rows
+    no step moved and, for each, whether its full first step enters the
+    band."""
+    # rows not moved yet: all, then indices, with their batch indices at;
+    # the truth tests go through lists, which for a few rows cost less
+    # than numpy's any and all
+    todo, at, first = slice(None), rows, None
     for step in steps:
         first = step if first is None else first
         lam = 1.0
@@ -136,15 +151,15 @@ def _take_steps(residual, z, steps, r):
             lam *= 0.5
             ok = ~_in_guard(cand)
             if all(ok.tolist()):
-                ok = _norms(residual(cand)) < r[todo]
+                ok = _norms(residual(cand, at)) < r[todo]
             elif any(ok.tolist()):
-                ok[ok] = _norms(residual(cand[ok])) < r[todo][ok]
+                ok[ok] = _norms(residual(cand[ok], at[ok])) < r[todo][ok]
             if all(ok.tolist()):
                 z[todo] = cand
                 return (), ()
             todo = np.arange(len(z))[todo]
             z[todo[ok]] = cand[ok]
-            todo = todo[~ok]
+            todo, at = todo[~ok], at[~ok]
     todo = np.arange(len(z))[todo]
     return todo, _in_guard(z[todo] + first[todo])
 
@@ -158,9 +173,11 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
 
     Each iteration evaluates `residual` on the rows still running, and a
     row stops when `done(F, r)` holds for its residual F and residual norm
-    r; otherwise it takes one of the steps `directions(Z, F)` yields
-    (`_take_steps`).  Stopped rows drop out, and `residual` and
-    `directions` are never called on an empty stack.
+    r; otherwise it takes one of the steps `directions(Z, F, rows)` yields
+    (`_take_steps`).  Both callbacks are given the batch indices `rows`
+    of the rows they act on, `residual(Z, rows)` in the line search too,
+    so a solve can give each row its own target.  Stopped rows drop out,
+    and `residual` and `directions` are never called on an empty stack.
 
     Returns (Z, F, iterations, reasons), one entry per row, with reason
     "converged", "max_iterations", or, when no step could be taken,
@@ -178,7 +195,7 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
     for it in range(cfg.max_iterations + 1):
         if not rows.size:
             break
-        F = residual(z)
+        F = residual(z, rows)
         r = _norms(F)
         fin = done(F, r)
         if it == cfg.max_iterations:
@@ -190,7 +207,8 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
             rows, z, F, r = rows[~fin], z[~fin], F[~fin], r[~fin]
             if not rows.size:
                 break
-        stuck, near = _take_steps(residual, z, directions(z, F), r)
+        stuck, near = _take_steps(residual, z, directions(z, F, rows), r,
+                                  rows)
         if len(stuck):
             stop(stuck, F, it,
                  np.where(near, "degenerate_shape", "stalled").tolist())
@@ -224,10 +242,82 @@ def _least_squares_step(A, b, M):
     return x
 
 
+def _obstruction(edges, xi: ConeTarget, start):
+    """`newton_solve`'s result from the shapes `start` when xi has a
+    degree-one obstruction, else None."""
+    obstructed = degree_one_obstructions(edges, xi)
+    if not obstructed:
+        return None
+    names = ", ".join(f"e{j}" for j in obstructed)
+    return SolveResult(ShapeAssignment(start, guard=0.0), float("inf"), 0,
+                       False, "degree_one_edge_obstruction",
+                       f"degree-one edge(s) {names} have xi = 1; the single "
+                       f"incident shape parameter would be forbidden, so the "
+                       f"system has no solution")
+
+
+def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
+    """Solve h(z) = targets[k] from Z0[k] for each row k of a stack, in one
+    damped Gauss-Newton loop, each row as `newton_solve` solves it alone,
+    bit for bit: the relation step, unless the row's step is tiny, then
+    three deterministic kicks.  E and W are the exponent and relation
+    matrices; returns one SolveResult per row."""
+    rotation = np.exp(0.7j * (1 + np.arange(E.tet_count)))
+    one = len(Z0) == 1      # a batch of one: the kernels get a plain vector
+
+    def residual(Z, rows):
+        if one:
+            return evaluate_residual(Z[0], E, targets[0])[None]
+        return evaluate_residual(Z, E, targets[rows])
+
+    def directions(Z, F, rows):
+        X = Z[0] if one else Z
+        h = all_holonomies(X, E)
+        J = jacobian(X, E, h)
+        if one:
+            h, J = h[None], J[None]
+        # the normal matrix is freed before the line search and J after
+        # it: with both freed together, or both kept, the allocator maps
+        # fresh pages for the next ones (7-10 % of an n = 128 solve)
+        step = _least_squares_step(J, -F, normal_matrix(J, E, W / h[:, None]))
+        tiny = _norms(step) < 1e-12 * (1.0 + _norms(Z))
+        if not any(tiny.tolist()):
+            yield step
+        # near a stationary point of |F|^2 away from a solution the step is
+        # tiny or cannot be damped into a decrease: deterministic kicks
+        # break the symmetry, re-entering Gauss-Newton after
+        kick = 0.05 * (1.0 + np.abs(Z)) * rotation
+        kicks = [kick, 1j * kick, -kick]
+        if any(tiny.tolist()) and not all(tiny.tolist()):
+            # a row with a tiny step tries each kick one turn early and its
+            # last kick twice, which fails again as it did the first time
+            ahead = tiny[:, None]
+            kicks = [np.where(ahead, b, a)
+                     for a, b in zip([step] + kicks, kicks + [-kick])]
+        yield from kicks
+
+    Z, F, its, reasons = _damped_gauss_newton(
+        residual, directions, lambda F, r: r < cfg.tol, Z0, cfg)
+    out = []
+    for z, f, it, reason in zip(Z, F, its, reasons):
+        r = float(np.linalg.norm(f))
+        detail = {
+            "converged": "",
+            "degenerate_shape": "iterates pushed into the guard band around "
+                                "{0, 1} (ideal point)",
+            "stalled": "damping could not reduce the residual",
+            "max_iterations": f"residual {r:.3e} after {it} iterations",
+        }[reason]
+        out.append(SolveResult(ShapeAssignment(z, guard=0.0), r, it,
+                               reason == "converged", reason, detail))
+    return out
+
+
 def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
                  cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Damped Gauss-Newton least squares on F(z) = h(z) - xi over the
-    reduced coordinates (one z per tetrahedron), as a batch of one.
+    reduced coordinates (one z per tetrahedron), as a batch of one of the
+    stacked solve `_newton_rows`.
 
     The m-by-n system is rank-deficient (the cusp relations W / h span the
     left null space of J), so steps are min-norm least-squares solutions
@@ -240,48 +330,11 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
     E = build_exponent_matrix(t)
     check_shape_length(initial, E)
     check_target_length(xi, E)
-    obstructed = degree_one_obstructions(compute_edge_classes(t), xi)
+    obstructed = _obstruction(compute_edge_classes(t), xi, initial.z)
     if obstructed:
-        names = ", ".join(f"e{j}" for j in obstructed)
-        return SolveResult(initial, float("inf"), 0, False,
-                           "degree_one_edge_obstruction",
-                           f"degree-one edge(s) {names} have xi = 1; the "
-                           f"single incident shape parameter would be "
-                           f"forbidden, so the system has no solution")
-    W = build_relation_matrix(t)
-    target = np.array(xi.xi)
-    rotation = np.exp(0.7j * (1 + np.arange(t.tetra_count)))
-
-    # the batch is one row: the kernels evaluate it as a plain vector
-    def residual(Z):
-        return evaluate_residual(Z[0], E, target)[None]
-
-    def directions(Z, F):
-        h = all_holonomies(Z[0], E)
-        J = jacobian(Z[0], E, h)
-        step = _least_squares_step(J[None], -F, normal_matrix(J, E, W / h)[None])
-        if not np.linalg.norm(step[0]) < 1e-12 * (1.0 + np.linalg.norm(Z[0])):
-            yield step
-        # near a stationary point of |F|^2 away from a solution the step is
-        # tiny or cannot be damped into a decrease: deterministic kicks
-        # break the symmetry, re-entering Gauss-Newton after
-        kick = 0.05 * (1.0 + np.abs(Z)) * rotation
-        yield from (kick, 1j * kick, -kick)
-
-    Z, F, its, reasons = _damped_gauss_newton(
-        residual, directions, lambda F, r: r < cfg.tol,
-        [initial.z], cfg)
-    it, reason = its[0], reasons[0]
-    r = float(np.linalg.norm(F[0]))
-    detail = {
-        "converged": "",
-        "degenerate_shape": "iterates pushed into the guard band around "
-                            "{0, 1} (ideal point)",
-        "stalled": "damping could not reduce the residual",
-        "max_iterations": f"residual {r:.3e} after {it} iterations",
-    }[reason]
-    return SolveResult(ShapeAssignment(Z[0], guard=0.0), r, it,
-                       reason == "converged", reason, detail)
+        return obstructed
+    return _newton_rows(E, build_relation_matrix(t), np.array([xi.xi]),
+                        [initial.z], cfg)[0]
 
 
 def regular_solution(t: Triangulation):
@@ -303,42 +356,52 @@ class SweepPoint:
     result: SolveResult
 
 
-def _predicted_start(thetas, Z, theta, seed, E, target):
-    """The start of a sweep's solve at theta: the Lagrange polynomial
-    through the points (thetas[k], log Z[k]), evaluated at theta and
-    mapped back by exp, when it is finite, lies off the guard band around
-    {0, 1} and has a smaller residual |h(z) - target| than `seed`;
-    otherwise `seed`.  The logs are taken relative to the last row, so
-    their branch never jumps between nearby rows."""
+def _block_starts(thetas, past, block, seed, E, targets) -> np.ndarray:
+    """The starts of a sweep's solves at the thetas `block`, whose targets
+    are the rows of `targets`: for each theta, the Lagrange polynomial
+    through the converged points (thetas[k], log past[k]), evaluated at
+    theta and mapped back by exp, when it is finite, lies off the guard
+    band around {0, 1} and has a smaller residual |h(z) - target| than
+    `seed`; otherwise `seed`.  The logs are taken relative to the last
+    point, so their branch never jumps between nearby points, and one
+    holonomy call evaluates every prediction and the seed."""
+    seed = np.array(seed)
     if len(set(thetas)) < len(thetas):
-        return seed
-    w = [math.prod((theta - tj) / (tk - tj) for tj in thetas if tj != tk)
-         for tk in thetas]
-    last = np.array(Z[-1])
+        return np.tile(seed, (len(block), 1))
+    w = [[math.prod((theta - tj) / (tk - tj) for tj in thetas if tj != tk)
+          for tk in thetas] for theta in block]
+    last = np.array(past[-1])
     with np.errstate(all="ignore"):     # a non-finite start is rejected
-        z = last * np.exp(np.dot(w, np.log(np.array(Z) / last)))
-        if not np.isfinite(z).all() or _in_guard(z):
-            return seed
-        r = _norms(evaluate_residual(np.array([z, seed.z]), E, target))
-    return ShapeAssignment(z, guard=0.0) if r[0] < r[1] else seed
+        Z = last * np.exp(np.array(w) @ np.log(np.array(past) / last))
+        h = all_holonomies(np.vstack([Z, seed]), E)
+        ok = (np.isfinite(Z).all(-1) & ~_in_guard(Z)
+              & (_norms(h[:-1] - targets) < _norms(h[-1] - targets)))
+    return np.where(ok[:, None], Z, seed)
 
 
 def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
                  cfg: SolverConfig = SolverConfig(),
                  initial: ShapeAssignment | None = None) -> list:
-    """Continuation along a parameterized family of cone targets, one
-    `newton_solve` per theta.
+    """Continuation along a parameterized family of cone targets, in
+    blocks of grid points corrected as one stacked solve (`_newton_rows`).
 
     The first solve starts from `initial`, the next from the first
-    converged solution.  Once two or more points have converged, each
-    solve starts from a prediction: the Lagrange extrapolation in theta
-    of log z through the last three converged points (quadratic; linear
-    while only two have converged), mapped back by exp.  The prediction
-    is taken only when it is finite, lies off the guard band around
-    {0, 1}, and its residual |h(z) - xi(theta)| is smaller than that of
-    the last converged solution, which is the start otherwise.  Failures
-    are recorded and the sweep continues from the converged points before
-    them.
+    converged solution, one point at a time.  Once two or more points have
+    converged, the sweep takes the next block of up to `BLOCK_ROWS` grid
+    points, fewer where the block's stacked m-by-n Jacobians and m-by-m
+    normal matrices would pass about 4 MB (so from n of about 360 on, one
+    point at a time).  Each point of the block starts from a prediction:
+    the Lagrange extrapolation in theta of log z through the last three
+    converged points before the block (quadratic; linear while only two
+    have converged), mapped back by exp.  The prediction is taken only
+    when it is finite, lies off the guard band around {0, 1}, and its
+    residual |h(z) - xi(theta)| is smaller than that of the last converged
+    solution, which is the start otherwise.  Each point of the block is solved as `newton_solve` would
+    solve it from that start, bit for bit; a theta whose target has a
+    degree-one obstruction gets `newton_solve`'s result for it and is not
+    solved.  The block's converged points then join the history in grid
+    order; failures are recorded, and the sweep continues from the
+    converged points before them.
 
     Where the solution set at fixed xi has positive dimension, the start
     decides which of its points the solve reaches: a sweep point is one
@@ -346,26 +409,37 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     IdealGlueError unless `initial` has one shape per tetrahedron and each
     target one entry per edge class.
     """
-    E = build_exponent_matrix(t)
+    E, W, edges = (build_exponent_matrix(t), build_relation_matrix(t),
+                   compute_edge_classes(t))
     if initial is None:
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
     check_shape_length(initial, E)
+    grid = [float(theta) for theta in theta_grid]
+    # at most 2**18 entries (4 MB) of stacked J and normal matrices
+    m, n = E.edge_count, E.tet_count
+    size = min(BLOCK_ROWS, max(1, 2**18 // (m * (m + n))))
     seed, thetas, past = initial, [], []    # the last converged points
     out = []
-    for theta in theta_grid:
-        xi = xi_of_theta(theta)
-        if not isinstance(xi, ConeTarget):
-            xi = ConeTarget(xi)
-        check_target_length(xi, E)
-        theta, start = float(theta), seed
-        if len(past) > 1:
-            start = _predicted_start(thetas, past, theta, seed, E,
-                                     np.array(xi.xi))
-        res = newton_solve(t, xi, start, cfg)
-        out.append(SweepPoint(theta, res))
-        if res.converged:
-            seed = res.shapes
-            thetas, past = thetas[-2:] + [theta], past[-2:] + [seed.z]
+    while len(out) < len(grid):
+        block = grid[len(out):len(out) + (size if len(past) > 1 else 1)]
+        xis = [xi if isinstance(xi, ConeTarget) else ConeTarget(xi)
+               for xi in map(xi_of_theta, block)]
+        for xi in xis:
+            check_target_length(xi, E)
+        targets = np.array([xi.xi for xi in xis])
+        Z0 = (_block_starts(thetas, past, block, seed.z, E, targets)
+              if len(past) > 1 else np.array([seed.z]))
+        results = [_obstruction(edges, xi, z) for xi, z in zip(xis, Z0)]
+        solve = [k for k, res in enumerate(results) if res is None]
+        if solve:
+            solved = _newton_rows(E, W, targets[solve], Z0[solve], cfg)
+            for k, res in zip(solve, solved):
+                results[k] = res
+        for theta, res in zip(block, results):
+            out.append(SweepPoint(theta, res))
+            if res.converged:
+                seed = res.shapes
+                thetas, past = thetas[-2:] + [theta], past[-2:] + [seed.z]
     return out
 
 
@@ -407,10 +481,10 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     for start in starts:
         check_shape_length(start, E)
 
-    def residual(Z):
+    def residual(Z, rows):
         return np.abs(all_holonomies(Z, E)) - 1.0
 
-    def directions(Z, F):
+    def directions(Z, F, rows):
         h = all_holonomies(Z, E)
         a = np.abs(h)
         # d|h| = Re(conj(h)/|h| * h'(z) dz): a real m x 2n system per row,

@@ -15,7 +15,7 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        random_starts, regular_solution, xi_from_shapes)
 from idealglue import solver as solver_mod
 from idealglue.gluing import DEGENERACY_GUARD
-from idealglue.solver import MAX_HALVINGS, _damped_gauss_newton
+from idealglue.solver import MAX_HALVINGS, _damped_gauss_newton, _newton_rows
 
 from conftest import random_shapes, random_systems
 
@@ -199,6 +199,33 @@ def test_newton_solve_is_bitwise_the_per_start_loop(rng):
     assert reasons >= {"converged", "max_iterations", "stalled"}
 
 
+def test_stacked_rows_are_each_the_row_alone(rng):
+    # newton_cases grouped by triangulation and config, each group one
+    # stack with mixed targets: the hopf group holds the stationary starts,
+    # whose rows are kicked, and the other groups rows that stall or
+    # reach max_iterations
+    groups = {}
+    for t, xi, start, cfg in newton_cases(rng):
+        groups.setdefault((id(t), cfg), []).append((t, xi, start))
+    reasons = []
+    for (_, cfg), cases in groups.items():
+        t = cases[0][0]
+        targets = np.array([xi.xi for _, xi, _ in cases])
+        stacked = _newton_rows(build_exponent_matrix(t),
+                               build_relation_matrix(t), targets,
+                               [start.z for _, _, start in cases], cfg)
+        assert len(stacked) == len(cases)
+        for (_, xi, start), res in zip(cases, stacked):
+            alone = newton_solve(t, xi, start, cfg)
+            assert res.shapes.z == alone.shapes.z
+            assert res.residual_norm == alone.residual_norm
+            assert (res.iterations, res.reason) == (alone.iterations,
+                                                    alone.reason)
+            reasons.append(res.reason)
+    assert len(reasons) > len(groups)
+    assert set(reasons) >= {"converged", "max_iterations", "stalled"}
+
+
 # ------------------------------------------------------- cone_locus_sample
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -280,10 +307,10 @@ def test_rows_of_a_batch_stop_for_their_own_reasons():
     # between (too slow for the tolerance within five iterations)
     cfg = SolverConfig(tol=1e-12, max_iterations=5)
 
-    def residual(Z):
+    def residual(Z, rows):
         return Z - 3j
 
-    def directions(Z, F):
+    def directions(Z, F, rows):
         gain = np.where(Z.real < 0, 1.0, np.where(Z.real > 10, -1.0, 0.5))
         return [-gain * F]
 

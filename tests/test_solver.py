@@ -12,10 +12,11 @@ from idealglue import (CORPUS_NAMES, ConeTarget, IdealGlueError, NotConverged,
                        build_exponent_matrix, build_solution_report,
                        compute_edge_classes, cone_locus_sample, corpus,
                        essential_edge_certificate, evaluate_residual,
-                       newton_solve, order_of_root_of_unity, random_starts,
-                       regular_solution, sweep_family, xi_from_shapes)
+                       newton_solve, order_of_root_of_unity,
+                       parse_triangulation, random_starts, regular_solution,
+                       sweep_family, xi_from_shapes)
 from idealglue import solver as solver_mod
-from conftest import random_systems
+from conftest import chain_cover_text, random_systems
 
 
 def xi_by_degree(t, mapping):
@@ -237,15 +238,70 @@ def test_sweep_records_ideal_point_failure():
     assert points[1].result.reason == "degree_one_edge_obstruction"
 
 
-def test_sweep_solves_each_theta_through_newton_solve(monkeypatch):
-    # the benchmark's solver.newton span wraps the public newton_solve
+def record_stacks(monkeypatch):
+    """The (targets, starts) of every stacked solve, as sweeps make them."""
     calls = []
+    solve = solver_mod._newton_rows
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return newton_solve(*args, **kwargs)
+    def recorded(E, W, targets, Z0, cfg):
+        calls.append((np.array(targets), np.array(Z0)))
+        return solve(E, W, targets, Z0, cfg)
 
-    monkeypatch.setattr(solver_mod, "newton_solve", counted)
+    monkeypatch.setattr(solver_mod, "_newton_rows", recorded)
+    return calls
+
+
+def sweep_stacks(calls, grid, xi_of):
+    """Each recorded stacked solve as (grid indices of its rows, starts),
+    a row's theta found by its target."""
+    out, k = [], 0
+    for targets, Z0 in calls:
+        idx = []
+        for target in targets:
+            while tuple(target) != xi_of(grid[k]).xi:
+                k += 1
+            idx.append(k)
+            k += 1
+        out.append((idx, Z0))
+    return out
+
+
+def check_predicted_starts(points, grid, stacks, E, xi_of):
+    """Each start of a stack solved after two points have converged is the
+    polynomial through log z at the last three converged points before
+    the stack (linear through two), by polyfit, when that is nearer the
+    target in residual than the last of them, which is the start
+    otherwise.  Returns how many starts were predictions and how many
+    were the last converged point."""
+    taken = kept = 0
+    for idx, Z0 in stacks:
+        history = [(theta, p.result.shapes.z)
+                   for theta, p in zip(grid[:idx[0]], points)
+                   if p.result.converged][-3:]
+        if len(history) < 2:
+            continue
+        thetas, Z = zip(*history)
+        Z = np.array(Z)
+        coeffs = np.polyfit(thetas, np.log(Z / Z[-1]), len(Z) - 1)
+        for k, start in zip(idx, Z0):
+            pred = Z[-1] * np.exp(np.polyval(coeffs, grid[k]))
+            r_pred, r_prev = (
+                np.linalg.norm(evaluate_residual(z, E, xi_of(grid[k])))
+                for z in (pred, Z[-1]))
+            if np.array_equal(start, Z[-1]):
+                assert r_pred >= r_prev * (1 - 1e-9)
+                kept += 1
+            else:
+                assert r_pred < r_prev * (1 + 1e-9)
+                assert np.abs(start - pred).max() < 1e-9
+                taken += 1
+    return taken, kept
+
+
+def test_sweep_solves_each_theta_in_one_stacked_solve(monkeypatch):
+    # each theta is one row of exactly one stacked solve; an obstructed
+    # theta is in none
+    calls = record_stacks(monkeypatch)
     t = corpus("hopf")
 
     def xi_of(theta):
@@ -255,7 +311,9 @@ def test_sweep_solves_each_theta_through_newton_solve(monkeypatch):
     thetas = [math.pi / 2, 2 * math.pi / 3, 0.0, math.pi]
     points = sweep_family(t, xi_of, thetas,
                           initial=ShapeAssignment((0.2 + 0.9j,)))
-    assert calls == [t] * len(thetas)
+    assert [len(targets) for targets, _ in calls] == [1, 1, 1]
+    assert ([tuple(row) for targets, _ in calls for row in targets]
+            == [xi_of(theta).xi for theta in thetas if theta != 0.0])
     assert [p.result.converged for p in points] == [True, True, False, True]
 
 
@@ -371,39 +429,116 @@ def test_predicted_sweep_converges_where_plain_continuation_does(span):
 
 def test_sweep_starts_from_the_previous_solution_when_the_prediction_is_worse(
         monkeypatch):
-    starts = []
-
-    def recorded(t, xi, initial, cfg):
-        starts.append(initial)
-        return newton_solve(t, xi, initial, cfg)
-
-    monkeypatch.setattr(solver_mod, "newton_solve", recorded)
+    calls = record_stacks(monkeypatch)
     t = random_systems()[0][0]
     E = build_exponent_matrix(t)
     xi_of = regular_family(t)
     grid = [2.0 * j / 15 for j in range(16)]
     points = sweep_family(t, xi_of, grid)
     assert all(p.result.converged for p in points)
-    taken = kept = 0
-    for k in range(3, len(grid)):
-        # the quadratic through log z at the last three thetas, by polyfit
-        Z = np.array([p.result.shapes.z for p in points[k - 3:k]])
-        coeffs = np.polyfit(grid[k - 3:k], np.log(Z / Z[-1]), 2)
-        pred = Z[-1] * np.exp(np.polyval(coeffs, grid[k]))
-        r_pred, r_prev = (
-            np.linalg.norm(evaluate_residual(z, E, xi_of(grid[k])))
-            for z in (pred, Z[-1]))
-        if starts[k] is points[k - 1].result.shapes:
-            assert r_pred >= r_prev * (1 - 1e-9)
-            kept += 1
-        else:
-            assert r_pred < r_prev * (1 + 1e-9)
-            assert np.abs(np.subtract(starts[k].z, pred)).max() < 1e-9
-            taken += 1
-    assert starts[0].z == (REGULAR_SHAPE,) * t.tetra_count
-    assert starts[1] is points[0].result.shapes
-    assert starts[2] is not points[1].result.shapes     # linear prediction
+    stacks = sweep_stacks(calls, grid, xi_of)
+    assert [idx for idx, _ in stacks] == [[0], [1], list(range(2, 10)),
+                                          list(range(10, 16))]
+    taken, kept = check_predicted_starts(points, grid, stacks, E, xi_of)
+    starts = [z for _, Z0 in stacks for z in Z0]
+    assert tuple(starts[0]) == (REGULAR_SHAPE,) * t.tetra_count
+    assert tuple(starts[1]) == points[0].result.shapes.z
+    assert tuple(starts[2]) != points[1].result.shapes.z    # linear prediction
     assert taken and kept
+
+
+def test_sweep_shorter_than_a_block(monkeypatch):
+    calls = record_stacks(monkeypatch)
+    t = corpus("hopf")
+    grid = [math.pi / 3 + 0.05 * j for j in range(5)]
+    points = sweep_family(t, closed_form_family(t, CLOSED_FORM["hopf"]), grid)
+    assert [len(Z0) for _, Z0 in calls] == [1, 1, 3]
+    for theta, p in zip(grid, points):
+        assert p.result.converged
+        assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
+
+
+def test_sweep_block_with_an_obstructed_and_a_failing_theta(monkeypatch):
+    # the hopf family through its ideal point theta = 0, where the
+    # degree-one edges' targets are 1; at theta = 0.3 the degree-4 target
+    # is turned by 0.5, so the product of the targets is not 1 and no
+    # shapes reach them (the product of all h is 1)
+    calls = record_stacks(monkeypatch)
+    t = corpus("hopf")
+    E, edges = build_exponent_matrix(t), compute_edge_classes(t)
+    closed = closed_form_family(t, CLOSED_FORM["hopf"])
+
+    def xi_of(theta):
+        turn = cmath.exp(0.5j) if theta == 0.3 else 1.0
+        return ConeTarget(tuple(x * turn if e.degree == 4 else x
+                                for x, e in zip(closed(theta).xi, edges)))
+
+    grid = [round(0.8 - 0.1 * j, 10) for j in range(16)]
+    points = sweep_family(t, xi_of, grid)
+    stacks = sweep_stacks(calls, grid, xi_of)
+    assert [idx for idx, _ in stacks] == [[0], [1], [2, 3, 4, 5, 6, 7, 9],
+                                          list(range(10, 16))]
+    for theta, p in zip(grid, points):
+        if theta == 0.0:
+            assert p.result.reason == "degree_one_edge_obstruction"
+            assert p.result == newton_solve(t, xi_of(theta), p.result.shapes)
+        elif theta == 0.3:
+            assert p.result.reason in ("stalled", "max_iterations")
+        else:
+            assert p.result.converged
+            assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
+    # the exact extrapolation to theta = 0 is z = 1, in the guard band:
+    # the obstructed theta's own start is the last converged point
+    assert points[8].result.shapes == points[1].result.shapes
+    # the last block predicts from theta = 0.2, 0.1, -0.1 only
+    taken, _ = check_predicted_starts(points, grid, stacks, E, xi_of)
+    assert taken
+
+
+def test_sweep_with_a_repeated_theta_starts_from_the_last_solution(
+        monkeypatch):
+    # the first block ends at theta = 1.45, 1.5, 1.5; through these
+    # nodes the Lagrange weights are not defined, and the next block,
+    # stepping back from 1.5, starts from the last solution
+    calls = record_stacks(monkeypatch)
+    t = corpus("trefoil")
+    grid = [1.0, 1.1, 1.2, 1.25, 1.3, 1.35, 1.4, 1.45, 1.5, 1.5,
+            1.48, 1.46, 1.44]
+    points = sweep_family(t, closed_form_family(t, CLOSED_FORM["trefoil"]),
+                          grid)
+    for theta, p in zip(grid, points):
+        assert p.result.converged
+        assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
+    assert [len(Z0) for _, Z0 in calls] == [1, 1, 8, 3]
+    assert all(tuple(z) == points[9].result.shapes.z for z in calls[3][1])
+
+
+def test_sweep_of_the_n_512_chain_cover_solves_one_point_at_a_time(
+        monkeypatch):
+    # a block of eight would hold eight 512-by-512 Jacobians and normal
+    # matrices, above the stack's 4 MB
+    calls = record_stacks(monkeypatch)
+    t = parse_triangulation(chain_cover_text(256))
+    grid = [0.0, 0.002, 0.004, 0.006]
+    points = sweep_family(t, regular_family(t), grid)
+    assert all(p.result.converged for p in points)
+    assert [len(Z0) for _, Z0 in calls] == [1] * len(grid)
+
+
+def test_sweep_corrects_its_blocks_with_few_jacobians(monkeypatch):
+    calls = []
+    jac = solver_mod.jacobian
+
+    def counted(Z, E, *h):
+        calls.append(np.shape(Z))
+        return jac(Z, E, *h)
+
+    monkeypatch.setattr(solver_mod, "jacobian", counted)
+    t = corpus("fig8_in_s3")
+    grid = [0.6 * j / 63 for j in range(64)]
+    points = sweep_family(t, regular_family(t), grid)
+    assert all(p.result.converged for p in points)
+    assert len(calls) <= 32, calls
 
 
 # ------------------------------------------------------------- cone sampling

@@ -75,6 +75,20 @@ def derive_shape_triple(z: complex):
     return z, 1.0 / (1.0 - z), (z - 1.0) / z
 
 
+def _stack_rows(cls, field: str, rows: np.ndarray, ok: bool, *args) -> list:
+    """One instance of the frozen dataclass cls per row of `rows`: its tuple
+    `field` is the row's `tolist()` when `ok` (one array test passed), else
+    the constructor builds each row and its error names the bad entry."""
+    if not ok:
+        return [cls(row, *args) for row in rows]
+    out = []
+    for row in rows.tolist():
+        obj = object.__new__(cls)
+        object.__setattr__(obj, field, tuple(row))
+        out.append(obj)
+    return out
+
+
 @dataclass(frozen=True)
 class ShapeAssignment:
     """One shape parameter per tetrahedron, all finite and away from {0, 1}."""
@@ -84,6 +98,13 @@ class ShapeAssignment:
     def __init__(self, z, guard: float = DEGENERACY_GUARD):
         zs = tuple(check_nondegenerate(w, guard) for w in z)
         object.__setattr__(self, "z", zs)
+
+    @classmethod
+    def rows(cls, Z, guard: float = DEGENERACY_GUARD) -> list:
+        """One ShapeAssignment per row of the stack Z (`_stack_rows`)."""
+        Z = np.asarray(Z, dtype=complex)
+        return _stack_rows(cls, "z", Z, np.isfinite(Z).all() and (
+            np.minimum(np.abs(Z), np.abs(Z - 1.0)) >= guard).all(), guard)
 
     def __len__(self):
         return len(self.z)
@@ -105,6 +126,13 @@ class ConeTarget:
             if not abs(abs(x) - 1.0) < tol:     # also rejects nan and inf
                 raise NotUnitModulus(f"xi[{k}] = {x} has |xi| = {abs(x)}")
         object.__setattr__(self, "xi", vals)
+
+    @classmethod
+    def rows(cls, H, tol: float = 1e-8) -> list:
+        """One ConeTarget per row of the stack H (`_stack_rows`)."""
+        H = np.asarray(H, dtype=complex)
+        return _stack_rows(cls, "xi", H, (np.abs(np.abs(H) - 1.0) < tol).all(),
+                           tol)
 
     def __len__(self):
         return len(self.xi)

@@ -18,6 +18,12 @@ reads the edge classes and exponent matrix compiled once per
 triangulation (`compute_edge_classes`, `build_exponent_matrix`), and the
 loops evaluate h and J on raw shape arrays.
 
+The line search (`_take_steps`) makes one residual call for the full
+steps of all rows and one more for every further halving of the rows they
+leave, a stack of rows x halvings candidates; each row takes its first
+good candidate, as a loop over the halvings would.  The result rows are
+built from the final stack with one array check (`ShapeAssignment.rows`).
+
 A sweep is block predictor-corrector continuation (Allgower-Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003).  Once two
 points have converged, the next `BLOCK_ROWS` grid points (fewer where
@@ -54,7 +60,7 @@ for A^H y and the optimality check.
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
 are constants: the guard band around {0, 1} is `gluing.DEGENERACY_GUARD`,
-a step is halved at most `MAX_HALVINGS` times, and the unit-circle and
+a step is scaled by 2^-j for j < `MAX_HALVINGS`, and the unit-circle and
 root-of-unity tolerances are the defaults of `xi_from_shapes`,
 `degree_one_obstructions` and `order_of_root_of_unity`.
 """
@@ -78,8 +84,9 @@ from .gluing import (DEGENERACY_GUARD, ConeTarget, ShapeAssignment,
 from .triangulation import Triangulation, compute_edge_classes
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
-MAX_HALVINGS = 30                   # damping: step halvings per iteration
+MAX_HALVINGS = 30                   # damping: step scales 2^-j, j < 30
 BLOCK_ROWS = 8                      # sweep: grid points per stacked solve
+STACK_ENTRIES = 2**18               # entries (4 MB) per stacked array
 
 
 @dataclass(frozen=True)
@@ -133,34 +140,37 @@ def _norms(F) -> np.ndarray:
 
 def _take_steps(residual, z, steps, r, rows):
     """Move each row of z, in place, by the first of its rows of `steps`
-    (an iterable, consumed only as far as needed) that, halved at most
-    MAX_HALVINGS times, stays off the guard band around {0, 1} and brings
-    its residual norm below r.  `residual` is given the batch indices, out
-    of `rows`, of the rows it evaluates.  Returns the indices of the rows
-    no step moved and, for each, whether its full first step enters the
-    band."""
-    # rows not moved yet: all, then indices, with their batch indices at;
+    (an iterable, consumed only as far as needed) that, scaled by some
+    lam = 2^-j with j < MAX_HALVINGS, the largest, stays off the guard band
+    around {0, 1} and brings its residual norm below r.  The full steps are
+    one residual call; the rows left try all further lam at once, in stacks
+    of at most STACK_ENTRIES shapes.  `residual` is given the batch indices,
+    out of `rows`, of the rows it evaluates.  Returns the indices of the
+    rows no step moved and, for each, whether its full step enters the band."""
     # the truth tests go through lists, which for a few rows cost less
     # than numpy's any and all
-    todo, at, first = slice(None), rows, None
+    todo, first, n = np.arange(len(z)), None, z.shape[-1]
     for step in steps:
         first = step if first is None else first
-        lam = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand = z[todo] + lam * step[todo]
-            lam *= 0.5
-            ok = ~_in_guard(cand)
+        j = 0
+        while todo.size and j < MAX_HALVINGS:
+            k = 1 if j == 0 else min(MAX_HALVINGS - j,
+                                     max(1, STACK_ENTRIES // (todo.size * n)))
+            lam = np.ldexp(1.0, -np.arange(j, j + k))[:, None]  # exact
+            cand = z[todo, None] + lam * step[todo, None]       # (rows, k, n)
+            flat = cand.reshape(-1, n)
+            at, bound = np.repeat(rows[todo], k), np.repeat(r[todo], k)
+            ok = ~_in_guard(flat)
             if all(ok.tolist()):
-                ok = _norms(residual(cand, at)) < r[todo]
+                ok = _norms(residual(flat, at)) < bound
             elif any(ok.tolist()):
-                ok[ok] = _norms(residual(cand[ok], at[ok])) < r[todo][ok]
-            if all(ok.tolist()):
-                z[todo] = cand
-                return (), ()
-            todo = np.arange(len(z))[todo]
-            z[todo[ok]] = cand[ok]
-            todo, at = todo[~ok], at[~ok]
-    todo = np.arange(len(z))[todo]
+                ok[ok] = _norms(residual(flat[ok], at[ok])) < bound[ok]
+            ok = ok.reshape(-1, k)
+            hit = ok.any(-1)
+            z[todo[hit]] = cand[hit, ok[hit].argmax(-1)]
+            todo, j = todo[~hit], j + k
+        if not todo.size:
+            return (), ()
     return todo, _in_guard(z[todo] + first[todo])
 
 
@@ -263,18 +273,17 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
     three deterministic kicks.  E and W are the exponent and relation
     matrices; returns one SolveResult per row."""
     rotation = np.exp(0.7j * (1 + np.arange(E.tet_count)))
-    one = len(Z0) == 1      # a batch of one: the kernels get a plain vector
 
-    def residual(Z, rows):
-        if one:
-            return evaluate_residual(Z[0], E, targets[0])[None]
+    def residual(Z, rows):      # a single row: the kernels get a plain vector
+        if len(Z) == 1:
+            return evaluate_residual(Z[0], E, targets[rows[0]])[None]
         return evaluate_residual(Z, E, targets[rows])
 
     def directions(Z, F, rows):
-        X = Z[0] if one else Z
+        X = Z[0] if len(Z) == 1 else Z
         h = all_holonomies(X, E)
         J = jacobian(X, E, h)
-        if one:
+        if len(Z) == 1:
             h, J = h[None], J[None]
         # the normal matrix is freed before the line search and J after
         # it: with both freed together, or both kept, the allocator maps
@@ -298,19 +307,18 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
 
     Z, F, its, reasons = _damped_gauss_newton(
         residual, directions, lambda F, r: r < cfg.tol, Z0, cfg)
-    out = []
-    for z, f, it, reason in zip(Z, F, its, reasons):
-        r = float(np.linalg.norm(f))
-        detail = {
-            "converged": "",
-            "degenerate_shape": "iterates pushed into the guard band around "
-                                "{0, 1} (ideal point)",
-            "stalled": "damping could not reduce the residual",
-            "max_iterations": f"residual {r:.3e} after {it} iterations",
-        }[reason]
-        out.append(SolveResult(ShapeAssignment(z, guard=0.0), r, it,
-                               reason == "converged", reason, detail))
-    return out
+    detail = {
+        "converged": "",
+        "degenerate_shape": "iterates pushed into the guard band around "
+                            "{0, 1} (ideal point)",
+        "stalled": "damping could not reduce the residual",
+    }
+    return [SolveResult(S, r, it, reason == "converged", reason,
+                        f"residual {r:.3e} after {it} iterations"
+                        if reason == "max_iterations" else detail[reason])
+            for S, r, it, reason in zip(ShapeAssignment.rows(Z, guard=0.0),
+                                        _norms(np.array(F)).tolist(), its,
+                                        reasons)]
 
 
 def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
@@ -415,9 +423,9 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
     check_shape_length(initial, E)
     grid = [float(theta) for theta in theta_grid]
-    # at most 2**18 entries (4 MB) of stacked J and normal matrices
+    # at most STACK_ENTRIES of stacked J and normal matrices
     m, n = E.edge_count, E.tet_count
-    size = min(BLOCK_ROWS, max(1, 2**18 // (m * (m + n))))
+    size = min(BLOCK_ROWS, max(1, STACK_ENTRIES // (m * (m + n))))
     seed, thetas, past = initial, [], []    # the last converged points
     out = []
     while len(out) < len(grid):
@@ -461,7 +469,7 @@ def random_starts(t: Triangulation, count: int, cfg: SolverConfig = SolverConfig
         ok = ((np.abs(w) <= 2) & (w.imag >= 1e-3)
               & (np.minimum(np.abs(w), np.abs(w - 1)) >= 10 * DEGENERACY_GUARD))
         z = np.concatenate([z, w[ok]])
-    return [ShapeAssignment(row) for row in z[:need].reshape(-1, n)]
+    return ShapeAssignment.rows(z[:need].reshape(-1, n))
 
 
 def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig()):
@@ -505,8 +513,8 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     # `done` passed on these rows' holonomies, which the stacked kernel
     # gives bit for bit: every |h(e)| is within 1e-8 of 1, so each row is
     # kept with the target xi_from_shapes would give it
-    samples = [(ShapeAssignment(z, guard=0.0), ConeTarget(h, tol=1e-7))
-               for z, h in zip(Z, all_holonomies(Z, E))]
+    samples = list(zip(ShapeAssignment.rows(Z, guard=0.0),
+                       ConeTarget.rows(all_holonomies(Z, E), tol=1e-7)))
     return samples, len(Z0) - len(samples)
 
 

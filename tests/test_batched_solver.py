@@ -15,7 +15,8 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        random_starts, regular_solution, xi_from_shapes)
 from idealglue import solver as solver_mod
 from idealglue.gluing import DEGENERACY_GUARD
-from idealglue.solver import MAX_HALVINGS, _damped_gauss_newton, _newton_rows
+from idealglue.solver import (MAX_HALVINGS, _damped_gauss_newton, _newton_rows,
+                             _take_steps)
 
 from conftest import random_shapes, random_systems
 
@@ -343,3 +344,76 @@ def test_stacked_kernels_are_the_rows_bitwise(rng):
         for idx in np.ndindex(4, 3):
             assert np.array_equal(H[idx], all_holonomies(Z[idx], E))
             assert np.array_equal(J[idx], jacobian(Z[idx], E))
+
+
+def sequential_line_search(residual, z, steps, r):
+    """The per-halving line search, one row and one candidate per residual
+    call: each row takes the first step whose full length, or one of its
+    halvings, stays off the guard band and lowers its residual norm below
+    r.  Returns the rows no step moved."""
+    stuck = []
+    for k in range(len(z)):
+        for step in steps:
+            lam = 1.0
+            for _ in range(MAX_HALVINGS):
+                cand = z[k] + lam * step[k]
+                lam *= 0.5
+                if (not scalar_in_guard(cand) and np.linalg.norm(
+                        residual(cand[None], np.array([k]))[0]) < r[k]):
+                    z[k] = cand
+                    break
+            else:
+                continue
+            break
+        else:
+            stuck.append(k)
+    return stuck
+
+
+def test_stacked_line_search_is_the_sequential_one():
+    # F(z) = z - c per row, and a first step -g (z0 - c): row k accepts the
+    # first lam with |1 - lam g| < 1, i.e. lam = 1 (g = 1), 2^-3 (g = 12)
+    # and 2^-29 (g = 1.5 2^29); row 3 goes uphill (g = -1) and is moved
+    # by the kick; row 4's full step lands in the guard band around 0,
+    # its half step does not; row 5 goes uphill in both steps and is stuck
+    # with a full first step in the band
+    c = np.array([[2 + 1j, 0.3j], [1 - 1j, 2j], [3 + 0j, 1 + 1j],
+                  [2j, 1.5 + 1j], [1e-9, 2 + 2j], [2 + 4j, 4 - 2j]])
+    z0 = np.array([[1 + 2j, 0.5j], [2 + 2j, 3 - 1j], [0.5 + 1j, 2j],
+                   [1 + 1j, 2 + 1j], [1 + 1j, 2 + 2j], [1 + 2j, 2 - 1j]])
+    gain = np.array([1.0, 12.0, 1.5 * 2.0**29, -1.0, 1.0, -1.0])
+    step = -gain[:, None] * (z0 - c)
+    step[5] = -z0[5]                    # c = 2 z0 there: uphill to 0
+    kick = np.where((np.arange(6) == 3)[:, None], c - z0, -z0)
+    calls = []
+
+    def residual(Z, rows):
+        calls.append(len(Z))
+        return Z - c[rows]
+
+    r = np.linalg.norm(z0 - c, axis=1)
+    pulled = []
+
+    def steps():
+        for s in (step, kick):
+            pulled.append(s)
+            yield s
+
+    want = z0.copy()
+    assert sequential_line_search(residual, want, [step, kick], r) == [5]
+    assert np.array_equal(want[:3], z0[:3] + np.ldexp(1.0, [[0], [-3], [-29]])
+                          * step[:3])
+    assert np.array_equal(want[3:5], [c[3], z0[4] + step[4] / 2])
+    calls.clear()
+    z = z0.copy()
+    stuck, near = _take_steps(residual, z, steps(), r, np.arange(6))
+    assert list(stuck) == [5] and list(near) == [True]
+    assert np.array_equal(z, want)
+    # one call for the full steps and one for all further halvings, per step
+    assert len(pulled) == 2 and len(calls) <= 2 * len(pulled)
+
+    calls.clear()
+    pulled.clear()
+    z = z0[:1].copy()
+    assert _take_steps(residual, z, steps(), r[:1], np.arange(1)) == ((), ())
+    assert len(pulled) == 1 and calls == [1]       # no kick was built

@@ -268,3 +268,55 @@ def test_non_finite_shapes_are_rejected(z):
 def test_non_finite_cone_targets_are_rejected(x):
     with pytest.raises(NotUnitModulus):
         ConeTarget((1.0, x))
+
+
+# ------------------------------------------------ result rows from a stack
+
+def raised(build, *args):
+    """(type, message) of the exception build(*args) raises."""
+    with pytest.raises(Exception) as info:
+        build(*args)
+    return info.type, str(info.value)
+
+
+def test_shape_rows_are_the_constructor_rows(rng):
+    Z = rng.uniform(-2, 2, (5, 3)) + 1j * rng.uniform(0.1, 2, (5, 3))
+    Z[0, 0] = complex(-0.0, 1.0)        # signed zeros survive
+    for guard in (1e-8, 0.0):
+        rows = ShapeAssignment.rows(Z, guard=guard)
+        assert [S.z for S in rows] == [ShapeAssignment(z, guard).z for z in Z]
+        assert all(type(S) is ShapeAssignment for S in rows)
+        assert all(type(w) is complex for S in rows for w in S.z)
+    assert math.copysign(1.0, rows[0][0].real) == -1.0
+    assert ShapeAssignment.rows(np.empty((0, 3), dtype=complex)) == []
+
+
+@pytest.mark.parametrize("bad, guard", [(math.nan, 0.0), (math.inf, 1e-8),
+                                        (complex(0.5, -math.inf), 0.0),
+                                        (1 + 1e-10j, 1e-8), (0.0, 1e-8)])
+def test_shape_rows_fail_as_the_constructor_fails(bad, guard):
+    Z = np.full((3, 2), REGULAR)
+    Z[1, 1] = bad
+    want = raised(ShapeAssignment, Z[1], guard)
+    assert want[0] is DegenerateShape
+    assert raised(ShapeAssignment.rows, Z, guard) == want
+
+
+def test_cone_target_rows_are_the_constructor_rows(rng):
+    H = np.exp(1j * rng.uniform(-4, 4, (4, 6))) * (1 + 1e-9 * rng.uniform(
+        -1, 1, (4, 6)))
+    for tol in (1e-8, 1e-7):
+        rows = ConeTarget.rows(H, tol=tol)
+        assert [x.xi for x in rows] == [ConeTarget(h, tol).xi for h in H]
+        assert all(type(x) is ConeTarget for x in rows)
+        assert all(type(w) is complex for x in rows for w in x.xi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(1.0, math.inf), 1.5,
+                                 1 + 2e-8j * 1j])
+def test_cone_target_rows_fail_as_the_constructor_fails(bad):
+    H = np.full((3, 4), REGULAR)
+    H[2, 1] = bad
+    want = raised(ConeTarget, H[2], 1e-8)
+    assert want[0] is NotUnitModulus
+    assert raised(ConeTarget.rows, H, 1e-8) == want

@@ -43,7 +43,8 @@ Both solves take one step, the min-norm least-squares solution of
 A x = b for each row of a stack (`_least_squares_step`): A = J and
 U = W / h for `newton_solve`, and for the sampler's real system |h| - 1
 its real m-by-2n Jacobian and U = W / |h|.  W is the cusp relation
-matrix (`build_relation_matrix`): around each vertex class the product of
+matrix with its rows scaled to unit norm (`build_relation_matrix`, which
+keeps M well conditioned): around each vertex class the product of
 the edge holonomies, each raised to the number of its ends there, is
 constant (Neumann-Zagier), so the rows of U span the left null space of
 A, and x = A^H (A A^H + U^H U)^-1 b is one dense m-by-m solve with no
@@ -270,8 +271,8 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
     """Solve h(z) = targets[k] from Z0[k] for each row k of a stack, in one
     damped Gauss-Newton loop, each row as `newton_solve` solves it alone,
     bit for bit: the relation step, unless the row's step is tiny, then
-    three deterministic kicks.  E and W are the exponent and relation
-    matrices; returns one SolveResult per row."""
+    three deterministic kicks.  E is the exponent matrix and W the relation
+    matrix with unit rows; returns one SolveResult per row."""
     rotation = np.exp(0.7j * (1 + np.arange(E.tet_count)))
 
     def residual(Z, rows):      # a single row: the kernels get a plain vector
@@ -341,8 +342,8 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
     obstructed = _obstruction(compute_edge_classes(t), xi, initial.z)
     if obstructed:
         return obstructed
-    return _newton_rows(E, build_relation_matrix(t), np.array([xi.xi]),
-                        [initial.z], cfg)[0]
+    return _newton_rows(E, build_relation_matrix(t, unit=True),
+                        np.array([xi.xi]), [initial.z], cfg)[0]
 
 
 def regular_solution(t: Triangulation):
@@ -417,8 +418,8 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     IdealGlueError unless `initial` has one shape per tetrahedron and each
     target one entry per edge class.
     """
-    E, W, edges = (build_exponent_matrix(t), build_relation_matrix(t),
-                   compute_edge_classes(t))
+    E, W, edges = (build_exponent_matrix(t),
+                   build_relation_matrix(t, unit=True), compute_edge_classes(t))
     if initial is None:
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
     check_shape_length(initial, E)
@@ -483,7 +484,7 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     (ShapeAssignment, ConeTarget).  Raises IdealGlueError unless every
     start has one shape per tetrahedron.
     """
-    E, W = build_exponent_matrix(t), build_relation_matrix(t)
+    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
     n = t.tetra_count
     starts = list(starts)
     for start in starts:

@@ -87,7 +87,7 @@ def lstsq_step(A, b, M):
 def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
     """(z, residual norm, iterations, reason) of the per-start solve, with
     its step from `least_squares`."""
-    E, W = build_exponent_matrix(t), build_relation_matrix(t)
+    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
 
     def directions(z, F):
         J = jacobian(z, E)
@@ -108,7 +108,7 @@ def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
 
 def scalar_sample(t, start, cfg):
     """The projected start when the per-start sampler keeps it, else None."""
-    E, W = build_exponent_matrix(t), build_relation_matrix(t)
+    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
     n = t.tetra_count
 
     def residual(z):
@@ -213,7 +213,7 @@ def test_stacked_rows_are_each_the_row_alone(rng):
         t = cases[0][0]
         targets = np.array([xi.xi for _, xi, _ in cases])
         stacked = _newton_rows(build_exponent_matrix(t),
-                               build_relation_matrix(t), targets,
+                               build_relation_matrix(t, unit=True), targets,
                                [start.z for _, _, start in cases], cfg)
         assert len(stacked) == len(cases)
         for (_, xi, start), res in zip(cases, stacked):

@@ -307,3 +307,19 @@ def test_newton_converges_on_the_n_1000_chain_cover():
     assert max(abs(z - REGULAR_SHAPE) for z in res.shapes.z) <= 1e-9 * n
     volume = solution_volume(res.shapes).total
     assert abs(volume - (n // 2) * 2 * V_TET) <= 1e-9 * n
+
+
+def test_unit_relation_rows_keep_the_normal_matrix_well_conditioned():
+    # the one cusp row of W is 2 at every edge, so with U = W / h the term
+    # U^H U is about 4 m while J's smallest singular value falls like 1 / n:
+    # cond(M) was 4.3e6 here; with unit rows it is cond(J)^2 on J's range
+    n = 500
+    t = parse_triangulation(chain_cover_text(n // 2))
+    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
+    assert build_relation_matrix(t, unit=True) is W and not W.flags.writeable
+    assert np.array_equal(W, build_relation_matrix(t) / math.sqrt(4 * n))
+    z = np.array(chain_starts(n, 1, seed=n)[1].z)
+    assert np.abs(z - REGULAR_SHAPE).max() <= 0.02
+    h = all_holonomies(z, E)
+    M = normal_matrix(jacobian(z, E, h), E, W / h)
+    assert np.linalg.cond(M) < 1e5

@@ -19,10 +19,8 @@ triangulation (`compute_edge_classes`, `build_exponent_matrix`), and the
 loops evaluate h and J on raw shape arrays.
 
 The line search (`_take_steps`) makes one residual call for the full
-steps of all rows and one more for every further halving of the rows they
-leave, a stack of rows x halvings candidates; each row takes its first
-good candidate, as a loop over the halvings would.  The result rows are
-built from the final stack with one array check (`ShapeAssignment.rows`).
+steps of all rows and one for all further halvings of the rows they leave,
+and the result rows are built from the stack (`ShapeAssignment.rows`).
 
 A sweep is block predictor-corrector continuation (Allgower-Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003).  Once two
@@ -88,6 +86,7 @@ REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
 MAX_HALVINGS = 30                   # damping: step scales 2^-j, j < 30
 BLOCK_ROWS = 8                      # sweep: grid points per stacked solve
 STACK_ENTRIES = 2**18               # entries (4 MB) per stacked array
+_SCALES = np.ldexp(1.0, -np.arange(MAX_HALVINGS))[:, None]  # 2^-j, exact
 
 
 @dataclass(frozen=True)
@@ -141,13 +140,14 @@ def _norms(F) -> np.ndarray:
 
 def _take_steps(residual, z, steps, r, rows):
     """Move each row of z, in place, by the first of its rows of `steps`
-    (an iterable, consumed only as far as needed) that, scaled by some
-    lam = 2^-j with j < MAX_HALVINGS, the largest, stays off the guard band
-    around {0, 1} and brings its residual norm below r.  The full steps are
-    one residual call; the rows left try all further lam at once, in stacks
-    of at most STACK_ENTRIES shapes.  `residual` is given the batch indices,
-    out of `rows`, of the rows it evaluates.  Returns the indices of the
-    rows no step moved and, for each, whether its full step enters the band."""
+    (an iterable, consumed only as far as needed) that stays off the guard
+    band around {0, 1} and brings its residual norm below r when scaled by
+    some lam = 2^-j, j < MAX_HALVINGS; the row takes the largest such lam.
+    The full steps are one residual call, and the rows left try all further
+    lam at once, in stacks of at most STACK_ENTRIES shapes.  `residual` is
+    given the batch indices, out of `rows`, of the rows it evaluates.
+    Returns the indices of the rows no step moved and, for each, whether
+    its full first step enters the band."""
     # the truth tests go through lists, which for a few rows cost less
     # than numpy's any and all
     todo, first, n = np.arange(len(z)), None, z.shape[-1]
@@ -157,8 +157,8 @@ def _take_steps(residual, z, steps, r, rows):
         while todo.size and j < MAX_HALVINGS:
             k = 1 if j == 0 else min(MAX_HALVINGS - j,
                                      max(1, STACK_ENTRIES // (todo.size * n)))
-            lam = np.ldexp(1.0, -np.arange(j, j + k))[:, None]  # exact
-            cand = z[todo, None] + lam * step[todo, None]       # (rows, k, n)
+            # row i k + l of flat is row i's candidate at lam = 2^-(j + l)
+            cand = z[todo, None] + _SCALES[j:j + k] * step[todo, None]
             flat = cand.reshape(-1, n)
             at, bound = np.repeat(rows[todo], k), np.repeat(r[todo], k)
             ok = ~_in_guard(flat)

@@ -241,7 +241,7 @@ def verify_report(report: dict) -> list:
 def dumps(report: dict) -> str:
     """RFC 8259 JSON; raises IdealGlueError for a value it cannot hold."""
     try:
-        return json.dumps(report, indent=2, allow_nan=False)
+        return json.dumps(report, allow_nan=False)
     except ValueError as err:
         raise IdealGlueError(f"cannot write the report: {err}") from err
 

@@ -76,9 +76,9 @@ def derive_shape_triple(z: complex):
 
 
 def _stack_rows(cls, field: str, rows: np.ndarray, ok: bool, *args) -> list:
-    """One instance of the frozen dataclass cls per row of `rows`: its tuple
-    `field` is the row's `tolist()` when `ok` (one array test passed), else
-    the constructor builds each row and its error names the bad entry."""
+    """One cls per row of `rows`, checked by the one array test `ok`: its
+    tuple `field` is the row's `tolist()` when `ok` holds, else the
+    constructor builds each row, so its error names the bad entry."""
     if not ok:
         return [cls(row, *args) for row in rows]
     out = []
@@ -101,8 +101,7 @@ class ShapeAssignment:
 
     @classmethod
     def rows(cls, Z, guard: float = DEGENERACY_GUARD) -> list:
-        """One ShapeAssignment per row of the stack Z (`_stack_rows`)."""
-        Z = np.asarray(Z, dtype=complex)
+        """One ShapeAssignment per row of a complex array (`_stack_rows`)."""
         return _stack_rows(cls, "z", Z, np.isfinite(Z).all() and (
             np.minimum(np.abs(Z), np.abs(Z - 1.0)) >= guard).all(), guard)
 
@@ -129,8 +128,7 @@ class ConeTarget:
 
     @classmethod
     def rows(cls, H, tol: float = 1e-8) -> list:
-        """One ConeTarget per row of the stack H (`_stack_rows`)."""
-        H = np.asarray(H, dtype=complex)
+        """One ConeTarget per row of a complex array (`_stack_rows`)."""
         return _stack_rows(cls, "xi", H, (np.abs(np.abs(H) - 1.0) < tol).all(),
                            tol)
 
@@ -235,9 +233,8 @@ def build_relation_matrix(t: Triangulation, unit: bool = False) -> np.ndarray:
     Around vertex class v every corner contributes log z + log z' +
     log z'' = log(-1), so sum_e W[v, e] log h(e) is constant and
     sum_e (W[v, e] / h(e)) J[e, :] = 0: the rows of W / h lie in the left
-    null space of the Jacobian (Neumann-Zagier).  Unit rows keep the step's
-    J J^H + U^H U, U = W / h, well conditioned: on a one-cusp chain cover
-    |W|^2 is 4 m, while J's smallest singular value falls like 1 / n.
+    null space of the Jacobian (Neumann-Zagier).  Unit rows keep a step's
+    J J^H + U^H U, U = W / h, well conditioned at every n.
     """
     if t._relation_matrix is None:
         _, count, ends = vertex_tables(t)

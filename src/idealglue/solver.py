@@ -16,11 +16,10 @@ would be solved alone; `newton_solve` is a batch of one of it, and
 min-norm step on |h(z)| - 1.  Every solve, sweep, sample and certificate
 reads the edge classes and exponent matrix compiled once per
 triangulation (`compute_edge_classes`, `build_exponent_matrix`), and the
-loops evaluate h and J on raw shape arrays.
-
-The line search (`_take_steps`) makes one residual call for the full
-steps of all rows and one for all further halvings of the rows they leave,
-and the result rows are built from the stack (`ShapeAssignment.rows`).
+loops evaluate h and J on raw shape arrays.  The line search (`_take_steps`)
+makes one residual call for the full steps of all rows and one for all
+further halvings of the rows they leave, and the result rows are built
+from the stack (`ShapeAssignment.rows`).
 
 A sweep is block predictor-corrector continuation (Allgower-Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003).  Once two
@@ -148,30 +147,34 @@ def _take_steps(residual, z, steps, r, rows):
     given the batch indices, out of `rows`, of the rows it evaluates.
     Returns the indices of the rows no step moved and, for each, whether
     its full first step enters the band."""
-    # the truth tests go through lists, which for a few rows cost less
-    # than numpy's any and all
-    todo, first, n = np.arange(len(z)), None, z.shape[-1]
+    # rows not moved yet: all, then indices; the truth tests go through
+    # lists, which for a few rows cost less than numpy's any and all
+    todo, first, n = slice(None), None, z.shape[-1]
     for step in steps:
         first = step if first is None else first
         j = 0
-        while todo.size and j < MAX_HALVINGS:
+        while j < MAX_HALVINGS:
             k = 1 if j == 0 else min(MAX_HALVINGS - j,
-                                     max(1, STACK_ENTRIES // (todo.size * n)))
+                                     max(1, STACK_ENTRIES // (len(todo) * n)))
             # row i k + l of flat is row i's candidate at lam = 2^-(j + l)
             cand = z[todo, None] + _SCALES[j:j + k] * step[todo, None]
-            flat = cand.reshape(-1, n)
-            at, bound = np.repeat(rows[todo], k), np.repeat(r[todo], k)
+            flat, at, bound = cand.reshape(-1, n), rows[todo], r[todo]
+            if k > 1:
+                at, bound = np.repeat(at, k), np.repeat(bound, k)
             ok = ~_in_guard(flat)
             if all(ok.tolist()):
                 ok = _norms(residual(flat, at)) < bound
             elif any(ok.tolist()):
                 ok[ok] = _norms(residual(flat[ok], at[ok])) < bound[ok]
-            ok = ok.reshape(-1, k)
+            if all(ok.tolist()):        # each row takes its first candidate
+                z[todo] = cand[:, 0]
+                return (), ()
+            ok, todo = ok.reshape(-1, k), np.arange(len(z))[todo]
             hit = ok.any(-1)
             z[todo[hit]] = cand[hit, ok[hit].argmax(-1)]
             todo, j = todo[~hit], j + k
-        if not todo.size:
-            return (), ()
+            if not todo.size:
+                return (), ()
     return todo, _in_guard(z[todo] + first[todo])
 
 

@@ -394,8 +394,8 @@ def test_stacked_line_search_is_the_sequential_one():
     r = np.linalg.norm(z0 - c, axis=1)
     pulled = []
 
-    def steps():
-        for s in (step, kick):
+    def steps(*arrays):
+        for s in arrays:
             pulled.append(s)
             yield s
 
@@ -406,7 +406,8 @@ def test_stacked_line_search_is_the_sequential_one():
     assert np.array_equal(want[3:5], [c[3], z0[4] + step[4] / 2])
     calls.clear()
     z = z0.copy()
-    stuck, near = _take_steps(residual, z, steps(), r, np.arange(6))
+    stuck, near = _take_steps(residual, z, steps(step, kick), r,
+                              np.arange(6))
     assert list(stuck) == [5] and list(near) == [True]
     assert np.array_equal(z, want)
     # one call for the full steps and one for all further halvings, per step
@@ -415,5 +416,6 @@ def test_stacked_line_search_is_the_sequential_one():
     calls.clear()
     pulled.clear()
     z = z0[:1].copy()
-    assert _take_steps(residual, z, steps(), r[:1], np.arange(1)) == ((), ())
+    assert _take_steps(residual, z, steps(step[:1], kick[:1]), r[:1],
+                       np.arange(1)) == ((), ())
     assert len(pulled) == 1 and calls == [1]       # no kick was built

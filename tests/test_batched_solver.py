@@ -52,6 +52,19 @@ def relation_step(A, b, M):
     return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
+def halving_search(residual, z, step, r):
+    """z moved by the first of step, step / 2, step / 4, ... (MAX_HALVINGS
+    in all) that stays off the guard band and lowers the residual norm
+    below r, one candidate per residual call; None when none does."""
+    lam = 1.0
+    for _ in range(MAX_HALVINGS):
+        cand = z + lam * step
+        lam *= 0.5
+        if not scalar_in_guard(cand) and np.linalg.norm(residual(cand)) < r:
+            return cand
+    return None
+
+
 def scalar_gauss_newton(residual, directions, done, z, cfg):
     for it in range(cfg.max_iterations):
         F = residual(z)
@@ -60,17 +73,10 @@ def scalar_gauss_newton(residual, directions, done, z, cfg):
         r = np.linalg.norm(F)
         steps = directions(z, F)
         for step in steps:
-            lam = 1.0
-            for _ in range(MAX_HALVINGS):
-                cand = z + lam * step
-                lam *= 0.5
-                if (not scalar_in_guard(cand)
-                        and np.linalg.norm(residual(cand)) < r):
-                    break
-            else:
-                continue
-            z = cand
-            break
+            cand = halving_search(residual, z, step, r)
+            if cand is not None:
+                z = cand
+                break
         else:
             near = scalar_in_guard(z + steps[0])
             return z, F, it, "degenerate_shape" if near else "stalled"
@@ -347,26 +353,19 @@ def test_stacked_kernels_are_the_rows_bitwise(rng):
 
 
 def sequential_line_search(residual, z, steps, r):
-    """The per-halving line search, one row and one candidate per residual
-    call: each row takes the first step whose full length, or one of its
-    halvings, stays off the guard band and lowers its residual norm below
-    r.  Returns the rows no step moved."""
+    """The per-halving line search of each row of z, in place: the row
+    takes the first step that `halving_search` can take.  Returns the rows
+    no step moved."""
     stuck = []
     for k in range(len(z)):
-        for step in steps:
-            lam = 1.0
-            for _ in range(MAX_HALVINGS):
-                cand = z[k] + lam * step[k]
-                lam *= 0.5
-                if (not scalar_in_guard(cand) and np.linalg.norm(
-                        residual(cand[None], np.array([k]))[0]) < r[k]):
-                    z[k] = cand
-                    break
-            else:
-                continue
-            break
-        else:
+        def row(w):
+            return residual(w[None], np.array([k]))[0]
+        moved = (halving_search(row, z[k], step[k], r[k]) for step in steps)
+        cand = next((c for c in moved if c is not None), None)
+        if cand is None:
             stuck.append(k)
+        else:
+            z[k] = cand
     return stuck
 
 

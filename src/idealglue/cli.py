@@ -140,23 +140,21 @@ def _cmd_info(args) -> int:
 def _cmd_equations(args) -> int:
     t = _load_triangulation(args)
     edges, E = compute_edge_classes(t), build_exponent_matrix(t)
-    dense = E.a, E.a_prime, E.a_second
-    lines = []
-    for e in edges:
-        factors = []
-        a, ap, app = (M[e.index] for M in dense)
-        for i in range(t.tetra_count):
-            for count, name in ((a[i], "z"), (ap[i], "z'"), (app[i], "z''")):
-                if count:
-                    sup = f"^{count}" if count > 1 else ""
-                    factors.append(f"{name}_{i}{sup}")
-        lines.append(f"e{e.index} (deg {e.degree}): " + " ".join(factors)
-                     + " = xi_" + str(e.index))
+    factors = [[] for _ in edges]   # from each edge's pairs, in tet order
+    for j, i, *counts in zip(E.rows.tolist(), E.cols.tolist(),
+                             E.pair_a.tolist(), E.pair_a_prime.tolist(),
+                             E.pair_a_second.tolist()):
+        for count, name in zip(counts, LABEL_NAMES):
+            if count:
+                sup = f"^{count}" if count > 1 else ""
+                factors[j].append(f"{name}_{i}{sup}")
+    lines = [f"e{e.index} (deg {e.degree}): " + " ".join(factors[e.index])
+             + " = xi_" + str(e.index) for e in edges]
     payload = {
         "edge_degrees": [e.degree for e in edges],
-        "a": dense[0].tolist(),
-        "a_prime": dense[1].tolist(),
-        "a_second": dense[2].tolist(),
+        "a": E.a.tolist(),
+        "a_prime": E.a_prime.tolist(),
+        "a_second": E.a_second.tolist(),
         "slot_labels": {str(EDGE_SLOTS[k]): LABEL_NAMES[SLOT_LABELS[k]]
                         for k in range(6)},
     }

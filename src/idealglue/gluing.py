@@ -17,11 +17,11 @@ The equations are read off the triangulation's compiled tables
 as its nonzero (edge, tetrahedron) pairs, counted with `np.bincount` from
 the slots on each edge class's orbit, and the cusp relation matrix W from
 the vertex classes at each edge's ends; both are built once per
-triangulation, and h, J and the residual are evaluated over the pairs.
-So is the m-by-m matrix J J^H + U^H U of a Gauss-Newton step
-(`normal_matrix`): entry (j, k) of J J^H sums over the tetrahedra that
-edges j and k share, which a pair-pair index, built on the first solve
-and memoised on the exponent matrix, lists in tetrahedron order.
+triangulation, and h, J (as its values there) and the residual are
+evaluated over the pairs.  So are a Gauss-Newton step's J x, J^H y and
+J J^H + U^H U (`pair_matvec`, `pair_rmatvec`, `normal_matrix`), the last
+two in tetrahedron order through an index of the pairs by tetrahedron,
+built on the first solve and memoised on the exponent matrix.
 """
 from __future__ import annotations
 
@@ -156,8 +156,8 @@ class ExponentMatrix:
     index arrays `rows`, `cols` with their exponents `pair_a`,
     `pair_a_prime`, `pair_a_second`; `row_starts[j]` is the first pair of
     edge j.  The arrays are shared and read-only.  The dense matrices `a`,
-    `a_prime`, `a_second` are built when read, and the pair-pair index of
-    `normal_matrix` on the first solve.
+    `a_prime`, `a_second` are built when read (`dense`), and the index of
+    `pair_rmatvec` and `normal_matrix` on the first solve.
     """
 
     __slots__ = ("edge_count", "tet_count", "rows", "cols", "pair_a",
@@ -174,15 +174,17 @@ class ExponentMatrix:
             getattr(self, name).setflags(write=False)
         self._pair_products = None
 
-    def _dense(self, counts) -> np.ndarray:
-        M = np.zeros((self.edge_count, self.tet_count), dtype=int)
-        M[self.rows, self.cols] = counts
+    def dense(self, values) -> np.ndarray:
+        """`values` at the pairs, 0 elsewhere: m-by-n, read-only."""
+        M = np.zeros(values.shape[:-1] + (self.edge_count, self.tet_count),
+                     dtype=values.dtype)
+        M[..., self.rows, self.cols] = values
         M.setflags(write=False)
         return M
 
-    a = property(lambda self: self._dense(self.pair_a))
-    a_prime = property(lambda self: self._dense(self.pair_a_prime))
-    a_second = property(lambda self: self._dense(self.pair_a_second))
+    a = property(lambda self: self.dense(self.pair_a))
+    a_prime = property(lambda self: self.dense(self.pair_a_prime))
+    a_second = property(lambda self: self.dense(self.pair_a_second))
 
     def degrees(self):
         return np.add.reduceat(self.pair_a + self.pair_a_prime
@@ -279,33 +281,31 @@ def evaluate_residual(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
 
 def jacobian(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
              h: np.ndarray | None = None) -> np.ndarray:
-    """Analytic m-by-n complex Jacobian d h(e_j) / d z_i, with the leading
-    batch axes of Z (one m-by-n matrix per row, as in `all_holonomies`).
-    `h`, when given, is `all_holonomies(Z, E)`, which a caller that has
-    computed it need not have computed twice.
+    """Analytic complex Jacobian d h(e_j) / d z_i at E's nonzero (edge,
+    tetrahedron) pairs, shape (..., nnz) with the leading batch axes of Z
+    (one row per shape vector, as in `all_holonomies`); `E.dense` builds
+    the m-by-n matrix.  `h`, when given, is `all_holonomies(Z, E)`, which
+    a caller that has computed it need not have computed twice.
 
     Uses d log z'/dz = 1/(1-z) and d log z''/dz = 1/(z(z-1)), so
-    J[j,i] = h(e_j) (a/z + a'/(1-z) + a''/(z(z-1))), evaluated at the
-    nonzero (edge, tetrahedron) pairs; the other entries are 0.
+    J[j,i] = h(e_j) (a/z + a'/(1-z) + a''/(z(z-1))) at the pair (j, i).
     """
     z = _shapes(Z)
     w = z.take(E.cols, axis=-1)
     if h is None:
         h = all_holonomies(z, E)
-    J = np.zeros(z.shape[:-1] + (E.edge_count, E.tet_count), dtype=complex)
-    J[..., E.rows, E.cols] = h.take(E.rows, axis=-1) * (
+    return h.take(E.rows, axis=-1) * (
         E.pair_a / w + E.pair_a_prime / (1.0 - w)
         + E.pair_a_second / (w * (w - 1.0)))
-    return J
 
 
 def _pair_products(E: ExponentMatrix) -> tuple:
-    """The pair-pair index of `normal_matrix`, built on the first solve
-    and memoised on E: for every two edges j, k at one tetrahedron i, in
-    tetrahedron order, the pairs p = (j, i) and q = (k, i) as their flat
-    indices j n + i and k n + i into an m-by-n matrix (all the p, then
-    all the q), and the flat index j m + k of the entry of an m-by-m
-    matrix that their product adds to."""
+    """The index of `pair_rmatvec` and `normal_matrix`, built on the first
+    solve and memoised on E: the pairs in tetrahedron order, each
+    tetrahedron's in edge order, and where each tetrahedron's start; for
+    every two edges j, k at one tetrahedron i, in tetrahedron order, the
+    pairs p = (j, i) and q = (k, i) (all the p, then all the q), and the
+    flat index j m + k of the entry of an m-by-m matrix they add to."""
     if E._pair_products is None:
         m, n = E.edge_count, E.tet_count
         by_tet = np.argsort(E.cols, kind="stable")
@@ -315,18 +315,33 @@ def _pair_products(E: ExponentMatrix) -> tuple:
         p, q = np.repeat(at, 6, axis=1), np.tile(at, 6)     # (n, 36)
         keep = (p >= 0) & (q >= 0)
         p, q = p[keep], q[keep]
-        E._pair_products = ((E.rows * n + E.cols)[np.concatenate([p, q])],
-                            E.rows[p] * m + E.rows[q])
+        E._pair_products = (by_tet, np.searchsorted(tets, np.arange(n)),
+                            np.concatenate([p, q]), E.rows[p] * m + E.rows[q])
     return E._pair_products
 
 
-def normal_matrix(D: np.ndarray, E: ExponentMatrix,
+def pair_matvec(V: np.ndarray, E: ExponentMatrix, x: np.ndarray) -> np.ndarray:
+    """D x for the m-by-n D with the values V on E's pairs (a Jacobian,
+    its rows rescaled or not), or per row of stacks (k, nnz) and (k, n);
+    row j sums edge j's pairs in tetrahedron order."""
+    return np.add.reduceat(V * x.take(E.cols, axis=-1), E.row_starts, axis=-1)
+
+
+def pair_rmatvec(V: np.ndarray, E: ExponentMatrix, y: np.ndarray) -> np.ndarray:
+    """D^H y as `pair_matvec` takes D x, entry i summed over tetrahedron
+    i's pairs in edge order.  For a real y it is A^T y, read as a complex
+    vector, of the real m-by-2n A = [Re D, -Im D]."""
+    by_tet, starts = _pair_products(E)[:2]
+    return np.add.reduceat((V.conj() * y.take(E.rows, axis=-1)).take(
+        by_tet, axis=-1), starts, axis=-1)
+
+
+def normal_matrix(V: np.ndarray, E: ExponentMatrix,
                   U: np.ndarray) -> np.ndarray:
-    """D D^H + U^H U, for an m-by-n matrix D with its nonzeros on E's
-    pairs (a Jacobian, its rows rescaled or not) and a c-by-m matrix U,
-    or for each row of stacks of them, (k, m, n) and (k, c, m).  With a
-    real U it is Re(D D^H) + U^T U, which is A A^T for the real m-by-2n
-    matrix A = [Re D, -Im D].
+    """D D^H + U^H U, for D as in `pair_matvec` and a c-by-m matrix U, or
+    for each row of stacks of them, (k, nnz) and (k, c, m).  With a real U
+    it is Re(D D^H) + U^T U, which is A A^T for the real m-by-2n matrix
+    A = [Re D, -Im D].
 
     M starts as U^H U.  Entry (j, k) then gets the product v_p conj(v_q)
     of D's values at the pairs p = (j, i), q = (k, i) for each tetrahedron
@@ -334,8 +349,8 @@ def normal_matrix(D: np.ndarray, E: ExponentMatrix,
     product costs O(m^2 n).  One unbuffered `np.add.at` adds them in
     place in the index's order, so each entry is summed in tetrahedron
     order, as a sum of per-tetrahedron outer products sums it."""
-    cells, entry = _pair_products(E)
-    v = D.reshape(D.shape[:-2] + (-1,)).take(cells, axis=-1)
+    pairs, entry = _pair_products(E)[2:]
+    v = V.take(pairs, axis=-1)
     prod = v[..., :len(entry)] * v[..., len(entry):].conj()
     if not np.iscomplexobj(U):
         prod = prod.real

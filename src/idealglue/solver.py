@@ -24,8 +24,8 @@ from the stack (`ShapeAssignment.rows`).
 A sweep is block predictor-corrector continuation (Allgower-Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003).  Once two
 points have converged, the next `BLOCK_ROWS` grid points (fewer where
-their stacked matrices would pass about 4 MB) are predicted at once by
-the Lagrange extrapolation in theta of log z through the last three
+their stacked normal matrices would pass about 4 MB) are predicted at once
+by the Lagrange extrapolation in theta of log z through the last three
 converged points (linear while only two have): quadratic, so exact where
 log z is quadratic in theta, as on the families with z = exp(i theta).
 A prediction is the start only when it is finite, off the guard band and
@@ -39,21 +39,21 @@ there, not a canonical one.
 Both solves take one step, the min-norm least-squares solution of
 A x = b for each row of a stack (`_least_squares_step`): A = J and
 U = W / h for `newton_solve`, and for the sampler's real system |h| - 1
-its real m-by-2n Jacobian and U = W / |h|.  W is the cusp relation
-matrix with its rows scaled to unit norm (`build_relation_matrix`, which
-keeps M well conditioned): around each vertex class the product of
-the edge holonomies, each raised to the number of its ends there, is
-constant (Neumann-Zagier), so the rows of U span the left null space of
-A, and x = A^H (A A^H + U^H U)^-1 b is one dense m-by-m solve with no
-singular-value cutoff for rounding noise to pass.  The normal equations
-square A's condition number; at the near-complete solutions the solver
-meets, it is below 100 and the step agrees with lstsq's to about 1e-13.
-The matrix A A^H + U^H U comes from the exponent pairs
-(`gluing.normal_matrix`), at most 36 n products where the dense product
-costs O(m^2 n): for `newton_solve` it is J J^H + U^H U, and for the
-sampler, whose A = [Re D, -Im D] with D = (conj(h) / |h|) J, it is
-Re(D D^H) + U^T U, since A A^T = Re(D D^H).  The dense A serves only
-for A^H y and the optimality check.
+its real m-by-2n Jacobian A = [Re D, -Im D], D = (conj(h) / |h|) J, and
+U = W / |h|.  W is the cusp relation matrix with its rows scaled to unit
+norm (`build_relation_matrix`, which keeps M well conditioned): around
+each vertex class the product of the edge holonomies, each raised to the
+number of its ends there, is constant (Neumann-Zagier), so the rows of U
+span the left null space of A, and x = A^H (A A^H + U^H U)^-1 b is one
+dense m-by-m solve with no singular-value cutoff for rounding noise to
+pass.  The normal equations square A's condition number; at the
+near-complete solutions the solver meets, it is below 100 and the step
+agrees with lstsq's to about 1e-13.  The step reads J and D as their
+values on the exponent pairs (`gluing.jacobian`): A^H y = D^H y,
+A x = D x or Re(D x), and M = J J^H + U^H U or, for the sampler,
+Re(D D^H) + U^T U = A A^T, at most 36 n products where the dense product
+costs O(m^2 n) (`gluing.pair_rmatvec`, `pair_matvec`, `normal_matrix`).
+Only a row that falls back to lstsq builds its dense A.
 
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
@@ -78,7 +78,7 @@ from .gluing import (DEGENERACY_GUARD, ConeTarget, ShapeAssignment,
                      all_holonomies, build_exponent_matrix,
                      build_relation_matrix, check_shape_length,
                      check_target_length, evaluate_residual, jacobian,
-                     normal_matrix)
+                     normal_matrix, pair_matvec, pair_rmatvec)
 from .triangulation import Triangulation, compute_edge_classes
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -230,29 +230,33 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
     return Z, F_out, iterations, reasons
 
 
-def _least_squares_step(A, b, M):
+def _least_squares_step(V, E, b, M):
     """The min-norm least-squares solution x[k] of A[k] x = b[k] for each
     row k of a stack, given M[k] = A[k] A[k]^H + U[k]^H U[k] where the
     rows of U[k] span the left null space of A[k] (`gluing.normal_matrix`):
-    x = A^H M^-1 b, one dense m-by-m solve per row.  A row whose x misses
-    the optimality condition |A^H (A x - b)| <= 1e-8 |A^H b|, or whose M
-    is singular, takes lstsq's step; each row's step is that of the row
-    alone, bit for bit.  A^H y is taken as conj(A^T conj(y)), which the
-    BLAS computes without a conjugated copy of A."""
-    b = b[..., None]
+    x = A^H M^-1 b, one dense m-by-m solve per row.  A is D, given by its
+    values V on E's pairs, or for a real M the real [Re D, -Im D], whose x
+    is returned as x[:n] + i x[n:]: then A^H y = D^H y, A x = Re(D x).  A
+    row whose x misses the optimality condition |A^H (A x - b)| <= 1e-8
+    |A^H b|, or whose M is singular, takes lstsq's step on its dense A;
+    each row's step is that of the row alone, bit for bit."""
+    real = not np.iscomplexobj(M)
     try:
-        x = (A.mT @ np.linalg.solve(M, b).conj()).conj()
+        x = pair_rmatvec(V, E, np.linalg.solve(M, b[..., None])[..., 0])
     except np.linalg.LinAlgError:       # U misses part of the null space
-        if len(A) > 1:                  # of some row: solve the rows apart
-            rows = zip(A[:, None], b[:, None, :, 0], M[:, None])
-            return np.concatenate([_least_squares_step(*row) for row in rows])
-        x = np.full(A.shape[:-2] + (A.shape[-1], 1), np.nan, dtype=A.dtype)
-    g = A.mT @ np.concatenate([A @ x - b, b], axis=-1).conj()
-    g = np.vecdot(g, g, axis=-2).real   # |A^H (A x - b)|^2, |A^H b|^2
-    x = x[..., 0]
-    for k, ok in enumerate((g[:, 0] <= 1e-16 * g[:, 1]).tolist()):
+        if len(V) > 1:                  # of some row: solve the rows apart
+            return np.concatenate([_least_squares_step(v[None], E, c[None], N[None])
+                                   for v, c, N in zip(V, b, M)])
+        x = np.full(V.shape[:-1] + (E.tet_count,), np.nan, dtype=complex)
+    Ax = pair_matvec(V, E, x)
+    g = pair_rmatvec(V, E, np.stack([(Ax.real if real else Ax) - b, b]))
+    g = np.vecdot(g, g).real            # |A^H (A x - b)|^2, |A^H b|^2
+    for k, ok in enumerate((g[0] <= 1e-16 * g[1]).tolist()):
         if not ok:                      # also when g is nan
-            x[k] = np.linalg.lstsq(A[k], b[k, :, 0], rcond=None)[0]
+            D, n = E.dense(V[k]), E.tet_count
+            A = np.concatenate([D.real, -D.imag], axis=-1) if real else D
+            step = np.linalg.lstsq(A, b[k], rcond=None)[0]
+            x[k] = step[:n] + 1j * step[n:] if real else step
     return x
 
 
@@ -286,13 +290,10 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
     def directions(Z, F, rows):
         X = Z[0] if len(Z) == 1 else Z
         h = all_holonomies(X, E)
-        J = jacobian(X, E, h)
+        V = jacobian(X, E, h)
         if len(Z) == 1:
-            h, J = h[None], J[None]
-        # the normal matrix is freed before the line search and J after
-        # it: with both freed together, or both kept, the allocator maps
-        # fresh pages for the next ones (7-10 % of an n = 128 solve)
-        step = _least_squares_step(J, -F, normal_matrix(J, E, W / h[:, None]))
+            h, V = h[None], V[None]
+        step = _least_squares_step(V, E, -F, normal_matrix(V, E, W / h[:, None]))
         tiny = _norms(step) < 1e-12 * (1.0 + _norms(Z))
         if not any(tiny.tolist()):
             yield step
@@ -400,9 +401,9 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     The first solve starts from `initial`, the next from the first
     converged solution, one point at a time.  Once two or more points have
     converged, the sweep takes the next block of up to `BLOCK_ROWS` grid
-    points, fewer where the block's stacked m-by-n Jacobians and m-by-m
-    normal matrices would pass about 4 MB (so from n of about 360 on, one
-    point at a time).  Each point of the block starts from a prediction:
+    points, fewer where the block's stacked m-by-m normal matrices would
+    pass about 4 MB (so from m of about 360 on, one point at a time).
+    Each point of the block starts from a prediction:
     the Lagrange extrapolation in theta of log z through the last three
     converged points before the block (quadratic; linear while only two
     have converged), mapped back by exp.  The prediction is taken only
@@ -427,9 +428,8 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
     check_shape_length(initial, E)
     grid = [float(theta) for theta in theta_grid]
-    # at most STACK_ENTRIES of stacked J and normal matrices
-    m, n = E.edge_count, E.tet_count
-    size = min(BLOCK_ROWS, max(1, STACK_ENTRIES // (m * (m + n))))
+    # at most STACK_ENTRIES of stacked m-by-m normal matrices
+    size = min(BLOCK_ROWS, max(1, STACK_ENTRIES // E.edge_count ** 2))
     seed, thetas, past = initial, [], []    # the last converged points
     out = []
     while len(out) < len(grid):
@@ -488,7 +488,6 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     start has one shape per tetrahedron.
     """
     E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
-    n = t.tetra_count
     starts = list(starts)
     for start in starts:
         check_shape_length(start, E)
@@ -501,17 +500,14 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
         a = np.abs(h)
         # d|h| = Re(conj(h)/|h| * h'(z) dz): a real m x 2n system per row,
         # whose left null space the rows of W / |h| span
-        D = jacobian(Z, E, h)
-        np.multiply((np.conj(h) / a)[..., None], D, out=D)
-        A = np.concatenate([D.real, D.imag], axis=-1)
-        A[..., n:] *= -1.0              # in place: no m x n temporary
-        step = _least_squares_step(A, -F, normal_matrix(D, E, W / a[:, None]))
-        return [step[:, :n] + 1j * step[:, n:]]
+        V = jacobian(Z, E, h)
+        V *= (np.conj(h) / a).take(E.rows, axis=-1)
+        return [_least_squares_step(V, E, -F, normal_matrix(V, E, W / a[:, None]))]
 
     def done(F, r):     # xi_from_shapes's |h(e)| = 1 test at its default tol
         return np.max(np.abs(F), axis=-1) < 1e-8
 
-    Z0 = np.array([start.z for start in starts], dtype=complex).reshape(-1, n)
+    Z0 = np.array([s.z for s in starts], dtype=complex).reshape(-1, E.tet_count)
     Z, _, _, reasons = _damped_gauss_newton(residual, directions, done, Z0, cfg)
     Z = Z[[reason == "converged" for reason in reasons]]
     # `done` passed on these rows' holonomies, which the stacked kernel

@@ -196,7 +196,7 @@ def test_criterion_8a_jacobian_vs_finite_differences(rng):
         E = build_exponent_matrix(t, edges)
         for _ in range(20):
             Z = random_shapes(rng, t.tetra_count)
-            J = jacobian(Z, E)
+            J = E.dense(jacobian(Z, E))
             step = 1e-5
             for i in range(t.tetra_count):
                 zp, zm = list(Z.z), list(Z.z)

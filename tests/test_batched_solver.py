@@ -14,7 +14,7 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        evaluate_residual, jacobian, newton_solve,
                        random_starts, regular_solution, xi_from_shapes)
 from idealglue import solver as solver_mod
-from idealglue.gluing import DEGENERACY_GUARD
+from idealglue.gluing import DEGENERACY_GUARD, pair_matvec, pair_rmatvec
 from idealglue.solver import (MAX_HALVINGS, _damped_gauss_newton, _newton_rows,
                              _take_steps)
 
@@ -38,18 +38,27 @@ def outer_product_normal_matrix(D, U):
     return M
 
 
-def relation_step(A, b, M):
-    """The min-norm least-squares solution of A x = b for one matrix A,
-    given M = A A^H + U^H U: A^H M^-1 b when it meets the optimality
-    condition |A^H (A x - b)| <= 1e-8 |A^H b|, else lstsq's."""
-    AH = A.conj().T
+def relation_step(V, E, b, M):
+    """The min-norm least-squares solution of A x = b for one matrix A with
+    the values V on E's pairs, given M = A A^H + U^H U: A^H M^-1 b when it
+    meets the optimality condition |A^H (A x - b)| <= 1e-8 |A^H b|, else
+    lstsq's.  A is the complex J with complex M, and with real M the real
+    [Re D, -Im D], whose step is taken as a complex vector.  A x and A^H y
+    are the library's products on the pairs, so they sum in its order."""
+    real = not np.iscomplexobj(M)
+
+    def A(x):
+        Ax = pair_matvec(V, E, x)
+        return Ax.real if real else Ax
+
     try:
-        x = AH @ np.linalg.solve(M, b)
-        if np.linalg.norm(AH @ (A @ x - b)) <= 1e-8 * np.linalg.norm(AH @ b):
+        x = pair_rmatvec(V, E, np.linalg.solve(M, b))
+        if (np.linalg.norm(pair_rmatvec(V, E, A(x) - b))
+                <= 1e-8 * np.linalg.norm(pair_rmatvec(V, E, b))):
             return x
     except np.linalg.LinAlgError:
         pass
-    return np.linalg.lstsq(A, b, rcond=None)[0]
+    return lstsq_step(V, E, b, M)
 
 
 def halving_search(residual, z, step, r):
@@ -85,9 +94,15 @@ def scalar_gauss_newton(residual, directions, done, z, cfg):
             "converged" if done(F) else "max_iterations")
 
 
-def lstsq_step(A, b, M):
-    """lstsq's min-norm step, which ignores the relations in M."""
-    return np.linalg.lstsq(A, b, rcond=None)[0]
+def lstsq_step(V, E, b, M):
+    """lstsq's min-norm step on the dense A of `relation_step`, which
+    ignores the relations in M."""
+    D, n = E.dense(V), E.tet_count
+    if np.iscomplexobj(M):
+        return np.linalg.lstsq(D, b, rcond=None)[0]
+    x = np.linalg.lstsq(np.concatenate([D.real, -D.imag], axis=1), b,
+                        rcond=None)[0]
+    return x[:n] + 1j * x[n:]
 
 
 def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
@@ -96,9 +111,9 @@ def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
     E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
 
     def directions(z, F):
-        J = jacobian(z, E)
-        step = least_squares(J, -F, outer_product_normal_matrix(
-            J, W / all_holonomies(z, E)))
+        V = jacobian(z, E)
+        step = least_squares(V, E, -F, outer_product_normal_matrix(
+            E.dense(V), W / all_holonomies(z, E)))
         kick = 0.05 * (1.0 + np.abs(z)) * np.exp(0.7j * (1 + np.arange(len(z))))
         kicks = [kick, 1j * kick, -kick]
         if np.linalg.norm(step) < 1e-12 * (1.0 + np.linalg.norm(z)):
@@ -115,17 +130,17 @@ def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
 def scalar_sample(t, start, cfg):
     """The projected start when the per-start sampler keeps it, else None."""
     E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
-    n = t.tetra_count
 
     def residual(z):
         return np.abs(all_holonomies(z, E)) - 1.0
 
     def directions(z, F):
         h = all_holonomies(z, E)
-        D = (np.conj(h) / np.abs(h))[:, None] * jacobian(z, E)
-        step = relation_step(np.concatenate([D.real, -D.imag], axis=1), -F,
-                             outer_product_normal_matrix(D, W / np.abs(h)))
-        return [step[:n] + 1j * step[n:]]
+        # V first, as in the library: NumPy's complex product can differ
+        # in the last bit when its operands are swapped
+        V = jacobian(z, E) * (np.conj(h) / np.abs(h))[E.rows]
+        return [relation_step(V, E, -F, outer_product_normal_matrix(
+            E.dense(V), W / np.abs(h)))]
 
     z, _, _, reason = scalar_gauss_newton(
         residual, directions, lambda F: np.max(np.abs(F)) < 1e-8,
@@ -346,10 +361,13 @@ def test_stacked_kernels_are_the_rows_bitwise(rng):
         Z = rng.uniform(-2, 2, (4, 3, n)) + 1j * rng.uniform(0.1, 2, (4, 3, n))
         H, J = all_holonomies(Z, E), jacobian(Z, E)
         assert H.shape == (4, 3, E.edge_count)
-        assert J.shape == (4, 3, E.edge_count, n)
+        assert J.shape == (4, 3, len(E.rows))
+        JX, JHY = pair_matvec(J, E, Z), pair_rmatvec(J, E, H)
         for idx in np.ndindex(4, 3):
             assert np.array_equal(H[idx], all_holonomies(Z[idx], E))
             assert np.array_equal(J[idx], jacobian(Z[idx], E))
+            assert np.array_equal(JX[idx], pair_matvec(J[idx], E, Z[idx]))
+            assert np.array_equal(JHY[idx], pair_rmatvec(J[idx], E, H[idx]))
 
 
 def sequential_line_search(residual, z, steps, r):

@@ -21,7 +21,7 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, V_TET, ConeTarget,
                        compute_vertex_classes, corpus, jacobian, newton_solve,
                        parse_triangulation, random_triangulation,
                        solution_volume)
-from idealglue.gluing import normal_matrix
+from idealglue.gluing import normal_matrix, pair_matvec, pair_rmatvec
 from idealglue.solver import _least_squares_step
 from idealglue.triangulation import EDGE_SLOTS
 
@@ -142,7 +142,7 @@ def test_relations_span_the_left_null_space(name, rng):
     E, W = build_exponent_matrix(t), build_relation_matrix(t)
     for _ in range(5):
         z = sample_point(rng, name, t)
-        J = jacobian(z, E)
+        J = E.dense(jacobian(z, E))
         U = W / all_holonomies(z, E)
         assert np.abs(U @ J).max() <= 1e-13 * (1.0 + np.abs(J).max())
         # an absolute rank tolerance: on random6_seed3 the one edge holds
@@ -184,19 +184,46 @@ def test_pair_assembled_normal_matrix_is_the_dense_product(name, rng):
     E, W = build_exponent_matrix(t), build_relation_matrix(t)
     Z = np.array([sample_point(rng, name, t) for _ in range(5)])
     h = all_holonomies(Z, E)
-    J, a = jacobian(Z, E, h), np.abs(h)
-    D = (np.conj(h) / a)[..., None] * J
+    VJ, a = jacobian(Z, E, h), np.abs(h)
+    VD = VJ * (np.conj(h) / a).take(E.rows, axis=-1)
+    J, D = E.dense(VJ), E.dense(VD)
     A = np.concatenate([D.real, -D.imag], axis=-1)
-    cases = ((J, W / h[:, None], J @ J.mT.conj()),
-             (D, W / a[:, None], A @ A.mT))
-    for X, U, product in cases:
+    cases = ((VJ, W / h[:, None], J @ J.mT.conj()),
+             (VD, W / a[:, None], A @ A.mT))
+    for V, U, product in cases:
         want = product + U.mT.conj() @ U
-        got = normal_matrix(X, E, U)
+        got = normal_matrix(V, E, U)
         assert got.dtype == want.dtype and got.shape == want.shape
         scale = np.abs(want).max(axis=(-2, -1))
         assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale).all()
-        for Xk, Uk, Mk in zip(X, U, got):
-            assert np.array_equal(normal_matrix(Xk, E, Uk), Mk)
+        for Vk, Uk, Mk in zip(V, U, got):
+            assert np.array_equal(normal_matrix(Vk, E, Uk), Mk)
+
+
+@pytest.mark.parametrize("name", NORMAL_SYSTEMS)
+def test_pair_products_are_the_dense_products(name, rng):
+    # D x and D^H y from the pairs, for stacks of J's values, against the
+    # dense m-by-n J; a real y gives A^T y for A = [Re J, -Im J] read as a
+    # complex vector, and A x is Re(J x)
+    t = NORMAL_SYSTEMS[name]
+    E = build_exponent_matrix(t)
+    m, n = E.edge_count, E.tet_count
+    V = jacobian(np.array([sample_point(rng, name, t) for _ in range(5)]), E)
+    J = E.dense(V)
+    A = np.concatenate([J.real, -J.imag], axis=-1)
+    x = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+    y = rng.normal(size=(5, m)) + 1j * rng.normal(size=(5, m))
+    Ax = (A @ np.concatenate([x.real, x.imag], axis=-1)[..., None])[..., 0]
+    ATy = (A.mT @ y.real[..., None])[..., 0]
+    for got, want in ((pair_matvec(V, E, x), (J @ x[..., None])[..., 0]),
+                      (pair_matvec(V, E, x).real, Ax),
+                      (pair_rmatvec(V, E, y),
+                       (J.mT.conj() @ y[..., None])[..., 0]),
+                      (pair_rmatvec(V, E, y.real),
+                       ATy[:, :n] + 1j * ATy[:, n:])):
+        assert got.shape == want.shape
+        scale = np.abs(want).max(axis=-1, keepdims=True)
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
 
 
 def rank_fixed_lstsq(J, b, r):
@@ -210,13 +237,14 @@ def rank_fixed_lstsq(J, b, r):
 
 
 def stacked_system(rng, name, t, count):
-    """A stack of `count` Jacobians at sample points, with random right-hand
-    sides and the relation rows W / h of each point."""
+    """A stack of `count` Jacobians (their values on the pairs) at sample
+    points, with random right-hand sides and the relation rows W / h of
+    each point."""
     E, W = build_exponent_matrix(t), build_relation_matrix(t)
     Z = np.array([sample_point(rng, name, t) for _ in range(count)])
-    J = jacobian(Z, E)
-    b = rng.normal(size=J.shape[:-1]) + 1j * rng.normal(size=J.shape[:-1])
-    return J, b, W / all_holonomies(Z, E)[:, None]
+    b = (rng.normal(size=(count, E.edge_count))
+         + 1j * rng.normal(size=(count, E.edge_count)))
+    return jacobian(Z, E), b, W / all_holonomies(Z, E)[:, None]
 
 
 @pytest.mark.parametrize("name", STEP_SYSTEMS)
@@ -226,15 +254,16 @@ def test_step_matches_lstsq(name, rng, lstsq_calls):
     # O(eps cond^2) where the SVD's is O(eps cond).  At cond <= 6, and so
     # on hopf and trefoil (m > n, cond 1), that is within 1e-12.
     t = SYSTEMS[name]
-    J, b, U = stacked_system(rng, name, t, 20)
-    M = normal_matrix(J, build_exponent_matrix(t), U)
-    x = _least_squares_step(J, b, M)
+    E = build_exponent_matrix(t)
+    V, b, U = stacked_system(rng, name, t, 20)
+    M = normal_matrix(V, E, U)
+    x = _least_squares_step(V, E, b, M)
     assert lstsq_calls == []                        # no fallback
-    assert x.shape == b.shape[:-1] + J.shape[-1:]
-    for Jk, bk, Mk, xk in zip(J, b, M, x):
-        assert np.array_equal(xk, _least_squares_step(Jk[None], bk[None],
+    assert x.shape == (len(b), t.tetra_count)
+    for Vk, bk, Mk, xk in zip(V, b, M, x):
+        assert np.array_equal(xk, _least_squares_step(Vk[None], E, bk[None],
                                                       Mk[None])[0])
-        want, cond = rank_fixed_lstsq(Jk, bk, relation_rank(t))
+        want, cond = rank_fixed_lstsq(E.dense(Vk), bk, relation_rank(t))
         bound = max(1e-12, 256 * EPS * cond ** 2)
         assert np.linalg.norm(xk - want) <= bound * np.linalg.norm(want)
 
@@ -245,19 +274,64 @@ def test_incomplete_relations_fall_back_to_lstsq(name, rng, lstsq_calls):
     # to lstsq's step on its own matrix (on chain2 the cut rows' matrices
     # are singular, so the stack's solve fails and its rows are solved apart)
     t = SYSTEMS[name]
-    J, b, U = stacked_system(rng, name, t, 6)
+    V, b, U = stacked_system(rng, name, t, 6)
     E = build_exponent_matrix(t)
-    full = _least_squares_step(J, b, normal_matrix(J, E, U))
+    full = _least_squares_step(V, E, b, normal_matrix(V, E, U))
     for v in range(U.shape[1]):
         lstsq_calls.clear()
         cut = U.copy()
         cut[1::2, v] = 0.0
-        x = _least_squares_step(J, b, normal_matrix(J, E, cut))
+        x = _least_squares_step(V, E, b, normal_matrix(V, E, cut))
         assert len(lstsq_calls) == 3
-        for k in range(len(J)):
-            want = (np.linalg.lstsq(J[k], b[k], rcond=None)[0] if k % 2
-                    else full[k])
+        for k in range(len(V)):
+            want = (np.linalg.lstsq(E.dense(V[k]), b[k], rcond=None)[0]
+                    if k % 2 else full[k])
             assert np.array_equal(x[k], want)
+
+
+def sampler_system(rng, name, t, count):
+    """The sampler's real system at `count` sample points, as it builds it:
+    the values on the pairs of D = (conj(h) / |h|) J, the right-hand sides
+    1 - |h| and the relation rows W / |h| (W with unit rows)."""
+    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
+    Z = np.array([sample_point(rng, name, t) for _ in range(count)])
+    h = all_holonomies(Z, E)
+    a = np.abs(h)
+    V = jacobian(Z, E, h) * (np.conj(h) / a).take(E.rows, axis=-1)
+    return V, 1.0 - a, W / a[:, None]
+
+
+@pytest.mark.parametrize("name", STEP_SYSTEMS)
+def test_real_step_is_the_dense_min_norm_step(name, rng, lstsq_calls):
+    # the sampler's step on the pairs, D^H M^-1 b, against the dense
+    # formula it replaced: A^T (A A^T + U^T U)^-1 b for the real
+    # A = [Re D, -Im D], read as a complex vector; the two differ by
+    # O(eps cond(M)), and cond(M) <= 1e5 here.  Then the odd rows lose a
+    # relation and fall back, each to lstsq's step on its own dense A.
+    t = SYSTEMS[name]
+    E, n = build_exponent_matrix(t), t.tetra_count
+    V, b, U = sampler_system(rng, name, t, 6)
+    D = E.dense(V)
+    A = np.concatenate([D.real, -D.imag], axis=-1)
+    dense = (A.mT @ np.linalg.solve(A @ A.mT + U.mT @ U, b[..., None]))[..., 0]
+    full = _least_squares_step(V, E, b, normal_matrix(V, E, U))
+    assert lstsq_calls == []                        # no fallback
+    assert full.dtype == complex and full.shape == (len(b), n)
+    want = dense[:, :n] + 1j * dense[:, n:]
+    assert (np.abs(full - want).max(-1)
+            <= 1e-12 * np.abs(want).max(-1)).all()
+    for v in range(U.shape[1]):
+        lstsq_calls.clear()
+        cut = U.copy()
+        cut[1::2, v] = 0.0
+        x = _least_squares_step(V, E, b, normal_matrix(V, E, cut))
+        assert lstsq_calls == [(E.edge_count, 2 * n)] * 3
+        for k in range(len(V)):
+            if k % 2:
+                step = np.linalg.lstsq(A[k], b[k], rcond=None)[0]
+                assert np.array_equal(x[k], step[:n] + 1j * step[n:])
+            else:
+                assert np.array_equal(x[k], full[k])
 
 
 # ----------------------------------------------- newton_solve on chain covers
@@ -295,15 +369,21 @@ def test_newton_above_the_cutoff_matches_the_lstsq_loop(n, lstsq_calls):
         assert abs(res.residual_norm - r) <= 1e-12
 
 
-def test_newton_converges_on_the_n_1000_chain_cover():
+def test_newton_converges_on_the_n_1000_chain_cover(lstsq_calls):
     # the scale the pair-assembled normal matrix is for: each step's
-    # m-by-m matrix costs O(n) products, not a dense O(n^3) product
+    # m-by-m matrix costs O(n) products, not a dense O(n^3) product.  No
+    # step falls back to lstsq, whose step would hide a wrong J^H y that
+    # the optimality check catches.  The constant start lands on the
+    # complete structure; the start with a shape of its own per tetrahedron
+    # converges to another point of the solution set near it
     n = 1000
     t = parse_triangulation(chain_cover_text(n // 2))
-    start = chain_starts(n, 1, seed=3)[0]
-    assert max(abs(z - REGULAR_SHAPE) for z in start.z) <= 0.02
-    res = newton_solve(t, ConeTarget.ones(n), start)
-    assert res.converged
+    constant, own = chain_starts(n, 1, seed=3)
+    for start in (own, constant):
+        assert max(abs(z - REGULAR_SHAPE) for z in start.z) <= 0.02
+        res = newton_solve(t, ConeTarget.ones(n), start)
+        assert res.converged
+        assert lstsq_calls == []
     assert max(abs(z - REGULAR_SHAPE) for z in res.shapes.z) <= 1e-9 * n
     volume = solution_volume(res.shapes).total
     assert abs(volume - (n // 2) * 2 * V_TET) <= 1e-9 * n

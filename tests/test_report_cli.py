@@ -692,6 +692,38 @@ def test_cli_info_equations_print_volume_holonomy(capsys):
     assert code == 0 and "multiplier" in out
 
 
+EQUATIONS_TEXT = {
+    "fig8_complement": """\
+e0 (deg 6): z_0^2 z'_0 z_1^2 z'_1 = xi_0
+e1 (deg 6): z'_0 z''_0^2 z'_1 z''_1^2 = xi_1
+""",
+    "fig8_in_s3": """\
+e0 (deg 1): z_0 = xi_0
+e1 (deg 5): z'_0 z''_0 z''_1 z'_2 z''_2 = xi_1
+e2 (deg 5): z'_0 z''_0 z'_1 z''_1 z''_2 = xi_2
+e3 (deg 7): z_0 z_1^2 z'_1 z_2^2 z'_2 = xi_3
+""",
+    "chain4": """\
+e0 (deg 6): z_0^2 z_1^2 z'_2 z'_3 = xi_0
+e1 (deg 6): z''_0^2 z'_1 z'_2 z''_3^2 = xi_1
+e2 (deg 6): z'_0 z'_1 z_2^2 z_3^2 = xi_2
+e3 (deg 6): z'_0 z''_1^2 z''_2^2 z'_3 = xi_3
+""",
+}
+
+
+@pytest.mark.parametrize("name", EQUATIONS_TEXT)
+def test_cli_equations_text(name, capsys, tmp_path):
+    if name == "chain4":
+        path = tmp_path / "chain4.tri"
+        path.write_text(chain_cover_text(2))
+        source = ("--file", str(path))
+    else:
+        source = ("--corpus", name)
+    code, out, _ = run_cli(capsys, "equations", *source)
+    assert code == 0 and out == EQUATIONS_TEXT[name]
+
+
 def test_cli_holonomy_rejects_shapes_off_the_cone_locus(capsys):
     code, out, err = run_cli(capsys, "holonomy", "--corpus",
                              "fig8_complement", "--shapes", "0.3,0.4;0.7,0.2",

@@ -140,25 +140,24 @@ def _cmd_info(args) -> int:
 def _cmd_equations(args) -> int:
     t = _load_triangulation(args)
     edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    if args.json:               # the dense m-by-n lists are for --json only
+        print(report_mod.dumps({
+            "edge_degrees": [e.degree for e in edges],
+            "a": E.a.tolist(),
+            "a_prime": E.a_prime.tolist(),
+            "a_second": E.a_second.tolist(),
+            "slot_labels": {str(EDGE_SLOTS[k]): LABEL_NAMES[SLOT_LABELS[k]]
+                            for k in range(6)},
+        }))
+        return EXIT_OK
     factors = [[] for _ in edges]   # from each edge's pairs, in tet order
     for j, i, *counts in zip(E.rows.tolist(), E.cols.tolist(),
                              E.pair_a.tolist(), E.pair_a_prime.tolist(),
                              E.pair_a_second.tolist()):
-        for count, name in zip(counts, LABEL_NAMES):
-            if count:
-                sup = f"^{count}" if count > 1 else ""
-                factors[j].append(f"{name}_{i}{sup}")
-    lines = [f"e{e.index} (deg {e.degree}): " + " ".join(factors[e.index])
-             + " = xi_" + str(e.index) for e in edges]
-    payload = {
-        "edge_degrees": [e.degree for e in edges],
-        "a": E.a.tolist(),
-        "a_prime": E.a_prime.tolist(),
-        "a_second": E.a_second.tolist(),
-        "slot_labels": {str(EDGE_SLOTS[k]): LABEL_NAMES[SLOT_LABELS[k]]
-                        for k in range(6)},
-    }
-    _emit(args, payload, "\n".join(lines))
+        factors[j] += [f"{name}_{i}" + (f"^{c}" if c > 1 else "")
+                       for c, name in zip(counts, LABEL_NAMES) if c]
+    print("\n".join(f"e{e.index} (deg {e.degree}): " + " ".join(factors[e.index])
+                    + " = xi_" + str(e.index) for e in edges))
     return EXIT_OK
 
 

@@ -42,23 +42,20 @@ def _adjugate(M: np.ndarray) -> np.ndarray:
                     1).reshape(-1, 2, 2)
 
 
+def _lifts(z: np.ndarray, verts: np.ndarray) -> tuple:
+    """The lifts (x, y) of vertices verts of tetrahedra of shapes z."""
+    return np.where(verts == 3, z, _X[verts]), _Y[verts]
+
+
 def _std_matrices(z: np.ndarray, verts: np.ndarray) -> np.ndarray:
     """Per row, the matrix sending the lifts of the vertex triple verts =
-    (p, q, r) of a tetrahedron of shape z to (0, oo, 1), det 1.  The rows go
-    in groups by the place of vertex 3, whose lift (z, 1) is the only
-    complex one, so that products of real coordinates stay real floats."""
-    out = np.empty((len(z), 2, 2), dtype=complex)
-    place = np.where((verts == 3).any(1), (verts == 3).argmax(1), 3)
-    for at in range(4):
-        rows = np.flatnonzero(place == at)
-        p, q, r = ((z[rows] if i == at else _X[v], _Y[v])
-                   for i, v in enumerate(verts[rows].T))
-        qr = q[0] * r[1] - q[1] * r[0]
-        pr = p[0] * r[1] - p[1] * r[0]
-        det = qr * pr * (p[0] * q[1] - p[1] * q[0])
-        M = np.stack([-qr * p[1], qr * p[0], -pr * q[1], pr * q[0]], 1)
-        out[rows] = (M / np.sqrt(det.astype(complex))[:, None]).reshape(-1, 2, 2)
-    return out
+    (p, q, r) of a tetrahedron of shape z to (0, oo, 1), det 1."""
+    (p0, q0, r0), (p1, q1, r1) = (c.T for c in _lifts(z[:, None], verts))
+    qr = q0 * r1 - q1 * r0
+    pr = p0 * r1 - p1 * r0
+    det = qr * pr * (p0 * q1 - p1 * q0)
+    M = np.stack([-qr * p1, qr * p0, -pr * q1, pr * q0], 1)
+    return (M / np.sqrt(det)[:, None]).reshape(-1, 2, 2)
 
 
 def develop_across_face(t: Triangulation, Z: ShapeAssignment) -> np.ndarray:
@@ -154,7 +151,7 @@ def edge_holonomy_matrix(t: Triangulation, Z: ShapeAssignment,
         M[live] = M[live] @ steps[4 * (d[live] // 12) + EXIT_FACE[d[live] % 12]]
         d = tables.succ[d]
     v, z = _ENDS[first % 12], np.asarray(Z.z)[first // 12, None]
-    ends = np.stack([np.where(v == 3, z, _X[v]), _Y[v]], -1)    # (m, 2, 2)
+    ends = np.stack(_lifts(z, v), -1)                           # (m, 2, 2)
     images = np.matmul(M[:, None], ends[..., None])[..., 0]
     mismatch = (abs(images[..., 0] * ends[..., 1] - images[..., 1] * ends[..., 0])
                 / (np.linalg.norm(images, axis=-1) * np.linalg.norm(ends, axis=-1)))

@@ -58,9 +58,9 @@ Only a row that falls back to lstsq builds its dense A.
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
 are constants: the guard band around {0, 1} is `gluing.DEGENERACY_GUARD`,
-a step is scaled by 2^-j for j < `MAX_HALVINGS`, and the unit-circle and
-root-of-unity tolerances are the defaults of `xi_from_shapes`,
-`degree_one_obstructions` and `order_of_root_of_unity`.
+a step is scaled by 2^-j for j < `MAX_HALVINGS`, a degree-one obstruction
+is a target within 1e-8 of 1, and the unit-circle and root-of-unity
+tolerances are the defaults of `xi_from_shapes` and `order_of_root_of_unity`.
 """
 from __future__ import annotations
 
@@ -112,13 +112,6 @@ class SolveResult:
     reason: str = "converged"       # else: degree_one_edge_obstruction |
                                     # degenerate_shape | max_iterations | stalled
     detail: str = ""
-
-
-def degree_one_obstructions(edges, xi: ConeTarget, tol: float = 1e-8):
-    """Degree-one edges whose target is 1: the single slot value would have
-    to be a forbidden shape, so the xi-equations have no solution."""
-    return [e.index for e in edges
-            if e.degree == 1 and abs(xi[e.index] - 1.0) < tol]
 
 
 def _in_guard(Z) -> np.ndarray:
@@ -260,26 +253,19 @@ def _least_squares_step(V, E, b, M):
     return x
 
 
-def _obstruction(edges, xi: ConeTarget, start):
-    """`newton_solve`'s result from the shapes `start` when xi has a
-    degree-one obstruction, else None."""
-    obstructed = degree_one_obstructions(edges, xi)
-    if not obstructed:
-        return None
-    names = ", ".join(f"e{j}" for j in obstructed)
-    return SolveResult(ShapeAssignment(start, guard=0.0), float("inf"), 0,
-                       False, "degree_one_edge_obstruction",
-                       f"degree-one edge(s) {names} have xi = 1; the single "
-                       f"incident shape parameter would be forbidden, so the "
-                       f"system has no solution")
-
-
 def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
     """Solve h(z) = targets[k] from Z0[k] for each row k of a stack, in one
     damped Gauss-Newton loop, each row as `newton_solve` solves it alone,
     bit for bit: the relation step, unless the row's step is tiny, then
     three deterministic kicks.  E is the exponent matrix and W the relation
-    matrix with unit rows; returns one SolveResult per row."""
+    matrix with unit rows; returns one SolveResult per row, in row order.
+    A degree-one edge's equation sets a single shape to xi_e, which no
+    shape off {0, 1} meets at xi_e = 1: such a row keeps its start,
+    unsolved, with residual inf and reason "degree_one_edge_obstruction"."""
+    Z0 = np.array(Z0, dtype=complex)
+    obstructed = (E.degrees() == 1) & (np.abs(targets - 1.0) < 1e-8)
+    solve = ~obstructed.any(-1)
+    targets = targets[solve]
     rotation = np.exp(0.7j * (1 + np.arange(E.tet_count)))
 
     def residual(Z, rows):      # a single row: the kernels get a plain vector
@@ -310,27 +296,35 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
                      for a, b in zip([step] + kicks, kicks + [-kick])]
         yield from kicks
 
-    Z, F, its, reasons = _damped_gauss_newton(
-        residual, directions, lambda F, r: r < cfg.tol, Z0, cfg)
     detail = {
         "converged": "",
         "degenerate_shape": "iterates pushed into the guard band around "
                             "{0, 1} (ideal point)",
         "stalled": "damping could not reduce the residual",
     }
-    return [SolveResult(S, r, it, reason == "converged", reason,
-                        f"residual {r:.3e} after {it} iterations"
-                        if reason == "max_iterations" else detail[reason])
-            for S, r, it, reason in zip(ShapeAssignment.rows(Z, guard=0.0),
-                                        _norms(np.array(F)).tolist(), its,
-                                        reasons)]
+    solved = iter(())
+    if solve.any():
+        Z, F, its, reasons = _damped_gauss_newton(
+            residual, directions, lambda F, r: r < cfg.tol, Z0[solve], cfg)
+        solved = (SolveResult(S, r, it, reason == "converged", reason,
+                              f"residual {r:.3e} after {it} iterations"
+                              if reason == "max_iterations" else detail[reason])
+                  for S, r, it, reason in zip(ShapeAssignment.rows(Z, guard=0.0),
+                                              _norms(np.array(F)).tolist(), its,
+                                              reasons))
+    return [next(solved) if ok else SolveResult(
+        ShapeAssignment(z, guard=0.0), math.inf, 0, False,
+        "degree_one_edge_obstruction", f"degree-one edge(s) "
+        f"{', '.join(f'e{j}' for j in np.flatnonzero(bad))} have xi = 1; the "
+        "single incident shape parameter would be forbidden, so the system "
+        "has no solution") for ok, z, bad in zip(solve.tolist(), Z0, obstructed)]
 
 
 def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
                  cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Damped Gauss-Newton least squares on F(z) = h(z) - xi over the
     reduced coordinates (one z per tetrahedron), as a batch of one of the
-    stacked solve `_newton_rows`.
+    stacked solve `_newton_rows`, which leaves obstructions unsolved.
 
     The m-by-n system is rank-deficient (the cusp relations W / h span the
     left null space of J), so steps are min-norm least-squares solutions
@@ -343,9 +337,6 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
     E = build_exponent_matrix(t)
     check_shape_length(initial, E)
     check_target_length(xi, E)
-    obstructed = _obstruction(compute_edge_classes(t), xi, initial.z)
-    if obstructed:
-        return obstructed
     return _newton_rows(E, build_relation_matrix(t, unit=True),
                         np.array([xi.xi]), [initial.z], cfg)[0]
 
@@ -381,11 +372,12 @@ def _block_starts(thetas, past, block, seed, E, targets) -> np.ndarray:
     seed = np.array(seed)
     if len(set(thetas)) < len(thetas):
         return np.tile(seed, (len(block), 1))
-    w = [[math.prod((theta - tj) / (tk - tj) for tj in thetas if tj != tk)
-          for tk in thetas] for theta in block]
+    T, own = np.array(thetas), np.eye(len(thetas), dtype=bool)
+    w = np.where(own, 1.0, (np.array(block)[:, None, None] - T)
+                 / (T[:, None] - T + own)).prod(-1)
     last = np.array(past[-1])
     with np.errstate(all="ignore"):     # a non-finite start is rejected
-        Z = last * np.exp(np.array(w) @ np.log(np.array(past) / last))
+        Z = last * np.exp(w @ np.log(np.array(past) / last))
         h = all_holonomies(np.vstack([Z, seed]), E)
         ok = (np.isfinite(Z).all(-1) & ~_in_guard(Z)
               & (_norms(h[:-1] - targets) < _norms(h[-1] - targets)))
@@ -409,12 +401,12 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     have converged), mapped back by exp.  The prediction is taken only
     when it is finite, lies off the guard band around {0, 1}, and its
     residual |h(z) - xi(theta)| is smaller than that of the last converged
-    solution, which is the start otherwise.  Each point of the block is solved as `newton_solve` would
-    solve it from that start, bit for bit; a theta whose target has a
-    degree-one obstruction gets `newton_solve`'s result for it and is not
-    solved.  The block's converged points then join the history in grid
-    order; failures are recorded, and the sweep continues from the
-    converged points before them.
+    solution, which is the start otherwise.  The block is one stacked
+    solve, each point solved as `newton_solve` would solve it from that
+    start, bit for bit, so a theta whose target has a degree-one
+    obstruction is not solved.  The block's converged points then join
+    the history in grid order; failures are recorded, and the sweep
+    continues from the converged points before them.
 
     Where the solution set at fixed xi has positive dimension, the start
     decides which of its points the solve reaches: a sweep point is one
@@ -422,8 +414,7 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     IdealGlueError unless `initial` has one shape per tetrahedron and each
     target one entry per edge class.
     """
-    E, W, edges = (build_exponent_matrix(t),
-                   build_relation_matrix(t, unit=True), compute_edge_classes(t))
+    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
     if initial is None:
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
     check_shape_length(initial, E)
@@ -441,13 +432,7 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
         targets = np.array([xi.xi for xi in xis])
         Z0 = (_block_starts(thetas, past, block, seed.z, E, targets)
               if len(past) > 1 else np.array([seed.z]))
-        results = [_obstruction(edges, xi, z) for xi, z in zip(xis, Z0)]
-        solve = [k for k, res in enumerate(results) if res is None]
-        if solve:
-            solved = _newton_rows(E, W, targets[solve], Z0[solve], cfg)
-            for k, res in zip(solve, solved):
-                results[k] = res
-        for theta, res in zip(block, results):
+        for theta, res in zip(block, _newton_rows(E, W, targets, Z0, cfg)):
             out.append(SweepPoint(theta, res))
             if res.converged:
                 seed = res.shapes
@@ -613,6 +598,11 @@ def cover_certificate(cover: CoverDegreeReport, residual_norm: float,
                        cover)
 
 
+def residual_check(res: float, cfg: SolverConfig = SolverConfig()) -> tuple:
+    """(res <= 10 tol, 10 tol): a certificate's residual test and bound."""
+    return res <= 10 * cfg.tol, 10 * cfg.tol
+
+
 def essential_edge_certificate(t: Triangulation, result: SolveResult,
                                xi: ConeTarget,
                                cfg: SolverConfig = SolverConfig()) -> Certificate:
@@ -631,7 +621,7 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
         raise NotConverged(result.reason or "solve did not converge")
     # verify independently of the solver's bookkeeping
     res = float(np.linalg.norm(evaluate_residual(result.shapes, E, xi)))
-    if res >= cfg.tol * 10:
+    if not residual_check(res, cfg)[0]:
         raise NotConverged(f"re-evaluated residual {res:.3e} too large")
     return cover_certificate(branched_cover_report(edges, xi), res,
                              result.shapes, xi)

@@ -225,17 +225,29 @@ def test_stacked_rows_are_each_the_row_alone(rng):
     # newton_cases grouped by triangulation and config, each group one
     # stack with mixed targets: the hopf group holds the stationary starts,
     # whose rows are kicked, and the other groups rows that stall or
-    # reach max_iterations
+    # reach max_iterations.  Where t has degree-one edges, xi = 1 rows,
+    # which are obstructed, are stacked among the others too, and leave
+    # the other rows' results as they are without them
     groups = {}
     for t, xi, start, cfg in newton_cases(rng):
         groups.setdefault((id(t), cfg), []).append((t, xi, start))
+
+    def solve(t, cases, cfg):
+        return _newton_rows(build_exponent_matrix(t),
+                            build_relation_matrix(t, unit=True),
+                            np.array([xi.xi for _, xi, _ in cases]),
+                            [start.z for _, _, start in cases], cfg)
+
     reasons = []
     for (_, cfg), cases in groups.items():
         t = cases[0][0]
-        targets = np.array([xi.xi for _, xi, _ in cases])
-        stacked = _newton_rows(build_exponent_matrix(t),
-                               build_relation_matrix(t, unit=True), targets,
-                               [start.z for _, _, start in cases], cfg)
+        ordinary, ones = solve(t, cases, cfg), ConeTarget.ones(len(cases[0][1]))
+        degree_one = any(e.degree == 1 for e in compute_edge_classes(t))
+        if degree_one:
+            for k in (len(cases), len(cases) // 2, 0):
+                start = random_shapes(rng, t.tetra_count, upper_only=True)
+                cases = cases[:k] + [(t, ones, start)] + cases[k:]
+        stacked = solve(t, cases, cfg)
         assert len(stacked) == len(cases)
         for (_, xi, start), res in zip(cases, stacked):
             alone = newton_solve(t, xi, start, cfg)
@@ -243,9 +255,16 @@ def test_stacked_rows_are_each_the_row_alone(rng):
             assert res.residual_norm == alone.residual_norm
             assert (res.iterations, res.reason) == (alone.iterations,
                                                     alone.reason)
+            obstructed = res.reason == "degree_one_edge_obstruction"
+            assert obstructed == (degree_one and xi == ones)
+            if obstructed:
+                assert res == alone and res.shapes == start
             reasons.append(res.reason)
+        assert [res for res in stacked if res.reason !=
+                "degree_one_edge_obstruction"] == ordinary
     assert len(reasons) > len(groups)
-    assert set(reasons) >= {"converged", "max_iterations", "stalled"}
+    assert set(reasons) >= {"converged", "max_iterations", "stalled",
+                            "degree_one_edge_obstruction"}
 
 
 # ------------------------------------------------------- cone_locus_sample

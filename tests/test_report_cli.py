@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from idealglue import (CORPUS_NAMES, ConeTarget, DevelopFailure,
-                       ShapeAssignment, V_TET, all_holonomies,
+                       ExponentMatrix, ShapeAssignment, V_TET, all_holonomies,
                        build_exponent_matrix, build_solution_report,
                        compute_edge_classes, corpus,
                        essential_edge_certificate, evaluate_residual,
@@ -712,15 +712,31 @@ e3 (deg 6): z'_0 z''_1^2 z''_2^2 z'_3 = xi_3
 }
 
 
+def equations_source(name, tmp_path):
+    if name != "chain4":
+        return ("--corpus", name)
+    path = tmp_path / "chain4.tri"
+    path.write_text(chain_cover_text(2))
+    return ("--file", str(path))
+
+
 @pytest.mark.parametrize("name", EQUATIONS_TEXT)
 def test_cli_equations_text(name, capsys, tmp_path):
-    if name == "chain4":
-        path = tmp_path / "chain4.tri"
-        path.write_text(chain_cover_text(2))
-        source = ("--file", str(path))
-    else:
-        source = ("--corpus", name)
-    code, out, _ = run_cli(capsys, "equations", *source)
+    code, out, _ = run_cli(capsys, "equations",
+                           *equations_source(name, tmp_path))
+    assert code == 0 and out == EQUATIONS_TEXT[name]
+
+
+@pytest.mark.parametrize("name", EQUATIONS_TEXT)
+def test_cli_equations_text_builds_no_dense_matrix(name, capsys, tmp_path,
+                                                   monkeypatch):
+    # the dense m-by-n exponent lists belong to the --json payload only
+    def dense(self, values):
+        raise AssertionError("dense exponent matrix built in text mode")
+
+    monkeypatch.setattr(ExponentMatrix, "dense", dense)
+    code, out, _ = run_cli(capsys, "equations",
+                           *equations_source(name, tmp_path))
     assert code == 0 and out == EQUATIONS_TEXT[name]
 
 

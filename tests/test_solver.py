@@ -16,6 +16,7 @@ from idealglue import (CORPUS_NAMES, ConeTarget, IdealGlueError, NotConverged,
                        parse_triangulation, random_starts, regular_solution,
                        sweep_family, xi_from_shapes)
 from idealglue import solver as solver_mod
+from idealglue.gluing import DEGENERACY_GUARD
 from conftest import chain_cover_text, random_systems
 
 
@@ -251,6 +252,19 @@ def record_stacks(monkeypatch):
     return calls
 
 
+def record_cores(monkeypatch):
+    """The starts of every Gauss-Newton stack, as sweeps make them."""
+    starts = []
+    core = solver_mod._damped_gauss_newton
+
+    def recorded(residual, directions, done, Z, cfg):
+        starts.append(np.array(Z))
+        return core(residual, directions, done, Z, cfg)
+
+    monkeypatch.setattr(solver_mod, "_damped_gauss_newton", recorded)
+    return starts
+
+
 def sweep_stacks(calls, grid, xi_of):
     """Each recorded stacked solve as (grid indices of its rows, starts),
     a row's theta found by its target."""
@@ -269,10 +283,10 @@ def sweep_stacks(calls, grid, xi_of):
 def check_predicted_starts(points, grid, stacks, E, xi_of):
     """Each start of a stack solved after two points have converged is the
     polynomial through log z at the last three converged points before
-    the stack (linear through two), by polyfit, when that is nearer the
-    target in residual than the last of them, which is the start
-    otherwise.  Returns how many starts were predictions and how many
-    were the last converged point."""
+    the stack (linear through two), by polyfit, when that lies off the
+    guard band and is nearer the target in residual than the last of
+    them, which is the start otherwise.  Returns how many starts were
+    predictions and how many were the last converged point."""
     taken = kept = 0
     for idx, Z0 in stacks:
         history = [(theta, p.result.shapes.z)
@@ -288,11 +302,13 @@ def check_predicted_starts(points, grid, stacks, E, xi_of):
             r_pred, r_prev = (
                 np.linalg.norm(evaluate_residual(z, E, xi_of(grid[k])))
                 for z in (pred, Z[-1]))
+            in_band = (np.minimum(np.abs(pred), np.abs(pred - 1)).min()
+                       < DEGENERACY_GUARD)
             if np.array_equal(start, Z[-1]):
-                assert r_pred >= r_prev * (1 - 1e-9)
+                assert in_band or r_pred >= r_prev * (1 - 1e-9)
                 kept += 1
             else:
-                assert r_pred < r_prev * (1 + 1e-9)
+                assert not in_band and r_pred < r_prev * (1 + 1e-9)
                 assert np.abs(start - pred).max() < 1e-9
                 taken += 1
     return taken, kept
@@ -300,8 +316,8 @@ def check_predicted_starts(points, grid, stacks, E, xi_of):
 
 def test_sweep_solves_each_theta_in_one_stacked_solve(monkeypatch):
     # each theta is one row of exactly one stacked solve; an obstructed
-    # theta is in none
-    calls = record_stacks(monkeypatch)
+    # theta enters no Gauss-Newton stack
+    calls, cores = record_stacks(monkeypatch), record_cores(monkeypatch)
     t = corpus("hopf")
 
     def xi_of(theta):
@@ -311,10 +327,13 @@ def test_sweep_solves_each_theta_in_one_stacked_solve(monkeypatch):
     thetas = [math.pi / 2, 2 * math.pi / 3, 0.0, math.pi]
     points = sweep_family(t, xi_of, thetas,
                           initial=ShapeAssignment((0.2 + 0.9j,)))
-    assert [len(targets) for targets, _ in calls] == [1, 1, 1]
+    assert [len(targets) for targets, _ in calls] == [1, 1, 2]
     assert ([tuple(row) for targets, _ in calls for row in targets]
-            == [xi_of(theta).xi for theta in thetas if theta != 0.0])
+            == [xi_of(theta).xi for theta in thetas])
+    assert [len(Z) for Z in cores] == [1, 1, 1]
+    assert np.array_equal(cores[2], calls[2][1][1:])    # theta = pi alone
     assert [p.result.converged for p in points] == [True, True, False, True]
+    assert points[2].result.iterations == 0
 
 
 def test_sweep_agrees_with_from_scratch_solves(rng):
@@ -463,7 +482,7 @@ def test_sweep_block_with_an_obstructed_and_a_failing_theta(monkeypatch):
     # degree-one edges' targets are 1; at theta = 0.3 the degree-4 target
     # is turned by 0.5, so the product of the targets is not 1 and no
     # shapes reach them (the product of all h is 1)
-    calls = record_stacks(monkeypatch)
+    calls, cores = record_stacks(monkeypatch), record_cores(monkeypatch)
     t = corpus("hopf")
     E, edges = build_exponent_matrix(t), compute_edge_classes(t)
     closed = closed_form_family(t, CLOSED_FORM["hopf"])
@@ -476,8 +495,11 @@ def test_sweep_block_with_an_obstructed_and_a_failing_theta(monkeypatch):
     grid = [round(0.8 - 0.1 * j, 10) for j in range(16)]
     points = sweep_family(t, xi_of, grid)
     stacks = sweep_stacks(calls, grid, xi_of)
-    assert [idx for idx, _ in stacks] == [[0], [1], [2, 3, 4, 5, 6, 7, 9],
+    assert [idx for idx, _ in stacks] == [[0], [1], list(range(2, 10)),
                                           list(range(10, 16))]
+    # the obstructed theta = 0 (grid index 8) enters no Gauss-Newton stack
+    assert [len(Z) for Z in cores] == [1, 1, 7, 6]
+    assert np.array_equal(cores[2], np.delete(stacks[2][1], 6, axis=0))
     for theta, p in zip(grid, points):
         if theta == 0.0:
             assert p.result.reason == "degree_one_edge_obstruction"
@@ -724,6 +746,22 @@ def test_certificate_branched_cover_case():
     assert orders == [2, 4, 4]
     assert lifted == [4, 4, 8]
     assert "essential" in cert.statement
+
+
+def test_certificate_at_exactly_ten_tol():
+    # the certificate and verify_report share residual_check's
+    # res <= 10 tol, so a residual exactly at the bound is certified
+    t = corpus("fig8_complement")
+    res = newton_solve(t, ConeTarget.ones(2),
+                       ShapeAssignment((0.5 + 0.8j, 0.5 + 0.8j)))
+    r = float(np.linalg.norm(evaluate_residual(
+        res.shapes, build_exponent_matrix(t), ConeTarget.ones(2))))
+    cfg = SolverConfig(tol=r / 10)
+    assert 10 * cfg.tol == r
+    assert solver_mod.residual_check(r, cfg) == (True, r)
+    cert = essential_edge_certificate(t, res, ConeTarget.ones(2), cfg)
+    assert cert.residual_norm == r
+    assert solver_mod.residual_check(math.nextafter(r, math.inf), cfg)[0] is False
 
 
 def test_certificate_requires_convergence():

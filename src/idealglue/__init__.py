@@ -13,8 +13,8 @@ from .fileio import format_triangulation, parse_triangulation
 from .geometry import (FLAT_TOL, V_TET, VolumeReport, bloch_wigner,
                        dihedral_angles, dilog, edge_cone_angles,
                        solution_volume)
-from .gluing import (ConeTarget, ExponentMatrix, NotUnitModulusReport,
-                     ShapeAssignment, all_holonomies, build_exponent_matrix,
+from .gluing import (ConeTarget, ExponentMatrix, ShapeAssignment,
+                     all_holonomies, build_exponent_matrix,
                      build_relation_matrix, derive_shape_triple, edge_slot_label,
                      evaluate_residual, jacobian, xi_from_shapes)
 from .report import build_solution_report, verify_report

@@ -17,12 +17,11 @@ import numpy as np
 
 from . import report as report_mod
 from .corpus import CORPUS_NAMES, corpus, export_corpus
-from .errors import IdealGlueError
+from .errors import IdealGlueError, NotConverged
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import solution_volume
-from .gluing import (ConeTarget, LABEL_NAMES, NotUnitModulusReport,
-                     SLOT_LABELS, ShapeAssignment, build_exponent_matrix,
-                     evaluate_residual, xi_from_shapes)
+from .gluing import (ConeTarget, LABEL_NAMES, SLOT_LABELS, ShapeAssignment,
+                     build_exponent_matrix, evaluate_residual, xi_from_shapes)
 from .solver import (SolverConfig, cone_locus_sample, essential_edge_certificate,
                      newton_solve, random_starts, regular_solution, sweep_family)
 from .triangulation import (EDGE_SLOTS, compute_edge_classes,
@@ -161,25 +160,21 @@ def _cmd_equations(args) -> int:
     return EXIT_OK
 
 
-def _solve_common(args, t):
-    edges = compute_edge_classes(t)
-    xi = _parse_xi(args.xi, len(edges))
+def _solve(args, t):
+    """(xi, cfg, result) of the solve that args ask for; raises
+    NotConverged, carrying the result, unless it converged."""
+    xi = _parse_xi(args.xi, len(compute_edge_classes(t)))
     initial = _parse_initial(args.initial, t.tetra_count)
     cfg = _config(args)
     res = newton_solve(t, xi, initial, cfg)
+    if not res.converged:
+        raise NotConverged(f"{res.reason}: {res.detail}", res)
     return xi, cfg, res
 
 
 def _cmd_solve(args) -> int:
     t = _load_triangulation(args)
-    xi, cfg, res = _solve_common(args, t)
-    if not res.converged:
-        print(f"solve failed: {res.reason}: {res.detail}", file=sys.stderr)
-        if args.json:
-            print(report_mod.dumps({"converged": False, "reason": res.reason,
-                                    "detail": res.detail,
-                                    "residual_norm": _finite(res.residual_norm)}))
-        return EXIT_SOLVE_FAILURE
+    xi, cfg, res = _solve(args, t)
     rep = report_mod.build_solution_report(t, res.shapes, xi,
                                            res.residual_norm)
     human = ["converged in %d iterations, residual %.3e"
@@ -193,11 +188,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_certify(args) -> int:
     t = _load_triangulation(args)
-    xi, cfg, res = _solve_common(args, t)
-    if not res.converged:
-        print(f"certification failed: {res.reason}: {res.detail}",
-              file=sys.stderr)
-        return EXIT_SOLVE_FAILURE
+    xi, cfg, res = _solve(args, t)
     cert = essential_edge_certificate(t, res, xi, cfg)
     rep = report_mod.build_solution_report(t, res.shapes, xi,
                                            res.residual_norm,
@@ -209,14 +200,11 @@ def _cmd_certify(args) -> int:
 def _cmd_regular(args) -> int:
     t = _load_triangulation(args)
     Z, xi, volume = regular_solution(t)
-    prod = 1.0 + 0.0j
-    for x in xi.xi:
-        prod *= x
     rep = report_mod.build_solution_report(
         t, Z, xi, 0.0, include_holonomy=not args.no_holonomy)
     human = ["regular solution: all shapes (1+i sqrt(3))/2",
              "  xi: " + "; ".join(f"{x:.15g}" for x in xi.xi),
-             f"  prod xi = {prod:.15g}",
+             f"  prod xi = {math.prod(xi.xi):.15g}",
              f"  volume = {volume:.15g}"]
     _emit(args, rep, "\n".join(human))
     return EXIT_OK
@@ -227,17 +215,9 @@ def _cmd_volume(args) -> int:
     if args.shapes:
         Z = _parse_initial(args.shapes, t.tetra_count, "--shapes")
     else:
-        _, _, res = _solve_common(args, t)
-        if not res.converged:
-            print(f"solve failed: {res.reason}", file=sys.stderr)
-            return EXIT_SOLVE_FAILURE
-        Z = res.shapes
+        Z = _solve(args, t)[2].shapes
     vol = solution_volume(Z)
-    payload = {"per_tetrahedron": list(vol.per_tetrahedron),
-               "total": vol.total,
-               "flat_tetrahedra": list(vol.flat_tetrahedra),
-               "negatively_oriented": list(vol.negatively_oriented)}
-    _emit(args, payload,
+    _emit(args, report_mod.volume_payload(vol),
           "volume = %.15g (flat: %s, negative: %s)"
           % (vol.total, list(vol.flat_tetrahedra),
              list(vol.negatively_oriented)))
@@ -250,16 +230,9 @@ def _cmd_holonomy(args) -> int:
         Z = _parse_initial(args.shapes, t.tetra_count, "--shapes")
         E = build_exponent_matrix(t)
         xi = xi_from_shapes(Z, E)
-        if isinstance(xi, NotUnitModulusReport):
-            return _fail("the shapes are not a cone point: " + ", ".join(
-                f"e{j} has |h(e)| = {m:.9g}"
-                for j, m in zip(xi.edges, xi.moduli)))
         residual = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
     else:
-        xi, _, res = _solve_common(args, t)
-        if not res.converged:
-            print(f"solve failed: {res.reason}", file=sys.stderr)
-            return EXIT_SOLVE_FAILURE
+        xi, _, res = _solve(args, t)
         Z, residual = res.shapes, res.residual_norm
     rep = report_mod.build_solution_report(t, Z, xi, residual)
     human = []
@@ -301,9 +274,7 @@ def _cmd_sweep(args) -> int:
         zs = "; ".join(f"{z:.9g}" for z in p.result.shapes.z)
         human.append(f"theta {p.theta:.6g}: {status}  z = {zs}")
     _emit(args, payload, "\n".join(human))
-    if not any(p.result.converged for p in points):
-        return EXIT_SOLVE_FAILURE
-    return EXIT_OK
+    return EXIT_OK if any(p.result.converged for p in points) else EXIT_SOLVE_FAILURE
 
 
 def _cmd_sample(args) -> int:
@@ -417,6 +388,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except NotConverged as err:     # a failed solve or a refused certificate
+        print(f"solve failed: {err}", file=sys.stderr)
+        res = err.result
+        if args.json and res is not None:
+            print(report_mod.dumps({"converged": False, "reason": res.reason,
+                                    "detail": res.detail,
+                                    "residual_norm": _finite(res.residual_norm)}))
+        return EXIT_SOLVE_FAILURE
     except (IdealGlueError, OSError) as err:
         return _fail(str(err))
 

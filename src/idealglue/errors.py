@@ -19,7 +19,12 @@ class NotUnitModulus(IdealGlueError):
 
 
 class NotConverged(IdealGlueError):
-    """A certificate was requested from a non-converged solve."""
+    """A solve failed, or a certificate was refused.  Carries the failed
+    SolveResult, when there is one, as `result`."""
+
+    def __init__(self, message: str, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class EdgeCycleNotClosed(IdealGlueError):

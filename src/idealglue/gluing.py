@@ -155,13 +155,14 @@ class ExponentMatrix:
     The nonzero (edge, tetrahedron) pairs, in row-major order, are the
     index arrays `rows`, `cols` with their exponents `pair_a`,
     `pair_a_prime`, `pair_a_second`; `row_starts[j]` is the first pair of
-    edge j.  The arrays are shared and read-only.  The dense matrices `a`,
-    `a_prime`, `a_second` are built when read (`dense`), and the index of
+    edge j, and `degree_one` the indices of the edges of degree one.  The
+    arrays are shared and read-only.  The dense matrices `a`, `a_prime`,
+    `a_second` are built when read (`dense`), and the index of
     `pair_rmatvec` and `normal_matrix` on the first solve.
     """
 
     __slots__ = ("edge_count", "tet_count", "rows", "cols", "pair_a",
-                 "pair_a_prime", "pair_a_second", "row_starts",
+                 "pair_a_prime", "pair_a_second", "row_starts", "degree_one",
                  "_pair_products")
 
     def __init__(self, edge_count: int, tet_count: int, rows, cols, counts):
@@ -170,6 +171,7 @@ class ExponentMatrix:
         self.pair_a, self.pair_a_prime, self.pair_a_second = (
             np.ascontiguousarray(counts.T))
         self.row_starts = np.searchsorted(rows, np.arange(edge_count))
+        self.degree_one = np.flatnonzero(self.degrees() == 1)
         for name in self.__slots__[2:-1]:
             getattr(self, name).setflags(write=False)
         self._pair_products = None
@@ -360,23 +362,14 @@ def normal_matrix(V: np.ndarray, E: ExponentMatrix,
     return M
 
 
-@dataclass(frozen=True)
-class NotUnitModulusReport:
-    """Edges whose holonomy modulus is off the unit circle, with the moduli."""
-
-    edges: tuple          # edge indices
-    moduli: tuple         # |h(e)| for those edges
-
-
-def xi_from_shapes(Z: ShapeAssignment, E: ExponentMatrix, tol: float = 1e-8):
-    """Solve the cone equations for xi at a given shape assignment.
-
-    Returns the ConeTarget (h(e_1), ..., h(e_m)) when every |h(e)| is within
-    tol of 1, and a NotUnitModulusReport naming the offending edges
-    otherwise.
-    """
+def xi_from_shapes(Z: ShapeAssignment, E: ExponentMatrix,
+                   tol: float = 1e-8) -> ConeTarget:
+    """The cone targets (h(e_1), ..., h(e_m)) that the shapes Z solve.
+    Raises NotUnitModulus, naming every edge with |h(e)| not within tol of
+    1 and that |h(e)|, when Z is not a cone point."""
     h = all_holonomies(Z, E)
     bad = [j for j in range(len(h)) if abs(abs(h[j]) - 1.0) >= tol]
     if bad:
-        return NotUnitModulusReport(tuple(bad), tuple(abs(h[j]) for j in bad))
+        raise NotUnitModulus("the shapes are not a cone point: " + ", ".join(
+            f"e{j} has |h(e)| = {abs(h[j]):.9g}" for j in bad))
     return ConeTarget(tuple(h), tol=10 * tol)

@@ -17,7 +17,7 @@ import numpy as np
 from .develop import develop_spanning_tree
 from .errors import EdgeCycleNotClosed, IdealGlueError
 from .fileio import format_triangulation, parse_triangulation
-from .geometry import edge_cone_angles, solution_volume
+from .geometry import VolumeReport, edge_cone_angles, solution_volume
 from .gluing import (ConeTarget, ShapeAssignment, all_holonomies,
                      build_exponent_matrix, check_shape_length,
                      check_target_length, evaluate_residual)
@@ -43,6 +43,12 @@ def _det_error(matrix) -> float:
     s = max(1.0, abs(a), abs(b), abs(c), abs(d))
     a, b, c, d = a / s, b / s, c / s, d / s
     return abs(a * d - b * c - 1.0 / s / s)
+
+
+def volume_payload(vol: VolumeReport) -> dict:
+    """A VolumeReport as a JSON object, its tuples as lists."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in vars(vol).items()}
 
 
 def build_solution_report(t: Triangulation, Z: ShapeAssignment,
@@ -75,8 +81,7 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
                    "cone_angle": angle}
                   for c, h, angle in rows],
         "all_orders_finite": cover.all_orders_finite,
-        "volume": {k: list(v) if isinstance(v, tuple) else v
-                   for k, v in vars(solution_volume(Z)).items()},
+        "volume": volume_payload(solution_volume(Z)),
         "certificate": certificate.statement if certificate else None,
     }
     if include_holonomy:            # one develop for the whole block

@@ -223,23 +223,24 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
     return Z, F_out, iterations, reasons
 
 
-def _least_squares_step(V, E, b, M):
+def _least_squares_step(V, E, b, U):
     """The min-norm least-squares solution x[k] of A[k] x = b[k] for each
-    row k of a stack, given M[k] = A[k] A[k]^H + U[k]^H U[k] where the
-    rows of U[k] span the left null space of A[k] (`gluing.normal_matrix`):
-    x = A^H M^-1 b, one dense m-by-m solve per row.  A is D, given by its
-    values V on E's pairs, or for a real M the real [Re D, -Im D], whose x
-    is returned as x[:n] + i x[n:]: then A^H y = D^H y, A x = Re(D x).  A
-    row whose x misses the optimality condition |A^H (A x - b)| <= 1e-8
-    |A^H b|, or whose M is singular, takes lstsq's step on its dense A;
-    each row's step is that of the row alone, bit for bit."""
-    real = not np.iscomplexobj(M)
+    row k of a stack, given U[k], whose rows span the left null space of
+    A[k]: x = A^H M^-1 b for M = A A^H + U^H U (`gluing.normal_matrix`),
+    one dense m-by-m solve per row.  A is D, given by its values V on E's
+    pairs, or for a real U the real [Re D, -Im D], whose x is returned as
+    x[:n] + i x[n:]: then A^H y = D^H y, A x = Re(D x).  A row whose x
+    misses the optimality condition |A^H (A x - b)| <= 1e-8 |A^H b|, or
+    whose M is singular, takes lstsq's step on its dense A; each row's
+    step is that of the row alone, bit for bit."""
+    real = not np.iscomplexobj(U)
     try:
-        x = pair_rmatvec(V, E, np.linalg.solve(M, b[..., None])[..., 0])
+        x = pair_rmatvec(V, E, np.linalg.solve(normal_matrix(V, E, U),
+                                               b[..., None])[..., 0])
     except np.linalg.LinAlgError:       # U misses part of the null space
         if len(V) > 1:                  # of some row: solve the rows apart
-            return np.concatenate([_least_squares_step(v[None], E, c[None], N[None])
-                                   for v, c, N in zip(V, b, M)])
+            return np.concatenate([_least_squares_step(v[None], E, c[None], u[None])
+                                   for v, c, u in zip(V, b, U)])
         x = np.full(V.shape[:-1] + (E.tet_count,), np.nan, dtype=complex)
     Ax = pair_matvec(V, E, x)
     g = pair_rmatvec(V, E, np.stack([(Ax.real if real else Ax) - b, b]))
@@ -263,10 +264,9 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
     shape off {0, 1} meets at xi_e = 1: such a row keeps its start,
     unsolved, with residual inf and reason "degree_one_edge_obstruction"."""
     Z0 = np.array(Z0, dtype=complex)
-    obstructed = (E.degrees() == 1) & (np.abs(targets - 1.0) < 1e-8)
+    obstructed = np.abs(targets[:, E.degree_one] - 1.0) < 1e-8
     solve = ~obstructed.any(-1)
     targets = targets[solve]
-    rotation = np.exp(0.7j * (1 + np.arange(E.tet_count)))
 
     def residual(Z, rows):      # a single row: the kernels get a plain vector
         if len(Z) == 1:
@@ -279,14 +279,14 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
         V = jacobian(X, E, h)
         if len(Z) == 1:
             h, V = h[None], V[None]
-        step = _least_squares_step(V, E, -F, normal_matrix(V, E, W / h[:, None]))
+        step = _least_squares_step(V, E, -F, W / h[:, None])
         tiny = _norms(step) < 1e-12 * (1.0 + _norms(Z))
         if not any(tiny.tolist()):
             yield step
         # near a stationary point of |F|^2 away from a solution the step is
         # tiny or cannot be damped into a decrease: deterministic kicks
         # break the symmetry, re-entering Gauss-Newton after
-        kick = 0.05 * (1.0 + np.abs(Z)) * rotation
+        kick = 0.05 * (1.0 + np.abs(Z)) * np.exp(0.7j * (1 + np.arange(E.tet_count)))
         kicks = [kick, 1j * kick, -kick]
         if any(tiny.tolist()) and not all(tiny.tolist()):
             # a row with a tiny step tries each kick one turn early and its
@@ -315,7 +315,7 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
     return [next(solved) if ok else SolveResult(
         ShapeAssignment(z, guard=0.0), math.inf, 0, False,
         "degree_one_edge_obstruction", f"degree-one edge(s) "
-        f"{', '.join(f'e{j}' for j in np.flatnonzero(bad))} have xi = 1; the "
+        f"{', '.join(f'e{j}' for j in E.degree_one[bad])} have xi = 1; the "
         "single incident shape parameter would be forbidden, so the system "
         "has no solution") for ok, z, bad in zip(solve.tolist(), Z0, obstructed)]
 
@@ -487,7 +487,7 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
         # whose left null space the rows of W / |h| span
         V = jacobian(Z, E, h)
         V *= (np.conj(h) / a).take(E.rows, axis=-1)
-        return [_least_squares_step(V, E, -F, normal_matrix(V, E, W / a[:, None]))]
+        return [_least_squares_step(V, E, -F, W / a[:, None])]
 
     def done(F, r):     # xi_from_shapes's |h(e)| = 1 test at its default tol
         return np.max(np.abs(F), axis=-1) < 1e-8

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
-                       ShapeAssignment, SolverConfig, all_holonomies,
+                       NotUnitModulus, ShapeAssignment, SolverConfig, all_holonomies,
                        build_exponent_matrix, build_relation_matrix,
                        compute_edge_classes, cone_locus_sample, corpus,
                        evaluate_residual, jacobian, newton_solve,
@@ -147,8 +147,11 @@ def scalar_sample(t, start, cfg):
         np.array(start.z, dtype=complex), cfg)
     if reason != "converged":
         return None
-    Z = ShapeAssignment(z, guard=0.0)
-    return z if isinstance(xi_from_shapes(Z, E), ConeTarget) else None
+    try:
+        xi_from_shapes(ShapeAssignment(z, guard=0.0), E)
+    except NotUnitModulus:
+        return None
+    return z
 
 
 def scalar_random_starts(t, count, seed):

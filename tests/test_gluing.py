@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from idealglue import (ConeTarget, DegenerateShape, NotUnitModulus,
-                       NotUnitModulusReport,
                        ShapeAssignment, all_holonomies, build_exponent_matrix,
                        compute_edge_classes, corpus, derive_shape_triple,
                        edge_slot_label, evaluate_residual, jacobian,
@@ -181,11 +180,10 @@ def test_trefoil_family_residual_zero():
 def test_residual_vanishes_at_xi_from_shapes(rng):
     t, edges, E = system("fig8_in_s3")
     # on-circle shapes are rare at random; instead check the identity
-    # residual(Z, xi_from_shapes(Z)) = 0 whenever xi is returned
+    # residual(Z, xi_from_shapes(Z)) = 0
     Z = ShapeAssignment((cmath.exp(0.9j), REGULAR, REGULAR))
     xi = xi_from_shapes(Z, E, tol=10.0)   # generous: treat as exact targets
-    if isinstance(xi, ConeTarget):
-        assert np.abs(evaluate_residual(Z, E, xi)).max() == 0.0
+    assert np.abs(evaluate_residual(Z, E, xi)).max() == 0.0
 
 
 # ----------------------------------------------------------------- Jacobian
@@ -238,10 +236,12 @@ def test_xi_from_shapes_regular_product_one():
 
 def test_xi_from_shapes_reports_off_circle_edges():
     t, edges, E = system("hopf")
-    rep = xi_from_shapes(ShapeAssignment((2.0 + 0j,)), E)
-    assert isinstance(rep, NotUnitModulusReport)
-    assert set(rep.edges) == {0, 1, 2}
-    assert any(abs(m - 2.0) < 1e-12 for m in rep.moduli)
+    with pytest.raises(NotUnitModulus) as info:
+        xi_from_shapes(ShapeAssignment((2.0 + 0j,)), E)
+    msg = str(info.value)
+    assert msg.startswith("the shapes are not a cone point: ")
+    assert all(f"e{j} has |h(e)| = " in msg for j in (0, 1, 2))
+    assert "|h(e)| = 2," in msg
 
 
 def test_xi_from_shapes_trefoil_seventh_root():

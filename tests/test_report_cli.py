@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from idealglue import (CORPUS_NAMES, ConeTarget, DevelopFailure,
-                       ExponentMatrix, ShapeAssignment, V_TET, all_holonomies,
+                       ExponentMatrix, ShapeAssignment, SolveResult,
+                       SolverConfig, V_TET, all_holonomies,
                        build_exponent_matrix, build_solution_report,
                        compute_edge_classes, corpus,
                        essential_edge_certificate, evaluate_residual,
@@ -746,8 +747,10 @@ def test_cli_holonomy_rejects_shapes_off_the_cone_locus(capsys):
                              "--json")
     assert code == 2
     assert out == ""
+    assert err.startswith("error: the shapes are not a cone point: ")
     assert "e0 has |h(e)| = 0.455813857" in err
     assert "e1 has |h(e)| = 2.19387802" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_export_corpus(tmp_path, capsys):
@@ -774,3 +777,104 @@ def test_cli_solving_commands_parse_the_file_once(tmp_path, capsys,
     code, out, _ = run_cli(capsys, command, "--file", str(path))
     assert code == 0 and out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", EQUATIONS_TEXT)
+def test_cli_equations_json_holds_the_dense_exponent_matrices(name, capsys,
+                                                              tmp_path):
+    source = equations_source(name, tmp_path)
+    code, out, _ = run_cli(capsys, "equations", *source, "--json")
+    t = (corpus(name) if source[0] == "--corpus"
+         else parse_triangulation(Path(source[1]).read_text()))
+    E = build_exponent_matrix(t)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["edge_degrees"] == [e.degree for e in compute_edge_classes(t)]
+    assert payload["a"] == E.dense(E.pair_a).tolist()
+    assert payload["a_prime"] == E.dense(E.pair_a_prime).tolist()
+    assert payload["a_second"] == E.dense(E.pair_a_second).tolist()
+    assert payload["slot_labels"] == {
+        "(0, 1)": "z", "(0, 2)": "z''", "(0, 3)": "z'",
+        "(1, 2)": "z'", "(1, 3)": "z''", "(2, 3)": "z"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--corpus", "fig8_complement", "--initial", "0.5,0.8;0.5,0.8;0.5,0.8"),
+     "error: expected 2 initial shapes, got 3"),
+    (("sweep", "--corpus", "hopf", "--xi-weights", "1,-2", "--theta-grid", "1"),
+     "error: expected 3 xi weights"),
+    (("sweep", "--corpus", "hopf", "--xi-weights", "1,-2,1", "--theta-grid", ","),
+     "error: --theta-grid is empty"),
+])
+def test_cli_wrong_counts_exit_two(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+def test_cli_sweep_with_no_converged_point_exits_one(capsys):
+    # theta = 0 is hopf's degree-one obstruction: the point is still printed
+    code, out, err = run_cli(capsys, "sweep", "--corpus", "hopf",
+                             "--xi-weights", "1,-2,1", "--theta-grid", "0",
+                             "--json")
+    assert code == 1 and err == ""
+    (point,) = json.loads(out)["points"]
+    assert point["reason"] == "degree_one_edge_obstruction"
+    assert not point["converged"]
+
+
+# the four solving commands share one failure exit: one stderr line, the
+# failure object on stdout with --json, and exit code 1
+SOLVING = ("solve", "certify", "volume", "holonomy")
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", SOLVING)
+@pytest.mark.parametrize("name, xi, cfg", [
+    ("hopf", ConeTarget.ones(3), SolverConfig()),
+    ("fig8_complement", ConeTarget.ones(2), SolverConfig(max_iterations=1)),
+], ids=["obstruction", "max_iterations"])
+def test_a_failed_solve_has_one_failure_exit(command, json_flag, name, xi,
+                                             cfg, capsys):
+    t = corpus(name)
+    res = newton_solve(t, xi, ShapeAssignment((0.5 + 0.8j,) * t.tetra_count),
+                       cfg)
+    assert not res.converged
+    code, out, err = run_cli(capsys, command, "--corpus", name,
+                             "--max-iter", str(cfg.max_iterations),
+                             *["--json"] * json_flag)
+    assert code == 1
+    assert err == f"solve failed: {res.reason}: {res.detail}\n"
+    if not json_flag:
+        assert out == ""
+        return
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "converged": False, "reason": res.reason, "detail": res.detail,
+        "residual_norm": (res.residual_norm if math.isfinite(res.residual_norm)
+                          else None)}
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+def test_a_refused_certificate_exits_one(json_flag, capsys, monkeypatch):
+    # a solve that claims convergence at shapes that solve nothing: the
+    # certificate re-evaluates the residual and refuses
+    import idealglue.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "newton_solve",
+                        lambda t, xi, initial, cfg: SolveResult(initial, 0.0,
+                                                                0, True))
+    code, out, err = run_cli(capsys, "certify", "--corpus", "fig8_complement",
+                             *["--json"] * json_flag)
+    assert code == 1 and out == ""
+    assert err.startswith("solve failed: re-evaluated residual ")
+    assert err.endswith(" too large\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["x", ["a", "b"]])
+def test_a_non_number_where_a_number_is_due_fails_its_check(value):
+    # the numeric comparison cannot read the value, so its error stays inf
+    rep = fig8_report()
+    rep["volume"]["total"] = value
+    failed = [c for c in verify_report(rep) if not c.ok]
+    assert [c.name for c in failed] == ["volume total matches"]
+    assert failed[0].value == math.inf

@@ -771,6 +771,30 @@ def test_certificate_requires_convergence():
         essential_edge_certificate(t, res, ConeTarget.ones(3))
 
 
+def test_certificate_refuses_a_claimed_solution_that_solves_nothing():
+    # a result that claims convergence is re-evaluated, not trusted
+    t = corpus("fig8_complement")
+    claimed = solver_mod.SolveResult(ShapeAssignment((0.5 + 0.8j,) * 2), 0.0,
+                                     0, True)
+    with pytest.raises(NotConverged,
+                       match=r"^re-evaluated residual \S+ too large$") as info:
+        essential_edge_certificate(t, claimed, ConeTarget.ones(2))
+    assert info.value.result is None
+
+
+def test_certificate_states_that_edges_of_infinite_order_are_not_manifold_points():
+    # hopf's family z = exp(i theta) at theta = 1: no target is a root of unity
+    t = corpus("hopf")
+    xi = xi_by_degree(t, {1: cmath.exp(1j), 4: cmath.exp(-2j)})
+    res = newton_solve(t, xi, ShapeAssignment((0.2 + 0.9j,)))
+    cert = essential_edge_certificate(t, res, xi)
+    assert cert.kind == "branched_cover"
+    assert not cert.cover.all_orders_finite
+    assert all(math.isinf(e.order) for e in cert.cover.entries)
+    assert cert.statement.endswith("; edges of infinite order lift to "
+                                   "non-manifold points of the cover")
+
+
 # ------------------------------------------------- cone targets of the wrong length
 
 @pytest.mark.parametrize("m", [1, 3])

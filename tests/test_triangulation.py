@@ -68,6 +68,32 @@ def test_unglued_face_reported():
     assert (0, 1) in named and (1, 3) in named
 
 
+def test_out_of_range_face_reference_reported():
+    # built directly, past make_triangulation: tetrahedron 1 does not exist
+    t = Triangulation(1, [(0, 0, 1, 0, VertexPermutation((0, 1, 3, 2)))])
+    rep = validate(t)
+    assert not rep.ok and not rep.face_coverage_ok
+    assert str(rep.issues[0]) == ("FaceUnglued at (1,0): face reference out "
+                                  "of range")
+
+
+def test_gluing_at_rejects_a_face_out_of_range():
+    t = corpus("fig8_complement")
+    g = t.gluing_at(1, 3)
+    assert g.source == (1, 3) and g.target == (0, 3)
+    for tet, face in ((2, 0), (-1, 0), (0, 4), (0, -1)):
+        with pytest.raises(KeyError):
+            t.gluing_at(tet, face)
+
+
+def test_equal_triangulations_hash_alike_and_repr_their_size():
+    t = corpus("fig8_complement")
+    same = Triangulation(2, reversed([g.reversed() for g in t.gluings]))
+    assert same == t and hash(same) == hash(t) and len({t, same}) == 1
+    assert hash(corpus("fig8_in_s3")) != hash(t)
+    assert repr(t) == "Triangulation(n=2, pairs=4)"
+
+
 def test_even_permutation_is_orientation_violation():
     t = make_triangulation(1, [(0, 0, 0, 1, (1, 0, 3, 2)),
                                (0, 2, 0, 3, (0, 1, 3, 2))])

@@ -13,15 +13,13 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import report as report_mod
 from .corpus import CORPUS_NAMES, corpus, export_corpus
 from .errors import IdealGlueError, NotConverged
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import solution_volume
 from .gluing import (ConeTarget, LABEL_NAMES, SLOT_LABELS, ShapeAssignment,
-                     build_exponent_matrix, evaluate_residual, xi_from_shapes)
+                     build_exponent_matrix, xi_from_shapes)
 from .solver import (SolverConfig, cone_locus_sample, essential_edge_certificate,
                      newton_solve, random_starts, regular_solution, sweep_family)
 from .triangulation import (EDGE_SLOTS, compute_edge_classes,
@@ -138,10 +136,11 @@ def _cmd_info(args) -> int:
 
 def _cmd_equations(args) -> int:
     t = _load_triangulation(args)
-    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    E = build_exponent_matrix(t)
+    degrees = E.degree.tolist()
     if args.json:               # the dense m-by-n lists are for --json only
         print(report_mod.dumps({
-            "edge_degrees": [e.degree for e in edges],
+            "edge_degrees": degrees,
             "a": E.a.tolist(),
             "a_prime": E.a_prime.tolist(),
             "a_second": E.a_second.tolist(),
@@ -149,21 +148,21 @@ def _cmd_equations(args) -> int:
                             for k in range(6)},
         }))
         return EXIT_OK
-    factors = [[] for _ in edges]   # from each edge's pairs, in tet order
+    factors = [[] for _ in degrees]     # from each edge's pairs, in tet order
     for j, i, *counts in zip(E.rows.tolist(), E.cols.tolist(),
                              E.pair_a.tolist(), E.pair_a_prime.tolist(),
                              E.pair_a_second.tolist()):
         factors[j] += [f"{name}_{i}" + (f"^{c}" if c > 1 else "")
                        for c, name in zip(counts, LABEL_NAMES) if c]
-    print("\n".join(f"e{e.index} (deg {e.degree}): " + " ".join(factors[e.index])
-                    + " = xi_" + str(e.index) for e in edges))
+    print("\n".join(f"e{j} (deg {d}): " + " ".join(factors[j]) + f" = xi_{j}"
+                    for j, d in enumerate(degrees)))
     return EXIT_OK
 
 
 def _solve(args, t):
     """(xi, cfg, result) of the solve that args ask for; raises
     NotConverged, carrying the result, unless it converged."""
-    xi = _parse_xi(args.xi, len(compute_edge_classes(t)))
+    xi = _parse_xi(args.xi, build_exponent_matrix(t).edge_count)
     initial = _parse_initial(args.initial, t.tetra_count)
     cfg = _config(args)
     res = newton_solve(t, xi, initial, cfg)
@@ -228,9 +227,8 @@ def _cmd_holonomy(args) -> int:
     t = _load_triangulation(args)
     if args.shapes:
         Z = _parse_initial(args.shapes, t.tetra_count, "--shapes")
-        E = build_exponent_matrix(t)
-        xi = xi_from_shapes(Z, E)
-        residual = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
+        # xi is h(Z) itself, so the residual h(Z) - xi is 0
+        xi, residual = xi_from_shapes(Z, build_exponent_matrix(t)), 0.0
     else:
         xi, _, res = _solve(args, t)
         Z, residual = res.shapes, res.residual_norm
@@ -248,10 +246,10 @@ def _cmd_holonomy(args) -> int:
 
 def _cmd_sweep(args) -> int:
     t = _load_triangulation(args)
-    edges = compute_edge_classes(t)
+    m = build_exponent_matrix(t).edge_count
     weights = _parse_list("--xi-weights", args.xi_weights, int)
-    if len(weights) != len(edges):
-        return _fail(f"expected {len(edges)} xi weights")
+    if len(weights) != m:
+        return _fail(f"expected {m} xi weights")
     thetas = _parse_list("--theta-grid", args.theta_grid, float)
     if not thetas:
         return _fail("--theta-grid is empty")

@@ -34,6 +34,7 @@ from .errors import DegenerateShape, IdealGlueError, NotUnitModulus
 from .triangulation import SLOT_INDEX, Triangulation, edge_tables, vertex_tables
 
 DEGENERACY_GUARD = 1e-8
+UNIT_TOL = 1e-8         # every |x| = 1 test: abs(abs(x) - 1.0) < UNIT_TOL
 
 LABEL_Z, LABEL_ZP, LABEL_ZPP = 0, 1, 2
 LABEL_NAMES = ("z", "z'", "z''")
@@ -114,23 +115,23 @@ class ShapeAssignment:
 
 @dataclass(frozen=True)
 class ConeTarget:
-    """A unit-modulus target xi_e per edge class.  The all-ones vector gives
-    the classical hyperbolic gluing equations."""
+    """A target xi_e per edge class with |xi_e| within UNIT_TOL of 1.  The
+    all-ones vector gives the classical hyperbolic gluing equations."""
 
     xi: tuple
 
-    def __init__(self, xi, tol: float = 1e-8):
+    def __init__(self, xi):
         vals = tuple(complex(x) for x in xi)
         for k, x in enumerate(vals):
-            if not abs(abs(x) - 1.0) < tol:     # also rejects nan and inf
+            if not abs(abs(x) - 1.0) < UNIT_TOL:    # also rejects nan and inf
                 raise NotUnitModulus(f"xi[{k}] = {x} has |xi| = {abs(x)}")
         object.__setattr__(self, "xi", vals)
 
     @classmethod
-    def rows(cls, H, tol: float = 1e-8) -> list:
+    def rows(cls, H) -> list:
         """One ConeTarget per row of a complex array (`_stack_rows`)."""
-        return _stack_rows(cls, "xi", H, (np.abs(np.abs(H) - 1.0) < tol).all(),
-                           tol)
+        return _stack_rows(cls, "xi", H,
+                           (np.abs(np.abs(H) - 1.0) < UNIT_TOL).all())
 
     def __len__(self):
         return len(self.xi)
@@ -150,7 +151,7 @@ class ExponentMatrix:
     a[j, i] counts the slots of tetrahedron i in edge class j that carry
     the label z, and a', a'' likewise for z', z''.  Each tetrahedron has two
     slots of each label, so every column of each m-by-n matrix sums to 2,
-    and row sums across the three give the edge degrees.
+    and row sums across the three give the edge degrees `degree`.
 
     The nonzero (edge, tetrahedron) pairs, in row-major order, are the
     index arrays `rows`, `cols` with their exponents `pair_a`,
@@ -161,17 +162,17 @@ class ExponentMatrix:
     `pair_rmatvec` and `normal_matrix` on the first solve.
     """
 
-    __slots__ = ("edge_count", "tet_count", "rows", "cols", "pair_a",
-                 "pair_a_prime", "pair_a_second", "row_starts", "degree_one",
-                 "_pair_products")
+    __slots__ = ("edge_count", "tet_count", "degree", "rows", "cols",
+                 "pair_a", "pair_a_prime", "pair_a_second", "row_starts",
+                 "degree_one", "_pair_products")
 
-    def __init__(self, edge_count: int, tet_count: int, rows, cols, counts):
-        self.edge_count, self.tet_count = edge_count, tet_count
-        self.rows, self.cols = rows, cols
+    def __init__(self, degree, tet_count: int, rows, cols, counts):
+        self.edge_count, self.tet_count = len(degree), tet_count
+        self.degree, self.rows, self.cols = degree, rows, cols
         self.pair_a, self.pair_a_prime, self.pair_a_second = (
             np.ascontiguousarray(counts.T))
-        self.row_starts = np.searchsorted(rows, np.arange(edge_count))
-        self.degree_one = np.flatnonzero(self.degrees() == 1)
+        self.row_starts = np.searchsorted(rows, np.arange(self.edge_count))
+        self.degree_one = np.flatnonzero(degree == 1)
         for name in self.__slots__[2:-1]:
             getattr(self, name).setflags(write=False)
         self._pair_products = None
@@ -187,10 +188,6 @@ class ExponentMatrix:
     a = property(lambda self: self.dense(self.pair_a))
     a_prime = property(lambda self: self.dense(self.pair_a_prime))
     a_second = property(lambda self: self.dense(self.pair_a_second))
-
-    def degrees(self):
-        return np.add.reduceat(self.pair_a + self.pair_a_prime
-                               + self.pair_a_second, self.row_starts)
 
 
 def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
@@ -210,8 +207,8 @@ def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
                                return_inverse=True)
         counts = np.bincount(3 * pair + _SLOT_LABELS[slot % 6],
                              minlength=3 * len(keys)).reshape(-1, 3)
-        t._exponent_matrix = ExponentMatrix(len(tables.starts), n,
-                                            keys // n, keys % n, counts)
+        t._exponent_matrix = ExponentMatrix(tables.degree, n, keys // n,
+                                            keys % n, counts)
     return t._exponent_matrix
 
 
@@ -362,14 +359,15 @@ def normal_matrix(V: np.ndarray, E: ExponentMatrix,
     return M
 
 
-def xi_from_shapes(Z: ShapeAssignment, E: ExponentMatrix,
-                   tol: float = 1e-8) -> ConeTarget:
+def xi_from_shapes(Z: ShapeAssignment, E: ExponentMatrix) -> ConeTarget:
     """The cone targets (h(e_1), ..., h(e_m)) that the shapes Z solve.
-    Raises NotUnitModulus, naming every edge with |h(e)| not within tol of
-    1 and that |h(e)|, when Z is not a cone point."""
-    h = all_holonomies(Z, E)
-    bad = [j for j in range(len(h)) if abs(abs(h[j]) - 1.0) >= tol]
+    Raises NotUnitModulus, naming every edge whose |h(e)| fails
+    `ConeTarget`'s test, and that |h(e)| (nan where h overflows), when Z is
+    not a cone point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = all_holonomies(Z, E).tolist()
+    bad = [j for j, x in enumerate(h) if not abs(abs(x) - 1.0) < UNIT_TOL]
     if bad:
         raise NotUnitModulus("the shapes are not a cone point: " + ", ".join(
             f"e{j} has |h(e)| = {abs(h[j]):.9g}" for j in bad))
-    return ConeTarget(tuple(h), tol=10 * tol)
+    return ConeTarget(h)

@@ -22,7 +22,7 @@ from .gluing import (ConeTarget, ShapeAssignment, all_holonomies,
                      build_exponent_matrix, check_shape_length,
                      check_target_length, evaluate_residual)
 from .solver import branched_cover_report, cover_certificate, residual_check
-from .triangulation import Triangulation, compute_edge_classes
+from .triangulation import Triangulation
 
 REPORT_VERSION = 1
 
@@ -60,13 +60,13 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
     bookkeeping is the certificate's when it was drawn at the same xi.
     Raises IdealGlueError unless Z has one shape per tetrahedron and xi one
     target per edge class."""
-    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    E = build_exponent_matrix(t)
     check_shape_length(Z, E)
     check_target_length(xi, E)
     cover = (certificate.cover if certificate is not None and certificate.xi == xi
-             else branched_cover_report(edges, xi))
-    rows = zip(cover.entries, _pairs(all_holonomies(Z, E)),
-               edge_cone_angles(Z, E).tolist())
+             else branched_cover_report(E, xi))
+    rows = zip(E.degree.tolist(), cover.orders, cover.lifted_degrees,
+               _pairs(all_holonomies(Z, E)), edge_cone_angles(Z, E).tolist())
     report = {
         "report_version": REPORT_VERSION,
         "triangulation": format_triangulation(t),
@@ -74,12 +74,11 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
         "shapes": _pairs(Z.z),
         "xi": _pairs(xi.xi),
         "residual_norm": float(residual_norm),
-        "edges": [{"index": c.edge_index, "degree": c.degree, "holonomy": h,
-                   "order": None if math.isinf(c.order) else int(c.order),
-                   "lifted_degree": (None if math.isinf(c.lifted_degree)
-                                     else int(c.lifted_degree)),
+        "edges": [{"index": j, "degree": d, "holonomy": h,
+                   "order": None if math.isinf(o) else o,
+                   "lifted_degree": None if math.isinf(lift) else lift,
                    "cone_angle": angle}
-                  for c, h, angle in rows],
+                  for j, (d, o, lift, h, angle) in enumerate(rows)],
         "all_orders_finite": cover.all_orders_finite,
         "volume": volume_payload(solution_volume(Z)),
         "certificate": certificate.statement if certificate else None,
@@ -206,8 +205,8 @@ def verify_report(report: dict) -> list:
     check_target_length(xi, E)
     res = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
     claimed = report.get("certificate") is not None
-    certificate = (cover_certificate(branched_cover_report(
-        compute_edge_classes(t), xi), res, Z, xi) if claimed else None)
+    certificate = (cover_certificate(branched_cover_report(E, xi), res, Z, xi)
+                   if claimed else None)
     rebuild = functools.partial(build_solution_report, t, Z, xi,
                                 report["residual_norm"],
                                 report.get("converged") is True, certificate)

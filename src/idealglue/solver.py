@@ -14,9 +14,9 @@ would be solved alone; `newton_solve` is a batch of one of it, and
 `sweep_family` corrects blocks of grid points as one stack.
 `cone_locus_sample` runs all its starts as one batch and takes the real
 min-norm step on |h(z)| - 1.  Every solve, sweep, sample and certificate
-reads the edge classes and exponent matrix compiled once per
-triangulation (`compute_edge_classes`, `build_exponent_matrix`), and the
-loops evaluate h and J on raw shape arrays.  The line search (`_take_steps`)
+reads the exponent matrix compiled once per triangulation
+(`build_exponent_matrix`), edge degrees included, and the loops evaluate
+h and J on raw shape arrays.  The line search (`_take_steps`)
 makes one residual call for the full steps of all rows and one for all
 further halvings of the rows they leave, and the result rows are built
 from the stack (`ShapeAssignment.rows`).
@@ -59,32 +59,35 @@ Only a row that falls back to lstsq builds its dense A.
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
 are constants: the guard band around {0, 1} is `gluing.DEGENERACY_GUARD`,
 a step is scaled by 2^-j for j < `MAX_HALVINGS`, a degree-one obstruction
-is a target within 1e-8 of 1, and the unit-circle and root-of-unity
-tolerances are the defaults of `xi_from_shapes` and `order_of_root_of_unity`.
+is a target within 1e-8 of 1, every |x| = 1 test is within
+`gluing.UNIT_TOL`, and the order of a target is the least q <= `Q_MAX`
+with |xi^q - 1| < `ROOT_TOL`.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IdealGlueError, NotConverged, NotUnitModulus
 from .geometry import V_TET
-from .gluing import (DEGENERACY_GUARD, ConeTarget, ShapeAssignment,
-                     all_holonomies, build_exponent_matrix,
+from .gluing import (DEGENERACY_GUARD, UNIT_TOL, ConeTarget, ExponentMatrix,
+                     ShapeAssignment, all_holonomies, build_exponent_matrix,
                      build_relation_matrix, check_shape_length,
                      check_target_length, evaluate_residual, jacobian,
                      normal_matrix, pair_matvec, pair_rmatvec)
-from .triangulation import Triangulation, compute_edge_classes
+from .triangulation import Triangulation
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
 MAX_HALVINGS = 30                   # damping: step scales 2^-j, j < 30
 BLOCK_ROWS = 8                      # sweep: grid points per stacked solve
 STACK_ENTRIES = 2**18               # entries (4 MB) per stacked array
+ROOT_TOL = 1e-9                     # order of xi: least q <= Q_MAX with
+Q_MAX = 10_000                      # |xi^q - 1| < ROOT_TOL, else infinite
 _SCALES = np.ldexp(1.0, -np.arange(MAX_HALVINGS))[:, None]  # 2^-j, exact
 
 
@@ -349,8 +352,8 @@ def regular_solution(t: Triangulation):
     volume is n times the regular ideal tetrahedron volume.
     """
     Z = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
-    xi = ConeTarget(tuple(cmath.exp(1j * math.pi * e.degree / 3.0)
-                          for e in compute_edge_classes(t)))
+    xi = ConeTarget(tuple(cmath.exp(1j * math.pi * d / 3.0)
+                          for d in build_exponent_matrix(t).degree.tolist()))
     return Z, xi, t.tetra_count * V_TET
 
 
@@ -465,8 +468,8 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     """Project random starts onto the cone-deformation variety.
 
     Gauss-Newton on the real residuals |h(e)| - 1 over (Re z, Im z), all
-    starts in one batch; points whose holonomy moduli all land within 1e-8
-    of 1 are returned with their cone target, others are dropped.
+    starts in one batch; points whose holonomy moduli all land within
+    UNIT_TOL of 1 are returned with their cone target, others are dropped.
 
     Returns (samples, dropped_count) where samples is a list of
     (ShapeAssignment, ConeTarget).  Raises IdealGlueError unless every
@@ -489,79 +492,59 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
         V *= (np.conj(h) / a).take(E.rows, axis=-1)
         return [_least_squares_step(V, E, -F, W / a[:, None])]
 
-    def done(F, r):     # xi_from_shapes's |h(e)| = 1 test at its default tol
-        return np.max(np.abs(F), axis=-1) < 1e-8
+    def done(F, r):     # ConeTarget's |h(e)| = 1 test, as an array
+        return (np.abs(F) < UNIT_TOL).all(-1)
 
     Z0 = np.array([s.z for s in starts], dtype=complex).reshape(-1, E.tet_count)
     Z, _, _, reasons = _damped_gauss_newton(residual, directions, done, Z0, cfg)
     Z = Z[[reason == "converged" for reason in reasons]]
     # `done` passed on these rows' holonomies, which the stacked kernel
-    # gives bit for bit: every |h(e)| is within 1e-8 of 1, so each row is
-    # kept with the target xi_from_shapes would give it
+    # gives bit for bit, by ConeTarget's own test: each row is kept with
+    # the target xi_from_shapes would give it
     samples = list(zip(ShapeAssignment.rows(Z, guard=0.0),
-                       ConeTarget.rows(all_holonomies(Z, E), tol=1e-7)))
+                       ConeTarget.rows(all_holonomies(Z, E))))
     return samples, len(Z0) - len(samples)
 
 
-def order_of_root_of_unity(xi: complex, tol: float = 1e-9,
-                           q_max: int = 10_000):
-    """Smallest q <= q_max with |xi^q - 1| < tol, else math.inf.
+def order_of_root_of_unity(xi: complex):
+    """Smallest q <= Q_MAX with |xi^q - 1| < ROOT_TOL, else math.inf.
 
-    Requires |xi| = 1 within tol; powers are taken on the circle through the
-    argument, so no error accumulates for large q.
+    Raises NotUnitModulus unless |xi| = 1 within UNIT_TOL; powers are taken
+    on the circle through the argument, so no error accumulates for large q.
     """
     xi = complex(xi)
-    if abs(abs(xi) - 1.0) >= tol:
+    if not abs(abs(xi) - 1.0) < UNIT_TOL:
         raise NotUnitModulus(f"|xi| = {abs(xi)}")
     angle = cmath.phase(xi)
-    for q in range(1, q_max + 1):
-        if 2.0 * abs(math.sin(0.5 * q * angle)) < tol:
+    for q in range(1, Q_MAX + 1):
+        if 2.0 * abs(math.sin(0.5 * q * angle)) < ROOT_TOL:
             return q
     return math.inf
-
-
-class EdgeCoverEntry(NamedTuple):
-    """One edge's cover bookkeeping.  A tuple, several times cheaper to
-    build than a frozen dataclass: every report and every re-check of one
-    builds one per edge."""
-
-    edge_index: int
-    xi: complex
-    order: float            # int-valued or math.inf
-    degree: int
-    lifted_degree: float    # order * degree when finite, else math.inf
 
 
 @dataclass(frozen=True)
 class CoverDegreeReport:
     """Edge-degree bookkeeping for the branched cover determined by the
-    multiplicative orders of the cone targets."""
+    multiplicative orders of the cone targets, one entry per edge j:
+    orders[j] is an int or math.inf, lifted_degrees[j] = orders[j] deg(e_j)."""
 
-    entries: tuple
+    orders: tuple
+    lifted_degrees: tuple
     all_orders_finite: bool
     trivial_cover: bool     # all orders 1: the cover is the manifold itself
 
-    def orders(self):
-        return tuple(e.order for e in self.entries)
 
-    def lifted_degrees(self):
-        return tuple(e.lifted_degree for e in self.entries)
-
-
-def branched_cover_report(edges, xi: ConeTarget) -> CoverDegreeReport:
+def branched_cover_report(E: ExponentMatrix,
+                          xi: ConeTarget) -> CoverDegreeReport:
     """The order of each edge's target and its lifted degree; the order of
-    each distinct target value is found once."""
-    entries, orders = [], {}
-    for e in edges:
-        x = complex(xi[e.index])
-        o = orders.get(x)
-        if o is None:
-            o = orders[x] = order_of_root_of_unity(x)
-        lifted = math.inf if math.isinf(o) else o * e.degree
-        entries.append(EdgeCoverEntry(e.index, x, o, e.degree, lifted))
-    finite = all(not math.isinf(en.order) for en in entries)
-    trivial = finite and all(en.order == 1 for en in entries)
-    return CoverDegreeReport(tuple(entries), finite, trivial)
+    each distinct target value is found once, in order of first occurrence.
+    Raises IdealGlueError unless xi has one target per edge class."""
+    check_target_length(xi, E)
+    found = {x: order_of_root_of_unity(x) for x in dict.fromkeys(xi.xi)}
+    orders = tuple(map(found.__getitem__, xi.xi))
+    return CoverDegreeReport(
+        orders, tuple(map(operator.mul, orders, E.degree.tolist())),
+        math.inf not in orders, orders.count(1) == len(orders))
 
 
 @dataclass(frozen=True)
@@ -587,7 +570,7 @@ def cover_certificate(cover: CoverDegreeReport, residual_norm: float,
         return Certificate("manifold", "solution of the hyperbolic gluing "
                            "equations found: all edges of the triangulation "
                            "are essential", residual_norm, shapes, xi, cover)
-    orders = ", ".join(f"e{e.edge_index}:o={e.order}" for e in cover.entries)
+    orders = ", ".join(f"e{j}:o={o}" for j, o in enumerate(cover.orders))
     statement = ("solution of the xi-hyperbolic gluing equations found: "
                  "all edges of the induced ideal triangulation of the "
                  f"branched cover are essential (branch orders {orders})")
@@ -614,7 +597,7 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
     Raises NotConverged on a failed solve, and IdealGlueError unless the
     solve has one shape per tetrahedron and xi one target per edge class.
     """
-    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    E = build_exponent_matrix(t)
     check_shape_length(result.shapes, E)
     check_target_length(xi, E)
     if not result.converged:
@@ -623,5 +606,5 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
     res = float(np.linalg.norm(evaluate_residual(result.shapes, E, xi)))
     if not residual_check(res, cfg)[0]:
         raise NotConverged(f"re-evaluated residual {res:.3e} too large")
-    return cover_certificate(branched_cover_report(edges, xi), res,
+    return cover_certificate(branched_cover_report(E, xi), res,
                              result.shapes, xi)

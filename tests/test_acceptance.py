@@ -177,13 +177,12 @@ def test_criterion_7_branched_cover_bookkeeping():
                     (1j, {1: (4, 4), 4: (2, 8)})):
         Z = ShapeAssignment((z,))
         xi = ConeTarget(tuple(all_holonomies(Z, E)))
-        rep = branched_cover_report(edges, xi)
+        rep = branched_cover_report(E, xi)
         for e in edges:
             order, lifted = want[e.degree]
-            entry = rep.entries[e.index]
-            assert entry.order == order
-            assert entry.lifted_degree == lifted
-            assert entry.lifted_degree == entry.order * entry.degree
+            assert rep.orders[e.index] == order
+            assert rep.lifted_degrees[e.index] == lifted
+            assert rep.lifted_degrees[e.index] == rep.orders[e.index] * e.degree
     _report(7, "hopf branched covers: orders (2,2,1)/(4,4,2) with lifted "
                "degrees (2,2,4)/(4,4,8)")
 

@@ -1,4 +1,5 @@
 """JSON reports, re-validation, and the command-line surface."""
+import cmath
 import json
 import math
 import shlex
@@ -751,6 +752,39 @@ def test_cli_holonomy_rejects_shapes_off_the_cone_locus(capsys):
     assert "e0 has |h(e)| = 0.455813857" in err
     assert "e1 has |h(e)| = 2.19387802" in err
     assert err.count("\n") == 1
+
+
+def test_cli_certifies_a_target_within_unit_tol_of_the_circle(tmp_path,
+                                                              capsys):
+    r, third = 1 + 3e-9, cmath.exp(2j * math.pi / 3)
+    xi = (r * third, cmath.exp(-4j * math.pi / 3) / r**2, r * third)
+    code, out, err = run_cli(capsys, "certify", "--corpus", "hopf",
+                             "--xi=" + ";".join(f"{x.real!r},{x.imag!r}"
+                                                for x in xi),
+                             "--initial", "0.1,0.9", "--json")
+    assert code == 0 and err == ""
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    assert code == 0 and "FAIL" not in out
+
+
+def test_cli_holonomy_accepts_shapes_within_unit_tol_of_the_cone_locus(capsys):
+    z = (1 + 5e-9) * cmath.exp(1j)
+    code, out, err = run_cli(capsys, "holonomy", "--corpus", "hopf",
+                             f"--shapes={z.real!r},{z.imag!r}", "--json")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["residual_norm"] == 0.0
+    assert all(c.ok for c in verify_report(rep))
+
+
+def test_cli_holonomy_names_an_edge_whose_holonomy_overflows(capsys):
+    code, out, err = run_cli(capsys, "holonomy", "--corpus",
+                             "fig8_complement", "--shapes=1e200,1e200")
+    assert code == 2 and out == ""
+    assert err == ("error: the shapes are not a cone point: e0 has "
+                   "|h(e)| = nan, e1 has |h(e)| = 0\n")
 
 
 def test_cli_export_corpus(tmp_path, capsys):

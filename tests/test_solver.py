@@ -14,7 +14,7 @@ from idealglue import (CORPUS_NAMES, ConeTarget, IdealGlueError, NotConverged,
                        essential_edge_certificate, evaluate_residual,
                        newton_solve, order_of_root_of_unity,
                        parse_triangulation, random_starts, regular_solution,
-                       sweep_family, xi_from_shapes)
+                       sweep_family, verify_report, xi_from_shapes)
 from idealglue import solver as solver_mod
 from idealglue.gluing import DEGENERACY_GUARD
 from conftest import chain_cover_text, random_systems
@@ -641,9 +641,7 @@ def test_sampler_targets_are_xi_from_shapes_of_the_converged_rows(monkeypatch):
         for z, reason in zip(Z, reasons):
             if reason == "converged":
                 S = ShapeAssignment(z, guard=0.0)
-                xi = xi_from_shapes(S, E)
-                if isinstance(xi, ConeTarget):
-                    want.append((S, xi))
+                want.append((S, xi_from_shapes(S, E)))
         assert samples == want and dropped == len(Z) - len(want)
         assert len(calls) == 1 and calls[0][0] == reasons.count("converged")
 
@@ -675,10 +673,10 @@ def test_order_irrational_angle_is_infinite():
     xi = cmath.exp(1j)
     # oracle: exhaustively confirm no power within tolerance
     acc = 1.0 + 0j
-    for q in range(1, 1001):
+    for q in range(1, solver_mod.Q_MAX + 1):
         acc *= xi
-        assert abs(acc - 1) >= 1e-9
-    assert order_of_root_of_unity(xi, tol=1e-9, q_max=1000) == math.inf
+        assert abs(acc - 1) >= solver_mod.ROOT_TOL
+    assert order_of_root_of_unity(xi) == math.inf
 
 
 def test_order_requires_unit_modulus():
@@ -701,25 +699,26 @@ def test_branched_cover_hopf_flat():
     t = corpus("hopf")
     edges = compute_edge_classes(t)
     xi = xi_by_degree(t, {1: -1, 4: 1})
-    rep = branched_cover_report(edges, xi)
-    by_degree = {e.degree: rep.entries[e.index] for e in edges}
-    assert by_degree[1].order == 2 and by_degree[1].lifted_degree == 2
-    assert by_degree[4].order == 1 and by_degree[4].lifted_degree == 4
+    rep = branched_cover_report(build_exponent_matrix(t), xi)
+    by_degree = {e.degree: e.index for e in edges}
+    j1, j4 = by_degree[1], by_degree[4]
+    assert rep.orders[j1] == 2 and rep.lifted_degrees[j1] == 2
+    assert rep.orders[j4] == 1 and rep.lifted_degrees[j4] == 4
     assert rep.all_orders_finite and not rep.trivial_cover
-    for entry in rep.entries:
-        assert entry.lifted_degree == entry.order * entry.degree
+    for e in edges:
+        assert rep.lifted_degrees[e.index] == rep.orders[e.index] * e.degree
 
 
 def test_branched_cover_trivial_and_infinite():
     t = corpus("fig8_complement")
-    edges = compute_edge_classes(t)
-    rep = branched_cover_report(edges, ConeTarget.ones(2))
+    E = build_exponent_matrix(t)
+    rep = branched_cover_report(E, ConeTarget.ones(2))
     assert rep.trivial_cover and rep.all_orders_finite
-    assert rep.orders() == (1, 1)
-    assert rep.lifted_degrees() == (6, 6)
+    assert rep.orders == (1, 1)
+    assert rep.lifted_degrees == (6, 6)
 
     xi = ConeTarget((cmath.exp(1j), cmath.exp(-1j)))
-    rep = branched_cover_report(edges, xi)
+    rep = branched_cover_report(E, xi)
     assert not rep.all_orders_finite
 
 
@@ -741,11 +740,27 @@ def test_certificate_branched_cover_case():
     res = newton_solve(t, xi, ShapeAssignment((0.1 + 0.9j,)))
     cert = essential_edge_certificate(t, res, xi)
     assert cert.kind == "branched_cover"
-    orders = sorted(e.order for e in cert.cover.entries)
-    lifted = sorted(e.lifted_degree for e in cert.cover.entries)
+    orders = sorted(cert.cover.orders)
+    lifted = sorted(cert.cover.lifted_degrees)
     assert orders == [2, 4, 4]
     assert lifted == [4, 4, 8]
     assert "essential" in cert.statement
+
+
+def test_a_target_within_unit_tol_of_the_circle_certifies():
+    # |xi| = 1 + 3e-9 passes ConeTarget's unit-circle test, and so every
+    # later one: the order search, the certificate and the report's re-check
+    t = corpus("hopf")
+    r, third = 1 + 3e-9, cmath.exp(2j * math.pi / 3)
+    xi = ConeTarget((r * third, cmath.exp(-4j * math.pi / 3) / r**2,
+                     r * third))
+    res = newton_solve(t, xi, ShapeAssignment((0.1 + 0.9j,)))
+    assert res.converged
+    cert = essential_edge_certificate(t, res, xi)
+    assert cert.cover.orders == (3, 3, 3)
+    rep = build_solution_report(t, res.shapes, xi, res.residual_norm,
+                                certificate=cert)
+    assert all(c.ok for c in verify_report(rep))
 
 
 def test_certificate_at_exactly_ten_tol():
@@ -790,7 +805,7 @@ def test_certificate_states_that_edges_of_infinite_order_are_not_manifold_points
     cert = essential_edge_certificate(t, res, xi)
     assert cert.kind == "branched_cover"
     assert not cert.cover.all_orders_finite
-    assert all(math.isinf(e.order) for e in cert.cover.entries)
+    assert all(math.isinf(o) for o in cert.cover.orders)
     assert cert.statement.endswith("; edges of infinite order lift to "
                                    "non-manifold points of the cover")
 
@@ -866,3 +881,10 @@ def test_solver_config_rejects_values_no_solve_can_use(kwargs):
     # tol ran every solve to max_iterations
     with pytest.raises(IdealGlueError, match=next(iter(kwargs))):
         SolverConfig(**kwargs)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_cover_report_rejects_a_target_of_the_wrong_length(m):
+    E = build_exponent_matrix(corpus("fig8_complement"))
+    with pytest.raises(IdealGlueError, match=f"expected 2 xi entries .* got {m}"):
+        branched_cover_report(E, ConeTarget.ones(m))

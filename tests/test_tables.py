@@ -59,7 +59,7 @@ def test_tables_reproduce_the_object_oracles(text):
     assert np.array_equal(E.a_second, a_second)
     rows, cols = np.nonzero(a + a_prime + a_second)
     assert np.array_equal(E.rows, rows) and np.array_equal(E.cols, cols)
-    assert np.array_equal(E.degrees(), (a + a_prime + a_second).sum(axis=1))
+    assert np.array_equal(E.degree, (a + a_prime + a_second).sum(axis=1))
 
     vertices = union_find_vertex_classes(t)
     assert compute_vertex_classes(t) == vertices

@@ -270,12 +270,14 @@ def all_holonomies(Z: ShapeAssignment | np.ndarray,
 
 
 def evaluate_residual(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
-                      xi: ConeTarget | np.ndarray) -> np.ndarray:
+                      xi: ConeTarget | np.ndarray,
+                      h: np.ndarray | None = None) -> np.ndarray:
     """Component j is h(e_j) - xi_j; identically zero exactly on solutions of
     the xi-hyperbolic gluing equations.  xi is a ConeTarget or the array of
-    its values; Z may carry batch axes as in `all_holonomies`."""
+    its values; Z may carry batch axes as in `all_holonomies`.  `h`, when
+    given, is `all_holonomies(Z, E)`, as in `jacobian`."""
     target = np.array(xi.xi) if isinstance(xi, ConeTarget) else xi
-    return all_holonomies(Z, E) - target
+    return (all_holonomies(Z, E) if h is None else h) - target
 
 
 def jacobian(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,

@@ -4,8 +4,10 @@ cone-locus sampling, the regular solution, and branched-cover order
 bookkeeping.
 
 Every solve runs the one damped Gauss-Newton loop `_damped_gauss_newton`
-on a stack of shape vectors, one row per start; a solve supplies only its
-residual, its ordered candidate steps and its stopping test, each acting
+on a stack of shape vectors, one row per start, each row with its own
+iteration limit; a solve supplies only its residual (which returns the
+holonomies it was computed from, handed on to the step at the current
+point), its ordered candidate steps and its stopping test, each acting
 on such a stack and told the batch indices of the rows it acts on, so
 each row can have its own target.  `_newton_rows` solves h(z) = xi_k
 from each row's start, trying the complex least-squares step on
@@ -21,20 +23,27 @@ makes one residual call for the full steps of all rows and one for all
 further halvings of the rows they leave, and the result rows are built
 from the stack (`ShapeAssignment.rows`).
 
-A sweep is block predictor-corrector continuation (Allgower-Georg,
-Introduction to Numerical Continuation Methods, SIAM 2003).  Once two
-points have converged, the next `BLOCK_ROWS` grid points (fewer where
-their stacked normal matrices would pass about 4 MB) are predicted at once
-by the Lagrange extrapolation in theta of log z through the last three
-converged points (linear while only two have): quadratic, so exact where
-log z is quadratic in theta, as on the families with z = exp(i theta).
-A prediction is the start only when it is finite, off the guard band and
-nearer xi(theta) in residual than the last converged solution, which is
-the start otherwise.  The block is then corrected as one stack, and its
-converged points join the history in grid order.  Where the solution set
-at fixed xi has positive dimension, the start decides which of its
-points Newton reaches, so a sweep point is one solution of the family
-there, not a canonical one.
+A sweep is block predictor-corrector continuation with step-length
+control (Allgower-Georg, Introduction to Numerical Continuation Methods,
+SIAM 2003, ch. 6).  Once two points have converged, the next block of
+grid points is predicted at once by the Lagrange extrapolation in theta
+of log z through the last three converged points (linear while only two
+have): quadratic, so exact where log z is quadratic in theta, as on the
+families with z = exp(i theta).  A prediction is the start only when it
+is finite, off the guard band and nearer xi(theta) in residual than the
+last converged solution, which is the start otherwise.  The block is
+then corrected as one stack, its first row with up to cfg.max_iterations
+iterations and the others with up to `ACCEPT_ITERATIONS`, and its rows
+are accepted in grid order: the first always, an obstructed row where it
+stands, and each later row only while it converged.  The first rejected
+row and the rows after it are predicted again, from the updated history,
+in the next block.  The first block holds `BLOCK_ROWS` points; a block
+whose rows were all accepted makes the next four times as long, any
+other makes it as long as the rows it accepted, and no block's stacked
+normal matrices pass about 4 MB.  Where the solution set at fixed xi has
+positive dimension, the start decides which of its points Newton
+reaches, so a sweep point is one solution of the family there, not a
+canonical one.
 
 Both solves take one step, the min-norm least-squares solution of
 A x = b for each row of a stack (`_least_squares_step`): A = J and
@@ -61,7 +70,8 @@ are constants: the guard band around {0, 1} is `gluing.DEGENERACY_GUARD`,
 a step is scaled by 2^-j for j < `MAX_HALVINGS`, a degree-one obstruction
 is a target within 1e-8 of 1, every |x| = 1 test is within
 `gluing.UNIT_TOL`, and the order of a target is the least q <= `Q_MAX`
-with |xi^q - 1| < `ROOT_TOL`.
+with |xi^q - 1| < `ROOT_TOL`, found among the denominators of the
+continued-fraction convergents of its argument over 2 pi.
 """
 from __future__ import annotations
 
@@ -84,7 +94,8 @@ from .triangulation import Triangulation
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
 MAX_HALVINGS = 30                   # damping: step scales 2^-j, j < 30
-BLOCK_ROWS = 8                      # sweep: grid points per stacked solve
+BLOCK_ROWS = 8                      # sweep: grid points in its first block
+ACCEPT_ITERATIONS = 3               # sweep: iteration limit of later rows
 STACK_ENTRIES = 2**18               # entries (4 MB) per stacked array
 ROOT_TOL = 1e-9                     # order of xi: least q <= Q_MAX with
 Q_MAX = 10_000                      # |xi^q - 1| < ROOT_TOL, else infinite
@@ -101,6 +112,10 @@ class SolverConfig:
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise IdealGlueError(f"tol must be finite and positive, got "
                                  f"{self.tol}")
+        for name in ("max_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise IdealGlueError(f"{name} must be an int, got {value!r}")
         if self.max_iterations < 0:
             raise IdealGlueError(f"max_iterations must be >= 0, got "
                                  f"{self.max_iterations}")
@@ -140,7 +155,8 @@ def _take_steps(residual, z, steps, r, rows):
     some lam = 2^-j, j < MAX_HALVINGS; the row takes the largest such lam.
     The full steps are one residual call, and the rows left try all further
     lam at once, in stacks of at most STACK_ENTRIES shapes.  `residual` is
-    given the batch indices, out of `rows`, of the rows it evaluates.
+    given the batch indices, out of `rows`, of the rows it evaluates, and
+    returns (F, h), of which the search reads F.
     Returns the indices of the rows no step moved and, for each, whether
     its full first step enters the band."""
     # rows not moved yet: all, then indices; the truth tests go through
@@ -159,9 +175,9 @@ def _take_steps(residual, z, steps, r, rows):
                 at, bound = np.repeat(at, k), np.repeat(bound, k)
             ok = ~_in_guard(flat)
             if all(ok.tolist()):
-                ok = _norms(residual(flat, at)) < bound
+                ok = _norms(residual(flat, at)[0]) < bound
             elif any(ok.tolist()):
-                ok[ok] = _norms(residual(flat[ok], at[ok])) < bound[ok]
+                ok[ok] = _norms(residual(flat[ok], at[ok])[0]) < bound[ok]
             if all(ok.tolist()):        # each row takes its first candidate
                 z[todo] = cand[:, 0]
                 return (), ()
@@ -175,49 +191,53 @@ def _take_steps(residual, z, steps, r, rows):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig):
+def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
+                         limit=None):
     """The damped Gauss-Newton loop shared by every solve, on a stack Z of
     shape vectors, one row per start.  Iterates running toward an ideal
     point overflow; NumPy's warnings for that are silenced here, since a
     trial step with a non-finite residual is rejected (`_take_steps`).
 
-    Each iteration evaluates `residual` on the rows still running, and a
-    row stops when `done(F, r)` holds for its residual F and residual norm
-    r; otherwise it takes one of the steps `directions(Z, F, rows)` yields
-    (`_take_steps`).  Both callbacks are given the batch indices `rows`
+    Each iteration evaluates `residual` on the rows still running, which
+    returns (F, h): the residual and the holonomies it was computed from,
+    one row per row of Z.  A row stops when `done(F, r)` holds for its
+    residual F and residual norm r, or at its iteration limit (`limit[k]`
+    for row k, else cfg.max_iterations); otherwise it takes one of the
+    steps `directions(Z, F, h, rows)` yields (`_take_steps`), given the
+    current point's h.  Both callbacks are given the batch indices `rows`
     of the rows they act on, `residual(Z, rows)` in the line search too,
     so a solve can give each row its own target.  Stopped rows drop out,
     and `residual` and `directions` are never called on an empty stack.
 
     Returns (Z, F, iterations, reasons), one entry per row, with reason
-    "converged", "max_iterations", or, when no step could be taken,
-    "degenerate_shape" (the full first step enters the guard band) or
-    "stalled".
+    "converged", "max_iterations" (at the row's limit), or, when no step
+    could be taken, "degenerate_shape" (the full first step enters the
+    guard band) or "stalled".
     """
     Z = np.array(Z, dtype=complex)
     F_out, iterations, reasons = [None] * len(Z), [None] * len(Z), [None] * len(Z)
     rows, z = np.arange(len(Z)), Z.copy()      # the running rows of Z
+    limit = np.full(len(Z), cfg.max_iterations) if limit is None else limit
 
     def stop(k, F, it, why):        # k: positions in rows; why: per row
         for i, zi, f, w in zip(rows[k].tolist(), z[k], F[k], why):
             Z[i], F_out[i], iterations[i], reasons[i] = zi, f, it, w
 
-    for it in range(cfg.max_iterations + 1):
+    for it in itertools.count():
         if not rows.size:
             break
-        F = residual(z, rows)
+        F, h = residual(z, rows)
         r = _norms(F)
         fin = done(F, r)
-        if it == cfg.max_iterations:
-            stop(slice(None), F, it,
-                 np.where(fin, "converged", "max_iterations").tolist())
-            break
-        if any(fin.tolist()):
-            stop(fin, F, it, itertools.repeat("converged"))
-            rows, z, F, r = rows[~fin], z[~fin], F[~fin], r[~fin]
+        out = fin | (limit[rows] == it)
+        if any(out.tolist()):
+            stop(out, F, it,
+                 np.where(fin[out], "converged", "max_iterations").tolist())
+            rows, z, F, h, r = (rows[~out], z[~out], F[~out], h[~out],
+                                r[~out])
             if not rows.size:
                 break
-        stuck, near = _take_steps(residual, z, directions(z, F, rows), r,
+        stuck, near = _take_steps(residual, z, directions(z, F, h, rows), r,
                                   rows)
         if len(stuck):
             stop(stuck, F, it,
@@ -257,12 +277,14 @@ def _least_squares_step(V, E, b, U):
     return x
 
 
-def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
+def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None) -> list:
     """Solve h(z) = targets[k] from Z0[k] for each row k of a stack, in one
     damped Gauss-Newton loop, each row as `newton_solve` solves it alone,
     bit for bit: the relation step, unless the row's step is tiny, then
-    three deterministic kicks.  E is the exponent matrix and W the relation
-    matrix with unit rows; returns one SolveResult per row, in row order.
+    three deterministic kicks.  Row k stops at limit[k] iterations, when
+    given, else at cfg.max_iterations; up to its limit it takes the steps
+    of the row alone.  E is the exponent matrix and W the relation matrix
+    with unit rows; returns one SolveResult per row, in row order.
     A degree-one edge's equation sets a single shape to xi_e, which no
     shape off {0, 1} meets at xi_e = 1: such a row keeps its start,
     unsolved, with residual inf and reason "degree_one_edge_obstruction"."""
@@ -273,15 +295,14 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
 
     def residual(Z, rows):      # a single row: the kernels get a plain vector
         if len(Z) == 1:
-            return evaluate_residual(Z[0], E, targets[rows[0]])[None]
-        return evaluate_residual(Z, E, targets[rows])
+            h = all_holonomies(Z[0], E)
+            F = evaluate_residual(Z[0], E, targets[rows[0]], h)
+            return F[None], h[None]
+        h = all_holonomies(Z, E)
+        return evaluate_residual(Z, E, targets[rows], h), h
 
-    def directions(Z, F, rows):
-        X = Z[0] if len(Z) == 1 else Z
-        h = all_holonomies(X, E)
-        V = jacobian(X, E, h)
-        if len(Z) == 1:
-            h, V = h[None], V[None]
+    def directions(Z, F, h, rows):
+        V = jacobian(Z[0], E, h[0])[None] if len(Z) == 1 else jacobian(Z, E, h)
         step = _least_squares_step(V, E, -F, W / h[:, None])
         tiny = _norms(step) < 1e-12 * (1.0 + _norms(Z))
         if not any(tiny.tolist()):
@@ -308,7 +329,8 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig) -> list:
     solved = iter(())
     if solve.any():
         Z, F, its, reasons = _damped_gauss_newton(
-            residual, directions, lambda F, r: r < cfg.tol, Z0[solve], cfg)
+            residual, directions, lambda F, r: r < cfg.tol, Z0[solve], cfg,
+            None if limit is None else np.asarray(limit)[solve])
         solved = (SolveResult(S, r, it, reason == "converged", reason,
                               f"residual {r:.3e} after {it} iterations"
                               if reason == "max_iterations" else detail[reason])
@@ -391,13 +413,16 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
                  cfg: SolverConfig = SolverConfig(),
                  initial: ShapeAssignment | None = None) -> list:
     """Continuation along a parameterized family of cone targets, in
-    blocks of grid points corrected as one stacked solve (`_newton_rows`).
+    growing blocks of grid points corrected as one stacked solve
+    (`_newton_rows`).
 
     The first solve starts from `initial`, the next from the first
     converged solution, one point at a time.  Once two or more points have
-    converged, the sweep takes the next block of up to `BLOCK_ROWS` grid
-    points, fewer where the block's stacked m-by-m normal matrices would
-    pass about 4 MB (so from m of about 360 on, one point at a time).
+    converged, the sweep takes the next block of grid points: `BLOCK_ROWS`
+    at first, then four times as many after a block whose rows were all
+    accepted, or as many as were accepted after any other block; never so
+    many that the block's stacked m-by-m normal matrices would pass about
+    4 MB (so from m of about 360 on, one point at a time).
     Each point of the block starts from a prediction:
     the Lagrange extrapolation in theta of log z through the last three
     converged points before the block (quadratic; linear while only two
@@ -406,10 +431,16 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     residual |h(z) - xi(theta)| is smaller than that of the last converged
     solution, which is the start otherwise.  The block is one stacked
     solve, each point solved as `newton_solve` would solve it from that
-    start, bit for bit, so a theta whose target has a degree-one
-    obstruction is not solved.  The block's converged points then join
-    the history in grid order; failures are recorded, and the sweep
-    continues from the converged points before them.
+    start, bit for bit, the first with up to cfg.max_iterations
+    iterations and the others with up to `ACCEPT_ITERATIONS`; a theta
+    whose target has a degree-one obstruction is not solved.  The rows
+    are accepted in grid order: the first always, converged or failed, an
+    obstructed one where it stands, and each later one only while it
+    converged.  So every accepted point is the `newton_solve` from its
+    start, bit for bit.  The first rejected row and all rows after it go
+    to the next block, predicted again from the history the accepted
+    points extend; failures are recorded, and the sweep continues from
+    the converged points before them.
 
     Where the solution set at fixed xi has positive dimension, the start
     decides which of its points the solve reaches: a sweep point is one
@@ -423,23 +454,36 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     check_shape_length(initial, E)
     grid = [float(theta) for theta in theta_grid]
     # at most STACK_ENTRIES of stacked m-by-m normal matrices
-    size = min(BLOCK_ROWS, max(1, STACK_ENTRIES // E.edge_count ** 2))
+    cap = max(1, STACK_ENTRIES // E.edge_count ** 2)
+    size = min(BLOCK_ROWS, cap)
+    quick = min(ACCEPT_ITERATIONS, cfg.max_iterations)
     seed, thetas, past = initial, [], []    # the last converged points
     out = []
     while len(out) < len(grid):
-        block = grid[len(out):len(out) + (size if len(past) > 1 else 1)]
+        blocked = len(past) > 1
+        block = grid[len(out):len(out) + (size if blocked else 1)]
         xis = [xi if isinstance(xi, ConeTarget) else ConeTarget(xi)
                for xi in map(xi_of_theta, block)]
         for xi in xis:
             check_target_length(xi, E)
         targets = np.array([xi.xi for xi in xis])
         Z0 = (_block_starts(thetas, past, block, seed.z, E, targets)
-              if len(past) > 1 else np.array([seed.z]))
-        for theta, res in zip(block, _newton_rows(E, W, targets, Z0, cfg)):
+              if blocked else np.array([seed.z]))
+        results = _newton_rows(E, W, targets, Z0, cfg, [cfg.max_iterations]
+                               + [quick] * (len(block) - 1))
+        accepted = 0
+        for theta, res in zip(block, results):
+            # a later row hit its limit unless it converged within `quick`
+            if accepted and not (res.converged or res.reason
+                                 == "degree_one_edge_obstruction"):
+                break
+            accepted += 1
             out.append(SweepPoint(theta, res))
             if res.converged:
                 seed = res.shapes
                 thetas, past = thetas[-2:] + [theta], past[-2:] + [seed.z]
+        if blocked:
+            size = min(4 * size, cap) if accepted == len(block) else accepted
     return out
 
 
@@ -481,10 +525,10 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
         check_shape_length(start, E)
 
     def residual(Z, rows):
-        return np.abs(all_holonomies(Z, E)) - 1.0
-
-    def directions(Z, F, rows):
         h = all_holonomies(Z, E)
+        return np.abs(h) - 1.0, h
+
+    def directions(Z, F, h, rows):
         a = np.abs(h)
         # d|h| = Re(conj(h)/|h| * h'(z) dz): a real m x 2n system per row,
         # whose left null space the rows of W / |h| span
@@ -510,15 +554,27 @@ def order_of_root_of_unity(xi: complex):
     """Smallest q <= Q_MAX with |xi^q - 1| < ROOT_TOL, else math.inf.
 
     Raises NotUnitModulus unless |xi| = 1 within UNIT_TOL; powers are taken
-    on the circle through the argument, so no error accumulates for large q.
+    on the circle through the argument phi, so no error accumulates for
+    large q: |xi^q - 1| = 2 |sin(q phi / 2)|.  The least such q makes q
+    phi / 2 pi nearer an integer than any smaller q does, so it is the
+    denominator of a convergent of phi / 2 pi (a best approximation, as
+    in Khinchin, Continued Fractions, ch. II); only those are tested, in
+    increasing order, on the exact value num / den of the float phi / 2 pi.
     """
     xi = complex(xi)
     if not abs(abs(xi) - 1.0) < UNIT_TOL:
         raise NotUnitModulus(f"|xi| = {abs(xi)}")
     angle = cmath.phase(xi)
-    for q in range(1, Q_MAX + 1):
+    num, den = (angle / (2.0 * math.pi)).as_integer_ratio()
+    q_prev, q = 0, 1            # denominators of the last two convergents
+    while q <= Q_MAX:
         if 2.0 * abs(math.sin(0.5 * q * angle)) < ROOT_TOL:
             return q
+        num %= den              # the fractional part, num / den
+        if not num:             # the expansion ends: no later convergent
+            break
+        num, den = den, num     # its reciprocal
+        q_prev, q = q, num // den * q + q_prev
     return math.inf
 
 

@@ -351,10 +351,10 @@ def test_rows_of_a_batch_stop_for_their_own_reasons():
     # between (too slow for the tolerance within five iterations)
     cfg = SolverConfig(tol=1e-12, max_iterations=5)
 
-    def residual(Z, rows):
-        return Z - 3j
+    def residual(Z, rows):          # (F, h), here with h = Z
+        return Z - 3j, Z
 
-    def directions(Z, F, rows):
+    def directions(Z, F, h, rows):
         gain = np.where(Z.real < 0, 1.0, np.where(Z.real > 10, -1.0, 0.5))
         return [-gain * F]
 
@@ -399,7 +399,7 @@ def sequential_line_search(residual, z, steps, r):
     stuck = []
     for k in range(len(z)):
         def row(w):
-            return residual(w[None], np.array([k]))[0]
+            return residual(w[None], np.array([k]))[0][0]
         moved = (halving_search(row, z[k], step[k], r[k]) for step in steps)
         cand = next((c for c in moved if c is not None), None)
         if cand is None:
@@ -426,9 +426,9 @@ def test_stacked_line_search_is_the_sequential_one():
     kick = np.where((np.arange(6) == 3)[:, None], c - z0, -z0)
     calls = []
 
-    def residual(Z, rows):
+    def residual(Z, rows):          # (F, h), here with h = Z
         calls.append(len(Z))
-        return Z - c[rows]
+        return Z - c[rows], Z
 
     r = np.linalg.norm(z0 - c, axis=1)
     pulled = []

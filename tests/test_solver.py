@@ -2,6 +2,7 @@
 certificates."""
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -239,14 +240,19 @@ def test_sweep_records_ideal_point_failure():
     assert points[1].result.reason == "degree_one_edge_obstruction"
 
 
+Stack = namedtuple("Stack", "targets starts limit results")
+
+
 def record_stacks(monkeypatch):
-    """The (targets, starts) of every stacked solve, as sweeps make them."""
+    """Every stacked solve, as sweeps make them: its targets, starts,
+    per-row iteration limits and results."""
     calls = []
     solve = solver_mod._newton_rows
 
-    def recorded(E, W, targets, Z0, cfg):
-        calls.append((np.array(targets), np.array(Z0)))
-        return solve(E, W, targets, Z0, cfg)
+    def recorded(E, W, targets, Z0, cfg, limit=None):
+        results = solve(E, W, targets, Z0, cfg, limit)
+        calls.append(Stack(np.array(targets), np.array(Z0), limit, results))
+        return results
 
     monkeypatch.setattr(solver_mod, "_newton_rows", recorded)
     return calls
@@ -257,27 +263,50 @@ def record_cores(monkeypatch):
     starts = []
     core = solver_mod._damped_gauss_newton
 
-    def recorded(residual, directions, done, Z, cfg):
+    def recorded(residual, directions, done, Z, cfg, *limit):
         starts.append(np.array(Z))
-        return core(residual, directions, done, Z, cfg)
+        return core(residual, directions, done, Z, cfg, *limit)
 
     monkeypatch.setattr(solver_mod, "_damped_gauss_newton", recorded)
     return starts
 
 
-def sweep_stacks(calls, grid, xi_of):
-    """Each recorded stacked solve as (grid indices of its rows, starts),
-    a row's theta found by its target."""
+def sweep_stacks(calls, grid, xi_of, points):
+    """Each recorded stacked solve as (grid indices of its rows, starts,
+    rows kept): a stack's rows are the grid points from the first one the
+    sweep had not kept yet, and it keeps the leading rows whose results
+    are the sweep's points."""
     out, k = [], 0
-    for targets, Z0 in calls:
-        idx = []
-        for target in targets:
-            while tuple(target) != xi_of(grid[k]).xi:
-                k += 1
-            idx.append(k)
-            k += 1
-        out.append((idx, Z0))
+    for stack in calls:
+        idx = list(range(k, k + len(stack.targets)))
+        assert [tuple(x) for x in stack.targets] == [xi_of(grid[j]).xi
+                                                     for j in idx]
+        mine = [points[j].result is res for j, res in zip(idx, stack.results)]
+        kept = mine.index(False) if False in mine else len(mine)
+        assert kept and not any(mine[kept:])
+        out.append((idx, stack.starts, kept))
+        k += kept
+    assert k == len(grid)
     return out
+
+
+def check_schedule(calls, stacks, n):
+    """The block lengths and per-row limits of a sweep of n points: one
+    point at a time until two have converged, then a first block of
+    BLOCK_ROWS, four times as long after a block kept whole, else as long
+    as the rows it kept, cut at the grid's end; a block's first row may
+    take cfg.max_iterations, the others ACCEPT_ITERATIONS."""
+    cfg, size, converged = SolverConfig(), solver_mod.BLOCK_ROWS, 0
+    for stack, (idx, _, kept) in zip(calls, stacks):
+        if converged > 1:
+            assert len(idx) == min(size, n - idx[0])
+            size = 4 * size if kept == len(idx) else kept
+        else:
+            assert len(idx) == 1
+        assert list(stack.limit) == ([cfg.max_iterations]
+                                     + [solver_mod.ACCEPT_ITERATIONS]
+                                     * (len(idx) - 1))
+        converged += sum(res.converged for res in stack.results[:kept])
 
 
 def check_predicted_starts(points, grid, stacks, E, xi_of):
@@ -288,7 +317,7 @@ def check_predicted_starts(points, grid, stacks, E, xi_of):
     them, which is the start otherwise.  Returns how many starts were
     predictions and how many were the last converged point."""
     taken = kept = 0
-    for idx, Z0 in stacks:
+    for idx, Z0, _ in stacks:
         history = [(theta, p.result.shapes.z)
                    for theta, p in zip(grid[:idx[0]], points)
                    if p.result.converged][-3:]
@@ -315,8 +344,10 @@ def check_predicted_starts(points, grid, stacks, E, xi_of):
 
 
 def test_sweep_solves_each_theta_in_one_stacked_solve(monkeypatch):
-    # each theta is one row of exactly one stacked solve; an obstructed
-    # theta enters no Gauss-Newton stack
+    # each accepted theta is one row of the stacked solve it is accepted
+    # from, and here every row is accepted the first time, so each theta
+    # is one row of exactly one stacked solve; an obstructed theta enters
+    # no Gauss-Newton stack
     calls, cores = record_stacks(monkeypatch), record_cores(monkeypatch)
     t = corpus("hopf")
 
@@ -327,11 +358,11 @@ def test_sweep_solves_each_theta_in_one_stacked_solve(monkeypatch):
     thetas = [math.pi / 2, 2 * math.pi / 3, 0.0, math.pi]
     points = sweep_family(t, xi_of, thetas,
                           initial=ShapeAssignment((0.2 + 0.9j,)))
-    assert [len(targets) for targets, _ in calls] == [1, 1, 2]
-    assert ([tuple(row) for targets, _ in calls for row in targets]
+    assert [len(stack.targets) for stack in calls] == [1, 1, 2]
+    assert ([tuple(row) for stack in calls for row in stack.targets]
             == [xi_of(theta).xi for theta in thetas])
     assert [len(Z) for Z in cores] == [1, 1, 1]
-    assert np.array_equal(cores[2], calls[2][1][1:])    # theta = pi alone
+    assert np.array_equal(cores[2], calls[2].starts[1:])    # theta = pi alone
     assert [p.result.converged for p in points] == [True, True, False, True]
     assert points[2].result.iterations == 0
 
@@ -455,11 +486,12 @@ def test_sweep_starts_from_the_previous_solution_when_the_prediction_is_worse(
     grid = [2.0 * j / 15 for j in range(16)]
     points = sweep_family(t, xi_of, grid)
     assert all(p.result.converged for p in points)
-    stacks = sweep_stacks(calls, grid, xi_of)
-    assert [idx for idx, _ in stacks] == [[0], [1], list(range(2, 10)),
-                                          list(range(10, 16))]
+    stacks = sweep_stacks(calls, grid, xi_of, points)
+    check_schedule(calls, stacks, len(grid))
+    assert [idx for idx, _, _ in stacks[:3]] == [[0], [1], list(range(2, 10))]
+    # every start, of kept and of rejected rows, obeys the safeguard
     taken, kept = check_predicted_starts(points, grid, stacks, E, xi_of)
-    starts = [z for _, Z0 in stacks for z in Z0]
+    starts = [z for _, Z0, _ in stacks for z in Z0]
     assert tuple(starts[0]) == (REGULAR_SHAPE,) * t.tetra_count
     assert tuple(starts[1]) == points[0].result.shapes.z
     assert tuple(starts[2]) != points[1].result.shapes.z    # linear prediction
@@ -471,7 +503,7 @@ def test_sweep_shorter_than_a_block(monkeypatch):
     t = corpus("hopf")
     grid = [math.pi / 3 + 0.05 * j for j in range(5)]
     points = sweep_family(t, closed_form_family(t, CLOSED_FORM["hopf"]), grid)
-    assert [len(Z0) for _, Z0 in calls] == [1, 1, 3]
+    assert [len(stack.starts) for stack in calls] == [1, 1, 3]
     for theta, p in zip(grid, points):
         assert p.result.converged
         assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
@@ -479,40 +511,48 @@ def test_sweep_shorter_than_a_block(monkeypatch):
 
 def test_sweep_block_with_an_obstructed_and_a_failing_theta(monkeypatch):
     # the hopf family through its ideal point theta = 0, where the
-    # degree-one edges' targets are 1; at theta = 0.3 the degree-4 target
+    # degree-one edges' targets are 1; at theta = 0.2 the degree-4 target
     # is turned by 0.5, so the product of the targets is not 1 and no
-    # shapes reach them (the product of all h is 1)
+    # shapes reach them (the product of all h is 1).  The first block
+    # rejects theta = 0.2 at its limit of 3 iterations, with every row
+    # after it; the next block starts there, so its first row fails with
+    # the whole iteration limit and its third, theta = 0, is obstructed
     calls, cores = record_stacks(monkeypatch), record_cores(monkeypatch)
     t = corpus("hopf")
     E, edges = build_exponent_matrix(t), compute_edge_classes(t)
     closed = closed_form_family(t, CLOSED_FORM["hopf"])
 
     def xi_of(theta):
-        turn = cmath.exp(0.5j) if theta == 0.3 else 1.0
+        turn = cmath.exp(0.5j) if theta == 0.2 else 1.0
         return ConeTarget(tuple(x * turn if e.degree == 4 else x
                                 for x, e in zip(closed(theta).xi, edges)))
 
     grid = [round(0.8 - 0.1 * j, 10) for j in range(16)]
     points = sweep_family(t, xi_of, grid)
-    stacks = sweep_stacks(calls, grid, xi_of)
-    assert [idx for idx, _ in stacks] == [[0], [1], list(range(2, 10)),
-                                          list(range(10, 16))]
+    stacks = sweep_stacks(calls, grid, xi_of, points)
+    check_schedule(calls, stacks, len(grid))
+    assert [(idx, kept) for idx, _, kept in stacks] == [
+        ([0], 1), ([1], 1), (list(range(2, 10)), 4), (list(range(6, 10)), 4),
+        (list(range(10, 16)), 6)]
+    assert calls[2].results[4].reason == "max_iterations"
     # the obstructed theta = 0 (grid index 8) enters no Gauss-Newton stack
-    assert [len(Z) for Z in cores] == [1, 1, 7, 6]
-    assert np.array_equal(cores[2], np.delete(stacks[2][1], 6, axis=0))
+    assert [len(Z) for Z in cores] == [1, 1, 7, 3, 6]
+    assert np.array_equal(cores[3], np.delete(stacks[3][1], 2, axis=0))
     for theta, p in zip(grid, points):
         if theta == 0.0:
             assert p.result.reason == "degree_one_edge_obstruction"
             assert p.result == newton_solve(t, xi_of(theta), p.result.shapes)
-        elif theta == 0.3:
+        elif theta == 0.2:
             assert p.result.reason in ("stalled", "max_iterations")
+            assert p.result.iterations > solver_mod.ACCEPT_ITERATIONS
         else:
             assert p.result.converged
             assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
     # the exact extrapolation to theta = 0 is z = 1, in the guard band:
-    # the obstructed theta's own start is the last converged point
-    assert points[8].result.shapes == points[1].result.shapes
-    # the last block predicts from theta = 0.2, 0.1, -0.1 only
+    # the obstructed theta's own start is the last converged point before
+    # its block, theta = 0.3
+    assert points[8].result.shapes == points[5].result.shapes
+    # the last block predicts from theta = 0.3, 0.1, -0.1 only
     taken, _ = check_predicted_starts(points, grid, stacks, E, xi_of)
     assert taken
 
@@ -524,15 +564,19 @@ def test_sweep_with_a_repeated_theta_starts_from_the_last_solution(
     # stepping back from 1.5, starts from the last solution
     calls = record_stacks(monkeypatch)
     t = corpus("trefoil")
+    xi_of = closed_form_family(t, CLOSED_FORM["trefoil"])
     grid = [1.0, 1.1, 1.2, 1.25, 1.3, 1.35, 1.4, 1.45, 1.5, 1.5,
             1.48, 1.46, 1.44]
-    points = sweep_family(t, closed_form_family(t, CLOSED_FORM["trefoil"]),
-                          grid)
+    points = sweep_family(t, xi_of, grid)
     for theta, p in zip(grid, points):
         assert p.result.converged
         assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
-    assert [len(Z0) for _, Z0 in calls] == [1, 1, 8, 3]
-    assert all(tuple(z) == points[9].result.shapes.z for z in calls[3][1])
+    # the first block is kept whole, so the next would be four times as
+    # long; the grid's end cuts it to three
+    stacks = sweep_stacks(calls, grid, xi_of, points)
+    check_schedule(calls, stacks, len(grid))
+    assert [len(stack.starts) for stack in calls] == [1, 1, 8, 3]
+    assert all(tuple(z) == points[9].result.shapes.z for z in calls[3].starts)
 
 
 def test_sweep_of_the_n_512_chain_cover_solves_one_point_at_a_time(
@@ -544,7 +588,7 @@ def test_sweep_of_the_n_512_chain_cover_solves_one_point_at_a_time(
     grid = [0.0, 0.002, 0.004, 0.006]
     points = sweep_family(t, regular_family(t), grid)
     assert all(p.result.converged for p in points)
-    assert [len(Z0) for _, Z0 in calls] == [1] * len(grid)
+    assert [len(stack.starts) for stack in calls] == [1] * len(grid)
 
 
 def test_sweep_corrects_its_blocks_with_few_jacobians(monkeypatch):
@@ -560,7 +604,93 @@ def test_sweep_corrects_its_blocks_with_few_jacobians(monkeypatch):
     grid = [0.6 * j / 63 for j in range(64)]
     points = sweep_family(t, regular_family(t), grid)
     assert all(p.result.converged for p in points)
-    assert len(calls) <= 32, calls
+    assert len(calls) <= 11, calls
+
+
+def test_sweep_rejects_a_slow_row_and_predicts_it_again(monkeypatch):
+    # on this family the rows of a long block need more than three
+    # iterations from about the third on
+    calls = record_stacks(monkeypatch)
+    t = random_systems()[0][0]
+    E, xi_of = build_exponent_matrix(t), regular_family(t)
+    grid = [2.0 * j / 15 for j in range(16)]
+    points = sweep_family(t, xi_of, grid)
+    stacks = sweep_stacks(calls, grid, xi_of, points)
+    check_schedule(calls, stacks, len(grid))
+    check_predicted_starts(points, grid, stacks, E, xi_of)
+    cut = [k for k, (idx, _, kept) in enumerate(stacks)
+           if 1 < kept < len(idx)]
+    assert cut
+    for k in cut:
+        idx, Z0, kept = stacks[k]
+        slow = calls[k].results[kept]
+        assert not slow.converged
+        assert slow.iterations == solver_mod.ACCEPT_ITERATIONS
+        # the slow row heads the next block, from a new prediction
+        assert stacks[k + 1][0][0] == idx[kept]
+        assert not np.array_equal(stacks[k + 1][1][0], Z0[kept])
+    for stack, (idx, Z0, kept) in zip(calls, stacks):
+        for res in stack.results[1:kept]:
+            assert res.converged
+            assert res.iterations <= solver_mod.ACCEPT_ITERATIONS
+        for j in range(kept):   # each kept row is newton_solve from its start
+            assert points[idx[j]].result == newton_solve(
+                t, xi_of(grid[idx[j]]), ShapeAssignment(tuple(Z0[j])))
+
+
+def test_sweep_accepts_an_obstructed_theta_in_mid_block(monkeypatch):
+    # the hopf closed-form family stepping down through its ideal point
+    # theta = 0: the first block, 0.4 ... -0.3, holds theta = 0 at its
+    # fifth row, and every other row converges from its prediction
+    calls = record_stacks(monkeypatch)
+    t = corpus("hopf")
+    xi_of = closed_form_family(t, CLOSED_FORM["hopf"])
+    grid = [round(0.6 - 0.1 * j, 10) for j in range(13)]
+    points = sweep_family(t, xi_of, grid)
+    stacks = sweep_stacks(calls, grid, xi_of, points)
+    check_schedule(calls, stacks, len(grid))
+    assert [(idx, kept) for idx, _, kept in stacks] == [
+        ([0], 1), ([1], 1), (list(range(2, 10)), 8), (list(range(10, 13)), 3)]
+    obstructed = points[6].result
+    assert obstructed.reason == "degree_one_edge_obstruction"
+    assert obstructed.iterations == 0 and obstructed.residual_norm == math.inf
+    # its start is the last converged point before the block, since the
+    # prediction z = 1 lies in the guard band
+    assert obstructed.shapes == points[1].result.shapes
+    assert obstructed == newton_solve(t, xi_of(0.0), points[1].result.shapes)
+    for theta, p in zip(grid, points):
+        if theta != 0.0:
+            assert p.result.converged
+            assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
+
+
+def test_sweep_of_a_long_uneven_grid_matches_plain_continuation(monkeypatch):
+    # 150 thetas 0.01 apart, a jump, and 60 thetas 0.005 apart: blocks of
+    # 8, 32 and 128 rows predict from ever farther back, across the jump
+    calls = []
+    jac = solver_mod.jacobian
+
+    def counted(Z, E, *h):
+        calls.append(len(Z) if np.ndim(Z) > 1 else 1)
+        return jac(Z, E, *h)
+
+    t = corpus("hopf")
+    xi_of = closed_form_family(t, CLOSED_FORM["hopf"])
+    grid = ([round(0.3 + 0.01 * j, 10) for j in range(150)]
+            + [round(2.6 + 0.005 * j, 10) for j in range(60)])
+    oracle = plain_continuation(t, xi_of, grid)
+    monkeypatch.setattr(solver_mod, "jacobian", counted)
+    points = sweep_family(t, xi_of, grid)
+    assert ([p.result.converged for p in points]
+            == [res.converged for res in oracle])
+    assert all(p.result.converged for p in points)
+    for p, res in zip(points, oracle):
+        assert np.abs(np.subtract(p.result.shapes.z,
+                                  res.shapes.z)).max() < 1e-9
+    # the first two solves take 9 iterations, one row each; past them no
+    # row needs more than one correction, and all of those share one call
+    assert max(p.result.iterations for p in points[2:]) <= 1
+    assert len(calls) <= 10, calls
 
 
 # ------------------------------------------------------------- cone sampling
@@ -682,6 +812,27 @@ def test_order_irrational_angle_is_infinite():
 def test_order_requires_unit_modulus():
     with pytest.raises(NotUnitModulus):
         order_of_root_of_unity(1.01)
+
+
+def test_order_is_the_least_q_the_loop_over_q_finds(rng):
+    # the oracle tests every q <= Q_MAX; the targets are roots of unity of
+    # orders up to 12,000, some turned by up to 1e-9 rad, random angles
+    # and the four units
+    def loop(xi):
+        angle = cmath.phase(xi)
+        return next((q for q in range(1, solver_mod.Q_MAX + 1)
+                     if 2.0 * abs(math.sin(0.5 * q * angle))
+                     < solver_mod.ROOT_TOL), math.inf)
+
+    targets = [1, -1, 1j, -1j]
+    orders = np.exp(rng.uniform(0, math.log(12_000), 120)).astype(int)
+    for q in np.unique(orders):
+        angle = 2 * math.pi * int(rng.integers(q)) / q
+        targets += [cmath.exp(1j * angle),
+                    cmath.exp(1j * (angle + rng.uniform(0, 1e-9)))]
+    targets += [cmath.exp(1j * a) for a in rng.uniform(-math.pi, math.pi, 40)]
+    for xi in targets:
+        assert order_of_root_of_unity(xi) == loop(complex(xi)), xi
 
 
 def test_order_arg_consistency(rng):
@@ -881,6 +1032,30 @@ def test_solver_config_rejects_values_no_solve_can_use(kwargs):
     # tol ran every solve to max_iterations
     with pytest.raises(IdealGlueError, match=next(iter(kwargs))):
         SolverConfig(**kwargs)
+
+
+def test_solver_config_rejects_a_fractional_iteration_limit():
+    # was a TypeError from range() inside the Gauss-Newton loop
+    with pytest.raises(IdealGlueError, match="max_iterations must be an int"):
+        SolverConfig(max_iterations=2.5)
+
+
+def test_solver_config_rejects_an_iteration_limit_given_as_text():
+    # was a TypeError from the comparison in SolverConfig itself
+    with pytest.raises(IdealGlueError, match="max_iterations must be an int"):
+        SolverConfig(max_iterations="3")
+
+
+def test_solver_config_rejects_a_fractional_seed():
+    # was accepted, and random_starts then raised a TypeError
+    with pytest.raises(IdealGlueError, match="seed must be an int"):
+        SolverConfig(seed=1.5)
+
+
+@pytest.mark.parametrize("field", ["max_iterations", "seed"])
+def test_solver_config_rejects_a_bool(field):
+    with pytest.raises(IdealGlueError, match=f"{field} must be an int"):
+        SolverConfig(**{field: True})
 
 
 @pytest.mark.parametrize("m", [1, 3])

@@ -276,6 +276,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise IdealGlueError(f"--count must be at least 1, got {args.count}")
     t = _load_triangulation(args)
     cfg = SolverConfig(max_iterations=args.max_iter, seed=args.seed)
     starts = random_starts(t, args.count, cfg)

@@ -17,11 +17,12 @@ The equations are read off the triangulation's compiled tables
 as its nonzero (edge, tetrahedron) pairs, counted with `np.bincount` from
 the slots on each edge class's orbit, and the cusp relation matrix W from
 the vertex classes at each edge's ends; both are built once per
-triangulation, and h, J (as its values there) and the residual are
-evaluated over the pairs.  So are a Gauss-Newton step's J x, J^H y and
-J J^H + U^H U (`pair_matvec`, `pair_rmatvec`, `normal_matrix`), the last
-two in tetrahedron order through an index of the pairs by tetrahedron,
-built on the first solve and memoised on the exponent matrix.
+triangulation, and h, J and d log h / dz (as their values there) and the
+residual are evaluated over the pairs.  So are a Gauss-Newton step's
+J x, J^H y and J J^H + U^H U (`pair_matvec`, `pair_rmatvec`,
+`normal_matrix`), the last two in tetrahedron order through an index of
+the pairs by tetrahedron, built on the first solve and memoised on the
+exponent matrix.
 """
 from __future__ import annotations
 
@@ -280,6 +281,18 @@ def evaluate_residual(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
     return (all_holonomies(Z, E) if h is None else h) - target
 
 
+def log_jacobian(Z: ShapeAssignment | np.ndarray,
+                 E: ExponentMatrix) -> np.ndarray:
+    """Analytic complex Jacobian d log h(e_j) / d z_i at E's nonzero
+    (edge, tetrahedron) pairs, shaped as `jacobian`'s values: log h(e_j) =
+    sum_i a log z + a' log z' + a'' log z'' is a sum, so with
+    d log z'/dz = 1/(1-z) and d log z''/dz = 1/(z(z-1)) the value at the
+    pair (j, i) is a/z + a'/(1-z) + a''/(z(z-1)), and needs no h."""
+    w = _shapes(Z).take(E.cols, axis=-1)
+    return (E.pair_a / w + E.pair_a_prime / (1.0 - w)
+            + E.pair_a_second / (w * (w - 1.0)))
+
+
 def jacobian(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
              h: np.ndarray | None = None) -> np.ndarray:
     """Analytic complex Jacobian d h(e_j) / d z_i at E's nonzero (edge,
@@ -288,16 +301,13 @@ def jacobian(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
     the m-by-n matrix.  `h`, when given, is `all_holonomies(Z, E)`, which
     a caller that has computed it need not have computed twice.
 
-    Uses d log z'/dz = 1/(1-z) and d log z''/dz = 1/(z(z-1)), so
-    J[j,i] = h(e_j) (a/z + a'/(1-z) + a''/(z(z-1))) at the pair (j, i).
+    J[j,i] = h(e_j) d log h(e_j) / d z_i, the log-derivative at the pair
+    (j, i) being `log_jacobian`'s.
     """
     z = _shapes(Z)
-    w = z.take(E.cols, axis=-1)
     if h is None:
         h = all_holonomies(z, E)
-    return h.take(E.rows, axis=-1) * (
-        E.pair_a / w + E.pair_a_prime / (1.0 - w)
-        + E.pair_a_second / (w * (w - 1.0)))
+    return h.take(E.rows, axis=-1) * log_jacobian(z, E)
 
 
 def _pair_products(E: ExponentMatrix) -> tuple:

@@ -15,10 +15,11 @@ h(z) - xi_k and then deterministic kicks, every row bit for bit as it
 would be solved alone; `newton_solve` is a batch of one of it, and
 `sweep_family` corrects blocks of grid points as one stack.
 `cone_locus_sample` runs all its starts as one batch and takes the real
-min-norm step on |h(z)| - 1.  Every solve, sweep, sample and certificate
-reads the exponent matrix compiled once per triangulation
-(`build_exponent_matrix`), edge degrees included, and the loops evaluate
-h and J on raw shape arrays.  The line search (`_take_steps`)
+min-norm step on log|h(z)|, stopping a row by ConeTarget's own |h| = 1
+test on the holonomies the residual hands on.  Every solve, sweep,
+sample and certificate reads the exponent matrix compiled once per
+triangulation (`build_exponent_matrix`), edge degrees included, and the
+loops evaluate h and J on raw shape arrays.  The line search (`_take_steps`)
 makes one residual call for the full steps of all rows and one for all
 further halvings of the rows they leave, and the result rows are built
 from the stack (`ShapeAssignment.rows`).
@@ -47,22 +48,23 @@ canonical one.
 
 Both solves take one step, the min-norm least-squares solution of
 A x = b for each row of a stack (`_least_squares_step`): A = J and
-U = W / h for `newton_solve`, and for the sampler's real system |h| - 1
-its real m-by-2n Jacobian A = [Re D, -Im D], D = (conj(h) / |h|) J, and
-U = W / |h|.  W is the cusp relation matrix with its rows scaled to unit
-norm (`build_relation_matrix`, which keeps M well conditioned): around
-each vertex class the product of the edge holonomies, each raised to the
-number of its ends there, is constant (Neumann-Zagier), so the rows of U
-span the left null space of A, and x = A^H (A A^H + U^H U)^-1 b is one
+U = W / h for `newton_solve`, and for the sampler's real system
+log|h| = 0 its real m-by-2n Jacobian A = [Re D, -Im D], with
+D = d log h / dz, and U = W.  W is the cusp relation matrix with its rows
+scaled to unit norm (`build_relation_matrix`, which keeps M well
+conditioned): around each vertex class the sum of the edges' log h, each
+counted once per end there, is constant (Neumann-Zagier), so the rows of
+U span the left null space of A, and x = A^H (A A^H + U^H U)^-1 b is one
 dense m-by-m solve with no singular-value cutoff for rounding noise to
 pass.  The normal equations square A's condition number; at the
 near-complete solutions the solver meets, it is below 100 and the step
 agrees with lstsq's to about 1e-13.  The step reads J and D as their
-values on the exponent pairs (`gluing.jacobian`): A^H y = D^H y,
-A x = D x or Re(D x), and M = J J^H + U^H U or, for the sampler,
-Re(D D^H) + U^T U = A A^T, at most 36 n products where the dense product
-costs O(m^2 n) (`gluing.pair_rmatvec`, `pair_matvec`, `normal_matrix`).
-Only a row that falls back to lstsq builds its dense A.
+values on the exponent pairs (`gluing.jacobian`, `log_jacobian`):
+A^H y = D^H y, A x = D x or Re(D x), and M = J J^H + U^H U or, for the
+sampler, Re(D D^H) + U^T U = A A^T, at most 36 n products where the
+dense product costs O(m^2 n) (`gluing.pair_rmatvec`, `pair_matvec`,
+`normal_matrix`).  Only a row that falls back to lstsq builds its
+dense A.
 
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
@@ -89,7 +91,7 @@ from .gluing import (DEGENERACY_GUARD, UNIT_TOL, ConeTarget, ExponentMatrix,
                      ShapeAssignment, all_holonomies, build_exponent_matrix,
                      build_relation_matrix, check_shape_length,
                      check_target_length, evaluate_residual, jacobian,
-                     normal_matrix, pair_matvec, pair_rmatvec)
+                     log_jacobian, normal_matrix, pair_matvec, pair_rmatvec)
 from .triangulation import Triangulation
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -200,13 +202,14 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
 
     Each iteration evaluates `residual` on the rows still running, which
     returns (F, h): the residual and the holonomies it was computed from,
-    one row per row of Z.  A row stops when `done(F, r)` holds for its
-    residual F and residual norm r, or at its iteration limit (`limit[k]`
-    for row k, else cfg.max_iterations); otherwise it takes one of the
-    steps `directions(Z, F, h, rows)` yields (`_take_steps`), given the
-    current point's h.  Both callbacks are given the batch indices `rows`
-    of the rows they act on, `residual(Z, rows)` in the line search too,
-    so a solve can give each row its own target.  Stopped rows drop out,
+    one row per row of Z.  A row stops when `done(F, r, h)` holds for its
+    residual F, residual norm r and holonomies h, or at its iteration
+    limit (`limit[k]` for row k, else cfg.max_iterations); otherwise it
+    takes one of the steps `directions(Z, F, h, rows)` yields
+    (`_take_steps`), given the current point's h.  Both callbacks are
+    given the batch indices `rows` of the rows they act on,
+    `residual(Z, rows)` in the line search too, so a solve can give each
+    row its own target.  Stopped rows drop out,
     and `residual` and `directions` are never called on an empty stack.
 
     Returns (Z, F, iterations, reasons), one entry per row, with reason
@@ -228,7 +231,7 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
             break
         F, h = residual(z, rows)
         r = _norms(F)
-        fin = done(F, r)
+        fin = done(F, r, h)
         out = fin | (limit[rows] == it)
         if any(out.tolist()):
             stop(out, F, it,
@@ -329,7 +332,7 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None) -> list:
     solved = iter(())
     if solve.any():
         Z, F, its, reasons = _damped_gauss_newton(
-            residual, directions, lambda F, r: r < cfg.tol, Z0[solve], cfg,
+            residual, directions, lambda F, r, h: r < cfg.tol, Z0[solve], cfg,
             None if limit is None else np.asarray(limit)[solve])
         solved = (SolveResult(S, r, it, reason == "converged", reason,
                               f"residual {r:.3e} after {it} iterations"
@@ -494,9 +497,11 @@ def random_starts(t: Triangulation, count: int, cfg: SolverConfig = SolverConfig
 
     The (Re, Im) pairs are drawn in bulk but in the stream order of one
     pair per shape, and kept in that order, so the starts depend on the
-    seed alone."""
+    seed alone.  Raises IdealGlueError for a negative count."""
+    if count < 0:
+        raise IdealGlueError(f"count must be >= 0, got {count}")
     n = t.tetra_count
-    need = max(count, 0) * n
+    need = count * n
     rng = np.random.default_rng(cfg.seed)
     z = np.empty(0, dtype=complex)
     while len(z) < need:
@@ -511,9 +516,16 @@ def random_starts(t: Triangulation, count: int, cfg: SolverConfig = SolverConfig
 def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig()):
     """Project random starts onto the cone-deformation variety.
 
-    Gauss-Newton on the real residuals |h(e)| - 1 over (Re z, Im z), all
-    starts in one batch; points whose holonomy moduli all land within
-    UNIT_TOL of 1 are returned with their cone target, others are dropped.
+    Gauss-Newton on the real residuals log|h(e)| over (Re z, Im z), all
+    starts in one batch.  In this logarithmic form of the gluing equations
+    (Thurston's notes, ch. 4; Neumann-Zagier) log|h(e)| is a sum over the
+    tetrahedra, so its linearisation holds far from the unit circle too;
+    that of |h(e)| - 1, a product, is poor where |h| is about 100, and
+    its damped steps there cut the residual by about 0.1 % per iteration.
+    A row stops when ConeTarget's own test holds on its holonomies, every
+    |h(e)| within UNIT_TOL of 1; those points are returned with their
+    cone target, and the rows that reach the iteration limit or stall are
+    dropped.
 
     Returns (samples, dropped_count) where samples is a list of
     (ShapeAssignment, ConeTarget).  Raises IdealGlueError unless every
@@ -526,18 +538,18 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
 
     def residual(Z, rows):
         h = all_holonomies(Z, E)
-        return np.abs(h) - 1.0, h
+        with np.errstate(divide="ignore"):  # h = 0: -inf, a rejected trial
+            return np.log(np.abs(h)), h
 
     def directions(Z, F, h, rows):
-        a = np.abs(h)
-        # d|h| = Re(conj(h)/|h| * h'(z) dz): a real m x 2n system per row,
-        # whose left null space the rows of W / |h| span
-        V = jacobian(Z, E, h)
-        V *= (np.conj(h) / a).take(E.rows, axis=-1)
-        return [_least_squares_step(V, E, -F, W / a[:, None])]
+        # d log|h| = Re(D dz), D = d log h / dz: a real m x 2n system per
+        # row, whose left null space the rows of W span, since
+        # sum_e W[v, e] log h(e) is constant
+        return [_least_squares_step(log_jacobian(Z, E), E, -F,
+                                    np.broadcast_to(W, (len(Z),) + W.shape))]
 
-    def done(F, r):     # ConeTarget's |h(e)| = 1 test, as an array
-        return (np.abs(F) < UNIT_TOL).all(-1)
+    def done(F, r, h):  # ConeTarget's |h(e)| = 1 test, as an array
+        return (np.abs(np.abs(h) - 1.0) < UNIT_TOL).all(-1)
 
     Z0 = np.array([s.z for s in starts], dtype=complex).reshape(-1, E.tet_count)
     Z, _, _, reasons = _damped_gauss_newton(residual, directions, done, Z0, cfg)

@@ -1,7 +1,8 @@
 """The batched damped Gauss-Newton core against the per-start loop it
 replaced, kept here as the oracle: `newton_solve` must agree with it bit
 for bit, `cone_locus_sample` in every keep/drop decision and to 1e-12 on
-the kept points.  Both loops take the cusp-relation step."""
+the kept points.  Both loops take the cusp-relation step, the sampler's
+on the log-modulus system log|h(e)| = 0."""
 import cmath
 
 import numpy as np
@@ -14,7 +15,8 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        evaluate_residual, jacobian, newton_solve,
                        random_starts, regular_solution, xi_from_shapes)
 from idealglue import solver as solver_mod
-from idealglue.gluing import DEGENERACY_GUARD, pair_matvec, pair_rmatvec
+from idealglue.gluing import (DEGENERACY_GUARD, log_jacobian, pair_matvec,
+                              pair_rmatvec)
 from idealglue.solver import (MAX_HALVINGS, _damped_gauss_newton, _newton_rows,
                              _take_steps)
 
@@ -77,7 +79,7 @@ def halving_search(residual, z, step, r):
 def scalar_gauss_newton(residual, directions, done, z, cfg):
     for it in range(cfg.max_iterations):
         F = residual(z)
-        if done(F):
+        if done(z, F):
             return z, F, it, "converged"
         r = np.linalg.norm(F)
         steps = directions(z, F)
@@ -91,7 +93,7 @@ def scalar_gauss_newton(residual, directions, done, z, cfg):
             return z, F, it, "degenerate_shape" if near else "stalled"
     F = residual(z)
     return (z, F, cfg.max_iterations,
-            "converged" if done(F) else "max_iterations")
+            "converged" if done(z, F) else "max_iterations")
 
 
 def lstsq_step(V, E, b, M):
@@ -122,29 +124,31 @@ def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
 
     z, F, it, reason = scalar_gauss_newton(
         lambda z: evaluate_residual(z, E, xi), directions,
-        lambda F: np.linalg.norm(F) < cfg.tol,
+        lambda z, F: np.linalg.norm(F) < cfg.tol,
         np.array(initial.z, dtype=complex), cfg)
     return tuple(z), float(np.linalg.norm(F)), it, reason
 
 
 def scalar_sample(t, start, cfg):
-    """The projected start when the per-start sampler keeps it, else None."""
+    """The projected start when the per-start sampler keeps it, else None:
+    Gauss-Newton on log|h(e)| with the real step on D = d log h / dz and
+    U = W, stopped by ConeTarget's |h(e)| = 1 test on the holonomies."""
     E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
 
     def residual(z):
-        return np.abs(all_holonomies(z, E)) - 1.0
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(all_holonomies(z, E)))
 
     def directions(z, F):
-        h = all_holonomies(z, E)
-        # V first, as in the library: NumPy's complex product can differ
-        # in the last bit when its operands are swapped
-        V = jacobian(z, E) * (np.conj(h) / np.abs(h))[E.rows]
-        return [relation_step(V, E, -F, outer_product_normal_matrix(
-            E.dense(V), W / np.abs(h)))]
+        D = log_jacobian(z, E)
+        return [relation_step(D, E, -F, outer_product_normal_matrix(
+            E.dense(D), W))]
+
+    def done(z, F):
+        return np.max(np.abs(np.abs(all_holonomies(z, E)) - 1.0)) < 1e-8
 
     z, _, _, reason = scalar_gauss_newton(
-        residual, directions, lambda F: np.max(np.abs(F)) < 1e-8,
-        np.array(start.z, dtype=complex), cfg)
+        residual, directions, done, np.array(start.z, dtype=complex), cfg)
     if reason != "converged":
         return None
     try:
@@ -284,8 +288,10 @@ def test_sampler_agrees_with_the_per_start_loop(name, monkeypatch):
     monkeypatch.setattr(solver_mod, "_damped_gauss_newton", recorded)
     t = corpus(name)
     E = build_exponent_matrix(t)
-    for seed in (0, 1, 2):
-        cfg = SolverConfig(seed=seed)
+    # every start converges within the default limit; at 4 iterations
+    # some are dropped, so both decisions are compared
+    for seed, limit in ((0, 100), (1, 100), (2, 100), (0, 4)):
+        cfg = SolverConfig(seed=seed, max_iterations=limit)
         starts = random_starts(t, 64, cfg)
         samples, dropped = cone_locus_sample(t, starts, cfg)
         Z, _, _, reasons = rows.pop()
@@ -308,25 +314,27 @@ def test_sampler_with_no_starts():
 
 
 def test_sampler_batches_its_kernel_calls(monkeypatch):
-    # one Jacobian per iteration for the whole batch, not one per start
+    # one Jacobian (of log h) per iteration for the whole batch, not one
+    # per start
     calls = []
-    jac = solver_mod.jacobian
+    jac = solver_mod.log_jacobian
 
-    def counted(Z, E, *h):
+    def counted(Z, E):
         calls.append(np.shape(Z))
-        return jac(Z, E, *h)
+        return jac(Z, E)
 
-    monkeypatch.setattr(solver_mod, "jacobian", counted)
+    monkeypatch.setattr(solver_mod, "log_jacobian", counted)
     t = corpus("fig8_in_s3")
     cfg = SolverConfig(seed=5)
     samples, _ = cone_locus_sample(t, random_starts(t, 32, cfg), cfg)
-    assert samples
+    assert samples and calls and calls[0] == (32, t.tetra_count)
     assert len(calls) <= cfg.max_iterations + 1
 
 
 def test_solves_hand_their_holonomies_to_the_jacobian(monkeypatch):
     # each step evaluated h twice at the same point: for U = W / h and
-    # again inside the Jacobian
+    # again inside the Jacobian.  The sampler's step reads d log h / dz,
+    # which needs no h, so it builds no Jacobian of h at all
     calls = []
     jac = solver_mod.jacobian
 
@@ -338,6 +346,7 @@ def test_solves_hand_their_holonomies_to_the_jacobian(monkeypatch):
     cfg = SolverConfig(seed=5)
     t = corpus("fig8_in_s3")
     cone_locus_sample(t, random_starts(t, 8, cfg), cfg)
+    assert not calls
     newton_solve(corpus("fig8_complement"), ConeTarget.ones(2),
                  ShapeAssignment((0.5 + 0.8j, 0.5 + 0.8j)))
     assert calls and all(calls)
@@ -358,7 +367,7 @@ def test_rows_of_a_batch_stop_for_their_own_reasons():
         gain = np.where(Z.real < 0, 1.0, np.where(Z.real > 10, -1.0, 0.5))
         return [-gain * F]
 
-    def done(F, r):
+    def done(F, r, h):
         return r < cfg.tol
 
     starts = np.array([[-4 + 3j], [20 + 3j], [5 + 3j]])
@@ -381,13 +390,14 @@ def test_stacked_kernels_are_the_rows_bitwise(rng):
     for E in systems:
         n = E.tet_count
         Z = rng.uniform(-2, 2, (4, 3, n)) + 1j * rng.uniform(0.1, 2, (4, 3, n))
-        H, J = all_holonomies(Z, E), jacobian(Z, E)
+        H, J, D = all_holonomies(Z, E), jacobian(Z, E), log_jacobian(Z, E)
         assert H.shape == (4, 3, E.edge_count)
-        assert J.shape == (4, 3, len(E.rows))
+        assert J.shape == D.shape == (4, 3, len(E.rows))
         JX, JHY = pair_matvec(J, E, Z), pair_rmatvec(J, E, H)
         for idx in np.ndindex(4, 3):
             assert np.array_equal(H[idx], all_holonomies(Z[idx], E))
             assert np.array_equal(J[idx], jacobian(Z[idx], E))
+            assert np.array_equal(D[idx], log_jacobian(Z[idx], E))
             assert np.array_equal(JX[idx], pair_matvec(J[idx], E, Z[idx]))
             assert np.array_equal(JHY[idx], pair_rmatvec(J[idx], E, H[idx]))
 

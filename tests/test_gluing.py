@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from idealglue import (ConeTarget, DegenerateShape, NotUnitModulus,
-                       ShapeAssignment, all_holonomies, build_exponent_matrix,
+from idealglue import (CORPUS_NAMES, ConeTarget, DegenerateShape,
+                       NotUnitModulus, ShapeAssignment, all_holonomies,
+                       build_exponent_matrix, build_relation_matrix,
                        compute_edge_classes, corpus, derive_shape_triple,
                        edge_slot_label, evaluate_residual, jacobian,
                        random_triangulation, xi_from_shapes)
-from idealglue.gluing import SLOT_LABELS
+from idealglue.gluing import SLOT_LABELS, log_jacobian
 from conftest import random_shapes, random_systems
 from oracles import enumerate_one_tetrahedron_triangulations
 
@@ -221,6 +222,59 @@ def test_jacobian_matches_finite_differences(rng):
             Jfd = central_difference_jacobian(Z, E)
             scale = np.maximum(np.abs(J), 1.0)
             assert (np.abs(J - Jfd) / scale).max() < 1e-6
+
+
+def central_difference_log_jacobian(Z, E, step=1e-5):
+    """d log h / dz by central differences, each taken as
+    log(h(z + step) / h(z - step)), whose ratio is near 1 and so never
+    crosses the branch cut of log."""
+    out = np.zeros((E.edge_count, E.tet_count), dtype=complex)
+    for i in range(E.tet_count):
+        zp, zm = list(Z.z), list(Z.z)
+        zp[i] += step
+        zm[i] -= step
+        out[:, i] = np.log(all_holonomies(ShapeAssignment(tuple(zp)), E)
+                           / all_holonomies(ShapeAssignment(tuple(zm)), E)
+                           ) / (2 * step)
+    return out
+
+
+def test_log_jacobian_matches_finite_differences(rng):
+    systems = [system(name) for name in CORPUS_NAMES] + random_systems()
+    for t, edges, E in systems:
+        for _ in range(8):
+            Z = random_shapes(rng, t.tetra_count)
+            D = E.dense(log_jacobian(Z, E))
+            scale = np.maximum(np.abs(D), 1.0)
+            assert (np.abs(D - central_difference_log_jacobian(Z, E))
+                    / scale).max() < 1e-6
+
+
+def test_relation_rows_lie_in_the_log_jacobians_left_null_space(rng):
+    # sum_e W[v, e] log h(e) is constant, so W D = 0: the sampler's real
+    # system [Re D, -Im D] has the rows of W in its left null space
+    systems = [system(name) for name in CORPUS_NAMES] + random_systems()
+    for t, edges, E in systems:
+        W = build_relation_matrix(t, unit=True)
+        for _ in range(4):
+            D = E.dense(log_jacobian(random_shapes(rng, t.tetra_count), E))
+            assert np.abs(W @ D).max() <= 1e-12 * max(np.abs(D).max(), 1.0)
+
+
+def test_jacobian_is_bitwise_its_one_expression(rng):
+    # jacobian reads its log-derivative from log_jacobian; its values are
+    # those of the one expression it was written as, bit for bit
+    for t, edges, E in [system(name) for name in CORPUS_NAMES] + random_systems():
+        n = t.tetra_count
+        Z = rng.uniform(-2, 2, (5, n)) + 1j * rng.uniform(0.1, 2, (5, n))
+        w, h = Z.take(E.cols, axis=-1), all_holonomies(Z, E)
+        want = h.take(E.rows, axis=-1) * (
+            E.pair_a / w + E.pair_a_prime / (1.0 - w)
+            + E.pair_a_second / (w * (w - 1.0)))
+        assert np.array_equal(jacobian(Z, E), want)
+        assert np.array_equal(jacobian(Z, E, h), want)
+        for k in range(len(Z)):
+            assert np.array_equal(jacobian(ShapeAssignment(Z[k]), E), want[k])
 
 
 # ------------------------------------------------------------ xi from shapes

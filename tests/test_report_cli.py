@@ -839,6 +839,11 @@ def test_cli_equations_json_holds_the_dense_exponent_matrices(name, capsys,
      "error: expected 3 xi weights"),
     (("sweep", "--corpus", "hopf", "--xi-weights", "1,-2,1", "--theta-grid", ","),
      "error: --theta-grid is empty"),
+    # a sample of no starts printed "0 cone-locus samples" and exited 1
+    (("sample", "--corpus", "hopf", "--count", "0"),
+     "error: --count must be at least 1, got 0"),
+    (("sample", "--corpus", "hopf", "--count", "-5"),
+     "error: --count must be at least 1, got -5"),
 ])
 def test_cli_wrong_counts_exit_two(argv, message, capsys):
     code, out, err = run_cli(capsys, *argv)

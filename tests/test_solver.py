@@ -741,7 +741,37 @@ def test_sampler_keeps_the_corpus_starts():
                                                  cfg)
             kept, total = kept + len(samples), total + len(samples) + dropped
     assert total == 3200
-    assert kept >= 3129         # lstsq's min-norm step kept 3,129
+    assert kept == 3200
+
+
+def test_sampler_keeps_every_chain_cover_start(monkeypatch):
+    # on the 8-tetrahedron chain cover, starts where |h| is about 100 took
+    # damped steps on |h| - 1 that cut it by about 0.1 % per iteration:
+    # 4 of these 640 starts ran all 100 iterations and were dropped.  On
+    # log|h| every start is kept, the slowest within 14 iterations
+    iterations = []
+    core = solver_mod._damped_gauss_newton
+
+    def recorded(*args):
+        out = core(*args)
+        iterations.extend(out[2])
+        return out
+
+    monkeypatch.setattr(solver_mod, "_damped_gauss_newton", recorded)
+    t = parse_triangulation(chain_cover_text(4))
+    for seed in range(20):
+        cfg = SolverConfig(seed=seed)
+        samples, dropped = cone_locus_sample(t, random_starts(t, 32, cfg), cfg)
+        assert dropped == 0 and len(samples) == 32
+    assert len(iterations) == 640 and max(iterations) <= 20
+
+
+def test_random_starts_reject_a_negative_count():
+    # a negative count was read as 0
+    t = corpus("hopf")
+    with pytest.raises(IdealGlueError, match="count must be >= 0, got -5"):
+        random_starts(t, -5)
+    assert random_starts(t, 0) == []
 
 
 def test_sampler_targets_are_xi_from_shapes_of_the_converged_rows(monkeypatch):

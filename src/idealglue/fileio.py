@@ -11,13 +11,31 @@ vertex permutation.  parse(format(t)) is the identity on canonical files.
 The parser turns each line into the integer tuple (t1, f1, t2, f2, p) of
 the triangulation's pair table, p the permutation's index, found with one
 dict lookup over the 24 tokens, which is also the bijection check.
+
+Each text is compiled once per process: `parse_triangulation` keeps the
+validated Triangulation of every text it accepted, with the tables
+memoised on it, in a cache shared by every caller (the CLI's readers,
+`corpus`, `verify_report`).  The cache holds at most CACHE_TETRAHEDRA
+tetrahedra in all, evicting the least recently used first, or one larger
+triangulation alone; a text that fails to parse or validate is not held.
 """
 from __future__ import annotations
+
+import threading
+from collections import OrderedDict
 
 from .errors import ParseError
 from .triangulation import PERMUTATIONS, Triangulation, require_valid
 
 HEADER = "tri v1"
+
+# the tetrahedra the compile cache holds before it evicts: about 50 MB at
+# the 1.5-1.6 KB a compiled tetrahedron takes (n = 2000 and 20000)
+CACHE_TETRAHEDRA = 2 ** 15
+
+_cache: OrderedDict = OrderedDict()     # text -> Triangulation, LRU first
+_cache_lock = threading.Lock()
+_held = 0                               # tetrahedra in _cache
 
 # p0p1p2p3 by permutation index, and back: one lookup converts a token and
 # checks that it is a bijection of {0,1,2,3}
@@ -26,10 +44,13 @@ _INDEX_OF_TOKEN = {token: k for k, token in enumerate(_TOKENS)}
 
 
 def format_triangulation(t: Triangulation) -> str:
-    tokens = _TOKENS
-    lines = [HEADER, f"tetrahedra {t.tetra_count}"]
-    lines += [f"glue {a} {b} {c} {d} {tokens[p]}" for a, b, c, d, p in t._pairs]
-    return "\n".join(lines) + "\n"
+    """The canonical text of t, built once and memoised on t."""
+    if t._text is None:
+        tokens = _TOKENS
+        lines = [HEADER, f"tetrahedra {t.tetra_count}"]
+        lines += [f"glue {a} {b} {c} {d} {tokens[p]}" for a, b, c, d, p in t._pairs]
+        t._text = "\n".join(lines) + "\n"
+    return t._text
 
 
 def parse_triangulation_lenient(text: str) -> Triangulation:
@@ -76,5 +97,30 @@ def parse_triangulation_lenient(text: str) -> Triangulation:
 def parse_triangulation(text: str) -> Triangulation:
     """Parse and validate.  Raises ParseError (with the offending line
     number) on malformed input and ValidationError on a well-formed file
-    describing an invalid triangulation."""
-    return require_valid(parse_triangulation_lenient(text))
+    describing an invalid triangulation, on every call.
+
+    Every parse of the same text returns the same Triangulation, shared
+    with its compiled tables from the compile cache (see the module
+    docstring); the first parse of a text validates it."""
+    global _held
+    with _cache_lock:
+        t = _cache.get(text)
+        if t is not None:
+            _cache.move_to_end(text)
+            return t
+    t = require_valid(parse_triangulation_lenient(text))
+    with _cache_lock:
+        if text not in _cache:      # not added by another thread meanwhile
+            _cache[text] = t
+            _held += t.tetra_count
+            while _held > CACHE_TETRAHEDRA and len(_cache) > 1:
+                _held -= _cache.popitem(last=False)[1].tetra_count
+        return _cache[text]
+
+
+def clear_compile_cache() -> None:
+    """Drop every triangulation the compile cache holds."""
+    global _held
+    with _cache_lock:
+        _cache.clear()
+        _held = 0

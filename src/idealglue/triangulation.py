@@ -164,9 +164,11 @@ class Triangulation:
     The face pairs are integer tuples (t1, f1, t2, f2, p), p an index into
     PERMUTATIONS, each written from its lexicographically smaller
     (tet, face) side and sorted by the four faces; `gluings` views them as
-    FaceGluings.  A Triangulation is not modified after construction, so
-    its tables (see the module docstring) and what is read off them are
-    compiled once, on first use, and memoised on the instance.
+    FaceGluings.  A Triangulation is not modified after construction, and
+    this is load-bearing: `fileio.parse_triangulation` returns one instance
+    per text to every caller, so its tables (see the module docstring),
+    what is read off them and its canonical text, each compiled once on
+    first use, are shared by every parse of the same text.
     """
 
     def __init__(self, tetra_count: int, gluings):
@@ -183,7 +185,7 @@ class Triangulation:
         # compiled on first use, then shared by every consumer
         self._face_table = self._edge_tables = self._edge_classes = None
         self._exponent_matrix = self._vertex_tables = self._vertex_classes = None
-        self._relation_matrix = None
+        self._relation_matrix = self._text = None
         self._valid = False         # set by validate(): the tables need it
 
     @property
@@ -245,6 +247,10 @@ def _gluing(table: np.ndarray, tet: int, face: int) -> FaceGluing:
 # validation
 # --------------------------------------------------------------------------
 
+# validate() names the first unglued faces and counts the rest in one issue
+UNGLUED_NAMED = 12
+
+
 @dataclass(frozen=True)
 class ValidationIssue:
     code: str            # EmptyTriangulation | FaceDoubleGlued | FaceUnglued |
@@ -278,7 +284,9 @@ def validate(t: Triangulation) -> ValidationReport:
     A valid triangulation passes one array test (every face named once,
     every permutation odd and carrying face to face) and is marked valid,
     which its tables need; any other is walked pair by pair to name its
-    faults."""
+    faults.  The unglued faces past the first UNGLUED_NAMED are counted in
+    one more FaceUnglued issue, so a file declaring millions of tetrahedra
+    gets a short report."""
     issues = []
     n = t.tetra_count
     if n < 1:
@@ -303,8 +311,16 @@ def validate(t: Triangulation) -> ValidationReport:
             elif side in seen:
                 issues.append(ValidationIssue("FaceDoubleGlued", *side))
             seen.add(side)
-    issues += [ValidationIssue("FaceUnglued", tet, face) for tet in range(n)
-               for face in range(4) if (tet, face) not in seen]
+    # at most len(seen) glued faces precede the first UNGLUED_NAMED unglued
+    # ones, so the work is bounded by the pairs, whatever n is declared
+    unglued = 4 * n - sum(0 <= tet < n and 0 <= face < 4 for tet, face in seen)
+    free = ((tet, face) for tet in range(n) for face in range(4)
+            if (tet, face) not in seen)
+    issues += [ValidationIssue("FaceUnglued", *side)
+               for side in itertools.islice(free, UNGLUED_NAMED)]
+    if unglued > UNGLUED_NAMED:
+        issues.append(ValidationIssue(
+            "FaceUnglued", detail=f"{unglued - UNGLUED_NAMED} more faces"))
     coverage_ok = not issues
     for a, b, c, d, p in t._pairs:
         if a == c and b == d:

@@ -9,6 +9,15 @@ import pytest
 
 from idealglue import (ShapeAssignment, build_exponent_matrix,
                        compute_edge_classes, random_triangulation)
+from idealglue.fileio import clear_compile_cache
+
+
+@pytest.fixture(autouse=True)
+def empty_compile_cache():
+    """Start every test with an empty compile cache, so that no test sees
+    the triangulations, or the tables compiled on them, of the tests that
+    ran before it."""
+    clear_compile_cache()
 
 
 def random_shapes(rng, n, margin=0.1, upper_only=False):

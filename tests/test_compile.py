@@ -1,23 +1,31 @@
 """Each triangulation is compiled once: its edge classes and exponent matrix
-are memoised on the instance, and h and J are evaluated over the nonzero
+are memoised on the instance, every parse of one text returns that
+instance from the compile cache, and h and J are evaluated over the nonzero
 (edge, tetrahedron) pairs only."""
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import numpy as np
 
 import idealglue
+import idealglue.fileio as fileio
 import idealglue.triangulation as triangulation_mod
 from idealglue import (CORPUS_NAMES, ConeTarget, ShapeAssignment,
-                       VertexPermutation, all_holonomies, build_exponent_matrix,
-                       build_solution_report, compute_edge_classes,
-                       compute_vertex_classes, corpus, develop_spanning_tree,
-                       edge_holonomy_matrix, essential_edge_certificate,
-                       jacobian, newton_solve, self_identification_report)
+                       VertexPermutation, all_holonomies,
+                       build_exponent_matrix, build_solution_report,
+                       compute_edge_classes, compute_vertex_classes, corpus,
+                       develop_spanning_tree, edge_holonomy_matrix,
+                       essential_edge_certificate, format_triangulation,
+                       jacobian, newton_solve, parse_triangulation,
+                       random_triangulation, self_identification_report,
+                       verify_report)
+from idealglue.corpus import CORPUS_TEXT
+from idealglue.gluing import _pair_products
 from idealglue.triangulation import EDGE_SLOTS, SLOT_INDEX
-from conftest import random_shapes, random_systems
+from conftest import chain_cover_text, random_shapes, random_systems
 
 
 def parity_walk_edge_classes(t):
@@ -78,6 +86,7 @@ def test_pair_kernels_are_bitwise_dense_and_classes_match_parity_walk(rng):
 
 
 def test_pipeline_walks_the_edges_once(monkeypatch):
+    # the compile cache starts empty (conftest), so corpus() compiles anew
     walks = []
     walk = triangulation_mod._walk_edge_classes
 
@@ -90,14 +99,97 @@ def test_pipeline_walks_the_edges_once(monkeypatch):
     xi = ConeTarget.ones(2)
     res = newton_solve(t, xi, ShapeAssignment((0.5 + 0.8j, 0.5 + 0.8j)))
     cert = essential_edge_certificate(t, res, xi)
-    build_solution_report(t, res.shapes, xi, res.residual_norm,
-                          certificate=cert, include_holonomy=True)
+    report = build_solution_report(t, res.shapes, xi, res.residual_norm,
+                                   certificate=cert, include_holonomy=True)
     compute_vertex_classes(t)
     self_identification_report(t)
     edge_holonomy_matrix(t, res.shapes, develop_spanning_tree(t, res.shapes).steps)
     assert len(walks) == 1
     assert build_exponent_matrix(t) is build_exponent_matrix(
         t, compute_edge_classes(t))
+    # a second parse of the text is t, and the report's canonical text (the
+    # corpus text, parsed above) is rebuilt and checked on t: no more walks
+    assert parse_triangulation(CORPUS_TEXT["fig8_complement"]) is t
+    assert report["triangulation"] == CORPUS_TEXT["fig8_complement"]
+    checks = verify_report(report)
+    assert checks and all(c.ok for c in checks)
+    assert len(walks) == 1
+
+
+def test_a_text_is_compiled_once_and_shared():
+    text = chain_cover_text(4)
+    t = parse_triangulation(text)
+    E = build_exponent_matrix(t)
+    pairs = _pair_products(E)
+    again = parse_triangulation(text)
+    assert again is t
+    assert build_exponent_matrix(again) is E
+    assert _pair_products(build_exponent_matrix(again)) is pairs
+
+
+def test_the_cache_holds_at_most_its_budget(monkeypatch):
+    monkeypatch.setattr(fileio, "CACHE_TETRAHEDRA", 10)
+    text = {n: chain_cover_text(n // 2) for n in (2, 4, 6, 16)}
+
+    def held():
+        sizes = [t.tetra_count for t in fileio._cache.values()]
+        assert sum(sizes) == fileio._held
+        assert sum(sizes) <= 10 or len(sizes) == 1
+        return {t.tetra_count for t in fileio._cache.values()}
+
+    two = parse_triangulation(text[2])
+    parse_triangulation(text[4])
+    assert parse_triangulation(text[2]) is two      # now used after n = 4
+    parse_triangulation(text[6])                    # 12 > 10: n = 4 goes
+    assert held() == {2, 6}
+    assert parse_triangulation(text[2]) is two
+    parse_triangulation(text[16])                   # held alone
+    assert held() == {16}
+    assert parse_triangulation(text[2]) is not two  # evicted, compiled anew
+    assert held() == {2}
+
+
+def test_threads_keep_the_cache_within_its_budget(monkeypatch):
+    monkeypatch.setattr(fileio, "CACHE_TETRAHEDRA", 16)
+    texts = [chain_cover_text(k) for k in range(1, 7)]     # n = 2 .. 12
+    errors = []
+
+    def parse_all(offset):
+        try:
+            for j in range(300):
+                text = texts[(offset + j * (offset + 1)) % len(texts)]
+                assert format_triangulation(parse_triangulation(text)) == \
+                    format_triangulation(parse_triangulation(text))
+        except Exception as err:        # reported below, after the join
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse_all, args=(k,))
+                   for k in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    sizes = [t.tetra_count for t in fileio._cache.values()]
+    assert fileio._held == sum(sizes) and (sum(sizes) <= 16 or len(sizes) == 1)
+
+
+def test_memoised_format_is_the_glue_lines():
+    triangulations = ([corpus(name) for name in CORPUS_NAMES]
+                      + [random_triangulation(1 + seed % 6, seed=seed)
+                         for seed in range(20)])
+    for t in triangulations:
+        expected = "\n".join(["tri v1", f"tetrahedra {t.tetra_count}"]
+                             + [str(g) for g in t.gluings]) + "\n"
+        assert format_triangulation(t) == expected
+        assert format_triangulation(t) is format_triangulation(t)
+    for name in CORPUS_NAMES:
+        assert format_triangulation(corpus(name)) == CORPUS_TEXT[name]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -2,12 +2,17 @@
 import cmath
 import json
 import math
+import os
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import idealglue
 from idealglue import (CORPUS_NAMES, ConeTarget, DevelopFailure,
                        ExponentMatrix, ShapeAssignment, SolveResult,
                        SolverConfig, V_TET, all_holonomies,
@@ -446,6 +451,25 @@ def test_bad_options_and_unreadable_files_exit_two(argv, message, tmp_path,
     assert code == 2 and out == ""
     assert err.startswith("error: ")
     assert message.format(dir=tmp_path, binary=binary) in err
+
+
+def test_a_huge_declared_tetrahedron_count_exits_two_on_one_line(tmp_path):
+    # validate named every unglued face: 4e7 issues, a MemoryError traceback
+    # and exit 1 under this 3 GB address-space limit
+    path = tmp_path / "huge.tri"
+    path.write_text("tri v1\ntetrahedra 10000000\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(idealglue.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 3 * 2 ** 30 if hard == resource.RLIM_INFINITY else min(3 * 2 ** 30, hard)
+    proc = subprocess.run(
+        [sys.executable, "-m", "idealglue.cli", "info", "--file", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+    named = ", ".join(f"FaceUnglued at ({tet},{face})"
+                      for tet in range(3) for face in range(4))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {named}, FaceUnglued: 39999988 more faces\n"
 
 
 def test_xi_has_one_syntax():

@@ -68,6 +68,16 @@ def test_unglued_face_reported():
     assert (0, 1) in named and (1, 3) in named
 
 
+def test_unglued_faces_past_the_first_are_counted():
+    # 4 n unglued faces: the first twelve named, the rest counted
+    named = [f"FaceUnglued at ({tet},{face})"
+             for tet in range(3) for face in range(4)]
+    for n in (4, 1000):
+        issues = validate(Triangulation(n, [])).issues
+        assert [str(i) for i in issues] == named + [
+            f"FaceUnglued: {4 * n - 12} more faces"]
+
+
 def test_out_of_range_face_reference_reported():
     # built directly, past make_triangulation: tetrahedron 1 does not exist
     t = Triangulation(1, [(0, 0, 1, 0, VertexPermutation((0, 1, 3, 2)))])

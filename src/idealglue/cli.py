@@ -264,7 +264,7 @@ def _cmd_sweep(args) -> int:
         "converged": p.result.converged,
         "reason": p.result.reason,
         "residual_norm": _finite(p.result.residual_norm),
-        "shapes": [[z.real, z.imag] for z in p.result.shapes.z],
+        "shapes": report_mod._pairs(p.result.shapes.z),
     } for p in points]}
     human = []
     for p in points:
@@ -283,8 +283,7 @@ def _cmd_sample(args) -> int:
     starts = random_starts(t, args.count, cfg)
     samples, dropped = cone_locus_sample(t, starts, cfg)
     payload = {"dropped": dropped, "samples": [{
-        "shapes": [[z.real, z.imag] for z in Z.z],
-        "xi": [[x.real, x.imag] for x in xi.xi],
+        "shapes": report_mod._pairs(Z.z), "xi": report_mod._pairs(xi.xi),
     } for Z, xi in samples]}
     human = [f"{len(samples)} cone-locus samples ({dropped} starts dropped)"]
     for Z, xi in samples[:10]:

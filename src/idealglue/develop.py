@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DevelopFailure, EdgeCycleNotClosed
-from .gluing import DEGENERACY_GUARD, ShapeAssignment, check_nondegenerate
+from .gluing import ShapeAssignment
 from .triangulation import (DIRECTED_SLOTS, EXIT_FACE, IMAGES, PERMUTATIONS,
                             FaceGluing, Triangulation, edge_tables, face_table)
 
@@ -92,13 +92,10 @@ class DevelopedComplex:
 
 
 def develop_spanning_tree(t: Triangulation, Z: ShapeAssignment) -> DevelopedComplex:
-    """Develop t at the shapes Z.  Raises DegenerateShape for a shape within
-    the guard of {0, 1} and DevelopFailure for a disconnected t.  A
+    """Develop t at the shapes Z, off the guard band around {0, 1} as every
+    ShapeAssignment is.  Raises DevelopFailure for a disconnected t.  A
     generator's matrix is frames[target] step^-1 frames[source]^-1, its
     elementary face pairing (the identity for a tree gluing)."""
-    z = np.asarray(Z.z)
-    for w in z[np.minimum(abs(z), abs(z - 1)) < DEGENERACY_GUARD][:1]:
-        check_nondegenerate(w)      # raises, naming the shape
     table, n = face_table(t), t.tetra_count
     steps, face = develop_across_face(t, Z), table.tolist()
     used, reached = [False] * (4 * n), [True] + [False] * (n - 1)

@@ -56,14 +56,20 @@ def edge_slot_label(slot) -> str:
     return LABEL_NAMES[SLOT_LABELS[slot]]
 
 
-def check_nondegenerate(z: complex, guard: float = DEGENERACY_GUARD) -> complex:
+def in_guard_band(Z) -> np.ndarray:
+    """Per row of a complex array Z: does some shape lie within
+    DEGENERACY_GUARD of {0, 1}?  The guard band's one array test."""
+    return (np.minimum(np.abs(Z), np.abs(Z - 1.0)) < DEGENERACY_GUARD).any(-1)
+
+
+def check_nondegenerate(z: complex) -> complex:
     """z as a complex number; raises DegenerateShape when z is not finite or
-    lies within `guard` of {0, 1}."""
+    lies within DEGENERACY_GUARD of {0, 1}: `ShapeAssignment`'s test."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DegenerateShape(f"shape {z} is not finite")
-    if min(abs(z), abs(z - 1)) < guard:
-        raise DegenerateShape(f"shape {z} within {guard} of {{0, 1}}")
+    if min(abs(z), abs(z - 1)) < DEGENERACY_GUARD:
+        raise DegenerateShape(f"shape {z} within {DEGENERACY_GUARD} of {{0, 1}}")
     return z
 
 
@@ -93,19 +99,21 @@ def _stack_rows(cls, field: str, rows: np.ndarray, ok: bool, *args) -> list:
 
 @dataclass(frozen=True)
 class ShapeAssignment:
-    """One shape parameter per tetrahedron, all finite and away from {0, 1}."""
+    """One shape parameter per tetrahedron, each finite and off the guard
+    band around {0, 1} (`check_nondegenerate`): the one place that band is
+    decided.  The array kernels take raw shape arrays, near {0, 1} too."""
 
     z: tuple
 
-    def __init__(self, z, guard: float = DEGENERACY_GUARD):
-        zs = tuple(check_nondegenerate(w, guard) for w in z)
+    def __init__(self, z):
+        zs = tuple(check_nondegenerate(w) for w in z)
         object.__setattr__(self, "z", zs)
 
     @classmethod
-    def rows(cls, Z, guard: float = DEGENERACY_GUARD) -> list:
+    def rows(cls, Z) -> list:
         """One ShapeAssignment per row of a complex array (`_stack_rows`)."""
-        return _stack_rows(cls, "z", Z, np.isfinite(Z).all() and (
-            np.minimum(np.abs(Z), np.abs(Z - 1.0)) >= guard).all(), guard)
+        return _stack_rows(cls, "z", Z, np.isfinite(Z).all()
+                           and not in_guard_band(Z).any())
 
     def __len__(self):
         return len(self.z)

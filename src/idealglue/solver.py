@@ -78,6 +78,7 @@ continued-fraction convergents of its argument over 2 pi.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import math
 import operator
@@ -90,8 +91,9 @@ from .geometry import V_TET
 from .gluing import (DEGENERACY_GUARD, UNIT_TOL, ConeTarget, ExponentMatrix,
                      ShapeAssignment, all_holonomies, build_exponent_matrix,
                      build_relation_matrix, check_shape_length,
-                     check_target_length, evaluate_residual, jacobian,
-                     log_jacobian, normal_matrix, pair_matvec, pair_rmatvec)
+                     check_target_length, evaluate_residual, in_guard_band,
+                     jacobian, log_jacobian, normal_matrix, pair_matvec,
+                     pair_rmatvec)
 from .triangulation import Triangulation
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -118,9 +120,8 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise IdealGlueError(f"{name} must be an int, got {value!r}")
-        if self.max_iterations < 0:
-            raise IdealGlueError(f"max_iterations must be >= 0, got "
-                                 f"{self.max_iterations}")
+            if value < 0:
+                raise IdealGlueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -134,19 +135,10 @@ class SolveResult:
     detail: str = ""
 
 
-def _in_guard(Z) -> np.ndarray:
-    """Per row of Z: does some shape lie in the guard band around {0, 1}?"""
-    return (np.minimum(np.abs(Z), np.abs(Z - 1.0)) < DEGENERACY_GUARD).any(-1)
-
-
 def _norms(F) -> np.ndarray:
-    """The 2-norm of each row of F, summed as `np.linalg.norm` sums one
-    row, so a batch of one takes exactly the decisions of a 1-D loop.
-    `np.vecdot` and `np.dot` both sum with BLAS's dot; a single row takes
-    `np.dot`, whose fixed cost is about half of `np.vecdot`'s."""
-    if len(F) == 1:
-        f = F[0]
-        return np.array([math.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag))])
+    """The 2-norm of each row of a (k, m) stack F, summed with BLAS's dot
+    as `np.linalg.norm` sums one row, so a batch of one takes exactly the
+    decisions of a 1-D loop."""
     return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
 
 
@@ -175,7 +167,7 @@ def _take_steps(residual, z, steps, r, rows):
             flat, at, bound = cand.reshape(-1, n), rows[todo], r[todo]
             if k > 1:
                 at, bound = np.repeat(at, k), np.repeat(bound, k)
-            ok = ~_in_guard(flat)
+            ok = ~in_guard_band(flat)
             if all(ok.tolist()):
                 ok = _norms(residual(flat, at)[0]) < bound
             elif any(ok.tolist()):
@@ -189,7 +181,7 @@ def _take_steps(residual, z, steps, r, rows):
             todo, j = todo[~hit], j + k
             if not todo.size:
                 return (), ()
-    return todo, _in_guard(z[todo] + first[todo])
+    return todo, in_guard_band(z[todo] + first[todo])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -212,19 +204,22 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
     row its own target.  Stopped rows drop out,
     and `residual` and `directions` are never called on an empty stack.
 
-    Returns (Z, F, iterations, reasons), one entry per row, with reason
-    "converged", "max_iterations" (at the row's limit), or, when no step
-    could be taken, "degenerate_shape" (the full first step enters the
-    guard band) or "stalled".
+    Returns (Z, F, h, iterations, reasons), one entry per row: its last
+    point, the residual and holonomies there, and its reason "converged",
+    "max_iterations" (at the row's limit), or, when no step could be
+    taken, "degenerate_shape" (the full first step enters the guard band)
+    or "stalled".  Every row of Z is its start or a step `_take_steps`
+    accepted, so it is finite and off the guard band when its start is.
     """
     Z = np.array(Z, dtype=complex)
-    F_out, iterations, reasons = [None] * len(Z), [None] * len(Z), [None] * len(Z)
+    F_out, h_out, iterations, reasons = ([None] * len(Z) for _ in range(4))
     rows, z = np.arange(len(Z)), Z.copy()      # the running rows of Z
     limit = np.full(len(Z), cfg.max_iterations) if limit is None else limit
 
-    def stop(k, F, it, why):        # k: positions in rows; why: per row
-        for i, zi, f, w in zip(rows[k].tolist(), z[k], F[k], why):
-            Z[i], F_out[i], iterations[i], reasons[i] = zi, f, it, w
+    def stop(k, F, h, it, why):     # k: positions in rows; why: per row
+        for i, zi, f, hi, w in zip(rows[k].tolist(), z[k], F[k], h[k], why):
+            Z[i], F_out[i], h_out[i] = zi, f, hi
+            iterations[i], reasons[i] = it, w
 
     for it in itertools.count():
         if not rows.size:
@@ -234,7 +229,7 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
         fin = done(F, r, h)
         out = fin | (limit[rows] == it)
         if any(out.tolist()):
-            stop(out, F, it,
+            stop(out, F, h, it,
                  np.where(fin[out], "converged", "max_iterations").tolist())
             rows, z, F, h, r = (rows[~out], z[~out], F[~out], h[~out],
                                 r[~out])
@@ -243,10 +238,10 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
         stuck, near = _take_steps(residual, z, directions(z, F, h, rows), r,
                                   rows)
         if len(stuck):
-            stop(stuck, F, it,
+            stop(stuck, F, h, it,
                  np.where(near, "degenerate_shape", "stalled").tolist())
             rows, z = np.delete(rows, stuck), np.delete(z, stuck, axis=0)
-    return Z, F_out, iterations, reasons
+    return Z, F_out, h_out, iterations, reasons
 
 
 def _least_squares_step(V, E, b, U):
@@ -260,14 +255,17 @@ def _least_squares_step(V, E, b, U):
     whose M is singular, takes lstsq's step on its dense A; each row's
     step is that of the row alone, bit for bit."""
     real = not np.iscomplexobj(U)
+    M, y = normal_matrix(V, E, U), b[..., None]
     try:
-        x = pair_rmatvec(V, E, np.linalg.solve(normal_matrix(V, E, U),
-                                               b[..., None])[..., 0])
-    except np.linalg.LinAlgError:       # U misses part of the null space
-        if len(V) > 1:                  # of some row: solve the rows apart
-            return np.concatenate([_least_squares_step(v[None], E, c[None], u[None])
-                                   for v, c, u in zip(V, b, U)])
-        x = np.full(V.shape[:-1] + (E.tet_count,), np.nan, dtype=complex)
+        y = np.linalg.solve(M, y)
+    except np.linalg.LinAlgError:
+        # U misses part of some row's null space: solve the rows apart,
+        # leaving nan (so lstsq's step) where a row's M is singular
+        y = np.full(y.shape, np.nan, np.result_type(M, y))
+        for k in range(len(M)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                y[k] = np.linalg.solve(M[k], b[k, :, None])
+    x = pair_rmatvec(V, E, y[..., 0])
     Ax = pair_matvec(V, E, x)
     g = pair_rmatvec(V, E, np.stack([(Ax.real if real else Ax) - b, b]))
     g = np.vecdot(g, g).real            # |A^H (A x - b)|^2, |A^H b|^2
@@ -296,17 +294,12 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None) -> list:
     solve = ~obstructed.any(-1)
     targets = targets[solve]
 
-    def residual(Z, rows):      # a single row: the kernels get a plain vector
-        if len(Z) == 1:
-            h = all_holonomies(Z[0], E)
-            F = evaluate_residual(Z[0], E, targets[rows[0]], h)
-            return F[None], h[None]
+    def residual(Z, rows):
         h = all_holonomies(Z, E)
         return evaluate_residual(Z, E, targets[rows], h), h
 
     def directions(Z, F, h, rows):
-        V = jacobian(Z[0], E, h[0])[None] if len(Z) == 1 else jacobian(Z, E, h)
-        step = _least_squares_step(V, E, -F, W / h[:, None])
+        step = _least_squares_step(jacobian(Z, E, h), E, -F, W / h[:, None])
         tiny = _norms(step) < 1e-12 * (1.0 + _norms(Z))
         if not any(tiny.tolist()):
             yield step
@@ -331,17 +324,17 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None) -> list:
     }
     solved = iter(())
     if solve.any():
-        Z, F, its, reasons = _damped_gauss_newton(
+        Z, F, _, its, reasons = _damped_gauss_newton(
             residual, directions, lambda F, r, h: r < cfg.tol, Z0[solve], cfg,
             None if limit is None else np.asarray(limit)[solve])
         solved = (SolveResult(S, r, it, reason == "converged", reason,
                               f"residual {r:.3e} after {it} iterations"
                               if reason == "max_iterations" else detail[reason])
-                  for S, r, it, reason in zip(ShapeAssignment.rows(Z, guard=0.0),
+                  for S, r, it, reason in zip(ShapeAssignment.rows(Z),
                                               _norms(np.array(F)).tolist(), its,
                                               reasons))
     return [next(solved) if ok else SolveResult(
-        ShapeAssignment(z, guard=0.0), math.inf, 0, False,
+        ShapeAssignment(z), math.inf, 0, False,
         "degree_one_edge_obstruction", f"degree-one edge(s) "
         f"{', '.join(f'e{j}' for j in E.degree_one[bad])} have xi = 1; the "
         "single incident shape parameter would be forbidden, so the system "
@@ -407,7 +400,7 @@ def _block_starts(thetas, past, block, seed, E, targets) -> np.ndarray:
     with np.errstate(all="ignore"):     # a non-finite start is rejected
         Z = last * np.exp(w @ np.log(np.array(past) / last))
         h = all_holonomies(np.vstack([Z, seed]), E)
-        ok = (np.isfinite(Z).all(-1) & ~_in_guard(Z)
+        ok = (np.isfinite(Z).all(-1) & ~in_guard_band(Z)
               & (_norms(h[:-1] - targets) < _norms(h[-1] - targets)))
     return np.where(ok[:, None], Z, seed)
 
@@ -552,13 +545,14 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
         return (np.abs(np.abs(h) - 1.0) < UNIT_TOL).all(-1)
 
     Z0 = np.array([s.z for s in starts], dtype=complex).reshape(-1, E.tet_count)
-    Z, _, _, reasons = _damped_gauss_newton(residual, directions, done, Z0, cfg)
-    Z = Z[[reason == "converged" for reason in reasons]]
-    # `done` passed on these rows' holonomies, which the stacked kernel
-    # gives bit for bit, by ConeTarget's own test: each row is kept with
-    # the target xi_from_shapes would give it
-    samples = list(zip(ShapeAssignment.rows(Z, guard=0.0),
-                       ConeTarget.rows(all_holonomies(Z, E))))
+    Z, _, H, _, reasons = _damped_gauss_newton(residual, directions, done, Z0,
+                                               cfg)
+    kept = [reason == "converged" for reason in reasons]
+    # `done` passed on these rows' holonomies by ConeTarget's own test, and
+    # the stacked kernel gives them bit for bit: each row is kept with the
+    # target xi_from_shapes would give it
+    samples = list(zip(ShapeAssignment.rows(Z[kept]),
+                       ConeTarget.rows(np.array(H)[kept])))
     return samples, len(Z0) - len(samples)
 
 

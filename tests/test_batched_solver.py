@@ -13,7 +13,8 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        build_exponent_matrix, build_relation_matrix,
                        compute_edge_classes, cone_locus_sample, corpus,
                        evaluate_residual, jacobian, newton_solve,
-                       random_starts, regular_solution, xi_from_shapes)
+                       random_starts, regular_solution, sweep_family,
+                       xi_from_shapes)
 from idealglue import solver as solver_mod
 from idealglue.gluing import (DEGENERACY_GUARD, log_jacobian, pair_matvec,
                               pair_rmatvec)
@@ -152,7 +153,7 @@ def scalar_sample(t, start, cfg):
     if reason != "converged":
         return None
     try:
-        xi_from_shapes(ShapeAssignment(z, guard=0.0), E)
+        xi_from_shapes(ShapeAssignment(z), E)
     except NotUnitModulus:
         return None
     return z
@@ -294,7 +295,7 @@ def test_sampler_agrees_with_the_per_start_loop(name, monkeypatch):
         cfg = SolverConfig(seed=seed, max_iterations=limit)
         starts = random_starts(t, 64, cfg)
         samples, dropped = cone_locus_sample(t, starts, cfg)
-        Z, _, _, reasons = rows.pop()
+        Z, _, _, _, reasons = rows.pop()
         kept = [reason == "converged" for reason in reasons]
         assert dropped == len(starts) - len(samples) == kept.count(False)
         assert [S.z for S, _ in samples] == [tuple(z) for z, k
@@ -371,8 +372,8 @@ def test_rows_of_a_batch_stop_for_their_own_reasons():
         return r < cfg.tol
 
     starts = np.array([[-4 + 3j], [20 + 3j], [5 + 3j]])
-    Z, F, its, reasons = _damped_gauss_newton(residual, directions, done,
-                                              starts, cfg)
+    Z, F, _, its, reasons = _damped_gauss_newton(residual, directions, done,
+                                                 starts, cfg)
     assert list(reasons) == ["converged", "stalled", "max_iterations"]
     assert list(its) == [1, 0, 5]
     assert Z[0, 0] == 3j and Z[1, 0] == 20 + 3j
@@ -381,7 +382,56 @@ def test_rows_of_a_batch_stop_for_their_own_reasons():
         alone = _damped_gauss_newton(residual, directions, done, [start], cfg)
         assert np.array_equal(alone[0][0], Z[k])
         assert np.array_equal(alone[1][0], F[k])
-        assert (alone[2][0], alone[3][0]) == (its[k], reasons[k])
+        assert (alone[3][0], alone[4][0]) == (its[k], reasons[k])
+
+
+def test_every_row_the_core_hands_back_is_off_the_guard_band(monkeypatch):
+    # the starts are ShapeAssignments or sweep predictions filtered by the
+    # guard band, and a step is accepted only at a finite point off the
+    # band, so every row the core returns makes a ShapeAssignment, whatever
+    # the reason it stopped for
+    returned = []
+    core = solver_mod._damped_gauss_newton
+
+    def recorded(*args):
+        returned.append(core(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(solver_mod, "_damped_gauss_newton", recorded)
+    for name in CORPUS_NAMES:
+        t = corpus(name)
+        _, regular_xi, _ = regular_solution(t)
+        for cfg in (SolverConfig(), SolverConfig(max_iterations=2),
+                    SolverConfig(tol=1e-30, max_iterations=40)):
+            for start in random_starts(t, 8, cfg):
+                newton_solve(t, regular_xi, start, cfg)
+    # the hopf family through its degree-one obstruction at theta = 0
+    hopf = corpus("hopf")
+    points = sweep_family(hopf, lambda theta: ConeTarget(tuple(
+        cmath.exp(1j * theta * (1 if e.degree == 1 else -2))
+        for e in compute_edge_classes(hopf))), [0.6, 0.3, 0.0, -0.3],
+        initial=ShapeAssignment((0.2 + 0.9j,)))
+    assert points[2].result.reason == "degree_one_edge_obstruction"
+    dropped = 0
+    for name in CORPUS_NAMES:
+        cfg = SolverConfig(max_iterations=4)
+        t = corpus(name)
+        dropped += cone_locus_sample(t, random_starts(t, 32, cfg), cfg)[1]
+    assert dropped > 0
+    # no corpus solve stopped with a full first step in the band; here
+    # F(z) = z has its zero at the ideal point 0, where every full step
+    # -z lands, so each iteration halves z until all halvings enter the band
+    solver_mod._damped_gauss_newton(
+        lambda Z, rows: (Z, Z), lambda Z, F, h, rows: [-Z],
+        lambda F, r, h: r < 1e-10, np.array([[1 + 2j]]), SolverConfig())
+    assert returned[-1][4] == ["degenerate_shape"]
+    reasons = set()
+    for Z, _, _, _, why in returned:
+        assert np.isfinite(Z).all()
+        assert (np.minimum(abs(Z), abs(Z - 1)) >= DEGENERACY_GUARD).all()
+        reasons.update(why)
+    assert reasons == {"converged", "max_iterations", "stalled",
+                       "degenerate_shape"}
 
 
 def test_stacked_kernels_are_the_rows_bitwise(rng):

@@ -142,12 +142,12 @@ def test_placement_slot_invariants(rng):
 
 
 def test_develop_rejects_degenerate_shape():
-    with pytest.raises(DegenerateShape):
-        develop_spanning_tree(corpus("hopf"), ShapeAssignment((1 + 1e-12j,),
-                                                              guard=0.0))
-    with pytest.raises(DegenerateShape):
-        develop_spanning_tree(corpus("fig8_complement"),
-                              ShapeAssignment((REGULAR, 1e-9j), guard=0.0))
+    # develop takes a ShapeAssignment, whose constructor rejects a shape in
+    # the guard band around {0, 1}, so develop never receives one
+    with pytest.raises(DegenerateShape, match="within 1e-08 of"):
+        ShapeAssignment((1 + 1e-12j,))
+    with pytest.raises(DegenerateShape, match="within 1e-08 of"):
+        ShapeAssignment((REGULAR, 1e-9j))
 
 
 # ---------------------------------------------------------------- face steps

@@ -323,8 +323,6 @@ def test_xi_from_shapes_trefoil_seventh_root():
 def test_non_finite_shapes_are_rejected(z):
     with pytest.raises(DegenerateShape, match="not finite"):
         ShapeAssignment((REGULAR, z))
-    with pytest.raises(DegenerateShape, match="not finite"):
-        ShapeAssignment((z,), guard=0.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, complex(math.nan, 1.0),
@@ -346,24 +344,22 @@ def raised(build, *args):
 def test_shape_rows_are_the_constructor_rows(rng):
     Z = rng.uniform(-2, 2, (5, 3)) + 1j * rng.uniform(0.1, 2, (5, 3))
     Z[0, 0] = complex(-0.0, 1.0)        # signed zeros survive
-    for guard in (1e-8, 0.0):
-        rows = ShapeAssignment.rows(Z, guard=guard)
-        assert [S.z for S in rows] == [ShapeAssignment(z, guard).z for z in Z]
-        assert all(type(S) is ShapeAssignment for S in rows)
-        assert all(type(w) is complex for S in rows for w in S.z)
+    rows = ShapeAssignment.rows(Z)
+    assert [S.z for S in rows] == [ShapeAssignment(z).z for z in Z]
+    assert all(type(S) is ShapeAssignment for S in rows)
+    assert all(type(w) is complex for S in rows for w in S.z)
     assert math.copysign(1.0, rows[0][0].real) == -1.0
     assert ShapeAssignment.rows(np.empty((0, 3), dtype=complex)) == []
 
 
-@pytest.mark.parametrize("bad, guard", [(math.nan, 0.0), (math.inf, 1e-8),
-                                        (complex(0.5, -math.inf), 0.0),
-                                        (1 + 1e-10j, 1e-8), (0.0, 1e-8)])
-def test_shape_rows_fail_as_the_constructor_fails(bad, guard):
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf),
+                                 1 + 1e-10j, 0.0])
+def test_shape_rows_fail_as_the_constructor_fails(bad):
     Z = np.full((3, 2), REGULAR)
     Z[1, 1] = bad
-    want = raised(ShapeAssignment, Z[1], guard)
+    want = raised(ShapeAssignment, Z[1])
     assert want[0] is DegenerateShape
-    assert raised(ShapeAssignment.rows, Z, guard) == want
+    assert raised(ShapeAssignment.rows, Z) == want
 
 
 def test_cone_target_rows_are_the_constructor_rows(rng):

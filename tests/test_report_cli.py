@@ -868,6 +868,9 @@ def test_cli_equations_json_holds_the_dense_exponent_matrices(name, capsys,
      "error: --count must be at least 1, got 0"),
     (("sample", "--corpus", "hopf", "--count", "-5"),
      "error: --count must be at least 1, got -5"),
+    # a negative seed ended in NumPy's ValueError traceback, exit 1
+    (("sample", "--corpus", "hopf", "--count", "3", "--seed", "-1"),
+     "error: seed must be >= 0, got -1"),
 ])
 def test_cli_wrong_counts_exit_two(argv, message, capsys):
     code, out, err = run_cli(capsys, *argv)

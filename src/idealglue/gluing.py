@@ -27,6 +27,7 @@ exponent matrix.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +64,15 @@ def in_guard_band(Z) -> np.ndarray:
 
 
 def check_nondegenerate(z: complex) -> complex:
-    """z as a complex number; raises DegenerateShape when z is not finite or
-    lies within DEGENERACY_GUARD of {0, 1}: `ShapeAssignment`'s test."""
+    """z as a complex number; raises DegenerateShape when z is not finite,
+    its modulus is past the largest float, or it lies within
+    DEGENERACY_GUARD of {0, 1}: `ShapeAssignment`'s test."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise DegenerateShape(f"shape {z} is not finite")
+    if math.hypot(z.real, z.imag) == math.inf:
+        raise DegenerateShape(f"shape {z} has a modulus past the largest "
+                              "float")
     if min(abs(z), abs(z - 1)) < DEGENERACY_GUARD:
         raise DegenerateShape(f"shape {z} within {DEGENERACY_GUARD} of {{0, 1}}")
     return z
@@ -112,7 +117,8 @@ class ShapeAssignment:
     @classmethod
     def rows(cls, Z) -> list:
         """One ShapeAssignment per row of a complex array (`_stack_rows`)."""
-        return _stack_rows(cls, "z", Z, np.isfinite(Z).all()
+        # |z| is finite exactly when z is and its modulus is a float
+        return _stack_rows(cls, "z", Z, np.isfinite(np.abs(Z)).all()
                            and not in_guard_band(Z).any())
 
     def __len__(self):

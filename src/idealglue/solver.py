@@ -5,24 +5,28 @@ bookkeeping.
 
 Every solve runs the one damped Gauss-Newton loop `_damped_gauss_newton`
 on a stack of shape vectors, one row per start, each row with its own
-iteration limit; a solve supplies only its residual (which returns the
-holonomies it was computed from, handed on to the step at the current
-point), its ordered candidate steps and its stopping test, each acting
-on such a stack and told the batch indices of the rows it acts on, so
-each row can have its own target.  `_newton_rows` solves h(z) = xi_k
-from each row's start, trying the complex least-squares step on
-h(z) - xi_k and then deterministic kicks, every row bit for bit as it
-would be solved alone; `newton_solve` is a batch of one of it, and
-`sweep_family` corrects blocks of grid points as one stack.
-`cone_locus_sample` runs all its starts as one batch and takes the real
-min-norm step on log|h(z)|, stopping a row by ConeTarget's own |h| = 1
-test on the holonomies the residual hands on.  Every solve, sweep,
+iteration limit; a solve supplies only its residual, its ordered
+candidate steps and its stopping test, each acting on such a stack and
+told the batch indices of the rows it acts on, so each row can have its
+own target.  Each point's holonomies h are evaluated once, by the call
+that first meets the point: the sweep's predictor for a block's starts
+(`_block_starts`), the line search for every point it accepts
+(`_take_steps`), and the loop's residual only at starts whose h it was
+not given.  The residual (which, given h, only forms F from it), the
+stopping test, the step and the result rows all read that h.
+`_newton_rows` solves h(z) = xi_k from each row's start, trying the
+complex least-squares step on h(z) - xi_k and then deterministic kicks,
+every row bit for bit as it would be solved alone; `newton_solve` is a
+batch of one of it, and `sweep_family` corrects blocks of grid points as
+one stack.  `cone_locus_sample` runs all its starts as one batch and
+takes the real min-norm step on log|h(z)|, stopping a row by
+ConeTarget's own |h| = 1 test on its holonomies.  Every solve, sweep,
 sample and certificate reads the exponent matrix compiled once per
 triangulation (`build_exponent_matrix`), edge degrees included, and the
-loops evaluate h and J on raw shape arrays.  The line search (`_take_steps`)
-makes one residual call for the full steps of all rows and one for all
-further halvings of the rows they leave, and the result rows are built
-from the stack (`ShapeAssignment.rows`).
+loops evaluate h and J on raw shape arrays.  The line search
+(`_take_steps`) makes one residual call for the full steps of all rows
+and one for all further halvings of the rows they leave, and the result
+rows are built from the stack (`ShapeAssignment.rows`).
 
 A sweep is block predictor-corrector continuation with step-length
 control (Allgower-Georg, Introduction to Numerical Continuation Methods,
@@ -88,8 +92,8 @@ import numpy as np
 
 from .errors import IdealGlueError, NotConverged, NotUnitModulus
 from .geometry import V_TET
-from .gluing import (DEGENERACY_GUARD, UNIT_TOL, ConeTarget, ExponentMatrix,
-                     ShapeAssignment, all_holonomies, build_exponent_matrix,
+from .gluing import (UNIT_TOL, ConeTarget, ExponentMatrix, ShapeAssignment,
+                     all_holonomies, build_exponent_matrix,
                      build_relation_matrix, check_shape_length,
                      check_target_length, evaluate_residual, in_guard_band,
                      jacobian, log_jacobian, normal_matrix, pair_matvec,
@@ -142,7 +146,7 @@ def _norms(F) -> np.ndarray:
     return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
 
 
-def _take_steps(residual, z, steps, r, rows):
+def _take_steps(residual, z, h, steps, r, rows):
     """Move each row of z, in place, by the first of its rows of `steps`
     (an iterable, consumed only as far as needed) that stays off the guard
     band around {0, 1} and brings its residual norm below r when scaled by
@@ -150,9 +154,11 @@ def _take_steps(residual, z, steps, r, rows):
     The full steps are one residual call, and the rows left try all further
     lam at once, in stacks of at most STACK_ENTRIES shapes.  `residual` is
     given the batch indices, out of `rows`, of the rows it evaluates, and
-    returns (F, h), of which the search reads F.
-    Returns the indices of the rows no step moved and, for each, whether
-    its full first step enters the band."""
+    returns (F, h); the search reads F, and writes the h of the point each
+    row accepts into that row of h, in place, as it writes the point.
+    Returns the indices of the rows no step moved, whose rows of z and h
+    are left as they were, and, for each, whether its full first step
+    enters the band."""
     # rows not moved yet: all, then indices; the truth tests go through
     # lists, which for a few rows cost less than numpy's any and all
     todo, first, n = slice(None), None, z.shape[-1]
@@ -169,40 +175,53 @@ def _take_steps(residual, z, steps, r, rows):
                 at, bound = np.repeat(at, k), np.repeat(bound, k)
             ok = ~in_guard_band(flat)
             if all(ok.tolist()):
-                ok = _norms(residual(flat, at)[0]) < bound
+                F, H = residual(flat, at)
+                ok = _norms(F) < bound
             elif any(ok.tolist()):
-                ok[ok] = _norms(residual(flat[ok], at[ok])[0]) < bound[ok]
+                F, H_ok = residual(flat[ok], at[ok])
+                H = np.empty((len(flat), H_ok.shape[-1]), H_ok.dtype)
+                H[ok] = H_ok
+                ok[ok] = _norms(F) < bound[ok]
             if all(ok.tolist()):        # each row takes its first candidate
-                z[todo] = cand[:, 0]
+                z[todo], h[todo] = cand[:, 0], H[::k]
                 return (), ()
             ok, todo = ok.reshape(-1, k), np.arange(len(z))[todo]
             hit = ok.any(-1)
-            z[todo[hit]] = cand[hit, ok[hit].argmax(-1)]
-            todo, j = todo[~hit], j + k
-            if not todo.size:
-                return (), ()
+            if any(hit.tolist()):       # then some candidate was evaluated
+                lam = ok[hit].argmax(-1)
+                z[todo[hit]] = cand[hit, lam]
+                h[todo[hit]] = H.reshape(len(cand), k, -1)[hit, lam]
+                todo = todo[~hit]
+                if not todo.size:
+                    return (), ()
+            j += k
     return todo, in_guard_band(z[todo] + first[todo])
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
-                         limit=None):
+                         limit=None, H0=None):
     """The damped Gauss-Newton loop shared by every solve, on a stack Z of
     shape vectors, one row per start.  Iterates running toward an ideal
     point overflow; NumPy's warnings for that are silenced here, since a
     trial step with a non-finite residual is rejected (`_take_steps`).
 
-    Each iteration evaluates `residual` on the rows still running, which
-    returns (F, h): the residual and the holonomies it was computed from,
-    one row per row of Z.  A row stops when `done(F, r, h)` holds for its
-    residual F, residual norm r and holonomies h, or at its iteration
-    limit (`limit[k]` for row k, else cfg.max_iterations); otherwise it
-    takes one of the steps `directions(Z, F, h, rows)` yields
-    (`_take_steps`), given the current point's h.  Both callbacks are
-    given the batch indices `rows` of the rows they act on,
-    `residual(Z, rows)` in the line search too, so a solve can give each
-    row its own target.  Stopped rows drop out,
-    and `residual` and `directions` are never called on an empty stack.
+    `residual(Z, rows, h=None)` returns (F, h): the residual and the
+    holonomies it was computed from, one row per row of Z; given h, the
+    holonomies at Z, it computes F from them and returns that h.  Each
+    point's h is computed once, where it is first evaluated: `H0`, when
+    given, is the h of the starts, and every later point is a step the
+    line search accepted, whose h it hands on (`_take_steps`).  So each
+    iteration calls `residual(Z, rows, h)` on the rows still running with
+    their known h, and with h = None only at the starts when H0 is None.
+    A row stops when `done(F, r, h)` holds for its residual F, residual
+    norm r and holonomies h, or at its iteration limit (`limit[k]` for
+    row k, else cfg.max_iterations); otherwise it takes one of the steps
+    `directions(Z, F, h, rows)` yields (`_take_steps`), given the current
+    point's h.  Both callbacks are given the batch indices `rows` of the
+    rows they act on, the residual in the line search too, so a solve can
+    give each row its own target.  Stopped rows drop out, and `residual`
+    and `directions` are never called on an empty stack.
 
     Returns (Z, F, h, iterations, reasons), one entry per row: its last
     point, the residual and holonomies there, and its reason "converged",
@@ -214,6 +233,7 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
     Z = np.array(Z, dtype=complex)
     F_out, h_out, iterations, reasons = ([None] * len(Z) for _ in range(4))
     rows, z = np.arange(len(Z)), Z.copy()      # the running rows of Z
+    h = None if H0 is None else np.array(H0, dtype=complex)
     limit = np.full(len(Z), cfg.max_iterations) if limit is None else limit
 
     def stop(k, F, h, it, why):     # k: positions in rows; why: per row
@@ -224,7 +244,7 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
     for it in itertools.count():
         if not rows.size:
             break
-        F, h = residual(z, rows)
+        F, h = residual(z, rows, h)
         r = _norms(F)
         fin = done(F, r, h)
         out = fin | (limit[rows] == it)
@@ -235,12 +255,13 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
                                 r[~out])
             if not rows.size:
                 break
-        stuck, near = _take_steps(residual, z, directions(z, F, h, rows), r,
-                                  rows)
+        stuck, near = _take_steps(residual, z, h, directions(z, F, h, rows),
+                                  r, rows)
         if len(stuck):
             stop(stuck, F, h, it,
                  np.where(near, "degenerate_shape", "stalled").tolist())
-            rows, z = np.delete(rows, stuck), np.delete(z, stuck, axis=0)
+            rows, z, h = (np.delete(rows, stuck), np.delete(z, stuck, axis=0),
+                          np.delete(h, stuck, axis=0))
     return Z, F_out, h_out, iterations, reasons
 
 
@@ -278,14 +299,17 @@ def _least_squares_step(V, E, b, U):
     return x
 
 
-def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None) -> list:
+def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None,
+                 H0=None) -> list:
     """Solve h(z) = targets[k] from Z0[k] for each row k of a stack, in one
     damped Gauss-Newton loop, each row as `newton_solve` solves it alone,
     bit for bit: the relation step, unless the row's step is tiny, then
     three deterministic kicks.  Row k stops at limit[k] iterations, when
     given, else at cfg.max_iterations; up to its limit it takes the steps
-    of the row alone.  E is the exponent matrix and W the relation matrix
-    with unit rows; returns one SolveResult per row, in row order.
+    of the row alone.  H0, when given, holds the holonomies at the starts,
+    as `all_holonomies(Z0, E)` gives them.  E is the exponent matrix and W
+    the relation matrix with unit rows; returns one SolveResult per row,
+    in row order.
     A degree-one edge's equation sets a single shape to xi_e, which no
     shape off {0, 1} meets at xi_e = 1: such a row keeps its start,
     unsolved, with residual inf and reason "degree_one_edge_obstruction"."""
@@ -294,8 +318,9 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None) -> list:
     solve = ~obstructed.any(-1)
     targets = targets[solve]
 
-    def residual(Z, rows):
-        h = all_holonomies(Z, E)
+    def residual(Z, rows, h=None):
+        if h is None:
+            h = all_holonomies(Z, E)
         return evaluate_residual(Z, E, targets[rows], h), h
 
     def directions(Z, F, h, rows):
@@ -326,7 +351,8 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None) -> list:
     if solve.any():
         Z, F, _, its, reasons = _damped_gauss_newton(
             residual, directions, lambda F, r, h: r < cfg.tol, Z0[solve], cfg,
-            None if limit is None else np.asarray(limit)[solve])
+            None if limit is None else np.asarray(limit)[solve],
+            None if H0 is None else np.asarray(H0)[solve])
         solved = (SolveResult(S, r, it, reason == "converged", reason,
                               f"residual {r:.3e} after {it} iterations"
                               if reason == "max_iterations" else detail[reason])
@@ -381,18 +407,21 @@ class SweepPoint:
     result: SolveResult
 
 
-def _block_starts(thetas, past, block, seed, E, targets) -> np.ndarray:
-    """The starts of a sweep's solves at the thetas `block`, whose targets
-    are the rows of `targets`: for each theta, the Lagrange polynomial
-    through the converged points (thetas[k], log past[k]), evaluated at
-    theta and mapped back by exp, when it is finite, lies off the guard
-    band around {0, 1} and has a smaller residual |h(z) - target| than
-    `seed`; otherwise `seed`.  The logs are taken relative to the last
-    point, so their branch never jumps between nearby points, and one
-    holonomy call evaluates every prediction and the seed."""
+def _block_starts(thetas, past, block, seed, E, targets) -> tuple:
+    """(Z0, H0): the starts of a sweep's solves at the thetas `block`,
+    whose targets are the rows of `targets`, and the holonomies there.  For
+    each theta the start is the Lagrange polynomial through the converged
+    points (thetas[k], log past[k]), evaluated at theta and mapped back by
+    exp, when it is finite, lies off the guard band around {0, 1} and has
+    a smaller residual |h(z) - target| than `seed`; otherwise `seed`.  The
+    logs are taken relative to the last point, so their branch never jumps
+    between nearby points, and one holonomy call evaluates every
+    prediction and the seed; each start's row of that call is its row of
+    H0, which the solve reads instead of evaluating h again."""
     seed = np.array(seed)
     if len(set(thetas)) < len(thetas):
-        return np.tile(seed, (len(block), 1))
+        Z = np.tile(seed, (len(block), 1))
+        return Z, all_holonomies(Z, E)
     T, own = np.array(thetas), np.eye(len(thetas), dtype=bool)
     w = np.where(own, 1.0, (np.array(block)[:, None, None] - T)
                  / (T[:, None] - T + own)).prod(-1)
@@ -402,7 +431,7 @@ def _block_starts(thetas, past, block, seed, E, targets) -> np.ndarray:
         h = all_holonomies(np.vstack([Z, seed]), E)
         ok = (np.isfinite(Z).all(-1) & ~in_guard_band(Z)
               & (_norms(h[:-1] - targets) < _norms(h[-1] - targets)))
-    return np.where(ok[:, None], Z, seed)
+    return np.where(ok[:, None], Z, seed), np.where(ok[:, None], h[:-1], h[-1])
 
 
 def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
@@ -463,10 +492,10 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
         for xi in xis:
             check_target_length(xi, E)
         targets = np.array([xi.xi for xi in xis])
-        Z0 = (_block_starts(thetas, past, block, seed.z, E, targets)
-              if blocked else np.array([seed.z]))
+        Z0, H0 = (_block_starts(thetas, past, block, seed.z, E, targets)
+                  if blocked else (np.array([seed.z]), None))
         results = _newton_rows(E, W, targets, Z0, cfg, [cfg.max_iterations]
-                               + [quick] * (len(block) - 1))
+                               + [quick] * (len(block) - 1), H0)
         accepted = 0
         for theta, res in zip(block, results):
             # a later row hit its limit unless it converged within `quick`
@@ -500,9 +529,8 @@ def random_starts(t: Triangulation, count: int, cfg: SolverConfig = SolverConfig
     while len(z) < need:
         w = rng.uniform((-2.0, 0.0), (2.0, 2.0), (need + need // 3 + 16, 2))
         w = w.view(complex)[:, 0]
-        ok = ((np.abs(w) <= 2) & (w.imag >= 1e-3)
-              & (np.minimum(np.abs(w), np.abs(w - 1)) >= 10 * DEGENERACY_GUARD))
-        z = np.concatenate([z, w[ok]])
+        # Im w >= 1e-3 keeps w far off the guard band around {0, 1}
+        z = np.concatenate([z, w[(np.abs(w) <= 2) & (w.imag >= 1e-3)]])
     return ShapeAssignment.rows(z[:need].reshape(-1, n))
 
 
@@ -529,8 +557,9 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     for start in starts:
         check_shape_length(start, E)
 
-    def residual(Z, rows):
-        h = all_holonomies(Z, E)
+    def residual(Z, rows, h=None):
+        if h is None:
+            h = all_holonomies(Z, E)
         with np.errstate(divide="ignore"):  # h = 0: -inf, a rejected trial
             return np.log(np.abs(h)), h
 

@@ -13,15 +13,15 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        build_exponent_matrix, build_relation_matrix,
                        compute_edge_classes, cone_locus_sample, corpus,
                        evaluate_residual, jacobian, newton_solve,
-                       random_starts, regular_solution, sweep_family,
-                       xi_from_shapes)
+                       parse_triangulation, random_starts, regular_solution,
+                       sweep_family, xi_from_shapes)
 from idealglue import solver as solver_mod
 from idealglue.gluing import (DEGENERACY_GUARD, log_jacobian, pair_matvec,
                               pair_rmatvec)
 from idealglue.solver import (MAX_HALVINGS, _damped_gauss_newton, _newton_rows,
                              _take_steps)
 
-from conftest import random_shapes, random_systems
+from conftest import chain_cover_text, random_shapes, random_systems
 
 
 # ------------------------------------------------- the per-start oracle
@@ -361,7 +361,7 @@ def test_rows_of_a_batch_stop_for_their_own_reasons():
     # between (too slow for the tolerance within five iterations)
     cfg = SolverConfig(tol=1e-12, max_iterations=5)
 
-    def residual(Z, rows):          # (F, h), here with h = Z
+    def residual(Z, rows, h=None):  # (F, h), here with h = Z
         return Z - 3j, Z
 
     def directions(Z, F, h, rows):
@@ -422,7 +422,7 @@ def test_every_row_the_core_hands_back_is_off_the_guard_band(monkeypatch):
     # F(z) = z has its zero at the ideal point 0, where every full step
     # -z lands, so each iteration halves z until all halvings enter the band
     solver_mod._damped_gauss_newton(
-        lambda Z, rows: (Z, Z), lambda Z, F, h, rows: [-Z],
+        lambda Z, rows, h=None: (Z, Z), lambda Z, F, h, rows: [-Z],
         lambda F, r, h: r < 1e-10, np.array([[1 + 2j]]), SolverConfig())
     assert returned[-1][4] == ["degenerate_shape"]
     reasons = set()
@@ -505,7 +505,7 @@ def test_stacked_line_search_is_the_sequential_one():
     assert np.array_equal(want[3:5], [c[3], z0[4] + step[4] / 2])
     calls.clear()
     z = z0.copy()
-    stuck, near = _take_steps(residual, z, steps(step, kick), r,
+    stuck, near = _take_steps(residual, z, z0.copy(), steps(step, kick), r,
                               np.arange(6))
     assert list(stuck) == [5] and list(near) == [True]
     assert np.array_equal(z, want)
@@ -515,6 +515,187 @@ def test_stacked_line_search_is_the_sequential_one():
     calls.clear()
     pulled.clear()
     z = z0[:1].copy()
-    assert _take_steps(residual, z, steps(step[:1], kick[:1]), r[:1],
-                       np.arange(1)) == ((), ())
+    assert _take_steps(residual, z, z0[:1].copy(), steps(step[:1], kick[:1]),
+                       r[:1], np.arange(1)) == ((), ())
     assert len(pulled) == 1 and calls == [1]       # no kick was built
+
+
+def test_line_search_hands_on_the_accepted_points_holonomies():
+    # F(z) = z - c per row and h(z) = 2 z + 1: each moved row of h becomes
+    # h at the point its row of z took, by the all-rows exit (row 0 alone),
+    # a stack with candidates in the guard band (the full steps of rows 1
+    # and 4 land on 0), the halvings (row 2) and the kick (row 3); row 4,
+    # uphill in both steps, is stuck and keeps its entry
+    c = np.array([[2 + 1j], [1j], [3 + 0j], [2j], [2 + 4j]])
+    z0 = np.array([[1 + 2j], [1 + 1j], [0.5 + 1j], [1 + 1j], [1 + 2j]])
+    step = np.array([[1 - 1j], [-1 - 1j], [30 + 0j], [-2j], [-1 - 2j]])
+    kick = np.where((np.arange(5) == 3)[:, None], c - z0, -z0)
+
+    def residual(Z, rows):
+        return Z - c[rows], 2 * Z + 1
+
+    for rows in ([0], [0, 1, 2, 3, 4]):
+        z, h = z0[rows], np.full((len(rows), 1), np.nan + 0j)
+        r = np.linalg.norm(z - c[rows], axis=1)
+        stuck, _ = _take_steps(residual, z, h, iter([step[rows], kick[rows]]),
+                               r, np.array(rows))
+        stuck = list(stuck)
+        moved = np.setdiff1d(np.arange(len(rows)), stuck)
+        assert stuck == ([] if rows == [0] else [4])
+        assert np.array_equal(h[moved], 2 * z[moved] + 1)
+        assert np.isnan(h[stuck]).all()
+    assert np.array_equal(z[:4], [c[0], z0[1] + step[1] / 2,
+                                  z0[2] + step[2] / 8, c[3]])
+
+
+# --------------------------------------- each point's holonomies, once
+
+def trace_holonomy_calls(monkeypatch):
+    """The events of the solves that follow, in order: "h" for each
+    holonomy call; for each residual call of the core, "known" when it
+    was given the point's holonomies, "unknown" when not, and "search" for
+    each of its line search; "predict" and "predicted" before and after a
+    sweep's block starts."""
+    events = []
+    holonomies = solver_mod.all_holonomies
+    core = solver_mod._damped_gauss_newton
+    block_starts = solver_mod._block_starts
+
+    def counted(Z, E):
+        events.append("h")
+        return holonomies(Z, E)
+
+    def traced_core(residual, *args):
+        def traced(Z, rows, *h):        # the core passes h, the search not
+            events.append("search" if not h else
+                          "unknown" if h[0] is None else "known")
+            return residual(Z, rows, *h)
+        return core(traced, *args)
+
+    def predicted(*args):
+        events.append("predict")
+        out = block_starts(*args)
+        events.append("predicted")
+        return out
+
+    monkeypatch.setattr(solver_mod, "all_holonomies", counted)
+    monkeypatch.setattr(solver_mod, "_damped_gauss_newton", traced_core)
+    monkeypatch.setattr(solver_mod, "_block_starts", predicted)
+    return events
+
+
+def oracle_systems():
+    return ([corpus(name) for name in CORPUS_NAMES]
+            + [parse_triangulation(chain_cover_text(4))])
+
+
+def about_regular(t):
+    """A family xi(theta) about the regular solution, weights +-1."""
+    degrees = build_exponent_matrix(t).degree.tolist()
+    weights = [(-1) ** j if j + 1 < len(degrees) or j % 2 else 0
+               for j in range(len(degrees))]
+    return lambda theta: ConeTarget(tuple(
+        cmath.exp(1j * (np.pi * d / 3 + w * theta))
+        for w, d in zip(weights, degrees)))
+
+
+def hopf_through_its_ideal_point():
+    hopf = corpus("hopf")
+    degrees = build_exponent_matrix(hopf).degree.tolist()
+    return hopf, lambda theta: ConeTarget(tuple(
+        cmath.exp(1j * theta * (1 if d == 1 else -2)) for d in degrees))
+
+
+def test_each_point_has_its_holonomies_evaluated_once(monkeypatch):
+    # every iteration evaluated h at its current point, although the line
+    # search had evaluated it when it accepted the point, and a sweep
+    # block's first iteration at its starts, which the predictor had
+    events = trace_holonomy_calls(monkeypatch)
+    solves = 0
+    for t in oracle_systems():
+        _, regular_xi, _ = regular_solution(t)
+        for cfg in (SolverConfig(seed=2),
+                    SolverConfig(seed=3, max_iterations=4)):
+            for start in random_starts(t, 6, cfg):
+                events.clear()
+                res = newton_solve(t, regular_xi, start, cfg)
+                core = [e for e in events if e in ("known", "unknown")]
+                assert core == ["unknown"] + ["known"] * res.iterations
+                assert events.count("h") == events.count("search") + 1
+                solves += res.iterations > 1
+    assert solves > 10
+    hopf, family = hopf_through_its_ideal_point()
+    sweeps = [(t, about_regular(t), np.linspace(0.0, 0.6, 40), None)
+              for t in oracle_systems()]
+    sweeps.append((hopf, family, [0.6, 0.3, 0.0, -0.3, -0.4, -0.5],
+                   ShapeAssignment((0.2 + 0.9j,))))
+    blocks = known = 0
+    for t, xi_of, grid, initial in sweeps:
+        events.clear()
+        sweep_family(t, xi_of, grid, initial=initial)
+        for i, event in enumerate(events):
+            if event == "predicted":
+                after = events[i + 1:] + ["predict"]
+                first = after[:min(after.index(e) for e in ("search", "predict")
+                                   if e in after)]
+                assert "h" not in first and "unknown" not in first
+                blocks, known = blocks + 1, known + ("known" in first)
+    assert known == blocks > 8
+
+
+def test_handed_on_holonomies_are_the_recomputed_ones(monkeypatch):
+    # the core with a residual that ignores the h it is given and
+    # recomputes it gives every result bit for bit
+    rng = np.random.default_rng(11)
+    stacks = []
+    for t in oracle_systems():
+        E, n = build_exponent_matrix(t), t.tetra_count
+        _, regular_xi, _ = regular_solution(t)
+        # starts near {0, 1}: rows that stall, run out or end with a full
+        # first step in the guard band; xi = 1 obstructs hopf and trefoil
+        near = rng.choice([0.0, 1.0], (12, n)) + 10 ** rng.uniform(
+            -7.9, -3, (12, n)) * np.exp(1j * rng.uniform(-3, 3, (12, n)))
+        Z0 = np.concatenate([near, [S.z for S in random_starts(
+            t, 12, SolverConfig(seed=3))]])
+        targets = [regular_xi.xi, (1.0,) * E.edge_count,
+                   np.exp(1j * rng.uniform(-3, 3, E.edge_count))]
+        stacks.append((E, build_relation_matrix(t, unit=True),
+                       np.array([targets[k % 3] for k in range(len(Z0))]), Z0))
+    hopf, family = hopf_through_its_ideal_point()
+    # the stationary hopf starts, whose rows are kicked
+    stacks.append((build_exponent_matrix(hopf),
+                   build_relation_matrix(hopf, unit=True),
+                   np.array([family(np.pi / 2).xi] * 3),
+                   [[REGULAR_SHAPE * cmath.exp(1j * a)]
+                    for a in (-1.2e-8, -2e-8, -5e-8)]))
+
+    def solve_all():
+        out = [_newton_rows(E, W, targets, Z0, SolverConfig(max_iterations=k))
+               for E, W, targets, Z0 in stacks for k in (100, 3)]
+        out += [sweep_family(t, about_regular(t), np.linspace(0.0, 0.6, 40))
+                for t in oracle_systems()]
+        out.append(sweep_family(hopf, family, [0.6, 0.3, 0.0, -0.3, -0.4],
+                                initial=ShapeAssignment((0.2 + 0.9j,))))
+        for t in oracle_systems():
+            for k in (4, 100):
+                cfg = SolverConfig(seed=k, max_iterations=k)
+                out.append(cone_locus_sample(t, random_starts(t, 32, cfg),
+                                             cfg))
+        return out
+
+    handed_on = solve_all()
+    core, calls = solver_mod._damped_gauss_newton, []
+
+    def recomputing(residual, directions, done, Z, cfg, limit=None, H0=None):
+        calls.append(len(Z))
+        return core(lambda Z, rows, h=None: residual(Z, rows), directions,
+                    done, Z, cfg, limit)
+
+    monkeypatch.setattr(solver_mod, "_damped_gauss_newton", recomputing)
+    assert repr(solve_all()) == repr(handed_on)
+    assert len(calls) > 100
+    reasons = {res.reason for rows in handed_on[:2 * len(stacks)]
+               for res in rows}
+    assert reasons == {"converged", "max_iterations", "stalled",
+                       "degenerate_shape", "degree_one_edge_obstruction"}
+    assert handed_on[-2][1] > 0         # samples dropped at 4 iterations

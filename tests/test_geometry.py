@@ -1,6 +1,7 @@
 """Dilogarithm, Bloch-Wigner volume, dihedral angles."""
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,8 @@ from idealglue import (BranchCut, DegenerateShape, ShapeAssignment, V_TET,
                        bloch_wigner, build_exponent_matrix,
                        compute_edge_classes, corpus, dihedral_angles, dilog,
                        edge_cone_angles, solution_volume)
-from idealglue.geometry import _BERNOULLI, _N_BERNOULLI, _bloch_wigner_array
+from idealglue.geometry import (_BERNOULLI, _N_BERNOULLI, _bloch_wigner_array,
+                                _triples)
 from idealglue.gluing import SLOT_LABELS
 from conftest import random_shapes, random_systems
 
@@ -217,6 +219,38 @@ def test_edge_cone_angles_are_slot_sums_on_random_triangulations(rng):
                 expect = sum(dihedral_angles(Z[tet])[SLOT_LABELS[slot]]
                              for tet, slot, _ in e.cycle)
                 assert abs(angles[e.index] - expect) < 1e-12
+
+
+HUGE = [complex(1e308, 1e308), complex(-1.2e308, -1.2e308),
+        complex(1.27e308, 1e308), complex(-1e308, 1e300), complex(0, 1e308),
+        complex(3e301, -2e301), complex(1e300, 1e300), complex(1.7e308, 1.0)]
+
+
+@pytest.mark.parametrize("z", HUGE)
+def test_volume_and_angles_at_the_top_of_the_float_range(z):
+    # (z - 1) / z overflowed in NumPy's complex division past |z| of about
+    # 1.27e308: RuntimeWarnings, z' = 0, z'' = nan and a nan volume
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vol = solution_volume(ShapeAssignment((z, REGULAR)))
+        angles = dihedral_angles(z)
+    with mpmath.workdps(40):    # D(z) is about log|z| / |z| here
+        w = mpmath.mpc(z)
+        want = (mpmath.im(mpmath.polylog(2, w))
+                + mpmath.arg(1 - w) * mpmath.log(abs(w)))
+        arg = [mpmath.arg(w), mpmath.arg(1 / (1 - w)), mpmath.arg((w - 1) / w)]
+    assert abs(vol.per_tetrahedron[0] - float(want)) < 1e-15
+    assert vol.per_tetrahedron[1] == bloch_wigner(REGULAR)
+    assert max(abs(a - float(b)) for a, b in zip(angles, arg)) < 1e-15
+
+
+def test_huge_shapes_leave_the_other_triples_bitwise(rng):
+    z = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
+    triple = np.stack([z, 1.0 / (1.0 - z), (z - 1.0) / z], axis=-1)
+    assert np.array_equal(_triples(z), triple)
+    mixed = _triples(np.concatenate([z, HUGE]))
+    assert np.array_equal(mixed[:len(z)], triple)
+    assert np.isfinite(mixed).all()
 
 
 def test_solution_volume_is_never_nan():

@@ -325,6 +325,19 @@ def test_non_finite_shapes_are_rejected(z):
         ShapeAssignment((REGULAR, z))
 
 
+@pytest.mark.parametrize("z", [complex(1.5e308, 1.5e308),
+                               complex(-1.3e308, 1.3e308)])
+def test_a_shape_whose_modulus_overflows_is_rejected(z):
+    # abs(z) raised OverflowError: a traceback from every command that
+    # parses such a shape
+    with pytest.raises(DegenerateShape,
+                       match="has a modulus past the largest float"):
+        ShapeAssignment((REGULAR, z))
+    # finite parts of a float modulus are a shape, in both paths
+    ok = np.array([[complex(1e308, 1e308), complex(-1.7e308, 1e-300)]])
+    assert ShapeAssignment.rows(ok)[0] == ShapeAssignment(ok[0])
+
+
 @pytest.mark.parametrize("x", [math.nan, math.inf, complex(math.nan, 1.0),
                                complex(1.0, -math.inf)])
 def test_non_finite_cone_targets_are_rejected(x):
@@ -353,7 +366,8 @@ def test_shape_rows_are_the_constructor_rows(rng):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf),
-                                 1 + 1e-10j, 0.0])
+                                 1 + 1e-10j, 0.0, complex(1.5e308, 1.5e308),
+                                 complex(-1.3e308, -1.3e308)])
 def test_shape_rows_fail_as_the_constructor_fails(bad):
     Z = np.full((3, 2), REGULAR)
     Z[1, 1] = bad

@@ -7,6 +7,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -809,6 +810,32 @@ def test_cli_holonomy_names_an_edge_whose_holonomy_overflows(capsys):
     assert code == 2 and out == ""
     assert err == ("error: the shapes are not a cone point: e0 has "
                    "|h(e)| = nan, e1 has |h(e)| = 0\n")
+
+
+@pytest.mark.parametrize("command, flag", [("solve", "--initial"),
+                                           ("volume", "--shapes")])
+def test_a_shape_whose_modulus_overflows_exits_two_on_one_line(command, flag,
+                                                                capsys):
+    # abs() of the shape raised OverflowError: a traceback and exit 1
+    code, out, err = run_cli(capsys, command, "--corpus", "hopf",
+                             f"{flag}=1.5e308,1.5e308")
+    assert (code, out) == (2, "")
+    assert err == ("error: shape (1.5e+308+1.5e+308j) has a modulus past the "
+                   "largest float\n")
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_volume_at_the_top_of_the_float_range(json_flag, capsys):
+    # (z - 1) / z overflowed in NumPy's complex division: three
+    # RuntimeWarnings and volume = nan with exit 0, or under --json an
+    # unwritable report and exit 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "volume", "--corpus", "hopf",
+                                 "--shapes=1e308,1e308", *json_flag)
+    assert (code, err) == (0, "")
+    total = json.loads(out)["total"] if json_flag else float(out.split()[2])
+    assert 0.0 < total < 1e-300
 
 
 def test_cli_export_corpus(tmp_path, capsys):

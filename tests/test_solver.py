@@ -249,8 +249,8 @@ def record_stacks(monkeypatch):
     calls = []
     solve = solver_mod._newton_rows
 
-    def recorded(E, W, targets, Z0, cfg, limit=None):
-        results = solve(E, W, targets, Z0, cfg, limit)
+    def recorded(E, W, targets, Z0, cfg, limit=None, H0=None):
+        results = solve(E, W, targets, Z0, cfg, limit, H0)
         calls.append(Stack(np.array(targets), np.array(Z0), limit, results))
         return results
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchCut, DegenerateShape
-from .gluing import ExponentMatrix, ShapeAssignment, check_nondegenerate
+from .gluing import (ExponentMatrix, ShapeAssignment, _triples,
+                     check_nondegenerate)
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
 FLAT_TOL = 1e-9
-HUGE_SHAPE = 2.0 ** 1000    # |z| past it: z' and z'' from 1 / z
 
 _N_BERNOULLI = 48
 
@@ -85,25 +85,6 @@ def dilog(z: complex) -> complex:
     if z.real > 0.5:
         return PI2_OVER_6 - cmath.log(z) * cmath.log(1.0 - z) - dilog(1.0 - z)
     return _li2_of_log(-cmath.log(1.0 - z))
-
-
-def _triples(z: np.ndarray) -> np.ndarray:
-    """(z, z', z'') per shape, as the columns of an n-by-3 array.
-
-    NumPy divides complex numbers by Smith's method, whose denominator
-    c + d (d / c) overflows once the divisor's modulus passes the largest
-    float over sqrt 2, making z' 0 and z'' nan there.  So where |z| passes
-    HUGE_SHAPE the triple is taken from w = 1 / z instead, with the
-    divisor scaled by 1/4 (exactly) first: z' = -w / (1 - w), z'' = 1 - w.
-    The other shapes keep the quotients above, bit for bit."""
-    big = np.abs(z) > HUGE_SHAPE
-    huge = big.any()
-    safe = np.where(big, 2.0, z) if huge else z     # huge: set below
-    triple = np.stack([z, 1.0 / (1.0 - safe), (safe - 1.0) / safe], axis=-1)
-    if huge:
-        w = 0.25 / (z[big] * 0.25)
-        triple[big, 1], triple[big, 2] = -w / (1.0 - w), 1.0 - w
-    return triple
 
 
 def _bloch_wigner_array(z: np.ndarray) -> np.ndarray:

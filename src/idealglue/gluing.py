@@ -27,6 +27,7 @@ exponent matrix.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .errors import DegenerateShape, IdealGlueError, NotUnitModulus
 from .triangulation import SLOT_INDEX, Triangulation, edge_tables, vertex_tables
 
 DEGENERACY_GUARD = 1e-8
+HUGE_SHAPE = 2.0 ** 1000    # |z| past it: z' and z'' from 1 / z
 UNIT_TOL = 1e-8         # every |x| = 1 test: abs(abs(x) - 1.0) < UNIT_TOL
 
 LABEL_Z, LABEL_ZP, LABEL_ZPP = 0, 1, 2
@@ -63,6 +65,13 @@ def in_guard_band(Z) -> np.ndarray:
     return (np.minimum(np.abs(Z), np.abs(Z - 1.0)) < DEGENERACY_GUARD).any(-1)
 
 
+def _nondegenerate(Z) -> bool:
+    """Does every shape of a complex array Z pass `check_nondegenerate`?
+    Its one array test."""
+    # |z| is finite exactly when z is and its modulus is a float
+    return bool(np.isfinite(np.abs(Z)).all() and not in_guard_band(Z).any())
+
+
 def check_nondegenerate(z: complex) -> complex:
     """z as a complex number; raises DegenerateShape when z is not finite,
     its modulus is past the largest float, or it lies within
@@ -78,14 +87,33 @@ def check_nondegenerate(z: complex) -> complex:
     return z
 
 
+def _triples(z: np.ndarray) -> np.ndarray:
+    """(z, z', z'') per shape, as the columns of an n-by-3 array.
+
+    NumPy divides complex numbers by Smith's method, whose denominator
+    c + d (d / c) overflows once the divisor's modulus passes the largest
+    float over sqrt 2, making z' 0 and z'' nan there.  So where |z| passes
+    HUGE_SHAPE the triple is taken from w = 1 / z instead, with the
+    divisor scaled by 1/4 (exactly) first: z' = -w / (1 - w), z'' = 1 - w.
+    The other shapes keep the quotients above, bit for bit."""
+    big = np.abs(z) > HUGE_SHAPE
+    huge = big.any()
+    safe = np.where(big, 2.0, z) if huge else z     # huge: set below
+    triple = np.stack([z, 1.0 / (1.0 - safe), (safe - 1.0) / safe], axis=-1)
+    if huge:
+        w = 0.25 / (z[big] * 0.25)
+        triple[big, 1], triple[big, 2] = -w / (1.0 - w), 1.0 - w
+    return triple
+
+
 def derive_shape_triple(z: complex):
-    """(z, z', z'') with z' = 1/(1-z) and z'' = (z-1)/z.
+    """(z, z', z'') with z' = 1/(1-z) and z'' = (z-1)/z, as the one-element
+    `_triples`: finite for every shape `check_nondegenerate` accepts.
 
     The triple satisfies z(1-z'') = z'(1-z) = z''(1-z') = 1 and
     z z' z'' = -1 exactly (to rounding).
     """
-    z = check_nondegenerate(z)
-    return z, 1.0 / (1.0 - z), (z - 1.0) / z
+    return tuple(_triples(np.array([check_nondegenerate(z)]))[0].tolist())
 
 
 def _stack_rows(cls, field: str, rows: np.ndarray, ok: bool, *args) -> list:
@@ -102,6 +130,10 @@ def _stack_rows(cls, field: str, rows: np.ndarray, ok: bool, *args) -> list:
     return out
 
 
+# the entry types that ShapeAssignment converts as one array
+_EXACT = {complex, float, int, np.complex128, np.float64}
+
+
 @dataclass(frozen=True)
 class ShapeAssignment:
     """One shape parameter per tetrahedron, each finite and off the guard
@@ -111,15 +143,22 @@ class ShapeAssignment:
     z: tuple
 
     def __init__(self, z):
-        zs = tuple(check_nondegenerate(w) for w in z)
+        z, zs = tuple(z), None
+        # one array test of the floats and complex numbers NumPy converts
+        # as complex() does; else, or when it fails, one entry at a time,
+        # so that the error names the first bad entry
+        if set(map(type, z)) <= _EXACT:
+            with contextlib.suppress(OverflowError):    # an int past floats
+                a = np.array(z, dtype=complex)
+                zs = tuple(a.tolist()) if _nondegenerate(a) else None
+        if zs is None:
+            zs = tuple(map(check_nondegenerate, z))
         object.__setattr__(self, "z", zs)
 
     @classmethod
     def rows(cls, Z) -> list:
         """One ShapeAssignment per row of a complex array (`_stack_rows`)."""
-        # |z| is finite exactly when z is and its modulus is a float
-        return _stack_rows(cls, "z", Z, np.isfinite(np.abs(Z)).all()
-                           and not in_guard_band(Z).any())
+        return _stack_rows(cls, "z", Z, _nondegenerate(Z))
 
     def __len__(self):
         return len(self.z)
@@ -361,25 +400,30 @@ def pair_rmatvec(V: np.ndarray, E: ExponentMatrix, y: np.ndarray) -> np.ndarray:
         by_tet, axis=-1), starts, axis=-1)
 
 
-def normal_matrix(V: np.ndarray, E: ExponentMatrix,
-                  U: np.ndarray) -> np.ndarray:
+def normal_matrix(V: np.ndarray, E: ExponentMatrix, U: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """D D^H + U^H U, for D as in `pair_matvec` and a c-by-m matrix U, or
     for each row of stacks of them, (k, nnz) and (k, c, m).  With a real U
     it is Re(D D^H) + U^T U, which is A A^T for the real m-by-2n matrix
     A = [Re D, -Im D].
 
-    M starts as U^H U.  Entry (j, k) then gets the product v_p conj(v_q)
-    of D's values at the pairs p = (j, i), q = (k, i) for each tetrahedron
-    i that edges j and k share: at most 36 n products, where the dense
-    product costs O(m^2 n).  One unbuffered `np.add.at` adds them in
-    place in the index's order, so each entry is summed in tetrahedron
-    order, as a sum of per-tetrahedron outer products sums it."""
+    M starts as U^H U, a new array.  Given `out`, a C-contiguous array of
+    M's shape, M is out instead: its caller owns it and has written U^H U
+    there, U is not read, and a real out takes Re(D D^H).  (Each solve
+    owns one such workspace, `solver._workspace`, so that its m-by-m
+    matrices are not allocated anew on every iteration.)
+    Entry (j, k) then gets the product v_p conj(v_q) of D's values at the
+    pairs p = (j, i), q = (k, i) for each tetrahedron i that edges j and k
+    share: at most 36 n products, where the dense product costs O(m^2 n).
+    One unbuffered `np.add.at` adds them to M in place in the index's
+    order, so each entry is summed in tetrahedron order, as a sum of
+    per-tetrahedron outer products sums it.  Returns M."""
     pairs, entry = _pair_products(E)[2:]
+    M = U.mT.conj() @ U if out is None else out
     v = V.take(pairs, axis=-1)
     prod = v[..., :len(entry)] * v[..., len(entry):].conj()
-    if not np.iscomplexobj(U):
+    if not np.iscomplexobj(M):
         prod = prod.real
-    M = U.mT.conj() @ U
     start = np.arange(0, M.size, M.shape[-1] ** 2)[:, None]   # of each M
     np.add.at(M.reshape(-1), (start + entry).ravel(), prod.ravel())
     return M

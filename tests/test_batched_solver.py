@@ -16,8 +16,8 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        parse_triangulation, random_starts, regular_solution,
                        sweep_family, xi_from_shapes)
 from idealglue import solver as solver_mod
-from idealglue.gluing import (DEGENERACY_GUARD, log_jacobian, pair_matvec,
-                              pair_rmatvec)
+from idealglue.gluing import (DEGENERACY_GUARD, log_jacobian, normal_matrix,
+                              pair_matvec, pair_rmatvec)
 from idealglue.solver import (MAX_HALVINGS, _damped_gauss_newton, _newton_rows,
                              _take_steps)
 
@@ -351,6 +351,67 @@ def test_solves_hand_their_holonomies_to_the_jacobian(monkeypatch):
     newton_solve(corpus("fig8_complement"), ConeTarget.ones(2),
                  ShapeAssignment((0.5 + 0.8j, 0.5 + 0.8j)))
     assert calls and all(calls)
+
+
+def spy_normal_matrix(monkeypatch):
+    """The `out` and row count of every normal matrix a solve's step forms."""
+    calls = []
+
+    def recorded(V, E, U=None, out=None):
+        calls.append((out, len(V)))
+        return normal_matrix(V, E, U, out)
+
+    monkeypatch.setattr(solver_mod, "normal_matrix", recorded)
+    return calls
+
+
+def assert_one_workspace(calls, dtype):
+    # every step's M is written in place into a prefix of the array the
+    # first step wrote into: one workspace for the whole solve
+    first = calls[0][0]
+    assert len(calls) > 1 and first is not None and first.dtype == dtype
+    for out, rows in calls:
+        assert out.shape == (rows,) + first.shape[1:]
+        assert out.flags.c_contiguous and np.shares_memory(out, first)
+        assert out.__array_interface__["data"] == first.__array_interface__[
+            "data"]
+
+
+def test_a_solve_writes_every_normal_matrix_into_one_workspace(monkeypatch):
+    calls = spy_normal_matrix(monkeypatch)
+    t = parse_triangulation(chain_cover_text(8))
+    start = REGULAR_SHAPE + 0.02 * np.exp(0.3j * np.arange(16))
+    res = newton_solve(t, ConeTarget.ones(16), ShapeAssignment(start))
+    assert res.converged and len(calls) == res.iterations
+    assert_one_workspace(calls, complex)
+
+
+def test_a_sweep_block_writes_into_one_workspace_as_rows_stop(monkeypatch):
+    # a block of starts at growing distances from the complete structure,
+    # the later rows with the sweep's short limit: the rows stop at
+    # different iterations, and each step writes into a prefix of the
+    # workspace the block's first step allocated
+    calls = spy_normal_matrix(monkeypatch)
+    t = parse_triangulation(chain_cover_text(4))
+    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
+    Z0 = REGULAR_SHAPE + np.outer([1e-9, 1e-3, 0.05, 0.2],
+                                  np.exp(0.3j * np.arange(8)))
+    cfg = SolverConfig()
+    results = _newton_rows(E, W, np.ones((4, 8), dtype=complex), Z0, cfg,
+                           [cfg.max_iterations, 3, 3, 3])
+    assert len({res.iterations for res in results}) > 1
+    assert len({rows for _, rows in calls}) > 1
+    assert_one_workspace(calls, complex)
+
+
+def test_the_sampler_writes_into_one_real_workspace(monkeypatch):
+    calls = spy_normal_matrix(monkeypatch)
+    t = parse_triangulation(chain_cover_text(4))
+    cfg = SolverConfig(seed=3)
+    samples, dropped = cone_locus_sample(t, random_starts(t, 32, cfg), cfg)
+    assert len(samples) == 32 and not dropped
+    assert calls[0][1] == 32 and len({rows for _, rows in calls}) > 1
+    assert_one_workspace(calls, float)
 
 
 # ---------------------------------------------------------- the core itself

@@ -12,9 +12,8 @@ from idealglue import (BranchCut, DegenerateShape, ShapeAssignment, V_TET,
                        bloch_wigner, build_exponent_matrix,
                        compute_edge_classes, corpus, dihedral_angles, dilog,
                        edge_cone_angles, solution_volume)
-from idealglue.geometry import (_BERNOULLI, _N_BERNOULLI, _bloch_wigner_array,
-                                _triples)
-from idealglue.gluing import SLOT_LABELS
+from idealglue.geometry import _BERNOULLI, _N_BERNOULLI, _bloch_wigner_array
+from idealglue.gluing import SLOT_LABELS, _triples
 from conftest import random_shapes, random_systems
 
 REGULAR = cmath.exp(1j * math.pi / 3)

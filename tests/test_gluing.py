@@ -2,6 +2,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,8 @@ from idealglue import (CORPUS_NAMES, ConeTarget, DegenerateShape,
                        compute_edge_classes, corpus, derive_shape_triple,
                        edge_slot_label, evaluate_residual, jacobian,
                        random_triangulation, xi_from_shapes)
-from idealglue.gluing import SLOT_LABELS, log_jacobian
+from idealglue.gluing import (SLOT_LABELS, _triples, check_nondegenerate,
+                              log_jacobian)
 from conftest import random_shapes, random_systems
 from oracles import enumerate_one_tetrahedron_triangulations
 
@@ -57,6 +59,23 @@ def test_shape_triple_relations_exact(rng):
         assert abs(zp * (1 - z) - 1) < 1e-14
         assert abs(zpp * (1 - zp) - 1) < 1e-14
         assert abs(z * zp * zpp + 1) < 1e-14
+
+
+def test_shape_triple_is_the_array_triple_at_every_modulus(rng):
+    # Python's complex division overflowed past |z| of about 1.27e308 as
+    # NumPy's did: derive_shape_triple(1e308 + 1e308i) was (z, -0j, nan)
+    zs = [complex(1e308, 1e308)] + [
+        10 ** r * cmath.exp(1j * a)
+        for r, a in zip(rng.uniform(8, 307, 200), rng.uniform(-3.14, 3.14, 200))]
+    with mpmath.workdps(40):
+        for z in zs:
+            triple = derive_shape_triple(z)
+            assert triple == tuple(_triples(np.array([z]))[0].tolist())
+            w = mpmath.mpc(z)
+            for got, want in zip(triple, (w, 1 / (1 - w), (w - 1) / w)):
+                # z' is subnormal past |z| of about 4.5e307
+                err = float(abs(mpmath.mpc(got) - want))
+                assert err <= 4e-16 * float(abs(want)) + 2e-323
 
 
 def test_degenerate_shapes_rejected():
@@ -363,6 +382,41 @@ def test_shape_rows_are_the_constructor_rows(rng):
     assert all(type(w) is complex for S in rows for w in S.z)
     assert math.copysign(1.0, rows[0][0].real) == -1.0
     assert ShapeAssignment.rows(np.empty((0, 3), dtype=complex)) == []
+
+
+def per_entry(z):
+    """The constructor's values, one check_nondegenerate per entry."""
+    return tuple(check_nondegenerate(w) for w in z)
+
+
+@pytest.mark.parametrize("entries", [
+    lambda: (REGULAR, 2, -3.5, complex(-0.0, 2.0)),
+    lambda: (w for w in (REGULAR, 0.25j)),
+    lambda: (np.complex128(REGULAR), np.float64(-2.0), np.float32(0.1),
+             np.int64(3), np.complex64(0.2 + 0.3j), np.longdouble(0.3)),
+    lambda: (REGULAR, 2**53 + 1, 2**63 + 1, 2**70 + 1),
+    lambda: (REGULAR, 10**400),
+    lambda: (REGULAR, 0, 10**400),
+    lambda: (REGULAR, 1 + 1e-9j, math.nan),
+    lambda: (REGULAR, complex(1.5e308, 1.5e308)),
+    lambda: (REGULAR, None),
+    lambda: (REGULAR, b"0.3"),
+    lambda: (REGULAR, "0.3+1j"),
+    lambda: 5,
+], ids=["ints", "generator", "numpy scalars", "rounded ints", "huge int",
+        "degenerate before huge int", "first bad entry", "modulus overflow",
+        "none", "bytes", "string", "not iterable"])
+def test_shape_assignment_is_the_per_entry_check(entries):
+    # the constructor's one array test keeps every value and every error
+    # of checking the entries one at a time
+    try:
+        want = per_entry(entries())
+    except Exception as err:
+        assert raised(ShapeAssignment, entries()) == (type(err), str(err))
+    else:
+        got = ShapeAssignment(entries()).z
+        assert repr(got) == repr(want)
+        assert all(type(w) is complex for w in got)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.5, -math.inf),

@@ -198,6 +198,15 @@ def test_pair_assembled_normal_matrix_is_the_dense_product(name, rng):
         assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale).all()
         for Vk, Uk, Mk in zip(V, U, got):
             assert np.array_equal(normal_matrix(Vk, E, Uk), Mk)
+        # in place, into a workspace holding U^H U, and into a prefix of a
+        # longer one, as a solve's step forms M once its other rows stop
+        for k in (len(V), 2):
+            workspace = np.full((len(V) + 1,) + got.shape[1:], np.nan,
+                                dtype=got.dtype)
+            start = np.matmul(U[:k].mT.conj(), U[:k], out=workspace[:k])
+            out = normal_matrix(V[:k], E, out=start)
+            assert out is start and np.array_equal(out, got[:k])
+            assert np.isnan(workspace[k:]).all()
 
 
 @pytest.mark.parametrize("name", NORMAL_SYSTEMS)
@@ -236,6 +245,11 @@ def rank_fixed_lstsq(J, b, r):
     return np.linalg.lstsq(J, b, rcond=rcond)[0], s[0] / s[r - 1]
 
 
+def gram(U):
+    """U^H U, which a step's normal matrix starts from."""
+    return U.mT.conj() @ U
+
+
 def stacked_system(rng, name, t, count):
     """A stack of `count` Jacobians (their values on the pairs) at sample
     points, with random right-hand sides and the relation rows W / h of
@@ -256,12 +270,12 @@ def test_step_matches_lstsq(name, rng, lstsq_calls):
     t = SYSTEMS[name]
     E = build_exponent_matrix(t)
     V, b, U = stacked_system(rng, name, t, 20)
-    x = _least_squares_step(V, E, b, U)
+    x = _least_squares_step(V, E, b, gram(U))
     assert lstsq_calls == []                        # no fallback
     assert x.shape == (len(b), t.tetra_count)
     for Vk, bk, Uk, xk in zip(V, b, U, x):
         assert np.array_equal(xk, _least_squares_step(Vk[None], E, bk[None],
-                                                      Uk[None])[0])
+                                                      gram(Uk[None]))[0])
         want, cond = rank_fixed_lstsq(E.dense(Vk), bk, relation_rank(t))
         bound = max(1e-12, 256 * EPS * cond ** 2)
         assert np.linalg.norm(xk - want) <= bound * np.linalg.norm(want)
@@ -275,12 +289,12 @@ def test_incomplete_relations_fall_back_to_lstsq(name, rng, lstsq_calls):
     t = SYSTEMS[name]
     V, b, U = stacked_system(rng, name, t, 6)
     E = build_exponent_matrix(t)
-    full = _least_squares_step(V, E, b, U)
+    full = _least_squares_step(V, E, b, gram(U))
     for v in range(U.shape[1]):
         lstsq_calls.clear()
         cut = U.copy()
         cut[1::2, v] = 0.0
-        x = _least_squares_step(V, E, b, cut)
+        x = _least_squares_step(V, E, b, gram(cut))
         assert len(lstsq_calls) == 3
         for k in range(len(V)):
             want = (np.linalg.lstsq(E.dense(V[k]), b[k], rcond=None)[0]
@@ -313,7 +327,7 @@ def test_real_step_is_the_dense_min_norm_step(name, rng, lstsq_calls):
     D = E.dense(V)
     A = np.concatenate([D.real, -D.imag], axis=-1)
     dense = (A.mT @ np.linalg.solve(A @ A.mT + U.mT @ U, b[..., None]))[..., 0]
-    full = _least_squares_step(V, E, b, U)
+    full = _least_squares_step(V, E, b, gram(U))
     assert lstsq_calls == []                        # no fallback
     assert full.dtype == complex and full.shape == (len(b), n)
     want = dense[:, :n] + 1j * dense[:, n:]
@@ -323,7 +337,7 @@ def test_real_step_is_the_dense_min_norm_step(name, rng, lstsq_calls):
         lstsq_calls.clear()
         cut = U.copy()
         cut[1::2, v] = 0.0
-        x = _least_squares_step(V, E, b, cut)
+        x = _least_squares_step(V, E, b, gram(cut))
         assert lstsq_calls == [(E.edge_count, 2 * n)] * 3
         for k in range(len(V)):
             if k % 2:

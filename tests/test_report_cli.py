@@ -240,6 +240,55 @@ def test_verify_rebuilds_the_report_once(monkeypatch):
                              "edge_cone_angles", "solution_volume"]
 
 
+@pytest.mark.parametrize("tamper", [None, lambda r: r["edges"][0].__setitem__(
+    "order", 7)], ids=["clean", "tampered"])
+def test_verify_flattens_only_a_report_that_differs(tamper, monkeypatch):
+    # a report equal to its rebuild is checked against the rebuild's own
+    # fields, each matching with error 0.0, as it matched when flattened
+    rep = json.loads(json.dumps(fig8_report()))
+    if tamper:
+        tamper(rep)
+    calls = []
+    original = report_mod._fields
+    monkeypatch.setattr(report_mod, "_fields",
+                        lambda r: calls.append(r) or original(r))
+    checks = verify_report(rep)
+    assert len(calls) == (2 if tamper else 1)
+    assert [c.name for c in checks if not c.ok] == (["order matches"] if tamper
+                                                    else [])
+    assert all(c.value == 0.0 for c in checks if c.name.endswith("matches")
+               and c.name != "order matches")
+
+
+def test_report_pairs_decode_as_complex_does():
+    # one float array, viewed as complex, holds complex(re, im) bit for bit
+    pairs = [[0.5, -0.0], [-0.0, 2], [1, 2], [2**53 + 1, 2**63 + 1],
+             [1e308, -1e-320], [2**70 + 1, 0.1]]
+    got = report_mod._complex(pairs)
+    assert got.shape == (1, len(pairs))
+    assert repr(got[0].tolist()) == repr([complex(*p) for p in pairs])
+    assert report_mod._complex([]).shape == (1, 0)
+    for bad in ([[10**400, 0.0]], [[0.5, 0.5], [1.0, -10**400]]):
+        want = (OverflowError, "int too large to convert to float")
+        with pytest.raises(want[0], match=want[1]):
+            [complex(*p) for p in bad]
+        with pytest.raises(want[0], match=want[1]):
+            report_mod._complex(bad)
+
+
+@pytest.mark.parametrize("field, entry, error", [
+    ("shapes", [1.0, 1e-10], "shape (1+1e-10j) within 1e-08 of {0, 1}"),
+    ("shapes", [math.inf, 0.0], "shape (inf+0j) is not finite"),
+    ("xi", [2, 0], "xi[1] = (2+0j) has |xi| = 2.0"),
+])
+def test_verify_names_the_bad_input_entry(field, entry, error):
+    rep = fig8_report()
+    rep[field][1] = entry
+    with pytest.raises(IdealGlueError) as info:
+        verify_report(rep)
+    assert str(info.value) == error
+
+
 @pytest.mark.parametrize("claimed", [True, False], ids=["certified", "plain"])
 def test_verify_builds_the_cover_once(claimed, monkeypatch):
     # a certified report's rows and certificate statement share one cover

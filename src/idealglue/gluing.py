@@ -400,26 +400,24 @@ def pair_rmatvec(V: np.ndarray, E: ExponentMatrix, y: np.ndarray) -> np.ndarray:
         by_tet, axis=-1), starts, axis=-1)
 
 
-def normal_matrix(V: np.ndarray, E: ExponentMatrix, U: np.ndarray | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def normal_matrix(V: np.ndarray, E: ExponentMatrix,
+                  M: np.ndarray) -> np.ndarray:
     """D D^H + U^H U, for D as in `pair_matvec` and a c-by-m matrix U, or
-    for each row of stacks of them, (k, nnz) and (k, c, m).  With a real U
-    it is Re(D D^H) + U^T U, which is A A^T for the real m-by-2n matrix
-    A = [Re D, -Im D].
+    for each row of stacks of them, (k, nnz) and (k, c, m), formed in the
+    caller's C-contiguous M, which holds U^H U on entry.  With a real M (a
+    real U) it is Re(D D^H) + U^T U, which is A A^T for the real m-by-2n
+    matrix A = [Re D, -Im D].
 
-    M starts as U^H U, a new array.  Given `out`, a C-contiguous array of
-    M's shape, M is out instead: its caller owns it and has written U^H U
-    there, U is not read, and a real out takes Re(D D^H).  (Each solve
-    owns one such workspace, `solver._workspace`, so that its m-by-m
-    matrices are not allocated anew on every iteration.)
-    Entry (j, k) then gets the product v_p conj(v_q) of D's values at the
-    pairs p = (j, i), q = (k, i) for each tetrahedron i that edges j and k
+    The caller owns M: each solve writes U^H U into one workspace it
+    allocates on its first step, so that its m-by-m matrices are not
+    allocated anew on every iteration (see `solver`).  Entry (j, k) of M
+    gets the product v_p conj(v_q) of D's values at the pairs
+    p = (j, i), q = (k, i) for each tetrahedron i that edges j and k
     share: at most 36 n products, where the dense product costs O(m^2 n).
     One unbuffered `np.add.at` adds them to M in place in the index's
     order, so each entry is summed in tetrahedron order, as a sum of
     per-tetrahedron outer products sums it.  Returns M."""
     pairs, entry = _pair_products(E)[2:]
-    M = U.mT.conj() @ U if out is None else out
     v = V.take(pairs, axis=-1)
     prod = v[..., :len(entry)] * v[..., len(entry):].conj()
     if not np.iscomplexobj(M):

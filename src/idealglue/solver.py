@@ -68,12 +68,14 @@ A^H y = D^H y, A x = D x or Re(D x), and M = J J^H + U^H U or, for the
 sampler, Re(D D^H) + U^T U = A A^T, at most 36 n products where the
 dense product costs O(m^2 n) (`gluing.pair_rmatvec`, `pair_matvec`,
 `normal_matrix`).  Only a row that falls back to lstsq builds its
-dense A.  Each solve owns the memory of its M (`_workspace`): its first
-step allocates one (rows, m, m) array, and every step writes U^H U into
-the prefix of the rows still running (the sampler copies one W^T W
-formed per call) and has `normal_matrix` add the pair products to it in
-place.  The workspace is freed when the solve returns, so no M is
-allocated, and page-faulted in, anew on every iteration.
+dense A.  Each solve owns the memory of its M: its first step allocates
+one (rows, m, m) workspace, and every step writes U^H U into the prefix
+of the rows still running (rows only drop out of a solve; the sampler
+copies one W^T W formed per call) and has `normal_matrix` add the pair
+products to it in place.  The workspace is freed when the solve
+returns.  An m-by-m M allocated on every iteration, and freed with
+`np.linalg.solve`'s copy of it, was faulted in again each time: 97
+minor page faults per iteration at m = 128.
 
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
@@ -270,36 +272,19 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
     return Z, F_out, h_out, iterations, reasons
 
 
-def _workspace(m: int, dtype):
-    """A solve's one normal-matrix workspace: `take(k)` returns its first k
-    m-by-m matrices, allocating (k, m, m) on the first call.  Rows only
-    drop out of a solve, so every later call is a prefix of that array,
-    whose pages stay mapped: an m-by-m M allocated on every iteration (and
-    freed with `np.linalg.solve`'s copy of it) is faulted in again each
-    time, 97 minor page faults per iteration at m = 128.  The workspace is
-    freed when its solve ends."""
-    ws = []
-
-    def take(k: int) -> np.ndarray:
-        if not ws:
-            ws.append(np.empty((k, m, m), dtype))
-        return ws[0][:k]
-    return take
-
-
 def _least_squares_step(V, E, b, M):
     """The min-norm least-squares solution x[k] of A[k] x = b[k] for each
     row k of a stack, where the rows of U[k] span the left null space of
     A[k]: x = A^H M^-1 b for M = A A^H + U^H U (`gluing.normal_matrix`),
     one dense m-by-m solve per row.  M holds U^H U on entry, written by
-    the caller into the solve's workspace (`_workspace`), and the step
-    adds A A^H to it in place.  A is D, given by its values V on E's pairs, or
-    for a real M (a real U) the real [Re D, -Im D], whose x is returned as
+    the caller into the solve's workspace, and the step adds A A^H to it
+    in place.  A is D, given by its values V on E's pairs, or for a real
+    M (a real U) the real [Re D, -Im D], whose x is returned as
     x[:n] + i x[n:]: then A^H y = D^H y, A x = Re(D x).  A row whose x
     misses the optimality condition |A^H (A x - b)| <= 1e-8 |A^H b|, or
     whose M is singular, takes lstsq's step on its dense A; each row's
     step is that of the row alone, bit for bit."""
-    M, y = normal_matrix(V, E, out=M), b[..., None]
+    M, y = normal_matrix(V, E, M), b[..., None]
     real = not np.iscomplexobj(M)
     try:
         y = np.linalg.solve(M, y)
@@ -347,11 +332,14 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None,
             h = all_holonomies(Z, E)
         return evaluate_residual(Z, E, targets[rows], h), h
 
-    workspace = _workspace(E.edge_count, complex)
+    ws = None   # the solve's normal-matrix workspace, from its first step
 
     def directions(Z, F, h, rows):
+        nonlocal ws
+        if ws is None:
+            ws = np.empty((len(Z), E.edge_count, E.edge_count), complex)
         U = W / h[:, None]
-        M = np.matmul(U.mT.conj(), U, out=workspace(len(Z)))
+        M = np.matmul(U.mT.conj(), U, out=ws[:len(Z)])
         step = _least_squares_step(jacobian(Z, E, h), E, -F, M)
         tiny = _norms(step) < 1e-12 * (1.0 + _norms(Z))
         if not any(tiny.tolist()):
@@ -592,13 +580,16 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
             return np.log(np.abs(h)), h
 
     # U = W is constant: each step starts its workspace from one W^T W
-    WtW, workspace = W.T @ W, _workspace(E.edge_count, float)
+    WtW, ws = W.T @ W, None
 
     def directions(Z, F, h, rows):
         # d log|h| = Re(D dz), D = d log h / dz: a real m x 2n system per
         # row, whose left null space the rows of W span, since
         # sum_e W[v, e] log h(e) is constant
-        M = workspace(len(Z))
+        nonlocal ws
+        if ws is None:
+            ws = np.empty((len(Z),) + WtW.shape)
+        M = ws[:len(Z)]
         M[...] = WtW
         return [_least_squares_step(log_jacobian(Z, E), E, -F, M)]
 

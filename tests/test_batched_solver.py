@@ -354,12 +354,12 @@ def test_solves_hand_their_holonomies_to_the_jacobian(monkeypatch):
 
 
 def spy_normal_matrix(monkeypatch):
-    """The `out` and row count of every normal matrix a solve's step forms."""
+    """The M and row count of every normal matrix a solve's step forms."""
     calls = []
 
-    def recorded(V, E, U=None, out=None):
-        calls.append((out, len(V)))
-        return normal_matrix(V, E, U, out)
+    def recorded(V, E, M):
+        calls.append((M, len(V)))
+        return normal_matrix(V, E, M)
 
     monkeypatch.setattr(solver_mod, "normal_matrix", recorded)
     return calls
@@ -369,11 +369,11 @@ def assert_one_workspace(calls, dtype):
     # every step's M is written in place into a prefix of the array the
     # first step wrote into: one workspace for the whole solve
     first = calls[0][0]
-    assert len(calls) > 1 and first is not None and first.dtype == dtype
-    for out, rows in calls:
-        assert out.shape == (rows,) + first.shape[1:]
-        assert out.flags.c_contiguous and np.shares_memory(out, first)
-        assert out.__array_interface__["data"] == first.__array_interface__[
+    assert len(calls) > 1 and first.dtype == dtype
+    for M, rows in calls:
+        assert M.shape == (rows,) + first.shape[1:]
+        assert M.flags.c_contiguous and np.shares_memory(M, first)
+        assert M.__array_interface__["data"] == first.__array_interface__[
             "data"]
 
 

@@ -175,6 +175,11 @@ def normal_systems():
 NORMAL_SYSTEMS = normal_systems()
 
 
+def gram(U):
+    """U^H U, which a step's normal matrix starts from."""
+    return U.mT.conj() @ U
+
+
 @pytest.mark.parametrize("name", NORMAL_SYSTEMS)
 def test_pair_assembled_normal_matrix_is_the_dense_product(name, rng):
     # J J^H + U^H U from the exponent pairs, against the dense products,
@@ -192,19 +197,19 @@ def test_pair_assembled_normal_matrix_is_the_dense_product(name, rng):
              (VD, W / a[:, None], A @ A.mT))
     for V, U, product in cases:
         want = product + U.mT.conj() @ U
-        got = normal_matrix(V, E, U)
+        got = normal_matrix(V, E, gram(U))
         assert got.dtype == want.dtype and got.shape == want.shape
         scale = np.abs(want).max(axis=(-2, -1))
         assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale).all()
         for Vk, Uk, Mk in zip(V, U, got):
-            assert np.array_equal(normal_matrix(Vk, E, Uk), Mk)
+            assert np.array_equal(normal_matrix(Vk, E, gram(Uk)), Mk)
         # in place, into a workspace holding U^H U, and into a prefix of a
         # longer one, as a solve's step forms M once its other rows stop
         for k in (len(V), 2):
             workspace = np.full((len(V) + 1,) + got.shape[1:], np.nan,
                                 dtype=got.dtype)
             start = np.matmul(U[:k].mT.conj(), U[:k], out=workspace[:k])
-            out = normal_matrix(V[:k], E, out=start)
+            out = normal_matrix(V[:k], E, start)
             assert out is start and np.array_equal(out, got[:k])
             assert np.isnan(workspace[k:]).all()
 
@@ -243,11 +248,6 @@ def rank_fixed_lstsq(J, b, r):
     s = np.linalg.svd(J, compute_uv=False)
     rcond = math.sqrt(s[r - 1] * s[r]) / s[0] if r < len(s) else None
     return np.linalg.lstsq(J, b, rcond=rcond)[0], s[0] / s[r - 1]
-
-
-def gram(U):
-    """U^H U, which a step's normal matrix starts from."""
-    return U.mT.conj() @ U
 
 
 def stacked_system(rng, name, t, count):
@@ -414,5 +414,5 @@ def test_unit_relation_rows_keep_the_normal_matrix_well_conditioned():
     z = np.array(chain_starts(n, 1, seed=n)[1].z)
     assert np.abs(z - REGULAR_SHAPE).max() <= 0.02
     h = all_holonomies(z, E)
-    M = normal_matrix(jacobian(z, E, h), E, W / h)
+    M = normal_matrix(jacobian(z, E, h), E, gram(W / h))
     assert np.linalg.cond(M) < 1e5

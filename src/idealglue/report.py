@@ -123,6 +123,17 @@ def _complex(pairs: list) -> np.ndarray:
     return np.array(pairs, dtype=float).reshape(1, -1, 2).view(complex)[..., 0]
 
 
+def _decode(report: dict, key: str, decode):
+    """decode(report[key]) for a well-typed input field; a JSON integer
+    past the float range (`OverflowError`) raises IdealGlueError naming
+    the field."""
+    try:
+        return decode(report[key])
+    except OverflowError:
+        raise IdealGlueError(f"report field {key!r} holds a number past the "
+                             "float range") from None
+
+
 # the fields a report is rebuilt from, each with the test it must pass
 _INPUTS = {"triangulation": lambda v: isinstance(v, str),
            "shapes": _is_pairs, "xi": _is_pairs,
@@ -165,7 +176,7 @@ def _match(name: str, got, want) -> ReportCheck:
     if worst and numeric:
         try:
             g, w = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-        except (TypeError, ValueError):     # not numbers: worst stays inf
+        except (TypeError, ValueError, OverflowError):  # worst stays inf
             g = w = np.empty(0)
         if g.shape == w.shape and w.size:   # one row per value
             g, w = (a.reshape(a.shape[:1] + (-1,)) for a in (g, w))
@@ -196,17 +207,20 @@ def verify_report(report: dict) -> list:
     makes it at shapes of modulus 1e5 and more), "holonomy develops" fails
     and the holonomy block goes unchecked.  A value that overflows in the
     rebuild is not finite and fails its check, without a NumPy warning.
-    Raises IdealGlueError, naming the field, unless the report is an
-    object with well-typed inputs and `residual_norm`, one shape per
-    tetrahedron and one target per edge class."""
+    A claimed number past the float range (a JSON integer such as 10^400)
+    fails its check.  Raises IdealGlueError, naming the field, unless the
+    report is an object with well-typed inputs and `residual_norm`, each
+    number within the float range, one shape per tetrahedron and one
+    target per edge class."""
     if not isinstance(report, dict):
         raise IdealGlueError(f"a report is a JSON object, not {type(report).__name__}")
     for key, ok in _INPUTS.items():
         if not ok(report.get(key)):
             raise IdealGlueError(f"report field {key!r} is missing or malformed")
     t = parse_triangulation(report["triangulation"])
-    (Z,) = ShapeAssignment.rows(_complex(report["shapes"]))
-    (xi,) = ConeTarget.rows(_complex(report["xi"]))
+    (Z,) = ShapeAssignment.rows(_decode(report, "shapes", _complex))
+    (xi,) = ConeTarget.rows(_decode(report, "xi", _complex))
+    claim = _decode(report, "residual_norm", float)
     E = build_exponent_matrix(t)
     check_shape_length(Z, E)
     check_target_length(xi, E)
@@ -214,8 +228,7 @@ def verify_report(report: dict) -> list:
     claimed = report.get("certificate") is not None
     certificate = (cover_certificate(branched_cover_report(E, xi), res, Z, xi)
                    if claimed else None)
-    rebuild = functools.partial(build_solution_report, t, Z, xi,
-                                report["residual_norm"],
+    rebuild = functools.partial(build_solution_report, t, Z, xi, claim,
                                 report.get("converged") is True, certificate)
     holonomy, checks = _HOLONOMY & report.keys(), []
     try:

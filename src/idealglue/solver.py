@@ -109,7 +109,7 @@ from .triangulation import Triangulation
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
 MAX_HALVINGS = 30                   # damping: step scales 2^-j, j < 30
-BLOCK_ROWS = 8                      # sweep: grid points in its first block
+BLOCK_ROWS = 16                     # sweep: grid points in its first block
 ACCEPT_ITERATIONS = 3               # sweep: iteration limit of later rows
 STACK_ENTRIES = 2**18               # entries (4 MB) per stacked array
 ROOT_TOL = 1e-9                     # order of xi: least q <= Q_MAX with
@@ -443,7 +443,9 @@ def _block_starts(thetas, past, block, seed, E, targets) -> tuple:
                  / (T[:, None] - T + own)).prod(-1)
     last = np.array(past[-1])
     with np.errstate(all="ignore"):     # a non-finite start is rejected
-        Z = last * np.exp(w @ np.log(np.array(past) / last))
+        L = np.log(np.array(past) / last)
+        # two real products: a complex one leaves np.exp slow (README)
+        Z = last * np.exp(w @ L.real + 1j * (w @ L.imag))
         h = all_holonomies(np.vstack([Z, seed]), E)
         ok = (np.isfinite(Z).all(-1) & ~in_guard_band(Z)
               & (_norms(h[:-1] - targets) < _norms(h[-1] - targets)))

@@ -370,6 +370,53 @@ def test_malformed_reports_exit_two(report, field, tmp_path, capsys):
     assert err.startswith("error: ") and field in err and err.count("\n") == 1
 
 
+# a JSON integer past the float range (valid JSON), set in one field: an
+# input is malformed, a claim fails its check
+PAST_FLOAT = {
+    "shapes": lambda r: r["shapes"][0].__setitem__(0, 10**400),
+    "xi": lambda r: r["xi"][0].__setitem__(0, 10**400),
+    "residual_norm": lambda r: r.__setitem__("residual_norm", 10**400),
+    "volume total": lambda r: r["volume"].__setitem__("total", 10**400),
+    "cone_angle": lambda r: r["edges"][0].__setitem__("cone_angle", 10**400),
+}
+PAST_FLOAT_INPUTS = ("shapes", "xi", "residual_norm")
+
+
+@pytest.mark.parametrize("field", list(PAST_FLOAT))
+def test_verify_a_number_past_the_float_range(field):
+    # each ended in an OverflowError from its float conversion
+    rep = fig8_report()
+    PAST_FLOAT[field](rep)
+    if field in PAST_FLOAT_INPUTS:
+        with pytest.raises(IdealGlueError) as info:
+            verify_report(rep)
+        assert str(info.value) == (f"report field {field!r} holds a number "
+                                   "past the float range")
+    else:
+        failed = [c for c in verify_report(rep) if not c.ok]
+        assert [(c.name, c.value) for c in failed] == [(f"{field} matches",
+                                                        math.inf)]
+
+
+@pytest.mark.parametrize("field", list(PAST_FLOAT))
+def test_cli_verify_a_number_past_the_float_range(field, tmp_path, capsys):
+    # an input exits 2 on one error line, a claim 1 with its check failed;
+    # each was an OverflowError traceback, exit 1
+    rep = fig8_report()
+    PAST_FLOAT[field](rep)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(rep))
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    if field in PAST_FLOAT_INPUTS:
+        assert (code, out) == (2, "")
+        assert err == (f"error: report field {field!r} holds a number past "
+                       "the float range\n")
+    else:
+        assert code == 1 and err == ""
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            f"{field} matches: FAIL (inf vs tol 1.0e-12)"]
+
+
 def test_reports_hold_no_non_finite_number(capsys):
     # the failure payload wrote "residual_norm": Infinity, which is not JSON
     code, out, err = run_cli(capsys, "solve", "--corpus", "hopf", "--xi",

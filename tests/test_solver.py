@@ -479,16 +479,18 @@ def test_predicted_sweep_converges_where_plain_continuation_does(span):
 
 def test_sweep_starts_from_the_previous_solution_when_the_prediction_is_worse(
         monkeypatch):
-    calls = record_stacks(monkeypatch)
+    # the first block, whole, and eight grid points after it
+    calls, rows = record_stacks(monkeypatch), solver_mod.BLOCK_ROWS
     t = random_systems()[0][0]
     E = build_exponent_matrix(t)
     xi_of = regular_family(t)
-    grid = [2.0 * j / 15 for j in range(16)]
+    grid = [2.0 * j / 15 for j in range(rows + 8)]
     points = sweep_family(t, xi_of, grid)
     assert all(p.result.converged for p in points)
     stacks = sweep_stacks(calls, grid, xi_of, points)
     check_schedule(calls, stacks, len(grid))
-    assert [idx for idx, _, _ in stacks[:3]] == [[0], [1], list(range(2, 10))]
+    assert ([idx for idx, _, _ in stacks[:3]]
+            == [[0], [1], list(range(2, 2 + rows))])
     # every start, of kept and of rejected rows, obeys the safeguard
     taken, kept = check_predicted_starts(points, grid, stacks, E, xi_of)
     starts = [z for _, Z0, _ in stacks for z in Z0]
@@ -516,8 +518,10 @@ def test_sweep_block_with_an_obstructed_and_a_failing_theta(monkeypatch):
     # shapes reach them (the product of all h is 1).  The first block
     # rejects theta = 0.2 at its limit of 3 iterations, with every row
     # after it; the next block starts there, so its first row fails with
-    # the whole iteration limit and its third, theta = 0, is obstructed
+    # the whole iteration limit and its third, theta = 0, is obstructed;
+    # the grid runs eight points past the first block
     calls, cores = record_stacks(monkeypatch), record_cores(monkeypatch)
+    rows = solver_mod.BLOCK_ROWS
     t = corpus("hopf")
     E, edges = build_exponent_matrix(t), compute_edge_classes(t)
     closed = closed_form_family(t, CLOSED_FORM["hopf"])
@@ -527,16 +531,17 @@ def test_sweep_block_with_an_obstructed_and_a_failing_theta(monkeypatch):
         return ConeTarget(tuple(x * turn if e.degree == 4 else x
                                 for x, e in zip(closed(theta).xi, edges)))
 
-    grid = [round(0.8 - 0.1 * j, 10) for j in range(16)]
+    n = rows + 8
+    grid = [round(0.8 - 0.1 * j, 10) for j in range(n)]
     points = sweep_family(t, xi_of, grid)
     stacks = sweep_stacks(calls, grid, xi_of, points)
     check_schedule(calls, stacks, len(grid))
     assert [(idx, kept) for idx, _, kept in stacks] == [
-        ([0], 1), ([1], 1), (list(range(2, 10)), 4), (list(range(6, 10)), 4),
-        (list(range(10, 16)), 6)]
+        ([0], 1), ([1], 1), (list(range(2, 2 + rows)), 4),
+        (list(range(6, 10)), 4), (list(range(10, n)), n - 10)]
     assert calls[2].results[4].reason == "max_iterations"
     # the obstructed theta = 0 (grid index 8) enters no Gauss-Newton stack
-    assert [len(Z) for Z in cores] == [1, 1, 7, 3, 6]
+    assert [len(Z) for Z in cores] == [1, 1, rows - 1, 3, n - 10]
     assert np.array_equal(cores[3], np.delete(stacks[3][1], 2, axis=0))
     for theta, p in zip(grid, points):
         if theta == 0.0:
@@ -559,14 +564,17 @@ def test_sweep_block_with_an_obstructed_and_a_failing_theta(monkeypatch):
 
 def test_sweep_with_a_repeated_theta_starts_from_the_last_solution(
         monkeypatch):
-    # the first block ends at theta = 1.45, 1.5, 1.5; through these
-    # nodes the Lagrange weights are not defined, and the next block,
-    # stepping back from 1.5, starts from the last solution
-    calls = record_stacks(monkeypatch)
+    # the first block steps up by 0.05 from 1.2 and ends at a repeated
+    # theta (1.45, 1.5, 1.5 for blocks of 8); through these nodes the
+    # Lagrange weights are not defined, and the next block, stepping back
+    # from the repeated theta, starts from the last solution
+    calls, rows = record_stacks(monkeypatch), solver_mod.BLOCK_ROWS
     t = corpus("trefoil")
     xi_of = closed_form_family(t, CLOSED_FORM["trefoil"])
-    grid = [1.0, 1.1, 1.2, 1.25, 1.3, 1.35, 1.4, 1.45, 1.5, 1.5,
-            1.48, 1.46, 1.44]
+    up = [round(1.2 + 0.05 * j, 10) for j in range(rows - 1)]
+    top = up[-1]
+    grid = ([1.0, 1.1] + up + [top]
+            + [round(top - 0.02 * j, 10) for j in (1, 2, 3)])
     points = sweep_family(t, xi_of, grid)
     for theta, p in zip(grid, points):
         assert p.result.converged
@@ -575,20 +583,45 @@ def test_sweep_with_a_repeated_theta_starts_from_the_last_solution(
     # long; the grid's end cuts it to three
     stacks = sweep_stacks(calls, grid, xi_of, points)
     check_schedule(calls, stacks, len(grid))
-    assert [len(stack.starts) for stack in calls] == [1, 1, 8, 3]
-    assert all(tuple(z) == points[9].result.shapes.z for z in calls[3].starts)
+    assert [len(stack.starts) for stack in calls] == [1, 1, rows, 3]
+    last = points[rows + 1].result.shapes.z     # the first block's last row
+    assert all(tuple(z) == last for z in calls[3].starts)
 
 
 def test_sweep_of_the_n_512_chain_cover_solves_one_point_at_a_time(
         monkeypatch):
-    # a block of eight would hold eight 512-by-512 Jacobians and normal
-    # matrices, above the stack's 4 MB
+    # a block of two would already hold two 512-by-512 normal matrices,
+    # above the stack's 4 MB
     calls = record_stacks(monkeypatch)
     t = parse_triangulation(chain_cover_text(256))
     grid = [0.0, 0.002, 0.004, 0.006]
     points = sweep_family(t, regular_family(t), grid)
     assert all(p.result.converged for p in points)
     assert [len(stack.starts) for stack in calls] == [1] * len(grid)
+
+
+@pytest.mark.parametrize("name", ["hopf", "trefoil", "fig8_complement",
+                                  "fig8_in_s3", "cover8"])
+def test_a_64_point_sweep_takes_four_stacked_solves(monkeypatch, name):
+    # cone_explore's families and grids: closed-form from pi/3 over 1.2,
+    # else through the regular solution over 0.6.  One point at a time
+    # until two have converged, then a first block of BLOCK_ROWS = 16 and,
+    # kept whole, one of the 46 points left
+    calls = record_stacks(monkeypatch)
+    if name in CLOSED_FORM:
+        t = corpus(name)
+        xi_of = closed_form_family(t, CLOSED_FORM[name])
+        grid = [math.pi / 3 + 1.2 * j / 63 for j in range(64)]
+    else:
+        t = (parse_triangulation(chain_cover_text(4)) if name == "cover8"
+             else corpus(name))
+        xi_of, grid = regular_family(t), [0.6 * j / 63 for j in range(64)]
+    points = sweep_family(t, xi_of, grid)
+    assert [len(stack.starts) for stack in calls] == [1, 1, 16, 46]
+    assert all(p.result.converged for p in points)
+    if name in CLOSED_FORM:
+        for theta, p in zip(grid, points):
+            assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
 
 
 def test_sweep_corrects_its_blocks_with_few_jacobians(monkeypatch):
@@ -640,17 +673,20 @@ def test_sweep_rejects_a_slow_row_and_predicts_it_again(monkeypatch):
 
 def test_sweep_accepts_an_obstructed_theta_in_mid_block(monkeypatch):
     # the hopf closed-form family stepping down through its ideal point
-    # theta = 0: the first block, 0.4 ... -0.3, holds theta = 0 at its
-    # fifth row, and every other row converges from its prediction
-    calls = record_stacks(monkeypatch)
+    # theta = 0: the first block, from 0.4 down, holds theta = 0 at its
+    # fifth row, and every other row converges from its prediction; the
+    # grid runs three points past the first block
+    calls, rows = record_stacks(monkeypatch), solver_mod.BLOCK_ROWS
     t = corpus("hopf")
     xi_of = closed_form_family(t, CLOSED_FORM["hopf"])
-    grid = [round(0.6 - 0.1 * j, 10) for j in range(13)]
+    n = rows + 5
+    grid = [round(0.6 - 0.1 * j, 10) for j in range(n)]
     points = sweep_family(t, xi_of, grid)
     stacks = sweep_stacks(calls, grid, xi_of, points)
     check_schedule(calls, stacks, len(grid))
     assert [(idx, kept) for idx, _, kept in stacks] == [
-        ([0], 1), ([1], 1), (list(range(2, 10)), 8), (list(range(10, 13)), 3)]
+        ([0], 1), ([1], 1), (list(range(2, 2 + rows)), rows),
+        (list(range(2 + rows, n)), n - 2 - rows)]
     obstructed = points[6].result
     assert obstructed.reason == "degree_one_edge_obstruction"
     assert obstructed.iterations == 0 and obstructed.residual_norm == math.inf
@@ -666,7 +702,7 @@ def test_sweep_accepts_an_obstructed_theta_in_mid_block(monkeypatch):
 
 def test_sweep_of_a_long_uneven_grid_matches_plain_continuation(monkeypatch):
     # 150 thetas 0.01 apart, a jump, and 60 thetas 0.005 apart: blocks of
-    # 8, 32 and 128 rows predict from ever farther back, across the jump
+    # 16, 64 and 128 rows predict from ever farther back, across the jump
     calls = []
     jac = solver_mod.jacobian
 

@@ -176,8 +176,8 @@ def _match(name: str, got, want) -> ReportCheck:
     if worst and numeric:
         try:
             g, w = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-        except (TypeError, ValueError, OverflowError):  # worst stays inf
-            g = w = np.empty(0)
+        except (TypeError, ValueError, OverflowError):
+            g = w = np.empty(0)         # not floats: worst stays inf
         if g.shape == w.shape and w.size:   # one row per value
             g, w = (a.reshape(a.shape[:1] + (-1,)) for a in (g, w))
             err = np.abs(g - w).max(-1)

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 solve failure (for verify-report, a failed
-check), 2 input error, including a file that cannot be read or a
-malformed report.  Diagnostics go to stderr; results to stdout (JSON with
---json).
+check), 2 input error, including a file that cannot be read, a malformed
+report or an input too large to hold in memory.  Diagnostics go to
+stderr; results to stdout (JSON with --json).
 """
 from __future__ import annotations
 
@@ -27,11 +27,6 @@ from .triangulation import (EDGE_SLOTS, compute_edge_classes,
                             validate)
 
 EXIT_OK, EXIT_SOLVE_FAILURE, EXIT_INPUT_ERROR = 0, 1, 2
-
-
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return EXIT_INPUT_ERROR
 
 
 def _load_triangulation(args):
@@ -84,7 +79,7 @@ def _parse_initial(text: str, n: int, flag: str = "--initial") -> ShapeAssignmen
     if len(zs) == 1:
         return ShapeAssignment((zs[0],) * n)
     if len(zs) != n:
-        raise IdealGlueError(f"expected {n} initial shapes, got {len(zs)}")
+        raise IdealGlueError(f"{flag}: expected {n} shapes, got {len(zs)}")
     return ShapeAssignment(tuple(zs))
 
 
@@ -249,10 +244,10 @@ def _cmd_sweep(args) -> int:
     m = build_exponent_matrix(t).edge_count
     weights = _parse_list("--xi-weights", args.xi_weights, int)
     if len(weights) != m:
-        return _fail(f"expected {m} xi weights")
+        raise IdealGlueError(f"expected {m} xi weights")
     thetas = _parse_list("--theta-grid", args.theta_grid, float)
     if not thetas:
-        return _fail("--theta-grid is empty")
+        raise IdealGlueError("--theta-grid is empty")
 
     def xi_of_theta(theta):
         return ConeTarget(tuple(cmath.exp(1j * w * theta) for w in weights))
@@ -395,8 +390,9 @@ def main(argv=None) -> int:
                                     "detail": res.detail,
                                     "residual_norm": _finite(res.residual_norm)}))
         return EXIT_SOLVE_FAILURE
-    except (IdealGlueError, OSError) as err:
-        return _fail(str(err))
+    except (IdealGlueError, OSError, MemoryError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ from .errors import DegenerateShape, IdealGlueError, NotUnitModulus
 from .triangulation import SLOT_INDEX, Triangulation, edge_tables, vertex_tables
 
 DEGENERACY_GUARD = 1e-8
-HUGE_SHAPE = 2.0 ** 1000    # |z| past it: z' and z'' from 1 / z
+HUGE_SHAPE = 2.0 ** 20      # |z| past it: z' and z'' from 1 / z
 UNIT_TOL = 1e-8         # every |x| = 1 test: abs(abs(x) - 1.0) < UNIT_TOL
 
 LABEL_Z, LABEL_ZP, LABEL_ZPP = 0, 1, 2
@@ -90,12 +90,16 @@ def check_nondegenerate(z: complex) -> complex:
 def _triples(z: np.ndarray) -> np.ndarray:
     """(z, z', z'') per shape, as the columns of an n-by-3 array.
 
-    NumPy divides complex numbers by Smith's method, whose denominator
-    c + d (d / c) overflows once the divisor's modulus passes the largest
-    float over sqrt 2, making z' 0 and z'' nan there.  So where |z| passes
-    HUGE_SHAPE the triple is taken from w = 1 / z instead, with the
-    divisor scaled by 1/4 (exactly) first: z' = -w / (1 - w), z'' = 1 - w.
-    The other shapes keep the quotients above, bit for bit."""
+    Where |z| passes HUGE_SHAPE the triple is taken from w = 1 / z, with
+    the divisor scaled by 1/4 (exactly) first: z' = -w / (1 - w),
+    z'' = 1 - w.  The quotients fail there in two ways.  NumPy divides
+    complex numbers by Smith's method, whose denominator c + d (d / c)
+    overflows once the divisor's modulus passes the largest float over
+    sqrt 2, making z' 0 and z'' nan.  Below that, (z - 1) / z rounds the
+    argument of z'', about -Im w, to about 1e-16 absolute, and the
+    Bloch-Wigner dilogarithm multiplies it by log|z'|, up to about 700;
+    1 - w keeps it to rounding relative to w.  Shapes with
+    |z| <= HUGE_SHAPE keep the quotients above, bit for bit."""
     big = np.abs(z) > HUGE_SHAPE
     huge = big.any()
     safe = np.where(big, 2.0, z) if huge else z     # huge: set below

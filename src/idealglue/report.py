@@ -269,7 +269,3 @@ def dumps(report: dict) -> str:
         return json.dumps(report, allow_nan=False)
     except ValueError as err:
         raise IdealGlueError(f"cannot write the report: {err}") from err
-
-
-def loads(text: str) -> dict:
-    return json.loads(text)

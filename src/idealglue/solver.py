@@ -5,22 +5,23 @@ bookkeeping.
 
 Every solve runs the one damped Gauss-Newton loop `_damped_gauss_newton`
 on a stack of shape vectors, one row per start, each row with its own
-iteration limit; a solve supplies only its residual, its ordered
-candidate steps and its stopping test, each acting on such a stack and
-told the batch indices of the rows it acts on, so each row can have its
-own target.  Each point's holonomies h are evaluated once, by the call
-that first meets the point: the sweep's predictor for a block's starts
+iteration limit, and every row converges by one rule: its residual
+2-norm is below cfg.tol.  A solve supplies only its residual and its
+ordered candidate steps, each acting on such a stack and told the batch
+indices of the rows it acts on, so each row can have its own target.
+Each point's holonomies h are evaluated once, by the call that first
+meets the point: the sweep's predictor for a block's starts
 (`_block_starts`), the line search for every point it accepts
 (`_take_steps`), and the loop's residual only at starts whose h it was
 not given.  The residual (which, given h, only forms F from it), the
-stopping test, the step and the result rows all read that h.
-`_newton_rows` solves h(z) = xi_k from each row's start, trying the
-complex least-squares step on h(z) - xi_k and then deterministic kicks,
-every row bit for bit as it would be solved alone; `newton_solve` is a
-batch of one of it, and `sweep_family` corrects blocks of grid points as
-one stack.  `cone_locus_sample` runs all its starts as one batch and
-takes the real min-norm step on log|h(z)|, stopping a row by
-ConeTarget's own |h| = 1 test on its holonomies.  Every solve, sweep,
+step and the result rows all read that h.  `_newton_rows` solves
+h(z) = xi_k from each row's start, trying the complex least-squares
+step on h(z) - xi_k and then deterministic kicks, every row bit for bit
+as it would be solved alone; `newton_solve` is a batch of one of it,
+and `sweep_family` corrects blocks of grid points as one stack.
+`cone_locus_sample` runs all its starts as one batch and takes the real
+min-norm step on log|h(z)|, whose rows converge at |log|h|| < tol, so
+every kept |h(e)| is within about tol of 1.  Every solve, sweep,
 sample and certificate reads the exponent matrix compiled once per
 triangulation (`build_exponent_matrix`), edge degrees included, and the
 loops evaluate h and J on raw shape arrays.  The line search
@@ -206,7 +207,7 @@ def _take_steps(residual, z, h, steps, r, rows):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
+def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
                          limit=None, H0=None):
     """The damped Gauss-Newton loop shared by every solve, on a stack Z of
     shape vectors, one row per start.  Iterates running toward an ideal
@@ -221,31 +222,33 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
     line search accepted, whose h it hands on (`_take_steps`).  So each
     iteration calls `residual(Z, rows, h)` on the rows still running with
     their known h, and with h = None only at the starts when H0 is None.
-    A row stops when `done(F, r, h)` holds for its residual F, residual
-    norm r and holonomies h, or at its iteration limit (`limit[k]` for
-    row k, else cfg.max_iterations); otherwise it takes one of the steps
+    A row converges when its residual 2-norm is below cfg.tol, and stops
+    then or at its iteration limit (`limit[k]` for row k, else
+    cfg.max_iterations); otherwise it takes one of the steps
     `directions(Z, F, h, rows)` yields (`_take_steps`), given the current
     point's h.  Both callbacks are given the batch indices `rows` of the
     rows they act on, the residual in the line search too, so a solve can
     give each row its own target.  Stopped rows drop out, and `residual`
     and `directions` are never called on an empty stack.
 
-    Returns (Z, F, h, iterations, reasons), one entry per row: its last
-    point, the residual and holonomies there, and its reason "converged",
-    "max_iterations" (at the row's limit), or, when no step could be
-    taken, "degenerate_shape" (the full first step enters the guard band)
-    or "stalled".  Every row of Z is its start or a step `_take_steps`
-    accepted, so it is finite and off the guard band when its start is.
+    Returns (Z, r, h, iterations, reasons), one entry per row: its last
+    point, the residual norm and holonomies there, and its reason
+    "converged", "max_iterations" (at the row's limit), or, when no step
+    could be taken, "degenerate_shape" (the full first step enters the
+    guard band) or "stalled".  Every row of Z is its start or a step
+    `_take_steps` accepted, so it is finite and off the guard band when
+    its start is.
     """
     Z = np.array(Z, dtype=complex)
-    F_out, h_out, iterations, reasons = ([None] * len(Z) for _ in range(4))
+    r_out, h_out, iterations, reasons = ([None] * len(Z) for _ in range(4))
     rows, z = np.arange(len(Z)), Z.copy()      # the running rows of Z
     h = None if H0 is None else np.array(H0, dtype=complex)
     limit = np.full(len(Z), cfg.max_iterations) if limit is None else limit
 
-    def stop(k, F, h, it, why):     # k: positions in rows; why: per row
-        for i, zi, f, hi, w in zip(rows[k].tolist(), z[k], F[k], h[k], why):
-            Z[i], F_out[i], h_out[i] = zi, f, hi
+    def stop(k, r, h, it, why):     # k: positions in rows; why: per row
+        for i, zi, ri, hi, w in zip(rows[k].tolist(), z[k], r[k].tolist(),
+                                    h[k], why):
+            Z[i], r_out[i], h_out[i] = zi, ri, hi
             iterations[i], reasons[i] = it, w
 
     for it in itertools.count():
@@ -253,10 +256,10 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
             break
         F, h = residual(z, rows, h)
         r = _norms(F)
-        fin = done(F, r, h)
+        fin = r < cfg.tol
         out = fin | (limit[rows] == it)
         if any(out.tolist()):
-            stop(out, F, h, it,
+            stop(out, r, h, it,
                  np.where(fin[out], "converged", "max_iterations").tolist())
             rows, z, F, h, r = (rows[~out], z[~out], F[~out], h[~out],
                                 r[~out])
@@ -265,11 +268,11 @@ def _damped_gauss_newton(residual, directions, done, Z, cfg: SolverConfig,
         stuck, near = _take_steps(residual, z, h, directions(z, F, h, rows),
                                   r, rows)
         if len(stuck):
-            stop(stuck, F, h, it,
+            stop(stuck, r, h, it,
                  np.where(near, "degenerate_shape", "stalled").tolist())
             rows, z, h = (np.delete(rows, stuck), np.delete(z, stuck, axis=0),
                           np.delete(h, stuck, axis=0))
-    return Z, F_out, h_out, iterations, reasons
+    return Z, r_out, h_out, iterations, reasons
 
 
 def _least_squares_step(V, E, b, M):
@@ -365,16 +368,15 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None,
     }
     solved = iter(())
     if solve.any():
-        Z, F, _, its, reasons = _damped_gauss_newton(
-            residual, directions, lambda F, r, h: r < cfg.tol, Z0[solve], cfg,
+        Z, norms, _, its, reasons = _damped_gauss_newton(
+            residual, directions, Z0[solve], cfg,
             None if limit is None else np.asarray(limit)[solve],
             None if H0 is None else np.asarray(H0)[solve])
         solved = (SolveResult(S, r, it, reason == "converged", reason,
                               f"residual {r:.3e} after {it} iterations"
                               if reason == "max_iterations" else detail[reason])
-                  for S, r, it, reason in zip(ShapeAssignment.rows(Z),
-                                              _norms(np.array(F)).tolist(), its,
-                                              reasons))
+                  for S, r, it, reason in zip(ShapeAssignment.rows(Z), norms,
+                                              its, reasons))
     return [next(solved) if ok else SolveResult(
         ShapeAssignment(z), math.inf, 0, False,
         "degree_one_edge_obstruction", f"degree-one edge(s) "
@@ -561,10 +563,12 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     tetrahedra, so its linearisation holds far from the unit circle too;
     that of |h(e)| - 1, a product, is poor where |h| is about 100, and
     its damped steps there cut the residual by about 0.1 % per iteration.
-    A row stops when ConeTarget's own test holds on its holonomies, every
-    |h(e)| within UNIT_TOL of 1; those points are returned with their
-    cone target, and the rows that reach the iteration limit or stall are
-    dropped.
+    A row converges, as in every solve, when its residual 2-norm
+    |log|h|| is below cfg.tol, which puts every |h(e)| within about tol
+    of 1.  The converged points that pass ConeTarget's UNIT_TOL test (all
+    of them, unless tol is above about UNIT_TOL) are returned with their
+    cone target; the other rows, also those that reach the iteration
+    limit or stall, are dropped.
 
     Returns (samples, dropped_count) where samples is a list of
     (ShapeAssignment, ConeTarget).  Raises IdealGlueError unless every
@@ -595,18 +599,15 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
         M[...] = WtW
         return [_least_squares_step(log_jacobian(Z, E), E, -F, M)]
 
-    def done(F, r, h):  # ConeTarget's |h(e)| = 1 test, as an array
-        return (np.abs(np.abs(h) - 1.0) < UNIT_TOL).all(-1)
-
     Z0 = np.array([s.z for s in starts], dtype=complex).reshape(-1, E.tet_count)
-    Z, _, H, _, reasons = _damped_gauss_newton(residual, directions, done, Z0,
-                                               cfg)
-    kept = [reason == "converged" for reason in reasons]
-    # `done` passed on these rows' holonomies by ConeTarget's own test, and
-    # the stacked kernel gives them bit for bit: each row is kept with the
-    # target xi_from_shapes would give it
-    samples = list(zip(ShapeAssignment.rows(Z[kept]),
-                       ConeTarget.rows(np.array(H)[kept])))
+    Z, _, H, _, reasons = _damped_gauss_newton(residual, directions, Z0, cfg)
+    H = np.array(H, dtype=complex).reshape(len(Z0), E.edge_count)
+    # a tol above about UNIT_TOL lets a converged row miss ConeTarget's
+    # |h(e)| = 1 test; the stacked kernel gives the holonomies bit for bit,
+    # so each kept row has the target xi_from_shapes would give it
+    kept = ((np.array(reasons) == "converged")
+            & (np.abs(np.abs(H) - 1.0) < UNIT_TOL).all(-1))
+    samples = list(zip(ShapeAssignment.rows(Z[kept]), ConeTarget.rows(H[kept])))
     return samples, len(Z0) - len(samples)
 
 

@@ -77,12 +77,14 @@ def halving_search(residual, z, step, r):
     return None
 
 
-def scalar_gauss_newton(residual, directions, done, z, cfg):
+def scalar_gauss_newton(residual, directions, z, cfg):
+    """The per-start loop: a row converges when its residual 2-norm is
+    below cfg.tol."""
     for it in range(cfg.max_iterations):
         F = residual(z)
-        if done(z, F):
-            return z, F, it, "converged"
         r = np.linalg.norm(F)
+        if r < cfg.tol:
+            return z, F, it, "converged"
         steps = directions(z, F)
         for step in steps:
             cand = halving_search(residual, z, step, r)
@@ -93,8 +95,8 @@ def scalar_gauss_newton(residual, directions, done, z, cfg):
             near = scalar_in_guard(z + steps[0])
             return z, F, it, "degenerate_shape" if near else "stalled"
     F = residual(z)
-    return (z, F, cfg.max_iterations,
-            "converged" if done(z, F) else "max_iterations")
+    return (z, F, cfg.max_iterations, "converged"
+            if np.linalg.norm(F) < cfg.tol else "max_iterations")
 
 
 def lstsq_step(V, E, b, M):
@@ -125,7 +127,6 @@ def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
 
     z, F, it, reason = scalar_gauss_newton(
         lambda z: evaluate_residual(z, E, xi), directions,
-        lambda z, F: np.linalg.norm(F) < cfg.tol,
         np.array(initial.z, dtype=complex), cfg)
     return tuple(z), float(np.linalg.norm(F)), it, reason
 
@@ -133,7 +134,8 @@ def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
 def scalar_sample(t, start, cfg):
     """The projected start when the per-start sampler keeps it, else None:
     Gauss-Newton on log|h(e)| with the real step on D = d log h / dz and
-    U = W, stopped by ConeTarget's |h(e)| = 1 test on the holonomies."""
+    U = W, stopped, as every solve, when its residual norm |log|h|| is
+    below cfg.tol."""
     E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
 
     def residual(z):
@@ -145,11 +147,8 @@ def scalar_sample(t, start, cfg):
         return [relation_step(D, E, -F, outer_product_normal_matrix(
             E.dense(D), W))]
 
-    def done(z, F):
-        return np.max(np.abs(np.abs(all_holonomies(z, E)) - 1.0)) < 1e-8
-
     z, _, _, reason = scalar_gauss_newton(
-        residual, directions, done, np.array(start.z, dtype=complex), cfg)
+        residual, directions, np.array(start.z, dtype=complex), cfg)
     if reason != "converged":
         return None
     try:
@@ -309,6 +308,23 @@ def test_sampler_agrees_with_the_per_start_loop(name, monkeypatch):
                 assert np.abs(z - want).max() <= 1e-12
 
 
+def test_a_loose_tolerance_drops_samples_off_the_unit_circle():
+    # at tol = 1e-6 a converged row can miss ConeTarget's 1e-8 test on
+    # |h(e)|: building its target raised NotUnitModulus.  It is dropped,
+    # as the per-start loop drops it
+    t = corpus("fig8_in_s3")
+    E = build_exponent_matrix(t)
+    cfg = SolverConfig(seed=1, tol=1e-6)
+    starts = random_starts(t, 32, cfg)
+    samples, dropped = cone_locus_sample(t, starts, cfg)
+    want = [z for z in (scalar_sample(t, s, cfg) for s in starts)
+            if z is not None]
+    assert 0 < dropped == len(starts) - len(want)
+    for (S, xi), z in zip(samples, want, strict=True):
+        assert np.abs(np.array(S.z) - z).max() <= 1e-12
+        assert xi == xi_from_shapes(S, E)
+
+
 def test_sampler_with_no_starts():
     t = corpus("fig8_in_s3")
     assert cone_locus_sample(t, [], SolverConfig()) == ([], 0)
@@ -429,20 +445,17 @@ def test_rows_of_a_batch_stop_for_their_own_reasons():
         gain = np.where(Z.real < 0, 1.0, np.where(Z.real > 10, -1.0, 0.5))
         return [-gain * F]
 
-    def done(F, r, h):
-        return r < cfg.tol
-
     starts = np.array([[-4 + 3j], [20 + 3j], [5 + 3j]])
-    Z, F, _, its, reasons = _damped_gauss_newton(residual, directions, done,
-                                                 starts, cfg)
+    Z, r, _, its, reasons = _damped_gauss_newton(residual, directions, starts,
+                                                 cfg)
     assert list(reasons) == ["converged", "stalled", "max_iterations"]
     assert list(its) == [1, 0, 5]
     assert Z[0, 0] == 3j and Z[1, 0] == 20 + 3j
     assert Z[2, 0] == 3j + 5 / 32
     for k, start in enumerate(starts):
-        alone = _damped_gauss_newton(residual, directions, done, [start], cfg)
+        alone = _damped_gauss_newton(residual, directions, [start], cfg)
         assert np.array_equal(alone[0][0], Z[k])
-        assert np.array_equal(alone[1][0], F[k])
+        assert alone[1][0] == r[k] == abs(Z[k, 0] - 3j)
         assert (alone[3][0], alone[4][0]) == (its[k], reasons[k])
 
 
@@ -484,7 +497,7 @@ def test_every_row_the_core_hands_back_is_off_the_guard_band(monkeypatch):
     # -z lands, so each iteration halves z until all halvings enter the band
     solver_mod._damped_gauss_newton(
         lambda Z, rows, h=None: (Z, Z), lambda Z, F, h, rows: [-Z],
-        lambda F, r, h: r < 1e-10, np.array([[1 + 2j]]), SolverConfig())
+        np.array([[1 + 2j]]), SolverConfig())
     assert returned[-1][4] == ["degenerate_shape"]
     reasons = set()
     for Z, _, _, _, why in returned:
@@ -747,10 +760,10 @@ def test_handed_on_holonomies_are_the_recomputed_ones(monkeypatch):
     handed_on = solve_all()
     core, calls = solver_mod._damped_gauss_newton, []
 
-    def recomputing(residual, directions, done, Z, cfg, limit=None, H0=None):
+    def recomputing(residual, directions, Z, cfg, limit=None, H0=None):
         calls.append(len(Z))
         return core(lambda Z, rows, h=None: residual(Z, rows), directions,
-                    done, Z, cfg, limit)
+                    Z, cfg, limit)
 
     monkeypatch.setattr(solver_mod, "_damped_gauss_newton", recomputing)
     assert repr(solve_all()) == repr(handed_on)

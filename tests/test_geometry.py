@@ -243,6 +243,22 @@ def test_volume_and_angles_at_the_top_of_the_float_range(z):
     assert max(abs(a - float(b)) for a, b in zip(angles, arg)) < 1e-15
 
 
+def test_bloch_wigner_at_large_shapes_matches_mpmath():
+    # below the 1 / z form's old threshold of 2^1000, (z - 1) / z rounded
+    # the argument of z'' to about 1e-16 absolute, which D multiplies by
+    # log|z'|: D missed mpmath by up to 3.7e-14 on these shapes
+    rng = np.random.default_rng(5)
+    z = 10 ** rng.uniform(6, 301, 400) * np.exp(1j * rng.uniform(-np.pi, np.pi,
+                                                                400))
+    got = _bloch_wigner_array(z)
+    with mpmath.workdps(50):
+        for zi, d in zip(z, got):
+            w = mpmath.mpc(zi)
+            want = (mpmath.im(mpmath.polylog(2, w))
+                    + mpmath.arg(1 - w) * mpmath.log(abs(w)))
+            assert abs(d - float(want)) < 1e-15
+
+
 def test_huge_shapes_leave_the_other_triples_bitwise(rng):
     z = rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200)
     triple = np.stack([z, 1.0 / (1.0 - z), (z - 1.0) / z], axis=-1)

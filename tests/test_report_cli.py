@@ -24,7 +24,7 @@ from idealglue import (CORPUS_NAMES, ConeTarget, DevelopFailure,
                        regular_solution, verify_report)
 from idealglue import develop as develop_mod, report as report_mod
 from idealglue.cli import _parse_xi, build_parser, main
-from idealglue.report import dumps, loads
+from idealglue.report import dumps
 
 from conftest import chain_cover_text
 
@@ -41,7 +41,7 @@ def fig8_report():
 def test_report_is_self_contained_and_revalidates():
     rep = fig8_report()
     text = dumps(rep)
-    back = loads(text)
+    back = json.loads(text)
     checks = verify_report(back)
     assert checks and all(c.ok for c in checks)
     names = {c.name for c in checks}
@@ -67,7 +67,7 @@ def test_report_fields():
 
 def test_report_json_roundtrip_is_bit_exact():
     rep = fig8_report()
-    back = loads(dumps(rep))
+    back = json.loads(dumps(rep))
     assert back["shapes"] == rep["shapes"]
     assert back["residual_norm"] == rep["residual_norm"]
 
@@ -325,7 +325,7 @@ def test_committed_reports_still_verify(name):
     # reports written before the develop moved onto the face table: the
     # fig8_complement certify, the README's hopf holonomy target and the
     # fig8_in_s3 regular solution
-    checks = verify_report(loads((DATA / name).read_text()))
+    checks = verify_report(json.loads((DATA / name).read_text()))
     assert checks and all(c.ok for c in checks), [str(c) for c in checks
                                                   if not c.ok]
 
@@ -450,7 +450,7 @@ def test_regular_report_round_trips_at_n_2000():
     Z, xi, _ = regular_solution(t)
     r = float(np.linalg.norm(evaluate_residual(Z, build_exponent_matrix(t), xi)))
     rep = build_solution_report(t, Z, xi, r)
-    checks = verify_report(loads(dumps(rep)))
+    checks = verify_report(json.loads(dumps(rep)))
     assert checks and all(c.ok for c in checks), [str(c) for c in checks
                                                   if not c.ok]
 
@@ -550,23 +550,37 @@ def test_bad_options_and_unreadable_files_exit_two(argv, message, tmp_path,
     assert message.format(dir=tmp_path, binary=binary) in err
 
 
+def run_limited(*argv):
+    """The CLI as a subprocess under a 3 GB address-space limit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(idealglue.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    limit = 3 * 2 ** 30 if hard == resource.RLIM_INFINITY else min(3 * 2 ** 30, hard)
+    return subprocess.run(
+        [sys.executable, "-m", "idealglue.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+
+
 def test_a_huge_declared_tetrahedron_count_exits_two_on_one_line(tmp_path):
     # validate named every unglued face: 4e7 issues, a MemoryError traceback
     # and exit 1 under this 3 GB address-space limit
     path = tmp_path / "huge.tri"
     path.write_text("tri v1\ntetrahedra 10000000\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(idealglue.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1")
-    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    limit = 3 * 2 ** 30 if hard == resource.RLIM_INFINITY else min(3 * 2 ** 30, hard)
-    proc = subprocess.run(
-        [sys.executable, "-m", "idealglue.cli", "info", "--file", str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, hard)))
+    proc = run_limited("info", "--file", str(path))
     named = ", ".join(f"FaceUnglued at ({tet},{face})"
                       for tet in range(3) for face in range(4))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: {named}, FaceUnglued: 39999988 more faces\n"
+
+
+def test_a_sample_count_too_large_to_hold_exits_two_on_one_line():
+    # the starts of 10^9 samples do not fit under the limit: NumPy's
+    # MemoryError ended in a traceback and exit 1
+    proc = run_limited("sample", "--corpus", "hopf", "--count", "1000000000")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: Unable to allocate ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_xi_has_one_syntax():
@@ -684,7 +698,7 @@ def test_every_writers_report_verifies_and_every_claim_is_checked(
     assert code == 0, err
     path = tmp_path / "report.json"
     path.write_text(out)
-    checks = verify_report(loads(out))
+    checks = verify_report(json.loads(out))
     assert checks and all(c.ok for c in checks), [str(c) for c in checks
                                                   if not c.ok]
     names = {c.name for c in checks}
@@ -981,7 +995,7 @@ def test_cli_equations_json_holds_the_dense_exponent_matrices(name, capsys,
 
 @pytest.mark.parametrize("argv, message", [
     (("solve", "--corpus", "fig8_complement", "--initial", "0.5,0.8;0.5,0.8;0.5,0.8"),
-     "error: expected 2 initial shapes, got 3"),
+     "error: --initial: expected 2 shapes, got 3"),
     (("sweep", "--corpus", "hopf", "--xi-weights", "1,-2", "--theta-grid", "1"),
      "error: expected 3 xi weights"),
     (("sweep", "--corpus", "hopf", "--xi-weights", "1,-2,1", "--theta-grid", ","),
@@ -994,6 +1008,11 @@ def test_cli_equations_json_holds_the_dense_exponent_matrices(name, capsys,
     # a negative seed ended in NumPy's ValueError traceback, exit 1
     (("sample", "--corpus", "hopf", "--count", "3", "--seed", "-1"),
      "error: seed must be >= 0, got -1"),
+    # --shapes was reported as "expected 2 initial shapes", naming --initial
+    (("volume", "--corpus", "fig8_complement", "--shapes", "0.5,0.8;0.5,0.8;0.5,0.8"),
+     "error: --shapes: expected 2 shapes, got 3"),
+    (("holonomy", "--corpus", "fig8_complement", "--shapes", "0.5,0.8;0.5,0.8;0.5,0.8"),
+     "error: --shapes: expected 2 shapes, got 3"),
 ])
 def test_cli_wrong_counts_exit_two(argv, message, capsys):
     code, out, err = run_cli(capsys, *argv)

@@ -13,16 +13,16 @@ developing-module tests, which pin this down against the closed-form Hopf
 and trefoil holonomies).
 
 The equations are read off the triangulation's compiled tables
-(`triangulation.edge_tables`, `vertex_tables`): the exponent matrix is kept
-as its nonzero (edge, tetrahedron) pairs, counted with `np.bincount` from
-the slots on each edge class's orbit, and the cusp relation matrix W from
-the vertex classes at each edge's ends; both are built once per
-triangulation, and h, J and d log h / dz (as their values there) and the
-residual are evaluated over the pairs.  So are a Gauss-Newton step's
-J x, J^H y and J J^H + U^H U (`pair_matvec`, `pair_rmatvec`,
-`normal_matrix`), the last two in tetrahedron order through an index of
-the pairs by tetrahedron, built on the first solve and memoised on the
-exponent matrix.
+(`triangulation.edge_tables`, `vertex_tables`) into one gluing system,
+built once per triangulation: the exponent matrix, kept as its nonzero
+(edge, tetrahedron) pairs, counted with `np.bincount` from the slots on
+each edge class's orbit, with its cusp relations `E.relations` from the
+vertex classes at each edge's ends.  h, J and d log h / dz (as their
+values there) and the residual are evaluated over the pairs.  So are a
+Gauss-Newton step's J x, J^H y and J J^H + U^H U (`pair_matvec`,
+`pair_rmatvec`, `normal_matrix`), the last two in tetrahedron order
+through an index of the pairs by tetrahedron, built on the first solve
+and memoised on the exponent matrix.
 """
 from __future__ import annotations
 
@@ -214,19 +214,29 @@ class ExponentMatrix:
     The nonzero (edge, tetrahedron) pairs, in row-major order, are the
     index arrays `rows`, `cols` with their exponents `pair_a`,
     `pair_a_prime`, `pair_a_second`; `row_starts[j]` is the first pair of
-    edge j, and `degree_one` the indices of the edges of degree one.  The
-    arrays are shared and read-only.  The dense matrices `a`, `a_prime`,
-    `a_second` are built when read (`dense`), and the index of
+    edge j, and `degree_one` the indices of the edges of degree one.
+
+    `relations` is the c-by-m cusp relation matrix W with its rows scaled
+    to norm 1, where W[v, e] counts the ends of edge class e at vertex
+    class v.  Around vertex class v every corner contributes log z +
+    log z' + log z'' = log(-1), so sum_e W[v, e] log h(e) is constant and
+    sum_e (W[v, e] / h(e)) J[e, :] = 0: the rows of W / h lie in the left
+    null space of the Jacobian (Neumann-Zagier).  Unit rows keep a step's
+    J J^H + U^H U, U = W / h, well conditioned at every n.
+
+    The arrays are shared and read-only.  The dense matrices `a`,
+    `a_prime`, `a_second` are built when read (`dense`), and the index of
     `pair_rmatvec` and `normal_matrix` on the first solve.
     """
 
     __slots__ = ("edge_count", "tet_count", "degree", "rows", "cols",
                  "pair_a", "pair_a_prime", "pair_a_second", "row_starts",
-                 "degree_one", "_pair_products")
+                 "degree_one", "relations", "_pair_products")
 
-    def __init__(self, degree, tet_count: int, rows, cols, counts):
+    def __init__(self, degree, tet_count: int, rows, cols, counts, relations):
         self.edge_count, self.tet_count = len(degree), tet_count
         self.degree, self.rows, self.cols = degree, rows, cols
+        self.relations = relations
         self.pair_a, self.pair_a_prime, self.pair_a_second = (
             np.ascontiguousarray(counts.T))
         self.row_starts = np.searchsorted(rows, np.arange(self.edge_count))
@@ -249,14 +259,15 @@ class ExponentMatrix:
 
 
 def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
-    """The exponent matrix of t's edge classes, built once per
-    triangulation and memoised on it.  `edges` (t's own edge classes) is
-    ignored; it stays in the signature because the benchmark harness and
-    the tests pass it.
+    """The exponent matrix of t's edge classes, with its cusp relations,
+    built once per triangulation and memoised on it.  `edges` (t's own
+    edge classes) is ignored; it stays in the signature because the
+    benchmark harness and the tests pass it.
 
     Each slot on an edge class's orbit adds one to the count of its label
     at (class, tetrahedron): the pairs are the distinct keys
     class * n + tetrahedron, and `np.bincount` counts the labels per key.
+    Each edge class adds one to W at the vertex class of each of its ends.
     """
     if t._exponent_matrix is None:
         tables, n = edge_tables(t), t.tetra_count
@@ -265,8 +276,12 @@ def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
                                return_inverse=True)
         counts = np.bincount(3 * pair + _SLOT_LABELS[slot % 6],
                              minlength=3 * len(keys)).reshape(-1, 3)
-        t._exponent_matrix = ExponentMatrix(tables.degree, n, keys // n,
-                                            keys % n, counts)
+        _, count, ends = vertex_tables(t)
+        W = np.zeros((count, len(ends)), dtype=int)
+        np.add.at(W, (ends.T, np.arange(len(ends))), 1)
+        t._exponent_matrix = ExponentMatrix(
+            tables.degree, n, keys // n, keys % n, counts,
+            W / np.linalg.norm(W, axis=1, keepdims=True))
     return t._exponent_matrix
 
 
@@ -282,27 +297,6 @@ def check_shape_length(Z, E: ExponentMatrix) -> None:
     if len(Z) != E.tet_count:
         raise IdealGlueError(f"expected {E.tet_count} shapes (one per "
                              f"tetrahedron), got {len(Z)}")
-
-
-def build_relation_matrix(t: Triangulation, unit: bool = False) -> np.ndarray:
-    """The c-by-m cusp relation matrix W, built once per triangulation and
-    memoised on it (read-only): W[v, e] counts the ends of edge class e at
-    vertex class v.  With `unit`, W with its rows scaled to norm 1.
-
-    Around vertex class v every corner contributes log z + log z' +
-    log z'' = log(-1), so sum_e W[v, e] log h(e) is constant and
-    sum_e (W[v, e] / h(e)) J[e, :] = 0: the rows of W / h lie in the left
-    null space of the Jacobian (Neumann-Zagier).  Unit rows keep a step's
-    J J^H + U^H U, U = W / h, well conditioned at every n.
-    """
-    if t._relation_matrix is None:
-        _, count, ends = vertex_tables(t)
-        W = np.zeros((count, len(ends)), dtype=int)
-        np.add.at(W, (ends.T, np.arange(len(ends))), 1)
-        t._relation_matrix = (W, W / np.linalg.norm(W, axis=1, keepdims=True))
-        for M in t._relation_matrix:
-            M.setflags(write=False)
-    return t._relation_matrix[unit]
 
 
 def _shapes(Z: ShapeAssignment | np.ndarray) -> np.ndarray:

@@ -56,10 +56,10 @@ A x = b for each row of a stack (`_least_squares_step`): A = J and
 U = W / h for `newton_solve`, and for the sampler's real system
 log|h| = 0 its real m-by-2n Jacobian A = [Re D, -Im D], with
 D = d log h / dz, and U = W.  W is the cusp relation matrix with its rows
-scaled to unit norm (`build_relation_matrix`, which keeps M well
-conditioned): around each vertex class the sum of the edges' log h, each
-counted once per end there, is constant (Neumann-Zagier), so the rows of
-U span the left null space of A, and x = A^H (A A^H + U^H U)^-1 b is one
+scaled to unit norm (`E.relations`, which keeps M well conditioned):
+around each vertex class the sum of the edges' log h, each counted once
+per end there, is constant (Neumann-Zagier), so the rows of U span the
+left null space of A, and x = A^H (A A^H + U^H U)^-1 b is one
 dense m-by-m solve with no singular-value cutoff for rounding noise to
 pass.  The normal equations square A's condition number; at the
 near-complete solutions the solver meets, it is below 100 and the step
@@ -74,9 +74,7 @@ one (rows, m, m) workspace, and every step writes U^H U into the prefix
 of the rows still running (rows only drop out of a solve; the sampler
 copies one W^T W formed per call) and has `normal_matrix` add the pair
 products to it in place.  The workspace is freed when the solve
-returns.  An m-by-m M allocated on every iteration, and freed with
-`np.linalg.solve`'s copy of it, was faulted in again each time: 97
-minor page faults per iteration at m = 128.
+returns.
 
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
@@ -102,10 +100,9 @@ from .errors import IdealGlueError, NotConverged, NotUnitModulus
 from .geometry import V_TET
 from .gluing import (UNIT_TOL, ConeTarget, ExponentMatrix, ShapeAssignment,
                      all_holonomies, build_exponent_matrix,
-                     build_relation_matrix, check_shape_length,
-                     check_target_length, evaluate_residual, in_guard_band,
-                     jacobian, log_jacobian, normal_matrix, pair_matvec,
-                     pair_rmatvec)
+                     check_shape_length, check_target_length,
+                     evaluate_residual, in_guard_band, jacobian, log_jacobian,
+                     normal_matrix, pair_matvec, pair_rmatvec)
 from .triangulation import Triangulation
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -149,8 +146,7 @@ class SolveResult:
 
 def _norms(F) -> np.ndarray:
     """The 2-norm of each row of a (k, m) stack F, summed with BLAS's dot
-    as `np.linalg.norm` sums one row, so a batch of one takes exactly the
-    decisions of a 1-D loop."""
+    as `np.linalg.norm` sums one row."""
     return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
 
 
@@ -311,7 +307,7 @@ def _least_squares_step(V, E, b, M):
     return x
 
 
-def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None,
+def _newton_rows(E, targets, Z0, cfg: SolverConfig, limit=None,
                  H0=None) -> list:
     """Solve h(z) = targets[k] from Z0[k] for each row k of a stack, in one
     damped Gauss-Newton loop, each row as `newton_solve` solves it alone,
@@ -319,8 +315,8 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None,
     three deterministic kicks.  Row k stops at limit[k] iterations, when
     given, else at cfg.max_iterations; up to its limit it takes the steps
     of the row alone.  H0, when given, holds the holonomies at the starts,
-    as `all_holonomies(Z0, E)` gives them.  E is the exponent matrix and W
-    the relation matrix with unit rows; returns one SolveResult per row,
+    as `all_holonomies(Z0, E)` gives them.  E is the exponent matrix, whose
+    unit relation rows W the step reads; returns one SolveResult per row,
     in row order.
     A degree-one edge's equation sets a single shape to xi_e, which no
     shape off {0, 1} meets at xi_e = 1: such a row keeps its start,
@@ -341,7 +337,7 @@ def _newton_rows(E, W, targets, Z0, cfg: SolverConfig, limit=None,
         nonlocal ws
         if ws is None:
             ws = np.empty((len(Z), E.edge_count, E.edge_count), complex)
-        U = W / h[:, None]
+        U = E.relations / h[:, None]
         M = np.matmul(U.mT.conj(), U, out=ws[:len(Z)])
         step = _least_squares_step(jacobian(Z, E, h), E, -F, M)
         tiny = _norms(step) < 1e-12 * (1.0 + _norms(Z))
@@ -402,8 +398,7 @@ def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
     E = build_exponent_matrix(t)
     check_shape_length(initial, E)
     check_target_length(xi, E)
-    return _newton_rows(E, build_relation_matrix(t, unit=True),
-                        np.array([xi.xi]), [initial.z], cfg)[0]
+    return _newton_rows(E, np.array([xi.xi]), [initial.z], cfg)[0]
 
 
 def regular_solution(t: Triangulation):
@@ -493,7 +488,7 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     IdealGlueError unless `initial` has one shape per tetrahedron and each
     target one entry per edge class.
     """
-    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
+    E = build_exponent_matrix(t)
     if initial is None:
         initial = ShapeAssignment((REGULAR_SHAPE,) * t.tetra_count)
     check_shape_length(initial, E)
@@ -514,7 +509,7 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
         targets = np.array([xi.xi for xi in xis])
         Z0, H0 = (_block_starts(thetas, past, block, seed.z, E, targets)
                   if blocked else (np.array([seed.z]), None))
-        results = _newton_rows(E, W, targets, Z0, cfg, [cfg.max_iterations]
+        results = _newton_rows(E, targets, Z0, cfg, [cfg.max_iterations]
                                + [quick] * (len(block) - 1), H0)
         accepted = 0
         for theta, res in zip(block, results):
@@ -574,7 +569,7 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     (ShapeAssignment, ConeTarget).  Raises IdealGlueError unless every
     start has one shape per tetrahedron.
     """
-    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
+    E = build_exponent_matrix(t)
     starts = list(starts)
     for start in starts:
         check_shape_length(start, E)
@@ -586,7 +581,7 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
             return np.log(np.abs(h)), h
 
     # U = W is constant: each step starts its workspace from one W^T W
-    WtW, ws = W.T @ W, None
+    WtW, ws = E.relations.T @ E.relations, None
 
     def directions(Z, F, h, rows):
         # d log|h| = Re(D dz), D = d log h / dz: a real m x 2n system per

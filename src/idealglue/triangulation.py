@@ -21,8 +21,8 @@ and the successor table over the 12n directed edge slots 12 tet + 2 s + r
 an edge enters next.  Edge classes are the orbits of the successor table
 and vertex classes the components of the corner identifications; `gluing`
 reads the exponent pairs and cusp relations off the same arrays.
-FaceGluings and the `cycle`/`steps`/`directed` views of an EdgeClass are
-built only when read.
+FaceGluings, the EdgeClasses and their `cycle`/`steps`/`directed` views
+are built only when read.
 """
 from __future__ import annotations
 
@@ -185,7 +185,7 @@ class Triangulation:
         # compiled on first use, then shared by every consumer
         self._face_table = self._edge_tables = self._edge_classes = None
         self._exponent_matrix = self._vertex_tables = self._vertex_classes = None
-        self._relation_matrix = self._text = None
+        self._text = None
         self._valid = False         # set by validate(): the tables need it
 
     @property
@@ -431,26 +431,28 @@ def _walk_edge_classes(t: Triangulation) -> EdgeTables:
     return tables
 
 
+def edge_tables(t: Triangulation) -> EdgeTables:
+    """t's compiled edge data (see EdgeTables), walked once per
+    triangulation and memoised on it."""
+    if t._edge_tables is None:
+        t._edge_tables = _walk_edge_classes(t)
+    return t._edge_tables
+
+
 def compute_edge_classes(t: Triangulation) -> tuple[EdgeClass, ...]:
     """Partition the 6n edge slots into identification cycles.
 
     Deterministic: classes appear in order of their lexicographically least
-    slot, each traversed from that slot in (min, max) direction.  Compiled
-    once per triangulation; later calls return the memoised tuple.
+    slot, each traversed from that slot in (min, max) direction.  The
+    views of `edge_tables` are built on the first call; later calls return
+    the memoised tuple.
     """
     if t._edge_classes is None:
-        tables = _walk_edge_classes(t)
-        t._edge_tables = tables
+        tables = edge_tables(t)
         t._edge_classes = tuple(
             EdgeClass(j, degree, tables)
             for j, degree in enumerate(tables.degree.tolist()))
     return t._edge_classes
-
-
-def edge_tables(t: Triangulation) -> EdgeTables:
-    """The compiled edge data of `compute_edge_classes` (see EdgeTables)."""
-    compute_edge_classes(t)
-    return t._edge_tables
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,9 @@ import pytest
 
 from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        NotUnitModulus, ShapeAssignment, SolverConfig, all_holonomies,
-                       build_exponent_matrix, build_relation_matrix,
-                       compute_edge_classes, cone_locus_sample, corpus,
-                       evaluate_residual, jacobian, newton_solve,
+                       build_exponent_matrix, compute_edge_classes,
+                       cone_locus_sample, corpus, evaluate_residual,
+                       jacobian, newton_solve,
                        parse_triangulation, random_starts, regular_solution,
                        sweep_family, xi_from_shapes)
 from idealglue import solver as solver_mod
@@ -113,12 +113,12 @@ def lstsq_step(V, E, b, M):
 def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
     """(z, residual norm, iterations, reason) of the per-start solve, with
     its step from `least_squares`."""
-    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
+    E = build_exponent_matrix(t)
 
     def directions(z, F):
         V = jacobian(z, E)
         step = least_squares(V, E, -F, outer_product_normal_matrix(
-            E.dense(V), W / all_holonomies(z, E)))
+            E.dense(V), E.relations / all_holonomies(z, E)))
         kick = 0.05 * (1.0 + np.abs(z)) * np.exp(0.7j * (1 + np.arange(len(z))))
         kicks = [kick, 1j * kick, -kick]
         if np.linalg.norm(step) < 1e-12 * (1.0 + np.linalg.norm(z)):
@@ -136,7 +136,7 @@ def scalar_sample(t, start, cfg):
     Gauss-Newton on log|h(e)| with the real step on D = d log h / dz and
     U = W, stopped, as every solve, when its residual norm |log|h|| is
     below cfg.tol."""
-    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
+    E = build_exponent_matrix(t)
 
     def residual(z):
         with np.errstate(divide="ignore"):
@@ -145,7 +145,7 @@ def scalar_sample(t, start, cfg):
     def directions(z, F):
         D = log_jacobian(z, E)
         return [relation_step(D, E, -F, outer_product_normal_matrix(
-            E.dense(D), W))]
+            E.dense(D), E.relations))]
 
     z, _, _, reason = scalar_gauss_newton(
         residual, directions, np.array(start.z, dtype=complex), cfg)
@@ -241,7 +241,6 @@ def test_stacked_rows_are_each_the_row_alone(rng):
 
     def solve(t, cases, cfg):
         return _newton_rows(build_exponent_matrix(t),
-                            build_relation_matrix(t, unit=True),
                             np.array([xi.xi for _, xi, _ in cases]),
                             [start.z for _, _, start in cases], cfg)
 
@@ -409,11 +408,11 @@ def test_a_sweep_block_writes_into_one_workspace_as_rows_stop(monkeypatch):
     # workspace the block's first step allocated
     calls = spy_normal_matrix(monkeypatch)
     t = parse_triangulation(chain_cover_text(4))
-    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
+    E = build_exponent_matrix(t)
     Z0 = REGULAR_SHAPE + np.outer([1e-9, 1e-3, 0.05, 0.2],
                                   np.exp(0.3j * np.arange(8)))
     cfg = SolverConfig()
-    results = _newton_rows(E, W, np.ones((4, 8), dtype=complex), Z0, cfg,
+    results = _newton_rows(E, np.ones((4, 8), dtype=complex), Z0, cfg,
                            [cfg.max_iterations, 3, 3, 3])
     assert len({res.iterations for res in results}) > 1
     assert len({rows for _, rows in calls}) > 1
@@ -733,19 +732,18 @@ def test_handed_on_holonomies_are_the_recomputed_ones(monkeypatch):
             t, 12, SolverConfig(seed=3))]])
         targets = [regular_xi.xi, (1.0,) * E.edge_count,
                    np.exp(1j * rng.uniform(-3, 3, E.edge_count))]
-        stacks.append((E, build_relation_matrix(t, unit=True),
-                       np.array([targets[k % 3] for k in range(len(Z0))]), Z0))
+        stacks.append((E, np.array([targets[k % 3]
+                                    for k in range(len(Z0))]), Z0))
     hopf, family = hopf_through_its_ideal_point()
     # the stationary hopf starts, whose rows are kicked
     stacks.append((build_exponent_matrix(hopf),
-                   build_relation_matrix(hopf, unit=True),
                    np.array([family(np.pi / 2).xi] * 3),
                    [[REGULAR_SHAPE * cmath.exp(1j * a)]
                     for a in (-1.2e-8, -2e-8, -5e-8)]))
 
     def solve_all():
-        out = [_newton_rows(E, W, targets, Z0, SolverConfig(max_iterations=k))
-               for E, W, targets, Z0 in stacks for k in (100, 3)]
+        out = [_newton_rows(E, targets, Z0, SolverConfig(max_iterations=k))
+               for E, targets, Z0 in stacks for k in (100, 3)]
         out += [sweep_family(t, about_regular(t), np.linspace(0.0, 0.6, 40))
                 for t in oracle_systems()]
         out.append(sweep_family(hopf, family, [0.6, 0.3, 0.0, -0.3, -0.4],

@@ -20,8 +20,8 @@ from idealglue import (CORPUS_NAMES, ConeTarget, ShapeAssignment,
                        develop_spanning_tree, edge_holonomy_matrix,
                        essential_edge_certificate, format_triangulation,
                        jacobian, newton_solve, parse_triangulation,
-                       random_triangulation, self_identification_report,
-                       verify_report)
+                       random_triangulation, regular_solution,
+                       self_identification_report, verify_report)
 from idealglue.corpus import CORPUS_TEXT
 from idealglue.gluing import _pair_products
 from idealglue.triangulation import EDGE_SLOTS, SLOT_INDEX
@@ -114,6 +114,32 @@ def test_pipeline_walks_the_edges_once(monkeypatch):
     checks = verify_report(report)
     assert checks and all(c.ok for c in checks)
     assert len(walks) == 1
+
+
+def test_a_solve_and_its_report_build_no_edge_class_views(monkeypatch):
+    # the solver, the report and its check read the compiled edge tables;
+    # the EdgeClass views are built only when compute_edge_classes is read
+    built = []
+    view = triangulation_mod.EdgeClass
+
+    def counted(index, degree, tables):
+        built.append(index)
+        return view(index, degree, tables)
+
+    monkeypatch.setattr(triangulation_mod, "EdgeClass", counted)
+    t = parse_triangulation(CORPUS_TEXT["fig8_in_s3"])
+    regular, xi, _ = regular_solution(t)
+    start = ShapeAssignment([z + 0.01j for z in regular.z])
+    res = newton_solve(t, xi, start)
+    cert = essential_edge_certificate(t, res, xi)
+    report = build_solution_report(t, res.shapes, xi, res.residual_norm,
+                                   certificate=cert, include_holonomy=True)
+    checks = verify_report(report)
+    assert res.converged and checks and all(c.ok for c in checks)
+    assert built == []
+    assert len(compute_edge_classes(t)) == 4 and built == [0, 1, 2, 3]
+    compute_edge_classes(t)
+    assert built == [0, 1, 2, 3]
 
 
 def test_a_text_is_compiled_once_and_shared():

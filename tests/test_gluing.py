@@ -8,10 +8,10 @@ import pytest
 
 from idealglue import (CORPUS_NAMES, ConeTarget, DegenerateShape,
                        NotUnitModulus, ShapeAssignment, all_holonomies,
-                       build_exponent_matrix, build_relation_matrix,
-                       compute_edge_classes, corpus, derive_shape_triple,
-                       edge_slot_label, evaluate_residual, jacobian,
-                       random_triangulation, xi_from_shapes)
+                       build_exponent_matrix, compute_edge_classes, corpus,
+                       derive_shape_triple, edge_slot_label,
+                       evaluate_residual, jacobian, random_triangulation,
+                       xi_from_shapes)
 from idealglue.gluing import (SLOT_LABELS, _triples, check_nondegenerate,
                               log_jacobian)
 from conftest import random_shapes, random_systems
@@ -274,7 +274,7 @@ def test_relation_rows_lie_in_the_log_jacobians_left_null_space(rng):
     # system [Re D, -Im D] has the rows of W in its left null space
     systems = [system(name) for name in CORPUS_NAMES] + random_systems()
     for t, edges, E in systems:
-        W = build_relation_matrix(t, unit=True)
+        W = E.relations
         for _ in range(4):
             D = E.dense(log_jacobian(random_shapes(rng, t.tetra_count), E))
             assert np.abs(W @ D).max() <= 1e-12 * max(np.abs(D).max(), 1.0)

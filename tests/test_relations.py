@@ -17,10 +17,9 @@ import pytest
 from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, V_TET, ConeTarget,
                        ShapeAssignment, SolverConfig, VertexClass,
                        all_holonomies, build_exponent_matrix,
-                       build_relation_matrix, compute_edge_classes,
-                       compute_vertex_classes, corpus, jacobian, newton_solve,
-                       parse_triangulation, random_triangulation,
-                       solution_volume)
+                       compute_edge_classes, compute_vertex_classes, corpus,
+                       jacobian, newton_solve, parse_triangulation,
+                       random_triangulation, solution_volume)
 from idealglue.gluing import normal_matrix, pair_matvec, pair_rmatvec
 from idealglue.solver import _least_squares_step
 from idealglue.triangulation import EDGE_SLOTS
@@ -58,7 +57,7 @@ def sample_point(rng, name, t):
 
 def relation_rank(t):
     """m - rank(W): the rank the relations leave the Jacobian."""
-    W = build_relation_matrix(t)
+    W = build_exponent_matrix(t).relations
     return W.shape[1] - np.linalg.matrix_rank(W)
 
 
@@ -122,28 +121,32 @@ def test_vertex_classes_match_the_dict_union_find(name):
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_relation_matrix_counts_edge_ends(name):
+    # W[v, e] counts the ends of edge class e at vertex class v, the same
+    # at every slot of e; E.relations is W with its rows scaled to norm 1
     t = SYSTEMS[name]
-    W = build_relation_matrix(t)
-    assert build_relation_matrix(t) is W and not W.flags.writeable
-    assert W.shape == (len(compute_vertex_classes(t)),
-                       len(compute_edge_classes(t)))
-    assert (W.sum(axis=0) == 2).all()               # two ends per edge
-    corner_class = {c: v.index for v in compute_vertex_classes(t)
-                    for c in v.corners}
-    for e in compute_edge_classes(t):
-        for tet, (a, b) in e.directed:              # every slot, same ends
-            ends = sorted((corner_class[(tet, a)], corner_class[(tet, b)]))
-            assert ends == sorted(np.repeat(np.arange(len(W)), W[:, e.index]))
+    W = build_exponent_matrix(t).relations
+    assert build_exponent_matrix(t).relations is W and not W.flags.writeable
+    vertices, edges = compute_vertex_classes(t), compute_edge_classes(t)
+    corner_class = {c: v.index for v in vertices for c in v.corners}
+    counts = np.zeros((len(vertices), len(edges)), dtype=int)
+    for e in edges:
+        ends = [sorted((corner_class[(tet, a)], corner_class[(tet, b)]))
+                for tet, (a, b) in e.directed]
+        assert all(x == ends[0] for x in ends)      # every slot, same ends
+        np.add.at(counts, (ends[0], e.index), 1)
+    assert (counts.sum(axis=0) == 2).all()          # two ends per edge
+    assert np.array_equal(W, counts / np.linalg.norm(counts, axis=1,
+                                                     keepdims=True))
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_relations_span_the_left_null_space(name, rng):
     t = SYSTEMS[name]
-    E, W = build_exponent_matrix(t), build_relation_matrix(t)
+    E = build_exponent_matrix(t)
     for _ in range(5):
         z = sample_point(rng, name, t)
         J = E.dense(jacobian(z, E))
-        U = W / all_holonomies(z, E)
+        U = E.relations / all_holonomies(z, E)
         assert np.abs(U @ J).max() <= 1e-13 * (1.0 + np.abs(J).max())
         # an absolute rank tolerance: on random6_seed3 the one edge holds
         # every slot, h = 1 identically and J is rounding noise
@@ -186,7 +189,8 @@ def test_pair_assembled_normal_matrix_is_the_dense_product(name, rng):
     # for a stack of points and for each point alone; the real form is
     # A A^T + U^T U for the sampler's real system A = [Re D, -Im D]
     t = NORMAL_SYSTEMS[name]
-    E, W = build_exponent_matrix(t), build_relation_matrix(t)
+    E = build_exponent_matrix(t)
+    W = E.relations
     Z = np.array([sample_point(rng, name, t) for _ in range(5)])
     h = all_holonomies(Z, E)
     VJ, a = jacobian(Z, E, h), np.abs(h)
@@ -254,11 +258,11 @@ def stacked_system(rng, name, t, count):
     """A stack of `count` Jacobians (their values on the pairs) at sample
     points, with random right-hand sides and the relation rows W / h of
     each point."""
-    E, W = build_exponent_matrix(t), build_relation_matrix(t)
+    E = build_exponent_matrix(t)
     Z = np.array([sample_point(rng, name, t) for _ in range(count)])
     b = (rng.normal(size=(count, E.edge_count))
          + 1j * rng.normal(size=(count, E.edge_count)))
-    return jacobian(Z, E), b, W / all_holonomies(Z, E)[:, None]
+    return jacobian(Z, E), b, E.relations / all_holonomies(Z, E)[:, None]
 
 
 @pytest.mark.parametrize("name", STEP_SYSTEMS)
@@ -306,12 +310,12 @@ def sampler_system(rng, name, t, count):
     """The sampler's real system at `count` sample points, as it builds it:
     the values on the pairs of D = (conj(h) / |h|) J, the right-hand sides
     1 - |h| and the relation rows W / |h| (W with unit rows)."""
-    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
+    E = build_exponent_matrix(t)
     Z = np.array([sample_point(rng, name, t) for _ in range(count)])
     h = all_holonomies(Z, E)
     a = np.abs(h)
     V = jacobian(Z, E, h) * (np.conj(h) / a).take(E.rows, axis=-1)
-    return V, 1.0 - a, W / a[:, None]
+    return V, 1.0 - a, E.relations / a[:, None]
 
 
 @pytest.mark.parametrize("name", STEP_SYSTEMS)
@@ -408,9 +412,9 @@ def test_unit_relation_rows_keep_the_normal_matrix_well_conditioned():
     # cond(M) was 4.3e6 here; with unit rows it is cond(J)^2 on J's range
     n = 500
     t = parse_triangulation(chain_cover_text(n // 2))
-    E, W = build_exponent_matrix(t), build_relation_matrix(t, unit=True)
-    assert build_relation_matrix(t, unit=True) is W and not W.flags.writeable
-    assert np.array_equal(W, build_relation_matrix(t) / math.sqrt(4 * n))
+    E = build_exponent_matrix(t)
+    W = E.relations
+    assert W.shape == (1, n) and (W == 2 / math.sqrt(4 * n)).all()
     z = np.array(chain_starts(n, 1, seed=n)[1].z)
     assert np.abs(z - REGULAR_SHAPE).max() <= 0.02
     h = all_holonomies(z, E)

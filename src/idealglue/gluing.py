@@ -22,7 +22,10 @@ values there) and the residual are evaluated over the pairs.  So are a
 Gauss-Newton step's J x, J^H y and J J^H + U^H U (`pair_matvec`,
 `pair_rmatvec`, `normal_matrix`), the last two in tetrahedron order
 through an index of the pairs by tetrahedron, built on the first solve
-and memoised on the exponent matrix.
+and memoised on the exponent matrix; J^H's values in that order
+(`pair_adjoint`) and the scatter index of a stack of normal matrices
+(`normal_index`) are the caller's, formed once per step and once per
+solve.
 """
 from __future__ import annotations
 
@@ -129,7 +132,7 @@ def _stack_rows(cls, field: str, rows: np.ndarray, ok: bool, *args) -> list:
     out = []
     for row in rows.tolist():
         obj = object.__new__(cls)
-        object.__setattr__(obj, field, tuple(row))
+        obj.__dict__[field] = tuple(row)    # as the frozen __init__ sets it
         out.append(obj)
     return out
 
@@ -179,10 +182,11 @@ class ConeTarget:
     xi: tuple
 
     def __init__(self, xi):
-        vals = tuple(complex(x) for x in xi)
-        for k, x in enumerate(vals):
+        vals = tuple(map(complex, xi))
+        for x in vals:
             if not abs(abs(x) - 1.0) < UNIT_TOL:    # also rejects nan and inf
-                raise NotUnitModulus(f"xi[{k}] = {x} has |xi| = {abs(x)}")
+                raise NotUnitModulus(f"xi[{vals.index(x)}] = {x} has "
+                                     f"|xi| = {abs(x)}")
         object.__setattr__(self, "xi", vals)
 
     @classmethod
@@ -199,7 +203,10 @@ class ConeTarget:
 
     @classmethod
     def ones(cls, m: int) -> "ConeTarget":
-        return cls((1.0 + 0.0j,) * m)
+        """The all-ones target, built without the test its entries pass."""
+        target = object.__new__(cls)
+        target.__dict__["xi"] = (1.0 + 0.0j,) * m
+        return target
 
 
 class ExponentMatrix:
@@ -226,7 +233,8 @@ class ExponentMatrix:
 
     The arrays are shared and read-only.  The dense matrices `a`,
     `a_prime`, `a_second` are built when read (`dense`), and the index of
-    `pair_rmatvec` and `normal_matrix` on the first solve.
+    `pair_adjoint`, `pair_rmatvec` and `normal_matrix` on the first
+    solve.
     """
 
     __slots__ = ("edge_count", "tet_count", "degree", "rows", "cols",
@@ -362,12 +370,13 @@ def jacobian(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
 
 
 def _pair_products(E: ExponentMatrix) -> tuple:
-    """The index of `pair_rmatvec` and `normal_matrix`, built on the first
-    solve and memoised on E: the pairs in tetrahedron order, each
-    tetrahedron's in edge order, and where each tetrahedron's start; for
-    every two edges j, k at one tetrahedron i, in tetrahedron order, the
-    pairs p = (j, i) and q = (k, i) (all the p, then all the q), and the
-    flat index j m + k of the entry of an m-by-m matrix they add to."""
+    """The index of `pair_adjoint`, `pair_rmatvec` and `normal_matrix`,
+    built on the first solve and memoised on E: the pairs in tetrahedron
+    order, each tetrahedron's in edge order, their edges, and where each
+    tetrahedron's start; for every two edges j, k at one tetrahedron i, in
+    tetrahedron order, the pairs p = (j, i) and q = (k, i) (all the p, then
+    all the q), and the flat index j m + k of the entry of an m-by-m matrix
+    they add to."""
     if E._pair_products is None:
         m, n = E.edge_count, E.tet_count
         by_tet = np.argsort(E.cols, kind="stable")
@@ -377,7 +386,8 @@ def _pair_products(E: ExponentMatrix) -> tuple:
         p, q = np.repeat(at, 6, axis=1), np.tile(at, 6)     # (n, 36)
         keep = (p >= 0) & (q >= 0)
         p, q = p[keep], q[keep]
-        E._pair_products = (by_tet, np.searchsorted(tets, np.arange(n)),
+        E._pair_products = (by_tet, E.rows[by_tet],
+                            np.searchsorted(tets, np.arange(n)),
                             np.concatenate([p, q]), E.rows[p] * m + E.rows[q])
     return E._pair_products
 
@@ -389,39 +399,61 @@ def pair_matvec(V: np.ndarray, E: ExponentMatrix, x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(V * x.take(E.cols, axis=-1), E.row_starts, axis=-1)
 
 
-def pair_rmatvec(V: np.ndarray, E: ExponentMatrix, y: np.ndarray) -> np.ndarray:
-    """D^H y as `pair_matvec` takes D x, entry i summed over tetrahedron
-    i's pairs in edge order.  For a real y it is A^T y, read as a complex
-    vector, of the real m-by-2n A = [Re D, -Im D]."""
-    by_tet, starts = _pair_products(E)[:2]
-    return np.add.reduceat((V.conj() * y.take(E.rows, axis=-1)).take(
-        by_tet, axis=-1), starts, axis=-1)
+def pair_adjoint(V: np.ndarray, E: ExponentMatrix) -> np.ndarray:
+    """The values of D^H for `pair_rmatvec`, D as in `pair_matvec`: the
+    conjugates of V, in tetrahedron order.  A step forms them once and
+    reads them for every D^H product it takes."""
+    return V.conj().take(_pair_products(E)[0], axis=-1)
 
 
-def normal_matrix(V: np.ndarray, E: ExponentMatrix,
-                  M: np.ndarray) -> np.ndarray:
+def pair_rmatvec(Vh: np.ndarray, E: ExponentMatrix,
+                 y: np.ndarray) -> np.ndarray:
+    """D^H y as `pair_matvec` takes D x, given D^H's values
+    Vh = `pair_adjoint(V, E)`, or per row of stacks; y may carry one more
+    leading axis than Vh.  Entry i sums tetrahedron i's pairs in edge
+    order.  For a real y it is A^T y, read as a complex vector, of the real
+    m-by-2n A = [Re D, -Im D]."""
+    _, edges, starts = _pair_products(E)[:3]
+    # np.multiply, not `*`: from 256 KiB on, `*` computes into its
+    # temporary right operand, where NumPy's complex product can round
+    # differently than out of place
+    return np.add.reduceat(np.multiply(Vh, y.take(edges, axis=-1)), starts,
+                           axis=-1)
+
+
+def normal_index(E: ExponentMatrix, count: int) -> np.ndarray:
+    """The flat index that `normal_matrix` adds the pair products of a
+    stack of `count` m-by-m matrices into, the first matrix's entries
+    first; its prefix addresses the first matrices of the stack.  A solve
+    builds it once, with its workspace (see `solver`)."""
+    entry, size = _pair_products(E)[4], E.edge_count ** 2
+    return (np.arange(0, count * size, size)[:, None] + entry).ravel()
+
+
+def normal_matrix(V: np.ndarray, E: ExponentMatrix, M: np.ndarray,
+                  index: np.ndarray) -> np.ndarray:
     """D D^H + U^H U, for D as in `pair_matvec` and a c-by-m matrix U, or
     for each row of stacks of them, (k, nnz) and (k, c, m), formed in the
     caller's C-contiguous M, which holds U^H U on entry.  With a real M (a
     real U) it is Re(D D^H) + U^T U, which is A A^T for the real m-by-2n
     matrix A = [Re D, -Im D].
 
-    The caller owns M: each solve writes U^H U into one workspace it
-    allocates on its first step, so that its m-by-m matrices are not
-    allocated anew on every iteration (see `solver`).  Entry (j, k) of M
-    gets the product v_p conj(v_q) of D's values at the pairs
-    p = (j, i), q = (k, i) for each tetrahedron i that edges j and k
-    share: at most 36 n products, where the dense product costs O(m^2 n).
-    One unbuffered `np.add.at` adds them to M in place in the index's
-    order, so each entry is summed in tetrahedron order, as a sum of
-    per-tetrahedron outer products sums it.  Returns M."""
-    pairs, entry = _pair_products(E)[2:]
+    The caller owns M and `index`: each solve writes U^H U into one
+    workspace it allocates on its first step, so that its m-by-m matrices
+    are not allocated anew on every iteration, and builds the workspace's
+    `normal_index` with it, whose prefix addresses the k matrices of M
+    (see `solver`).  Entry (j, k) of M gets the product v_p conj(v_q) of
+    D's values at the pairs p = (j, i), q = (k, i) for each tetrahedron i
+    that edges j and k share: at most 36 n products, where the dense
+    product costs O(m^2 n).  One unbuffered `np.add.at` adds them to M in
+    place in the index's order, so each entry is summed in tetrahedron
+    order, as a sum of per-tetrahedron outer products sums it.  Returns M."""
+    pairs, entry = _pair_products(E)[3:]
     v = V.take(pairs, axis=-1)
     prod = v[..., :len(entry)] * v[..., len(entry):].conj()
-    if not np.iscomplexobj(M):
+    if M.dtype.kind != "c":
         prod = prod.real
-    start = np.arange(0, M.size, M.shape[-1] ** 2)[:, None]   # of each M
-    np.add.at(M.reshape(-1), (start + entry).ravel(), prod.ravel())
+    np.add.at(M.reshape(-1), index[:prod.size], prod.ravel())
     return M
 
 

@@ -69,12 +69,16 @@ A^H y = D^H y, A x = D x or Re(D x), and M = J J^H + U^H U or, for the
 sampler, Re(D D^H) + U^T U = A A^T, at most 36 n products where the
 dense product costs O(m^2 n) (`gluing.pair_rmatvec`, `pair_matvec`,
 `normal_matrix`).  Only a row that falls back to lstsq builds its
-dense A.  Each solve owns the memory of its M: its first step allocates
-one (rows, m, m) workspace, and every step writes U^H U into the prefix
-of the rows still running (rows only drop out of a solve; the sampler
-copies one W^T W formed per call) and has `normal_matrix` add the pair
-products to it in place.  The workspace is freed when the solve
-returns.
+dense A.  Each solve owns a step plan (`_step_plan`), built by its first
+step: one (rows, m, m) workspace for its M and the flat index that
+`normal_matrix` adds the pair products into it through
+(`gluing.normal_index`).  Rows only drop out of a solve, so every step
+writes U^H U into the workspace's prefix of the rows still running (the
+sampler copies one W^T W formed per call) and has `normal_matrix` add
+the pair products to it in place through the same prefix of the index.
+The plan is freed when the solve returns.  Each step forms D^H's values
+once (`gluing.pair_adjoint`) for x = D^H y and the check's
+D^H [A x - b, b].
 
 `SolverConfig` holds the three values callers set: the convergence
 tolerance, the iteration limit and the seed of `random_starts`.  The rest
@@ -102,7 +106,8 @@ from .gluing import (UNIT_TOL, ConeTarget, ExponentMatrix, ShapeAssignment,
                      all_holonomies, build_exponent_matrix,
                      check_shape_length, check_target_length,
                      evaluate_residual, in_guard_band, jacobian, log_jacobian,
-                     normal_matrix, pair_matvec, pair_rmatvec)
+                     normal_index, normal_matrix, pair_adjoint, pair_matvec,
+                     pair_rmatvec)
 from .triangulation import Triangulation
 
 REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -158,11 +163,11 @@ def _take_steps(residual, z, h, steps, r, rows):
     The full steps are one residual call, and the rows left try all further
     lam at once, in stacks of at most STACK_ENTRIES shapes.  `residual` is
     given the batch indices, out of `rows`, of the rows it evaluates, and
-    returns (F, h); the search reads F, and writes the h of the point each
-    row accepts into that row of h, in place, as it writes the point.
-    Returns the indices of the rows no step moved, whose rows of z and h
-    are left as they were, and, for each, whether its full first step
-    enters the band."""
+    returns (F, h); the search reads F, and writes the h and the residual
+    norm of the point each row accepts into that row of h and r, in place,
+    as it writes the point.  Returns the indices of the rows no step moved,
+    whose rows of z, h and r are left as they were, and, for each, whether
+    its full first step enters the band."""
     # rows not moved yet: all, then indices; the truth tests go through
     # lists, which for a few rows cost less than numpy's any and all
     todo, first, n = slice(None), None, z.shape[-1]
@@ -172,22 +177,26 @@ def _take_steps(residual, z, h, steps, r, rows):
         while j < MAX_HALVINGS:
             k = 1 if j == 0 else min(MAX_HALVINGS - j,
                                      max(1, STACK_ENTRIES // (len(todo) * n)))
-            # row i k + l of flat is row i's candidate at lam = 2^-(j + l)
-            cand = z[todo, None] + _SCALES[j:j + k] * step[todo, None]
+            # row i k + l of flat is row i's candidate at lam = 2^-(j + l);
+            # the full step, lam = 1, is taken unscaled
+            cand = ((z[todo] + step[todo])[:, None] if j == 0 else
+                    z[todo, None] + _SCALES[j:j + k] * step[todo, None])
             flat, at, bound = cand.reshape(-1, n), rows[todo], r[todo]
             if k > 1:
                 at, bound = np.repeat(at, k), np.repeat(bound, k)
             ok = ~in_guard_band(flat)
             if all(ok.tolist()):
                 F, H = residual(flat, at)
-                ok = _norms(F) < bound
+                norm = _norms(F)
+                ok = norm < bound
             elif any(ok.tolist()):
                 F, H_ok = residual(flat[ok], at[ok])
                 H = np.empty((len(flat), H_ok.shape[-1]), H_ok.dtype)
-                H[ok] = H_ok
-                ok[ok] = _norms(F) < bound[ok]
+                norm = np.empty(len(flat))
+                H[ok], norm[ok] = H_ok, _norms(F)
+                ok[ok] = norm[ok] < bound[ok]
             if all(ok.tolist()):        # each row takes its first candidate
-                z[todo], h[todo] = cand[:, 0], H[::k]
+                z[todo], h[todo], r[todo] = cand[:, 0], H[::k], norm[::k]
                 return (), ()
             ok, todo = ok.reshape(-1, k), np.arange(len(z))[todo]
             hit = ok.any(-1)
@@ -195,6 +204,7 @@ def _take_steps(residual, z, h, steps, r, rows):
                 lam = ok[hit].argmax(-1)
                 z[todo[hit]] = cand[hit, lam]
                 h[todo[hit]] = H.reshape(len(cand), k, -1)[hit, lam]
+                r[todo[hit]] = norm.reshape(len(cand), k)[hit, lam]
                 todo = todo[~hit]
                 if not todo.size:
                     return (), ()
@@ -215,9 +225,10 @@ def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
     holonomies at Z, it computes F from them and returns that h.  Each
     point's h is computed once, where it is first evaluated: `H0`, when
     given, is the h of the starts, and every later point is a step the
-    line search accepted, whose h it hands on (`_take_steps`).  So each
-    iteration calls `residual(Z, rows, h)` on the rows still running with
-    their known h, and with h = None only at the starts when H0 is None.
+    line search accepted, whose h and residual norm it hands on
+    (`_take_steps`).  So each iteration calls `residual(Z, rows, h)` on the
+    rows still running with their known h, and with h = None only at the
+    starts when H0 is None; it takes the norm of F only at the starts.
     A row converges when its residual 2-norm is below cfg.tol, and stops
     then or at its iteration limit (`limit[k]` for row k, else
     cfg.max_iterations); otherwise it takes one of the steps
@@ -227,64 +238,87 @@ def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
     give each row its own target.  Stopped rows drop out, and `residual`
     and `directions` are never called on an empty stack.
 
-    Returns (Z, r, h, iterations, reasons), one entry per row: its last
-    point, the residual norm and holonomies there, and its reason
-    "converged", "max_iterations" (at the row's limit), or, when no step
-    could be taken, "degenerate_shape" (the full first step enters the
-    guard band) or "stalled".  Every row of Z is its start or a step
-    `_take_steps` accepted, so it is finite and off the guard band when
-    its start is.
+    Returns (Z, r, h, iterations, reasons), one entry per row (of h, one
+    row of an array): its last point, the residual norm and holonomies
+    there, and its reason "converged", "max_iterations" (at the row's
+    limit), or, when no step could be taken, "degenerate_shape" (the full
+    first step enters the guard band) or "stalled".  Every row of Z is its
+    start or a step `_take_steps` accepted, so it is finite and off the
+    guard band when its start is.
     """
     Z = np.array(Z, dtype=complex)
-    r_out, h_out, iterations, reasons = ([None] * len(Z) for _ in range(4))
+    r_out, iterations = np.empty(len(Z)), np.empty(len(Z), dtype=int)
+    h_out, why = None, np.empty(len(Z), dtype=int)     # why: into `names`
+    names = ("max_iterations", "converged", "stalled", "degenerate_shape")
     rows, z = np.arange(len(Z)), Z.copy()      # the running rows of Z
     h = None if H0 is None else np.array(H0, dtype=complex)
-    limit = np.full(len(Z), cfg.max_iterations) if limit is None else limit
+    # the running rows' iteration limits
+    limit = (np.full(len(Z), cfg.max_iterations) if limit is None
+             else np.array(limit))
 
-    def stop(k, r, h, it, why):     # k: positions in rows; why: per row
-        for i, zi, ri, hi, w in zip(rows[k].tolist(), z[k], r[k].tolist(),
-                                    h[k], why):
-            Z[i], r_out[i], h_out[i] = zi, ri, hi
-            iterations[i], reasons[i] = it, w
+    def stop(k, r, h, it, reason):  # k: positions in rows; reason: per row
+        nonlocal h_out
+        if h_out is None:
+            h_out = np.empty((len(Z),) + h.shape[1:], h.dtype)
+        i = rows[k]
+        Z[i], r_out[i], h_out[i], iterations[i], why[i] = (
+            z[k], r[k], h[k], it, reason)
 
+    r = None    # the running rows' residual norms; the search hands them on
     for it in itertools.count():
         if not rows.size:
             break
         F, h = residual(z, rows, h)
-        r = _norms(F)
+        if r is None:
+            r = _norms(F)
         fin = r < cfg.tol
-        out = fin | (limit[rows] == it)
+        out = fin | (limit == it)
         if any(out.tolist()):
-            stop(out, r, h, it,
-                 np.where(fin[out], "converged", "max_iterations").tolist())
-            rows, z, F, h, r = (rows[~out], z[~out], F[~out], h[~out],
-                                r[~out])
+            stop(out, r, h, it, fin[out])
+            keep = ~out
+            rows, z, F, h, r, limit = (rows[keep], z[keep], F[keep],
+                                       h[keep], r[keep], limit[keep])
             if not rows.size:
                 break
         stuck, near = _take_steps(residual, z, h, directions(z, F, h, rows),
                                   r, rows)
         if len(stuck):
-            stop(stuck, r, h, it,
-                 np.where(near, "degenerate_shape", "stalled").tolist())
-            rows, z, h = (np.delete(rows, stuck), np.delete(z, stuck, axis=0),
-                          np.delete(h, stuck, axis=0))
-    return Z, r_out, h_out, iterations, reasons
+            stop(stuck, r, h, it, 2 + near)
+            rows, z, h, r, limit = (
+                np.delete(rows, stuck), np.delete(z, stuck, axis=0),
+                np.delete(h, stuck, axis=0), np.delete(r, stuck),
+                np.delete(limit, stuck))
+    return (Z, r_out.tolist(), h_out, iterations.tolist(),
+            [names[k] for k in why.tolist()])
 
 
-def _least_squares_step(V, E, b, M):
+def _step_plan(E, count: int, dtype) -> tuple:
+    """A solve's step plan, built on its first step, for its `count`
+    running rows: the (count, m, m) workspace that every step forms its
+    normal matrices in, and the workspace's `gluing.normal_index`.  Rows
+    only drop out of a solve, so a step on k rows forms its matrices in
+    the workspace's first k, which the index's prefix addresses."""
+    m = E.edge_count
+    return np.empty((count, m, m), dtype), normal_index(E, count)
+
+
+def _least_squares_step(V, E, b, M, index):
     """The min-norm least-squares solution x[k] of A[k] x = b[k] for each
     row k of a stack, where the rows of U[k] span the left null space of
     A[k]: x = A^H M^-1 b for M = A A^H + U^H U (`gluing.normal_matrix`),
     one dense m-by-m solve per row.  M holds U^H U on entry, written by
     the caller into the solve's workspace, and the step adds A A^H to it
-    in place.  A is D, given by its values V on E's pairs, or for a real
-    M (a real U) the real [Re D, -Im D], whose x is returned as
-    x[:n] + i x[n:]: then A^H y = D^H y, A x = Re(D x).  A row whose x
+    in place through `index`, the workspace's `gluing.normal_index` (see
+    `_step_plan`).  A is D, given by its values V on E's pairs, or for a
+    real M (a real U) the real [Re D, -Im D], whose x is returned as
+    x[:n] + i x[n:]: then A^H y = D^H y, A x = Re(D x), and both products
+    with A^H read D^H's values, formed once (`gluing.pair_adjoint`).  A
+    row whose x
     misses the optimality condition |A^H (A x - b)| <= 1e-8 |A^H b|, or
     whose M is singular, takes lstsq's step on its dense A; each row's
     step is that of the row alone, bit for bit."""
-    M, y = normal_matrix(V, E, M), b[..., None]
-    real = not np.iscomplexobj(M)
+    M, y = normal_matrix(V, E, M, index), b[..., None]
+    real = M.dtype.kind != "c"
     try:
         y = np.linalg.solve(M, y)
     except np.linalg.LinAlgError:
@@ -294,9 +328,10 @@ def _least_squares_step(V, E, b, M):
         for k in range(len(M)):
             with contextlib.suppress(np.linalg.LinAlgError):
                 y[k] = np.linalg.solve(M[k], b[k, :, None])
-    x = pair_rmatvec(V, E, y[..., 0])
+    Vh = pair_adjoint(V, E)
+    x = pair_rmatvec(Vh, E, y[..., 0])
     Ax = pair_matvec(V, E, x)
-    g = pair_rmatvec(V, E, np.stack([(Ax.real if real else Ax) - b, b]))
+    g = pair_rmatvec(Vh, E, np.array([(Ax.real if real else Ax) - b, b]))
     g = np.vecdot(g, g).real            # |A^H (A x - b)|^2, |A^H b|^2
     for k, ok in enumerate((g[0] <= 1e-16 * g[1]).tolist()):
         if not ok:                      # also when g is nan
@@ -331,15 +366,15 @@ def _newton_rows(E, targets, Z0, cfg: SolverConfig, limit=None,
             h = all_holonomies(Z, E)
         return evaluate_residual(Z, E, targets[rows], h), h
 
-    ws = None   # the solve's normal-matrix workspace, from its first step
+    plan = None     # the solve's step plan, from its first step
 
     def directions(Z, F, h, rows):
-        nonlocal ws
-        if ws is None:
-            ws = np.empty((len(Z), E.edge_count, E.edge_count), complex)
+        nonlocal plan
+        if plan is None:
+            plan = _step_plan(E, len(Z), complex)
         U = E.relations / h[:, None]
-        M = np.matmul(U.mT.conj(), U, out=ws[:len(Z)])
-        step = _least_squares_step(jacobian(Z, E, h), E, -F, M)
+        M = np.matmul(U.mT.conj(), U, out=plan[0][:len(Z)])
+        step = _least_squares_step(jacobian(Z, E, h), E, -F, M, plan[1])
         tiny = _norms(step) < 1e-12 * (1.0 + _norms(Z))
         if not any(tiny.tolist()):
             yield step
@@ -362,23 +397,32 @@ def _newton_rows(E, targets, Z0, cfg: SolverConfig, limit=None,
                             "{0, 1} (ideal point)",
         "stalled": "damping could not reduce the residual",
     }
-    solved = iter(())
+    results = []
     if solve.any():
         Z, norms, _, its, reasons = _damped_gauss_newton(
             residual, directions, Z0[solve], cfg,
             None if limit is None else np.asarray(limit)[solve],
             None if H0 is None else np.asarray(H0)[solve])
-        solved = (SolveResult(S, r, it, reason == "converged", reason,
-                              f"residual {r:.3e} after {it} iterations"
-                              if reason == "max_iterations" else detail[reason])
-                  for S, r, it, reason in zip(ShapeAssignment.rows(Z), norms,
-                                              its, reasons))
-    return [next(solved) if ok else SolveResult(
-        ShapeAssignment(z), math.inf, 0, False,
-        "degree_one_edge_obstruction", f"degree-one edge(s) "
-        f"{', '.join(f'e{j}' for j in E.degree_one[bad])} have xi = 1; the "
-        "single incident shape parameter would be forbidden, so the system "
-        "has no solution") for ok, z, bad in zip(solve.tolist(), Z0, obstructed)]
+        for S, r, it, reason in zip(ShapeAssignment.rows(Z), norms, its,
+                                    reasons):
+            # SolveResult's fields, set as its frozen __init__ sets them,
+            # without the six object.__setattr__ calls it makes per row
+            res = object.__new__(SolveResult)
+            res.__dict__.update(
+                shapes=S, residual_norm=r, iterations=it,
+                converged=reason == "converged", reason=reason,
+                detail=f"residual {r:.3e} after {it} iterations"
+                if reason == "max_iterations" else detail[reason])
+            results.append(res)
+    # the obstructed rows, in row order, each inserted where it stands
+    for k in np.flatnonzero(~solve).tolist():
+        results.insert(k, SolveResult(
+            ShapeAssignment(Z0[k]), math.inf, 0, False,
+            "degree_one_edge_obstruction", f"degree-one edge(s) "
+            f"{', '.join(f'e{j}' for j in E.degree_one[obstructed[k]])} have "
+            "xi = 1; the single incident shape parameter would be forbidden, "
+            "so the system has no solution"))
+    return results
 
 
 def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
@@ -420,33 +464,34 @@ class SweepPoint:
     result: SolveResult
 
 
-def _block_starts(thetas, past, block, seed, E, targets) -> tuple:
+def _block_starts(thetas, past, block, E, targets) -> tuple:
     """(Z0, H0): the starts of a sweep's solves at the thetas `block`,
     whose targets are the rows of `targets`, and the holonomies there.  For
     each theta the start is the Lagrange polynomial through the converged
     points (thetas[k], log past[k]), evaluated at theta and mapped back by
     exp, when it is finite, lies off the guard band around {0, 1} and has
-    a smaller residual |h(z) - target| than `seed`; otherwise `seed`.  The
-    logs are taken relative to the last point, so their branch never jumps
-    between nearby points, and one holonomy call evaluates every
-    prediction and the seed; each start's row of that call is its row of
-    H0, which the solve reads instead of evaluating h again."""
-    seed = np.array(seed)
+    a smaller residual |h(z) - target| than the last converged point,
+    past[-1]; otherwise that point.  The logs are taken relative to the
+    last point, so their branch never jumps between nearby points, and one
+    holonomy call evaluates every prediction and the last point; each
+    start's row of that call is its row of H0, which the solve reads
+    instead of evaluating h again."""
+    P = np.array(past)
+    last = P[-1]
     if len(set(thetas)) < len(thetas):
-        Z = np.tile(seed, (len(block), 1))
+        Z = np.tile(last, (len(block), 1))
         return Z, all_holonomies(Z, E)
     T, own = np.array(thetas), np.eye(len(thetas), dtype=bool)
-    w = np.where(own, 1.0, (np.array(block)[:, None, None] - T)
+    w = np.where(own, 1.0, np.subtract.outer(block, T)[:, None]
                  / (T[:, None] - T + own)).prod(-1)
-    last = np.array(past[-1])
     with np.errstate(all="ignore"):     # a non-finite start is rejected
-        L = np.log(np.array(past) / last)
+        L = np.log(P / last)
         # two real products: a complex one leaves np.exp slow (README)
         Z = last * np.exp(w @ L.real + 1j * (w @ L.imag))
-        h = all_holonomies(np.vstack([Z, seed]), E)
+        h = all_holonomies(np.vstack([Z, last]), E)
         ok = (np.isfinite(Z).all(-1) & ~in_guard_band(Z)
-              & (_norms(h[:-1] - targets) < _norms(h[-1] - targets)))
-    return np.where(ok[:, None], Z, seed), np.where(ok[:, None], h[:-1], h[-1])
+              & (_norms(h[:-1] - targets) < _norms(h[-1] - targets)))[:, None]
+    return np.where(ok, Z, last), np.where(ok, h[:-1], h[-1])
 
 
 def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
@@ -506,8 +551,8 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
                for xi in map(xi_of_theta, block)]
         for xi in xis:
             check_target_length(xi, E)
-        targets = np.array([xi.xi for xi in xis])
-        Z0, H0 = (_block_starts(thetas, past, block, seed.z, E, targets)
+        targets = np.array([xi.xi for xi in xis], dtype=complex)
+        Z0, H0 = (_block_starts(thetas, past, block, E, targets)
                   if blocked else (np.array([seed.z]), None))
         results = _newton_rows(E, targets, Z0, cfg, [cfg.max_iterations]
                                + [quick] * (len(block) - 1), H0)
@@ -581,22 +626,23 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
             return np.log(np.abs(h)), h
 
     # U = W is constant: each step starts its workspace from one W^T W
-    WtW, ws = E.relations.T @ E.relations, None
+    WtW, plan = E.relations.T @ E.relations, None
 
     def directions(Z, F, h, rows):
         # d log|h| = Re(D dz), D = d log h / dz: a real m x 2n system per
         # row, whose left null space the rows of W span, since
         # sum_e W[v, e] log h(e) is constant
-        nonlocal ws
-        if ws is None:
-            ws = np.empty((len(Z),) + WtW.shape)
-        M = ws[:len(Z)]
+        nonlocal plan
+        if plan is None:
+            plan = _step_plan(E, len(Z), float)
+        M = plan[0][:len(Z)]
         M[...] = WtW
-        return [_least_squares_step(log_jacobian(Z, E), E, -F, M)]
+        return [_least_squares_step(log_jacobian(Z, E), E, -F, M, plan[1])]
 
-    Z0 = np.array([s.z for s in starts], dtype=complex).reshape(-1, E.tet_count)
+    if not starts:
+        return [], 0
+    Z0 = np.array([s.z for s in starts], dtype=complex)
     Z, _, H, _, reasons = _damped_gauss_newton(residual, directions, Z0, cfg)
-    H = np.array(H, dtype=complex).reshape(len(Z0), E.edge_count)
     # a tol above about UNIT_TOL lets a converged row miss ConeTarget's
     # |h(e)| = 1 test; the stacked kernel gives the holonomies bit for bit,
     # so each kept row has the target xi_from_shapes would give it

@@ -1,11 +1,16 @@
-"""Combinatorial oracles that only the tests read: the abstract edge
-neighbourhood, relabelling, canonical forms and the enumeration of the
-one-tetrahedron triangulations."""
+"""Oracles that only the tests read: the abstract edge neighbourhood,
+relabelling, canonical forms and the enumeration of the one-tetrahedron
+triangulations, and the Gauss-Newton step with nothing formed ahead of
+its call (`unplanned_step`)."""
+import contextlib
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from idealglue import (Triangulation, compute_edge_classes,
                        make_triangulation)
+from idealglue.gluing import _pair_products, pair_matvec
 from idealglue.triangulation import PERMUTATIONS, _odd_perms_fixing
 
 
@@ -77,3 +82,45 @@ def enumerate_one_tetrahedron_triangulations() -> list:
     out.sort(key=lambda t: (sorted(e.degree for e in compute_edge_classes(t)),
                             t._pairs))
     return out
+
+
+def unplanned_step(V, E, b, M):
+    """`solver._least_squares_step` with nothing formed ahead of the call,
+    for a stack of rows: M (holding U^H U, completed in place) is scattered
+    into through an index built from M's shape, each product with D^H
+    conjugates V and gathers it into tetrahedron order anew, and the
+    check's two right-hand sides are joined by `np.stack`.  The solver's
+    step, which forms the index once per solve and D^H's values once per
+    step, must equal it bit for bit."""
+    by_tet, _, starts, pairs, entry = _pair_products(E)
+
+    def rmatvec(y):                     # D^H y
+        return np.add.reduceat((V.conj() * y.take(E.rows, axis=-1)).take(
+            by_tet, axis=-1), starts, axis=-1)
+
+    v = V.take(pairs, axis=-1)
+    prod = v[..., :len(entry)] * v[..., len(entry):].conj()
+    real = not np.iscomplexobj(M)
+    if real:
+        prod = prod.real
+    start = np.arange(0, M.size, M.shape[-1] ** 2)[:, None]   # of each M
+    np.add.at(M.reshape(-1), (start + entry).ravel(), prod.ravel())
+    y = b[..., None]
+    try:
+        y = np.linalg.solve(M, y)
+    except np.linalg.LinAlgError:
+        y = np.full(y.shape, np.nan, np.result_type(M, y))
+        for k in range(len(M)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                y[k] = np.linalg.solve(M[k], b[k, :, None])
+    x = rmatvec(y[..., 0])
+    Ax = pair_matvec(V, E, x)
+    g = rmatvec(np.stack([(Ax.real if real else Ax) - b, b]))
+    g = np.vecdot(g, g).real            # |A^H (A x - b)|^2, |A^H b|^2
+    for k, ok in enumerate((g[0] <= 1e-16 * g[1]).tolist()):
+        if not ok:
+            D, n = E.dense(V[k]), E.tet_count
+            A = np.concatenate([D.real, -D.imag], axis=-1) if real else D
+            step = np.linalg.lstsq(A, b[k], rcond=None)[0]
+            x[k] = step[:n] + 1j * step[n:] if real else step
+    return x

@@ -4,19 +4,22 @@ for bit, `cone_locus_sample` in every keep/drop decision and to 1e-12 on
 the kept points.  Both loops take the cusp-relation step, the sampler's
 on the log-modulus system log|h(e)| = 0."""
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 
 from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
-                       NotUnitModulus, ShapeAssignment, SolverConfig, all_holonomies,
+                       NotUnitModulus, ShapeAssignment, SolveResult,
+                       SolverConfig, all_holonomies,
                        build_exponent_matrix, compute_edge_classes,
                        cone_locus_sample, corpus, evaluate_residual,
                        jacobian, newton_solve,
                        parse_triangulation, random_starts, regular_solution,
                        sweep_family, xi_from_shapes)
 from idealglue import solver as solver_mod
-from idealglue.gluing import (DEGENERACY_GUARD, log_jacobian, normal_matrix,
+from idealglue.gluing import (DEGENERACY_GUARD, _pair_products, log_jacobian,
+                              normal_index, normal_matrix, pair_adjoint,
                               pair_matvec, pair_rmatvec)
 from idealglue.solver import (MAX_HALVINGS, _damped_gauss_newton, _newton_rows,
                              _take_steps)
@@ -48,16 +51,16 @@ def relation_step(V, E, b, M):
     lstsq's.  A is the complex J with complex M, and with real M the real
     [Re D, -Im D], whose step is taken as a complex vector.  A x and A^H y
     are the library's products on the pairs, so they sum in its order."""
-    real = not np.iscomplexobj(M)
+    real, Vh = not np.iscomplexobj(M), pair_adjoint(V, E)
 
     def A(x):
         Ax = pair_matvec(V, E, x)
         return Ax.real if real else Ax
 
     try:
-        x = pair_rmatvec(V, E, np.linalg.solve(M, b))
-        if (np.linalg.norm(pair_rmatvec(V, E, A(x) - b))
-                <= 1e-8 * np.linalg.norm(pair_rmatvec(V, E, b))):
+        x = pair_rmatvec(Vh, E, np.linalg.solve(M, b))
+        if (np.linalg.norm(pair_rmatvec(Vh, E, A(x) - b))
+                <= 1e-8 * np.linalg.norm(pair_rmatvec(Vh, E, b))):
             return x
     except np.linalg.LinAlgError:
         pass
@@ -265,6 +268,13 @@ def test_stacked_rows_are_each_the_row_alone(rng):
             assert obstructed == (degree_one and xi == ones)
             if obstructed:
                 assert res == alone and res.shapes == start
+            # a row's result is the one SolveResult's own __init__ builds
+            # from its fields, in equality, repr, hash and field order
+            built = SolveResult(*(getattr(res, f.name)
+                                  for f in dataclasses.fields(SolveResult)))
+            assert res == built and hash(res) == hash(built)
+            assert repr(res) == repr(built)
+            assert list(vars(res).items()) == list(vars(built).items())
             reasons.append(res.reason)
         assert [res for res in stacked if res.reason !=
                 "degree_one_edge_obstruction"] == ordinary
@@ -372,9 +382,9 @@ def spy_normal_matrix(monkeypatch):
     """The M and row count of every normal matrix a solve's step forms."""
     calls = []
 
-    def recorded(V, E, M):
+    def recorded(V, E, M, index):
         calls.append((M, len(V)))
-        return normal_matrix(V, E, M)
+        return normal_matrix(V, E, M, index)
 
     monkeypatch.setattr(solver_mod, "normal_matrix", recorded)
     return calls
@@ -427,6 +437,51 @@ def test_the_sampler_writes_into_one_real_workspace(monkeypatch):
     assert len(samples) == 32 and not dropped
     assert calls[0][1] == 32 and len({rows for _, rows in calls}) > 1
     assert_one_workspace(calls, float)
+
+
+def test_a_solve_builds_its_scatter_index_once(monkeypatch):
+    # a newton_solve, a sweep block whose rows stop at different
+    # iterations, and the sampler: each builds one scatter index, on its
+    # first step, for the rows it starts with, and forms every normal
+    # matrix through that very index, its prefix as rows stop
+    built, used = [], []
+
+    def counted(E, count):
+        built.append((normal_index(E, count), count))
+        return built[-1][0]
+
+    def recorded(V, E, M, index):
+        used.append(index)
+        return normal_matrix(V, E, M, index)
+
+    monkeypatch.setattr(solver_mod, "normal_index", counted)
+    monkeypatch.setattr(solver_mod, "normal_matrix", recorded)
+    t = parse_triangulation(chain_cover_text(4))
+    E = build_exponent_matrix(t)
+    entry = _pair_products(E)[4]
+
+    def assert_one_index(rows, steps):
+        (index, count), = built
+        assert count == rows and len(used) == steps > 1
+        assert all(u is index for u in used)
+        offsets = np.arange(rows)[:, None] * E.edge_count ** 2
+        assert np.array_equal(index, (offsets + entry).ravel())
+        built.clear()
+        used.clear()
+
+    start = REGULAR_SHAPE + 0.02 * np.exp(0.3j * np.arange(8))
+    res = newton_solve(t, ConeTarget.ones(8), ShapeAssignment(start))
+    assert_one_index(1, res.iterations)
+    Z0 = REGULAR_SHAPE + np.outer([1e-9, 1e-3, 0.05, 0.2],
+                                  np.exp(0.3j * np.arange(8)))
+    cfg = SolverConfig()
+    results = _newton_rows(E, np.ones((4, 8), dtype=complex), Z0, cfg,
+                           [cfg.max_iterations, 3, 3, 3])
+    assert_one_index(4, max(res.iterations for res in results))
+    cfg = SolverConfig(seed=3)
+    samples, dropped = cone_locus_sample(t, random_starts(t, 32, cfg), cfg)
+    assert len(samples) == 32 and not dropped
+    assert_one_index(32, len(used))
 
 
 # ---------------------------------------------------------- the core itself
@@ -516,13 +571,14 @@ def test_stacked_kernels_are_the_rows_bitwise(rng):
         H, J, D = all_holonomies(Z, E), jacobian(Z, E), log_jacobian(Z, E)
         assert H.shape == (4, 3, E.edge_count)
         assert J.shape == D.shape == (4, 3, len(E.rows))
-        JX, JHY = pair_matvec(J, E, Z), pair_rmatvec(J, E, H)
+        JX, JHY = pair_matvec(J, E, Z), pair_rmatvec(pair_adjoint(J, E), E, H)
         for idx in np.ndindex(4, 3):
             assert np.array_equal(H[idx], all_holonomies(Z[idx], E))
             assert np.array_equal(J[idx], jacobian(Z[idx], E))
             assert np.array_equal(D[idx], log_jacobian(Z[idx], E))
             assert np.array_equal(JX[idx], pair_matvec(J[idx], E, Z[idx]))
-            assert np.array_equal(JHY[idx], pair_rmatvec(J[idx], E, H[idx]))
+            assert np.array_equal(JHY[idx], pair_rmatvec(
+                pair_adjoint(J[idx], E), E, H[idx]))
 
 
 def sequential_line_search(residual, z, steps, r):
@@ -578,8 +634,8 @@ def test_stacked_line_search_is_the_sequential_one():
     assert np.array_equal(want[3:5], [c[3], z0[4] + step[4] / 2])
     calls.clear()
     z = z0.copy()
-    stuck, near = _take_steps(residual, z, z0.copy(), steps(step, kick), r,
-                              np.arange(6))
+    stuck, near = _take_steps(residual, z, z0.copy(), steps(step, kick),
+                              r.copy(), np.arange(6))
     assert list(stuck) == [5] and list(near) == [True]
     assert np.array_equal(z, want)
     # one call for the full steps and one for all further halvings, per step
@@ -595,10 +651,11 @@ def test_stacked_line_search_is_the_sequential_one():
 
 def test_line_search_hands_on_the_accepted_points_holonomies():
     # F(z) = z - c per row and h(z) = 2 z + 1: each moved row of h becomes
-    # h at the point its row of z took, by the all-rows exit (row 0 alone),
-    # a stack with candidates in the guard band (the full steps of rows 1
-    # and 4 land on 0), the halvings (row 2) and the kick (row 3); row 4,
-    # uphill in both steps, is stuck and keeps its entry
+    # h at the point its row of z took, and its row of r the residual norm
+    # there, by the all-rows exit (row 0 alone), a stack with candidates in
+    # the guard band (the full steps of rows 1 and 4 land on 0), the
+    # halvings (row 2) and the kick (row 3); row 4, uphill in both steps,
+    # is stuck and keeps its entries
     c = np.array([[2 + 1j], [1j], [3 + 0j], [2j], [2 + 4j]])
     z0 = np.array([[1 + 2j], [1 + 1j], [0.5 + 1j], [1 + 1j], [1 + 2j]])
     step = np.array([[1 - 1j], [-1 - 1j], [30 + 0j], [-2j], [-1 - 2j]])
@@ -610,6 +667,7 @@ def test_line_search_hands_on_the_accepted_points_holonomies():
     for rows in ([0], [0, 1, 2, 3, 4]):
         z, h = z0[rows], np.full((len(rows), 1), np.nan + 0j)
         r = np.linalg.norm(z - c[rows], axis=1)
+        r0 = r.copy()
         stuck, _ = _take_steps(residual, z, h, iter([step[rows], kick[rows]]),
                                r, np.array(rows))
         stuck = list(stuck)
@@ -617,6 +675,9 @@ def test_line_search_hands_on_the_accepted_points_holonomies():
         assert stuck == ([] if rows == [0] else [4])
         assert np.array_equal(h[moved], 2 * z[moved] + 1)
         assert np.isnan(h[stuck]).all()
+        assert np.array_equal(r[moved], solver_mod._norms(
+            z[moved] - c[rows][moved]))
+        assert np.array_equal(r[stuck], r0[stuck])
     assert np.array_equal(z[:4], [c[0], z0[1] + step[1] / 2,
                                   z0[2] + step[2] / 8, c[3]])
 

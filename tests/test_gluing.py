@@ -364,6 +364,25 @@ def test_non_finite_cone_targets_are_rejected(x):
         ConeTarget((1.0, x))
 
 
+def test_a_cone_target_names_its_first_bad_entry():
+    # every entry is converted, then tested; the error names the first
+    # entry off the unit circle, as a per-entry loop named it
+    for xi, msg in (((1.0, 1j, 2.0, 2.0), "xi[2] = (2+0j) has |xi| = 2.0"),
+                    ((1j, complex(math.nan, 1.0), math.inf),
+                     "xi[1] = (nan+1j) has |xi| = nan"),
+                    ((-1, 1.00000002j, 0.5),
+                     "xi[1] = 1.00000002j has |xi| = 1.00000002")):
+        with pytest.raises(NotUnitModulus) as info:
+            ConeTarget(xi)
+        assert str(info.value) == msg
+    xi = ConeTarget([1, -1.0, np.complex128(1j)])
+    assert xi.xi == (1 + 0j, -1 + 0j, 1j)
+    assert all(type(x) is complex for x in xi.xi)
+    for m in (0, 1, 128):
+        assert ConeTarget.ones(m) == ConeTarget((1.0,) * m)
+        assert type(ConeTarget.ones(m)) is ConeTarget
+
+
 # ------------------------------------------------ result rows from a stack
 
 def raised(build, *args):

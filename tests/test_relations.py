@@ -20,11 +20,13 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, V_TET, ConeTarget,
                        compute_edge_classes, compute_vertex_classes, corpus,
                        jacobian, newton_solve, parse_triangulation,
                        random_triangulation, solution_volume)
-from idealglue.gluing import normal_matrix, pair_matvec, pair_rmatvec
-from idealglue.solver import _least_squares_step
+from idealglue.gluing import (log_jacobian, normal_index, normal_matrix,
+                              pair_adjoint, pair_matvec, pair_rmatvec)
+from idealglue.solver import _least_squares_step, _step_plan
 from idealglue.triangulation import EDGE_SLOTS
 
-from conftest import chain_cover_text, random_shapes
+from conftest import chain_cover_text, random_shapes, random_systems
+from oracles import unplanned_step
 from test_batched_solver import lstsq_step, scalar_newton
 
 EPS = np.finfo(float).eps
@@ -201,19 +203,22 @@ def test_pair_assembled_normal_matrix_is_the_dense_product(name, rng):
              (VD, W / a[:, None], A @ A.mT))
     for V, U, product in cases:
         want = product + U.mT.conj() @ U
-        got = normal_matrix(V, E, gram(U))
+        got = normal_matrix(V, E, gram(U), normal_index(E, len(V)))
         assert got.dtype == want.dtype and got.shape == want.shape
         scale = np.abs(want).max(axis=(-2, -1))
         assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * scale).all()
         for Vk, Uk, Mk in zip(V, U, got):
-            assert np.array_equal(normal_matrix(Vk, E, gram(Uk)), Mk)
+            assert np.array_equal(
+                normal_matrix(Vk, E, gram(Uk), normal_index(E, 1)), Mk)
         # in place, into a workspace holding U^H U, and into a prefix of a
-        # longer one, as a solve's step forms M once its other rows stop
+        # longer one through the prefix of its index, as a solve's step
+        # forms M once its other rows stop
+        index = normal_index(E, len(V) + 1)
         for k in (len(V), 2):
             workspace = np.full((len(V) + 1,) + got.shape[1:], np.nan,
                                 dtype=got.dtype)
             start = np.matmul(U[:k].mT.conj(), U[:k], out=workspace[:k])
-            out = normal_matrix(V[:k], E, start)
+            out = normal_matrix(V[:k], E, start, index)
             assert out is start and np.array_equal(out, got[:k])
             assert np.isnan(workspace[k:]).all()
 
@@ -235,9 +240,9 @@ def test_pair_products_are_the_dense_products(name, rng):
     ATy = (A.mT @ y.real[..., None])[..., 0]
     for got, want in ((pair_matvec(V, E, x), (J @ x[..., None])[..., 0]),
                       (pair_matvec(V, E, x).real, Ax),
-                      (pair_rmatvec(V, E, y),
+                      (pair_rmatvec(pair_adjoint(V, E), E, y),
                        (J.mT.conj() @ y[..., None])[..., 0]),
-                      (pair_rmatvec(V, E, y.real),
+                      (pair_rmatvec(pair_adjoint(V, E), E, y.real),
                        ATy[:, :n] + 1j * ATy[:, n:])):
         assert got.shape == want.shape
         scale = np.abs(want).max(axis=-1, keepdims=True)
@@ -274,12 +279,12 @@ def test_step_matches_lstsq(name, rng, lstsq_calls):
     t = SYSTEMS[name]
     E = build_exponent_matrix(t)
     V, b, U = stacked_system(rng, name, t, 20)
-    x = _least_squares_step(V, E, b, gram(U))
+    x = _least_squares_step(V, E, b, gram(U), normal_index(E, len(V)))
     assert lstsq_calls == []                        # no fallback
     assert x.shape == (len(b), t.tetra_count)
     for Vk, bk, Uk, xk in zip(V, b, U, x):
-        assert np.array_equal(xk, _least_squares_step(Vk[None], E, bk[None],
-                                                      gram(Uk[None]))[0])
+        assert np.array_equal(xk, _least_squares_step(
+            Vk[None], E, bk[None], gram(Uk[None]), normal_index(E, 1))[0])
         want, cond = rank_fixed_lstsq(E.dense(Vk), bk, relation_rank(t))
         bound = max(1e-12, 256 * EPS * cond ** 2)
         assert np.linalg.norm(xk - want) <= bound * np.linalg.norm(want)
@@ -293,12 +298,13 @@ def test_incomplete_relations_fall_back_to_lstsq(name, rng, lstsq_calls):
     t = SYSTEMS[name]
     V, b, U = stacked_system(rng, name, t, 6)
     E = build_exponent_matrix(t)
-    full = _least_squares_step(V, E, b, gram(U))
+    full = _least_squares_step(V, E, b, gram(U), normal_index(E, len(V)))
     for v in range(U.shape[1]):
         lstsq_calls.clear()
         cut = U.copy()
         cut[1::2, v] = 0.0
-        x = _least_squares_step(V, E, b, gram(cut))
+        x = _least_squares_step(V, E, b, gram(cut),
+                                normal_index(E, len(V)))
         assert len(lstsq_calls) == 3
         for k in range(len(V)):
             want = (np.linalg.lstsq(E.dense(V[k]), b[k], rcond=None)[0]
@@ -331,7 +337,7 @@ def test_real_step_is_the_dense_min_norm_step(name, rng, lstsq_calls):
     D = E.dense(V)
     A = np.concatenate([D.real, -D.imag], axis=-1)
     dense = (A.mT @ np.linalg.solve(A @ A.mT + U.mT @ U, b[..., None]))[..., 0]
-    full = _least_squares_step(V, E, b, gram(U))
+    full = _least_squares_step(V, E, b, gram(U), normal_index(E, len(V)))
     assert lstsq_calls == []                        # no fallback
     assert full.dtype == complex and full.shape == (len(b), n)
     want = dense[:, :n] + 1j * dense[:, n:]
@@ -341,7 +347,8 @@ def test_real_step_is_the_dense_min_norm_step(name, rng, lstsq_calls):
         lstsq_calls.clear()
         cut = U.copy()
         cut[1::2, v] = 0.0
-        x = _least_squares_step(V, E, b, gram(cut))
+        x = _least_squares_step(V, E, b, gram(cut),
+                                normal_index(E, len(V)))
         assert lstsq_calls == [(E.edge_count, 2 * n)] * 3
         for k in range(len(V)):
             if k % 2:
@@ -349,6 +356,50 @@ def test_real_step_is_the_dense_min_norm_step(name, rng, lstsq_calls):
                 assert np.array_equal(x[k], step[:n] + 1j * step[n:])
             else:
                 assert np.array_equal(x[k], full[k])
+
+
+# ------------------------------------------------------------ the step plan
+
+def plan_systems():
+    """The corpus, `random_systems()` and the chain covers with n = 8, 32
+    and 128, by name."""
+    out = {name: corpus(name) for name in CORPUS_NAMES}
+    out.update({f"random{t.tetra_count}": t for t, _, _ in random_systems()})
+    out.update({f"chain{n}": parse_triangulation(chain_cover_text(n // 2))
+                for n in (8, 32, 128)})
+    return out
+
+
+PLAN_SYSTEMS = plan_systems()
+
+
+@pytest.mark.parametrize("name", PLAN_SYSTEMS)
+def test_the_planned_step_is_the_unplanned_one_bitwise(name, rng):
+    # the Newton step (J, U = W / h, complex M) and the sampler's (D =
+    # d log h / dz, U = W, real M) through the solve's scatter index and
+    # D^H's values formed once, against the oracle that forms both anew on
+    # every call: on stacks of 1, 16 and 46 rows, and on the first rows of
+    # one 46-row plan, as a solve steps once its other rows stop
+    t = PLAN_SYSTEMS[name]
+    E = build_exponent_matrix(t)
+    Z = np.array([sample_point(rng, name, t) for _ in range(46)])
+    h = all_holonomies(Z, E)
+    b = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
+    W = np.broadcast_to(E.relations, (len(Z),) + E.relations.shape)
+    for V, U, rhs in ((jacobian(Z, E, h), E.relations / h[:, None], b),
+                      (log_jacobian(Z, E), W, b.real)):
+        for rows in (1, 16, 46):
+            want = unplanned_step(V[:rows], E, rhs[:rows], gram(U[:rows]))
+            got = _least_squares_step(V[:rows], E, rhs[:rows],
+                                      gram(U[:rows]), normal_index(E, rows))
+            assert np.array_equal(got, want)
+        workspace, index = _step_plan(E, len(Z), U.dtype)
+        for rows in (46, 45, 16, 3, 1):
+            M = np.matmul(U[:rows].mT.conj(), U[:rows],
+                          out=workspace[:rows])
+            got = _least_squares_step(V[:rows], E, rhs[:rows], M, index)
+            want = unplanned_step(V[:rows], E, rhs[:rows], gram(U[:rows]))
+            assert np.array_equal(got, want)
 
 
 # ----------------------------------------------- newton_solve on chain covers
@@ -418,5 +469,5 @@ def test_unit_relation_rows_keep_the_normal_matrix_well_conditioned():
     z = np.array(chain_starts(n, 1, seed=n)[1].z)
     assert np.abs(z - REGULAR_SHAPE).max() <= 0.02
     h = all_holonomies(z, E)
-    M = normal_matrix(jacobian(z, E, h), E, gram(W / h))
+    M = normal_matrix(jacobian(z, E, h), E, gram(W / h), normal_index(E, 1))
     assert np.linalg.cond(M) < 1e5

@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,20 @@ _SLOT_LABELS = np.array(SLOT_LABELS)
 def edge_slot_label(slot) -> str:
     """Label carried by an edge slot, as one of "z", "z'", "z''".
 
-    `slot` is an unordered vertex pair or an index into EDGE_SLOTS.
+    `slot` is an index 0..5 into EDGE_SLOTS, of any integer type, or an
+    unordered vertex pair; raises IdealGlueError naming it otherwise.
     """
-    if not isinstance(slot, int):
-        a, b = sorted(slot)
-        slot = SLOT_INDEX[(a, b)]
-    return LABEL_NAMES[SLOT_LABELS[slot]]
+    try:
+        index = operator.index(slot)
+    except TypeError:                   # then a vertex pair, in any order
+        index = -1
+        with contextlib.suppress(TypeError):
+            index = SLOT_INDEX.get(tuple(sorted(slot)), -1)
+    if not 0 <= index < len(SLOT_LABELS):
+        raise IdealGlueError(f"edge slot {slot!r} is neither an index 0..5 "
+                             "nor an edge (a pair of vertices 0..3) of a "
+                             "tetrahedron")
+    return LABEL_NAMES[SLOT_LABELS[index]]
 
 
 def in_guard_band(Z) -> np.ndarray:
@@ -425,7 +434,7 @@ def normal_index(E: ExponentMatrix, count: int) -> np.ndarray:
     """The flat index that `normal_matrix` adds the pair products of a
     stack of `count` m-by-m matrices into, the first matrix's entries
     first; its prefix addresses the first matrices of the stack.  A solve
-    builds it once, with its workspace (see `solver`)."""
+    builds it once, with its workspace, when it starts (see `solver`)."""
     entry, size = _pair_products(E)[4], E.edge_count ** 2
     return (np.arange(0, count * size, size)[:, None] + entry).ravel()
 
@@ -439,7 +448,7 @@ def normal_matrix(V: np.ndarray, E: ExponentMatrix, M: np.ndarray,
     matrix A = [Re D, -Im D].
 
     The caller owns M and `index`: each solve writes U^H U into one
-    workspace it allocates on its first step, so that its m-by-m matrices
+    workspace it allocates when it starts, so that its m-by-m matrices
     are not allocated anew on every iteration, and builds the workspace's
     `normal_index` with it, whose prefix addresses the k matrices of M
     (see `solver`).  Entry (j, k) of M gets the product v_p conj(v_q) of

@@ -69,9 +69,9 @@ A^H y = D^H y, A x = D x or Re(D x), and M = J J^H + U^H U or, for the
 sampler, Re(D D^H) + U^T U = A A^T, at most 36 n products where the
 dense product costs O(m^2 n) (`gluing.pair_rmatvec`, `pair_matvec`,
 `normal_matrix`).  Only a row that falls back to lstsq builds its
-dense A.  Each solve owns a step plan (`_step_plan`), built by its first
-step: one (rows, m, m) workspace for its M and the flat index that
-`normal_matrix` adds the pair products into it through
+dense A.  Each solve builds its step plan (`_step_plan`) when it starts,
+with its rows: one (rows, m, m) workspace for its M and the flat index
+that `normal_matrix` adds the pair products into it through
 (`gluing.normal_index`).  Rows only drop out of a solve, so every step
 writes U^H U into the workspace's prefix of the rows still running (the
 sampler copies one W^T W formed per call) and has `normal_matrix` add
@@ -97,6 +97,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -127,9 +128,9 @@ class SolverConfig:
     seed: int = 0                   # random_starts
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise IdealGlueError(f"tol must be finite and positive, got "
-                                 f"{self.tol}")
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, Real)
+                or not (math.isfinite(self.tol) and self.tol > 0)):
+            raise IdealGlueError(f"tol must be a real > 0, got {self.tol!r}")
         for name in ("max_iterations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -165,9 +166,11 @@ def _take_steps(residual, z, h, steps, r, rows):
     given the batch indices, out of `rows`, of the rows it evaluates, and
     returns (F, h); the search reads F, and writes the h and the residual
     norm of the point each row accepts into that row of h and r, in place,
-    as it writes the point.  Returns the indices of the rows no step moved,
-    whose rows of z, h and r are left as they were, and, for each, whether
-    its full first step enters the band."""
+    as it writes the point.  Every candidate is evaluated, in one residual
+    call per pass, and one in the band is rejected whatever its residual.
+    Returns the indices of the rows no step moved, whose rows of z, h and
+    r are left as they were, and, for each, whether its full first step
+    enters the band."""
     # rows not moved yet: all, then indices; the truth tests go through
     # lists, which for a few rows cost less than numpy's any and all
     todo, first, n = slice(None), None, z.shape[-1]
@@ -184,41 +187,35 @@ def _take_steps(residual, z, h, steps, r, rows):
             flat, at, bound = cand.reshape(-1, n), rows[todo], r[todo]
             if k > 1:
                 at, bound = np.repeat(at, k), np.repeat(bound, k)
-            ok = ~in_guard_band(flat)
-            if all(ok.tolist()):
-                F, H = residual(flat, at)
-                norm = _norms(F)
-                ok = norm < bound
-            elif any(ok.tolist()):
-                F, H_ok = residual(flat[ok], at[ok])
-                H = np.empty((len(flat), H_ok.shape[-1]), H_ok.dtype)
-                norm = np.empty(len(flat))
-                H[ok], norm[ok] = H_ok, _norms(F)
-                ok[ok] = norm[ok] < bound[ok]
+            F, H = residual(flat, at)
+            norm = _norms(F)
+            ok = (norm < bound) & ~in_guard_band(flat)
             if all(ok.tolist()):        # each row takes its first candidate
                 z[todo], h[todo], r[todo] = cand[:, 0], H[::k], norm[::k]
                 return (), ()
             ok, todo = ok.reshape(-1, k), np.arange(len(z))[todo]
             hit = ok.any(-1)
-            if any(hit.tolist()):       # then some candidate was evaluated
-                lam = ok[hit].argmax(-1)
-                z[todo[hit]] = cand[hit, lam]
-                h[todo[hit]] = H.reshape(len(cand), k, -1)[hit, lam]
-                r[todo[hit]] = norm.reshape(len(cand), k)[hit, lam]
-                todo = todo[~hit]
-                if not todo.size:
-                    return (), ()
+            lam = ok[hit].argmax(-1)
+            z[todo[hit]] = cand[hit, lam]
+            h[todo[hit]] = H.reshape(len(cand), k, -1)[hit, lam]
+            r[todo[hit]] = norm.reshape(len(cand), k)[hit, lam]
+            todo = todo[~hit]
+            if not todo.size:
+                return (), ()
             j += k
     return todo, in_guard_band(z[todo] + first[todo])
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
                          limit=None, H0=None):
     """The damped Gauss-Newton loop shared by every solve, on a stack Z of
-    shape vectors, one row per start.  Iterates running toward an ideal
-    point overflow; NumPy's warnings for that are silenced here, since a
-    trial step with a non-finite residual is rejected (`_take_steps`).
+    shape vectors, one row per start.  NumPy's divide, overflow and
+    invalid warnings are silenced here: the line search evaluates every
+    candidate, also one at 0 or 1, where h divides by zero, and iterates
+    running toward an ideal point overflow; such a candidate is in the
+    guard band or has a non-finite residual, and is rejected
+    (`_take_steps`).
 
     `residual(Z, rows, h=None)` returns (F, h): the residual and the
     holonomies it was computed from, one row per row of Z; given h, the
@@ -257,9 +254,6 @@ def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
              else np.array(limit))
 
     def stop(k, r, h, it, reason):  # k: positions in rows; reason: per row
-        nonlocal h_out
-        if h_out is None:
-            h_out = np.empty((len(Z),) + h.shape[1:], h.dtype)
         i = rows[k]
         Z[i], r_out[i], h_out[i], iterations[i], why[i] = (
             z[k], r[k], h[k], it, reason)
@@ -270,7 +264,7 @@ def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
             break
         F, h = residual(z, rows, h)
         if r is None:
-            r = _norms(F)
+            r, h_out = _norms(F), np.empty_like(h)
         fin = r < cfg.tol
         out = fin | (limit == it)
         if any(out.tolist()):
@@ -293,8 +287,8 @@ def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
 
 
 def _step_plan(E, count: int, dtype) -> tuple:
-    """A solve's step plan, built on its first step, for its `count`
-    running rows: the (count, m, m) workspace that every step forms its
+    """A solve's step plan, built when the solve starts, for its `count`
+    rows: the (count, m, m) workspace that every step forms its
     normal matrices in, and the workspace's `gluing.normal_index`.  Rows
     only drop out of a solve, so a step on k rows forms its matrices in
     the workspace's first k, which the index's prefix addresses."""
@@ -366,12 +360,7 @@ def _newton_rows(E, targets, Z0, cfg: SolverConfig, limit=None,
             h = all_holonomies(Z, E)
         return evaluate_residual(Z, E, targets[rows], h), h
 
-    plan = None     # the solve's step plan, from its first step
-
     def directions(Z, F, h, rows):
-        nonlocal plan
-        if plan is None:
-            plan = _step_plan(E, len(Z), complex)
         U = E.relations / h[:, None]
         M = np.matmul(U.mT.conj(), U, out=plan[0][:len(Z)])
         step = _least_squares_step(jacobian(Z, E, h), E, -F, M, plan[1])
@@ -399,6 +388,7 @@ def _newton_rows(E, targets, Z0, cfg: SolverConfig, limit=None,
     }
     results = []
     if solve.any():
+        plan = _step_plan(E, len(targets), complex)
         Z, norms, _, its, reasons = _damped_gauss_newton(
             residual, directions, Z0[solve], cfg,
             None if limit is None else np.asarray(limit)[solve],
@@ -618,29 +608,25 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     starts = list(starts)
     for start in starts:
         check_shape_length(start, E)
+    if not starts:
+        return [], 0
 
     def residual(Z, rows, h=None):
         if h is None:
             h = all_holonomies(Z, E)
-        with np.errstate(divide="ignore"):  # h = 0: -inf, a rejected trial
-            return np.log(np.abs(h)), h
+        return np.log(np.abs(h)), h
 
     # U = W is constant: each step starts its workspace from one W^T W
-    WtW, plan = E.relations.T @ E.relations, None
+    WtW, plan = E.relations.T @ E.relations, _step_plan(E, len(starts), float)
 
     def directions(Z, F, h, rows):
         # d log|h| = Re(D dz), D = d log h / dz: a real m x 2n system per
         # row, whose left null space the rows of W span, since
         # sum_e W[v, e] log h(e) is constant
-        nonlocal plan
-        if plan is None:
-            plan = _step_plan(E, len(Z), float)
         M = plan[0][:len(Z)]
         M[...] = WtW
         return [_least_squares_step(log_jacobian(Z, E), E, -F, M, plan[1])]
 
-    if not starts:
-        return [], 0
     Z0 = np.array([s.z for s in starts], dtype=complex)
     Z, _, H, _, reasons = _damped_gauss_newton(residual, directions, Z0, cfg)
     # a tol above about UNIT_TOL lets a converged row miss ConeTarget's

@@ -5,6 +5,7 @@ the kept points.  Both loops take the cusp-relation step, the sampler's
 on the log-modulus system log|h(e)| = 0."""
 import cmath
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -560,6 +561,36 @@ def test_every_row_the_core_hands_back_is_off_the_guard_band(monkeypatch):
         reasons.update(why)
     assert reasons == {"converged", "max_iterations", "stalled",
                        "degenerate_shape"}
+
+
+def test_candidates_in_the_guard_band_are_evaluated_and_rejected():
+    # fig8_complement's own residual h(z) - 1, with full steps that land
+    # exactly on the ideal points 1 and 0 in the first shape, where h
+    # divides by zero: the line search evaluates them with every other
+    # candidate, rejects them for the band, and the core's errstate keeps
+    # the division silent; no halving decreases the residual, so both rows
+    # stop at their starts with a full first step in the band
+    E = build_exponent_matrix(corpus("fig8_complement"))
+    starts = np.array([[0.5 + 0.8j, 0.5 + 0.8j], [0.4 + 0.9j, 0.5 + 0.8j]])
+    ends = np.array([[1, 0.5 + 0.8j], [0, 0.5 + 0.8j]])
+    seen = []
+
+    def residual(Z, rows, h=None):
+        seen.extend(map(tuple, Z.tolist()))
+        if h is None:
+            h = all_holonomies(Z, E)
+        return h - 1, h
+
+    def directions(Z, F, h, rows):
+        return [ends[rows] - Z]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        Z, _, _, its, reasons = _damped_gauss_newton(
+            residual, directions, starts, SolverConfig())
+    assert set(map(tuple, ends.tolist())) <= set(seen)
+    assert reasons == ["degenerate_shape"] * 2 and its == [0, 0]
+    assert np.array_equal(Z, starts)
 
 
 def test_stacked_kernels_are_the_rows_bitwise(rng):

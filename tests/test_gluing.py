@@ -1,17 +1,18 @@
 """Shape triples, exponent matrices, holonomies, residuals, Jacobians."""
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
 
-from idealglue import (CORPUS_NAMES, ConeTarget, DegenerateShape,
-                       NotUnitModulus, ShapeAssignment, all_holonomies,
-                       build_exponent_matrix, compute_edge_classes, corpus,
-                       derive_shape_triple, edge_slot_label,
-                       evaluate_residual, jacobian, random_triangulation,
-                       xi_from_shapes)
+from idealglue import (CORPUS_NAMES, EDGE_SLOTS, ConeTarget,
+                       DegenerateShape, IdealGlueError, NotUnitModulus,
+                       ShapeAssignment, all_holonomies, build_exponent_matrix,
+                       compute_edge_classes, corpus, derive_shape_triple,
+                       edge_slot_label, evaluate_residual, jacobian,
+                       random_triangulation, xi_from_shapes)
 from idealglue.gluing import (SLOT_LABELS, _triples, check_nondegenerate,
                               log_jacobian)
 from conftest import random_shapes, random_systems
@@ -39,6 +40,17 @@ def test_slot_labels():
     # {02, 13} carry z'', {03, 12} carry z'
     assert edge_slot_label((0, 2)) == "z''"
     assert edge_slot_label((0, 3)) == "z'"
+    # any integer index: an np.int64 was iterated as a pair (TypeError)
+    for k, pair in enumerate(EDGE_SLOTS):
+        assert (edge_slot_label(k) == edge_slot_label(np.int64(k))
+                == edge_slot_label(pair[::-1]))
+    # a slot that is no edge is named: -1 wrapped to the last slot's label,
+    # 7 raised IndexError, (1, 1) KeyError, and a float or None TypeError
+    for slot in (-1, 6, 7, 2**70, (1, 1), (0, 4), (0, 1, 2), (0,), "01", 2.0,
+                 None):
+        with pytest.raises(IdealGlueError,
+                           match=re.escape(f"edge slot {slot!r} ")):
+            edge_slot_label(slot)
 
 
 # ------------------------------------------------------------ shape triples

@@ -1107,12 +1107,14 @@ def test_certificate_and_report_reject_shapes_of_the_wrong_length(n):
 
 @pytest.mark.parametrize("kwargs", [
     {"max_iterations": -1}, {"tol": math.nan}, {"tol": math.inf},
-    {"tol": 0.0}, {"tol": -1e-10}, {"seed": -1},
+    {"tol": 0.0}, {"tol": -1e-10}, {"seed": -1}, {"tol": True},
+    {"tol": "1e-10"}, {"tol": None},
 ])
 def test_solver_config_rejects_values_no_solve_can_use(kwargs):
     # max_iterations = -1 ended in a TypeError from norm(None), a nan tol
-    # ran every solve to max_iterations, and a negative seed ended in
-    # NumPy's ValueError from random_starts
+    # ran every solve to max_iterations, a negative seed ended in NumPy's
+    # ValueError from random_starts, a bool tol was taken as 1, and a text
+    # or None tol ended in a TypeError from math.isfinite
     with pytest.raises(IdealGlueError, match=next(iter(kwargs))):
         SolverConfig(**kwargs)
 

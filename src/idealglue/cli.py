@@ -2,15 +2,21 @@
 
 Exit codes: 0 success, 1 solve failure (for verify-report, a failed
 check), 2 input error, including a file that cannot be read, a malformed
-report or an input too large to hold in memory.  Diagnostics go to
-stderr; results to stdout (JSON with --json).
+report or an input too large to hold in memory, 141 (128 + SIGPIPE) when
+the reader of stdout closed it early.  Diagnostics go to stderr; results
+to stdout (JSON with --json).
+
+`run` is the process entry (`python -m idealglue.cli`, the `idealglue`
+script); `main` runs one command in the calling process.
 """
 from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import json
 import math
+import os
 import sys
 
 from . import report as report_mod
@@ -27,6 +33,7 @@ from .triangulation import (EDGE_SLOTS, compute_edge_classes,
                             validate)
 
 EXIT_OK, EXIT_SOLVE_FAILURE, EXIT_INPUT_ERROR = 0, 1, 2
+EXIT_BROKEN_PIPE = 141         # 128 + SIGPIPE, as a killed cat reports
 
 
 def _load_triangulation(args):
@@ -311,13 +318,14 @@ def _cmd_print(args) -> int:
     return EXIT_OK
 
 
+_DEFAULT = SolverConfig()            # the defaults of the solve flags
 # flags shared by several subcommands; each command names those it reads
 _FLAGS = {
     "--corpus": dict(choices=CORPUS_NAMES, help="built-in triangulation"),
     "--file": dict(help="triangulation file (tri v1 format)"),
-    "--tol": dict(type=float, default=SolverConfig.tol),
-    "--max-iter": dict(type=int, default=SolverConfig.max_iterations),
-    "--seed": dict(type=int, default=SolverConfig.seed),
+    "--tol": dict(type=float, default=_DEFAULT.tol),
+    "--max-iter": dict(type=int, default=_DEFAULT.max_iterations),
+    "--seed": dict(type=int, default=_DEFAULT.seed),
     "--json": dict(action="store_true", help="emit a JSON report on stdout"),
     "--xi": dict(default="ones",
                  help="'ones', ';'-separated re,im pairs (one pair: "
@@ -379,6 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command that argv (default sys.argv[1:]) names, in this
+    process, and return its exit code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -390,10 +400,32 @@ def main(argv=None) -> int:
                                     "detail": res.detail,
                                     "residual_norm": _finite(res.residual_norm)}))
         return EXIT_SOLVE_FAILURE
+    except BrokenPipeError:         # the reader is gone: not an input error
+        return EXIT_BROKEN_PIPE
     except (IdealGlueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 
+def run() -> int:
+    """The process entry: `main()` on the process's arguments, then stdout
+    and stderr flushed and every object alive frozen out of the cyclic
+    collector (`gc.freeze`), so that the interpreter's exit skips its
+    final pass over them; atexit handlers still run.  When the reader of
+    stdout has closed it, what is left unwritten goes to the null device,
+    so the interpreter's own flush cannot fail again, and the exit code
+    is EXIT_BROKEN_PIPE."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_BROKEN_PIPE
+    if code == EXIT_BROKEN_PIPE:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.stderr.flush()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -21,7 +21,7 @@ the edge then has derivative h(e) at the tail vertex.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ def develop_across_face(t: Triangulation, Z: ShapeAssignment) -> np.ndarray:
     return steps
 
 
-@dataclass
-class DevelopedComplex:
+class DevelopedComplex(NamedTuple):
     """A development along a breadth-first dual spanning tree from
     tetrahedron 0; the non-tree gluings are the holonomy generators."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,8 +126,7 @@ def bloch_wigner(z: complex) -> float:
 V_TET = 1.0149416064096537
 
 
-@dataclass(frozen=True)
-class VolumeReport:
+class VolumeReport(NamedTuple):
     per_tetrahedron: tuple
     total: float
     flat_tetrahedra: tuple          # |Im z| < FLAT_TOL; volume reported as 0

@@ -33,7 +33,6 @@ import cmath
 import contextlib
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,16 +131,54 @@ def derive_shape_triple(z: complex):
     return tuple(_triples(np.array([check_nondegenerate(z)]))[0].tolist())
 
 
-def _stack_rows(cls, field: str, rows: np.ndarray, ok: bool, *args) -> list:
+class FrozenSlots:
+    """Base of the immutable records whose fields are their `__slots__`:
+    two are equal when of one class with equal fields, hash as the tuple
+    of their fields and show as ``Name(field=value, ...)``.  A subclass's
+    __init__ checks its fields and sets them with `object.__setattr__`;
+    assigning or deleting a field afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):               # copy and pickle through __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an "
+                             f"immutable {type(self).__qualname__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an "
+                             f"immutable {type(self).__qualname__}")
+
+
+def _stack_rows(cls, rows: np.ndarray, ok: bool) -> list:
     """One cls per row of `rows`, checked by the one array test `ok`: its
-    tuple `field` is the row's `tolist()` when `ok` holds, else the
-    constructor builds each row, so its error names the bad entry."""
+    one field is set to the row's `tolist()` when `ok` holds, as its
+    __init__ sets it, else the constructor builds each row, so its error
+    names the bad entry."""
     if not ok:
-        return [cls(row, *args) for row in rows]
-    out = []
+        return [cls(row) for row in rows]
+    field, out = cls.__slots__[0], []
     for row in rows.tolist():
         obj = object.__new__(cls)
-        obj.__dict__[field] = tuple(row)    # as the frozen __init__ sets it
+        object.__setattr__(obj, field, tuple(row))
         out.append(obj)
     return out
 
@@ -150,13 +187,12 @@ def _stack_rows(cls, field: str, rows: np.ndarray, ok: bool, *args) -> list:
 _EXACT = {complex, float, int, np.complex128, np.float64}
 
 
-@dataclass(frozen=True)
-class ShapeAssignment:
+class ShapeAssignment(FrozenSlots):
     """One shape parameter per tetrahedron, each finite and off the guard
     band around {0, 1} (`check_nondegenerate`): the one place that band is
     decided.  The array kernels take raw shape arrays, near {0, 1} too."""
 
-    z: tuple
+    __slots__ = ("z",)
 
     def __init__(self, z):
         z, zs = tuple(z), None
@@ -174,7 +210,7 @@ class ShapeAssignment:
     @classmethod
     def rows(cls, Z) -> list:
         """One ShapeAssignment per row of a complex array (`_stack_rows`)."""
-        return _stack_rows(cls, "z", Z, _nondegenerate(Z))
+        return _stack_rows(cls, Z, _nondegenerate(Z))
 
     def __len__(self):
         return len(self.z)
@@ -183,12 +219,11 @@ class ShapeAssignment:
         return self.z[i]
 
 
-@dataclass(frozen=True)
-class ConeTarget:
+class ConeTarget(FrozenSlots):
     """A target xi_e per edge class with |xi_e| within UNIT_TOL of 1.  The
     all-ones vector gives the classical hyperbolic gluing equations."""
 
-    xi: tuple
+    __slots__ = ("xi",)
 
     def __init__(self, xi):
         vals = tuple(map(complex, xi))
@@ -201,8 +236,7 @@ class ConeTarget:
     @classmethod
     def rows(cls, H) -> list:
         """One ConeTarget per row of a complex array (`_stack_rows`)."""
-        return _stack_rows(cls, "xi", H,
-                           (np.abs(np.abs(H) - 1.0) < UNIT_TOL).all())
+        return _stack_rows(cls, H, (np.abs(np.abs(H) - 1.0) < UNIT_TOL).all())
 
     def __len__(self):
         return len(self.xi)
@@ -214,7 +248,7 @@ class ConeTarget:
     def ones(cls, m: int) -> "ConeTarget":
         """The all-ones target, built without the test its entries pass."""
         target = object.__new__(cls)
-        target.__dict__["xi"] = (1.0 + 0.0j,) * m
+        object.__setattr__(target, "xi", (1.0 + 0.0j,) * m)
         return target
 
 

@@ -10,7 +10,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def _det_error(matrix) -> float:
 def volume_payload(vol: VolumeReport) -> dict:
     """A VolumeReport as a JSON object, its tuples as lists."""
     return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in vars(vol).items()}
+            for k, v in vol._asdict().items()}
 
 
 def build_solution_report(t: Triangulation, Z: ShapeAssignment,
@@ -98,8 +98,7 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
     return report
 
 
-@dataclass(frozen=True)
-class ReportCheck:
+class ReportCheck(NamedTuple):
     name: str
     ok: bool
     value: float

@@ -96,15 +96,15 @@ import contextlib
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import IdealGlueError, NotConverged, NotUnitModulus
 from .geometry import V_TET
-from .gluing import (UNIT_TOL, ConeTarget, ExponentMatrix, ShapeAssignment,
-                     all_holonomies, build_exponent_matrix,
+from .gluing import (UNIT_TOL, ConeTarget, ExponentMatrix, FrozenSlots,
+                     ShapeAssignment, all_holonomies, build_exponent_matrix,
                      check_shape_length, check_target_length,
                      evaluate_residual, in_guard_band, jacobian, log_jacobian,
                      normal_index, normal_matrix, pair_adjoint, pair_matvec,
@@ -121,26 +121,34 @@ Q_MAX = 10_000                      # |xi^q - 1| < ROOT_TOL, else infinite
 _SCALES = np.ldexp(1.0, -np.arange(MAX_HALVINGS))[:, None]  # 2^-j, exact
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-10              # residual 2-norm for convergence
-    max_iterations: int = 100
-    seed: int = 0                   # random_starts
+class SolverConfig(FrozenSlots):
+    """A solve's settings: `tol`, the residual 2-norm for convergence, a
+    finite real > 0; `max_iterations`, an int >= 0; and `seed`, the
+    `random_starts` seed, an int >= 0.  The ints may be of any integer
+    type (`operator.index`) and are kept as ints; a bool is not one."""
 
-    def __post_init__(self):
-        if (isinstance(self.tol, bool) or not isinstance(self.tol, Real)
-                or not (math.isfinite(self.tol) and self.tol > 0)):
-            raise IdealGlueError(f"tol must be a real > 0, got {self.tol!r}")
-        for name in ("max_iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+    __slots__ = ("tol", "max_iterations", "seed")
+
+    def __init__(self, tol: float = 1e-10, max_iterations: int = 100,
+                 seed: int = 0):
+        if (isinstance(tol, bool) or not isinstance(tol, Real)
+                or not (math.isfinite(tol) and tol > 0)):
+            raise IdealGlueError(f"tol must be a real > 0, got {tol!r}")
+        object.__setattr__(self, "tol", tol)
+        for name, value in (("max_iterations", max_iterations),
+                            ("seed", seed)):
+            index = None
+            if not isinstance(value, bool):
+                with contextlib.suppress(TypeError):
+                    index = operator.index(value)
+            if index is None:
                 raise IdealGlueError(f"{name} must be an int, got {value!r}")
-            if value < 0:
+            if index < 0:
                 raise IdealGlueError(f"{name} must be >= 0, got {value}")
+            object.__setattr__(self, name, index)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     shapes: ShapeAssignment
     residual_norm: float
     iterations: int
@@ -395,15 +403,10 @@ def _newton_rows(E, targets, Z0, cfg: SolverConfig, limit=None,
             None if H0 is None else np.asarray(H0)[solve])
         for S, r, it, reason in zip(ShapeAssignment.rows(Z), norms, its,
                                     reasons):
-            # SolveResult's fields, set as its frozen __init__ sets them,
-            # without the six object.__setattr__ calls it makes per row
-            res = object.__new__(SolveResult)
-            res.__dict__.update(
-                shapes=S, residual_norm=r, iterations=it,
-                converged=reason == "converged", reason=reason,
-                detail=f"residual {r:.3e} after {it} iterations"
-                if reason == "max_iterations" else detail[reason])
-            results.append(res)
+            results.append(SolveResult(
+                S, r, it, reason == "converged", reason,
+                f"residual {r:.3e} after {it} iterations"
+                if reason == "max_iterations" else detail[reason]))
     # the obstructed rows, in row order, each inserted where it stands
     for k in np.flatnonzero(~solve).tolist():
         results.insert(k, SolveResult(
@@ -448,8 +451,7 @@ def regular_solution(t: Triangulation):
     return Z, xi, t.tetra_count * V_TET
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     theta: float
     result: SolveResult
 
@@ -666,8 +668,7 @@ def order_of_root_of_unity(xi: complex):
     return math.inf
 
 
-@dataclass(frozen=True)
-class CoverDegreeReport:
+class CoverDegreeReport(NamedTuple):
     """Edge-degree bookkeeping for the branched cover determined by the
     multiplicative orders of the cone targets, one entry per edge j:
     orders[j] is an int or math.inf, lifted_degrees[j] = orders[j] deg(e_j)."""
@@ -691,8 +692,7 @@ def branched_cover_report(E: ExponentMatrix,
         math.inf not in orders, orders.count(1) == len(orders))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Record of the essential-edges conclusion drawn from a verified
     solution of the xi-hyperbolic gluing equations."""
 

@@ -30,7 +30,7 @@ import itertools
 import operator
 import random
 from collections import namedtuple
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,8 +251,7 @@ def _gluing(table: np.ndarray, tet: int, face: int) -> FaceGluing:
 UNGLUED_NAMED = 12
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     code: str            # EmptyTriangulation | FaceDoubleGlued | FaceUnglued |
                          # NonInvolutiveGluing | OrientationViolation | BadFaceMap
     tet: int = -1
@@ -265,12 +264,11 @@ class ValidationIssue:
         return f"{self.code}{loc}{extra}"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     face_coverage_ok: bool
     involution_ok: bool
     orientability_ok: bool
-    issues: list[ValidationIssue] = field(default_factory=list)
+    issues: tuple         # of ValidationIssue
 
     @property
     def ok(self) -> bool:
@@ -287,11 +285,10 @@ def validate(t: Triangulation) -> ValidationReport:
     faults.  The unglued faces past the first UNGLUED_NAMED are counted in
     one more FaceUnglued issue, so a file declaring millions of tetrahedra
     gets a short report."""
-    issues = []
     n = t.tetra_count
     if n < 1:
-        issues.append(ValidationIssue("EmptyTriangulation"))
-        return ValidationReport(False, False, False, issues)
+        return ValidationReport(False, False, False,
+                                (ValidationIssue("EmptyTriangulation"),))
 
     P = t._pair_array
     sides = P[:, :4].reshape(-1, 2)
@@ -300,9 +297,9 @@ def validate(t: Triangulation) -> ValidationReport:
             and (IMAGES[P[:, 4], P[:, 1]] == P[:, 3]).all()
             and _ODD[P[:, 4]].all()):
         t._valid = True
-        return ValidationReport(True, True, True, issues)
+        return ValidationReport(True, True, True, ())
 
-    seen = set()
+    issues, seen = [], set()
     for a, b, c, d, _ in t._pairs:
         for side in ((a, b), (c, d)):
             if not (0 <= side[0] < n and 0 <= side[1] < 4):
@@ -336,7 +333,8 @@ def validate(t: Triangulation) -> ValidationReport:
     codes = {i.code for i in issues}
     involution_ok = "NonInvolutiveGluing" not in codes
     orientation_ok = "OrientationViolation" not in codes
-    return ValidationReport(coverage_ok, involution_ok, orientation_ok, issues)
+    return ValidationReport(coverage_ok, involution_ok, orientation_ok,
+                            tuple(issues))
 
 
 def require_valid(t: Triangulation) -> Triangulation:
@@ -459,8 +457,7 @@ def compute_edge_classes(t: Triangulation) -> tuple[EdgeClass, ...]:
 # vertex classes
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     """An identification orbit of tetrahedron corners, with the Euler
     characteristic and genus of its (closed, orientable) link surface."""
 
@@ -537,15 +534,13 @@ def compute_vertex_classes(t: Triangulation) -> list[VertexClass]:
 # self-identifications
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TetSelfIdentifications:
+class TetSelfIdentifications(NamedTuple):
     tet: int
     vertex_pairs: tuple   # pairs (v, w), v < w, identified in P
     edge_pairs: tuple     # pairs (slot_i, slot_j), i < j, identified in P
 
 
-@dataclass(frozen=True)
-class SelfIdentificationReport:
+class SelfIdentificationReport(NamedTuple):
     per_tet: tuple
     almost_non_singular: bool   # no tetrahedron has two edges identified
     non_singular: bool          # additionally no vertex identifications

@@ -4,7 +4,6 @@ for bit, `cone_locus_sample` in every keep/drop decision and to 1e-12 on
 the kept points.  Both loops take the cusp-relation step, the sampler's
 on the log-modulus system log|h(e)| = 0."""
 import cmath
-import dataclasses
 import warnings
 
 import numpy as np
@@ -271,11 +270,11 @@ def test_stacked_rows_are_each_the_row_alone(rng):
                 assert res == alone and res.shapes == start
             # a row's result is the one SolveResult's own __init__ builds
             # from its fields, in equality, repr, hash and field order
-            built = SolveResult(*(getattr(res, f.name)
-                                  for f in dataclasses.fields(SolveResult)))
+            built = SolveResult(*(getattr(res, name)
+                                  for name in SolveResult._fields))
             assert res == built and hash(res) == hash(built)
             assert repr(res) == repr(built)
-            assert list(vars(res).items()) == list(vars(built).items())
+            assert list(res._asdict().items()) == list(built._asdict().items())
             reasons.append(res.reason)
         assert [res for res in stacked if res.reason !=
                 "degree_one_edge_obstruction"] == ordinary

@@ -224,3 +224,13 @@ def test_cli_import_does_not_load_scipy():
     code = "import sys, idealglue.cli; sys.exit('scipy' in sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # the records are NamedTuples and slot classes: no methods generated
+    # and compiled on every start
+    src = pathlib.Path(idealglue.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, idealglue.cli; sys.exit('dataclasses' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)

@@ -1,6 +1,8 @@
 """Shape triples, exponent matrices, holonomies, residuals, Jacobians."""
 import cmath
+import copy
 import math
+import pickle
 import re
 
 import mpmath
@@ -9,10 +11,11 @@ import pytest
 
 from idealglue import (CORPUS_NAMES, EDGE_SLOTS, ConeTarget,
                        DegenerateShape, IdealGlueError, NotUnitModulus,
-                       ShapeAssignment, all_holonomies, build_exponent_matrix,
-                       compute_edge_classes, corpus, derive_shape_triple,
-                       edge_slot_label, evaluate_residual, jacobian,
-                       random_triangulation, xi_from_shapes)
+                       ShapeAssignment, SolverConfig, all_holonomies,
+                       build_exponent_matrix, compute_edge_classes, corpus,
+                       derive_shape_triple, edge_slot_label,
+                       evaluate_residual, jacobian, random_triangulation,
+                       xi_from_shapes)
 from idealglue.gluing import (SLOT_LABELS, _triples, check_nondegenerate,
                               log_jacobian)
 from conftest import random_shapes, random_systems
@@ -478,3 +481,35 @@ def test_cone_target_rows_fail_as_the_constructor_fails(bad):
     want = raised(ConeTarget, H[2])
     assert want[0] is NotUnitModulus
     assert raised(ConeTarget.rows, H) == want
+
+
+@pytest.mark.parametrize("record, text", [
+    (ShapeAssignment((0.5 + 0.8j, 2.0)),
+     "ShapeAssignment(z=((0.5+0.8j), (2+0j)))"),
+    (ConeTarget((1.0, -1.0, 1j)), "ConeTarget(xi=((1+0j), (-1+0j), 1j))"),
+    (SolverConfig(tol=1e-8, max_iterations=7, seed=2),
+     "SolverConfig(tol=1e-08, max_iterations=7, seed=2)"),
+])
+def test_slot_records_are_immutable_values(record, text):
+    assert repr(record) == text
+    for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert twin is not record
+        assert twin == record and hash(twin) == hash(record)
+    values = tuple(getattr(record, name) for name in record.__slots__)
+    assert record != values         # equal only to a record of its class
+    name = record.__slots__[0]
+    for change in (lambda: setattr(record, name, None),
+                   lambda: delattr(record, name),
+                   lambda: setattr(record, "other", None)):
+        with pytest.raises(AttributeError):
+            change()
+    assert repr(record) == text
+
+
+def test_rows_and_ones_build_what_the_constructors_build():
+    Z = np.array([[0.5 + 0.8j, 2.0], [-1.0, 3j]])
+    assert ShapeAssignment.rows(Z) == [ShapeAssignment(z) for z in Z.tolist()]
+    H = np.exp(1j * Z.real)
+    assert ConeTarget.rows(H) == [ConeTarget(x) for x in H.tolist()]
+    assert ConeTarget.ones(3) == ConeTarget((1, 1, 1))
+    assert ShapeAssignment((1j,)) != ConeTarget((1j,))

@@ -1,5 +1,6 @@
 """JSON reports, re-validation, and the command-line surface."""
 import cmath
+import gc
 import json
 import math
 import os
@@ -550,10 +551,13 @@ def test_bad_options_and_unreadable_files_exit_two(argv, message, tmp_path,
     assert message.format(dir=tmp_path, binary=binary) in err
 
 
+def cli_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(idealglue.__file__).parents[1]))
+
+
 def run_limited(*argv):
     """The CLI as a subprocess under a 3 GB address-space limit."""
-    env = dict(os.environ, PYTHONPATH=str(Path(idealglue.__file__).parents[1]),
-               OPENBLAS_NUM_THREADS="1")
+    env = dict(cli_env(), OPENBLAS_NUM_THREADS="1")
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
     limit = 3 * 2 ** 30 if hard == resource.RLIM_INFINITY else min(3 * 2 ** 30, hard)
     return subprocess.run(
@@ -581,6 +585,48 @@ def test_a_sample_count_too_large_to_hold_exits_two_on_one_line():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("error: Unable to allocate ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_the_process_entry_writes_what_main_writes(capsys):
+    argv = ["certify", "--corpus", "fig8_complement", "--json"]
+    proc = subprocess.run([sys.executable, "-m", "idealglue.cli", *argv],
+                          env=cli_env(), capture_output=True, timeout=120)
+    assert main(argv) == proc.returncode == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+    assert proc.stderr == b""
+
+
+def test_only_the_process_entry_freezes_the_collector(capsys):
+    # `run` freezes every object alive so that the exit skips the final
+    # collection; `main` in a test process would keep its garbage for good
+    before = gc.get_freeze_count()
+    assert main(["certify", "--corpus", "fig8_complement", "--json"]) == 0
+    assert gc.get_freeze_count() == before
+    code = ("import gc, sys; from idealglue.cli import run; "
+            "sys.argv[1:] = ['info', '--corpus', 'hopf']; code = run(); "
+            "sys.exit(3 if code or not gc.get_freeze_count() else 0)")
+    proc = subprocess.run([sys.executable, "-c", code], env=cli_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+
+
+@pytest.mark.parametrize("command, k", [("certify", 64), ("equations", 128)])
+def test_a_reader_closing_stdout_early_ends_the_command_quietly(command, k,
+                                                                tmp_path):
+    # was "error: [Errno 32] Broken pipe" and exit 2, as for bad input; the
+    # output (115 kB, 590 kB) is past a pipe's 64 KiB, so the command is
+    # still writing when the reader closes
+    path = tmp_path / "cover.tri"
+    path.write_text(chain_cover_text(k))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "idealglue.cli", command, "--file", str(path),
+         "--json"], env=cli_env(), bufsize=0, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    with proc:
+        assert len(proc.stdout.read(1)) == 1
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_xi_has_one_syntax():

@@ -1143,6 +1143,27 @@ def test_solver_config_rejects_a_bool(field):
         SolverConfig(**{field: True})
 
 
+@pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), np.intp(3)])
+@pytest.mark.parametrize("field", ["max_iterations", "seed"])
+def test_solver_config_takes_any_integer_type_as_an_int(field, value):
+    # a NumPy integer was rejected as "not an int" while tol took NumPy
+    # scalars; it is kept as the int it stands for
+    cfg, plain = SolverConfig(**{field: value}), SolverConfig(**{field: 3})
+    assert type(getattr(cfg, field)) is int
+    assert cfg == plain and hash(cfg) == hash(plain) and repr(cfg) == repr(plain)
+
+
+@pytest.mark.parametrize("value, message", [
+    (np.bool_(True), "must be an int"), (np.float64(3.0), "must be an int"),
+    (3.0, "must be an int"), ("3", "must be an int"), (None, "must be an int"),
+    (np.int64(-1), "must be >= 0"),
+])
+@pytest.mark.parametrize("field", ["max_iterations", "seed"])
+def test_solver_config_rejects_what_is_no_count(field, value, message):
+    with pytest.raises(IdealGlueError, match=f"{field} {message}"):
+        SolverConfig(**{field: value})
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_cover_report_rejects_a_target_of_the_wrong_length(m):
     E = build_exponent_matrix(corpus("fig8_complement"))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DevelopFailure, EdgeCycleNotClosed
-from .gluing import ShapeAssignment
+from .gluing import ShapeAssignment, build_exponent_matrix, check_shape_length
 from .triangulation import (DIRECTED_SLOTS, EXIT_FACE, IMAGES, PERMUTATIONS,
                             FaceGluing, Triangulation, edge_tables, face_table)
 
@@ -63,7 +63,9 @@ def develop_across_face(t: Triangulation, Z: ShapeAssignment) -> np.ndarray:
     the gluing leaving face f of tet, sending vertex perm(v) of the target
     to vertex v of tet for the three vertices v of the face.  A pair's step
     is computed from its lexicographically smaller side, and the other
-    side's is its adjugate."""
+    side's is its adjugate.  Raises IdealGlueError unless Z has one shape
+    per tetrahedron."""
+    check_shape_length(Z, build_exponent_matrix(t))
     table, z = face_table(t), np.asarray(Z.z)
     back = 4 * table[:, 0] + table[:, 1]
     src = np.flatnonzero(np.arange(len(table)) < back)
@@ -92,7 +94,8 @@ class DevelopedComplex(NamedTuple):
 
 def develop_spanning_tree(t: Triangulation, Z: ShapeAssignment) -> DevelopedComplex:
     """Develop t at the shapes Z, off the guard band around {0, 1} as every
-    ShapeAssignment is.  Raises DevelopFailure for a disconnected t.  A
+    ShapeAssignment is.  Raises DevelopFailure for a disconnected t, and
+    IdealGlueError unless Z has one shape per tetrahedron.  A
     generator's matrix is frames[target] step^-1 frames[source]^-1, its
     elementary face pairing (the identity for a tree gluing)."""
     table, n = face_table(t), t.tetra_count
@@ -138,7 +141,9 @@ def edge_holonomy_matrix(t: Triangulation, Z: ShapeAssignment,
     moves its tail or head by more than 1e-6 relative: a convention fault,
     or, on valid input, the rounding of the steps at a shape of large
     modulus (a mismatch of 5e-6 at |z| = 1e5 on fig8_complement, 1 from
-    |z| = 1e9)."""
+    |z| = 1e9), and IdealGlueError unless Z has one shape per
+    tetrahedron."""
+    check_shape_length(Z, build_exponent_matrix(t))
     tables = edge_tables(t)
     first, d = tables.starts, tables.starts
     M = np.broadcast_to(np.eye(2, dtype=complex), (len(first), 2, 2)).copy()

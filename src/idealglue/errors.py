@@ -39,9 +39,9 @@ class EdgeCycleNotClosed(IdealGlueError):
 
 
 class DevelopFailure(IdealGlueError, ValueError):
-    """The developing map could not be built: coincident ideal points, a
-    singular matrix, or a disconnected triangulation.  Also a ValueError,
-    which these failures raised before they had a type of their own."""
+    """The developing map could not be built: the triangulation is
+    disconnected.  Also a ValueError, which this failure raised before it
+    had a type of its own."""
 
 
 class UnknownCorpusEntry(IdealGlueError):

@@ -29,8 +29,8 @@ from .triangulation import PERMUTATIONS, Triangulation, require_valid
 
 HEADER = "tri v1"
 
-# the tetrahedra the compile cache holds before it evicts: about 50 MB at
-# the 1.5-1.6 KB a compiled tetrahedron takes (n = 2000 and 20000)
+# the tetrahedra the compile cache holds before it evicts: about 25 MB at
+# the 0.7-0.8 KB a compiled tetrahedron takes (n = 20000 and 2000)
 CACHE_TETRAHEDRA = 2 ** 15
 
 _cache: OrderedDict = OrderedDict()     # text -> Triangulation, LRU first
@@ -46,9 +46,9 @@ _INDEX_OF_TOKEN = {token: k for k, token in enumerate(_TOKENS)}
 def format_triangulation(t: Triangulation) -> str:
     """The canonical text of t, built once and memoised on t."""
     if t._text is None:
-        tokens = _TOKENS
         lines = [HEADER, f"tetrahedra {t.tetra_count}"]
-        lines += [f"glue {a} {b} {c} {d} {tokens[p]}" for a, b, c, d, p in t._pairs]
+        lines += [f"glue {a} {b} {c} {d} {_TOKENS[p]}"
+                  for a, b, c, d, p in zip(*t._pair_array.T.tolist())]
         t._text = "\n".join(lines) + "\n"
     return t._text
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BranchCut, DegenerateShape
 from .gluing import (ExponentMatrix, ShapeAssignment, _triples,
-                     check_nondegenerate)
+                     check_nondegenerate, check_shape_length)
 
 PI2_OVER_6 = math.pi * math.pi / 6.0
 FLAT_TOL = 1e-9
@@ -168,8 +168,10 @@ def edge_cone_angles(Z: ShapeAssignment, E: ExponentMatrix) -> np.ndarray:
     nonzero (edge, tetrahedron) pairs.
 
     This recovers arg h(e) + 2 pi k with the correct winding k, which arg of
-    the holonomy product alone cannot provide.
+    the holonomy product alone cannot provide.  Raises IdealGlueError
+    unless Z has one shape per tetrahedron.
     """
+    check_shape_length(Z, E)
     angles = _dihedral_array(np.array(Z.z, dtype=complex))[E.cols]
     return np.add.reduceat(E.pair_a * angles[:, 0]
                            + E.pair_a_prime * angles[:, 1]

@@ -315,15 +315,15 @@ def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
     edge classes) is ignored; it stays in the signature because the
     benchmark harness and the tests pass it.
 
-    Each slot on an edge class's orbit adds one to the count of its label
-    at (class, tetrahedron): the pairs are the distinct keys
+    Each of the 6n slots adds one to the count of its label at (its edge
+    class, its tetrahedron): the pairs are the distinct keys
     class * n + tetrahedron, and `np.bincount` counts the labels per key.
     Each edge class adds one to W at the vertex class of each of its ends.
     """
     if t._exponent_matrix is None:
         tables, n = edge_tables(t), t.tetra_count
-        slot = tables.fwd >> 1
-        keys, pair = np.unique(tables.fwd_class * n + slot // 6,
+        slot = np.arange(6 * n)
+        keys, pair = np.unique(tables.slot_class * n + slot // 6,
                                return_inverse=True)
         counts = np.bincount(3 * pair + _SLOT_LABELS[slot % 6],
                              minlength=3 * len(keys)).reshape(-1, 3)
@@ -504,7 +504,9 @@ def xi_from_shapes(Z: ShapeAssignment, E: ExponentMatrix) -> ConeTarget:
     """The cone targets (h(e_1), ..., h(e_m)) that the shapes Z solve.
     Raises NotUnitModulus, naming every edge whose |h(e)| fails
     `ConeTarget`'s test, and that |h(e)| (nan where h overflows), when Z is
-    not a cone point."""
+    not a cone point, and IdealGlueError unless Z has one shape per
+    tetrahedron."""
+    check_shape_length(Z, E)
     with np.errstate(over="ignore", invalid="ignore"):
         h = all_holonomies(Z, E).tolist()
     bad = [j for j, x in enumerate(h) if not abs(abs(x) - 1.0) < UNIT_TOL]

@@ -13,16 +13,17 @@ Conventions used throughout the package:
   `PERMUTATIONS[index]` in lexicographic order of the images, built at
   import with its index, parity and inverse.
 
-A valid Triangulation is compiled, once and on first use, into flat integer
-tables: its face pairs (t1, f1, t2, f2, p), p an index into PERMUTATIONS;
-the face table (per face 4 tet + f: glued tetrahedron, face, permutation);
-and the successor table over the 12n directed edge slots 12 tet + 2 s + r
-(slot s of EDGE_SLOTS, reversed when r = 1), the slot that the walk around
-an edge enters next.  Edge classes are the orbits of the successor table
-and vertex classes the components of the corner identifications; `gluing`
-reads the exponent pairs and cusp relations off the same arrays.
-FaceGluings, the EdgeClasses and their `cycle`/`steps`/`directed` views
-are built only when read.
+A Triangulation keeps its face pairs in one integer array, a row
+(t1, f1, t2, f2, p) per pair, p an index into PERMUTATIONS.  A valid one
+is compiled, once and on first use, into flat integer tables: the face
+table (per face 4 tet + f: glued tetrahedron, face, permutation); the
+successor table over the 12n directed edge slots 12 tet + 2 s + r (slot s
+of EDGE_SLOTS, reversed when r = 1), the slot that the walk around an edge
+enters next; and the edge class of each slot 6 tet + s.  Edge classes are
+the orbits of the successor table and vertex classes the components of
+the corner identifications; `gluing` reads the exponent pairs and cusp
+relations off the same arrays.  FaceGluings, the EdgeClasses and their
+`cycle`/`steps`/`directed` views are built only when read.
 """
 from __future__ import annotations
 
@@ -112,7 +113,7 @@ _PERMUTATIONS = _build_permutations()
 PERMUTATIONS = tuple(_PERMUTATIONS.values())
 
 IMAGES = np.array([p.images for p in PERMUTATIONS])     # IMAGES[p, v] = P(v)
-_INVERSE = [p.inverse().index for p in PERMUTATIONS]
+_INVERSE = np.array([p.inverse().index for p in PERMUTATIONS])
 _ODD = np.array([p.parity == 1 for p in PERMUTATIONS])
 
 # a tetrahedron's directed slot k = 2 s + r: slot s, reversed when r = 1
@@ -161,27 +162,33 @@ class FaceGluing(namedtuple("FaceGluing", "source_tet source_face target_tet "
 class Triangulation:
     """A closed, face-paired collection of tetrahedra.
 
-    The face pairs are integer tuples (t1, f1, t2, f2, p), p an index into
-    PERMUTATIONS, each written from its lexicographically smaller
-    (tet, face) side and sorted by the four faces; `gluings` views them as
-    FaceGluings.  A Triangulation is not modified after construction, and
-    this is load-bearing: `fileio.parse_triangulation` returns one instance
-    per text to every caller, so its tables (see the module docstring),
-    what is read off them and its canonical text, each compiled once on
-    first use, are shared by every parse of the same text.
+    The face pairs are the rows (t1, f1, t2, f2, p) of one read-only
+    integer array, p an index into PERMUTATIONS, each written from its
+    lexicographically smaller (tet, face) side and sorted by the four
+    faces; `gluings` views them as FaceGluings.  A Triangulation is not
+    modified after construction, and this is load-bearing:
+    `fileio.parse_triangulation` returns one instance per text to every
+    caller, so its tables (see the module docstring), what is read off them
+    and its canonical text, each compiled once on first use, are shared by
+    every parse of the same text.
     """
 
     def __init__(self, tetra_count: int, gluings):
         """`gluings`: FaceGluings, or (t1, f1, t2, f2, p) tuples with p a
-        VertexPermutation or its index."""
-        inverse, index = _INVERSE, operator.index
-        canon = [(c, d, a, b, inverse[p]) if (a, b) > (c, d)
-                 else (a, b, c, d, index(p)) for a, b, c, d, p in gluings]
-        canon.sort(key=operator.itemgetter(0, 1, 2, 3))
-        self.tetra_count = int(tetra_count)
-        self._pairs = tuple(canon)
-        self._pair_array = np.fromiter(itertools.chain.from_iterable(canon),
-                                       np.intp, 5 * len(canon)).reshape(-1, 5)
+        VertexPermutation or its index; raises ValueError naming the first
+        pair whose index is not one of 0..23."""
+        index = operator.index
+        pairs = [(a, b, c, d, index(p)) for a, b, c, d, p in gluings]
+        P = np.fromiter(itertools.chain.from_iterable(pairs), np.intp,
+                        5 * len(pairs)).reshape(-1, 5)
+        for k in np.flatnonzero((P[:, 4] < 0) | (P[:, 4] >= 24))[:1]:
+            raise ValueError(f"permutation index not in 0..23: {pairs[k]}")
+        a, b, c, d, p = P.T
+        swap = (a > c) | ((a == c) & (b > d))     # write from the smaller side
+        P[swap] = np.column_stack([c, d, a, b, _INVERSE[p]])[swap]
+        P = P[np.lexsort(P[:, 3::-1].T)]
+        P.setflags(write=False)
+        self.tetra_count, self._pair_array = int(tetra_count), P
         # compiled on first use, then shared by every consumer
         self._face_table = self._edge_tables = self._edge_classes = None
         self._exponent_matrix = self._vertex_tables = self._vertex_classes = None
@@ -192,7 +199,7 @@ class Triangulation:
     def gluings(self) -> tuple:
         """The face pairs as FaceGluings, built on each read."""
         return tuple(FaceGluing(a, b, c, d, PERMUTATIONS[p])
-                     for a, b, c, d, p in self._pairs)
+                     for a, b, c, d, p in self._pair_array.tolist())
 
     def gluing_at(self, tet: int, face: int) -> FaceGluing:
         """The gluing departing from (tet, face); KeyError for a face out of
@@ -204,13 +211,13 @@ class Triangulation:
     def __eq__(self, other):
         return (isinstance(other, Triangulation)
                 and self.tetra_count == other.tetra_count
-                and self._pairs == other._pairs)
+                and np.array_equal(self._pair_array, other._pair_array))
 
     def __hash__(self):
-        return hash((self.tetra_count, self._pairs))
+        return hash((self.tetra_count, self._pair_array.tobytes()))
 
     def __repr__(self):
-        return f"Triangulation(n={self.tetra_count}, pairs={len(self._pairs)})"
+        return f"Triangulation(n={self.tetra_count}, pairs={len(self._pair_array)})"
 
 
 def make_triangulation(tetra_count, raw_gluings) -> Triangulation:
@@ -231,7 +238,7 @@ def face_table(t: Triangulation) -> np.ndarray:
         a, b, c, d, p = P.T
         table = np.empty((4 * n, 3), dtype=np.intp)
         table[4 * a + b] = P[:, 2:]
-        table[4 * c + d] = np.column_stack([a, b, np.take(_INVERSE, p)])
+        table[4 * c + d] = np.column_stack([a, b, _INVERSE[p]])
         table.setflags(write=False)
         t._face_table = table
     return t._face_table
@@ -253,13 +260,13 @@ UNGLUED_NAMED = 12
 
 class ValidationIssue(NamedTuple):
     code: str            # EmptyTriangulation | FaceDoubleGlued | FaceUnglued |
-                         # NonInvolutiveGluing | OrientationViolation | BadFaceMap
-    tet: int = -1
-    face: int = -1
+                         # NonInvolutiveGluing | OrientationViolation
+    tet: int | None = None          # None: the issue has no location
+    face: int | None = None
     detail: str = ""
 
     def __str__(self):
-        loc = f" at ({self.tet},{self.face})" if self.tet >= 0 else ""
+        loc = f" at ({self.tet},{self.face})" if self.tet is not None else ""
         extra = f": {self.detail}" if self.detail else ""
         return f"{self.code}{loc}{extra}"
 
@@ -277,64 +284,63 @@ class ValidationReport(NamedTuple):
 
 def validate(t: Triangulation) -> ValidationReport:
     """Check face coverage, involutivity and the odd-permutation orientation
-    convention.  Returns a report and never raises.
+    convention.  Returns a report and never raises; a valid triangulation
+    is marked valid, which its tables need.
 
-    A valid triangulation passes one array test (every face named once,
-    every permutation odd and carrying face to face) and is marked valid,
-    which its tables need; any other is walked pair by pair to name its
-    faults.  The unglued faces past the first UNGLUED_NAMED are counted in
-    one more FaceUnglued issue, so a file declaring millions of tetrahedra
-    gets a short report."""
+    Array tests over the pair table find every fault, and the issues name
+    them in order: each side out of range or glued before, in pair order;
+    the first UNGLUED_NAMED unglued faces, then one more FaceUnglued issue
+    counting the rest, so a file declaring millions of tetrahedra gets a
+    short report; then per pair a face glued to itself, a permutation not
+    carrying its face (tested only where both faces are 0..3) or an even
+    permutation.  The work is bounded by the pairs, whatever n is
+    declared."""
     n = t.tetra_count
     if n < 1:
         return ValidationReport(False, False, False,
                                 (ValidationIssue("EmptyTriangulation"),))
 
     P = t._pair_array
-    sides = P[:, :4].reshape(-1, 2)
-    if (len(P) == 2 * n and ((sides >= 0) & (sides < (n, 4))).all()
-            and (np.bincount(4 * sides[:, 0] + sides[:, 1]) == 1).all()
-            and (IMAGES[P[:, 4], P[:, 1]] == P[:, 3]).all()
-            and _ODD[P[:, 4]].all()):
-        t._valid = True
-        return ValidationReport(True, True, True, ())
+    a, b, c, d, p = P.T
+    tet, face = P[:, :4].reshape(-1, 2).T       # the sides, in pair order
+    inside = (tet >= 0) & (tet < n) & (face >= 0) & (face < 4)
+    order = np.lexsort((face, np.where(inside, tet, -1)))
+    ts, fs = tet[order], face[order]
+    repeat = np.zeros(len(tet), dtype=bool)     # glued at an earlier side
+    repeat[order[1:]] = (ts[1:] == ts[:-1]) & (fs[1:] == fs[:-1])
+    first = (inside & ~repeat)[order]           # each glued face once, sorted
+    unglued = 4 * n - int(first.sum())
+    # the j-th free face is j + the number of glued faces below it, all of
+    # them on tetrahedra below len(tet) + UNGLUED_NAMED
+    low = first & (ts < len(tet) + UNGLUED_NAMED)
+    glued = 4 * ts[low] + fs[low]
+    j = np.arange(min(unglued, UNGLUED_NAMED))
+    free = j + np.searchsorted(glued - np.arange(len(glued)), j, side="right")
 
-    issues, seen = [], set()
-    for a, b, c, d, _ in t._pairs:
-        for side in ((a, b), (c, d)):
-            if not (0 <= side[0] < n and 0 <= side[1] < 4):
-                issues.append(ValidationIssue("FaceUnglued", *side,
-                                              "face reference out of range"))
-            elif side in seen:
-                issues.append(ValidationIssue("FaceDoubleGlued", *side))
-            seen.add(side)
-    # at most len(seen) glued faces precede the first UNGLUED_NAMED unglued
-    # ones, so the work is bounded by the pairs, whatever n is declared
-    unglued = 4 * n - sum(0 <= tet < n and 0 <= face < 4 for tet, face in seen)
-    free = ((tet, face) for tet in range(n) for face in range(4)
-            if (tet, face) not in seen)
-    issues += [ValidationIssue("FaceUnglued", *side)
-               for side in itertools.islice(free, UNGLUED_NAMED)]
+    named = np.flatnonzero(~inside | repeat)
+    issues = [ValidationIssue("FaceDoubleGlued", *side) if ok else
+              ValidationIssue("FaceUnglued", *side, "face reference out of range")
+              for *side, ok in zip(tet[named].tolist(), face[named].tolist(),
+                                   inside[named].tolist())]
+    issues += [ValidationIssue("FaceUnglued", *divmod(k, 4)) for k in free.tolist()]
     if unglued > UNGLUED_NAMED:
         issues.append(ValidationIssue(
             "FaceUnglued", detail=f"{unglued - UNGLUED_NAMED} more faces"))
     coverage_ok = not issues
-    for a, b, c, d, p in t._pairs:
-        if a == c and b == d:
-            issues.append(ValidationIssue("NonInvolutiveGluing", a, b,
-                                          "face glued to itself"))
-            continue
-        if PERMUTATIONS[p].images[b] != d:
-            issues.append(ValidationIssue("NonInvolutiveGluing", a, b,
-                                          "permutation does not carry face to face"))
-        if PERMUTATIONS[p].parity == 0:
-            issues.append(ValidationIssue("OrientationViolation", a, b,
-                                          "even permutation"))
-    codes = {i.code for i in issues}
-    involution_ok = "NonInvolutiveGluing" not in codes
-    orientation_ok = "OrientationViolation" not in codes
-    return ValidationReport(coverage_ok, involution_ok, orientation_ok,
-                            tuple(issues))
+
+    itself = (a == c) & (b == d)
+    faces = (b >= 0) & (b < 4) & (d >= 0) & (d < 4)
+    astray = ~itself & faces & (IMAGES[p, b % 4] != d)
+    even = ~itself & ~_ODD[p]
+    checks = ((itself, "NonInvolutiveGluing", "face glued to itself"),
+              (astray, "NonInvolutiveGluing", "permutation does not carry face to face"),
+              (even, "OrientationViolation", "even permutation"))
+    for k in np.flatnonzero(itself | astray | even).tolist():
+        issues += [ValidationIssue(code, *P[k, :2].tolist(), detail)
+                   for bad, code, detail in checks if bad[k]]
+    t._valid = not issues
+    return ValidationReport(coverage_ok, not (itself | astray).any(),
+                            not even.any(), tuple(issues))
 
 
 def require_valid(t: Triangulation) -> Triangulation:
@@ -349,10 +355,10 @@ def require_valid(t: Triangulation) -> Triangulation:
 # --------------------------------------------------------------------------
 
 # A triangulation's compiled edge data (`edge_tables`), read-only integer
-# arrays: the face table; the successor table; low[d], the least slot on d's
-# orbit; starts[j], edge class j's first directed slot; fwd, the slots on
-# the classes' own orbits, with their classes fwd_class; the degrees.
-EdgeTables = namedtuple("EdgeTables", "face succ low starts fwd fwd_class degree")
+# arrays: the face table; the successor table; starts[j], edge class j's
+# first directed slot; slot_class, the edge class of each slot 6 tet + s;
+# the degrees.
+EdgeTables = namedtuple("EdgeTables", "face succ starts slot_class degree")
 
 
 class EdgeClass:
@@ -404,7 +410,8 @@ def _walk_edge_classes(t: Triangulation) -> EdgeTables:
     k, low[d] is the least of the 2^k slots from d on, and a round that
     changes nothing has found it.  The orbit through the (min, max)
     direction of a class's least slot u is the class's own (least slot
-    2u); the reversed walk is the orbit of 2u + 1.  On a valid
+    2u); the reversed walk is the orbit of 2u + 1, so the class of a slot
+    is that of the lesser least slot of its two directions.  On a valid
     triangulation the successor table is a permutation.
     """
     n, face = t.tetra_count, face_table(t)
@@ -417,13 +424,11 @@ def _walk_edge_classes(t: Triangulation) -> EdgeTables:
         if (nxt == low).all():
             break
         low, jump = nxt, jump[jump]
-    own = (low & 1) == 0                # on a class's own orbit
-    first = own & (low == ids)
-    fwd = np.flatnonzero(own)
-    fwd_class = (np.cumsum(first) - 1)[low[fwd]]
+    first = (low == ids) & ((ids & 1) == 0)     # a class's least slot
     starts = np.flatnonzero(first)
-    tables = EdgeTables(face, succ, low, starts, fwd, fwd_class,
-                        np.bincount(fwd_class, minlength=len(starts)))
+    slot_class = (np.cumsum(first) - 1)[np.minimum(low[0::2], low[1::2])]
+    tables = EdgeTables(face, succ, starts, slot_class,
+                        np.bincount(slot_class, minlength=len(starts)))
     for value in tables[1:]:
         value.setflags(write=False)
     return tables
@@ -548,9 +553,7 @@ class SelfIdentificationReport(NamedTuple):
 
 def self_identification_report(t: Triangulation) -> SelfIdentificationReport:
     vmap = vertex_tables(t)[0].reshape(-1, 4).tolist()
-    tables = edge_tables(t)
-    least = np.minimum(tables.low[0::2], tables.low[1::2])
-    emap = np.searchsorted(tables.starts, least).reshape(-1, 6).tolist()
+    emap = edge_tables(t).slot_class.reshape(-1, 6).tolist()
 
     per_tet = []
     for tet in range(t.tetra_count):

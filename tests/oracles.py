@@ -53,6 +53,11 @@ def relabel(t: Triangulation, vertex_perms, tet_perm=None) -> Triangulation:
     return Triangulation(t.tetra_count, out)
 
 
+def _pairs(t: Triangulation) -> list:
+    """t's face pairs (t1, f1, t2, f2, permutation index), in order."""
+    return t._pair_array.tolist()
+
+
 def canonical_form(t: Triangulation) -> Triangulation:
     """Lexicographically least relabeling.  Intended for small n (searches
     all vertex relabelings and tetrahedron renumberings)."""
@@ -60,7 +65,7 @@ def canonical_form(t: Triangulation) -> Triangulation:
     for tet_perm in itertools.permutations(range(t.tetra_count)):
         for combo in itertools.product(PERMUTATIONS, repeat=t.tetra_count):
             cand = relabel(t, list(combo), list(tet_perm))
-            if best is None or cand._pairs < best._pairs:
+            if best is None or _pairs(cand) < _pairs(best):
                 best = cand
     return best
 
@@ -77,10 +82,10 @@ def enumerate_one_tetrahedron_triangulations() -> list:
                                                   (0, fc, 0, fd, p2)]))
     reps = {}
     for t in raw:
-        reps.setdefault(canonical_form(t)._pairs, t)
+        reps.setdefault(canonical_form(t), t)
     out = [canonical_form(t) for t in reps.values()]
     out.sort(key=lambda t: (sorted(e.degree for e in compute_edge_classes(t)),
-                            t._pairs))
+                            _pairs(t)))
     return out
 
 

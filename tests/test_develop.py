@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from idealglue import (ShapeAssignment, all_holonomies, build_exponent_matrix,
-                       compute_edge_classes, corpus, develop_across_face,
-                       develop_spanning_tree, parse_triangulation)
+from idealglue import (IdealGlueError, ShapeAssignment, all_holonomies,
+                       build_exponent_matrix, compute_edge_classes, corpus,
+                       develop_across_face, develop_spanning_tree,
+                       edge_cone_angles, edge_holonomy_matrix,
+                       parse_triangulation, xi_from_shapes)
 from idealglue.gluing import DegenerateShape
 from idealglue.triangulation import EDGE_SLOTS, VertexPermutation
 from conftest import (chain_cover_text, conjugate_match, psl2_dist,
@@ -423,6 +425,28 @@ def test_develop_failures_are_package_errors():
     from idealglue import DevelopFailure, IdealGlueError
     assert issubclass(DevelopFailure, IdealGlueError)
     assert issubclass(DevelopFailure, ValueError)
+
+
+SHAPE_READERS = {
+    "develop_spanning_tree": lambda t, E, Z: develop_spanning_tree(t, Z),
+    "develop_across_face": lambda t, E, Z: develop_across_face(t, Z),
+    "edge_holonomy_matrix": lambda t, E, Z: edge_holonomy_matrix(
+        t, Z, develop_across_face(t, ShapeAssignment((REGULAR,) * 2))),
+    "edge_cone_angles": lambda t, E, Z: edge_cone_angles(Z, E),
+    "xi_from_shapes": lambda t, E, Z: xi_from_shapes(Z, E),
+}
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("read", SHAPE_READERS.values(), ids=SHAPE_READERS)
+def test_a_wrong_shape_count_is_named_at_every_entry_point(read, count):
+    # with three shapes for two tetrahedra these used the first two, and
+    # with one they raised IndexError
+    t = corpus("fig8_complement")
+    with pytest.raises(IdealGlueError,
+                       match=f"expected 2 shapes \\(one per tetrahedron\\), "
+                             f"got {count}"):
+        read(t, build_exponent_matrix(t), ShapeAssignment((REGULAR,) * count))
 
 
 def test_edge_closure_multiplier_pointwise(rng):

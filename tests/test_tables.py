@@ -1,21 +1,26 @@
 """Properties of the compiled integer tables over random triangulations and
-chain covers: the edge classes, exponent pairs, vertex classes and cusp
-relations read off the face and successor tables equal plain
-object-by-object oracles, the format inverts the parse, and malformed
-input is diagnosed line for line and issue for issue as a plain
-line-by-line parser and gluing-by-gluing validator diagnose it."""
+chain covers: the edge classes, exponent pairs, vertex classes, cusp
+relations and self-identifications read off the face and successor tables
+equal plain object-by-object oracles, the format inverts the parse, and
+malformed input is diagnosed line for line and issue for issue as a plain
+line-by-line parser and gluing-by-gluing validator diagnose it, whether
+it comes as text or as a pair table built directly."""
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealglue import (ParseError, ValidationError, VertexPermutation,
-                       build_exponent_matrix, compute_edge_classes,
-                       compute_vertex_classes, format_triangulation,
-                       make_triangulation, parse_triangulation,
-                       random_triangulation)
+from idealglue import (ParseError, Triangulation, ValidationError,
+                       VertexPermutation, build_exponent_matrix,
+                       compute_edge_classes, compute_vertex_classes,
+                       format_triangulation, make_triangulation,
+                       parse_triangulation, random_triangulation, validate)
 from idealglue.gluing import SLOT_LABELS
+from idealglue.triangulation import (PERMUTATIONS, UNGLUED_NAMED,
+                                     SelfIdentificationReport,
+                                     TetSelfIdentifications,
+                                     self_identification_report)
 from conftest import chain_cover_text
 from test_compile import parity_walk_edge_classes
 from test_relations import union_find_vertex_classes
@@ -71,6 +76,19 @@ def test_tables_reproduce_the_object_oracles(text):
         W[corner_class[(tet, head)], j] += 1
     assert np.array_equal(E.relations,
                           W / np.linalg.norm(W, axis=1, keepdims=True))
+
+    edge_class = {(tet, slot): j for j, cycle, _, _ in classes
+                  for tet, slot, _ in cycle}
+    per_tet = tuple(TetSelfIdentifications(
+        tet,
+        tuple((v, w) for v, w in itertools.combinations(range(4), 2)
+              if corner_class[(tet, v)] == corner_class[(tet, w)]),
+        tuple((i, k) for i, k in itertools.combinations(range(6), 2)
+              if edge_class[(tet, i)] == edge_class[(tet, k)]))
+        for tet in range(t.tetra_count))
+    almost = not any(ti.edge_pairs for ti in per_tet)
+    assert self_identification_report(t) == SelfIdentificationReport(
+        per_tet, almost, almost and not any(ti.vertex_pairs for ti in per_tet))
 
 
 def test_tables_of_an_invalid_triangulation_are_refused():
@@ -210,3 +228,93 @@ def damaged_texts(draw):
 @given(damaged_texts())
 def test_malformed_input_is_diagnosed_line_by_line(text):
     assert diagnosis(text) == reference_diagnosis(text)
+
+
+# ------------------------------------------------- pair tables built directly
+
+def reference_validation(n, pairs):
+    """What a gluing-by-gluing validator makes of the pair table of
+    `Triangulation(n, pairs)`: the flags and the issues as (code, tet,
+    face, detail) tuples.  Each pair is written from its smaller side and
+    the pairs are sorted by their faces, as the Triangulation keeps them."""
+    canon = sorted(((c, d, a, b, PERMUTATIONS[p].inverse()) if (a, b) > (c, d)
+                    else (a, b, c, d, PERMUTATIONS[p])
+                    for a, b, c, d, p in pairs), key=lambda g: g[:4])
+    if n < 1:
+        return (False, False, False), [("EmptyTriangulation", None, None, "")]
+    issues, seen = [], set()
+    for a, b, c, d, _ in canon:
+        for side in ((a, b), (c, d)):
+            if not (0 <= side[0] < n and 0 <= side[1] < 4):
+                issues.append(("FaceUnglued", *side,
+                               "face reference out of range"))
+            elif side in seen:
+                issues.append(("FaceDoubleGlued", *side, ""))
+            seen.add(side)
+    glued = {(tet, face) for tet, face in seen if 0 <= tet < n and 0 <= face < 4}
+    free = ((tet, face) for tet in range(n) for face in range(4)
+            if (tet, face) not in glued)
+    issues += [("FaceUnglued", *side, "")
+               for side in itertools.islice(free, UNGLUED_NAMED)]
+    if 4 * n - len(glued) > UNGLUED_NAMED:
+        issues.append(("FaceUnglued", None, None,
+                       f"{4 * n - len(glued) - UNGLUED_NAMED} more faces"))
+    coverage = not issues
+    involution = orientation = True
+    for a, b, c, d, perm in canon:
+        if (a, b) == (c, d):
+            involution = False
+            issues.append(("NonInvolutiveGluing", a, b, "face glued to itself"))
+            continue
+        if perm(b) != d:
+            involution = False
+            issues.append(("NonInvolutiveGluing", a, b,
+                           "permutation does not carry face to face"))
+        if perm.parity == 0:
+            orientation = False
+            issues.append(("OrientationViolation", a, b, "even permutation"))
+    return (coverage, involution, orientation), issues
+
+
+@st.composite
+def pair_tables(draw):
+    """(n, pairs): a random triangulation's pair table with a few pairs
+    dropped, duplicated or given another tetrahedron or permutation, or a
+    few random pairs on up to 2^62 declared tetrahedra, with tetrahedra
+    from -1 to n + 1, faces 0..3 and any permutation index."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        pairs = random_triangulation(n, seed=draw(st.integers(0, 999))
+                                     )._pair_array.tolist()
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.integers(0, len(pairs) - 1))
+            kind = draw(st.sampled_from(["drop", "duplicate", "tet", "perm"]))
+            if kind == "drop" and len(pairs) > 1:
+                del pairs[k]
+            elif kind == "duplicate":
+                pairs.append(list(pairs[k]))
+            elif kind == "tet":
+                pairs[k][draw(st.sampled_from([0, 2]))] = draw(
+                    st.integers(-1, n + 1))
+            elif kind == "perm":
+                pairs[k][4] = draw(st.integers(-2, 25))
+        return n, [tuple(g) for g in pairs]
+    n = draw(st.sampled_from([0, 1, 2, 3, 10 ** 7, 2 ** 62]))
+    tets = st.one_of(st.integers(-1, min(n, 3) + 1),
+                     st.integers(max(-1, n - 2), n + 1))
+    pair = st.tuples(tets, st.integers(0, 3), tets, st.integers(0, 3),
+                     st.one_of(st.integers(0, 23), st.integers(-2, 25)))
+    return n, draw(st.lists(pair, max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_tables())
+def test_pair_tables_are_validated_as_gluing_by_gluing(case):
+    n, pairs = case
+    if not all(0 <= p < 24 for *_, p in pairs):
+        with pytest.raises(ValueError, match="permutation index not in 0..23"):
+            Triangulation(n, pairs)
+        return
+    r = validate(Triangulation(n, pairs))
+    assert ((r.face_coverage_ok, r.involution_ok, r.orientability_ok),
+            [tuple(i) for i in r.issues]) == reference_validation(n, pairs)

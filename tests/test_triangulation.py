@@ -85,6 +85,31 @@ def test_out_of_range_face_reference_reported():
     assert not rep.ok and not rep.face_coverage_ok
     assert str(rep.issues[0]) == ("FaceUnglued at (1,0): face reference out "
                                   "of range")
+    # a side of tetrahedron -1 is named too, not read as "no location"
+    rep = validate(Triangulation(2, [(0, 0, -1, 2, 1)]))
+    assert str(rep.issues[0]) == ("FaceUnglued at (-1,2): face reference out "
+                                  "of range")
+
+
+@pytest.mark.parametrize("pair", [(1, 0, 0, 0, 99), (0, 0, 1, 0, 99),
+                                  (0, 0, 1, 0, -1), (0, 0, 1, 0, 24)])
+def test_a_permutation_index_out_of_range_is_refused_with_its_pair(pair):
+    # 99 raised IndexError, from __init__ or from validate, and -1 was read
+    # as the last permutation, 3210
+    with pytest.raises(ValueError) as err:
+        Triangulation(2, [(0, 1, 1, 1, 1), pair])
+    assert str(err.value) == f"permutation index not in 0..23: {pair}"
+
+
+@pytest.mark.parametrize("face", [7, 4, -1])
+def test_a_face_out_of_range_is_reported_not_raised(face):
+    # a face of 7 raised IndexError in the carry check, and -1 was read as 3
+    rep = validate(Triangulation(2, [(0, face, 1, 0, 1)]))
+    assert not rep.ok and not rep.face_coverage_ok
+    assert rep.involution_ok and rep.orientability_ok
+    assert str(rep.issues[0]) == (f"FaceUnglued at (0,{face}): face "
+                                  "reference out of range")
+    assert all(i.code == "FaceUnglued" for i in rep.issues)
 
 
 def test_gluing_at_rejects_a_face_out_of_range():

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DevelopFailure, EdgeCycleNotClosed
 from .gluing import ShapeAssignment, build_exponent_matrix, check_shape_length
-from .triangulation import (DIRECTED_SLOTS, EXIT_FACE, IMAGES, PERMUTATIONS,
-                            FaceGluing, Triangulation, edge_tables, face_table)
+from .triangulation import (DIRECTED_SLOTS, EXIT_FACE, IMAGES, Triangulation,
+                            _gluing, edge_tables)
 
 _FACE = np.array([[v for v in range(4) if v != f] for f in range(4)])
 _ENDS = np.array(DIRECTED_SLOTS)          # (tail, head) per directed slot
@@ -66,7 +66,7 @@ def develop_across_face(t: Triangulation, Z: ShapeAssignment) -> np.ndarray:
     side's is its adjugate.  Raises IdealGlueError unless Z has one shape
     per tetrahedron."""
     check_shape_length(Z, build_exponent_matrix(t))
-    table, z = face_table(t), np.asarray(Z.z)
+    table, z = edge_tables(t).face, np.asarray(Z.z)
     back = 4 * table[:, 0] + table[:, 1]
     src = np.flatnonzero(np.arange(len(table)) < back)
     verts = _FACE[src % 4]
@@ -98,7 +98,7 @@ def develop_spanning_tree(t: Triangulation, Z: ShapeAssignment) -> DevelopedComp
     IdealGlueError unless Z has one shape per tetrahedron.  A
     generator's matrix is frames[target] step^-1 frames[source]^-1, its
     elementary face pairing (the identity for a tree gluing)."""
-    table, n = face_table(t), t.tetra_count
+    table, n = edge_tables(t).face, t.tetra_count
     steps, face = develop_across_face(t, Z), table.tolist()
     used, reached = [False] * (4 * n), [True] + [False] * (n - 1)
     order, tree, gens = [0], [], []
@@ -123,8 +123,7 @@ def develop_spanning_tree(t: Triangulation, Z: ShapeAssignment) -> DevelopedComp
     g = np.array(gens, dtype=np.intp)
     tt, back = table[g, 0], 4 * table[g, 0] + table[g, 1]
     G = np.matmul(np.matmul(frames[tt], steps[back]), _adjugate(frames[g // 4]))
-    tree, gens = (tuple([FaceGluing(k // 4, k % 4, tt, tf, PERMUTATIONS[p])
-                         for k in ks for tt, tf, p in (face[k],)])
+    tree, gens = (tuple([_gluing(table, k // 4, k % 4) for k in ks])
                   for ks in (tree, gens))
     return DevelopedComplex(t, frames, steps, tree, gens, G,
                             *edge_holonomy_matrix(t, Z, steps))

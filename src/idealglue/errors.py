@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `check_count`, the one
+test of an integer argument."""
+import contextlib
+import operator
 
 
 class IdealGlueError(Exception):
@@ -63,3 +66,18 @@ class ValidationError(IdealGlueError):
         issues = ", ".join(str(i) for i in report.issues) or "invalid"
         super().__init__(issues)
         self.report = report
+
+
+def check_count(name: str, value, least: int = 0) -> int:
+    """`value` as an int >= `least`: any integer type is taken
+    (`operator.index`) but a bool is not one; raises IdealGlueError naming
+    `name` and the value otherwise."""
+    index = None
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            index = operator.index(value)
+    if index is None:
+        raise IdealGlueError(f"{name} must be an int, got {value!r}")
+    if index < least:
+        raise IdealGlueError(f"{name} must be >= {least}, got {value}")
+    return index

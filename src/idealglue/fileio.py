@@ -13,11 +13,12 @@ the triangulation's pair table, p the permutation's index, found with one
 dict lookup over the 24 tokens, which is also the bijection check.
 
 Each text is compiled once per process: `parse_triangulation` keeps the
-validated Triangulation of every text it accepted, with the tables
-memoised on it, in a cache shared by every caller (the CLI's readers,
-`corpus`, `verify_report`).  The cache holds at most CACHE_TETRAHEDRA
-tetrahedra in all, evicting the least recently used first, or one larger
-triangulation alone; a text that fails to parse or validate is not held.
+validated Triangulation of every text it accepted, with its compiled
+data (`triangulation.compiled`; the canonical text is part of it), in a
+cache shared by every caller (the CLI's readers, `corpus`,
+`verify_report`).  The cache holds at most CACHE_TETRAHEDRA tetrahedra in
+all, evicting the least recently used first, or one larger triangulation
+alone; a text that fails to parse or validate is not held.
 """
 from __future__ import annotations
 
@@ -25,12 +26,12 @@ import threading
 from collections import OrderedDict
 
 from .errors import ParseError
-from .triangulation import PERMUTATIONS, Triangulation, require_valid
+from .triangulation import PERMUTATIONS, Triangulation, compiled, require_valid
 
 HEADER = "tri v1"
 
-# the tetrahedra the compile cache holds before it evicts: about 25 MB at
-# the 0.7-0.8 KB a compiled tetrahedron takes (n = 20000 and 2000)
+# the tetrahedra the compile cache holds before it evicts: about 40 MB at
+# the 1.2 KB a compiled tetrahedron takes (n = 20000 and 2000)
 CACHE_TETRAHEDRA = 2 ** 15
 
 _cache: OrderedDict = OrderedDict()     # text -> Triangulation, LRU first
@@ -43,14 +44,13 @@ _TOKENS = tuple("".join(map(str, p.images)) for p in PERMUTATIONS)
 _INDEX_OF_TOKEN = {token: k for k, token in enumerate(_TOKENS)}
 
 
+@compiled
 def format_triangulation(t: Triangulation) -> str:
-    """The canonical text of t, built once and memoised on t."""
-    if t._text is None:
-        lines = [HEADER, f"tetrahedra {t.tetra_count}"]
-        lines += [f"glue {a} {b} {c} {d} {_TOKENS[p]}"
-                  for a, b, c, d, p in zip(*t._pair_array.T.tolist())]
-        t._text = "\n".join(lines) + "\n"
-    return t._text
+    """The canonical text of t, compiled once per triangulation."""
+    lines = [HEADER, f"tetrahedra {t.tetra_count}"]
+    lines += [f"glue {a} {b} {c} {d} {_TOKENS[p]}"
+              for a, b, c, d, p in zip(*t._pair_array.T.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def parse_triangulation_lenient(text: str) -> Triangulation:

@@ -13,19 +13,18 @@ developing-module tests, which pin this down against the closed-form Hopf
 and trefoil holonomies).
 
 The equations are read off the triangulation's compiled tables
-(`triangulation.edge_tables`, `vertex_tables`) into one gluing system,
-built once per triangulation: the exponent matrix, kept as its nonzero
+(`triangulation.edge_tables`) into one gluing system, compiled once per
+triangulation: the exponent matrix, kept as its nonzero
 (edge, tetrahedron) pairs, counted with `np.bincount` from the slots on
 each edge class's orbit, with its cusp relations `E.relations` from the
 vertex classes at each edge's ends.  h, J and d log h / dz (as their
 values there) and the residual are evaluated over the pairs.  So are a
 Gauss-Newton step's J x, J^H y and J J^H + U^H U (`pair_matvec`,
 `pair_rmatvec`, `normal_matrix`), the last two in tetrahedron order
-through an index of the pairs by tetrahedron, built on the first solve
-and memoised on the exponent matrix; J^H's values in that order
-(`pair_adjoint`) and the scatter index of a stack of normal matrices
-(`normal_index`) are the caller's, formed once per step and once per
-solve.
+through the exponent matrix's index of its pairs by tetrahedron; J^H's
+values in that order (`pair_adjoint`) and the scatter index of a stack of
+normal matrices (`normal_index`) are the caller's, formed once per step
+and once per solve.
 """
 from __future__ import annotations
 
@@ -37,7 +36,7 @@ import operator
 import numpy as np
 
 from .errors import DegenerateShape, IdealGlueError, NotUnitModulus
-from .triangulation import SLOT_INDEX, Triangulation, edge_tables, vertex_tables
+from .triangulation import SLOT_INDEX, Triangulation, compiled, edge_tables
 
 DEGENERACY_GUARD = 1e-8
 HUGE_SHAPE = 2.0 ** 20      # |z| past it: z' and z'' from 1 / z
@@ -266,6 +265,14 @@ class ExponentMatrix:
     `pair_a_prime`, `pair_a_second`; `row_starts[j]` is the first pair of
     edge j, and `degree_one` the indices of the edges of degree one.
 
+    For J^H y and J J^H + U^H U, the pairs are indexed by tetrahedron:
+    `by_tet` lists the pairs in tetrahedron order, each tetrahedron's in
+    edge order, `tet_rows` their edges and `tet_starts[i]` the first of
+    tetrahedron i; for every two edges j, k at one tetrahedron i, in
+    tetrahedron order, `pair_pairs` holds the pairs p = (j, i) and
+    q = (k, i) (all the p, then all the q) and `pair_entry` the flat index
+    j m + k of the entry of an m-by-m matrix they add to.
+
     `relations` is the c-by-m cusp relation matrix W with its rows scaled
     to norm 1, where W[v, e] counts the ends of edge class e at vertex
     class v.  Around vertex class v every corner contributes log z +
@@ -275,26 +282,34 @@ class ExponentMatrix:
     J J^H + U^H U, U = W / h, well conditioned at every n.
 
     The arrays are shared and read-only.  The dense matrices `a`,
-    `a_prime`, `a_second` are built when read (`dense`), and the index of
-    `pair_adjoint`, `pair_rmatvec` and `normal_matrix` on the first
-    solve.
+    `a_prime`, `a_second` are built when read (`dense`).
     """
 
     __slots__ = ("edge_count", "tet_count", "degree", "rows", "cols",
                  "pair_a", "pair_a_prime", "pair_a_second", "row_starts",
-                 "degree_one", "relations", "_pair_products")
+                 "degree_one", "relations", "by_tet", "tet_rows",
+                 "tet_starts", "pair_pairs", "pair_entry")
 
     def __init__(self, degree, tet_count: int, rows, cols, counts, relations):
-        self.edge_count, self.tet_count = len(degree), tet_count
+        m, n = self.edge_count, self.tet_count = len(degree), tet_count
         self.degree, self.rows, self.cols = degree, rows, cols
         self.relations = relations
         self.pair_a, self.pair_a_prime, self.pair_a_second = (
             np.ascontiguousarray(counts.T))
-        self.row_starts = np.searchsorted(rows, np.arange(self.edge_count))
+        self.row_starts = np.searchsorted(rows, np.arange(m))
         self.degree_one = np.flatnonzero(degree == 1)
-        for name in self.__slots__[2:-1]:
+        self.by_tet = by_tet = np.argsort(cols, kind="stable")
+        tets, self.tet_rows = cols[by_tet], rows[by_tet]
+        self.tet_starts = np.searchsorted(tets, np.arange(n))
+        at = np.full((n, 6), -1)        # a tetrahedron has at most 6 edges
+        at[tets, np.arange(len(tets)) - np.searchsorted(tets, tets)] = by_tet
+        p, q = np.repeat(at, 6, axis=1), np.tile(at, 6)     # (n, 36)
+        keep = (p >= 0) & (q >= 0)
+        p, q = p[keep], q[keep]
+        self.pair_pairs = np.concatenate([p, q])
+        self.pair_entry = rows[p] * m + rows[q]
+        for name in self.__slots__[2:]:       # the arrays
             getattr(self, name).setflags(write=False)
-        self._pair_products = None
 
     def dense(self, values) -> np.ndarray:
         """`values` at the pairs, 0 elsewhere: m-by-n, read-only."""
@@ -309,31 +324,29 @@ class ExponentMatrix:
     a_second = property(lambda self: self.dense(self.pair_a_second))
 
 
+@compiled
 def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
     """The exponent matrix of t's edge classes, with its cusp relations,
-    built once per triangulation and memoised on it.  `edges` (t's own
-    edge classes) is ignored; it stays in the signature because the
-    benchmark harness and the tests pass it.
+    compiled once per triangulation.  `edges` (t's own edge classes) is
+    ignored; it stays in the signature because the benchmark harness and
+    the tests pass it.
 
     Each of the 6n slots adds one to the count of its label at (its edge
     class, its tetrahedron): the pairs are the distinct keys
     class * n + tetrahedron, and `np.bincount` counts the labels per key.
     Each edge class adds one to W at the vertex class of each of its ends.
     """
-    if t._exponent_matrix is None:
-        tables, n = edge_tables(t), t.tetra_count
-        slot = np.arange(6 * n)
-        keys, pair = np.unique(tables.slot_class * n + slot // 6,
-                               return_inverse=True)
-        counts = np.bincount(3 * pair + _SLOT_LABELS[slot % 6],
-                             minlength=3 * len(keys)).reshape(-1, 3)
-        _, count, ends = vertex_tables(t)
-        W = np.zeros((count, len(ends)), dtype=int)
-        np.add.at(W, (ends.T, np.arange(len(ends))), 1)
-        t._exponent_matrix = ExponentMatrix(
-            tables.degree, n, keys // n, keys % n, counts,
-            W / np.linalg.norm(W, axis=1, keepdims=True))
-    return t._exponent_matrix
+    tables, n = edge_tables(t), t.tetra_count
+    slot = np.arange(6 * n)
+    keys, pair = np.unique(tables.slot_class * n + slot // 6,
+                           return_inverse=True)
+    counts = np.bincount(3 * pair + _SLOT_LABELS[slot % 6],
+                         minlength=3 * len(keys)).reshape(-1, 3)
+    ends = tables.ends
+    W = np.zeros((tables.vertex_count, len(ends)), dtype=int)
+    np.add.at(W, (ends.T, np.arange(len(ends))), 1)
+    return ExponentMatrix(tables.degree, n, keys // n, keys % n, counts,
+                          W / np.linalg.norm(W, axis=1, keepdims=True))
 
 
 def check_target_length(xi: ConeTarget, E: ExponentMatrix) -> None:
@@ -412,29 +425,6 @@ def jacobian(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,
     return h.take(E.rows, axis=-1) * log_jacobian(z, E)
 
 
-def _pair_products(E: ExponentMatrix) -> tuple:
-    """The index of `pair_adjoint`, `pair_rmatvec` and `normal_matrix`,
-    built on the first solve and memoised on E: the pairs in tetrahedron
-    order, each tetrahedron's in edge order, their edges, and where each
-    tetrahedron's start; for every two edges j, k at one tetrahedron i, in
-    tetrahedron order, the pairs p = (j, i) and q = (k, i) (all the p, then
-    all the q), and the flat index j m + k of the entry of an m-by-m matrix
-    they add to."""
-    if E._pair_products is None:
-        m, n = E.edge_count, E.tet_count
-        by_tet = np.argsort(E.cols, kind="stable")
-        tets = E.cols[by_tet]
-        at = np.full((n, 6), -1)        # a tetrahedron has at most 6 edges
-        at[tets, np.arange(len(tets)) - np.searchsorted(tets, tets)] = by_tet
-        p, q = np.repeat(at, 6, axis=1), np.tile(at, 6)     # (n, 36)
-        keep = (p >= 0) & (q >= 0)
-        p, q = p[keep], q[keep]
-        E._pair_products = (by_tet, E.rows[by_tet],
-                            np.searchsorted(tets, np.arange(n)),
-                            np.concatenate([p, q]), E.rows[p] * m + E.rows[q])
-    return E._pair_products
-
-
 def pair_matvec(V: np.ndarray, E: ExponentMatrix, x: np.ndarray) -> np.ndarray:
     """D x for the m-by-n D with the values V on E's pairs (a Jacobian,
     its rows rescaled or not), or per row of stacks (k, nnz) and (k, n);
@@ -446,7 +436,7 @@ def pair_adjoint(V: np.ndarray, E: ExponentMatrix) -> np.ndarray:
     """The values of D^H for `pair_rmatvec`, D as in `pair_matvec`: the
     conjugates of V, in tetrahedron order.  A step forms them once and
     reads them for every D^H product it takes."""
-    return V.conj().take(_pair_products(E)[0], axis=-1)
+    return V.conj().take(E.by_tet, axis=-1)
 
 
 def pair_rmatvec(Vh: np.ndarray, E: ExponentMatrix,
@@ -456,12 +446,11 @@ def pair_rmatvec(Vh: np.ndarray, E: ExponentMatrix,
     leading axis than Vh.  Entry i sums tetrahedron i's pairs in edge
     order.  For a real y it is A^T y, read as a complex vector, of the real
     m-by-2n A = [Re D, -Im D]."""
-    _, edges, starts = _pair_products(E)[:3]
     # np.multiply, not `*`: from 256 KiB on, `*` computes into its
     # temporary right operand, where NumPy's complex product can round
     # differently than out of place
-    return np.add.reduceat(np.multiply(Vh, y.take(edges, axis=-1)), starts,
-                           axis=-1)
+    return np.add.reduceat(np.multiply(Vh, y.take(E.tet_rows, axis=-1)),
+                           E.tet_starts, axis=-1)
 
 
 def normal_index(E: ExponentMatrix, count: int) -> np.ndarray:
@@ -469,8 +458,8 @@ def normal_index(E: ExponentMatrix, count: int) -> np.ndarray:
     stack of `count` m-by-m matrices into, the first matrix's entries
     first; its prefix addresses the first matrices of the stack.  A solve
     builds it once, with its workspace, when it starts (see `solver`)."""
-    entry, size = _pair_products(E)[4], E.edge_count ** 2
-    return (np.arange(0, count * size, size)[:, None] + entry).ravel()
+    size = E.edge_count ** 2
+    return (np.arange(0, count * size, size)[:, None] + E.pair_entry).ravel()
 
 
 def normal_matrix(V: np.ndarray, E: ExponentMatrix, M: np.ndarray,
@@ -491,9 +480,8 @@ def normal_matrix(V: np.ndarray, E: ExponentMatrix, M: np.ndarray,
     product costs O(m^2 n).  One unbuffered `np.add.at` adds them to M in
     place in the index's order, so each entry is summed in tetrahedron
     order, as a sum of per-tetrahedron outer products sums it.  Returns M."""
-    pairs, entry = _pair_products(E)[3:]
-    v = V.take(pairs, axis=-1)
-    prod = v[..., :len(entry)] * v[..., len(entry):].conj()
+    v, half = V.take(E.pair_pairs, axis=-1), len(E.pair_entry)
+    prod = v[..., :half] * v[..., half:].conj()
     if M.dtype.kind != "c":
         prod = prod.real
     np.add.at(M.reshape(-1), index[:prod.size], prod.ravel())

@@ -101,7 +101,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IdealGlueError, NotConverged, NotUnitModulus
+from .errors import IdealGlueError, NotConverged, NotUnitModulus, check_count
 from .geometry import V_TET
 from .gluing import (UNIT_TOL, ConeTarget, ExponentMatrix, FrozenSlots,
                      ShapeAssignment, all_holonomies, build_exponent_matrix,
@@ -135,17 +135,9 @@ class SolverConfig(FrozenSlots):
                 or not (math.isfinite(tol) and tol > 0)):
             raise IdealGlueError(f"tol must be a real > 0, got {tol!r}")
         object.__setattr__(self, "tol", tol)
-        for name, value in (("max_iterations", max_iterations),
-                            ("seed", seed)):
-            index = None
-            if not isinstance(value, bool):
-                with contextlib.suppress(TypeError):
-                    index = operator.index(value)
-            if index is None:
-                raise IdealGlueError(f"{name} must be an int, got {value!r}")
-            if index < 0:
-                raise IdealGlueError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, index)
+        object.__setattr__(self, "max_iterations",
+                           check_count("max_iterations", max_iterations))
+        object.__setattr__(self, "seed", check_count("seed", seed))
 
 
 class SolveResult(NamedTuple):
@@ -571,9 +563,9 @@ def random_starts(t: Triangulation, count: int, cfg: SolverConfig = SolverConfig
 
     The (Re, Im) pairs are drawn in bulk but in the stream order of one
     pair per shape, and kept in that order, so the starts depend on the
-    seed alone.  Raises IdealGlueError for a negative count."""
-    if count < 0:
-        raise IdealGlueError(f"count must be >= 0, got {count}")
+    seed alone.  Raises IdealGlueError unless count is an int >= 0
+    (`check_count`)."""
+    count = check_count("count", count)
     n = t.tetra_count
     need = count * n
     rng = np.random.default_rng(cfg.seed)

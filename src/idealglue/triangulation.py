@@ -14,19 +14,21 @@ Conventions used throughout the package:
   import with its index, parity and inverse.
 
 A Triangulation keeps its face pairs in one integer array, a row
-(t1, f1, t2, f2, p) per pair, p an index into PERMUTATIONS.  A valid one
-is compiled, once and on first use, into flat integer tables: the face
-table (per face 4 tet + f: glued tetrahedron, face, permutation); the
-successor table over the 12n directed edge slots 12 tet + 2 s + r (slot s
-of EDGE_SLOTS, reversed when r = 1), the slot that the walk around an edge
-enters next; and the edge class of each slot 6 tet + s.  Edge classes are
-the orbits of the successor table and vertex classes the components of
-the corner identifications; `gluing` reads the exponent pairs and cusp
-relations off the same arrays.  FaceGluings, the EdgeClasses and their
+(t1, f1, t2, f2, p) per pair, p an index into PERMUTATIONS.  What is
+compiled from it is built on first use by a `compiled` function and kept
+in its one store: the validation report and, for a valid one, the
+`EdgeTables` of one walk: the face table, the successor table over the
+12n directed edge slots 12 tet + 2 s + r (slot s of EDGE_SLOTS, reversed
+when r = 1), the edge class of each slot 6 tet + s and the vertex class
+of each corner 4 tet + v.  Edge classes are the orbits of the successor
+table and vertex classes the components of the corner identifications;
+`gluing` and `fileio` compile the gluing system and the canonical text
+into the same store.  FaceGluings, the EdgeClasses and their
 `cycle`/`steps`/`directed` views are built only when read.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 EDGE_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 SLOT_INDEX = {pair: k for k, pair in enumerate(EDGE_SLOTS)}
@@ -168,9 +170,9 @@ class Triangulation:
     faces; `gluings` views them as FaceGluings.  A Triangulation is not
     modified after construction, and this is load-bearing:
     `fileio.parse_triangulation` returns one instance per text to every
-    caller, so its tables (see the module docstring), what is read off them
-    and its canonical text, each compiled once on first use, are shared by
-    every parse of the same text.
+    caller, so its compiled data (see the module docstring and `compiled`),
+    each value built once on first use, is shared by every parse of the
+    same text.
     """
 
     def __init__(self, tetra_count: int, gluings):
@@ -189,11 +191,7 @@ class Triangulation:
         P = P[np.lexsort(P[:, 3::-1].T)]
         P.setflags(write=False)
         self.tetra_count, self._pair_array = int(tetra_count), P
-        # compiled on first use, then shared by every consumer
-        self._face_table = self._edge_tables = self._edge_classes = None
-        self._exponent_matrix = self._vertex_tables = self._vertex_classes = None
-        self._text = None
-        self._valid = False         # set by validate(): the tables need it
+        self._compiled = {}         # see `compiled`
 
     @property
     def gluings(self) -> tuple:
@@ -203,10 +201,10 @@ class Triangulation:
 
     def gluing_at(self, tet: int, face: int) -> FaceGluing:
         """The gluing departing from (tet, face); KeyError for a face out of
-        range (and ValidationError, from `face_table`, when t is invalid)."""
+        range (and ValidationError, from `edge_tables`, when t is invalid)."""
         if not (0 <= tet < self.tetra_count and 0 <= face < 4):
             raise KeyError((tet, face))
-        return _gluing(face_table(self), tet, face)
+        return _gluing(edge_tables(self).face, tet, face)
 
     def __eq__(self, other):
         return (isinstance(other, Triangulation)
@@ -226,22 +224,20 @@ def make_triangulation(tetra_count, raw_gluings) -> Triangulation:
                                        for (t1, f1, t2, f2, p) in raw_gluings])
 
 
-def face_table(t: Triangulation) -> np.ndarray:
-    """The face table, a read-only 4n-by-3 integer array memoised on t: row
-    4 tet + f holds the tetrahedron and face glued to face f of tet and the
-    permutation index.  Like every table compiled from it, it exists only
-    for a valid triangulation: raises ValidationError otherwise."""
-    if t._face_table is None:
-        if not t._valid:
-            require_valid(t)
-        n, P = t.tetra_count, t._pair_array
-        a, b, c, d, p = P.T
-        table = np.empty((4 * n, 3), dtype=np.intp)
-        table[4 * a + b] = P[:, 2:]
-        table[4 * c + d] = np.column_stack([a, b, _INVERSE[p]])
-        table.setflags(write=False)
-        t._face_table = table
-    return t._face_table
+def compiled(build):
+    """Memoise `build(t)` on the Triangulation t, in t's one store of
+    compiled data: the first call builds the value, passing on any further
+    arguments, and every later call returns it.  Threads that build one
+    value at once all get the one stored first (`dict.setdefault`)."""
+    key = f"{build.__module__}.{build.__qualname__}"
+
+    @functools.wraps(build)
+    def memo(t, *args):
+        try:
+            return t._compiled[key]
+        except KeyError:
+            return t._compiled.setdefault(key, build(t, *args))
+    return memo
 
 
 def _gluing(table: np.ndarray, tet: int, face: int) -> FaceGluing:
@@ -282,10 +278,11 @@ class ValidationReport(NamedTuple):
         return not self.issues
 
 
+@compiled
 def validate(t: Triangulation) -> ValidationReport:
     """Check face coverage, involutivity and the odd-permutation orientation
-    convention.  Returns a report and never raises; a valid triangulation
-    is marked valid, which its tables need.
+    convention.  Returns the report, built once per triangulation, and
+    never raises.
 
     Array tests over the pair table find every fault, and the issues name
     them in order: each side out of range or glued before, in pair order;
@@ -338,7 +335,6 @@ def validate(t: Triangulation) -> ValidationReport:
     for k in np.flatnonzero(itself | astray | even).tolist():
         issues += [ValidationIssue(code, *P[k, :2].tolist(), detail)
                    for bad, code, detail in checks if bad[k]]
-    t._valid = not issues
     return ValidationReport(coverage_ok, not (itself | astray).any(),
                             not even.any(), tuple(issues))
 
@@ -354,11 +350,15 @@ def require_valid(t: Triangulation) -> Triangulation:
 # edge classes
 # --------------------------------------------------------------------------
 
-# A triangulation's compiled edge data (`edge_tables`), read-only integer
-# arrays: the face table; the successor table; starts[j], edge class j's
-# first directed slot; slot_class, the edge class of each slot 6 tet + s;
-# the degrees.
-EdgeTables = namedtuple("EdgeTables", "face succ starts slot_class degree")
+# A triangulation's compiled tables (`edge_tables`), read-only integer
+# arrays but the int vertex_count: the face table (row 4 tet + f: the
+# tetrahedron and face glued to face f of tet, the permutation index); the
+# successor table; starts[j], edge class j's first directed slot;
+# slot_class, the edge class of each slot 6 tet + s; the degrees; corner,
+# the vertex class of each corner 4 tet + v; the number of vertex classes;
+# ends, per edge class the vertex classes at its first slot's tail, head.
+EdgeTables = namedtuple("EdgeTables", "face succ starts slot_class degree "
+                                      "corner vertex_count ends")
 
 
 class EdgeClass:
@@ -404,7 +404,8 @@ class EdgeClass:
 
 
 def _walk_edge_classes(t: Triangulation) -> EdgeTables:
-    """Compile t's successor table and find its edge classes, the orbits.
+    """Compile the valid t's face and successor tables and find its edge
+    classes, the orbits, and its vertex classes.
 
     The least slot of every orbit comes from pointer doubling: after round
     k, low[d] is the least of the 2^k slots from d on, and a round that
@@ -412,9 +413,16 @@ def _walk_edge_classes(t: Triangulation) -> EdgeTables:
     direction of a class's least slot u is the class's own (least slot
     2u); the reversed walk is the orbit of 2u + 1, so the class of a slot
     is that of the lesser least slot of its two directions.  On a valid
-    triangulation the successor table is a permutation.
+    triangulation the successor table is a permutation.  The vertex
+    classes are the components of the corners joined by the walks around
+    the edges: a directed slot's tail corner and its successor's (the head
+    of slot d is the tail of d ^ 1).
     """
-    n, face = t.tetra_count, face_table(t)
+    n, P = t.tetra_count, t._pair_array
+    a, b, c, d, p = P.T
+    face = np.empty((4 * n, 3), dtype=np.intp)
+    face[4 * a + b] = P[:, 2:]
+    face[4 * c + d] = np.column_stack([a, b, _INVERSE[p]])
     exits = face[4 * np.arange(n)[:, None] + EXIT_FACE]     # n x 12 x 3
     succ = (12 * exits[..., 0] + _ENTER[exits[..., 2], np.arange(12)]).ravel()
     ids = np.arange(12 * n)
@@ -427,35 +435,38 @@ def _walk_edge_classes(t: Triangulation) -> EdgeTables:
     first = (low == ids) & ((ids & 1) == 0)     # a class's least slot
     starts = np.flatnonzero(first)
     slot_class = (np.cumsum(first) - 1)[np.minimum(low[0::2], low[1::2])]
+    tail = 4 * (ids // 12) + np.tile(_TAIL, n)
+    label = _components(tail, tail[succ], 4 * n)
+    roots = np.flatnonzero(label == np.arange(4 * n))
+    corner = np.searchsorted(roots, label)
+    ends = corner[tail[np.column_stack([starts, starts ^ 1])]]
     tables = EdgeTables(face, succ, starts, slot_class,
-                        np.bincount(slot_class, minlength=len(starts)))
-    for value in tables[1:]:
-        value.setflags(write=False)
+                        np.bincount(slot_class, minlength=len(starts)),
+                        corner, len(roots), ends)
+    for value in tables:
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
     return tables
 
 
+@compiled
 def edge_tables(t: Triangulation) -> EdgeTables:
-    """t's compiled edge data (see EdgeTables), walked once per
-    triangulation and memoised on it."""
-    if t._edge_tables is None:
-        t._edge_tables = _walk_edge_classes(t)
-    return t._edge_tables
+    """t's compiled tables (see EdgeTables), walked once per triangulation;
+    raises ValidationError when t is invalid."""
+    return _walk_edge_classes(require_valid(t))
 
 
+@compiled
 def compute_edge_classes(t: Triangulation) -> tuple[EdgeClass, ...]:
     """Partition the 6n edge slots into identification cycles.
 
     Deterministic: classes appear in order of their lexicographically least
     slot, each traversed from that slot in (min, max) direction.  The
-    views of `edge_tables` are built on the first call; later calls return
-    the memoised tuple.
+    views of `edge_tables` are built once per triangulation.
     """
-    if t._edge_classes is None:
-        tables = edge_tables(t)
-        t._edge_classes = tuple(
-            EdgeClass(j, degree, tables)
-            for j, degree in enumerate(tables.degree.tolist()))
-    return t._edge_classes
+    tables = edge_tables(t)
+    return tuple(EdgeClass(j, degree, tables)
+                 for j, degree in enumerate(tables.degree.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -492,25 +503,19 @@ def _components(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
             label = up
 
 
-def vertex_tables(t: Triangulation):
-    """(corner_class, count, ends), memoised on t: the vertex class of each
-    corner 4 tet + v, the number of classes, in order of their least
-    corner, and for each edge class the classes at the tail and head of its
-    first directed slot (an m-by-2 array).  The classes are the components
-    of the corners joined by the walks around the edges: a directed slot's
-    tail corner and its successor's (the head of slot d is the tail of
-    d ^ 1)."""
-    if t._vertex_tables is None:
-        n, tables = t.tetra_count, edge_tables(t)
-        tail = 4 * (np.arange(12 * n) // 12) + np.tile(_TAIL, n)
-        label = _components(tail, tail[tables.succ], 4 * n)
-        roots = np.flatnonzero(label == np.arange(4 * n))
-        corner = np.searchsorted(roots, label)
-        ends = corner[tail[np.column_stack([tables.starts, tables.starts ^ 1])]]
-        for value in (corner, ends):
-            value.setflags(write=False)
-        t._vertex_tables = (corner, len(roots), ends)
-    return t._vertex_tables
+@compiled
+def _vertex_classes(t: Triangulation) -> tuple[VertexClass, ...]:
+    """The vertex classes of t, read off `edge_tables` once per
+    triangulation (see `compute_vertex_classes`)."""
+    tables = edge_tables(t)
+    count, corner = tables.vertex_count, tables.corner
+    members = [[] for _ in range(count)]
+    for c, k in enumerate(corner.tolist()):
+        members[k].append(divmod(c, 4))
+    chi = (np.bincount(tables.ends.ravel(), minlength=count)
+           - np.bincount(corner, minlength=count) // 2).tolist()
+    return tuple(VertexClass(k, tuple(c), x, (2 - x) // 2)
+                 for k, (c, x) in enumerate(zip(members, chi)))
 
 
 def compute_vertex_classes(t: Triangulation) -> list[VertexClass]:
@@ -521,18 +526,9 @@ def compute_vertex_classes(t: Triangulation) -> list[VertexClass]:
     member corner, sides matched along face gluings.  Its vertices are the
     edge-class ends incident with the class, so
     chi = (#edge ends at the class) - (#corners)/2.  The classes are built
-    once per triangulation; later calls return a new list of them.
+    once per triangulation; every call returns a new list of them.
     """
-    if t._vertex_classes is None:
-        corner, count, ends = vertex_tables(t)
-        members = [[] for _ in range(count)]
-        for c, k in enumerate(corner.tolist()):
-            members[k].append(divmod(c, 4))
-        chi = (np.bincount(ends.ravel(), minlength=count)
-               - np.bincount(corner, minlength=count) // 2).tolist()
-        t._vertex_classes = tuple(VertexClass(k, tuple(c), x, (2 - x) // 2)
-                                  for k, (c, x) in enumerate(zip(members, chi)))
-    return list(t._vertex_classes)
+    return list(_vertex_classes(t))
 
 
 # --------------------------------------------------------------------------
@@ -552,8 +548,9 @@ class SelfIdentificationReport(NamedTuple):
 
 
 def self_identification_report(t: Triangulation) -> SelfIdentificationReport:
-    vmap = vertex_tables(t)[0].reshape(-1, 4).tolist()
-    emap = edge_tables(t).slot_class.reshape(-1, 6).tolist()
+    tables = edge_tables(t)
+    vmap = tables.corner.reshape(-1, 4).tolist()
+    emap = tables.slot_class.reshape(-1, 6).tolist()
 
     per_tet = []
     for tet in range(t.tetra_count):
@@ -589,7 +586,9 @@ def random_triangulation(n: int, seed=None) -> Triangulation:
     """A uniform-ish random closed orientable connected triangulation with n
     tetrahedra (random face pairing with random odd permutations; retries
     when the pairing splits into components).  Valid by construction, but
-    typically not geometric."""
+    typically not geometric.  Raises IdealGlueError unless n is an int
+    >= 1 (`check_count`)."""
+    n = check_count("n", n, least=1)
     rng = random.Random(seed)
     while True:
         faces = [(tet, f) for tet in range(n) for f in range(4)]

@@ -10,7 +10,7 @@ import numpy as np
 
 from idealglue import (Triangulation, compute_edge_classes,
                        make_triangulation)
-from idealglue.gluing import _pair_products, pair_matvec
+from idealglue.gluing import pair_matvec
 from idealglue.triangulation import PERMUTATIONS, _odd_perms_fixing
 
 
@@ -97,7 +97,8 @@ def unplanned_step(V, E, b, M):
     check's two right-hand sides are joined by `np.stack`.  The solver's
     step, which forms the index once per solve and D^H's values once per
     step, must equal it bit for bit."""
-    by_tet, _, starts, pairs, entry = _pair_products(E)
+    by_tet, starts, pairs, entry = (E.by_tet, E.tet_starts, E.pair_pairs,
+                                    E.pair_entry)
 
     def rmatvec(y):                     # D^H y
         return np.add.reduceat((V.conj() * y.take(E.rows, axis=-1)).take(

@@ -18,9 +18,9 @@ from idealglue import (CORPUS_NAMES, REGULAR_SHAPE, ConeTarget,
                        parse_triangulation, random_starts, regular_solution,
                        sweep_family, xi_from_shapes)
 from idealglue import solver as solver_mod
-from idealglue.gluing import (DEGENERACY_GUARD, _pair_products, log_jacobian,
-                              normal_index, normal_matrix, pair_adjoint,
-                              pair_matvec, pair_rmatvec)
+from idealglue.gluing import (DEGENERACY_GUARD, log_jacobian, normal_index,
+                              normal_matrix, pair_adjoint, pair_matvec,
+                              pair_rmatvec)
 from idealglue.solver import (MAX_HALVINGS, _damped_gauss_newton, _newton_rows,
                              _take_steps)
 
@@ -458,7 +458,7 @@ def test_a_solve_builds_its_scatter_index_once(monkeypatch):
     monkeypatch.setattr(solver_mod, "normal_matrix", recorded)
     t = parse_triangulation(chain_cover_text(4))
     E = build_exponent_matrix(t)
-    entry = _pair_products(E)[4]
+    entry = E.pair_entry
 
     def assert_one_index(rows, steps):
         (index, count), = built

@@ -1,7 +1,8 @@
-"""Each triangulation is compiled once: its edge classes and exponent matrix
-are memoised on the instance, every parse of one text returns that
-instance from the compile cache, and h and J are evaluated over the nonzero
-(edge, tetrahedron) pairs only."""
+"""Each triangulation is compiled once: its validation report, tables, edge
+classes, exponent matrix and canonical text are kept in its one compiled
+store, every parse of one text returns that instance from the compile
+cache, and h and J are evaluated over the nonzero (edge, tetrahedron)
+pairs only."""
 import os
 import pathlib
 import subprocess
@@ -23,8 +24,8 @@ from idealglue import (CORPUS_NAMES, ConeTarget, ShapeAssignment,
                        random_triangulation, regular_solution,
                        self_identification_report, verify_report)
 from idealglue.corpus import CORPUS_TEXT
-from idealglue.gluing import _pair_products
-from idealglue.triangulation import EDGE_SLOTS, SLOT_INDEX
+from idealglue.fileio import parse_triangulation_lenient
+from idealglue.triangulation import EDGE_SLOTS, SLOT_INDEX, edge_tables, validate
 from conftest import chain_cover_text, random_shapes, random_systems
 
 
@@ -146,11 +147,69 @@ def test_a_text_is_compiled_once_and_shared():
     text = chain_cover_text(4)
     t = parse_triangulation(text)
     E = build_exponent_matrix(t)
-    pairs = _pair_products(E)
+    pairs = E.pair_pairs
     again = parse_triangulation(text)
     assert again is t
     assert build_exponent_matrix(again) is E
-    assert _pair_products(build_exponent_matrix(again)) is pairs
+    assert build_exponent_matrix(again).pair_pairs is pairs
+
+
+def test_validation_is_compiled_once_per_triangulation():
+    valid = parse_triangulation_lenient(chain_cover_text(3))
+    invalid = parse_triangulation_lenient("tri v1\ntetrahedra 2\n")
+    for t in (valid, invalid):
+        assert validate(t) is validate(t)
+        assert validate.__wrapped__(t) == validate(t)   # the uncompiled pass
+    assert validate(valid).ok and not validate(invalid).ok
+
+
+def test_a_triangulation_holds_its_pairs_and_one_compiled_store():
+    # the validation, tables, edge classes, exponent matrix and text that a
+    # solve, its certificate, a report with holonomy and its check compile
+    # all go into the one store; nothing else is written on t
+    t = corpus("fig8_complement")
+    xi = ConeTarget.ones(2)
+    res = newton_solve(t, xi, ShapeAssignment((0.5 + 0.8j, 0.5 + 0.8j)))
+    cert = essential_edge_certificate(t, res, xi)
+    report = build_solution_report(t, res.shapes, xi, res.residual_norm,
+                                   certificate=cert, include_holonomy=True)
+    assert all(c.ok for c in verify_report(report))
+    assert sorted(vars(t)) == ["_compiled", "_pair_array", "tetra_count"]
+    held = list(map(id, t._compiled.values()))
+    for value in (validate(t), edge_tables(t), build_exponent_matrix(t),
+                  format_triangulation(t)):
+        assert id(value) in held
+
+
+def test_threads_building_one_triangulation_get_one_value_each():
+    # six threads start the first build of one fresh triangulation's
+    # exponent matrix and tables at once: every thread gets the one value
+    # stored first, and the matrix is read off those tables
+    t = parse_triangulation_lenient(chain_cover_text(32))
+    barrier, got, errors = threading.Barrier(6), [], []
+
+    def build():
+        try:
+            barrier.wait(timeout=30)
+            got.append((build_exponent_matrix(t), edge_tables(t)))
+        except Exception as err:        # reported below, after the join
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors and len(got) == 6
+    E, tables = build_exponent_matrix(t), edge_tables(t)
+    assert all(e is E and tab is tables for e, tab in got)
+    assert E.degree is tables.degree
 
 
 def test_the_cache_holds_at_most_its_budget(monkeypatch):

@@ -825,6 +825,18 @@ def test_random_starts_reject_a_negative_count():
     assert random_starts(t, 0) == []
 
 
+@pytest.mark.parametrize("count", [2.5, "3", True, np.bool_(True), None])
+def test_random_starts_reject_what_is_no_count(count):
+    # 2.5 and "3" ended in a bare TypeError, and True was taken as 1
+    with pytest.raises(IdealGlueError, match="count must be an int, got"):
+        random_starts(corpus("hopf"), count)
+
+
+def test_random_starts_take_any_integer_type():
+    t = corpus("fig8_complement")
+    assert random_starts(t, np.int64(3)) == random_starts(t, 3)
+
+
 def test_sampler_targets_are_xi_from_shapes_of_the_converged_rows(monkeypatch):
     # the kept set and each target are the per-sample xi_from_shapes ones,
     # built from the holonomies the loop stopped on: no holonomy call

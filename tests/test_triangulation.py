@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from idealglue import (VertexPermutation, compute_edge_classes,
+from idealglue import (IdealGlueError, VertexPermutation, compute_edge_classes,
                        compute_vertex_classes, corpus, make_triangulation,
                        random_triangulation, self_identification_report,
                        validate)
@@ -186,6 +186,22 @@ def test_edge_classes_independent_of_gluing_order(rng):
         t2 = make_triangulation(3, flipped)
         assert [e.cycle for e in compute_edge_classes(t2)] == ref
         assert compute_vertex_classes(t2) == compute_vertex_classes(t)
+
+
+@pytest.mark.parametrize("n, message", [
+    (0, "n must be >= 1, got 0"), (-2, "n must be >= 1, got -2"),
+    (True, "n must be an int, got True"), (2.5, "n must be an int"),
+    ("3", "n must be an int"), (None, "n must be an int"),
+])
+def test_random_triangulation_rejects_what_is_no_tetrahedron_count(n, message):
+    # n <= 0 looped forever: no pairing of no tetrahedra is connected
+    with pytest.raises(IdealGlueError, match=message):
+        random_triangulation(n, seed=0)
+
+
+def test_random_triangulation_takes_any_integer_type():
+    assert random_triangulation(np.int64(3), seed=5) == random_triangulation(
+        3, seed=5)
 
 
 def test_random_triangulations_are_valid_and_partition():

@@ -45,22 +45,30 @@ _BERNOULLI = {
 }
 
 
-# B_{2j} / (2j+1)! for j = 23, ..., 1: the Horner coefficients of the
-# Bernoulli series in u^2
-_HORNER = tuple(_BERNOULLI[2 * j] / math.factorial(2 * j + 1)
-                for j in range(_N_BERNOULLI // 2 - 1, 0, -1))
+# B_{2j} / (2j+1)! for j = 1, ..., 23: the coefficients of u^(2j+1) in the
+# Bernoulli series
+_SERIES = np.array([_BERNOULLI[2 * j] / math.factorial(2 * j + 1)
+                    for j in range(1, _N_BERNOULLI // 2)])
+# the doubling steps (k, m) of `_li2_of_log`: v^(k+1) ... v^(k+m) as
+# v ... v^m times v^k, until all 23 powers are formed
+_DOUBLING = tuple((k, min(k, len(_SERIES) - k)) for k in (1, 2, 4, 8, 16))
 
 
 def _li2_of_log(u):
     """Li2(w) from u = -log(1 - w), a complex or an array of them: the
     Bernoulli series sum_k B_k u^(k+1) / (k+1)!, which converges for
-    |u| < 2 pi, summed to B_46 in Horner form in u^2."""
+    |u| < 2 pi, summed to B_46 as u - u^2/4 + u sum_j c_j v^j, v = u^2, in
+    a few NumPy calls whatever the length: the powers v, ..., v^23 by
+    doubling (v^(k+1) ... v^(2k) as v ... v^k times v^k), then one product
+    of their real and imaginary parts with the c_j (`_SERIES`)."""
+    u = np.asarray(u)
     v = u * u
-    acc = _HORNER[0]
-    for c in _HORNER[1:]:
-        acc *= v
-        acc += c
-    return u - 0.25 * v + u * v * acc
+    powers = np.empty((len(_SERIES),) + v.shape, complex)
+    powers[0] = v
+    for k, m in _DOUBLING:
+        np.multiply(powers[:m], powers[k - 1], out=powers[k:k + m])
+    series = (_SERIES @ powers.reshape(len(powers), -1).view(float)).view(complex)
+    return u - 0.25 * v + u * series.reshape(v.shape)
 
 
 def dilog(z: complex) -> complex:
@@ -84,11 +92,20 @@ def dilog(z: complex) -> complex:
         return -dilog(1.0 / z) - PI2_OVER_6 - 0.5 * cmath.log(-z) ** 2
     if z.real > 0.5:
         return PI2_OVER_6 - cmath.log(z) * cmath.log(1.0 - z) - dilog(1.0 - z)
-    return _li2_of_log(-cmath.log(1.0 - z))
+    return complex(_li2_of_log(-cmath.log(1.0 - z)))
 
 
-def _bloch_wigner_array(z: np.ndarray) -> np.ndarray:
+def shape_table(z: np.ndarray) -> tuple:
+    """(z, z', z'') per shape of a 1-D array and their arguments, as two
+    n-by-3 arrays: the one table that the volumes and the cone angles of a
+    solution are read off."""
+    triple = _triples(z)
+    return triple, np.arctan2(triple.imag, triple.real)     # np.angle
+
+
+def _bloch_wigner_array(z: np.ndarray, table=None) -> np.ndarray:
     """D(z) for a 1-D array of shapes off {0, 1}; exactly 0 where Im z = 0.
+    `table`, when given, is `shape_table(z)`.
 
     D takes the same value at the three shapes (z, z', z'') (Zagier, "The
     Dilogarithm Function", 2007), and at each w of them
@@ -98,12 +115,14 @@ def _bloch_wigner_array(z: np.ndarray) -> np.ndarray:
     |u| < 2 pi (`_li2_of_log`).  The w whose u is least is taken; that |u|
     is largest, pi/3, at the regular shape, where the three agree.
     """
-    triple = _triples(z)
-    mod, arg = np.log(np.abs(triple)), np.angle(triple)
-    # u = log of triple[k]: w = triple[k - 1]
-    rows, k = np.arange(len(z)), np.argmin(mod * mod + arg * arg, axis=-1)
-    u = mod[rows, k] + 1j * arg[rows, k]
-    d = _li2_of_log(u).imag - u.imag * mod[rows, k - 1]
+    triple, arg = shape_table(z) if table is None else table
+    mod = np.log(np.abs(triple))
+    # u = log of triple[k]: w = triple[k - 1]; k and k - 1 as indices into
+    # the flattened n-by-3 tables
+    k = np.argmin(mod * mod + arg * arg, axis=-1)
+    row = np.arange(0, mod.size, 3)
+    u = mod.take(row + k) + 1j * arg.take(row + k)
+    d = _li2_of_log(u).imag - u.imag * mod.take(row + (k + 2) % 3)
     return np.where(z.imag == 0.0, 0.0, d)
 
 
@@ -130,26 +149,26 @@ class VolumeReport(NamedTuple):
     per_tetrahedron: tuple
     total: float
     flat_tetrahedra: tuple          # |Im z| < FLAT_TOL; volume reported as 0
-    negatively_oriented: tuple      # Im z < -FLAT_TOL
+    negatively_oriented: tuple      # Im z <= -FLAT_TOL
 
 
-def solution_volume(Z: ShapeAssignment) -> VolumeReport:
+def solution_volume(Z: ShapeAssignment, table=None) -> VolumeReport:
     """Per-tetrahedron Bloch-Wigner volumes, evaluated as one array, and
-    their sum."""
-    z = np.array(Z.z, dtype=complex)
+    their sum.  `table`, when given, is `shape_table` of Z's shapes."""
+    if table is None:
+        table = shape_table(np.array(Z.z, dtype=complex))
+    z = table[0][:, 0]
     flat = np.abs(z.imag) < FLAT_TOL
-    vols = np.where(flat, 0.0, _bloch_wigner_array(z)).tolist()
+    vols = np.where(flat, 0.0, _bloch_wigner_array(z, table)).tolist()
     return VolumeReport(tuple(vols), float(sum(vols)),
                         tuple(np.flatnonzero(flat).tolist()),
-                        tuple(np.flatnonzero(~flat & (z.imag < 0)).tolist()))
+                        tuple(np.flatnonzero(z.imag <= -FLAT_TOL).tolist()))
 
 
-def _dihedral_array(z: np.ndarray) -> np.ndarray:
-    """(arg z, arg z', arg z'') per shape, as the columns of an n-by-3
-    array, normalized to (-pi, pi]."""
-    angles = np.angle(_triples(z))
-    angles[angles <= -math.pi] = math.pi
-    return angles
+def _dihedral_array(arg: np.ndarray) -> np.ndarray:
+    """(arg z, arg z', arg z'') per shape, from the arguments of
+    `shape_table`, normalized to (-pi, pi]."""
+    return np.where(arg <= -math.pi, math.pi, arg)
 
 
 def dihedral_angles(z: complex):
@@ -160,19 +179,23 @@ def dihedral_angles(z: complex):
     summing to pi.
     """
     z = check_nondegenerate(z)
-    return tuple(_dihedral_array(np.array([z]))[0].tolist())
+    return tuple(_dihedral_array(shape_table(np.array([z]))[1])[0].tolist())
 
 
-def edge_cone_angles(Z: ShapeAssignment, E: ExponentMatrix) -> np.ndarray:
+def edge_cone_angles(Z: ShapeAssignment, E: ExponentMatrix,
+                     table=None) -> np.ndarray:
     """Total angle around each edge: the sum of the slot angles, over the
     nonzero (edge, tetrahedron) pairs.
 
     This recovers arg h(e) + 2 pi k with the correct winding k, which arg of
-    the holonomy product alone cannot provide.  Raises IdealGlueError
-    unless Z has one shape per tetrahedron.
+    the holonomy product alone cannot provide.  `table`, when given, is
+    `shape_table` of Z's shapes.  Raises IdealGlueError unless Z has one
+    shape per tetrahedron.
     """
     check_shape_length(Z, E)
-    angles = _dihedral_array(np.array(Z.z, dtype=complex))[E.cols]
+    if table is None:
+        table = shape_table(np.array(Z.z, dtype=complex))
+    angles = _dihedral_array(table[1]).take(E.cols, axis=0)
     return np.add.reduceat(E.pair_a * angles[:, 0]
                            + E.pair_a_prime * angles[:, 1]
                            + E.pair_a_second * angles[:, 2], E.row_starts)

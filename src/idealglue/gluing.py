@@ -113,7 +113,10 @@ def _triples(z: np.ndarray) -> np.ndarray:
     big = np.abs(z) > HUGE_SHAPE
     huge = big.any()
     safe = np.where(big, 2.0, z) if huge else z     # huge: set below
-    triple = np.stack([z, 1.0 / (1.0 - safe), (safe - 1.0) / safe], axis=-1)
+    triple = np.empty(z.shape + (3,), complex)
+    triple[..., 0] = z
+    np.divide(1.0, 1.0 - safe, out=triple[..., 1])
+    np.divide(safe - 1.0, safe, out=triple[..., 2])
     if huge:
         w = 0.25 / (z[big] * 0.25)
         triple[big, 1], triple[big, 2] = -w / (1.0 - w), 1.0 - w

@@ -595,8 +595,9 @@ def random_triangulation(n: int, seed=None) -> Triangulation:
         gl = []
         while faces:
             t1, f1 = faces.pop(0)
-            t2, f2 = faces[rng.randrange(len(faces))]
-            faces.remove((t2, f2))
+            k = rng.randrange(len(faces))
+            t2, f2 = faces[k]
+            del faces[k]
             p = _odd_perms_fixing(f1, f2)[rng.randrange(3)]
             gl.append((t1, f1, t2, f2, p))
         t = make_triangulation(n, gl)

@@ -1,16 +1,26 @@
 """Oracles that only the tests read: the abstract edge neighbourhood,
 relabelling, canonical forms and the enumeration of the one-tetrahedron
-triangulations, and the Gauss-Newton step with nothing formed ahead of
-its call (`unplanned_step`)."""
+triangulations, the Gauss-Newton step with nothing formed ahead of its
+call (`unplanned_step`), and the field-by-field report verifier
+(`reference_verify_report`)."""
 import contextlib
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from idealglue import (Triangulation, compute_edge_classes,
-                       make_triangulation)
-from idealglue.gluing import pair_matvec
+from idealglue import (ConeTarget, EdgeCycleNotClosed, IdealGlueError,
+                       ShapeAssignment, Triangulation, build_exponent_matrix,
+                       build_solution_report, compute_edge_classes,
+                       evaluate_residual, make_triangulation,
+                       parse_triangulation)
+from idealglue.gluing import (check_shape_length, check_target_length,
+                              pair_matvec)
+from idealglue.report import ReportCheck
+from idealglue.solver import (branched_cover_report, cover_certificate,
+                              residual_check)
 from idealglue.triangulation import PERMUTATIONS, _odd_perms_fixing
 
 
@@ -130,3 +140,137 @@ def unplanned_step(V, E, b, M):
             step = np.linalg.lstsq(A, b[k], rcond=None)[0]
             x[k] = step[:n] + 1j * step[n:] if real else step
     return x
+
+
+# ------------------------------------------------ the field-by-field verifier
+
+def _ref_is_pairs(value) -> bool:
+    return (type(value) is list and set(map(type, value)) <= {list}
+            and set(map(len, value)) <= {2}
+            and set(map(type, itertools.chain.from_iterable(value)))
+            <= {int, float})
+
+
+def _ref_complex(pairs: list) -> np.ndarray:
+    return np.array(pairs, dtype=float).reshape(1, -1, 2).view(complex)[..., 0]
+
+
+def _ref_decode(report: dict, key: str, decode):
+    try:
+        return decode(report[key])
+    except OverflowError:
+        raise IdealGlueError(f"report field {key!r} holds a number past the "
+                             "float range") from None
+
+
+def _ref_det_error(matrix) -> float:
+    a, b, c, d = (complex(*p) for p in matrix)
+    s = max(1.0, abs(a), abs(b), abs(c), abs(d))
+    a, b, c, d = a / s, b / s, c / s, d / s
+    return abs(a * d - b * c - 1.0 / s / s)
+
+
+_REF_INPUTS = {"triangulation": lambda v: isinstance(v, str),
+               "shapes": _ref_is_pairs, "xi": _ref_is_pairs,
+               "residual_norm": lambda v: type(v) in (int, float)}
+_REF_ROWS = {"edges": "", "generators": "generator ", "edge_matrices": "edge "}
+_REF_HOLONOMY = {"generators", "edge_matrices"}
+_REF_RENAMED = {"edge multiplier": "multiplier", **dict.fromkeys((
+    "generator gluing", "generator up_to_sign", "edge edge", "edge up_to_sign"),
+    "holonomy labels")}
+
+
+def _ref_fields(report: dict) -> dict:
+    fields = {}
+    for key in sorted(report.keys() - _REF_INPUTS.keys()):
+        value = report[key]
+        if key == "volume" and isinstance(value, dict):
+            fields.update((f"volume {k}", v) for k, v in value.items())
+        elif key in _REF_ROWS and isinstance(value, list) and all(
+                isinstance(row, dict) for row in value):
+            for k in dict.fromkeys(itertools.chain.from_iterable(value)):
+                name = f"{_REF_ROWS[key]}{k}"
+                fields.setdefault(_REF_RENAMED.get(name, name), []).extend(
+                    [row[k] for row in value if k in row])
+        else:
+            fields[key] = value
+    return fields
+
+
+def _ref_match(name: str, got, want) -> ReportCheck:
+    numeric = isinstance(want, float) or (
+        isinstance(want, list) and bool(want) and isinstance(want[0], (float, list)))
+    worst = 0.0 if got == want else math.inf
+    if worst and numeric:
+        try:
+            g, w = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            g = w = np.empty(0)
+        if g.shape == w.shape and w.size:
+            g, w = (a.reshape(a.shape[:1] + (-1,)) for a in (g, w))
+            err = np.abs(g - w).max(-1)
+            if name.endswith(("matrix", "trace")):
+                err = np.minimum(err, np.abs(g + w).max(-1))
+            worst = float(np.max(err / np.maximum(1.0, np.abs(w).max(-1))))
+    label = "match" if name.endswith("labels") else "matches"
+    tol = 1e-12 if numeric else 0.0
+    return ReportCheck(f"{name} {label}", worst <= tol, worst, tol)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def reference_verify_report(report: dict) -> list:
+    """`verify_report` as it was before its equality fast path: every field
+    flattened and compared on its own by Python's ==, then to 1e-12 as
+    floats, so that a bool passes for the number 1 or 0 and an integral
+    float for an int; h(e) evaluated twice and the invariants one matrix
+    at a time.  The checks the verifier makes must equal these, but where
+    a value of another JSON type stands in for a claimed one."""
+    if not isinstance(report, dict):
+        raise IdealGlueError(f"a report is a JSON object, not {type(report).__name__}")
+    for key, ok in _REF_INPUTS.items():
+        if not ok(report.get(key)):
+            raise IdealGlueError(f"report field {key!r} is missing or malformed")
+    t = parse_triangulation(report["triangulation"])
+    (Z,) = ShapeAssignment.rows(_ref_decode(report, "shapes", _ref_complex))
+    (xi,) = ConeTarget.rows(_ref_decode(report, "xi", _ref_complex))
+    claim = _ref_decode(report, "residual_norm", float)
+    E = build_exponent_matrix(t)
+    check_shape_length(Z, E)
+    check_target_length(xi, E)
+    res = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
+    claimed = report.get("certificate") is not None
+    certificate = (cover_certificate(branched_cover_report(E, xi), res, Z, xi)
+                   if claimed else None)
+    rebuild = functools.partial(build_solution_report, t, Z, xi, claim,
+                                report.get("converged") is True, certificate)
+    holonomy, checks = _REF_HOLONOMY & report.keys(), []
+    try:
+        rebuilt = rebuild(include_holonomy=bool(holonomy))
+    except EdgeCycleNotClosed as err:
+        checks.append(ReportCheck("holonomy develops", False, err.mismatch,
+                                  err.tolerance))
+        report = {k: v for k, v in report.items() if k not in holonomy}
+        rebuilt = rebuild(include_holonomy=False)
+    want = _ref_fields(rebuilt)
+    got = _ref_fields(report)
+    odd = len(got.keys() ^ want.keys())
+    checks += [ReportCheck("report fields match", not odd, float(odd), 0.0),
+               _ref_match("residual_norm", report["residual_norm"], res)]
+    checks += [_ref_match(name, got.get(name), value)
+               for name, value in want.items()]
+    if rebuilt["converged"] or claimed:
+        ok, bound = residual_check(res)
+        checks.append(ReportCheck("residual_norm <= 10 tol", ok, res, bound))
+    prod = abs(math.prod(xi.xi) - 1.0)
+    checks.append(ReportCheck("prod xi = 1", prod < 1e-8, prod, 1e-8))
+    if "edge_matrices" in rebuilt:
+        h = np.array([complex(*e["holonomy"]) for e in rebuilt["edges"]])
+        mult = np.array([complex(*m["multiplier"]) for m in rebuilt["edge_matrices"]])
+        worst = float(np.max(np.abs(mult - h) / np.maximum(1.0, np.abs(h))))
+        checks.append(ReportCheck("multiplier = h(e)", worst < 1e-9, worst, 1e-9))
+        for name, key in (("edge matrix det = 1", "edge_matrices"),
+                          ("generator det = 1", "generators")):
+            worst = float(np.max([_ref_det_error(e["matrix"]) for e in rebuilt[key]],
+                                 initial=0.0))
+            checks.append(ReportCheck(name, worst <= 1e-10, worst, 1e-10))
+    return checks

@@ -212,6 +212,56 @@ def test_tampered_claims_fail_verification(field, tamper):
     assert failed == [f"{field} matches"]
 
 
+def _false_for_a_zero(r):
+    for g in r["generators"]:
+        for pair in g["matrix"]:
+            if 0.0 in pair:
+                pair[pair.index(0.0)] = False
+                return
+    pytest.fail("no matrix entry is 0")
+
+
+@pytest.mark.parametrize("check, tamper", [
+    ("report_version matches", lambda r: r.__setitem__("report_version", True)),
+    ("index matches", lambda r: r["edges"][0].__setitem__("index", False)),
+    ("index matches", lambda r: r["edges"][1].__setitem__("index", True)),
+    ("holonomy labels match",
+     lambda r: r["generators"][0].__setitem__("up_to_sign", 1)),
+    ("all_orders_finite matches",
+     lambda r: r.__setitem__("all_orders_finite", 1)),
+    ("lifted_degree matches",
+     lambda r: r["edges"][0].__setitem__("lifted_degree", 6.0)),
+    ("order matches", lambda r: r["edges"][1].__setitem__("order", True)),
+    ("generator matrix matches", _false_for_a_zero),
+    ("volume total matches", lambda r: r["volume"].__setitem__(
+        "total", repr(r["volume"]["total"]))),
+], ids=["version true", "index false", "index true", "up_to_sign 1",
+        "all_orders_finite 1", "lifted_degree 6.0", "order true",
+        "matrix entry false", "total as a string"])
+def test_a_value_of_another_json_type_fails_its_check(check, tamper):
+    # each verified: Python holds True == 1 == 1.0, and the numeric
+    # comparison read a string as the number it spells
+    rep = json.loads(dumps(fig8_report()))
+    assert all(c.ok for c in verify_report(rep))
+    tamper(rep)
+    failed = [(c.name, c.value) for c in verify_report(rep) if not c.ok]
+    assert failed == [(check, math.inf)]
+
+
+def test_cli_verify_fails_a_true_for_the_order_one(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "certify", "--corpus", "fig8_complement",
+                             "--json")
+    rep = json.loads(out)
+    assert rep["edges"][0]["order"] == 1
+    rep["edges"][0]["order"] = True
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(rep))
+    code, out, err = run_cli(capsys, "verify-report", "--report", str(path))
+    assert (code, err) == (1, "")
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "order matches: FAIL (inf vs tol 0.0e+00)"]
+
+
 @pytest.mark.parametrize("tamper", [
     lambda r: r.pop("volume"),
     lambda r: r.pop("edges"),
@@ -228,33 +278,37 @@ def test_missing_or_extra_report_fields_fail_verification(tamper):
 
 def test_verify_rebuilds_the_report_once(monkeypatch):
     # one code path writes and re-checks: the volume, angles and develop
-    # run only inside the one rebuild
+    # run only inside the one rebuild, by the writer that
+    # build_solution_report calls too
     rep = fig8_report()
     calls = []
-    for name in ("build_solution_report", "solution_volume",
+    for name in ("_solution_report", "solution_volume",
                  "edge_cone_angles", "develop_spanning_tree"):
         original = getattr(report_mod, name)
         monkeypatch.setattr(report_mod, name, lambda *a, _f=original, _n=name,
                             **k: calls.append(_n) or _f(*a, **k))
     assert all(c.ok for c in verify_report(rep))
-    assert sorted(calls) == ["build_solution_report", "develop_spanning_tree",
+    assert sorted(calls) == ["_solution_report", "develop_spanning_tree",
                              "edge_cone_angles", "solution_volume"]
 
 
 @pytest.mark.parametrize("tamper", [None, lambda r: r["edges"][0].__setitem__(
     "order", 7)], ids=["clean", "tampered"])
 def test_verify_flattens_only_a_report_that_differs(tamper, monkeypatch):
-    # a report equal to its rebuild is checked against the rebuild's own
-    # fields, each matching with error 0.0, as it matched when flattened
+    # a report the same as its rebuild is not flattened: its field checks,
+    # each ok with error 0.0, are named from one row of each block, once
+    # per key set; a report that differs is flattened with its rebuild
     rep = json.loads(json.dumps(fig8_report()))
     if tamper:
         tamper(rep)
     calls = []
     original = report_mod._fields
+    monkeypatch.setattr(report_mod, "_CLEAN", {})
     monkeypatch.setattr(report_mod, "_fields",
                         lambda r: calls.append(r) or original(r))
     checks = verify_report(rep)
-    assert len(calls) == (2 if tamper else 1)
+    assert verify_report(rep) == checks
+    assert [len(r["edges"]) for r in calls] == ([2] * 4 if tamper else [1])
     assert [c.name for c in checks if not c.ok] == (["order matches"] if tamper
                                                     else [])
     assert all(c.value == 0.0 for c in checks if c.name.endswith("matches")

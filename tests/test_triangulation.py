@@ -1,6 +1,7 @@
 """Identification combinatorics: validation, edge classes, vertex links,
 abstract neighbourhoods, self-identifications, enumeration."""
 import copy
+import hashlib
 import itertools
 import pickle
 import random
@@ -202,6 +203,23 @@ def test_random_triangulation_rejects_what_is_no_tetrahedron_count(n, message):
 def test_random_triangulation_takes_any_integer_type():
     assert random_triangulation(np.int64(3), seed=5) == random_triangulation(
         3, seed=5)
+
+
+# sha256 of the pair tables of random_triangulation(n, seed), seeds 0-50
+# and n = 1-8, as drawn when each face's partner was removed by value
+SEEDED_PAIRS_SHA256 = ("3a41ad3537822bf255fcee32e4c03489"
+                       "bf7f4d658d3c4636756a9c2c8702bd00")
+
+
+def test_seeded_random_triangulations_are_pinned():
+    # the drawn partner face is deleted at its index, not searched for by
+    # value: the same gluings for every seed, in linear time per face
+    digest = hashlib.sha256()
+    for seed in range(51):
+        for n in range(1, 9):
+            t = random_triangulation(n, seed=seed)
+            digest.update(repr(t._pair_array.tolist()).encode())
+    assert digest.hexdigest() == SEEDED_PAIRS_SHA256
 
 
 def test_random_triangulations_are_valid_and_partition():

@@ -177,7 +177,7 @@ def _cmd_solve(args) -> int:
     t = _load_triangulation(args)
     xi, cfg, res = _solve(args, t)
     rep = report_mod.build_solution_report(t, res.shapes, xi,
-                                           res.residual_norm)
+                                           res.residual_norm, tol=cfg.tol)
     human = ["converged in %d iterations, residual %.3e"
              % (res.iterations, res.residual_norm)]
     for i, z in enumerate(res.shapes.z):
@@ -193,7 +193,7 @@ def _cmd_certify(args) -> int:
     cert = essential_edge_certificate(t, res, xi, cfg)
     rep = report_mod.build_solution_report(t, res.shapes, xi,
                                            res.residual_norm,
-                                           certificate=cert)
+                                           certificate=cert, tol=cfg.tol)
     _emit(args, rep, f"certificate: {cert.statement}")
     return EXIT_OK
 
@@ -234,14 +234,17 @@ def _cmd_holonomy(args) -> int:
     else:
         xi, _, res = _solve(args, t)
         Z, residual = res.shapes, res.residual_norm
-    rep = report_mod.build_solution_report(t, Z, xi, residual)
-    human = []
-    for g in rep["generators"]:
-        human.append(f"generator {g['gluing']}: trace {complex(*g['trace']):.9g} "
-                     f"(up to sign)")
-    for em in rep["edge_matrices"]:
-        human.append(f"edge e{em['edge']}: multiplier {complex(*em['multiplier']):.9g}, "
-                     f"trace {complex(*em['trace']):.9g}")
+    rep = report_mod.build_solution_report(t, Z, xi, residual, tol=args.tol)
+    gens, edges = rep["generators"], rep["edge_matrices"]
+
+    def values(column):             # a report column of complex values
+        return report_mod._complex(column)[0].tolist()
+
+    human = [f"generator {g}: trace {tr:.9g} (up to sign)"
+             for g, tr in zip(gens["gluing"], values(gens["trace"]))]
+    human += [f"edge e{j}: multiplier {mult:.9g}, trace {tr:.9g}"
+              for j, (mult, tr) in enumerate(zip(values(edges["multiplier"]),
+                                                 values(edges["trace"])))]
     _emit(args, rep, "\n".join(human))
     return EXIT_OK
 

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and `check_count`, the one
-test of an integer argument."""
+"""Exception types shared across the package, `check_count`, the one
+test of an integer argument, and `check_tol`, the one test of a
+tolerance."""
 import contextlib
 import operator
+import sys
+from numbers import Real
 
 
 class IdealGlueError(Exception):
@@ -81,3 +84,13 @@ def check_count(name: str, value, least: int = 0) -> int:
     if index < least:
         raise IdealGlueError(f"{name} must be >= {least}, got {value}")
     return index
+
+
+def check_tol(value):
+    """`value` when it is a tolerance, a real > 0 and at most the largest
+    float (a bool is not one); raises IdealGlueError naming the value
+    otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not 0 < value <= sys.float_info.max):
+        raise IdealGlueError(f"tol must be a real > 0, got {value!r}")
+    return value

@@ -1,33 +1,41 @@
-"""Self-contained JSON solution reports and their re-validation.
+"""Self-contained JSON solution reports, schema version 2, and their
+re-validation.
 
-Complex numbers serialize as [re, im] pairs; json round-trips doubles
-bit-exactly, so `verify_report` can rebuild a report from its own inputs
-with `build_solution_report`, without a solve, and compare every field.
+A report holds its inputs, `triangulation`, `tol`, `residual_norm`,
+`shapes` and `xi` (complex numbers as [re, im] pairs), and its claims:
+`report_version`, `converged`, `all_orders_finite`, `certificate`, the
+`volume` block and the row blocks `edges` and, with the holonomy block,
+`generators` and `edge_matrices`.  A row block is one object of
+equal-length columns, each one flat list of JSON values in row order: a
+number, int or string per row, or the re and im parts of a complex value,
+and for a matrix those of its entries a, b, c, d.  json round-trips doubles
+bit-exactly, so `verify_report` rebuilds a report from its inputs with the
+one writer, without a solve, and compares each claimed field, a column at
+a time, with the rebuilt one.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import json
-import marshal
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
 
 from .develop import develop_spanning_tree
-from .errors import EdgeCycleNotClosed, IdealGlueError
+from .errors import EdgeCycleNotClosed, IdealGlueError, check_tol
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import (VolumeReport, edge_cone_angles, shape_table,
                        solution_volume)
 from .gluing import (ConeTarget, ShapeAssignment, all_holonomies,
                      build_exponent_matrix, check_shape_length,
                      check_target_length, evaluate_residual)
-from .solver import branched_cover_report, cover_certificate, residual_check
+from .solver import (SolverConfig, branched_cover_report, cover_certificate,
+                     residual_check)
 from .triangulation import Triangulation
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _pairs(values) -> list:
@@ -36,6 +44,12 @@ def _pairs(values) -> list:
     a = np.ascontiguousarray(values, dtype=complex)
     rows = a.shape[:1] if a.ndim > 1 else ()
     return a.view(float).reshape(rows + (-1, 2)).tolist()
+
+
+def _flat(values) -> list:
+    """Complex values, or a stack of matrices, as one flat list of their
+    parts, re then im of each entry, in C order: a report column."""
+    return np.ascontiguousarray(values, dtype=complex).view(float).ravel().tolist()
 
 
 def _det_error(matrices) -> np.ndarray:
@@ -62,43 +76,46 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
                           xi: ConeTarget, residual_norm: float,
                           converged: bool = True,
                           certificate=None,
-                          include_holonomy: bool = True) -> dict:
-    """Assemble the full structured report for a solution point.  The cover
-    bookkeeping is the certificate's when it was drawn at the same xi.
-    Raises IdealGlueError unless Z has one shape per tetrahedron and xi one
-    target per edge class."""
-    return _solution_report(t, Z, xi, residual_norm, converged, certificate,
-                            include_holonomy)
+                          include_holonomy: bool = True,
+                          tol: float = SolverConfig().tol) -> dict:
+    """Assemble the full structured report for a solution point, as JSON
+    data: its inputs, then the claims `_solution_report` writes; `tol` is
+    the solve's tolerance, which bounds the residual of a converged or
+    certified report.  The cover bookkeeping is the certificate's when it
+    was drawn at the same xi.  Raises IdealGlueError unless Z has one
+    shape per tetrahedron, xi one target per edge class and tol is a
+    finite real > 0."""
+    return {"report_version": REPORT_VERSION,
+            "triangulation": format_triangulation(t),
+            "tol": float(check_tol(tol)),
+            "residual_norm": float(residual_norm),
+            "shapes": _pairs(Z.z), "xi": _pairs(xi.xi),
+            **_solution_report(t, Z, xi, converged, certificate,
+                               include_holonomy)}
 
 
-def _solution_report(t, Z, xi, residual_norm, converged, certificate,
-                     include_holonomy, h=None) -> dict:
-    """`build_solution_report`, the one report writer; `h`, when given, is
-    `all_holonomies(Z, E)`, as in `evaluate_residual`."""
+def _solution_report(t, Z, xi, converged, certificate, include_holonomy,
+                     h=None) -> dict:
+    """The claims of a report, the one writer of each: all but the inputs,
+    which `verify_report` reads off the report it rebuilds.  `h`, when
+    given, is `all_holonomies(Z, E)`, as in `evaluate_residual`."""
     E = build_exponent_matrix(t)
     check_shape_length(Z, E)
     check_target_length(xi, E)
     cover = (certificate.cover if certificate is not None and certificate.xi == xi
              else branched_cover_report(E, xi))
-    orders, lifted = cover.orders, cover.lifted_degrees
+    orders, lifted = list(cover.orders), list(cover.lifted_degrees)
     if not cover.all_orders_finite:
         orders, lifted = ([None if math.isinf(o) else o for o in v]
                           for v in (orders, lifted))
-    z = np.array(Z.z, dtype=complex)
-    table = shape_table(z)          # one for the volume and the angles
-    rows = zip(range(E.edge_count), E.degree.tolist(), orders, lifted,
-               _pairs(all_holonomies(Z, E) if h is None else h),
-               edge_cone_angles(Z, E, table).tolist())
+    table = shape_table(np.array(Z.z, dtype=complex))   # for volume, angles
     report = {
         "report_version": REPORT_VERSION,
-        "triangulation": format_triangulation(t),
         "converged": bool(converged),
-        "shapes": _pairs(z),
-        "xi": _pairs(xi.xi),
-        "residual_norm": float(residual_norm),
-        "edges": [{"index": j, "degree": d, "holonomy": hol, "order": o,
-                   "lifted_degree": lift, "cone_angle": angle}
-                  for j, d, o, lift, hol, angle in rows],
+        "edges": {"degree": E.degree.tolist(),
+                  "holonomy": _flat(all_holonomies(Z, E) if h is None else h),
+                  "order": orders, "lifted_degree": lifted,
+                  "cone_angle": edge_cone_angles(Z, E, table).tolist()},
         "all_orders_finite": cover.all_orders_finite,
         "volume": volume_payload(solution_volume(Z, table)),
         "certificate": certificate.statement if certificate else None,
@@ -106,15 +123,12 @@ def _solution_report(t, Z, xi, residual_norm, converged, certificate,
     if include_holonomy:            # one develop for the whole block
         dc = develop_spanning_tree(t, Z)
         G, M = dc.generator_matrices, dc.edge_matrices
-        report["generators"] = [
-            {"gluing": str(g), "matrix": m, "up_to_sign": True, "trace": tr}
-            for g, m, tr in zip(dc.generators, _pairs(G),
-                                _pairs(G[:, 0, 0] + G[:, 1, 1]))]
-        report["edge_matrices"] = [
-            {"edge": j, "matrix": m, "up_to_sign": True, "multiplier": mult,
-             "trace": tr}
-            for j, (m, mult, tr) in enumerate(zip(_pairs(M), _pairs(dc.multipliers),
-                                                  _pairs(M[:, 0, 0] + M[:, 1, 1])))]
+        report["generators"] = {"gluing": list(map(str, dc.generators)),
+                                "matrix": _flat(G),
+                                "trace": _flat(G[:, 0, 0] + G[:, 1, 1])}
+        report["edge_matrices"] = {"matrix": _flat(M),
+                                   "multiplier": _flat(dc.multipliers),
+                                   "trace": _flat(M[:, 0, 0] + M[:, 1, 1])}
     return report
 
 
@@ -135,13 +149,13 @@ def _flat_pairs(value):
     if (type(value) is list and set(map(type, value)) <= {list}
             and set(map(len, value)) <= {2}):
         flat = list(itertools.chain.from_iterable(value))
-        if set(map(type, flat)) <= {int, float}:
+        if set(map(type, flat)) <= _NUMBERS:
             return flat
     return None
 
 
 def _complex(pairs: list) -> np.ndarray:
-    """[re, im] pairs, or their numbers in order (`_flat_pairs`), as a
+    """[re, im] pairs, or their numbers in order (a report column), as a
     1-by-k complex array, each entry complex(re, im) bit for bit."""
     return np.array(pairs, dtype=float).reshape(1, -1, 2).view(complex)[..., 0]
 
@@ -157,161 +171,131 @@ def _decode(key: str, decode, value):
                              "float range") from None
 
 
+_NUMBERS = {int, float}             # JSON numbers; a bool is not one
 # the fields a report is rebuilt from, each read by a test that gives the
 # value to decode, or None when the field is malformed
 _INPUTS = {"triangulation": lambda v: v if isinstance(v, str) else None,
-           "shapes": _flat_pairs, "xi": _flat_pairs,
-           "residual_norm": lambda v: v if type(v) in (int, float) else None}
-# row blocks, by the prefix of their fields' check names
-_ROWS = {"edges": "", "generators": "generator ", "edge_matrices": "edge "}
+           "tol": lambda v: v if type(v) in _NUMBERS and 0 < v < math.inf
+           else None,
+           "residual_norm": lambda v: v if type(v) in _NUMBERS else None,
+           "shapes": _flat_pairs, "xi": _flat_pairs}
+# the blocks of a report: each field's check, and how many numbers make
+# one of its values (a [re, im] pair 2, a matrix 8), or 0 for a field of
+# ints, nulls or strings; a field outside the blocks is compared exactly,
+# in the check named after it
+_BLOCKS = {
+    "volume": {"per_tetrahedron": ("volume per_tetrahedron matches", 1),
+               "total": ("volume total matches", 1),
+               "flat_tetrahedra": ("volume flat_tetrahedra matches", 0),
+               "negatively_oriented": ("volume negatively_oriented matches",
+                                       0)},
+    "edges": {"degree": ("degree matches", 0),
+              "holonomy": ("holonomy matches", 2),
+              "order": ("order matches", 0),
+              "lifted_degree": ("lifted_degree matches", 0),
+              "cone_angle": ("cone_angle matches", 1)},
+    "generators": {"gluing": ("holonomy labels match", 0),
+                   "matrix": ("generator matrix matches", 8),
+                   "trace": ("generator trace matches", 2)},
+    "edge_matrices": {"matrix": ("edge matrix matches", 8),
+                      "multiplier": ("multiplier matches", 2),
+                      "trace": ("edge trace matches", 2)},
+}
 _HOLONOMY = {"generators", "edge_matrices"}
-_RENAMED = {"edge multiplier": "multiplier", **dict.fromkeys((
-    "generator gluing", "generator up_to_sign", "edge edge", "edge up_to_sign"),
-    "holonomy labels")}
 
 
-def _fields(report: dict) -> dict:
-    """A report's claims by check name: a top-level field but the inputs, a
-    volume entry as "volume <key>", a row field as its list over the rows."""
-    fields = {}
-    for key in sorted(report.keys() - _INPUTS.keys()):
-        value = report[key]
-        if key == "volume" and isinstance(value, dict):
-            fields.update((f"volume {k}", v) for k, v in value.items())
-        elif key in _ROWS and isinstance(value, list) and all(
-                isinstance(row, dict) for row in value):
-            for k in dict.fromkeys(itertools.chain.from_iterable(value)):
-                name = f"{_ROWS[key]}{k}"
-                fields.setdefault(_RENAMED.get(name, name), []).extend(
-                    [row[k] for row in value if k in row])
-        else:
-            fields[key] = value
-    return fields
+def _check(name: str, width: int, got, want) -> ReportCheck:
+    """The check `name` of a claimed field `got` against the rebuilt
+    `want`, a JSON value or a column of them, in one type test and one
+    comparison.  With width 0 exactly, each value of the rebuilt JSON
+    type: true is not 1, nor 6.0 the int 6.  Else the claimed values are
+    JSON numbers, ints or floats but not booleans, within 1e-12 of the
+    rebuilt ones (`_error`).  A column of another length fails."""
+    if type(want) is not list:
+        got, want = [got], [want]
+    worst = math.inf
+    if (type(got) is list and len(got) == len(want)
+            and set(map(type, got)) <= (_NUMBERS if width
+                                        else set(map(type, want)))):
+        if got == want:
+            worst = 0.0
+        elif width:
+            worst = _error(name, got, want, width)
+    tol = 1e-12 if width else 0.0
+    return ReportCheck(name, worst <= tol, worst, tol)
 
 
-def _leaf_types(value) -> set:
-    """The types of a JSON value's entries, through nested lists."""
-    if type(value) is list:
-        return set().union(*map(_leaf_types, value))
-    return {type(value)}
-
-
-def _same(got, want) -> bool:
-    """got == want as JSON values, where Python's True == 1 == 1.0 is not."""
-    if type(want) is list:
-        return (type(got) is list and len(got) == len(want)
-                and all(map(_same, got, want)))
-    return type(got) is type(want) and got == want
-
-
-def _same_as_rebuilt(report: dict, rebuilt: dict) -> bool:
-    """`_same` for a report and its rebuild, inputs aside, in C-level
-    passes: Python's ==, then marshal's bytes for the fields outside the
-    rows (marshal writes each value with its type, and a float bit for
-    bit), and a type test per field of a block of rows, where the writer
-    gives each field one JSON type (or null) in every row, so a claimed
-    entry needs only the type of the field's first rebuilt entry."""
-    keys = rebuilt.keys() - _INPUTS.keys()
-    if report.keys() != rebuilt.keys() or any(report[k] != rebuilt[k]
-                                              for k in keys):
-        return False
-    rest = sorted(keys - _ROWS.keys())
+def _error(name: str, got: list, want: list, width: int) -> float:
+    """The largest error of a column of JSON numbers, relative to
+    max(1, |value|), one value being `width` numbers in a row and |value|
+    their largest modulus; matrices and traces up to sign.  inf for an int
+    past the float range."""
     try:
-        if (marshal.dumps([report[k] for k in rest], 2)
-                != marshal.dumps([rebuilt[k] for k in rest], 2)):
-            return False
-    except ValueError:                  # not JSON data
-        return False
-    for key in keys & _ROWS.keys():
-        for k, first in rebuilt[key][0].items():
-            values = map(operator.itemgetter(k), report[key])
-            while type(first) is list and first:
-                values, first = itertools.chain.from_iterable(values), first[0]
-            if not set(map(type, values)) <= {type(first), type(None)}:
-                return False
-    return True
+        g = np.array(got, dtype=float).reshape(-1, width)
+    except OverflowError:
+        return math.inf
+    w = np.array(want, dtype=float).reshape(-1, width)
+    err = np.abs(g - w).max(-1)
+    if name.endswith(("matrix matches", "trace matches")):
+        err = np.minimum(err, np.abs(g + w).max(-1))
+    return float(np.max(err / np.maximum(1.0, np.abs(w).max(-1))))
 
 
-# the field checks of a report the same as its rebuild, by the rebuild's
-# keys: one entry for each key set the writer writes (with and without the
-# holonomy block), each a tuple of immutable checks
-_CLEAN = {}
-
-
-def _clean_checks(rebuilt: dict) -> tuple:
-    """The field checks of a report the same as its rebuild, each ok at 0.
-    The writer gives every row of a block the same keys, and each key one
-    JSON type, so the rebuild's keys fix each check's name and tolerance:
-    they are read off one row of each block, once per set of keys."""
-    keys = tuple(rebuilt)
-    if keys not in _CLEAN:
-        one_row = {k: v[:1] if k in _ROWS else v for k, v in rebuilt.items()}
-        _CLEAN[keys] = tuple(_match(name, want, want)
-                             for name, want in _fields(one_row).items())
-    return _CLEAN[keys]
-
-
-def _match(name: str, got, want) -> ReportCheck:
-    """Whether a reported field equals the rebuilt one: ints, None, bools,
-    strings and labels exactly, with the rebuilt JSON type (`_same`);
-    numbers, ints or floats, to 1e-12 relative to max(1, |value|), one
-    value being a number, a [re, im] pair or a matrix of pairs, |value| its
-    largest entry; matrices and traces up to sign."""
-    numeric = isinstance(want, float) or (
-        isinstance(want, list) and bool(want) and isinstance(want[0], (float, list)))
-    if not numeric:
-        worst = 0.0 if _same(got, want) else math.inf
-    elif {bool, str} & _leaf_types(got):
-        worst = math.inf                # not a JSON number
-    elif got == want:
-        worst = 0.0
-    else:
-        try:
-            g, w = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            g = w = np.empty(0)         # not floats: worst stays inf
-        worst = math.inf
-        if g.shape == w.shape and w.size:   # one row per value
-            g, w = (a.reshape(a.shape[:1] + (-1,)) for a in (g, w))
-            err = np.abs(g - w).max(-1)
-            if name.endswith(("matrix", "trace")):
-                err = np.minimum(err, np.abs(g + w).max(-1))
-            worst = float(np.max(err / np.maximum(1.0, np.abs(w).max(-1))))
-    label = "match" if name.endswith("labels") else "matches"
-    tol = 1e-12 if numeric else 0.0
-    return ReportCheck(f"{name} {label}", worst <= tol, worst, tol)
+def _compare(report: dict, rebuilt: dict) -> tuple:
+    """The number of fields, inputs aside, that only one of a report and
+    its rebuild has, counting the report's top-level keys and the fields
+    of each block, where a block that is not a JSON object has none; and
+    the `_check` of each rebuilt field, in the rebuild's order."""
+    odd, checks = len((report.keys() - _INPUTS.keys()) ^ rebuilt.keys()), []
+    for key, want in rebuilt.items():
+        if key not in _BLOCKS:
+            checks.append(_check(f"{key} matches", 0, report.get(key), want))
+            continue
+        got = report.get(key)
+        got = got if type(got) is dict else {}
+        odd += len(got.keys() ^ want.keys())
+        checks += [_check(*_BLOCKS[key][k], got.get(k), column)
+                   for k, column in want.items()]
+    return odd, checks
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def verify_report(report: dict) -> list:
-    """Re-check every claim of a report by rebuilding it, without a solve.
+    """Re-check every claim of a version-2 report by rebuilding it, without
+    a solve.
 
     The inputs `triangulation`, `shapes` and `xi` go to the report writer
     with the report's `converged` flag, the holonomy block when the report
     has one, and, when a certificate is stated, the certificate
     `cover_certificate` draws from the cover bookkeeping, which the rebuilt
     rows then share; h(e) is evaluated once at the shapes, for the
-    residual and the rebuilt rows.  `residual_norm` and every other field
-    must equal the re-evaluated or rebuilt one (`_match`): ints, null,
-    booleans, strings and labels of the same JSON type too, numbers as
-    JSON numbers (a bool is neither).  A report equal to its rebuild
-    (`_same_as_rebuilt`) passes each field check at 0 without a field
-    being compared on its own, as it would field by field.  A missing or
-    extra field fails "report fields match".
-    Invariants: residual <= 10 tol (`residual_check`) when convergence or a
-    certificate is claimed, prod xi = 1, multiplier = h(e),
-    |det M - 1| <= 1e-10 max(1, |M|^2).  When the shapes do not develop
-    (`EdgeCycleNotClosed`: an edge matrix misses its ends, as rounding
-    makes it at shapes of modulus 1e5 and more), "holonomy develops" fails
-    and the holonomy block goes unchecked.  A value that overflows in the
-    rebuild is not finite and fails its check, without a NumPy warning.
-    A claimed number past the float range (a JSON integer such as 10^400)
-    fails its check.  Raises IdealGlueError, naming the field, unless the
-    report is an object with well-typed inputs and `residual_norm`, each
-    number within the float range, one shape per tetrahedron and one
-    target per edge class."""
+    residual and the rebuilt rows.  `residual_norm` must equal the
+    re-evaluated residual and every other field the rebuilt one, a column
+    at a time (`_check`): ints, null, booleans and strings exactly and of
+    the rebuilt JSON type, numbers as JSON numbers (a bool is not one) to
+    1e-12.  A missing or extra field, at the top level or in a block,
+    fails "report fields match".
+    Invariants: residual <= 10 tol, the report's own `tol`
+    (`residual_check`), when convergence or a certificate is claimed,
+    prod xi = 1, multiplier = h(e), |det M - 1| <= 1e-10 max(1, |M|^2).
+    When the shapes do not develop (`EdgeCycleNotClosed`: an edge matrix
+    misses its ends, as rounding makes it at shapes of modulus 1e5 and
+    more), "holonomy develops" fails and the holonomy block goes
+    unchecked.  A value that overflows in the rebuild is not finite and
+    fails its check, without a NumPy warning, as does a claimed number past
+    the float range (a JSON integer such as 10^400).  Raises
+    IdealGlueError, naming the field, unless the report is an object of
+    `report_version` 2 (an int of another version is refused; there is no
+    converter) with well-typed inputs, a `tol` that is a finite JSON
+    number > 0, each number within the float range, one shape per
+    tetrahedron and one target per edge class."""
     if not isinstance(report, dict):
         raise IdealGlueError(f"a report is a JSON object, not {type(report).__name__}")
+    version = report.get("report_version")
+    if type(version) is int and version != REPORT_VERSION:
+        raise IdealGlueError(f"report_version {version} is not read: this "
+                             f"program reads version {REPORT_VERSION} reports "
+                             "only; write the report again")
     inputs = {key: read(report.get(key)) for key, read in _INPUTS.items()}
     for key, value in inputs.items():
         if value is None:
@@ -321,7 +305,8 @@ def verify_report(report: dict) -> list:
     (Z,) = ShapeAssignment.rows(z)
     x = _decode("xi", _complex, inputs["xi"])
     (xi,) = ConeTarget.rows(x)
-    claim = _decode("residual_norm", float, inputs["residual_norm"])
+    tol = _decode("tol", float, inputs["tol"])
+    _decode("residual_norm", float, inputs["residual_norm"])   # in range
     E = build_exponent_matrix(t)
     check_shape_length(Z, E)
     check_target_length(xi, E)
@@ -330,40 +315,33 @@ def verify_report(report: dict) -> list:
     claimed = report.get("certificate") is not None
     certificate = (cover_certificate(branched_cover_report(E, xi), res, Z, xi)
                    if claimed else None)
-    rebuild = functools.partial(_solution_report, t, Z, xi, claim,
+    rebuild = functools.partial(_solution_report, t, Z, xi,
                                 report.get("converged") is True, certificate,
                                 h=h)
     holonomy, checks = _HOLONOMY & report.keys(), []
     try:
-        rebuilt = rebuild(include_holonomy=bool(holonomy))
+        rebuilt = rebuild(bool(holonomy))
     except EdgeCycleNotClosed as err:
         checks.append(ReportCheck("holonomy develops", False, err.mismatch,
                                   err.tolerance))
         report = {k: v for k, v in report.items() if k not in holonomy}
-        rebuilt = rebuild(include_holonomy=False)
-
-    if _same_as_rebuilt(report, rebuilt):
-        odd, fields = 0, _clean_checks(rebuilt)
-    else:
-        want, got = _fields(rebuilt), _fields(report)
-        odd = len(got.keys() ^ want.keys())
-        fields = [_match(name, got.get(name), value)
-                  for name, value in want.items()]
+        rebuilt = rebuild(False)
+    odd, fields = _compare(report, rebuilt)
     checks += [ReportCheck("report fields match", not odd, float(odd), 0.0),
-               _match("residual_norm", report["residual_norm"], res), *fields]
+               _check("residual_norm matches", 1, report["residual_norm"], res),
+               *fields]
     if rebuilt["converged"] or claimed:
-        ok, bound = residual_check(res)
+        ok, bound = residual_check(res, tol)
         checks.append(ReportCheck("residual_norm <= 10 tol", ok, res, bound))
     prod = abs(math.prod(xi.xi) - 1.0)
     checks.append(ReportCheck("prod xi = 1", prod < 1e-8, prod, 1e-8))
     if "edge_matrices" in rebuilt:
-        mult = _complex(list(map(operator.itemgetter("multiplier"),
-                                 rebuilt["edge_matrices"])))[0]
+        mult = _complex(rebuilt["edge_matrices"]["multiplier"])[0]
         worst = float(np.max(np.abs(mult - h) / np.maximum(1.0, np.abs(h))))
         checks.append(ReportCheck("multiplier = h(e)", worst < 1e-9, worst, 1e-9))
         for name, key in (("edge matrix det = 1", "edge_matrices"),
                           ("generator det = 1", "generators")):
-            matrices = list(map(operator.itemgetter("matrix"), rebuilt[key]))
+            matrices = np.reshape(rebuilt[key]["matrix"], (-1, 4, 2))
             worst = float(np.max(_det_error(matrices),
                                  initial=0.0))     # a nan propagates
             checks.append(ReportCheck(name, worst <= 1e-10, worst, 1e-10))

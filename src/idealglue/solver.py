@@ -96,12 +96,11 @@ import contextlib
 import itertools
 import math
 import operator
-from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IdealGlueError, NotConverged, NotUnitModulus, check_count
+from .errors import NotConverged, NotUnitModulus, check_count, check_tol
 from .geometry import V_TET
 from .gluing import (UNIT_TOL, ConeTarget, ExponentMatrix, FrozenSlots,
                      ShapeAssignment, all_holonomies, build_exponent_matrix,
@@ -131,10 +130,7 @@ class SolverConfig(FrozenSlots):
 
     def __init__(self, tol: float = 1e-10, max_iterations: int = 100,
                  seed: int = 0):
-        if (isinstance(tol, bool) or not isinstance(tol, Real)
-                or not (math.isfinite(tol) and tol > 0)):
-            raise IdealGlueError(f"tol must be a real > 0, got {tol!r}")
-        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "tol", check_tol(tol))
         object.__setattr__(self, "max_iterations",
                            check_count("max_iterations", max_iterations))
         object.__setattr__(self, "seed", check_count("seed", seed))
@@ -674,14 +670,21 @@ class CoverDegreeReport(NamedTuple):
 def branched_cover_report(E: ExponentMatrix,
                           xi: ConeTarget) -> CoverDegreeReport:
     """The order of each edge's target and its lifted degree; the order of
-    each distinct target value is found once, in order of first occurrence.
+    each distinct target value is found once, in order of first occurrence,
+    and whether every order is finite, or 1, is read off those.  When all
+    targets are equal, the lifted degrees are one product of the degrees.
     Raises IdealGlueError unless xi has one target per edge class."""
     check_target_length(xi, E)
     found = {x: order_of_root_of_unity(x) for x in dict.fromkeys(xi.xi)}
-    orders = tuple(map(found.__getitem__, xi.xi))
-    return CoverDegreeReport(
-        orders, tuple(map(operator.mul, orders, E.degree.tolist())),
-        math.inf not in orders, orders.count(1) == len(orders))
+    if len(found) == 1:
+        (order,) = found.values()
+        orders, lifted = (order,) * len(xi.xi), (E.degree * order).tolist()
+    else:
+        orders = tuple(map(found.__getitem__, xi.xi))
+        lifted = map(operator.mul, orders, E.degree.tolist())
+    return CoverDegreeReport(orders, tuple(lifted),
+                             math.inf not in found.values(),
+                             set(found.values()) <= {1})
 
 
 class Certificate(NamedTuple):
@@ -717,9 +720,10 @@ def cover_certificate(cover: CoverDegreeReport, residual_norm: float,
                        cover)
 
 
-def residual_check(res: float, cfg: SolverConfig = SolverConfig()) -> tuple:
-    """(res <= 10 tol, 10 tol): a certificate's residual test and bound."""
-    return res <= 10 * cfg.tol, 10 * cfg.tol
+def residual_check(res: float, tol: float) -> tuple:
+    """(res <= 10 tol, 10 tol): a certificate's residual test and bound, for
+    a solve at tolerance tol."""
+    return res <= 10 * tol, 10 * tol
 
 
 def essential_edge_certificate(t: Triangulation, result: SolveResult,
@@ -740,7 +744,7 @@ def essential_edge_certificate(t: Triangulation, result: SolveResult,
         raise NotConverged(result.reason or "solve did not converge")
     # verify independently of the solver's bookkeeping
     res = float(np.linalg.norm(evaluate_residual(result.shapes, E, xi)))
-    if not residual_check(res, cfg)[0]:
+    if not residual_check(res, cfg.tol)[0]:
         raise NotConverged(f"re-evaluated residual {res:.3e} too large")
     return cover_certificate(branched_cover_report(E, xi), res,
                              result.shapes, xi)

@@ -164,44 +164,71 @@ def _ref_decode(report: dict, key: str, decode):
 
 
 def _ref_det_error(matrix) -> float:
-    a, b, c, d = (complex(*p) for p in matrix)
+    a, b, c, d = (complex(re, im) for re, im in zip(matrix[::2], matrix[1::2]))
     s = max(1.0, abs(a), abs(b), abs(c), abs(d))
     a, b, c, d = a / s, b / s, c / s, d / s
     return abs(a * d - b * c - 1.0 / s / s)
 
 
 _REF_INPUTS = {"triangulation": lambda v: isinstance(v, str),
-               "shapes": _ref_is_pairs, "xi": _ref_is_pairs,
-               "residual_norm": lambda v: type(v) in (int, float)}
-_REF_ROWS = {"edges": "", "generators": "generator ", "edge_matrices": "edge "}
+               "tol": lambda v: type(v) in (int, float) and 0 < v < math.inf,
+               "residual_norm": lambda v: type(v) in (int, float),
+               "shapes": _ref_is_pairs, "xi": _ref_is_pairs}
+# per block of a report, per field: its check name and the numbers in one
+# of its values
+REPORT_BLOCKS = {
+    "volume": {"per_tetrahedron": ("volume per_tetrahedron", 1),
+               "total": ("volume total", 1),
+               "flat_tetrahedra": ("volume flat_tetrahedra", 1),
+               "negatively_oriented": ("volume negatively_oriented", 1)},
+    "edges": {"degree": ("degree", 1), "holonomy": ("holonomy", 2),
+              "order": ("order", 1), "lifted_degree": ("lifted_degree", 1),
+              "cone_angle": ("cone_angle", 1)},
+    "generators": {"gluing": ("holonomy labels", 1),
+                   "matrix": ("generator matrix", 8),
+                   "trace": ("generator trace", 2)},
+    "edge_matrices": {"matrix": ("edge matrix", 8),
+                      "multiplier": ("multiplier", 2),
+                      "trace": ("edge trace", 2)},
+}
 _REF_HOLONOMY = {"generators", "edge_matrices"}
-_REF_RENAMED = {"edge multiplier": "multiplier", **dict.fromkeys((
-    "generator gluing", "generator up_to_sign", "edge edge", "edge up_to_sign"),
-    "holonomy labels")}
+
+
+def _ref_values(column, width: int):
+    """A column cut into its values, `width` entries each."""
+    if width == 1 or not isinstance(column, list):
+        return column
+    return [column[i:i + width] for i in range(0, len(column), width)]
 
 
 def _ref_fields(report: dict) -> dict:
+    """Each claim by its check name: a top-level field, or a block's field
+    as its list of values."""
     fields = {}
-    for key in sorted(report.keys() - _REF_INPUTS.keys()):
-        value = report[key]
-        if key == "volume" and isinstance(value, dict):
-            fields.update((f"volume {k}", v) for k, v in value.items())
-        elif key in _REF_ROWS and isinstance(value, list) and all(
-                isinstance(row, dict) for row in value):
-            for k in dict.fromkeys(itertools.chain.from_iterable(value)):
-                name = f"{_REF_ROWS[key]}{k}"
-                fields.setdefault(_REF_RENAMED.get(name, name), []).extend(
-                    [row[k] for row in value if k in row])
-        else:
+    for key, value in report.items():
+        if key in _REF_INPUTS:
+            continue
+        if key not in REPORT_BLOCKS:
             fields[key] = value
+        elif isinstance(value, dict):
+            for k, column in value.items():
+                name, width = REPORT_BLOCKS[key].get(k, (f"{key} {k}", 1))
+                fields[name] = _ref_values(column, width)
     return fields
+
+
+def _ref_names(report: dict) -> set:
+    """The report's top-level keys, inputs aside, and its blocks' fields."""
+    return ({k for k in report if k not in _REF_INPUTS}
+            | {(k, f) for k in REPORT_BLOCKS if isinstance(report.get(k), dict)
+               for f in report[k]})
 
 
 def _ref_match(name: str, got, want) -> ReportCheck:
     numeric = isinstance(want, float) or (
         isinstance(want, list) and bool(want) and isinstance(want[0], (float, list)))
     worst = 0.0 if got == want else math.inf
-    if worst and numeric:
+    if worst and numeric and got is not None:   # None: a missing field
         try:
             g, w = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
         except (TypeError, ValueError, OverflowError):
@@ -219,20 +246,28 @@ def _ref_match(name: str, got, want) -> ReportCheck:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def reference_verify_report(report: dict) -> list:
-    """`verify_report` as it was before its equality fast path: every field
-    flattened and compared on its own by Python's ==, then to 1e-12 as
-    floats, so that a bool passes for the number 1 or 0 and an integral
-    float for an int; h(e) evaluated twice and the invariants one matrix
-    at a time.  The checks the verifier makes must equal these, but where
-    a value of another JSON type stands in for a claimed one."""
+    """`verify_report` field by field, on a report of schema version 2:
+    each claimed column cut into its values (a number, a [re, im] pair or a
+    matrix of four pairs) and compared on its own by Python's ==, then to
+    1e-12 as floats, so that a bool passes for the number 1 or 0 and an
+    integral float for an int; the rebuild writes its inputs, h(e) is
+    evaluated twice and the invariants one matrix at a time.  The checks
+    the verifier makes must equal these, but where a value of another JSON
+    type stands in for a claimed one."""
     if not isinstance(report, dict):
         raise IdealGlueError(f"a report is a JSON object, not {type(report).__name__}")
+    version = report.get("report_version")
+    if type(version) is int and version != 2:
+        raise IdealGlueError(f"report_version {version} is not read: this "
+                             "program reads version 2 reports only; write "
+                             "the report again")
     for key, ok in _REF_INPUTS.items():
         if not ok(report.get(key)):
             raise IdealGlueError(f"report field {key!r} is missing or malformed")
     t = parse_triangulation(report["triangulation"])
     (Z,) = ShapeAssignment.rows(_ref_decode(report, "shapes", _ref_complex))
     (xi,) = ConeTarget.rows(_ref_decode(report, "xi", _ref_complex))
+    tol = _ref_decode(report, "tol", float)
     claim = _ref_decode(report, "residual_norm", float)
     E = build_exponent_matrix(t)
     check_shape_length(Z, E)
@@ -242,7 +277,8 @@ def reference_verify_report(report: dict) -> list:
     certificate = (cover_certificate(branched_cover_report(E, xi), res, Z, xi)
                    if claimed else None)
     rebuild = functools.partial(build_solution_report, t, Z, xi, claim,
-                                report.get("converged") is True, certificate)
+                                report.get("converged") is True, certificate,
+                                tol=tol)
     holonomy, checks = _REF_HOLONOMY & report.keys(), []
     try:
         rebuilt = rebuild(include_holonomy=bool(holonomy))
@@ -251,26 +287,26 @@ def reference_verify_report(report: dict) -> list:
                                   err.tolerance))
         report = {k: v for k, v in report.items() if k not in holonomy}
         rebuilt = rebuild(include_holonomy=False)
-    want = _ref_fields(rebuilt)
-    got = _ref_fields(report)
-    odd = len(got.keys() ^ want.keys())
+    want, got = _ref_fields(rebuilt), _ref_fields(report)
+    odd = len(_ref_names(report) ^ _ref_names(rebuilt))
     checks += [ReportCheck("report fields match", not odd, float(odd), 0.0),
                _ref_match("residual_norm", report["residual_norm"], res)]
     checks += [_ref_match(name, got.get(name), value)
                for name, value in want.items()]
     if rebuilt["converged"] or claimed:
-        ok, bound = residual_check(res)
+        ok, bound = residual_check(res, tol)
         checks.append(ReportCheck("residual_norm <= 10 tol", ok, res, bound))
     prod = abs(math.prod(xi.xi) - 1.0)
     checks.append(ReportCheck("prod xi = 1", prod < 1e-8, prod, 1e-8))
     if "edge_matrices" in rebuilt:
-        h = np.array([complex(*e["holonomy"]) for e in rebuilt["edges"]])
-        mult = np.array([complex(*m["multiplier"]) for m in rebuilt["edge_matrices"]])
+        h = _ref_complex(rebuilt["edges"]["holonomy"])[0]
+        mult = _ref_complex(rebuilt["edge_matrices"]["multiplier"])[0]
         worst = float(np.max(np.abs(mult - h) / np.maximum(1.0, np.abs(h))))
         checks.append(ReportCheck("multiplier = h(e)", worst < 1e-9, worst, 1e-9))
         for name, key in (("edge matrix det = 1", "edge_matrices"),
                           ("generator det = 1", "generators")):
-            worst = float(np.max([_ref_det_error(e["matrix"]) for e in rebuilt[key]],
+            matrices = _ref_values(rebuilt[key]["matrix"], 8)
+            worst = float(np.max([_ref_det_error(m) for m in matrices],
                                  initial=0.0))
             checks.append(ReportCheck(name, worst <= 1e-10, worst, 1e-10))
     return checks

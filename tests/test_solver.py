@@ -967,6 +967,27 @@ def test_branched_cover_trivial_and_infinite():
     assert not rep.all_orders_finite
 
 
+@pytest.mark.parametrize("targets", [
+    lambda m: [1] * m,
+    lambda m: [cmath.exp(2j * math.pi / 3)] * m,
+    lambda m: [cmath.exp(1j)] * m,
+    lambda m: [cmath.exp(2j * math.pi * (j % 3) / 5) for j in range(m)],
+    lambda m: [cmath.exp(1j * (j % 2)) for j in range(m)],
+], ids=["ones", "equal of order 3", "equal of infinite order", "mixed",
+        "mixed with infinite orders"])
+def test_cover_report_is_the_per_edge_bookkeeping(targets):
+    # read off the distinct orders, and one product of the degrees when all
+    # targets are equal: the per-edge orders, lifted degrees and flags, each
+    # of the same type
+    E = build_exponent_matrix(parse_triangulation(chain_cover_text(8)))
+    xi = ConeTarget(tuple(targets(E.edge_count)))
+    orders = tuple(solver_mod.order_of_root_of_unity(x) for x in xi.xi)
+    lifted = tuple(o * d for o, d in zip(orders, E.degree.tolist()))
+    want = (orders, lifted, math.inf not in orders,
+            orders.count(1) == len(orders))
+    assert repr(tuple(branched_cover_report(E, xi))) == repr(want)
+
+
 # -------------------------------------------------------------- certificates
 
 def test_certificate_manifold_case():
@@ -1018,10 +1039,11 @@ def test_certificate_at_exactly_ten_tol():
         res.shapes, build_exponent_matrix(t), ConeTarget.ones(2))))
     cfg = SolverConfig(tol=r / 10)
     assert 10 * cfg.tol == r
-    assert solver_mod.residual_check(r, cfg) == (True, r)
+    assert solver_mod.residual_check(r, cfg.tol) == (True, r)
     cert = essential_edge_certificate(t, res, ConeTarget.ones(2), cfg)
     assert cert.residual_norm == r
-    assert solver_mod.residual_check(math.nextafter(r, math.inf), cfg)[0] is False
+    assert solver_mod.residual_check(math.nextafter(r, math.inf),
+                                     cfg.tol)[0] is False
 
 
 def test_certificate_requires_convergence():

@@ -236,10 +236,7 @@ def _cmd_holonomy(args) -> int:
         Z, residual = res.shapes, res.residual_norm
     rep = report_mod.build_solution_report(t, Z, xi, residual, tol=args.tol)
     gens, edges = rep["generators"], rep["edge_matrices"]
-
-    def values(column):             # a report column of complex values
-        return report_mod._complex(column)[0].tolist()
-
+    values = report_mod.complex_column
     human = [f"generator {g}: trace {tr:.9g} (up to sign)"
              for g, tr in zip(gens["gluing"], values(gens["trace"]))]
     human += [f"edge e{j}: multiplier {mult:.9g}, trace {tr:.9g}"

@@ -160,6 +160,20 @@ def _complex(pairs: list) -> np.ndarray:
     return np.array(pairs, dtype=float).reshape(1, -1, 2).view(complex)[..., 0]
 
 
+def complex_column(column: list) -> list:
+    """The values of a report column of complex numbers, as Python
+    complex numbers in row order."""
+    return _complex(column)[0].tolist()
+
+
+def _tol(value):
+    """`value` as a float when it is a tolerance (`check_tol`), else None."""
+    try:
+        return float(check_tol(value))
+    except IdealGlueError:
+        return None
+
+
 def _decode(key: str, decode, value):
     """decode(value) for the well-typed input field `key`; a JSON integer
     past the float range (`OverflowError`) raises IdealGlueError naming
@@ -175,8 +189,7 @@ _NUMBERS = {int, float}             # JSON numbers; a bool is not one
 # the fields a report is rebuilt from, each read by a test that gives the
 # value to decode, or None when the field is malformed
 _INPUTS = {"triangulation": lambda v: v if isinstance(v, str) else None,
-           "tol": lambda v: v if type(v) in _NUMBERS and 0 < v < math.inf
-           else None,
+           "tol": _tol,
            "residual_norm": lambda v: v if type(v) in _NUMBERS else None,
            "shapes": _flat_pairs, "xi": _flat_pairs}
 # the blocks of a report: each field's check, and how many numbers make
@@ -275,7 +288,7 @@ def verify_report(report: dict) -> list:
     the rebuilt JSON type, numbers as JSON numbers (a bool is not one) to
     1e-12.  A missing or extra field, at the top level or in a block,
     fails "report fields match".
-    Invariants: residual <= 10 tol, the report's own `tol`
+    Invariants: residual <= 10 tol, the report's own `tol`, and <= 1e-8
     (`residual_check`), when convergence or a certificate is claimed,
     prod xi = 1, multiplier = h(e), |det M - 1| <= 1e-10 max(1, |M|^2).
     When the shapes do not develop (`EdgeCycleNotClosed`: an edge matrix
@@ -305,7 +318,6 @@ def verify_report(report: dict) -> list:
     (Z,) = ShapeAssignment.rows(z)
     x = _decode("xi", _complex, inputs["xi"])
     (xi,) = ConeTarget.rows(x)
-    tol = _decode("tol", float, inputs["tol"])
     _decode("residual_norm", float, inputs["residual_norm"])   # in range
     E = build_exponent_matrix(t)
     check_shape_length(Z, E)
@@ -331,7 +343,7 @@ def verify_report(report: dict) -> list:
                _check("residual_norm matches", 1, report["residual_norm"], res),
                *fields]
     if rebuilt["converged"] or claimed:
-        ok, bound = residual_check(res, tol)
+        ok, bound = residual_check(res, inputs["tol"])
         checks.append(ReportCheck("residual_norm <= 10 tol", ok, res, bound))
     prod = abs(math.prod(xi.xi) - 1.0)
     checks.append(ReportCheck("prod xi = 1", prod < 1e-8, prod, 1e-8))

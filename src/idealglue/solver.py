@@ -671,20 +671,14 @@ def branched_cover_report(E: ExponentMatrix,
                           xi: ConeTarget) -> CoverDegreeReport:
     """The order of each edge's target and its lifted degree; the order of
     each distinct target value is found once, in order of first occurrence,
-    and whether every order is finite, or 1, is read off those.  When all
-    targets are equal, the lifted degrees are one product of the degrees.
+    and whether every order is finite, or 1, is read off those.
     Raises IdealGlueError unless xi has one target per edge class."""
     check_target_length(xi, E)
     found = {x: order_of_root_of_unity(x) for x in dict.fromkeys(xi.xi)}
-    if len(found) == 1:
-        (order,) = found.values()
-        orders, lifted = (order,) * len(xi.xi), (E.degree * order).tolist()
-    else:
-        orders = tuple(map(found.__getitem__, xi.xi))
-        lifted = map(operator.mul, orders, E.degree.tolist())
-    return CoverDegreeReport(orders, tuple(lifted),
-                             math.inf not in found.values(),
-                             set(found.values()) <= {1})
+    orders = tuple(map(found.__getitem__, xi.xi))
+    return CoverDegreeReport(
+        orders, tuple(map(operator.mul, orders, E.degree.tolist())),
+        math.inf not in found.values(), set(found.values()) <= {1})
 
 
 class Certificate(NamedTuple):
@@ -721,9 +715,12 @@ def cover_certificate(cover: CoverDegreeReport, residual_norm: float,
 
 
 def residual_check(res: float, tol: float) -> tuple:
-    """(res <= 10 tol, 10 tol): a certificate's residual test and bound, for
-    a solve at tolerance tol."""
-    return res <= 10 * tol, 10 * tol
+    """(res <= bound, bound): a certificate's residual test and bound for a
+    solve at tolerance tol, the bound 10 tol capped at UNIT_TOL, so that
+    no tol a report states lets a residual above UNIT_TOL pass as a
+    solution."""
+    bound = min(10 * tol, UNIT_TOL)
+    return res <= bound, bound
 
 
 def essential_edge_certificate(t: Triangulation, result: SolveResult,

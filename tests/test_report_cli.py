@@ -25,6 +25,7 @@ from idealglue import (CORPUS_NAMES, ConeTarget, DevelopFailure,
                        regular_solution, verify_report)
 from idealglue import develop as develop_mod, report as report_mod
 from idealglue.cli import _parse_xi, build_parser, main
+from idealglue.solver import branched_cover_report, cover_certificate
 from idealglue.report import dumps
 
 from conftest import chain_cover_text
@@ -423,8 +424,9 @@ def test_an_overflowing_shape_fails_its_checks_without_a_warning(
 
 
 def test_a_report_solved_at_a_looser_tol_verifies(tmp_path, capsys):
-    # the residual bound is 10 times the report's own tol: the default
-    # tol's bound failed this report (1.173e-09 vs tol 1.0e-09)
+    # the residual bound is 10 times the report's own tol, capped at
+    # UNIT_TOL: the default tol's bound failed this report (1.173e-09 vs
+    # tol 1.0e-09)
     code, out, err = run_cli(capsys, "certify", "--corpus", "fig8_complement",
                              "--tol", "1e-6", "--json")
     assert code == 0 and json.loads(out)["tol"] == 1e-6
@@ -435,7 +437,7 @@ def test_a_report_solved_at_a_looser_tol_verifies(tmp_path, capsys):
     assert (code, err) == (0, "")
     (bound,) = [line for line in out.splitlines() if "<= 10 tol" in line]
     assert bound.startswith("residual_norm <= 10 tol: ok (")
-    assert bound.endswith(" vs tol 1.0e-05)")
+    assert bound.endswith(" vs tol 1.0e-08)")
 
 
 def test_the_residual_bound_reads_the_report_tol():
@@ -444,6 +446,31 @@ def test_the_residual_bound_reads_the_report_tol():
     rep["tol"] = rep["residual_norm"] / 20
     failed = [c.name for c in verify_report(rep) if not c.ok]
     assert failed == ["residual_norm <= 10 tol"]
+
+
+def test_no_stated_tol_lets_a_non_solution_pass():
+    # a certificate at shapes that solve nothing, written with a huge tol,
+    # fails the residual bound, which the stated tol cannot lift past
+    # UNIT_TOL; every other claim is the writer's own, and matches
+    t, xi = corpus("fig8_complement"), ConeTarget.ones(2)
+    Z = ShapeAssignment((0.3 + 0.4j, 0.7 + 0.2j))
+    E = build_exponent_matrix(t)
+    res = float(np.linalg.norm(evaluate_residual(Z, E, xi)))
+    cert = cover_certificate(branched_cover_report(E, xi), res, Z, xi)
+    rep = json.loads(dumps(build_solution_report(
+        t, Z, xi, res, certificate=cert, tol=1e300)))
+    checks = verify_report(rep)
+    assert [str(c) for c in checks if not c.ok] == [
+        f"residual_norm <= 10 tol: FAIL ({res:.3e} vs tol 1.0e-08)"]
+
+
+def test_certify_at_a_huge_tol_is_refused(capsys):
+    # the solve stops at its start, whose residual is far above UNIT_TOL
+    code, out, err = run_cli(capsys, "certify", "--corpus", "fig8_complement",
+                             "--tol", "1e300")
+    assert (code, out) == (1, "")
+    assert err.startswith("solve failed: re-evaluated residual ")
+    assert err.rstrip().endswith(" too large")
 
 
 @pytest.mark.parametrize("tol", [True, "1e-6", 0, -1.0, math.inf, math.nan,

@@ -17,7 +17,7 @@ from idealglue import (CORPUS_NAMES, ConeTarget, IdealGlueError, NotConverged,
                        parse_triangulation, random_starts, regular_solution,
                        sweep_family, verify_report, xi_from_shapes)
 from idealglue import solver as solver_mod
-from idealglue.gluing import DEGENERACY_GUARD
+from idealglue.gluing import DEGENERACY_GUARD, UNIT_TOL
 from conftest import chain_cover_text, random_systems
 
 
@@ -976,9 +976,8 @@ def test_branched_cover_trivial_and_infinite():
 ], ids=["ones", "equal of order 3", "equal of infinite order", "mixed",
         "mixed with infinite orders"])
 def test_cover_report_is_the_per_edge_bookkeeping(targets):
-    # read off the distinct orders, and one product of the degrees when all
-    # targets are equal: the per-edge orders, lifted degrees and flags, each
-    # of the same type
+    # flags read off the distinct orders: the per-edge orders, lifted
+    # degrees and flags, each of the same type
     E = build_exponent_matrix(parse_triangulation(chain_cover_text(8)))
     xi = ConeTarget(tuple(targets(E.edge_count)))
     orders = tuple(solver_mod.order_of_root_of_unity(x) for x in xi.xi)
@@ -1044,6 +1043,14 @@ def test_certificate_at_exactly_ten_tol():
     assert cert.residual_norm == r
     assert solver_mod.residual_check(math.nextafter(r, math.inf),
                                      cfg.tol)[0] is False
+
+
+def test_the_residual_bound_is_capped_at_unit_tol():
+    # no tol, however large, lets a residual above UNIT_TOL pass
+    for tol in (1e-8, 1e-6, 1e300):
+        assert solver_mod.residual_check(UNIT_TOL, tol) == (True, UNIT_TOL)
+        assert solver_mod.residual_check(math.nextafter(UNIT_TOL, 1.0),
+                                         tol)[0] is False
 
 
 def test_certificate_requires_convergence():

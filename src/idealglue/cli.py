@@ -55,15 +55,17 @@ def _pair(text: str) -> complex:
 
 
 def _parse_list(flag: str, text: str, parse, sep: str = ",") -> list:
-    """`parse` of each non-empty `sep`-separated entry; a malformed or
-    non-finite entry is an input error naming the flag."""
+    """`parse` of each `sep`-separated entry, after one trailing `sep` is
+    dropped (so 're,im;' is one pair, and '' or `sep` no entry); an empty,
+    malformed or non-finite entry is an input error naming the flag."""
+    entries = text.removesuffix(sep)
     try:
-        vals = [parse(p) for p in text.split(sep) if p]
+        vals = [parse(p) for p in entries.split(sep)] if entries else []
         if all(cmath.isfinite(v) for v in vals):
             return vals
-    except ValueError:
+    except ValueError:          # also parse(''), from an empty entry
         pass
-    raise IdealGlueError(f"{flag}: malformed or non-finite number in {text!r}")
+    raise IdealGlueError(f"{flag}: empty, malformed or non-finite entry in {text!r}")
 
 
 def _parse_xi(text: str, m: int) -> ConeTarget:

@@ -31,25 +31,26 @@ rows are built from the stack (`ShapeAssignment.rows`).
 
 A sweep is block predictor-corrector continuation with step-length
 control (Allgower-Georg, Introduction to Numerical Continuation Methods,
-SIAM 2003, ch. 6).  Once two points have converged, the next block of
-grid points is predicted at once by the Lagrange extrapolation in theta
-of log z through the last three converged points (linear while only two
-have): quadratic, so exact where log z is quadratic in theta, as on the
+SIAM 2003, ch. 6).  Its first two grid points are one stack, from one
+start.  Once two points have converged, the next block of grid points is
+predicted at once by the Lagrange extrapolation in theta of log z
+through the last three converged points (linear while only two have):
+quadratic, so exact where log z is quadratic in theta, as on the
 families with z = exp(i theta).  A prediction is the start only when it
 is finite, off the guard band and nearer xi(theta) in residual than the
 last converged solution, which is the start otherwise.  The block is
 then corrected as one stack, its first row with up to cfg.max_iterations
 iterations and the others with up to `ACCEPT_ITERATIONS`, and its rows
 are accepted in grid order: the first always, an obstructed row where it
-stands, and each later row only while it converged.  The first rejected
-row and the rows after it are predicted again, from the updated history,
-in the next block.  The first block holds `BLOCK_ROWS` points; a block
-whose rows were all accepted makes the next four times as long, any
-other makes it as long as the rows it accepted, and no block's stacked
-normal matrices pass about 4 MB.  Where the solution set at fixed xi has
-positive dimension, the start decides which of its points Newton
-reaches, so a sweep point is one solution of the family there, not a
-canonical one.
+stands, and each later row only while it, or no row before it,
+converged.  The first rejected row and the rows after it are started
+again, from the updated history, in the next stack.  The first block
+holds `BLOCK_ROWS` points; a block whose rows were all accepted makes
+the next four times as long, any other makes it as long as the rows it
+accepted, and no stack's normal matrices pass about 4 MB.  Where the
+solution set at fixed xi has positive dimension, the start decides which
+of its points Newton reaches, so a sweep point is one solution of the
+family there, not a canonical one.
 
 Both solves take one step, the min-norm least-squares solution of
 A x = b for each row of a stack (`_least_squares_step`): A = J and
@@ -450,28 +451,33 @@ def _block_starts(thetas, past, block, E, targets) -> tuple:
     each theta the start is the Lagrange polynomial through the converged
     points (thetas[k], log past[k]), evaluated at theta and mapped back by
     exp, when it is finite, lies off the guard band around {0, 1} and has
-    a smaller residual |h(z) - target| than the last converged point,
-    past[-1]; otherwise that point.  The logs are taken relative to the
-    last point, so their branch never jumps between nearby points, and one
-    holonomy call evaluates every prediction and the last point; each
-    start's row of that call is its row of H0, which the solve reads
-    instead of evaluating h again."""
+    a smaller residual |h(z) - target| than the last point, past[-1];
+    otherwise, and for fewer than two points or a repeated theta, that
+    point.  The logs are taken relative to the last point, so their branch
+    never jumps between nearby points, and one holonomy call evaluates
+    every prediction and the last point; each start's row of that call is
+    its row of H0, which the solve reads instead of evaluating h again."""
     P = np.array(past)
-    last = P[-1]
-    if len(set(thetas)) < len(thetas):
+    last, t = P[-1], len(thetas)
+    if t < 2 or len(set(thetas)) < t:
         Z = np.tile(last, (len(block), 1))
         return Z, all_holonomies(Z, E)
-    T, own = np.array(thetas), np.eye(len(thetas), dtype=bool)
-    w = np.where(own, 1.0, np.subtract.outer(block, T)[:, None]
-                 / (T[:, None] - T + own)).prod(-1)
+    # node k's weight: prod of (theta - T_j) / (T_k - T_j), j != k (t <= 3)
+    kj = [(k, j) for k in range(t) for j in range(t) if j != k]
+    R = (np.subtract.outer(block, [thetas[j] for _, j in kj])
+         / [thetas[k] - thetas[j] for k, j in kj])
+    w = R if t == 2 else R[:, ::2] * R[:, 1::2]
+    Z = np.empty((len(block) + 1, P.shape[1]), complex)     # X, then last
+    X, Z[-1] = Z[:-1], last
     with np.errstate(all="ignore"):     # a non-finite start is rejected
         L = np.log(P / last)
         # two real products: a complex one leaves np.exp slow (README)
-        Z = last * np.exp(w @ L.real + 1j * (w @ L.imag))
-        h = all_holonomies(np.vstack([Z, last]), E)
-        ok = (np.isfinite(Z).all(-1) & ~in_guard_band(Z)
+        X.real, X.imag = w @ L.real, w @ L.imag
+        np.multiply(last, np.exp(X), out=X)
+        h = all_holonomies(Z, E)
+        ok = (np.isfinite(X).all(-1) & ~in_guard_band(X)
               & (_norms(h[:-1] - targets) < _norms(h[-1] - targets)))[:, None]
-    return np.where(ok, Z, last), np.where(ok, h[:-1], h[-1])
+    return np.where(ok, X, last), np.where(ok, h[:-1], h[-1])
 
 
 def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
@@ -481,29 +487,30 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     growing blocks of grid points corrected as one stacked solve
     (`_newton_rows`).
 
-    The first solve starts from `initial`, the next from the first
-    converged solution, one point at a time.  Once two or more points have
-    converged, the sweep takes the next block of grid points: `BLOCK_ROWS`
-    at first, then four times as many after a block whose rows were all
-    accepted, or as many as were accepted after any other block; never so
-    many that the block's stacked m-by-m normal matrices would pass about
-    4 MB (so from m of about 360 on, one point at a time).
-    Each point of the block starts from a prediction:
-    the Lagrange extrapolation in theta of log z through the last three
-    converged points before the block (quadratic; linear while only two
-    have converged), mapped back by exp.  The prediction is taken only
-    when it is finite, lies off the guard band around {0, 1}, and its
-    residual |h(z) - xi(theta)| is smaller than that of the last converged
-    solution, which is the start otherwise.  The block is one stacked
-    solve, each point solved as `newton_solve` would solve it from that
-    start, bit for bit, the first with up to cfg.max_iterations
-    iterations and the others with up to `ACCEPT_ITERATIONS`; a theta
-    whose target has a degree-one obstruction is not solved.  The rows
-    are accepted in grid order: the first always, converged or failed, an
-    obstructed one where it stands, and each later one only while it
-    converged.  So every accepted point is the `newton_solve` from its
-    start, bit for bit.  The first rejected row and all rows after it go
-    to the next block, predicted again from the history the accepted
+    Until two points have converged, the grid points missing to two are
+    one stacked solve, every row from the last converged solution, else
+    from `initial`, with up to cfg.max_iterations iterations.  Then the
+    sweep takes the next block of grid points: `BLOCK_ROWS` at first, then
+    four times as many after a block whose rows were all accepted, or as
+    many as were accepted after any other block; never so many that the
+    block's stacked m-by-m normal matrices would pass about 4 MB (so from
+    m of about 360 on, one point at a time).  Each point of the block
+    starts from a prediction: the Lagrange extrapolation in theta of log z
+    through the last three converged points before the block (quadratic;
+    linear while only two have converged), mapped back by exp.  The
+    prediction is taken only when it is finite, lies off the guard band
+    around {0, 1}, and its residual |h(z) - xi(theta)| is smaller than
+    that of the last converged solution, which is the start otherwise.
+    The block is one stacked solve, each point solved as `newton_solve`
+    would solve it from that start, bit for bit, the first with up to
+    cfg.max_iterations iterations and the others with up to
+    `ACCEPT_ITERATIONS`; a theta whose target has a degree-one obstruction
+    is not solved.  Rows are accepted in grid order: the first always,
+    an obstructed one where it stands, and each later one only while it
+    converged or no point converged before it (it would start again
+    where it did).  So every accepted point is the `newton_solve` from
+    its start, bit for bit.  The first rejected row and all rows after
+    it go to the next stack, started again from the history the accepted
     points extend; failures are recorded, and the sweep continues from
     the converged points before them.
 
@@ -522,31 +529,32 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     cap = max(1, STACK_ENTRIES // E.edge_count ** 2)
     size = min(BLOCK_ROWS, cap)
     quick = min(ACCEPT_ITERATIONS, cfg.max_iterations)
-    seed, thetas, past = initial, [], []    # the last converged points
+    thetas, past = [], []                   # the last converged points
     out = []
     while len(out) < len(grid):
         blocked = len(past) > 1
-        block = grid[len(out):len(out) + (size if blocked else 1)]
+        block = grid[len(out):len(out)
+                     + (size if blocked else min(2 - len(past), cap))]
         xis = [xi if isinstance(xi, ConeTarget) else ConeTarget(xi)
                for xi in map(xi_of_theta, block)]
         for xi in xis:
             check_target_length(xi, E)
         targets = np.array([xi.xi for xi in xis], dtype=complex)
-        Z0, H0 = (_block_starts(thetas, past, block, E, targets)
-                  if blocked else (np.array([seed.z]), None))
+        Z0, H0 = _block_starts(thetas, past or [initial.z], block, E, targets)
         results = _newton_rows(E, targets, Z0, cfg, [cfg.max_iterations]
-                               + [quick] * (len(block) - 1), H0)
+                               + [quick if blocked else cfg.max_iterations]
+                               * (len(block) - 1), H0)
         accepted = 0
         for theta, res in zip(block, results):
-            # a later row hit its limit unless it converged within `quick`
-            if accepted and not (res.converged or res.reason
-                                 == "degree_one_edge_obstruction"):
+            # a failed later row goes to the next stack, for a new start:
+            # none while no point converged before it, so then it is kept
+            if accepted and past and not (res.converged or res.reason
+                                          == "degree_one_edge_obstruction"):
                 break
             accepted += 1
             out.append(SweepPoint(theta, res))
             if res.converged:
-                seed = res.shapes
-                thetas, past = thetas[-2:] + [theta], past[-2:] + [seed.z]
+                thetas, past = thetas[-2:] + [theta], past[-2:] + [res.shapes.z]
         if blocked:
             size = min(4 * size, cap) if accepted == len(block) else accepted
     return out

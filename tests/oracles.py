@@ -1,8 +1,9 @@
 """Oracles that only the tests read: the abstract edge neighbourhood,
 relabelling, canonical forms and the enumeration of the one-tetrahedron
 triangulations, the Gauss-Newton step with nothing formed ahead of its
-call (`unplanned_step`), and the field-by-field report verifier
-(`reference_verify_report`)."""
+call (`unplanned_step`), a sweep block's predicted starts by the Lagrange
+weights' plain formula (`reference_block_starts`), and the field-by-field
+report verifier (`reference_verify_report`)."""
 import contextlib
 import functools
 import itertools
@@ -16,11 +17,11 @@ from idealglue import (ConeTarget, EdgeCycleNotClosed, IdealGlueError,
                        build_solution_report, compute_edge_classes,
                        evaluate_residual, make_triangulation,
                        parse_triangulation)
-from idealglue.gluing import (check_shape_length, check_target_length,
-                              pair_matvec)
+from idealglue.gluing import (all_holonomies, check_shape_length,
+                              check_target_length, in_guard_band, pair_matvec)
 from idealglue.report import ReportCheck
-from idealglue.solver import (branched_cover_report, cover_certificate,
-                              residual_check)
+from idealglue.solver import (_norms, branched_cover_report,
+                              cover_certificate, residual_check)
 from idealglue.triangulation import PERMUTATIONS, _odd_perms_fixing
 
 
@@ -140,6 +141,30 @@ def unplanned_step(V, E, b, M):
             step = np.linalg.lstsq(A, b[k], rcond=None)[0]
             x[k] = step[:n] + 1j * step[n:] if real else step
     return x
+
+
+def reference_block_starts(thetas, past, block, E, targets) -> tuple:
+    """`solver._block_starts` by its plain formula: the Lagrange weight of
+    node k at theta is the product over j of a (theta, k, j) array that
+    holds (theta - T_j) / (T_k - T_j), and 1 where j = k; the prediction
+    is formed as a complex sum and joined to the last point by `np.vstack`
+    for the holonomy call.  The solver's starts and holonomies must equal
+    these bit for bit."""
+    P = np.array(past)
+    last = P[-1]
+    if len(thetas) < 2 or len(set(thetas)) < len(thetas):
+        Z = np.tile(last, (len(block), 1))
+        return Z, all_holonomies(Z, E)
+    T, own = np.array(thetas), np.eye(len(thetas), dtype=bool)
+    w = np.where(own, 1.0, np.subtract.outer(block, T)[:, None]
+                 / (T[:, None] - T + own)).prod(-1)
+    with np.errstate(all="ignore"):
+        L = np.log(P / last)
+        Z = last * np.exp(w @ L.real + 1j * (w @ L.imag))
+        h = all_holonomies(np.vstack([Z, last]), E)
+        ok = (np.isfinite(Z).all(-1) & ~in_guard_band(Z)
+              & (_norms(h[:-1] - targets) < _norms(h[-1] - targets)))[:, None]
+    return np.where(ok, Z, last), np.where(ok, h[:-1], h[-1])
 
 
 # ------------------------------------------------ the field-by-field verifier

@@ -820,6 +820,40 @@ def test_cli_malformed_numbers_exit_two(capsys, flag, argv):
     assert err.startswith("error: " + flag)
 
 
+@pytest.mark.parametrize("flag, argv", [
+    # were read as 2 thetas and 3 weights, with exit 0
+    ("--theta-grid", ("sweep", "--xi-weights", "1,-2,1",
+                      "--theta-grid", "1,,2")),
+    ("--xi-weights", ("sweep", "--xi-weights", "1,,-2,1",
+                      "--theta-grid", "1")),
+    ("--theta-grid", ("sweep", "--xi-weights", "1,-2,1",
+                      "--theta-grid", ",1")),
+    ("--theta-grid", ("sweep", "--xi-weights", "1,-2,1",
+                      "--theta-grid", "1,2,,")),
+    ("--xi", ("solve", "--xi", "0,1;;0,1;0,1")),
+    ("--xi", ("solve", "--xi", "1j,,-1,1j")),
+    ("--initial", ("solve", "--initial", "0.2,0.9;;")),
+    ("--shapes", ("volume", "--shapes", ";0.2,0.9")),
+])
+def test_cli_empty_entries_exit_two(capsys, flag, argv):
+    code, out, err = run_cli(capsys, argv[0], "--corpus", "hopf", *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + flag + ": empty")
+    assert err.count("\n") == 1
+
+
+def test_cli_lists_take_one_trailing_separator(capsys):
+    # 're,im;' is the documented one-pair form; one trailing comma is
+    # dropped the same way
+    code, out, err = run_cli(capsys, "sweep", "--corpus", "hopf",
+                             "--xi-weights", "1,-2,1,", "--theta-grid",
+                             "1.0,1.2,", "--initial", "0.2,0.9;", "--json")
+    assert code == 0 and err == ""
+    points = json.loads(out)["points"]
+    assert [p["theta"] for p in points] == [1.0, 1.2]
+    assert all(p["converged"] for p in points)
+
+
 @pytest.mark.parametrize("argv", [
     ("print", "--corpus", "hopf", "--json"),
     ("info", "--corpus", "hopf", "--seed", "3"),

@@ -6,6 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealglue import (CORPUS_NAMES, ConeTarget, IdealGlueError, NotConverged,
                        NotUnitModulus, REGULAR_SHAPE, ShapeAssignment,
@@ -19,6 +20,7 @@ from idealglue import (CORPUS_NAMES, ConeTarget, IdealGlueError, NotConverged,
 from idealglue import solver as solver_mod
 from idealglue.gluing import DEGENERACY_GUARD, UNIT_TOL
 from conftest import chain_cover_text, random_systems
+from oracles import reference_block_starts
 
 
 def xi_by_degree(t, mapping):
@@ -291,22 +293,29 @@ def sweep_stacks(calls, grid, xi_of, points):
 
 
 def check_schedule(calls, stacks, n):
-    """The block lengths and per-row limits of a sweep of n points: one
-    point at a time until two have converged, then a first block of
-    BLOCK_ROWS, four times as long after a block kept whole, else as long
-    as the rows it kept, cut at the grid's end; a block's first row may
-    take cfg.max_iterations, the others ACCEPT_ITERATIONS."""
+    """The block lengths, starts and per-row limits of a sweep of n points:
+    until two points have converged, a seed block of as many grid points as
+    are missing to two, every row from the seed (the last converged point,
+    else the first stack's start) with up to cfg.max_iterations; then a
+    first block of BLOCK_ROWS, four times as long after a block kept whole,
+    else as long as the rows it kept, cut at the grid's end, whose first
+    row may take cfg.max_iterations and the others ACCEPT_ITERATIONS."""
     cfg, size, converged = SolverConfig(), solver_mod.BLOCK_ROWS, 0
-    for stack, (idx, _, kept) in zip(calls, stacks):
+    seed = calls[0].starts[0]
+    for stack, (idx, starts, kept) in zip(calls, stacks):
         if converged > 1:
             assert len(idx) == min(size, n - idx[0])
             size = 4 * size if kept == len(idx) else kept
+            rest = solver_mod.ACCEPT_ITERATIONS
         else:
-            assert len(idx) == 1
+            assert len(idx) == min(2 - converged, n - idx[0])
+            assert all(np.array_equal(z, seed) for z in starts)
+            rest = cfg.max_iterations
         assert list(stack.limit) == ([cfg.max_iterations]
-                                     + [solver_mod.ACCEPT_ITERATIONS]
-                                     * (len(idx) - 1))
-        converged += sum(res.converged for res in stack.results[:kept])
+                                     + [rest] * (len(idx) - 1))
+        for res in stack.results[:kept]:
+            if res.converged:
+                converged, seed = converged + 1, np.array(res.shapes.z)
 
 
 def check_predicted_starts(points, grid, stacks, E, xi_of):
@@ -358,11 +367,11 @@ def test_sweep_solves_each_theta_in_one_stacked_solve(monkeypatch):
     thetas = [math.pi / 2, 2 * math.pi / 3, 0.0, math.pi]
     points = sweep_family(t, xi_of, thetas,
                           initial=ShapeAssignment((0.2 + 0.9j,)))
-    assert [len(stack.targets) for stack in calls] == [1, 1, 2]
+    assert [len(stack.targets) for stack in calls] == [2, 2]
     assert ([tuple(row) for stack in calls for row in stack.targets]
             == [xi_of(theta).xi for theta in thetas])
-    assert [len(Z) for Z in cores] == [1, 1, 1]
-    assert np.array_equal(cores[2], calls[2].starts[1:])    # theta = pi alone
+    assert [len(Z) for Z in cores] == [2, 1]
+    assert np.array_equal(cores[1], calls[1].starts[1:])    # theta = pi alone
     assert [p.result.converged for p in points] == [True, True, False, True]
     assert points[2].result.iterations == 0
 
@@ -489,13 +498,13 @@ def test_sweep_starts_from_the_previous_solution_when_the_prediction_is_worse(
     assert all(p.result.converged for p in points)
     stacks = sweep_stacks(calls, grid, xi_of, points)
     check_schedule(calls, stacks, len(grid))
-    assert ([idx for idx, _, _ in stacks[:3]]
-            == [[0], [1], list(range(2, 2 + rows))])
+    assert ([idx for idx, _, _ in stacks[:2]]
+            == [[0, 1], list(range(2, 2 + rows))])
     # every start, of kept and of rejected rows, obeys the safeguard
     taken, kept = check_predicted_starts(points, grid, stacks, E, xi_of)
     starts = [z for _, Z0, _ in stacks for z in Z0]
     assert tuple(starts[0]) == (REGULAR_SHAPE,) * t.tetra_count
-    assert tuple(starts[1]) == points[0].result.shapes.z
+    assert tuple(starts[1]) == (REGULAR_SHAPE,) * t.tetra_count
     assert tuple(starts[2]) != points[1].result.shapes.z    # linear prediction
     assert taken and kept
 
@@ -505,7 +514,7 @@ def test_sweep_shorter_than_a_block(monkeypatch):
     t = corpus("hopf")
     grid = [math.pi / 3 + 0.05 * j for j in range(5)]
     points = sweep_family(t, closed_form_family(t, CLOSED_FORM["hopf"]), grid)
-    assert [len(stack.starts) for stack in calls] == [1, 1, 3]
+    assert [len(stack.starts) for stack in calls] == [2, 3]
     for theta, p in zip(grid, points):
         assert p.result.converged
         assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
@@ -537,12 +546,12 @@ def test_sweep_block_with_an_obstructed_and_a_failing_theta(monkeypatch):
     stacks = sweep_stacks(calls, grid, xi_of, points)
     check_schedule(calls, stacks, len(grid))
     assert [(idx, kept) for idx, _, kept in stacks] == [
-        ([0], 1), ([1], 1), (list(range(2, 2 + rows)), 4),
+        ([0, 1], 2), (list(range(2, 2 + rows)), 4),
         (list(range(6, 10)), 4), (list(range(10, n)), n - 10)]
-    assert calls[2].results[4].reason == "max_iterations"
+    assert calls[1].results[4].reason == "max_iterations"
     # the obstructed theta = 0 (grid index 8) enters no Gauss-Newton stack
-    assert [len(Z) for Z in cores] == [1, 1, rows - 1, 3, n - 10]
-    assert np.array_equal(cores[3], np.delete(stacks[3][1], 2, axis=0))
+    assert [len(Z) for Z in cores] == [2, rows - 1, 3, n - 10]
+    assert np.array_equal(cores[2], np.delete(stacks[2][1], 2, axis=0))
     for theta, p in zip(grid, points):
         if theta == 0.0:
             assert p.result.reason == "degree_one_edge_obstruction"
@@ -583,9 +592,9 @@ def test_sweep_with_a_repeated_theta_starts_from_the_last_solution(
     # long; the grid's end cuts it to three
     stacks = sweep_stacks(calls, grid, xi_of, points)
     check_schedule(calls, stacks, len(grid))
-    assert [len(stack.starts) for stack in calls] == [1, 1, rows, 3]
+    assert [len(stack.starts) for stack in calls] == [2, rows, 3]
     last = points[rows + 1].result.shapes.z     # the first block's last row
-    assert all(tuple(z) == last for z in calls[3].starts)
+    assert all(tuple(z) == last for z in calls[2].starts)
 
 
 def test_sweep_of_the_n_512_chain_cover_solves_one_point_at_a_time(
@@ -600,28 +609,151 @@ def test_sweep_of_the_n_512_chain_cover_solves_one_point_at_a_time(
     assert [len(stack.starts) for stack in calls] == [1] * len(grid)
 
 
-@pytest.mark.parametrize("name", ["hopf", "trefoil", "fig8_complement",
-                                  "fig8_in_s3", "cover8"])
-def test_a_64_point_sweep_takes_four_stacked_solves(monkeypatch, name):
-    # cone_explore's families and grids: closed-form from pi/3 over 1.2,
-    # else through the regular solution over 0.6.  One point at a time
-    # until two have converged, then a first block of BLOCK_ROWS = 16 and,
-    # kept whole, one of the 46 points left
-    calls = record_stacks(monkeypatch)
+CONE_EXPLORE = ["hopf", "trefoil", "fig8_complement", "fig8_in_s3", "cover8"]
+
+
+def cone_explore_sweep(name, first=None):
+    """cone_explore's family `name` and its 64-point grid from `first`:
+    closed-form from pi/3 over 1.2, else through the regular solution from
+    0 over 0.6."""
     if name in CLOSED_FORM:
         t = corpus(name)
-        xi_of = closed_form_family(t, CLOSED_FORM[name])
-        grid = [math.pi / 3 + 1.2 * j / 63 for j in range(64)]
+        xi_of, span = closed_form_family(t, CLOSED_FORM[name]), 1.2
+        first = math.pi / 3 if first is None else first
     else:
         t = (parse_triangulation(chain_cover_text(4)) if name == "cover8"
              else corpus(name))
-        xi_of, grid = regular_family(t), [0.6 * j / 63 for j in range(64)]
+        xi_of, span = regular_family(t), 0.6
+        first = 0.0 if first is None else first
+    return t, xi_of, [first + span * j / 63 for j in range(64)]
+
+
+@pytest.mark.parametrize("name", CONE_EXPLORE)
+def test_a_64_point_sweep_takes_three_stacked_solves(monkeypatch, name):
+    # the first two points as one seed block, then a first block of
+    # BLOCK_ROWS = 16 and, kept whole, one of the 46 points left
+    calls = record_stacks(monkeypatch)
+    t, xi_of, grid = cone_explore_sweep(name)
     points = sweep_family(t, xi_of, grid)
-    assert [len(stack.starts) for stack in calls] == [1, 1, 16, 46]
+    assert [len(stack.starts) for stack in calls] == [2, 16, 46]
     assert all(p.result.converged for p in points)
     if name in CLOSED_FORM:
         for theta, p in zip(grid, points):
             assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(first=st.floats(-3.0, 3.0))
+@pytest.mark.parametrize("name", CONE_EXPLORE)
+def test_a_sweep_from_any_first_theta_moves_its_shapes_by_steps(name, first):
+    # both seed rows start from the same shapes; on a family whose
+    # solution set at fixed xi has positive dimension (the cusped ones),
+    # the two could land far apart on it, which the steps after them
+    # would follow.  Consecutive converged points move at most 10 times
+    # their theta step (the largest seen over [-3, 3] is 2.34)
+    t, xi_of, grid = cone_explore_sweep(name, first)
+    good = [p for p in sweep_family(t, xi_of, grid) if p.result.converged]
+    for p, q in zip(good, good[1:]):
+        move = np.abs(np.subtract(q.result.shapes.z, p.result.shapes.z))
+        assert move.max() <= 10 * abs(q.theta - p.theta), (p.theta, q.theta)
+
+
+def test_each_seed_row_is_newton_solve_from_the_seed(monkeypatch):
+    # the seed block's rows, from the first stack's start or the last
+    # converged point, over every sweep family and windows where some
+    # first rows fail
+    calls = record_stacks(monkeypatch)
+    for name, t, xi_of, theta0 in sweep_families():
+        for first in (theta0 - 2.5, theta0, theta0 + 2.5):
+            calls.clear()
+            grid = [first + 0.6 * j / 63 for j in range(8)]
+            points = sweep_family(t, xi_of, grid)
+            stacks = sweep_stacks(calls, grid, xi_of, points)
+            check_schedule(calls, stacks, len(grid))
+            converged = 0
+            for stack, (idx, Z0, kept) in zip(calls, stacks):
+                if converged > 1:
+                    break
+                for k, z, res in zip(idx, Z0, stack.results):
+                    assert res == newton_solve(t, xi_of(grid[k]),
+                                               ShapeAssignment(tuple(z)))
+                converged += sum(res.converged
+                                 for res in stack.results[:kept])
+
+
+def test_a_failing_second_seed_row_is_solved_again_from_the_first(
+        monkeypatch):
+    # hopf's closed-form family from 0.2 + 0.9i at six iterations a row:
+    # theta = 2.4 converges in six, theta = 3.4 would take 13 from that
+    # start, so the seed block keeps its first row only; the second heads
+    # the next stack, alone, from the first solution, and converges
+    calls = record_stacks(monkeypatch)
+    t = corpus("hopf")
+    xi_of = closed_form_family(t, CLOSED_FORM["hopf"])
+    cfg, grid = SolverConfig(max_iterations=6), [2.4, 3.4]
+    points = sweep_family(t, xi_of, grid, cfg, ShapeAssignment((0.2 + 0.9j,)))
+    stacks = sweep_stacks(calls, grid, xi_of, points)
+    assert [(idx, kept) for idx, _, kept in stacks] == [([0, 1], 1),
+                                                        ([1], 1)]
+    assert [list(stack.limit) for stack in calls] == [[6, 6], [6]]
+    assert calls[0].results[1].reason == "max_iterations"
+    first = points[0].result
+    assert np.array_equal(calls[1].starts, [first.shapes.z])
+    assert points[1].result == newton_solve(t, xi_of(3.4), first.shapes, cfg)
+    for theta, p in zip(grid, points):
+        assert p.result.converged
+        assert abs(p.result.shapes[0] - cmath.exp(1j * theta)) < 1e-9
+
+
+def test_a_sweep_with_no_converged_point_solves_each_point_once(
+        monkeypatch):
+    # hopf's regular family from -2.5 fails everywhere from the regular
+    # shape: a failed second seed row would start again from the same
+    # shapes, so it is kept, and every seed block is kept whole
+    calls = record_stacks(monkeypatch)
+    t = corpus("hopf")
+    xi_of = regular_family(t)
+    grid = [-2.5 + 0.6 * j / 63 for j in range(7)]
+    points = sweep_family(t, xi_of, grid)
+    stacks = sweep_stacks(calls, grid, xi_of, points)
+    check_schedule(calls, stacks, len(grid))
+    assert [(idx, kept) for idx, _, kept in stacks] == [
+        ([0, 1], 2), ([2, 3], 2), ([4, 5], 2), ([6], 1)]
+    assert not any(p.result.converged for p in points)
+
+
+def test_block_starts_equal_the_plain_formula_bit_for_bit(monkeypatch):
+    # every block of sweeps over each family, forward and back, from the
+    # regular solution and through the guard band, and past a repeated
+    # theta: predictions taken and kept back, through two and three points
+    calls = []
+    block_starts = solver_mod._block_starts
+
+    def recorded(*args):
+        calls.append((args, block_starts(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(solver_mod, "_block_starts", recorded)
+    for name, t, xi_of, theta0 in sweep_families():
+        for span in (0.6, -0.6, 2.0):
+            sweep_family(t, xi_of, [theta0 + span * j / 63 for j in range(64)])
+    # the repeated theta of
+    # test_sweep_with_a_repeated_theta_starts_from_the_last_solution
+    t, top = corpus("trefoil"), round(1.2 + 0.05 * 14, 10)
+    sweep_family(t, closed_form_family(t, CLOSED_FORM["trefoil"]),
+                 [1.0, 1.1] + [round(1.2 + 0.05 * j, 10) for j in range(15)]
+                 + [top] + [round(top - 0.02 * j, 10) for j in (1, 2, 3)])
+    taken = kept = 0
+    for args, got in calls:
+        want = reference_block_starts(*args)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        last = np.array(args[1][-1])
+        same = (got[0] == last).all(-1)
+        taken, kept = taken + (~same).sum(), kept + same.sum()
+    assert {len(args[0]) for args, _ in calls} >= {0, 1, 2, 3}
+    assert any(len(set(args[0])) < len(args[0]) for args, _ in calls)
+    assert taken and kept
 
 
 def test_sweep_corrects_its_blocks_with_few_jacobians(monkeypatch):
@@ -663,9 +795,10 @@ def test_sweep_rejects_a_slow_row_and_predicts_it_again(monkeypatch):
         assert stacks[k + 1][0][0] == idx[kept]
         assert not np.array_equal(stacks[k + 1][1][0], Z0[kept])
     for stack, (idx, Z0, kept) in zip(calls, stacks):
-        for res in stack.results[1:kept]:
+        # the seed block's second row may take cfg.max_iterations
+        for res, limit in zip(stack.results[1:kept], stack.limit[1:]):
             assert res.converged
-            assert res.iterations <= solver_mod.ACCEPT_ITERATIONS
+            assert res.iterations <= limit
         for j in range(kept):   # each kept row is newton_solve from its start
             assert points[idx[j]].result == newton_solve(
                 t, xi_of(grid[idx[j]]), ShapeAssignment(tuple(Z0[j])))
@@ -685,7 +818,7 @@ def test_sweep_accepts_an_obstructed_theta_in_mid_block(monkeypatch):
     stacks = sweep_stacks(calls, grid, xi_of, points)
     check_schedule(calls, stacks, len(grid))
     assert [(idx, kept) for idx, _, kept in stacks] == [
-        ([0], 1), ([1], 1), (list(range(2, 2 + rows)), rows),
+        ([0, 1], 2), (list(range(2, 2 + rows)), rows),
         (list(range(2 + rows, n)), n - 2 - rows)]
     obstructed = points[6].result
     assert obstructed.reason == "degree_one_edge_obstruction"

@@ -26,6 +26,7 @@ from .fileio import format_triangulation, parse_triangulation
 from .geometry import solution_volume
 from .gluing import (ConeTarget, LABEL_NAMES, SLOT_LABELS, ShapeAssignment,
                      build_exponent_matrix, xi_from_shapes)
+from .report import complex_pairs, finite_or_null
 from .solver import (SolverConfig, cone_locus_sample, essential_edge_certificate,
                      newton_solve, random_starts, regular_solution, sweep_family)
 from .triangulation import (EDGE_SLOTS, compute_edge_classes,
@@ -63,8 +64,8 @@ def _parse_list(flag: str, text: str, parse, sep: str = ",") -> list:
         vals = [parse(p) for p in entries.split(sep)] if entries else []
         if all(cmath.isfinite(v) for v in vals):
             return vals
-    except ValueError:          # also parse(''), from an empty entry
-        pass
+    except (ValueError, OverflowError):     # also parse(''), an empty
+        pass                                # entry, and an int past floats
     raise IdealGlueError(f"{flag}: empty, malformed or non-finite entry in {text!r}")
 
 
@@ -90,11 +91,6 @@ def _parse_initial(text: str, n: int, flag: str = "--initial") -> ShapeAssignmen
     if len(zs) != n:
         raise IdealGlueError(f"{flag}: expected {n} shapes, got {len(zs)}")
     return ShapeAssignment(tuple(zs))
-
-
-def _finite(x: float):
-    """x, or None (JSON null) when it is not finite: JSON has no inf."""
-    return x if math.isfinite(x) else None
 
 
 def _config(args) -> SolverConfig:
@@ -259,7 +255,11 @@ def _cmd_sweep(args) -> int:
         raise IdealGlueError("--theta-grid is empty")
 
     def xi_of_theta(theta):
-        return ConeTarget(tuple(cmath.exp(1j * w * theta) for w in weights))
+        try:
+            return ConeTarget(tuple(cmath.exp(1j * w * theta) for w in weights))
+        except ValueError as err:       # w theta overflows
+            raise IdealGlueError(f"--theta-grid: {theta!r} times an "
+                                 "--xi-weights entry overflows") from err
 
     initial = _parse_initial(args.initial, t.tetra_count)
     points = sweep_family(t, xi_of_theta, thetas, _config(args), initial)
@@ -267,8 +267,8 @@ def _cmd_sweep(args) -> int:
         "theta": p.theta,
         "converged": p.result.converged,
         "reason": p.result.reason,
-        "residual_norm": _finite(p.result.residual_norm),
-        "shapes": report_mod._pairs(p.result.shapes.z),
+        "residual_norm": finite_or_null(p.result.residual_norm),
+        "shapes": complex_pairs(p.result.shapes.z),
     } for p in points]}
     human = []
     for p in points:
@@ -287,7 +287,7 @@ def _cmd_sample(args) -> int:
     starts = random_starts(t, args.count, cfg)
     samples, dropped = cone_locus_sample(t, starts, cfg)
     payload = {"dropped": dropped, "samples": [{
-        "shapes": report_mod._pairs(Z.z), "xi": report_mod._pairs(xi.xi),
+        "shapes": complex_pairs(Z.z), "xi": complex_pairs(xi.xi),
     } for Z, xi in samples]}
     human = [f"{len(samples)} cone-locus samples ({dropped} starts dropped)"]
     for Z, xi in samples[:10]:
@@ -399,8 +399,8 @@ def main(argv=None) -> int:
         res = err.result
         if args.json and res is not None:
             print(report_mod.dumps({"converged": False, "reason": res.reason,
-                                    "detail": res.detail,
-                                    "residual_norm": _finite(res.residual_norm)}))
+                                    "detail": res.detail, "residual_norm":
+                                    finite_or_null(res.residual_norm)}))
         return EXIT_SOLVE_FAILURE
     except BrokenPipeError:         # the reader is gone: not an input error
         return EXIT_BROKEN_PIPE

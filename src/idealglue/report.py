@@ -38,12 +38,17 @@ from .triangulation import Triangulation
 REPORT_VERSION = 2
 
 
-def _pairs(values) -> list:
+def complex_pairs(values) -> list:
     """Complex values as [re, im] pairs: a vector as a list of pairs, a
     stack of matrices as one list of pairs per matrix, in C order."""
     a = np.ascontiguousarray(values, dtype=complex)
     rows = a.shape[:1] if a.ndim > 1 else ()
     return a.view(float).reshape(rows + (-1, 2)).tolist()
+
+
+def finite_or_null(x):
+    """x, or None (JSON null) when it is not finite: JSON has no inf."""
+    return x if math.isfinite(x) else None
 
 
 def _flat(values) -> list:
@@ -89,7 +94,7 @@ def build_solution_report(t: Triangulation, Z: ShapeAssignment,
             "triangulation": format_triangulation(t),
             "tol": float(check_tol(tol)),
             "residual_norm": float(residual_norm),
-            "shapes": _pairs(Z.z), "xi": _pairs(xi.xi),
+            "shapes": complex_pairs(Z.z), "xi": complex_pairs(xi.xi),
             **_solution_report(t, Z, xi, converged, certificate,
                                include_holonomy)}
 
@@ -106,7 +111,7 @@ def _solution_report(t, Z, xi, converged, certificate, include_holonomy,
              else branched_cover_report(E, xi))
     orders, lifted = list(cover.orders), list(cover.lifted_degrees)
     if not cover.all_orders_finite:
-        orders, lifted = ([None if math.isinf(o) else o for o in v]
+        orders, lifted = ([finite_or_null(o) for o in v]
                           for v in (orders, lifted))
     table = shape_table(np.array(Z.z, dtype=complex))   # for volume, angles
     report = {

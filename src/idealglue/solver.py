@@ -17,8 +17,10 @@ not given.  The residual (which, given h, only forms F from it), the
 step and the result rows all read that h.  `_newton_rows` solves
 h(z) = xi_k from each row's start, trying the complex least-squares
 step on h(z) - xi_k and then deterministic kicks, every row bit for bit
-as it would be solved alone; `newton_solve` is a batch of one of it,
-and `sweep_family` corrects blocks of grid points as one stack.
+as it would be solved alone; an obstructed row (xi = 1 on a degree-one
+edge) has iteration limit 0, every row stops in the loop's `stop`, and
+its detail is from one table, `_DETAIL`.  `newton_solve` is a batch of
+one of it, and `sweep_family` corrects blocks of grid points as one stack.
 `cone_locus_sample` runs all its starts as one batch and takes the real
 min-norm step on log|h(z)|, whose rows converge at |log|h|| < tol, so
 every kept |h(e)| is within about tol of 1.  Every solve, sweep,
@@ -119,6 +121,15 @@ STACK_ENTRIES = 2**18               # entries (4 MB) per stacked array
 ROOT_TOL = 1e-9                     # order of xi: least q <= Q_MAX with
 Q_MAX = 10_000                      # |xi^q - 1| < ROOT_TOL, else infinite
 _SCALES = np.ldexp(1.0, -np.arange(MAX_HALVINGS))[:, None]  # 2^-j, exact
+_DETAIL = {     # a SolveResult's detail by reason, of its r, it and edges
+    "converged": "",
+    "max_iterations": "residual {r:.3e} after {it} iterations",
+    "stalled": "damping could not reduce the residual",
+    "degenerate_shape": "iterates pushed into the guard band around "
+                        "{{0, 1}} (ideal point)",
+    "degree_one_edge_obstruction": "degree-one edge(s) {edges} have xi = 1; "
+    "the single incident shape parameter would be forbidden, so the system "
+    "has no solution"}
 
 
 class SolverConfig(FrozenSlots):
@@ -229,8 +240,8 @@ def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
     `directions(Z, F, h, rows)` yields (`_take_steps`), given the current
     point's h.  Both callbacks are given the batch indices `rows` of the
     rows they act on, the residual in the line search too, so a solve can
-    give each row its own target.  Stopped rows drop out, and `residual`
-    and `directions` are never called on an empty stack.
+    give each row its own target.  Stopped rows drop out (`stop`), and
+    `residual` and `directions` are never called on an empty stack.
 
     Returns (Z, r, h, iterations, reasons), one entry per row (of h, one
     row of an array): its last point, the residual norm and holonomies
@@ -250,10 +261,14 @@ def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
     limit = (np.full(len(Z), cfg.max_iterations) if limit is None
              else np.array(limit))
 
-    def stop(k, r, h, it, reason):  # k: positions in rows; reason: per row
+    def stop(k, reason):    # k: positions, or a mask, in the running rows
+        nonlocal rows, z, F, h, r, limit
         i = rows[k]
         Z[i], r_out[i], h_out[i], iterations[i], why[i] = (
             z[k], r[k], h[k], it, reason)
+        keep = np.ones(len(rows), dtype=bool)
+        keep[k] = False
+        rows, z, F, h, r, limit = (a[keep] for a in (rows, z, F, h, r, limit))
 
     r = None    # the running rows' residual norms; the search hands them on
     for it in itertools.count():
@@ -265,20 +280,13 @@ def _damped_gauss_newton(residual, directions, Z, cfg: SolverConfig,
         fin = r < cfg.tol
         out = fin | (limit == it)
         if any(out.tolist()):
-            stop(out, r, h, it, fin[out])
-            keep = ~out
-            rows, z, F, h, r, limit = (rows[keep], z[keep], F[keep],
-                                       h[keep], r[keep], limit[keep])
+            stop(out, fin[out])
             if not rows.size:
                 break
         stuck, near = _take_steps(residual, z, h, directions(z, F, h, rows),
                                   r, rows)
         if len(stuck):
-            stop(stuck, r, h, it, 2 + near)
-            rows, z, h, r, limit = (
-                np.delete(rows, stuck), np.delete(z, stuck, axis=0),
-                np.delete(h, stuck, axis=0), np.delete(r, stuck),
-                np.delete(limit, stuck))
+            stop(stuck, 2 + near)
     return (Z, r_out.tolist(), h_out, iterations.tolist(),
             [names[k] for k in why.tolist()])
 
@@ -345,12 +353,11 @@ def _newton_rows(E, targets, Z0, cfg: SolverConfig, limit=None,
     unit relation rows W the step reads; returns one SolveResult per row,
     in row order.
     A degree-one edge's equation sets a single shape to xi_e, which no
-    shape off {0, 1} meets at xi_e = 1: such a row keeps its start,
-    unsolved, with residual inf and reason "degree_one_edge_obstruction"."""
-    Z0 = np.array(Z0, dtype=complex)
+    shape off {0, 1} meets at xi_e = 1: such a row has iteration limit 0,
+    so it stops at its start, unsolved, with residual inf and reason
+    "degree_one_edge_obstruction"."""
     obstructed = np.abs(targets[:, E.degree_one] - 1.0) < 1e-8
-    solve = ~obstructed.any(-1)
-    targets = targets[solve]
+    blocked = obstructed.any(-1)
 
     def residual(Z, rows, h=None):
         if h is None:
@@ -377,41 +384,27 @@ def _newton_rows(E, targets, Z0, cfg: SolverConfig, limit=None,
                      for a, b in zip([step] + kicks, kicks + [-kick])]
         yield from kicks
 
-    detail = {
-        "converged": "",
-        "degenerate_shape": "iterates pushed into the guard band around "
-                            "{0, 1} (ideal point)",
-        "stalled": "damping could not reduce the residual",
-    }
-    results = []
-    if solve.any():
-        plan = _step_plan(E, len(targets), complex)
-        Z, norms, _, its, reasons = _damped_gauss_newton(
-            residual, directions, Z0[solve], cfg,
-            None if limit is None else np.asarray(limit)[solve],
-            None if H0 is None else np.asarray(H0)[solve])
-        for S, r, it, reason in zip(ShapeAssignment.rows(Z), norms, its,
-                                    reasons):
-            results.append(SolveResult(
-                S, r, it, reason == "converged", reason,
-                f"residual {r:.3e} after {it} iterations"
-                if reason == "max_iterations" else detail[reason]))
-    # the obstructed rows, in row order, each inserted where it stands
-    for k in np.flatnonzero(~solve).tolist():
-        results.insert(k, SolveResult(
-            ShapeAssignment(Z0[k]), math.inf, 0, False,
-            "degree_one_edge_obstruction", f"degree-one edge(s) "
-            f"{', '.join(f'e{j}' for j in E.degree_one[obstructed[k]])} have "
-            "xi = 1; the single incident shape parameter would be forbidden, "
-            "so the system has no solution"))
-    return results
+    plan = _step_plan(E, len(targets), complex)
+    Z, r, _, its, why = _damped_gauss_newton(
+        residual, directions, Z0, cfg, np.where(
+            blocked, 0, cfg.max_iterations if limit is None else limit), H0)
+    # an obstructed row's residual, reason and degree-one edges, set in
+    # copies: the core's own lists stay what it returned
+    norms, reasons, edges = list(r), list(why), [""] * len(targets)
+    for k in np.flatnonzero(blocked).tolist():
+        norms[k], reasons[k] = math.inf, "degree_one_edge_obstruction"
+        edges[k] = ", ".join(f"e{j}" for j in E.degree_one[obstructed[k]])
+    return [SolveResult(S, r, it, reason == "converged", reason,
+                        _DETAIL[reason].format(r=r, it=it, edges=e))
+            for S, r, it, reason, e in zip(ShapeAssignment.rows(Z), norms, its,
+                                           reasons, edges)]
 
 
 def newton_solve(t: Triangulation, xi: ConeTarget, initial: ShapeAssignment,
                  cfg: SolverConfig = SolverConfig()) -> SolveResult:
     """Damped Gauss-Newton least squares on F(z) = h(z) - xi over the
     reduced coordinates (one z per tetrahedron), as a batch of one of the
-    stacked solve `_newton_rows`, which leaves obstructions unsolved.
+    stacked solve `_newton_rows`, whose obstructed rows keep their start.
 
     The m-by-n system is rank-deficient (the cusp relations W / h span the
     left null space of J), so steps are min-norm least-squares solutions
@@ -505,14 +498,14 @@ def sweep_family(t: Triangulation, xi_of_theta, theta_grid,
     would solve it from that start, bit for bit, the first with up to
     cfg.max_iterations iterations and the others with up to
     `ACCEPT_ITERATIONS`; a theta whose target has a degree-one obstruction
-    is not solved.  Rows are accepted in grid order: the first always,
-    an obstructed one where it stands, and each later one only while it
-    converged or no point converged before it (it would start again
-    where it did).  So every accepted point is the `newton_solve` from
-    its start, bit for bit.  The first rejected row and all rows after
-    it go to the next stack, started again from the history the accepted
-    points extend; failures are recorded, and the sweep continues from
-    the converged points before them.
+    keeps its start, unsolved.  Rows are accepted in grid order: the
+    first always, an obstructed one where it stands, and each later one
+    only while it converged or no point converged before it (it would
+    start again where it did).  So every accepted point is the
+    `newton_solve` from its start, bit for bit.  The first rejected row
+    and all rows after it go to the next stack, started again from the
+    history the accepted points extend; failures are recorded, and the
+    sweep continues from the converged points before them.
 
     Where the solution set at fixed xi has positive dimension, the start
     decides which of its points the solve reaches: a sweep point is one

@@ -283,6 +283,73 @@ def test_stacked_rows_are_each_the_row_alone(rng):
                             "degree_one_edge_obstruction"}
 
 
+@pytest.mark.parametrize("given_h", [False, True])
+def test_obstructed_rows_stop_at_their_start_inside_the_stack(given_h,
+                                                              monkeypatch):
+    # obstructed rows (xi = 1 on a degree-one edge) among ordinary ones in
+    # one stack: each keeps its start, with iteration 0 and residual inf,
+    # takes no Jacobian row and has its holonomies evaluated at most once
+    # (never when the starts' holonomies are given); every other row is
+    # the row solved alone, bit for bit
+    rng = np.random.default_rng(17)
+    jacobian_rows, holonomy_rows = [], []
+    jac, hol = solver_mod.jacobian, solver_mod.all_holonomies
+
+    def counted_jacobian(Z, E, *h):
+        jacobian_rows.extend(np.atleast_2d(Z).tolist())
+        return jac(Z, E, *h)
+
+    def counted_holonomies(Z, E):
+        holonomy_rows.extend(np.atleast_2d(Z).tolist())
+        return hol(Z, E)
+
+    # xi_e = exp(i w_e theta), w_e by the degree of e: solved by
+    # z = exp(i theta), and obstructed at theta = 0
+    for name, weights in (("hopf", {1: 1, 4: -2}), ("trefoil", {1: 1, 5: -1})):
+        t = corpus(name)
+        E, n = build_exponent_matrix(t), t.tetra_count
+        w = np.array([weights[d] for d in E.degree.tolist()])
+        _, regular_xi, _ = regular_solution(t)
+        turned = np.exp(1.3j * w)
+        partly = np.where(w == 1, 1.0, turned)      # only degree one at 1
+        targets = np.array([np.exp(0j * w), regular_xi.xi, partly,
+                            np.exp(0.7j * w), turned, np.exp(0j * w)])
+        Z0 = np.array([random_shapes(rng, n, upper_only=True).z
+                       for _ in targets])
+        blocked = [0, 2, 5]
+        ordinary = [k for k in range(len(targets)) if k not in blocked]
+        cfg = SolverConfig(max_iterations=20)
+
+        def solve(rows):
+            H0 = all_holonomies(Z0[rows], E) if given_h else None
+            jacobian_rows.clear()
+            holonomy_rows.clear()
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "jacobian", counted_jacobian)
+                m.setattr(solver_mod, "all_holonomies", counted_holonomies)
+                return _newton_rows(E, targets[rows], Z0[rows], cfg,
+                                    [cfg.max_iterations] * len(rows), H0)
+
+        alone = solve(ordinary)
+        alone_jacobian_rows = len(jacobian_rows)
+        mixed = solve(list(range(len(targets))))
+        assert len(jacobian_rows) == alone_jacobian_rows > 0
+        assert [mixed[k] for k in ordinary] == alone
+        for k in ordinary:
+            assert mixed[k] == newton_solve(t, ConeTarget(tuple(targets[k])),
+                                            ShapeAssignment(tuple(Z0[k])), cfg)
+        edges = ", ".join(f"e{j}" for j in E.degree_one.tolist())
+        for k in blocked:
+            res, start = mixed[k], Z0[k].tolist()
+            assert res.shapes.z == tuple(Z0[k])
+            assert (res.iterations, res.residual_norm, res.converged,
+                    res.reason) == (0, float("inf"), False,
+                                    "degree_one_edge_obstruction")
+            assert res.detail.startswith(f"degree-one edge(s) {edges} have")
+            assert start not in jacobian_rows
+            assert holonomy_rows.count(start) == (0 if given_h else 1)
+
+
 # ------------------------------------------------------- cone_locus_sample
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -859,6 +926,9 @@ def test_handed_on_holonomies_are_the_recomputed_ones(monkeypatch):
     assert len(calls) > 100
     reasons = {res.reason for rows in handed_on[:2 * len(stacks)]
                for res in rows}
+    # every reason that appears has its detail in the one table, and every
+    # reason of the table appears
     assert reasons == {"converged", "max_iterations", "stalled",
                        "degenerate_shape", "degree_one_edge_obstruction"}
+    assert reasons == set(solver_mod._DETAIL)
     assert handed_on[-2][1] > 0         # samples dropped at 4 iterations

@@ -40,6 +40,22 @@ def fig8_report():
                                  certificate=cert)
 
 
+def test_report_writes_null_for_an_infinite_order():
+    # hopf at theta = 1 of its closed-form family, z = exp(i theta): every
+    # target has an irrational angle, so its order and lifted degree are
+    # infinite, written as JSON null; the report verifies
+    t = corpus("hopf")
+    weight = {1: 1, 4: -2}
+    xi = ConeTarget(tuple(cmath.exp(1j * weight[e.degree])
+                          for e in compute_edge_classes(t)))
+    Z = ShapeAssignment((cmath.exp(1j),))
+    rep = build_solution_report(t, Z, xi, 0.0)
+    edges = json.loads(dumps(rep))["edges"]
+    assert edges["order"] == edges["lifted_degree"] == [None] * 3
+    assert not rep["all_orders_finite"]
+    assert all(c.ok for c in verify_report(json.loads(dumps(rep))))
+
+
 def test_report_is_self_contained_and_revalidates():
     rep = fig8_report()
     text = dumps(rep)
@@ -839,6 +855,22 @@ def test_cli_empty_entries_exit_two(capsys, flag, argv):
     code, out, err = run_cli(capsys, argv[0], "--corpus", "hopf", *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error: " + flag + ": empty")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, weights, grid", [
+    ("--theta-grid", "1,-2,1", "1e308,-1e308"),
+    ("--theta-grid", "1,-2,1", "0.5,1e308"),    # a later point
+    ("--xi-weights", "1," + "1" + "0" * 400 + ",1", "1"),   # past the floats
+])
+def test_cli_sweep_angle_past_the_floats_exits_two(capsys, flag, weights,
+                                                   grid):
+    # a weight or a weight times theta past the float range is an input
+    # error naming the flag, on one line
+    code, out, err = run_cli(capsys, "sweep", "--corpus", "hopf",
+                             "--xi-weights", weights, "--theta-grid", grid)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag}: ")
     assert err.count("\n") == 1
 
 

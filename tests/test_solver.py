@@ -355,8 +355,8 @@ def check_predicted_starts(points, grid, stacks, E, xi_of):
 def test_sweep_solves_each_theta_in_one_stacked_solve(monkeypatch):
     # each accepted theta is one row of the stacked solve it is accepted
     # from, and here every row is accepted the first time, so each theta
-    # is one row of exactly one stacked solve; an obstructed theta enters
-    # no Gauss-Newton stack
+    # is one row of exactly one stacked solve; an obstructed theta is a
+    # row of the Gauss-Newton stack too, which stops at its start
     calls, cores = record_stacks(monkeypatch), record_cores(monkeypatch)
     t = corpus("hopf")
 
@@ -370,8 +370,8 @@ def test_sweep_solves_each_theta_in_one_stacked_solve(monkeypatch):
     assert [len(stack.targets) for stack in calls] == [2, 2]
     assert ([tuple(row) for stack in calls for row in stack.targets]
             == [xi_of(theta).xi for theta in thetas])
-    assert [len(Z) for Z in cores] == [2, 1]
-    assert np.array_equal(cores[1], calls[1].starts[1:])    # theta = pi alone
+    assert [len(Z) for Z in cores] == [2, 2]
+    assert np.array_equal(cores[1], calls[1].starts)    # theta = 0 and pi
     assert [p.result.converged for p in points] == [True, True, False, True]
     assert points[2].result.iterations == 0
 
@@ -549,9 +549,10 @@ def test_sweep_block_with_an_obstructed_and_a_failing_theta(monkeypatch):
         ([0, 1], 2), (list(range(2, 2 + rows)), 4),
         (list(range(6, 10)), 4), (list(range(10, n)), n - 10)]
     assert calls[1].results[4].reason == "max_iterations"
-    # the obstructed theta = 0 (grid index 8) enters no Gauss-Newton stack
-    assert [len(Z) for Z in cores] == [2, rows - 1, 3, n - 10]
-    assert np.array_equal(cores[2], np.delete(stacks[2][1], 2, axis=0))
+    # the obstructed theta = 0 (grid index 8) rides its Gauss-Newton
+    # stack, and every stack is the whole block
+    assert [len(Z) for Z in cores] == [2, rows, 4, n - 10]
+    assert np.array_equal(cores[2], stacks[2][1])
     for theta, p in zip(grid, points):
         if theta == 0.0:
             assert p.result.reason == "degree_one_edge_obstruction"
@@ -856,6 +857,8 @@ def test_sweep_of_a_long_uneven_grid_matches_plain_continuation(monkeypatch):
     for p, res in zip(points, oracle):
         assert np.abs(np.subtract(p.result.shapes.z,
                                   res.shapes.z)).max() < 1e-9
+        # the closed form, z = exp(i theta), to 1e-10 (1.0e-11 measured)
+        assert abs(p.result.shapes[0] - cmath.exp(1j * p.theta)) <= 1e-10
     # the first two solves take 9 iterations, one row each; past them no
     # row needs more than one correction, and all of those share one call
     assert max(p.result.iterations for p in points[2:]) <= 1

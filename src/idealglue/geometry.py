@@ -4,8 +4,8 @@ The volume of the ideal tetrahedron of shape z is the Bloch-Wigner function
 D(z) = Im Li2(z) + arg(1-z) log|z|; it is positive for Im z > 0, zero for
 real shapes (flat tetrahedra) and odd under conjugation.
 
-D, the dihedral angles and the cone angles (sums over the exponent
-matrix's nonzero pairs) are array kernels; the scalar `bloch_wigner` and
+D, the dihedral angles and the cone angles (sums of the slot angles
+around each edge) are array kernels; the scalar `bloch_wigner` and
 `dihedral_angles` are their one-element cases.
 """
 from __future__ import annotations
@@ -184,8 +184,8 @@ def dihedral_angles(z: complex):
 
 def edge_cone_angles(Z: ShapeAssignment, E: ExponentMatrix,
                      table=None) -> np.ndarray:
-    """Total angle around each edge: the sum of the slot angles, over the
-    nonzero (edge, tetrahedron) pairs.
+    """Total angle around each edge: the sum of the slot angles, gathered
+    in `all_holonomies`' slot order (`E.slots`).
 
     This recovers arg h(e) + 2 pi k with the correct winding k, which arg of
     the holonomy product alone cannot provide.  `table`, when given, is
@@ -195,7 +195,6 @@ def edge_cone_angles(Z: ShapeAssignment, E: ExponentMatrix,
     check_shape_length(Z, E)
     if table is None:
         table = shape_table(np.array(Z.z, dtype=complex))
-    angles = _dihedral_array(table[1]).take(E.cols, axis=0)
-    return np.add.reduceat(E.pair_a * angles[:, 0]
-                           + E.pair_a_prime * angles[:, 1]
-                           + E.pair_a_second * angles[:, 2], E.row_starts)
+    # transposed, the angles are label-major, as the slots index them
+    return np.add.reduceat(_dihedral_array(table[1]).T.take(E.slots),
+                           E.slot_starts)

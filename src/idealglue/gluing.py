@@ -17,9 +17,11 @@ The equations are read off the triangulation's compiled tables
 triangulation: the exponent matrix, kept as its nonzero
 (edge, tetrahedron) pairs, counted with `np.bincount` from the slots on
 each edge class's orbit, with its cusp relations `E.relations` from the
-vertex classes at each edge's ends.  h, J and d log h / dz (as their
-values there) and the residual are evaluated over the pairs.  So are a
-Gauss-Newton step's J x, J^H y and J J^H + U^H U (`pair_matvec`,
+vertex classes at each edge's ends, and the gather of the 6n slots by
+edge class.  h(e) is the product of the shape parameters at e's slots,
+gathered from one table of (z, z', z'') per point (`all_holonomies`).
+J and d log h / dz are evaluated as their values on the pairs.  So are
+a Gauss-Newton step's J x, J^H y and J J^H + U^H U (`pair_matvec`,
 `pair_rmatvec`, `normal_matrix`), the last two in tetrahedron order
 through the exponent matrix's index of its pairs by tetrahedron; J^H's
 values in that order (`pair_adjoint`) and the scatter index of a stack of
@@ -268,6 +270,12 @@ class ExponentMatrix:
     `pair_a_prime`, `pair_a_second`; `row_starts[j]` is the first pair of
     edge j, and `degree_one` the indices of the edges of degree one.
 
+    For h, the 6n slots are gathered from a table of (z, z', z'') per
+    point, label-major (the label k of tetrahedron i at k n + i): `slots`
+    holds each slot's entry of that table, the slots ordered by edge
+    class, then tetrahedron, then label (z, z', z''), and `slot_starts[j]`
+    is the first slot of edge j.
+
     For J^H y and J J^H + U^H U, the pairs are indexed by tetrahedron:
     `by_tet` lists the pairs in tetrahedron order, each tetrahedron's in
     edge order, `tet_rows` their edges and `tet_starts[i]` the first of
@@ -290,13 +298,15 @@ class ExponentMatrix:
 
     __slots__ = ("edge_count", "tet_count", "degree", "rows", "cols",
                  "pair_a", "pair_a_prime", "pair_a_second", "row_starts",
-                 "degree_one", "relations", "by_tet", "tet_rows",
-                 "tet_starts", "pair_pairs", "pair_entry")
+                 "degree_one", "relations", "slots", "slot_starts", "by_tet",
+                 "tet_rows", "tet_starts", "pair_pairs", "pair_entry")
 
-    def __init__(self, degree, tet_count: int, rows, cols, counts, relations):
+    def __init__(self, degree, tet_count: int, rows, cols, counts, relations,
+                 slots):
         m, n = self.edge_count, self.tet_count = len(degree), tet_count
         self.degree, self.rows, self.cols = degree, rows, cols
-        self.relations = relations
+        self.relations, self.slots = relations, slots
+        self.slot_starts = np.cumsum(degree) - degree
         self.pair_a, self.pair_a_prime, self.pair_a_second = (
             np.ascontiguousarray(counts.T))
         self.row_starts = np.searchsorted(rows, np.arange(m))
@@ -337,19 +347,23 @@ def build_exponent_matrix(t: Triangulation, edges=None) -> ExponentMatrix:
     Each of the 6n slots adds one to the count of its label at (its edge
     class, its tetrahedron): the pairs are the distinct keys
     class * n + tetrahedron, and `np.bincount` counts the labels per key.
-    Each edge class adds one to W at the vertex class of each of its ends.
+    The slots' gather is sorted by the key class * 3n + 3 tetrahedron +
+    label.  Each edge class adds one to W at the vertex class of each of
+    its ends.
     """
     tables, n = edge_tables(t), t.tetra_count
     slot = np.arange(6 * n)
-    keys, pair = np.unique(tables.slot_class * n + slot // 6,
-                           return_inverse=True)
-    counts = np.bincount(3 * pair + _SLOT_LABELS[slot % 6],
+    tet, label = slot // 6, _SLOT_LABELS[slot % 6]
+    keys, pair = np.unique(tables.slot_class * n + tet, return_inverse=True)
+    counts = np.bincount(3 * pair + label,
                          minlength=3 * len(keys)).reshape(-1, 3)
+    order = np.argsort(tables.slot_class * 3 * n + 3 * tet + label)
     ends = tables.ends
     W = np.zeros((tables.vertex_count, len(ends)), dtype=int)
     np.add.at(W, (ends.T, np.arange(len(ends))), 1)
     return ExponentMatrix(tables.degree, n, keys // n, keys % n, counts,
-                          W / np.linalg.norm(W, axis=1, keepdims=True))
+                          W / np.linalg.norm(W, axis=1, keepdims=True),
+                          (label * n + tet)[order])
 
 
 def check_target_length(xi: ConeTarget, E: ExponentMatrix) -> None:
@@ -373,19 +387,20 @@ def _shapes(Z: ShapeAssignment | np.ndarray) -> np.ndarray:
 
 def all_holonomies(Z: ShapeAssignment | np.ndarray,
                    E: ExponentMatrix) -> np.ndarray:
-    """h(e_j) = prod_i z_i^a z_i'^a' z_i''^a'', the product of the shape
-    parameters at every slot of edge j; the integer powers are exact.
+    """h(e_j), the product of the shape parameters at the slots of edge j,
+    in slot order (`E.slots`: by tetrahedron, then z, z', z'').
 
     Z is a ShapeAssignment or an array of shapes whose last axis runs over
     the tetrahedra; leading axes are a batch, and each row's holonomies
-    equal those of the row alone, bit for bit.  Only the nonzero
-    (edge, tetrahedron) pairs are evaluated, each power first and then the
-    product in tetrahedron order, which is the dense product's order.
+    equal those of the row alone, bit for bit.  z' = 1/(1-z) and
+    z'' = (z-1)/z are formed once per tetrahedron, into a label-major
+    table (z, z', z'') that the slots gather from, and each edge's slots
+    are multiplied in order by one `np.multiply.reduceat`.
     """
-    w = _shapes(Z).take(E.cols, axis=-1)
-    return np.multiply.reduceat(w ** E.pair_a * (1.0 / (1.0 - w)) ** E.pair_a_prime
-                                * ((w - 1.0) / w) ** E.pair_a_second,
-                                E.row_starts, axis=-1)
+    z = _shapes(Z)
+    table = np.concatenate([z, 1.0 / (1.0 - z), (z - 1.0) / z], axis=-1)
+    return np.multiply.reduceat(table.take(E.slots, axis=-1), E.slot_starts,
+                                axis=-1)
 
 
 def evaluate_residual(Z: ShapeAssignment | np.ndarray, E: ExponentMatrix,

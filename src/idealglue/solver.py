@@ -9,8 +9,9 @@ iteration limit, and every row converges by one rule: its residual
 2-norm is below cfg.tol.  A solve supplies only its residual and its
 ordered candidate steps, each acting on such a stack and told the batch
 indices of the rows it acts on, so each row can have its own target.
-Each point's holonomies h are evaluated once, by the call that first
-meets the point: the sweep's predictor for a block's starts
+Each point's holonomies h, the products of the shape parameters at each
+edge's slots (`all_holonomies`), are evaluated once, by the call that
+first meets the point: the sweep's predictor for a block's starts
 (`_block_starts`), the line search for every point it accepts
 (`_take_steps`), and the loop's residual only at starts whose h it was
 not given.  The residual (which, given h, only forms F from it), the

@@ -1,13 +1,16 @@
 """Oracles that only the tests read: the abstract edge neighbourhood,
-relabelling, canonical forms and the enumeration of the one-tetrahedron
-triangulations, the Gauss-Newton step with nothing formed ahead of its
-call (`unplanned_step`), a sweep block's predicted starts by the Lagrange
-weights' plain formula (`reference_block_starts`), and the field-by-field
-report verifier (`reference_verify_report`)."""
+relabelling, canonical forms, random triangulations by the plain list
+algorithm (`reference_random_triangulation`), the enumeration of the
+one-tetrahedron triangulations, the holonomies by the exponent-matrix
+power formula (`power_holonomies`), the Gauss-Newton step with nothing
+formed ahead of its call (`unplanned_step`), a sweep block's predicted
+starts by the Lagrange weights' plain formula (`reference_block_starts`),
+and the field-by-field report verifier (`reference_verify_report`)."""
 import contextlib
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,8 @@ from idealglue.gluing import (all_holonomies, check_shape_length,
 from idealglue.report import ReportCheck
 from idealglue.solver import (_norms, branched_cover_report,
                               cover_certificate, residual_check)
-from idealglue.triangulation import PERMUTATIONS, _odd_perms_fixing
+from idealglue.triangulation import (PERMUTATIONS, _odd_perms_fixing,
+                                     is_connected)
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,26 @@ def _pairs(t: Triangulation) -> list:
     return t._pair_array.tolist()
 
 
+def reference_random_triangulation(n: int, seed=None) -> Triangulation:
+    """`random_triangulation` by its plain list algorithm, quadratic in n:
+    pop the least unpaired face, then delete the k-th of the others.  The
+    package's must give the same pairs for every seed."""
+    rng = random.Random(seed)
+    while True:
+        faces = [(tet, f) for tet in range(n) for f in range(4)]
+        gl = []
+        while faces:
+            t1, f1 = faces.pop(0)
+            k = rng.randrange(len(faces))
+            t2, f2 = faces[k]
+            del faces[k]
+            p = _odd_perms_fixing(f1, f2)[rng.randrange(3)]
+            gl.append((t1, f1, t2, f2, p))
+        t = make_triangulation(n, gl)
+        if is_connected(t):
+            return t
+
+
 def canonical_form(t: Triangulation) -> Triangulation:
     """Lexicographically least relabeling.  Intended for small n (searches
     all vertex relabelings and tetrahedron renumberings)."""
@@ -98,6 +122,17 @@ def enumerate_one_tetrahedron_triangulations() -> list:
     out.sort(key=lambda t: (sorted(e.degree for e in compute_edge_classes(t)),
                             _pairs(t)))
     return out
+
+
+def power_holonomies(Z, E):
+    """h(e_j) = prod_i z_i^a z_i'^a' z_i''^a'' over E's nonzero
+    (edge, tetrahedron) pairs, each pair's three powers first, then the
+    pairs' product in tetrahedron order: h by its exponent-matrix formula,
+    which `all_holonomies`, a product over the slots, equals to rounding."""
+    w = np.asarray(Z).take(E.cols, axis=-1)
+    return np.multiply.reduceat(w ** E.pair_a * (1.0 / (1.0 - w)) ** E.pair_a_prime
+                                * ((w - 1.0) / w) ** E.pair_a_second,
+                                E.row_starts, axis=-1)
 
 
 def unplanned_step(V, E, b, M):

@@ -1,8 +1,10 @@
 """Each triangulation is compiled once: its validation report, tables, edge
 classes, exponent matrix and canonical text are kept in its one compiled
 store, every parse of one text returns that instance from the compile
-cache, and h and J are evaluated over the nonzero (edge, tetrahedron)
-pairs only."""
+cache, h is the product over each edge's slots and J is evaluated over
+the nonzero (edge, tetrahedron) pairs only."""
+import functools
+import operator
 import os
 import pathlib
 import subprocess
@@ -25,6 +27,7 @@ from idealglue import (CORPUS_NAMES, ConeTarget, ShapeAssignment,
                        self_identification_report, verify_report)
 from idealglue.corpus import CORPUS_TEXT
 from idealglue.fileio import parse_triangulation_lenient
+from idealglue.gluing import SLOT_LABELS
 from idealglue.triangulation import EDGE_SLOTS, SLOT_INDEX, edge_tables, validate
 from conftest import chain_cover_text, random_shapes, random_systems
 
@@ -57,13 +60,21 @@ def parity_walk_edge_classes(t):
     return classes
 
 
-def dense_holonomies(z, E):
-    return np.prod(z ** E.a * (1.0 / (1.0 - z)) ** E.a_prime
-                   * ((z - 1.0) / z) ** E.a_second, axis=1)
+def slot_holonomies(z, edges):
+    """h(e) as the product of the slot parameters around each edge's
+    cycle, sorted by tetrahedron, then label (z, z', z''), multiplied one
+    at a time from the first: z' = 1/(1-z) and z'' = (z-1)/z as NumPy forms
+    them on the shape vector."""
+    triples = list(zip(*(a.tolist() for a in (z, 1.0 / (1.0 - z),
+                                              (z - 1.0) / z))))
+    return np.array([functools.reduce(operator.mul, (
+        triples[tet][label] for tet, label in sorted(
+            (tet, SLOT_LABELS[slot]) for tet, slot, _ in e.cycle)))
+        for e in edges])
 
 
-def dense_jacobian(z, E):
-    return dense_holonomies(z, E)[:, None] * (
+def dense_jacobian(z, E, edges):
+    return slot_holonomies(z, edges)[:, None] * (
         E.a / z + E.a_prime / (1.0 - z) + E.a_second / (z * (z - 1.0)))
 
 
@@ -74,16 +85,16 @@ def test_pair_kernels_are_bitwise_dense_and_classes_match_parity_walk(rng):
         got = [(e.index, e.cycle, e.steps, e.directed)
                for e in compute_edge_classes(t)]
         assert got == parity_walk_edge_classes(t)
-        E = build_exponent_matrix(t)
+        E, edges = build_exponent_matrix(t), compute_edge_classes(t)
         for _ in range(10):
             Z = random_shapes(rng, t.tetra_count)
             z = np.array(Z.z, dtype=complex)
             for shapes in (Z, z):
                 assert np.array_equal(all_holonomies(shapes, E),
-                                      dense_holonomies(z, E))
+                                      slot_holonomies(z, edges))
                 # the values on the pairs, and zeros off them
                 assert np.array_equal(E.dense(jacobian(shapes, E)),
-                                      dense_jacobian(z, E))
+                                      dense_jacobian(z, E, edges))
 
 
 def test_pipeline_walks_the_edges_once(monkeypatch):

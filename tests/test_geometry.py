@@ -11,10 +11,11 @@ import pytest
 from idealglue import (BranchCut, DegenerateShape, ShapeAssignment, V_TET,
                        bloch_wigner, build_exponent_matrix,
                        compute_edge_classes, corpus, dihedral_angles, dilog,
-                       edge_cone_angles, solution_volume)
+                       edge_cone_angles, parse_triangulation,
+                       solution_volume)
 from idealglue.geometry import _BERNOULLI, _N_BERNOULLI, _bloch_wigner_array
 from idealglue.gluing import SLOT_LABELS, _triples
-from conftest import random_shapes, random_systems
+from conftest import chain_cover_text, random_shapes, random_systems
 
 REGULAR = cmath.exp(1j * math.pi / 3)
 
@@ -218,6 +219,17 @@ def test_edge_cone_angles_are_slot_sums_on_random_triangulations(rng):
                 expect = sum(dihedral_angles(Z[tet])[SLOT_LABELS[slot]]
                              for tet, slot, _ in e.cycle)
                 assert abs(angles[e.index] - expect) < 1e-12
+
+
+def test_edge_cone_angles_are_slot_sums_on_a_large_chain_cover(rng):
+    t = parse_triangulation(chain_cover_text(64))      # n = 128
+    edges, E = compute_edge_classes(t), build_exponent_matrix(t)
+    Z = random_shapes(rng, t.tetra_count)
+    angles = edge_cone_angles(Z, E)
+    dihedral = [dihedral_angles(z) for z in Z.z]
+    for e in edges:
+        expect = sum(dihedral[tet][SLOT_LABELS[slot]] for tet, slot, _ in e.cycle)
+        assert abs(angles[e.index] - expect) < 1e-12
 
 
 HUGE = [complex(1e308, 1e308), complex(-1.2e308, -1.2e308),

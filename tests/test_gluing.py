@@ -8,20 +8,22 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from idealglue import (CORPUS_NAMES, EDGE_SLOTS, ConeTarget,
                        DegenerateShape, IdealGlueError, NotUnitModulus,
                        ShapeAssignment, SolverConfig, all_holonomies,
                        build_exponent_matrix, compute_edge_classes, corpus,
                        derive_shape_triple, edge_slot_label,
-                       evaluate_residual, jacobian, random_triangulation,
-                       xi_from_shapes)
+                       evaluate_residual, jacobian, parse_triangulation,
+                       random_triangulation, xi_from_shapes)
 from idealglue.gluing import (SLOT_LABELS, _triples, check_nondegenerate,
                               log_jacobian)
-from conftest import random_shapes, random_systems
-from oracles import enumerate_one_tetrahedron_triangulations
+from conftest import chain_cover_text, random_shapes, random_systems
+from oracles import enumerate_one_tetrahedron_triangulations, power_holonomies
 
 REGULAR = complex(0.5, math.sqrt(3) / 2)
+EPS = np.finfo(float).eps
 
 
 def system(name):
@@ -181,6 +183,51 @@ def test_holonomies_are_slot_products_on_random_triangulations(rng):
                 for tet, slot, _ in e.cycle:
                     expect *= triples[tet][SLOT_LABELS[slot]]
                 assert abs(h[e.index] - expect) <= 1e-12 * abs(expect)
+
+
+@st.composite
+def gathered_systems(draw):
+    """(t, z): a random triangulation with 1 to 8 tetrahedra or a chain
+    cover with 2 to 16, and shapes of modulus 1e-6 to 1e6 off {0, 1}."""
+    if draw(st.booleans()):
+        t = random_triangulation(draw(st.integers(1, 8)),
+                                 seed=draw(st.integers(0, 2 ** 32 - 1)))
+    else:
+        t = parse_triangulation(chain_cover_text(draw(st.integers(1, 8))))
+    n = t.tetra_count
+    z = [10.0 ** e * cmath.exp(1j * a) for e, a in zip(
+        draw(st.lists(st.floats(-6, 6), min_size=n, max_size=n)),
+        draw(st.lists(st.floats(-math.pi, math.pi), min_size=n, max_size=n)))]
+    assume(all(abs(w - 1.0) > 1e-6 for w in z))
+    return t, z
+
+
+@settings(max_examples=200, deadline=None)
+@given(gathered_systems())
+def test_holonomies_are_the_plain_cycle_products(case):
+    # the plain Python product of the slot parameters in cycle order, as
+    # the benchmark defines h; the gather multiplies them by tetrahedron,
+    # then label, so each of an edge's d factors may round apart: 4 ulp
+    # per slot
+    t, z = case
+    E = build_exponent_matrix(t)
+    h = all_holonomies(np.array(z), E)
+    triples = [(w, 1.0 / (1.0 - w), (w - 1.0) / w) for w in z]
+    for e in compute_edge_classes(t):
+        expect = 1.0 + 0.0j
+        for tet, slot, _ in e.cycle:
+            expect *= triples[tet][SLOT_LABELS[slot]]
+        assert abs(h[e.index] - expect) <= 4 * EPS * e.degree * abs(expect)
+
+
+def test_holonomies_are_the_power_formula(rng):
+    # h as the product of z^a z'^a' z''^a'' over the pairs, to 8 ulp
+    for t, _, E in random_systems() + [system(name) for name in CORPUS_NAMES]:
+        for _ in range(10):
+            z = np.array(random_shapes(rng, t.tetra_count).z)
+            want = power_holonomies(z, E)
+            assert (np.abs(all_holonomies(z, E) - want)
+                    <= 8 * EPS * np.abs(want)).all()
 
 
 def test_product_of_all_holonomies_is_one(rng):

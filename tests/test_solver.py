@@ -74,6 +74,53 @@ def test_kicks_follow_a_step_that_cannot_be_damped():
     assert abs(res.shapes[0] + 1) < 1e-9
 
 
+def test_a_step_that_cannot_be_damped_hands_over_to_the_first_kick(
+        monkeypatch):
+    # the mechanism of the test above, recorded at the candidates the line
+    # search is given rather than read off where the solve ends: near
+    # exp(i pi / 3) the least-squares step is offered, no halving of it
+    # lowers the residual, the first kick is offered next, and the row
+    # moves along a kick
+    t = corpus("hopf")
+    xi = xi_by_degree(t, {1: -1, 4: 1})
+    E, take, searches = build_exponent_matrix(t), solver_mod._take_steps, []
+
+    def recording(residual, z, h, steps, r, rows):
+        offered, start = [], (z.copy(), r.copy())
+
+        def tee():
+            for step in steps:
+                offered.append(step.copy())
+                yield step
+        out = take(residual, z, h, tee(), r, rows)
+        searches.append((*start, offered, z.copy()))
+        return out
+
+    monkeypatch.setattr(solver_mod, "_take_steps", recording)
+    start = REGULAR_SHAPE * cmath.exp(-1.2e-8j)
+    newton_solve(t, xi, ShapeAssignment((start,)))
+    z, r, offered, moved = next(s for s in searches if len(s[2]) > 1)
+    (z,), (r,), (w,) = z, r, z[0]
+    assert abs(w - REGULAR_SHAPE) < 1e-7
+    step = offered[0][0]
+    # the least-squares step of J x = -F, not tiny
+    J = E.dense(solver_mod.jacobian(z, E))
+    F = evaluate_residual(z, E, xi)
+    lstsq = np.linalg.lstsq(J, -F, rcond=None)[0]
+    assert np.abs(step - lstsq).max() <= 1e-6 * np.abs(lstsq).max()
+    assert np.linalg.norm(step) >= 1e-12 * (1.0 + np.linalg.norm(z))
+    for j in range(solver_mod.MAX_HALVINGS):
+        trial = z + 2.0 ** -j * step
+        assert np.linalg.norm(evaluate_residual(trial, E, xi)) >= r
+    kick = 0.05 * (1.0 + abs(w)) * cmath.exp(0.7j)
+    assert offered[1][0] == pytest.approx([kick], abs=1e-15)
+    # the row moved by 2^-j times one of the kicks
+    d = complex(moved[0][0] - w)
+    ratios = [d / k for k in (kick, 1j * kick, -kick)]
+    assert any(abs(q - 2.0 ** round(math.log2(q.real))) < 1e-9
+               for q in ratios if q.real > 0)
+
+
 def test_stationary_start_stalls_honestly():
     # from a little further off exp(i pi / 3) the kicks land in the basin of
     # z ~ 0.75488, a local minimum of |F| that is not a solution: the solve

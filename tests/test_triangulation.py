@@ -15,7 +15,8 @@ from idealglue import (IdealGlueError, VertexPermutation, compute_edge_classes,
                        validate)
 from idealglue.triangulation import Triangulation
 from oracles import (abstract_edge_neighbourhood,
-                     enumerate_one_tetrahedron_triangulations, relabel)
+                     enumerate_one_tetrahedron_triangulations,
+                     reference_random_triangulation, relabel)
 
 
 def degrees(t):
@@ -220,6 +221,15 @@ def test_seeded_random_triangulations_are_pinned():
             t = random_triangulation(n, seed=seed)
             digest.update(repr(t._pair_array.tolist()).encode())
     assert digest.hexdigest() == SEEDED_PAIRS_SHA256
+
+
+def test_random_triangulation_is_the_plain_list_algorithm():
+    # the Fenwick tree finds the face that the list algorithm deletes, with
+    # the same draws in the same order
+    cases = [(n, seed) for n in (1, 2, 3, 5) for seed in range(300)]
+    for n, seed in cases + [(n, seed) for n in (500, 2000) for seed in range(5)]:
+        assert np.array_equal(random_triangulation(n, seed=seed)._pair_array,
+                              reference_random_triangulation(n, seed)._pair_array)
 
 
 def test_random_triangulations_are_valid_and_partition():

@@ -23,11 +23,12 @@ edge) has iteration limit 0, every row stops in the loop's `stop`, and
 its detail is from one table, `_DETAIL`.  `newton_solve` is a batch of
 one of it, and `sweep_family` corrects blocks of grid points as one stack.
 `cone_locus_sample` runs all its starts as one batch and takes the real
-min-norm step on log|h(z)|, whose rows converge at |log|h|| < tol, so
-every kept |h(e)| is within about tol of 1.  Every solve, sweep,
-sample and certificate reads the exponent matrix compiled once per
-triangulation (`build_exponent_matrix`), edge degrees included, and the
-loops evaluate h and J on raw shape arrays.  The line search
+min-norm step du in log z on log|h(z)|, trying the chord to z e^du, then
+the tangent z du; its rows converge at |log|h|| < tol, so every kept
+|h(e)| is within about tol of 1.  Every solve, sweep, sample and
+certificate reads the exponent matrix compiled once per triangulation
+(`build_exponent_matrix`), edge degrees included, and the loops
+evaluate h and J on raw shape arrays.  The line search
 (`_take_steps`) makes one residual call for the full steps of all rows
 and one for all further halvings of the rows they leave, and the result
 rows are built from the stack (`ShapeAssignment.rows`).
@@ -58,17 +59,18 @@ family there, not a canonical one.
 Both solves take one step, the min-norm least-squares solution of
 A x = b for each row of a stack (`_least_squares_step`): A = J and
 U = W / h for `newton_solve`, and for the sampler's real system
-log|h| = 0 its real m-by-2n Jacobian A = [Re D, -Im D], with
-D = d log h / dz, and U = W.  W is the cusp relation matrix with its rows
-scaled to unit norm (`E.relations`, which keeps M well conditioned):
-around each vertex class the sum of the edges' log h, each counted once
-per end there, is constant (Neumann-Zagier), so the rows of U span the
-left null space of A, and x = A^H (A A^H + U^H U)^-1 b is one
-dense m-by-m solve with no singular-value cutoff for rounding noise to
-pass.  The normal equations square A's condition number; at the
-near-complete solutions the solver meets, it is below 100 and the step
-agrees with lstsq's to about 1e-13.  The step reads J and D as their
-values on the exponent pairs (`gluing.jacobian`, `log_jacobian`):
+log|h| = 0 its real m-by-2n Jacobian in log z, A = [Re D, -Im D] with
+D = (d log h / dz) diag(z), and U = W.  W is the cusp relation matrix
+with its rows scaled to unit norm (`E.relations`, which keeps M well
+conditioned): around each vertex class the sum of the edges' log h, each
+counted once per end there, is constant (Neumann-Zagier), so the rows of
+U span the left null space of A (a diagonal right factor leaves it as it
+is), and x = A^H (A A^H + U^H U)^-1 b is one dense m-by-m solve with no
+singular-value cutoff for rounding noise to pass.  The normal equations
+square A's condition number; at the near-complete solutions the solver
+meets, it is below 100 and the step agrees with lstsq's to about 1e-13.
+The step reads J and D as their values on the exponent pairs
+(`gluing.jacobian`, and `log_jacobian` times each pair's z):
 A^H y = D^H y, A x = D x or Re(D x), and M = J J^H + U^H U or, for the
 sampler, Re(D D^H) + U^T U = A A^T, at most 36 n products where the
 dense product costs O(m^2 n) (`gluing.pair_rmatvec`, `pair_matvec`,
@@ -121,6 +123,8 @@ ACCEPT_ITERATIONS = 3               # sweep: iteration limit of later rows
 STACK_ENTRIES = 2**18               # entries (4 MB) per stacked array
 ROOT_TOL = 1e-9                     # order of xi: least q <= Q_MAX with
 Q_MAX = 10_000                      # |xi^q - 1| < ROOT_TOL, else infinite
+_START_LOW = np.array([-2.0, 0.0])  # random_starts: (Re, Im) uniform on
+_START_SPAN = np.array([4.0, 2.0])  # [-2, 2) x [0, 2), low + span u
 _SCALES = np.ldexp(1.0, -np.arange(MAX_HALVINGS))[:, None]  # 2^-j, exact
 _DETAIL = {     # a SolveResult's detail by reason, of its r, it and edges
     "converged": "",
@@ -309,14 +313,15 @@ def _least_squares_step(V, E, b, M, index):
     one dense m-by-m solve per row.  M holds U^H U on entry, written by
     the caller into the solve's workspace, and the step adds A A^H to it
     in place through `index`, the workspace's `gluing.normal_index` (see
-    `_step_plan`).  A is D, given by its values V on E's pairs, or for a
-    real M (a real U) the real [Re D, -Im D], whose x is returned as
-    x[:n] + i x[n:]: then A^H y = D^H y, A x = Re(D x), and both products
-    with A^H read D^H's values, formed once (`gluing.pair_adjoint`).  A
-    row whose x
-    misses the optimality condition |A^H (A x - b)| <= 1e-8 |A^H b|, or
-    whose M is singular, takes lstsq's step on its dense A; each row's
-    step is that of the row alone, bit for bit."""
+    `_step_plan`).  A is D, given by its values V on E's pairs (J for a
+    solve, and (d log h / dz) diag(z) for the sampler, whose x is a step
+    in log z), or for a real M (a real U) the real [Re D, -Im D], whose x
+    is returned as x[:n] + i x[n:]: then A^H y = D^H y, A x = Re(D x), and
+    both products with A^H read D^H's values, formed once
+    (`gluing.pair_adjoint`).  A row whose x misses the optimality
+    condition |A^H (A x - b)| <= 1e-8 |A^H b|, or whose M is singular,
+    takes lstsq's step on its dense A; each row's step is that of the row
+    alone, bit for bit."""
     M, y = normal_matrix(V, E, M, index), b[..., None]
     real = M.dtype.kind != "c"
     try:
@@ -569,7 +574,8 @@ def random_starts(t: Triangulation, count: int, cfg: SolverConfig = SolverConfig
     rng = np.random.default_rng(cfg.seed)
     z = np.empty(0, dtype=complex)
     while len(z) < need:
-        w = rng.uniform((-2.0, 0.0), (2.0, 2.0), (need + need // 3 + 16, 2))
+        # the doubles rng.uniform draws, in one affine map of rng.random's
+        w = _START_LOW + _START_SPAN * rng.random((need + need // 3 + 16, 2))
         w = w.view(complex)[:, 0]
         # Im w >= 1e-3 keeps w far off the guard band around {0, 1}
         z = np.concatenate([z, w[(np.abs(w) <= 2) & (w.imag >= 1e-3)]])
@@ -579,12 +585,19 @@ def random_starts(t: Triangulation, count: int, cfg: SolverConfig = SolverConfig
 def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig()):
     """Project random starts onto the cone-deformation variety.
 
-    Gauss-Newton on the real residuals log|h(e)| over (Re z, Im z), all
-    starts in one batch.  In this logarithmic form of the gluing equations
-    (Thurston's notes, ch. 4; Neumann-Zagier) log|h(e)| is a sum over the
-    tetrahedra, so its linearisation holds far from the unit circle too;
-    that of |h(e)| - 1, a product, is poor where |h| is about 100, and
-    its damped steps there cut the residual by about 0.1 % per iteration.
+    Gauss-Newton on the real residuals log|h(e)|, all starts in one
+    batch.  In this logarithmic form of the gluing equations (Thurston's
+    notes, ch. 4; Neumann-Zagier) log|h(e)| is a sum over the tetrahedra,
+    so its linearisation holds far from the unit circle too; that of
+    |h(e)| - 1, a product, is poor where |h| is about 100, and its damped
+    steps there cut the residual by about 0.1 % per iteration.  Per
+    tetrahedron log|h(e)| is (a - a'') log|z| + (a'' - a') log|1 - z|,
+    linear in log z but for log|1 - z|, so the step du is taken in log z,
+    on (Re log z, Im log z): its matrix is D diag(z), D = d log h / dz.
+    The line search tries the chord from z to z e^du first, then, for the
+    rows it cannot move, the tangent z du, which solves the same
+    linearised equation and so descends where the chord at a large du
+    need not (`_take_steps`).
     A row converges, as in every solve, when its residual 2-norm
     |log|h|| is below cfg.tol, which puts every |h(e)| within about tol
     of 1.  The converged points that pass ConeTarget's UNIT_TOL test (all
@@ -612,12 +625,15 @@ def cone_locus_sample(t: Triangulation, starts, cfg: SolverConfig = SolverConfig
     WtW, plan = E.relations.T @ E.relations, _step_plan(E, len(starts), float)
 
     def directions(Z, F, h, rows):
-        # d log|h| = Re(D dz), D = d log h / dz: a real m x 2n system per
-        # row, whose left null space the rows of W span, since
-        # sum_e W[v, e] log h(e) is constant
+        # d log|h| = Re(D diag(z) du), D = d log h / dz, du = d log z: a
+        # real m x 2n system per row, whose left null space the rows of W
+        # span, since sum_e W[v, e] log h(e) is constant; the diagonal
+        # factor leaves it so.  np.multiply, not `*`, as in `pair_rmatvec`
         M = plan[0][:len(Z)]
         M[...] = WtW
-        return [_least_squares_step(log_jacobian(Z, E), E, -F, M, plan[1])]
+        V = np.multiply(log_jacobian(Z, E), Z.take(E.cols, axis=-1))
+        du = _least_squares_step(V, E, -F, M, plan[1])
+        return [Z * np.expm1(du), Z * du]   # the chord, then the tangent
 
     Z0 = np.array([s.z for s in starts], dtype=complex)
     Z, _, H, _, reasons = _damped_gauss_newton(residual, directions, Z0, cfg)

@@ -136,9 +136,10 @@ def scalar_newton(t, xi, initial, cfg, least_squares=relation_step):
 
 def scalar_sample(t, start, cfg):
     """The projected start when the per-start sampler keeps it, else None:
-    Gauss-Newton on log|h(e)| with the real step on D = d log h / dz and
-    U = W, stopped, as every solve, when its residual norm |log|h|| is
-    below cfg.tol."""
+    Gauss-Newton on log|h(e)| with the real step du in log z, on
+    D diag(z), D = d log h / dz, and U = W, trying the chord from z to
+    z e^du and then the tangent z du; stopped, as every solve, when its
+    residual norm |log|h|| is below cfg.tol."""
     E = build_exponent_matrix(t)
 
     def residual(z):
@@ -146,9 +147,10 @@ def scalar_sample(t, start, cfg):
             return np.log(np.abs(all_holonomies(z, E)))
 
     def directions(z, F):
-        D = log_jacobian(z, E)
-        return [relation_step(D, E, -F, outer_product_normal_matrix(
-            E.dense(D), E.relations))]
+        V = np.multiply(log_jacobian(z, E), z.take(E.cols))
+        du = relation_step(V, E, -F, outer_product_normal_matrix(
+            E.dense(V), E.relations))
+        return [z * np.expm1(du), z * du]
 
     z, _, _, reason = scalar_gauss_newton(
         residual, directions, np.array(start.z, dtype=complex), cfg)

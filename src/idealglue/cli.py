@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 solve failure (for verify-report, a failed
-check), 2 input error, including a file that cannot be read, a malformed
-report or an input too large to hold in memory, 141 (128 + SIGPIPE) when
-the reader of stdout closed it early.  Diagnostics go to stderr; results
-to stdout (JSON with --json).
+Exit codes: 0 success, 1 solve failure, including converged shapes that
+do not develop (for verify-report, a failed check), 2 input error,
+including a file that cannot be read, a malformed report or an input
+too large to hold in memory, 141 (128 + SIGPIPE) when the reader of
+stdout closed it early.  Diagnostics go to stderr; results to stdout
+(JSON with --json).
 
 `run` is the process entry (`python -m idealglue.cli`, the `idealglue`
 script); `main` runs one command in the calling process.
@@ -21,7 +22,7 @@ import sys
 
 from . import report as report_mod
 from .corpus import CORPUS_NAMES, corpus, export_corpus
-from .errors import IdealGlueError, NotConverged
+from .errors import EdgeCycleNotClosed, IdealGlueError, NotConverged
 from .fileio import format_triangulation, parse_triangulation
 from .geometry import solution_volume
 from .gluing import (ConeTarget, LABEL_NAMES, SLOT_LABELS, ShapeAssignment,
@@ -401,6 +402,10 @@ def main(argv=None) -> int:
             print(report_mod.dumps({"converged": False, "reason": res.reason,
                                     "detail": res.detail, "residual_norm":
                                     finite_or_null(res.residual_norm)}))
+        return EXIT_SOLVE_FAILURE
+    except EdgeCycleNotClosed as err:   # valid input, solved out of range
+        print(f"solve failed: the shapes do not develop: {err}",
+              file=sys.stderr)
         return EXIT_SOLVE_FAILURE
     except BrokenPipeError:         # the reader is gone: not an input error
         return EXIT_BROKEN_PIPE

@@ -29,9 +29,9 @@ the tangent z du; its rows converge at |log|h|| < tol, so every kept
 certificate reads the exponent matrix compiled once per triangulation
 (`build_exponent_matrix`), edge degrees included, and the loops
 evaluate h and J on raw shape arrays.  The line search
-(`_take_steps`) makes one residual call for the full steps of all rows
-and one for all further halvings of the rows they leave, and the result
-rows are built from the stack (`ShapeAssignment.rows`).
+(`_take_steps`) is backtracking by halving, one scale per residual call:
+each pass offers every row not moved yet the same scale 2^-j, and the
+result rows are built from the stack (`ShapeAssignment.rows`).
 
 A sweep is block predictor-corrector continuation with step-length
 control (Allgower-Georg, Introduction to Numerical Continuation Methods,
@@ -120,12 +120,12 @@ REGULAR_SHAPE = complex(0.5, math.sqrt(3.0) / 2.0)
 MAX_HALVINGS = 30                   # damping: step scales 2^-j, j < 30
 BLOCK_ROWS = 16                     # sweep: grid points in its first block
 ACCEPT_ITERATIONS = 3               # sweep: iteration limit of later rows
-STACK_ENTRIES = 2**18               # entries (4 MB) per stacked array
+STACK_ENTRIES = 2**18               # sweep: entries (4 MB) of a block's M
 ROOT_TOL = 1e-9                     # order of xi: least q <= Q_MAX with
 Q_MAX = 10_000                      # |xi^q - 1| < ROOT_TOL, else infinite
 _START_LOW = np.array([-2.0, 0.0])  # random_starts: (Re, Im) uniform on
 _START_SPAN = np.array([4.0, 2.0])  # [-2, 2) x [0, 2), low + span u
-_SCALES = np.ldexp(1.0, -np.arange(MAX_HALVINGS))[:, None]  # 2^-j, exact
+_SCALES = np.ldexp(1.0, -np.arange(MAX_HALVINGS))   # 2^-j, exact
 _DETAIL = {     # a SolveResult's detail by reason, of its r, it and edges
     "converged": "",
     "max_iterations": "residual {r:.3e} after {it} iterations",
@@ -174,48 +174,33 @@ def _take_steps(residual, z, h, steps, r, rows):
     (an iterable, consumed only as far as needed) that stays off the guard
     band around {0, 1} and brings its residual norm below r when scaled by
     some lam = 2^-j, j < MAX_HALVINGS; the row takes the largest such lam.
-    The full steps are one residual call, and the rows left try all further
-    lam at once, in stacks of at most STACK_ENTRIES shapes.  `residual` is
-    given the batch indices, out of `rows`, of the rows it evaluates, and
-    returns (F, h); the search reads F, and writes the h and the residual
-    norm of the point each row accepts into that row of h and r, in place,
-    as it writes the point.  Every candidate is evaluated, in one residual
-    call per pass, and one in the band is rejected whatever its residual.
-    Returns the indices of the rows no step moved, whose rows of z, h and
-    r are left as they were, and, for each, whether its full first step
-    enters the band."""
-    # rows not moved yet: all, then indices; the truth tests go through
-    # lists, which for a few rows cost less than numpy's any and all
-    todo, first, n = slice(None), None, z.shape[-1]
+    This is the backtracking loop (Nocedal-Wright, Numerical Optimization,
+    sec. 3.1) run on all rows at once: each pass offers every row not moved
+    yet the same lam, largest first, in one residual call; the rows that
+    pass take it, and the rest go on to the next lam, then to the next
+    step.  `residual` is given the batch indices, out of `rows`, of the
+    rows it evaluates, and returns (F, h); the search reads F, and writes
+    the h and the residual norm of the point each row accepts into that
+    row of h and r, in place, as it writes the point.  A candidate in the
+    band is rejected whatever its residual.  Returns the indices of the
+    rows no step moved, whose rows of z, h and r are left as they were,
+    and, for each, whether its full first step enters the band."""
+    # rows not moved yet: all, then indices; the truth test goes through a
+    # list, which for a few rows costs less than numpy's all
+    todo, first = slice(None), None
     for step in steps:
         first = step if first is None else first
-        j = 0
-        while j < MAX_HALVINGS:
-            k = 1 if j == 0 else min(MAX_HALVINGS - j,
-                                     max(1, STACK_ENTRIES // (len(todo) * n)))
-            # row i k + l of flat is row i's candidate at lam = 2^-(j + l);
-            # the full step, lam = 1, is taken unscaled
-            cand = ((z[todo] + step[todo])[:, None] if j == 0 else
-                    z[todo, None] + _SCALES[j:j + k] * step[todo, None])
-            flat, at, bound = cand.reshape(-1, n), rows[todo], r[todo]
-            if k > 1:
-                at, bound = np.repeat(at, k), np.repeat(bound, k)
-            F, H = residual(flat, at)
+        for lam in _SCALES:         # the full step, lam = 1, is unscaled
+            cand = z[todo] + (step[todo] if lam == 1 else lam * step[todo])
+            F, H = residual(cand, rows[todo])
             norm = _norms(F)
-            ok = (norm < bound) & ~in_guard_band(flat)
-            if all(ok.tolist()):        # each row takes its first candidate
-                z[todo], h[todo], r[todo] = cand[:, 0], H[::k], norm[::k]
+            ok = (norm < r[todo]) & ~in_guard_band(cand)
+            if all(ok.tolist()):        # every row left takes this lam
+                z[todo], h[todo], r[todo] = cand, H, norm
                 return (), ()
-            ok, todo = ok.reshape(-1, k), np.arange(len(z))[todo]
-            hit = ok.any(-1)
-            lam = ok[hit].argmax(-1)
-            z[todo[hit]] = cand[hit, lam]
-            h[todo[hit]] = H.reshape(len(cand), k, -1)[hit, lam]
-            r[todo[hit]] = norm.reshape(len(cand), k)[hit, lam]
-            todo = todo[~hit]
-            if not todo.size:
-                return (), ()
-            j += k
+            todo = np.arange(len(z))[todo]
+            z[todo[ok]], h[todo[ok]], r[todo[ok]] = cand[ok], H[ok], norm[ok]
+            todo = todo[~ok]
     return todo, in_guard_band(z[todo] + first[todo])
 
 

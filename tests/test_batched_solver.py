@@ -737,8 +737,11 @@ def test_stacked_line_search_is_the_sequential_one():
                               r.copy(), np.arange(6))
     assert list(stuck) == [5] and list(near) == [True]
     assert np.array_equal(z, want)
-    # one call for the full steps and one for all further halvings, per step
-    assert len(pulled) == 2 and len(calls) <= 2 * len(pulled)
+    # one call per scale, offered to the rows still moving: the first step
+    # tries all 30 scales (row 2 takes 2^-29), and the kick all 30 too
+    # (row 3 takes its full step, row 5 tries every scale)
+    assert len(pulled) == 2
+    assert calls == [6, 5, 4, 4] + [3] * 26 + [2] + [1] * 29
 
     calls.clear()
     pulled.clear()

@@ -21,7 +21,8 @@ from idealglue import (CORPUS_NAMES, ConeTarget, DevelopFailure,
                        build_exponent_matrix, build_solution_report,
                        compute_edge_classes, corpus,
                        essential_edge_certificate, evaluate_residual,
-                       IdealGlueError, newton_solve, parse_triangulation,
+                       format_triangulation, IdealGlueError, newton_solve,
+                       parse_triangulation, random_triangulation,
                        regular_solution, verify_report)
 from idealglue import develop as develop_mod, report as report_mod
 from idealglue.cli import _parse_xi, build_parser, main
@@ -1014,6 +1015,23 @@ def test_cli_develop_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("command", ["certify", "solve"])
+def test_converged_shapes_that_do_not_develop_exit_one(command, json_flag,
+                                                       tmp_path, capsys):
+    # the solve converges at |z| of about 3e10, where rounding moves an
+    # edge matrix's ends past the develop's closure bound: a failed solve
+    # on one line (exit 1), not an input error (exit 2), and no report
+    path = tmp_path / "one.tri"
+    path.write_text(format_triangulation(random_triangulation(1, 6)))
+    code, out, err = run_cli(capsys, command, "--file", str(path),
+                             *["--json"] * json_flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("solve failed: the shapes do not develop: edge 0: "
+                          "mismatch ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("modulus", [1e20, 1e5])
